@@ -1,17 +1,15 @@
-"""Microbenchmarks of the compiled routing/simulation performance core.
+"""Microbenchmarks of the routing/simulation hot path.
 
 Runs the same suite as ``qspr-map bench`` (see :mod:`repro.runner.bench`)
 under the benchmark harness: it times full place-route-simulate pipeline
-runs on the paper's circuits, measures the compiled-core speedup against the
-faithfully reproduced pre-refactor core, asserts both cores agree on every
-mapping result, and records the report via ``report_util`` so the session
-summary shows the trajectory tables.
+runs on the paper's circuits and records the report via ``report_util`` so
+the session summary shows the timing tables.
 
 Scale knobs (environment):
 
-* ``REPRO_BENCH_PERF_FULL`` — set to ``1`` to time every bundled circuit and
-  both speedup probes (the ``qspr-map bench`` full mode); the default is the
-  quick subset, which keeps the CI smoke job fast.
+* ``REPRO_BENCH_PERF_FULL`` — set to ``1`` to time every bundled circuit
+  (the ``qspr-map bench`` full mode); the default is the quick subset,
+  which keeps the CI smoke job fast.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import os
 from report_util import emit as _emit
 from repro.runner.bench import (
     LARGEST_CIRCUIT,
+    BenchCase,
     format_perf_report,
-    measure_speedup,
     run_perf_suite,
     time_case,
     QUICK_CASES,
@@ -33,43 +31,27 @@ PERF_FULL = os.environ.get("REPRO_BENCH_PERF_FULL", "0") == "1"
 
 
 def test_perf_suite_reports_trajectory():
-    """The whole suite runs end to end and emits the trajectory tables."""
+    """The whole suite runs end to end and emits the timing tables."""
     report = run_perf_suite(quick=not PERF_FULL, repeats=3)
     _emit(format_perf_report(report))
     assert report["cases"], "the suite must time at least one case"
     for case in report["cases"]:
         assert case["wall_seconds"] > 0
         assert 0 <= case["routing_seconds"] <= case["wall_seconds"]
-    for entry in report["speedups"]:
-        # The equivalence gates inside measure_speedup and
-        # measure_event_core_speedup already asserted equal results; here we
-        # only require no regression.  Event-core entries are gated on the
-        # deterministic route-query ratio — their wall margin is thinner and
-        # shared-runner timing noise must not flake the harness.
-        if entry["kind"] == "event-core":
-            assert entry["route_query_speedup"] > 1.0, (
-                f"event core answered more route queries than the tick loop on "
-                f"{entry['circuit']}: {entry['route_query_speedup']:.2f}x"
-            )
-        else:
-            assert entry["speedup"] > 1.0, (
-                f"compiled core slower than the pre-refactor core on "
-                f"{entry['circuit']}: {entry['speedup']:.2f}x"
-            )
 
 
-def test_largest_circuit_speedup(benchmark):
-    """Headline number: compiled-core speedup on the largest bundled circuit."""
-    entry = benchmark.pedantic(
-        measure_speedup, args=(LARGEST_CIRCUIT,), kwargs={"repeats": 3},
+def test_largest_circuit_timing(benchmark):
+    """Headline number: best-of-3 pipeline time on the largest bundled circuit."""
+    record = benchmark.pedantic(
+        time_case, args=(BenchCase(LARGEST_CIRCUIT),), kwargs={"repeats": 3},
         rounds=1, iterations=1,
     )
     benchmark.extra_info.update(
-        baseline_ms=round(entry["baseline_seconds"] * 1000, 1),
-        compiled_ms=round(entry["compiled_seconds"] * 1000, 1),
-        speedup=round(entry["speedup"], 2),
+        wall_ms=round(record["wall_seconds"] * 1000, 1),
+        routing_ms=round(record["routing_seconds"] * 1000, 1),
+        route_cache_hit_rate=round(record["route_cache_hit_rate"], 3),
     )
-    assert entry["speedup"] > 1.0
+    assert record["latency_us"] >= record["ideal_latency_us"] > 0
 
 
 def test_single_case_timing(benchmark):

@@ -14,8 +14,8 @@ service workflows:
 * ``qspr-map report`` — re-render the tables from a previous sweep's
   ``results.json`` without re-running anything.
 * ``qspr-map bench`` — time the place-route-simulate hot path on the paper's
-  circuits, measure the compiled-core speedup against the pre-refactor core
-  and write ``BENCH_perf.json`` (see ``docs/PERFORMANCE.md``).
+  circuits and a small service loadgen trace, and write ``BENCH_perf.json``
+  (see ``docs/PERFORMANCE.md``).
 * ``qspr-map list`` — enumerate every plugin registered in the mapper,
   placer, fabric, circuit, scheduler and technology registries (built-ins
   and third-party).
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI-smoke subset: small circuits and one speedup probe",
+        help="CI-smoke subset: small circuits only",
     )
     bench_parser.add_argument(
         "--repeats",

@@ -53,9 +53,6 @@ class Fabric:
         # trap list of a query point never changes.  The router asks for the
         # same few points (trap cells, operand medians, the center) for every
         # issued instruction, which made the full-fabric sort a hot path.
-        # Benchmarks flip the public switch off to time the uncached
-        # (pre-refactor) behaviour; results are identical either way.
-        self.spatial_cache_enabled = True
         self._traps_by_distance_cache: dict[tuple[float, float], tuple[Trap, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -161,14 +158,9 @@ class Fabric:
     def traps_by_distance(self, point: tuple[float, float]) -> list[Trap]:
         """All traps sorted by L1 distance to ``point`` (ties by trap id).
 
-        The ordering is memoised per point (unless ``spatial_cache_enabled``
-        is off); callers receive a fresh list they are free to mutate.
+        The ordering is memoised per point; callers receive a fresh list they
+        are free to mutate.
         """
-        if not self.spatial_cache_enabled:
-            return sorted(
-                self._traps.values(),
-                key=lambda trap: (distance_to_point(trap.cell, point), trap.id),
-            )
         key = (point[0], point[1])
         cached = self._traps_by_distance_cache.get(key)
         if cached is None:

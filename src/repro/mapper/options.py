@@ -2,7 +2,7 @@
 
 :class:`MapperOptions` gathers every knob the paper's experiments vary:
 technology parameters, routing features (turn awareness, dual-operand
-movement, channel capacity), the scheduling priority policy and the placer
+movement, channel capacity), the scheduling policy and the placer
 (MVFB, Monte-Carlo or plain center placement).  The presets used by the
 concrete mappers live next to the mappers themselves.
 """
@@ -15,7 +15,6 @@ from enum import Enum
 from repro.errors import MappingError
 from repro.routing.router import MeetingPoint, RoutingPolicy
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.priority import PriorityPolicy
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -40,13 +39,10 @@ class MapperOptions:
 
     Attributes:
         technology: Physical machine description (delays, capacities).
-        priority_policy: Scheduling policy selector — a
-            :class:`~repro.scheduling.policies.SchedulingPolicy`, a registry
-            name from :data:`repro.pipeline.SCHEDULERS` or a legacy
-            :class:`PriorityPolicy` member.
-        scheduler: Alias of ``priority_policy`` under its canonical name
-            (what specs, sweeps and the CLI call it); takes precedence over
-            ``priority_policy`` when both are given.
+        scheduler: Scheduling policy — a registry name from
+            :data:`repro.pipeline.SCHEDULERS` (what specs, sweeps and the
+            CLI pass) or a
+            :class:`~repro.scheduling.policies.SchedulingPolicy` object.
         barrier_scheduling: Schedule level-by-level (ALAP) before mapping, as
             the prior tools do, instead of interleaving scheduling with
             routing (QSPR).  Instructions of a level only issue after every
@@ -67,50 +63,18 @@ class MapperOptions:
         mvfb_patience: Consecutive non-improving runs that stop an MVFB seed.
         mvfb_max_runs_per_seed: Hard cap on placement runs per MVFB seed.
         random_seed: Seed for all randomised placement decisions.
-        compiled_routing: Run the router on the compiled routing core (CSR
-            Dijkstra kernel plus the epoch-validated route cache).  ``False``
-            selects the pre-refactor object-based core; results are
-            identical, only speed differs.  Kept selectable for differential
-            tests and the performance benchmarks.
-        event_core: Run the event-driven simulation core: pop the
-            timestamp-ordered event heap, apply the typed event's state
-            change, and re-attempt issue only when the event woke a blocked
-            instruction (or the run does not track wake sets).  ``False``
-            selects the tick-poll loop, which re-attempts every ready
-            instruction at every event timestamp.  Results are byte-identical
-            either way — only the event-loop and routing counters (and the
-            wall clock) differ — so the tick loop is kept selectable for
-            differential tests and the event-core benchmarks.
-        busy_wake_sets: Park routing-blocked instructions on the precise
-            wake-set keys of their failure (blocking-cut channels, occupancy
-            traps) and retry them only when one of those keys is woken.
-            **Deprecated:** wake sets are now the default path of the event
-            core and there is no reason to disable them outside differential
-            tests and benchmarks; the flag will eventually be removed
-            together with the tick loop.  Results are identical with the
-            feature on or off; only futile router calls (and therefore the
-            routing-core counters) drop.
-        routing_v2: Run the router's v2 fast path — region-scoped
-            route-cache invalidation, landmark (ALT) heap-pop pruning,
-            warm-started re-computation and batched candidate prefills (see
-            :class:`~repro.routing.router.Router`).  Plans and schedules are
-            byte-identical either way (held by the differential suites);
-            only the routing counters and wall time differ.  Requires
-            ``compiled_routing``; kept selectable for differential tests and
-            the performance benchmarks.
         shared_route_cache: Consult (and feed) the process-wide route store
             shared across all runs on the same fabric, technology and
-            routing policy.  Plans whose region footprint was idle when
-            computed are pure functions of geometry there, so sharing them
-            is safe; results are identical and only the cache-hit counters
-            change.  Off by default to keep default-scenario reports
-            byte-stable — service workers, which map many jobs on one
-            memoised fabric, turn it on.
+            routing policy.  Stored plans are served only where the
+            occupancies their search read match, so sharing them is safe;
+            results are identical and only the cache-hit counters change.
+            Off by default to keep default-scenario reports byte-stable —
+            service workers, which map many jobs on one memoised fabric,
+            turn it on.
     """
 
     technology: TechnologyParams = PAPER_TECHNOLOGY
-    priority_policy: PriorityPolicy | SchedulingPolicy | str = PriorityPolicy.QSPR
-    scheduler: SchedulingPolicy | PriorityPolicy | str | None = None
+    scheduler: SchedulingPolicy | str = "qspr"
     barrier_scheduling: bool = False
     turn_aware_routing: bool = True
     meeting_point: MeetingPoint = MeetingPoint.MEDIAN
@@ -122,10 +86,6 @@ class MapperOptions:
     mvfb_patience: int = 3
     mvfb_max_runs_per_seed: int = 40
     random_seed: int = 0
-    compiled_routing: bool = True
-    event_core: bool = True
-    busy_wake_sets: bool = True
-    routing_v2: bool = True
     shared_route_cache: bool = False
 
     def __post_init__(self) -> None:
@@ -150,24 +110,15 @@ class MapperOptions:
         return self.placer.value if isinstance(self.placer, PlacerKind) else self.placer
 
     @property
-    def scheduler_selector(self) -> "SchedulingPolicy | PriorityPolicy | str":
-        """The effective scheduler choice (``scheduler`` wins over the alias)."""
-        return self.scheduler if self.scheduler is not None else self.priority_policy
-
-    @property
     def scheduler_name(self) -> str:
         """Registry name of the selected scheduling policy.
 
         This is what reports print and what the scheduler axis of specs and
-        sweeps carries; the legacy enum's values equal the registry names, so
-        both selector styles label identically.
+        sweeps carries.
         """
-        selector = self.scheduler_selector
-        if isinstance(selector, PriorityPolicy):
-            return selector.value
-        if isinstance(selector, SchedulingPolicy):
-            return selector.name
-        return selector
+        if isinstance(self.scheduler, SchedulingPolicy):
+            return self.scheduler.name
+        return self.scheduler
 
     def scheduling_policy(self) -> SchedulingPolicy:
         """The resolved :class:`SchedulingPolicy` strategy object.
@@ -180,7 +131,7 @@ class MapperOptions:
         # circular.
         from repro.pipeline.schedulers import resolve_scheduler
 
-        return resolve_scheduler(self.scheduler_selector, error=MappingError)
+        return resolve_scheduler(self.scheduler, error=MappingError)
 
     @property
     def effective_channel_capacity(self) -> int:
@@ -218,14 +169,6 @@ class MapperOptions:
         )
         if self.placer_name == PlacerKind.MONTE_CARLO.value:
             text += f" m'={self.num_placements}"
-        if not self.compiled_routing:
-            text += " core=legacy"
-        if not self.event_core:
-            text += " sim=tick"
-        if not self.routing_v2:
-            text += " routing=v1"
-        if not self.busy_wake_sets:
-            text += " wake_sets=False"
         if self.shared_route_cache:
             text += " shared_routes=True"
         return text

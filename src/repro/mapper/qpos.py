@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.mapper.options import MapperOptions, PlacerKind
 from repro.mapper.qspr import QsprMapper
 from repro.routing.router import MeetingPoint
-from repro.scheduling.priority import PriorityPolicy
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -37,12 +36,9 @@ def qpos_options(
         path_delay_priority: Use the priority tweak of reference [5] (total
             delay of dependent instructions) instead of the dependent count.
     """
-    priority = (
-        PriorityPolicy.QPOS_PATH_DELAY if path_delay_priority else PriorityPolicy.QPOS_DEPENDENTS
-    )
     return MapperOptions(
         technology=technology,
-        priority_policy=priority,
+        scheduler="qpos-path-delay" if path_delay_priority else "qpos-dependents",
         turn_aware_routing=False,
         meeting_point=MeetingPoint.DESTINATION,
         channel_capacity=1,

@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro.mapper.options import MapperOptions, PlacerKind
 from repro.mapper.qspr import QsprMapper
 from repro.routing.router import MeetingPoint
-from repro.scheduling.priority import PriorityPolicy
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -32,7 +31,7 @@ def quale_options(technology: TechnologyParams = PAPER_TECHNOLOGY) -> MapperOpti
     """The option preset that reproduces QUALE's behaviour."""
     return MapperOptions(
         technology=technology,
-        priority_policy=PriorityPolicy.QUALE_ALAP,
+        scheduler="quale-alap",
         barrier_scheduling=True,
         turn_aware_routing=False,
         meeting_point=MeetingPoint.DESTINATION,

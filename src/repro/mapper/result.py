@@ -49,8 +49,8 @@ class MappingResult:
             cache hits/misses, Dijkstra calls, heap pops, edge relaxations).
         event_stats: Event-loop counters of the winning pass (events
             processed, peak heap size, wake hits, skipped/executed issue
-            polls).  All zero for the tick-poll loop's ``skipped_polls``; a
-            tick-loop run polls at every event timestamp by construction.
+            polls).  ``skipped_polls`` is zero for forced-order and barrier
+            runs, which poll at every event timestamp by construction.
     """
 
     circuit_name: str

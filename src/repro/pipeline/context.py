@@ -186,10 +186,6 @@ class PipelineContext:
             forced_order=forced_order,
             qidg=qidg if qidg is not None else self.qidg,
             barrier_scheduling=options.barrier_scheduling and forced_order is None,
-            compiled_routing=options.compiled_routing,
-            event_core=options.event_core,
-            busy_wake_sets=options.busy_wake_sets,
-            routing_v2=options.routing_v2,
             shared_route_cache=options.shared_route_cache,
         )
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from repro.errors import SchedulingError
 from repro.pipeline.registry import Registry
 from repro.scheduling.policies import PAPER_POLICIES, SchedulingPolicy
-from repro.scheduling.priority import PriorityPolicy
 
 #: The scheduler registry.  Built-ins: the paper's four policies.
 SCHEDULERS = Registry("scheduler")
@@ -41,14 +40,13 @@ for _policy in PAPER_POLICIES:
 
 
 def resolve_scheduler(
-    selector: "str | PriorityPolicy | SchedulingPolicy",
+    selector: str | SchedulingPolicy,
     *,
     error: type[Exception] = SchedulingError,
 ) -> SchedulingPolicy:
     """The :class:`SchedulingPolicy` selected by ``selector``.
 
-    Accepts a registry name, a legacy :class:`PriorityPolicy` enum member
-    (whose value is a registry name) or an already-built policy object.
+    Accepts a registry name or an already-built policy object.
 
     Raises:
         SchedulingError: On an unknown registry name (with a did-you-mean
@@ -57,12 +55,10 @@ def resolve_scheduler(
     """
     if isinstance(selector, SchedulingPolicy):
         return selector
-    if isinstance(selector, PriorityPolicy):
-        selector = selector.value
     if not isinstance(selector, str):
         raise error(
-            f"scheduler must be a registry name, a PriorityPolicy or a "
-            f"SchedulingPolicy, got {selector!r}"
+            f"scheduler must be a registry name or a SchedulingPolicy, "
+            f"got {selector!r}"
         )
     entry = SCHEDULERS.resolve(selector, error=error)
     if isinstance(entry, type):  # a registered class: instantiate fresh

@@ -12,9 +12,9 @@ Components:
 * :mod:`repro.routing.weights` — the edge weight function of Eq. (2).
 * :mod:`repro.routing.congestion` — channel occupancy bookkeeping.
 * :mod:`repro.routing.dijkstra` — multi-source/multi-target shortest path
-  (the legacy object-based reference kernel).
-* :mod:`repro.routing.compiled` — the CSR-array routing core the router uses
-  by default; returns routes identical to the legacy kernel.
+  (the object-based reference kernel the test suite's oracle plans with).
+* :mod:`repro.routing.compiled` — the CSR-array routing core the router
+  uses; returns routes identical to the reference kernel.
 * :mod:`repro.routing.path` — expansion of a graph path into a timed
   :class:`RoutePlan` (per-channel occupancy intervals, moves and turns).
 * :mod:`repro.routing.trap_selection` — target trap choice near the median of

@@ -26,7 +26,7 @@ The Dijkstra kernel works entirely on preallocated per-node arrays
 query, every slot carries a *generation stamp*: bumping ``self._generation``
 invalidates all previous state in O(1).  The heap uses lazy deletion
 (superseded entries are skipped on pop) and the tie-breaking — a monotone
-push counter — matches the legacy kernel entry-for-entry, so both return
+push counter — matches the reference kernel entry-for-entry, so both return
 identical routes, not merely equal-cost ones.
 
 **Weight synchronisation.**  Edge weights depend on channel occupancy, which
@@ -42,14 +42,14 @@ naturally.
 **Frontier pruning.**  The kernel skips pushing any tentative distance that
 is already at or above the cheapest completed route.  ``best_total`` only
 ever decreases and all costs are non-negative, so such an entry could never
-improve the answer; in the legacy kernel it would only ever be popped after
-the termination condition fired.  The pruning changes heap-pop counts, never
-distances, origins or routes.
+improve the answer; in the reference kernel it would only ever be popped
+after the termination condition fired.  The pruning changes heap-pop counts,
+never distances, origins or routes.
 
-**Landmark pruning (ALT, v2).**  With ``use_landmarks=True`` the kernel
-additionally prunes against a congestion-free lower bound: ~8 landmark nodes
-are chosen once per fabric by farthest-point selection and the
-congestion-free distance from each landmark to every node is precomputed
+**Landmark pruning (ALT).**  The kernel additionally prunes against a
+congestion-free lower bound: ~8 landmark nodes are chosen once per fabric by
+farthest-point selection and the congestion-free distance from each
+landmark to every node is precomputed
 (per ``(T_move, T_turn)`` pair, memoised on the compiled graph).  For a
 query the per-node heuristic ``h(v)`` is the largest landmark-interval
 distance to the target set plus the smallest completion cost — admissible
@@ -61,20 +61,19 @@ The kernel keeps plain Dijkstra's pop order and tie-breaking and uses
 strictly worse than an already-known route, and the completion update uses
 a strict ``<``, so dropping them provably changes heap traffic, never the
 returned route.  ``cost_bound`` feeds the same test with an externally
-known achievable cost (the router re-costs a region-invalidated cached
-plan under the current congestion), so pruning starts before the first
-in-search completion is found.  Landmarks require a weight-symmetric graph
-(checked structurally at build time); asymmetric graphs silently fall back
-to plain Dijkstra.
+known achievable cost (the router re-costs a stale cached plan under the
+current congestion), so pruning starts before the first in-search
+completion is found.  Landmarks require a weight-symmetric graph (checked
+structurally at build time); asymmetric graphs silently fall back to plain
+Dijkstra.
 
-**Region footprints (v2).**  When ``regions_out`` is given, the kernel
-records the spatial regions (see :mod:`repro.routing.regions`) of every
-channel edge leaving a settled node.  Those are exactly the weights the
-search *read*, so a cached result stays byte-identical for as long as no
-channel in those regions (plus the caller's own attachment channels)
-changes — the validity predicate of the router's region-scoped route cache.
+**Read sets.**  When ``read_out`` is given, the kernel records the channel
+of every non-turn edge leaving a settled node.  Those are exactly the
+weights the search *read*, so a cached result stays byte-identical for as
+long as those channels' occupancies (plus the caller's own attachment
+channels) are unchanged — the validity rule of the router's route cache.
 
-**Batched multi-target search (v2).**  :meth:`shortest_routes_batch`
+**Batched multi-target search.**  :meth:`shortest_routes_batch`
 answers one source set against several target groups (the candidate
 meeting traps of dual-operand planning) in a single kernel pass.  Each
 group keeps its own ``best_total``/winner and *freezes* exactly where its
@@ -94,7 +93,6 @@ from typing import Mapping, Sequence
 from repro.routing.congestion import CongestionTracker
 from repro.routing.dijkstra import DijkstraResult
 from repro.routing.graph_model import EdgeKind, Node, RoutingGraph
-from repro.routing.regions import RegionGrid
 from repro.technology import TechnologyParams
 
 _INF = math.inf
@@ -298,25 +296,15 @@ class CompiledRoutingGraph:
         self._visited_gen = [0] * num_nodes
         self._generation = 0
 
-        # v2: per-node spatial-region bitmask — the regions of every channel
-        # edge *leaving* the node, i.e. the weights a search reads when it
-        # settles the node.  OR-ing the masks of the settled set yields the
-        # query's region footprint for the router's region-scoped cache.
-        self.region_grid = RegionGrid.shared(graph.fabric)
-        node_region_mask = [0] * num_nodes
         node_channels: list[set] = [set() for _ in range(num_nodes)]
         for e in range(len(edges)):
             if not edge_is_turn[e]:
-                bit = 1 << self.region_grid.region_of(edges[e].channel_id)
-                node_region_mask[edge_source[e]] |= bit
                 node_channels[edge_source[e]].add(edges[e].channel_id)
-        self._node_region_mask = node_region_mask
         #: Channel ids whose occupancy a search *reads* when it settles a
         #: node: the channels of the node's outgoing non-turn edges (turn
         #: edges are congestion-independent).  The router snapshots their
         #: occupancies to validate cached plans exactly.
         self._node_channel_ids: list[tuple] = [tuple(s) for s in node_channels]
-        self._mask_regions_memo: dict[int, tuple[int, ...]] = {}
         #: GraphEdge identity -> edge index, for re-costing cached routes.
         self._edge_lookup = {id(edge): e for e, edge in enumerate(edges)}
         #: ``(move_delay, turn_cost) -> _LandmarkTable | None`` (``None`` when
@@ -378,8 +366,8 @@ class CompiledRoutingGraph:
             lengths = self._edge_length
             is_turn = self._edge_is_turn
             for e in range(len(base)):
-                # ``length * move_delay`` is exactly the legacy Eq. (2) value
-                # for an unoccupied channel: (0 + 1) * length * T_move.
+                # ``length * move_delay`` is exactly the reference Eq. (2)
+                # value for an unoccupied channel: (0 + 1) * length * T_move.
                 base[e] = turn_cost if is_turn[e] else lengths[e] * move_delay
                 self._set_edge_weight(e, base[e])
             self._weight_move_delay = move_delay
@@ -408,27 +396,18 @@ class CompiledRoutingGraph:
                 if count >= capacity:
                     self._set_edge_weight(e, _INF)
                 else:
-                    # Multiplication order matches the legacy kernel exactly:
-                    # ((n + 1) * length) is an exact integer, then one float
-                    # multiply — bit-identical to weights.channel_weight.
+                    # Multiplication order matches the reference kernel
+                    # exactly: ((n + 1) * length) is an exact integer, then
+                    # one float multiply — bit-identical to
+                    # weights.channel_weight.
                     self._set_edge_weight(e, (count + 1) * lengths[e] * move_delay)
                 touched.append(e)
         self._weight_epoch = congestion.epoch
         self._weight_tracker_id = id(congestion)
 
     # ------------------------------------------------------------------
-    # Landmarks (ALT) and region footprints
+    # Landmarks (ALT)
     # ------------------------------------------------------------------
-    def _mask_to_regions(self, mask: int) -> tuple[int, ...]:
-        """Region indices of a footprint bitmask (memoised; few masks recur)."""
-        regions = self._mask_regions_memo.get(mask)
-        if regions is None:
-            regions = tuple(
-                r for r in range(self.region_grid.num_regions) if mask & (1 << r)
-            )
-            self._mask_regions_memo[mask] = regions
-        return regions
-
     def _base_weights_symmetric(self) -> bool:
         """Whether every edge has a reverse twin of the same kind and length.
 
@@ -579,10 +558,8 @@ class CompiledRoutingGraph:
         turn_aware_costing: bool = True,
         stats: RoutingCoreStats | None = None,
         blocked_channels: set | None = None,
-        regions_out: set | None = None,
         read_out: set | None = None,
         cost_bound: float = _INF,
-        use_landmarks: bool = False,
     ) -> DijkstraResult | None:
         """Array-based equivalent of :func:`repro.routing.dijkstra.shortest_route`.
 
@@ -605,9 +582,6 @@ class CompiledRoutingGraph:
                 one of those channels frees a slot: every other full channel
                 lies beyond the cut (unreachable either way), and releases of
                 non-full channels only change costs, never connectivity.
-            regions_out: Optional output set receiving the spatial-region
-                footprint the search read (regions of channel edges out of
-                settled nodes); see the module docstring.
             read_out: Optional output set receiving the ids of every channel
                 whose occupancy the search *read* — the channels of non-turn
                 edges out of settled nodes.  Together with the caller's
@@ -618,13 +592,10 @@ class CompiledRoutingGraph:
                 entries that provably cannot beat it are pruned from the
                 start.  Must be an upper bound on the optimum — the router
                 derives it by re-costing a stale cached plan.
-            use_landmarks: Enable the ALT pruning described in the module
-                docstring.  Prunes heap traffic only; the returned route is
-                byte-identical either way.
 
         Returns:
             The cheapest :class:`DijkstraResult` — identical, route-for-route,
-            to the legacy kernel's answer — or ``None`` when no finite route
+            to the reference kernel's answer — or ``None`` when no finite route
             exists.
         """
         node_index = self._node_index
@@ -669,11 +640,7 @@ class CompiledRoutingGraph:
         # needs no per-target loop and stays admissible and consistent; the
         # interval term is congestion-free and memoised per target-node set,
         # so inside the loop ``h(v)`` is one list index plus one add.
-        h_table = (
-            self._get_landmarks(technology.move_delay, turn_cost)
-            if use_landmarks
-            else None
-        )
+        h_table = self._get_landmarks(technology.move_delay, turn_cost)
         use_h = h_table is not None
         if use_h:
             h_int = h_table.interval_vector(tuple(sorted(target_cost)))
@@ -690,9 +657,6 @@ class CompiledRoutingGraph:
         track_cut = blocked_channels is not None
         track_read = read_out is not None
         track_settled = track_cut or track_read
-        track_regions = regions_out is not None
-        node_region_mask = self._node_region_mask
-        footprint = 0
         settled: list[int] = []
 
         while heap:
@@ -705,8 +669,6 @@ class CompiledRoutingGraph:
             visited_gen[node] = generation
             if track_settled:
                 settled.append(node)
-            if track_regions:
-                footprint |= node_region_mask[node]
             completion = target_cost.get(node)
             if completion is not None and cost + completion < best_total:
                 best_total = cost + completion
@@ -757,8 +719,6 @@ class CompiledRoutingGraph:
                     counter += 1
                     relaxations += 1
 
-        if track_regions and footprint:
-            regions_out.update(self._mask_to_regions(footprint))
         if track_read:
             node_channel_ids = self._node_channel_ids
             for i in settled:
@@ -808,9 +768,7 @@ class CompiledRoutingGraph:
         *,
         turn_aware_costing: bool = True,
         stats: RoutingCoreStats | None = None,
-        regions_out: set | None = None,
         read_out: set | None = None,
-        use_landmarks: bool = False,
     ) -> list[DijkstraResult | None]:
         """Answer one source set against several target groups in one pass.
 
@@ -876,11 +834,7 @@ class CompiledRoutingGraph:
         if not group_targets:
             return results
 
-        h_table = (
-            self._get_landmarks(technology.move_delay, turn_cost)
-            if use_landmarks
-            else None
-        )
+        h_table = self._get_landmarks(technology.move_delay, turn_cost)
         use_h = h_table is not None
         if use_h:
             h_int = h_table.interval_vector(tuple(sorted(group_targets)))
@@ -901,10 +855,7 @@ class CompiledRoutingGraph:
         relaxations = 0
         pop = heapq.heappop
         push = heapq.heappush
-        track_regions = regions_out is not None
         track_read = read_out is not None
-        node_region_mask = self._node_region_mask
-        footprint = 0
         settled: list[int] = []
 
         while heap and open_groups:
@@ -917,8 +868,6 @@ class CompiledRoutingGraph:
             visited_gen[node] = generation
             if track_read:
                 settled.append(node)
-            if track_regions:
-                footprint |= node_region_mask[node]
             hits = group_targets.get(node)
             recompute_bound = False
             if hits is not None:
@@ -959,8 +908,6 @@ class CompiledRoutingGraph:
                     counter += 1
                     relaxations += 1
 
-        if track_regions and footprint:
-            regions_out.update(self._mask_to_regions(footprint))
         if track_read:
             node_channel_ids = self._node_channel_ids
             for i in settled:

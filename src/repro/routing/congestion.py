@@ -7,22 +7,12 @@ instruction is issued and *releases* each channel when the corresponding
 qubit-exits-channel event fires.
 
 Every mutation bumps the tracker's **epoch**, a monotonically increasing
-stamp drawn from a process-wide counter.  Route plans are pure functions of
-the (static) fabric and the congestion state, so any consumer that tags a
-derived value with the epoch it was computed under — the router's route
-cache, the compiled graph's occupancy mirror — can validate it with one
+stamp drawn from a process-wide counter.  The compiled routing graph tags
+its in-row edge weights with the epoch (and tracker) they were synced
+against, so a query under unchanged congestion skips the resync with one
 integer comparison.  Because the counter is process-wide and also advanced
 when a tracker is created or reset, two *different* trackers can never carry
-the same epoch, so stale derived values from a previous run are never
-mistaken for fresh ones.
-
-On top of the global epoch the tracker keeps **region stamps**: the fabric's
-channels are partitioned into a few spatial regions (see
-:mod:`repro.routing.regions`) and every mutation of a channel re-stamps only
-that channel's region with the new epoch.  A consumer that recorded which
-regions its computation *touched* (the router's v2 route cache) can then
-survive congestion changes elsewhere on the fabric — the check degrades from
-"any change anywhere evicts" to "only changes in my footprint evict".
+the same epoch.
 """
 
 from __future__ import annotations
@@ -33,7 +23,6 @@ from collections import Counter
 from repro.errors import RoutingError
 from repro.fabric.components import ChannelId
 from repro.fabric.fabric import Fabric
-from repro.routing.regions import RegionGrid
 
 
 class CongestionTracker:
@@ -51,11 +40,6 @@ class CongestionTracker:
         self._peak: Counter[ChannelId] = Counter()
         self._total_reservations = 0
         self._epoch = next(CongestionTracker._epoch_source)
-        self.regions = RegionGrid.shared(fabric)
-        # Every region starts stamped with the construction epoch, so a plan
-        # computed under an older tracker can never validate against this one.
-        self._region_epochs = [self._epoch] * self.regions.num_regions
-        self._region_occupancy = [0] * self.regions.num_regions
 
     # ------------------------------------------------------------------
     # Queries
@@ -70,46 +54,9 @@ class CongestionTracker:
         """
         return self._epoch
 
-    @property
-    def is_idle(self) -> bool:
-        """Whether no channel currently holds a reservation.
-
-        Idle-congestion route plans depend only on the fabric geometry and
-        the routing policy, so consumers (the shared idle-route store) may
-        reuse them across trackers — something epoch tags, which are unique
-        per tracker, can never express.
-        """
-        return not self._occupancy
-
     def occupancy(self, channel_id: ChannelId) -> int:
         """Current number of qubits using (or booked to use) ``channel_id``."""
         return self._occupancy[channel_id]
-
-    def region_epoch(self, region: int) -> int:
-        """Epoch of the last congestion change inside ``region``."""
-        return self._region_epochs[region]
-
-    def regions_unchanged_since(self, regions, epoch: int) -> bool:
-        """Whether no channel in any of ``regions`` changed after ``epoch``.
-
-        This is the v2 route-cache validity check: a plan whose search only
-        touched ``regions`` re-computes byte-identically iff every one of
-        those regions still carries a stamp ≤ the epoch the plan was
-        computed under.
-        """
-        region_epochs = self._region_epochs
-        return all(region_epochs[region] <= epoch for region in regions)
-
-    def regions_idle(self, regions) -> bool:
-        """Whether no channel in any of ``regions`` holds a reservation.
-
-        The cross-run shared route store keys on this: a plan computed while
-        its footprint regions were idle is valid for *any* tracker of the
-        same fabric whose footprint regions are currently idle, because
-        every weight the search read is the congestion-free base weight.
-        """
-        region_occupancy = self._region_occupancy
-        return all(region_occupancy[region] == 0 for region in regions)
 
     def is_full(self, channel_id: ChannelId) -> bool:
         """Whether ``channel_id`` has no residual capacity."""
@@ -133,19 +80,6 @@ class CongestionTracker:
         """A copy of the current occupancy map (non-zero entries only)."""
         return {channel: count for channel, count in self._occupancy.items() if count}
 
-    def full_channels(self) -> list[ChannelId]:
-        """Channels with no residual capacity (the scheduler's wake-set keys).
-
-        A ready instruction that cannot be routed is blocked by (a subset of)
-        these channels; the busy queue parks it on them and only a release of
-        one of them makes a retry worthwhile.
-        """
-        return [
-            channel
-            for channel, count in self._occupancy.items()
-            if count >= self.channel_capacity
-        ]
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -163,9 +97,6 @@ class CongestionTracker:
         self._peak[channel_id] = max(self._peak[channel_id], self._occupancy[channel_id])
         self._total_reservations += 1
         self._epoch = next(CongestionTracker._epoch_source)
-        region = self.regions.region_of(channel_id)
-        self._region_epochs[region] = self._epoch
-        self._region_occupancy[region] += 1
 
     def release(self, channel_id: ChannelId) -> bool:
         """Free one slot of ``channel_id``.
@@ -187,9 +118,6 @@ class CongestionTracker:
         if self._occupancy[channel_id] == 0:
             del self._occupancy[channel_id]
         self._epoch = next(CongestionTracker._epoch_source)
-        region = self.regions.region_of(channel_id)
-        self._region_epochs[region] = self._epoch
-        self._region_occupancy[region] -= 1
         return was_full
 
     def reserve_all(self, channel_ids: list[ChannelId]) -> None:
@@ -207,61 +135,9 @@ class CongestionTracker:
                 self.release(channel_id)
             raise
 
-    def restore_epoch(self, epoch: int) -> None:
-        """Re-stamp the tracker with a previously observed epoch.
-
-        Only valid after a *balanced* mutation sequence: every reserve since
-        ``epoch`` was read has been released again, so the occupancy is
-        exactly the state the epoch stamped.  The router uses this around
-        the temporary reservations of parallel dual-operand planning, so the
-        no-net-change pair does not spuriously invalidate epoch-tagged
-        derived state (the route cache, the compiled core's weight sync).
-
-        Note: only the *global* epoch is restored; region stamps advanced by
-        the balanced sequence stay advanced, which is safe (a too-new region
-        stamp can only cause a spurious cache miss, never a stale hit) but
-        costs hit rate.  Prefer :meth:`capture_state` /
-        :meth:`restore_state`, which restore the region stamps too.
-
-        Raises:
-            RoutingError: If ``epoch`` is newer than the current epoch (that
-                can never describe the current state).
-        """
-        if epoch > self._epoch:
-            raise RoutingError(
-                f"cannot restore epoch {epoch}: newer than current {self._epoch}"
-            )
-        self._epoch = epoch
-
-    def capture_state(self) -> tuple[int, tuple[int, ...]]:
-        """Capture the epoch state (global + per-region) for later restore.
-
-        Pair with :meth:`restore_state` around a balanced mutation sequence
-        (every reserve released again) to make the sequence invisible to all
-        epoch- and region-tagged consumers.
-        """
-        return (self._epoch, tuple(self._region_epochs))
-
-    def restore_state(self, state: tuple[int, tuple[int, ...]]) -> None:
-        """Restore a :meth:`capture_state` snapshot after a balanced sequence.
-
-        Raises:
-            RoutingError: If the captured epoch is newer than the current one
-                (the snapshot can never describe the current state).
-        """
-        epoch, region_epochs = state
-        if epoch > self._epoch:
-            raise RoutingError(
-                f"cannot restore epoch {epoch}: newer than current {self._epoch}"
-            )
-        self._epoch = epoch
-        self._region_epochs = list(region_epochs)
-
     def reset(self) -> None:
         """Clear all occupancy (used between independent mapping runs)."""
         self._occupancy.clear()
         self._peak.clear()
         self._total_reservations = 0
         self._epoch = next(CongestionTracker._epoch_source)
-        self._region_epochs = [self._epoch] * self.regions.num_regions
-        self._region_occupancy = [0] * self.regions.num_regions

@@ -20,11 +20,12 @@ from repro.fabric.components import ChannelId, Trap, TrapId
 from repro.fabric.fabric import Fabric
 from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
-from repro.routing.dijkstra import shortest_route
-from repro.routing.graph_model import GraphEdge, Node, RoutingGraph
+from repro.routing.dijkstra import DijkstraResult
+from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
+from repro.routing.shared_cache import SharedRouteEntry, SharedRouteStore
 from repro.routing.trap_selection import select_target_trap
-from repro.routing.weights import edge_weight, partial_channel_weight
+from repro.routing.weights import partial_channel_weight
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -151,21 +152,9 @@ class InstructionRoute:
         return sum(plan.total_turns for plan in self.plans)
 
 
-#: Route-cache sentinel distinguishing "not cached" from a cached ``None``.
-_UNCACHED = object()
-
 _INF = float("inf")
 
-#: Cap on the cross-epoch cut-hint table (see ``Router._cut_hints``).  Hints
-#: survive epoch resets by design, so without a bound a long-running service
-#: worker mapping congestion-heavy jobs would accumulate one entry per trap
-#: pair ever seen failing.  4096 comfortably covers the working set of the
-#: largest tracked fabrics (≤ a few hundred simultaneously blocked pairs)
-#: while bounding the table to a few hundred kilobytes; eviction is LRU, so
-#: the pairs a crowded fabric keeps retrying stay resident.
-MAX_CUT_HINTS = 4096
-
-#: Snapshot entries kept per trap pair in the v2 route cache.  Congestion
+#: Snapshot entries kept per trap pair in the route cache.  Congestion
 #: oscillates as instructions issue and complete, so a pair's queries cycle
 #: through a small set of recurring occupancy states; keeping the last few
 #: snapshots (MRU order) lets a state the fabric *returns to* hit again
@@ -181,54 +170,36 @@ MAX_SHARED_SNAPSHOTS_PER_PAIR = 8
 
 
 class _CacheEntry:
-    """One v2 route-cache record: a plan plus its validity evidence.
+    """One route-cache record: a plan plus its validity evidence.
 
-    Two validity checks layer, fast to slow:
-
-    * **Region stamps** — ``epoch`` is the congestion epoch the plan was
-      computed (or last validated) under and ``regions`` the spatial-region
-      footprint its search touched; while no footprint region carries a
-      stamp newer than ``epoch`` nothing the search read can have changed.
-      O(|regions|) integer compares, but history-based: it cannot see that
-      a reserve/release cycle restored the original state.
-    * **Occupancy snapshot** — ``reads`` holds sorted ``(channel id,
-      occupancy)`` pairs over every channel the search read.  The search is
-      a pure function of those occupancies, so the entry is valid whenever
-      they all match the current state, *regardless* of what happened in
-      between.  This is what keeps the cache hot across the balanced
-      congestion churn of a busy fabric.
+    ``reads`` holds sorted ``(channel id, occupancy)`` pairs over every
+    channel the search read.  The search is a pure function of those
+    occupancies, so the entry is valid exactly when they all match the
+    current state, *regardless* of what happened in between.  This is what
+    keeps the cache hot across the balanced congestion churn of a busy
+    fabric.
 
     ``result`` keeps the kernel's raw search result so a later
     re-computation of an invalidated entry can warm-start from the stale
     route's re-costed total.  ``cut`` carries a failed search's blocking
     cut (when it was tracked): the cut is a function of the occupancies the
-    search read, so it is exactly as valid as the entry itself.  Entries
-    created under a transient overlay state carry ``epoch == -1``, which
-    disables the region fast path until a demand hit at a real congestion
-    state re-stamps them.
-
-    The route cache keeps a short MRU list of these per trap pair (one per
-    distinct recent occupancy state), because fabric congestion oscillates:
-    a state the fabric returns to should hit again.
+    search read, so it is exactly as valid as the entry itself.
     """
 
-    __slots__ = ("plan", "epoch", "regions", "reads", "result", "cut")
+    __slots__ = ("plan", "reads", "result", "cut")
 
     def __init__(
         self,
         plan: RoutePlan | None,
-        epoch: int,
-        regions: frozenset[int],
-        reads: tuple = (),
-        result=None,
+        reads: tuple,
+        result: DijkstraResult | None = None,
         cut: tuple | None = None,
     ) -> None:
         self.plan = plan
-        self.epoch = epoch
-        self.regions = regions
         self.reads = reads
         self.result = result
         self.cut = cut
+
 
 #: Wake-set key standing for "any congestion change whatsoever".  Recorded as
 #: a blocker when an instruction's routing failure is *route-choice
@@ -285,24 +256,19 @@ def candidate_trap_key(trap_id: TrapId) -> tuple[str, TrapId]:
 class Router:
     """Plans operand journeys under a given routing policy.
 
-    Two performance layers sit behind the planning API without changing its
-    results:
+    Path selection runs on the
+    :class:`~repro.routing.compiled.CompiledRoutingGraph` kernel, which
+    returns routes identical to the reference
+    :func:`~repro.routing.dijkstra.shortest_route`.  Planned qubit routes are
+    memoised per ``(source trap, target trap)`` pair under one validity
+    rule: a cached route is served iff every channel occupancy its search
+    read still equals its snapshot.  The cache keeps a short MRU list of
+    snapshots per pair, because fabric congestion oscillates and a state the
+    fabric returns to should hit again; the optional cross-run
+    :class:`~repro.routing.shared_cache.SharedRouteStore` applies the same
+    rule across runs on one fabric.
 
-    * With ``use_compiled=True`` (the default) path selection runs on the
-      :class:`~repro.routing.compiled.CompiledRoutingGraph` kernel, which
-      returns routes identical to the legacy
-      :func:`~repro.routing.dijkstra.shortest_route`.  The legacy path is
-      kept selectable for differential testing and benchmarking.
-    * Planned qubit routes are memoised per ``(source trap, target trap)``
-      pair, validated by the congestion tracker's epoch: between congestion
-      changes, repeated trap-pair queries — the scheduler retries every
-      parked instruction against every candidate trap — are O(1).  Any net
-      congestion change advances the epoch and drops the cache, so a cached
-      plan can never outlive the congestion state it was computed under;
-      the balanced temporary reservations of parallel dual-operand planning
-      restore the epoch they started from and leave the cache intact.
-
-    Counters for both layers accumulate in :attr:`stats`.
+    Counters accumulate in :attr:`stats`.
     """
 
     def __init__(
@@ -311,65 +277,20 @@ class Router:
         technology: TechnologyParams = PAPER_TECHNOLOGY,
         policy: RoutingPolicy = QSPR_POLICY,
         *,
-        use_compiled: bool = True,
-        use_route_cache: bool = True,
-        routing_v2: bool = True,
-        shared_store=None,
+        shared_store: SharedRouteStore | None = None,
     ) -> None:
         self.fabric = fabric
         self.technology = technology
         self.policy = policy
-        #: Optional cross-run idle-route store (see
-        #: :mod:`repro.routing.shared_cache`).  Consulted only while the
-        #: congestion tracker is idle, where plans are congestion-free.
         self.shared_store = shared_store
-        if use_compiled:
-            # Both graphs are built once per fabric and shared by every
-            # router on it (an MVFB search constructs one per pass).
-            self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
-            self.compiled: CompiledRoutingGraph | None = CompiledRoutingGraph.shared(
-                self.graph
-            )
-        else:
-            # The pre-refactor behaviour, kept faithful for differential
-            # tests and benchmarks: a fresh object graph per router.
-            self.graph = RoutingGraph(fabric, turn_aware=policy.turn_aware)
-            self.compiled = None
-        self.use_route_cache = use_route_cache
-        #: Routing kernel v2: region-scoped cache invalidation, landmark
-        #: (ALT) pruning, warm-started re-computation and batched candidate
-        #: prefills.  Requires the compiled kernel and the route cache; both
-        #: the v1 and v2 modes return byte-identical plans (the differential
-        #: suite holds them equal), v2 just answers from cache far more
-        #: often and pops far fewer heap entries when it cannot.
-        self.routing_v2 = bool(routing_v2 and use_compiled and use_route_cache)
+        # Both graphs are built once per fabric and shared by every router on
+        # it (an MVFB search constructs one per pass).
+        self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
+        self.compiled = CompiledRoutingGraph.shared(self.graph)
         self.stats = RoutingCoreStats()
-        #: Keyed by trap pair.  In v1 mode the values are plans (``None``
-        #: for unroutable pairs) and the whole table drops on every epoch
-        #: advance; in v2 mode the values are MRU-ordered lists of
-        #: :class:`_CacheEntry` records — one per distinct recent occupancy
-        #: state — validated per region footprint / occupancy snapshot.
-        self._route_cache: dict = {}
-        #: Blocking cuts of cached failures (same lifetime as the route
-        #: cache): lets a cache-hit failure report *why* it fails without
-        #: re-running the search.
-        self._failure_cuts: dict[tuple[TrapId, TrapId], tuple[ChannelId, ...]] = {}
-        #: Last known blocking cut per trap pair, kept **across** epochs.
-        #: A cut is a topological fact — every source→target path crosses one
-        #: of its channels, because any non-full edge leaving the exhausted
-        #: search region would have been relaxed into it — so fullness is its
-        #: only time-varying part.  When a later query finds every channel of
-        #: the remembered cut still full, the search must fail again and is
-        #: skipped in O(|cut|) instead of flooding the fabric.  Hints are only
-        #: read and written on cut-tracked queries, so planning without
-        #: blocker tracking (the tick-loop baseline) is unaffected.
-        self._cut_hints: dict[tuple[TrapId, TrapId], tuple[ChannelId, ...]] = {}
-        self._cache_epoch = -1
-
-    @property
-    def use_compiled(self) -> bool:
-        """Whether path selection runs on the compiled kernel."""
-        return self.compiled is not None
+        #: Trap pair to an MRU-ordered list of :class:`_CacheEntry` records,
+        #: one per distinct recent occupancy state.
+        self._route_cache: dict[tuple[TrapId, TrapId], list[_CacheEntry]] = {}
 
     # ------------------------------------------------------------------
     # Single-qubit route planning
@@ -412,153 +333,19 @@ class Router:
         routable (see
         :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_route`).
 
-        Plans (including unroutable outcomes) are cached per trap pair until
-        the congestion epoch advances; a hit for a different qubit rebinds
-        the plan's qubit name, everything else being qubit-independent.
-        Failure cuts are cached alongside.
-
         Journeys shorter than two hops — staying put, or moving within a
         single channel — bypass the cache entirely: planning them is cheaper
-        than the cache bookkeeping, and on small circuits they crowd the
-        cache with entries that are never worth a hit (BENCH_perf.json showed
-        0% hit rates on ``[[5,1,3]]``/``[[7,1,3]]``, where almost every route
-        is trivial).  Only Dijkstra-backed plans enter the cache, so the hit
-        counters now describe exactly the queries the cache exists for.
+        than the cache bookkeeping, and their only input is one channel's
+        fullness.  Every other query is answered by the first entry whose
+        snapshot matches, from the pair's MRU list and then from the shared
+        store.  A miss runs the kernel with landmark (ALT) pruning,
+        warm-started from the re-costed total of the pair's most recent
+        stale route (an achievable total, hence a valid upper bound).  A hit
+        for a different qubit rebinds the plan's qubit name, everything else
+        being qubit-independent.
         """
         if source_trap_id == target_trap_id:
             return stationary_plan(qubit, source_trap_id)
-        if self.routing_v2:
-            return self._plan_qubit_route_v2(
-                qubit, source_trap_id, target_trap_id, congestion, cut=cut
-            )
-        if not self.use_route_cache:
-            return self._plan_qubit_route_uncached(
-                qubit, source_trap_id, target_trap_id, congestion, cut=cut
-            )
-        source = self.fabric.trap(source_trap_id)
-        target = self.fabric.trap(target_trap_id)
-        if source.channel_id == target.channel_id:
-            if congestion.is_full(source.channel_id):
-                if cut is not None:
-                    cut.add(source.channel_id)
-                return None
-            return expand_route(
-                self.fabric, self.technology, qubit, source, target, None, ()
-            )
-        if congestion.epoch != self._cache_epoch:
-            self._route_cache.clear()
-            self._failure_cuts.clear()
-            self._cache_epoch = congestion.epoch
-        key = (source_trap_id, target_trap_id)
-        cached = self._route_cache.get(key, _UNCACHED)
-        if cached is not _UNCACHED:
-            self.stats.cache_hits += 1
-            if cached is None and cut is not None:
-                known = self._failure_cuts.get(key)
-                if known is None:
-                    # The failure was cached by a caller that did not ask for
-                    # its cut; recover it once and remember it.
-                    probe: set = set()
-                    self._plan_qubit_route_uncached(
-                        qubit, source_trap_id, target_trap_id, congestion, cut=probe
-                    )
-                    known = tuple(probe)
-                    self._failure_cuts[key] = known
-                cut.update(known)
-            if cached is not None and cached.qubit != qubit:
-                cached = replace(cached, qubit=qubit)
-            return cached
-        shared = self.shared_store
-        idle = shared is not None and congestion.is_idle
-        if idle:
-            with shared.lock:
-                plan = shared.plans.get(key, _UNCACHED)
-            if plan is not _UNCACHED:
-                # A cross-run hit: count it as a cache hit, seed the local
-                # epoch-validated cache and rebind the qubit name.
-                self.stats.cache_hits += 1
-                with shared.lock:
-                    shared.hits += 1
-                self._route_cache[key] = plan
-                if plan is None and cut is not None:
-                    probe = set()
-                    self._plan_qubit_route_uncached(
-                        qubit, source_trap_id, target_trap_id, congestion, cut=probe
-                    )
-                    self._failure_cuts[key] = tuple(probe)
-                    cut.update(probe)
-                if plan is not None and plan.qubit != qubit:
-                    plan = replace(plan, qubit=qubit)
-                return plan
-        self.stats.cache_misses += 1
-        if cut is not None:
-            probe = set()
-            plan = self._plan_qubit_route_uncached(
-                qubit, source_trap_id, target_trap_id, congestion, cut=probe
-            )
-            if plan is None:
-                self._failure_cuts[key] = tuple(probe)
-                cut.update(probe)
-        else:
-            plan = self._plan_qubit_route_uncached(
-                qubit, source_trap_id, target_trap_id, congestion
-            )
-        self._route_cache[key] = plan
-        if idle:
-            with shared.lock:
-                shared.plans[key] = plan
-                shared.stores += 1
-        return plan
-
-    def _entry_valid(self, entry, congestion: CongestionTracker) -> bool:
-        """Whether a v2 cache entry's plan still replays byte-identically.
-
-        Fast path: no footprint region changed since the entry's epoch
-        (O(|regions|) stamp compares).  Slow path: every channel the search
-        read still holds its snapshot occupancy — a state-based check that
-        also validates across balanced reserve/release churn the region
-        stamps cannot see through.  Entries stamped ``epoch == -1`` (born
-        under an overlay) skip the fast path entirely.  Does **not**
-        re-stamp the entry; demand lookups re-stamp on success themselves
-        (unsound during overlay scopes, whose callers therefore use this
-        check alone).
-        """
-        if entry.epoch >= 0 and congestion.regions_unchanged_since(
-            entry.regions, entry.epoch
-        ):
-            return True
-        return self._reads_match(entry.reads, congestion)
-
-    def _snapshot_reads(self, reads: set, congestion: CongestionTracker) -> tuple:
-        """Freeze a search's channel read set into a sorted occupancy tuple."""
-        occupancy = congestion.occupancy
-        return tuple((c, occupancy(c)) for c in sorted(reads))
-
-    def _plan_qubit_route_v2(
-        self,
-        qubit: str,
-        source_trap_id: TrapId,
-        target_trap_id: TrapId,
-        congestion: CongestionTracker,
-        *,
-        cut: set | None = None,
-    ) -> RoutePlan | None:
-        """The v2 cached planner: snapshot-validated entries, warm restarts.
-
-        Differences from the v1 path (byte-identical plans, different
-        bookkeeping):
-
-        * cache entries carry the region footprint *and* the exact channel
-          occupancies their search read, and survive any congestion change
-          that leaves those reads intact (see :meth:`_entry_valid`);
-        * an evicted entry's stale kernel result seeds the re-computation
-          with a ``cost_bound`` warm start (re-costing the old route under
-          the current weights yields an achievable total, hence a valid
-          upper bound), and the search runs with landmark (ALT) pruning;
-        * the shared cross-run store is consulted (and fed) under any
-          congestion state — entries are served on an exact occupancy match
-          of their read snapshot, not only while idle.
-        """
         source = self.fabric.trap(source_trap_id)
         target = self.fabric.trap(target_trap_id)
         if source.channel_id == target.channel_id:
@@ -574,100 +361,84 @@ class Router:
         stale_result = None
         if entries:
             for i, entry in enumerate(entries):
-                if not self._entry_valid(entry, congestion):
-                    continue
-                # Re-stamp with the current epoch: "unchanged since" holds
-                # against *now* (either no footprint region changed, or the
-                # occupancies the search read are back to their snapshot
-                # values), so future region checks compare against a recent
-                # epoch instead of aging out.  Demand lookups only run at
-                # real (non-overlay) congestion states, so this also
-                # graduates overlay-born entries into the fast path.
-                entry.epoch = congestion.epoch
-                if i:
-                    entries.insert(0, entries.pop(i))
-                self.stats.cache_hits += 1
-                plan = entry.plan
-                if plan is None and cut is not None:
-                    self._serve_failure_cut(entry, qubit, key, congestion, cut)
-                if plan is not None and plan.qubit != qubit:
-                    plan = replace(plan, qubit=qubit)
-                return plan
+                if self._reads_match(entry.reads, congestion):
+                    if i:
+                        entries.insert(0, entries.pop(i))
+                    return self._serve(entry, qubit, source, target, congestion, cut)
             stale_result = entries[0].result
         shared = self.shared_store
         if shared is not None:
             with shared.lock:
-                shared_entry = None
-                for candidate_entry in shared.entries.get(key, ()):
-                    if self._reads_match(candidate_entry.reads, congestion):
-                        shared_entry = candidate_entry
-                        shared.hits += 1
-                        break
+                shared_entry = next(
+                    (
+                        candidate
+                        for candidate in shared.entries.get(key, ())
+                        if self._reads_match(candidate.reads, congestion)
+                    ),
+                    None,
+                )
+                if shared_entry is not None:
+                    shared.hits += 1
             if shared_entry is not None:
-                # A cross-run hit: every channel occupancy the stored search
-                # read equals the snapshot, so the plan replays
-                # byte-identically here.  Seed the local cache.
-                self.stats.cache_hits += 1
+                # A cross-run hit: every occupancy the stored search read
+                # equals the snapshot, so the plan replays byte-identically
+                # here.  Seed the local cache.
                 self.stats.shared_hits += 1
-                plan = shared_entry.plan
                 entry = _CacheEntry(
-                    plan,
-                    congestion.epoch,
-                    shared_entry.regions,
-                    shared_entry.reads,
-                    shared_entry.result,
+                    shared_entry.plan, shared_entry.reads, shared_entry.result
                 )
                 self._store_local(key, entry)
-                if plan is None and cut is not None:
-                    self._serve_failure_cut(entry, qubit, key, congestion, cut)
-                if plan is not None and plan.qubit != qubit:
-                    plan = replace(plan, qubit=qubit)
-                return plan
+                return self._serve(entry, qubit, source, target, congestion, cut)
         self.stats.cache_misses += 1
-        regions: set[int] = set()
         reads: set = set()
-        result_out: list = []
+        probe: set | None = set() if cut is not None else None
+        plan, result = self._search(
+            qubit, source, target, congestion,
+            cut=probe, reads=reads, warm_start=stale_result,
+        )
         failure_cut = None
-        if cut is not None:
-            probe: set = set()
-            plan = self._plan_qubit_route_uncached(
-                qubit,
-                source_trap_id,
-                target_trap_id,
-                congestion,
-                cut=probe,
-                regions_out=regions,
-                read_out=reads,
-                warm_start=stale_result,
-                use_landmarks=True,
-                result_out=result_out,
-            )
-            if plan is None:
-                failure_cut = tuple(probe)
-                cut.update(probe)
-        else:
-            plan = self._plan_qubit_route_uncached(
-                qubit,
-                source_trap_id,
-                target_trap_id,
-                congestion,
-                regions_out=regions,
-                read_out=reads,
-                warm_start=stale_result,
-                use_landmarks=True,
-                result_out=result_out,
-            )
-        result = result_out[0] if result_out else None
-        snapshot = self._snapshot_reads(reads, congestion)
+        if plan is None and probe is not None:
+            failure_cut = tuple(probe)
+            cut.update(probe)
         entry = _CacheEntry(
-            plan, congestion.epoch, frozenset(regions), snapshot, result, failure_cut
+            plan, self._snapshot_reads(reads, congestion), result, failure_cut
         )
         self._store_local(key, entry)
         if shared is not None:
             self._store_shared(shared, key, entry)
         return plan
 
-    def _store_local(self, key: tuple[TrapId, TrapId], entry) -> None:
+    def _serve(
+        self,
+        entry: _CacheEntry,
+        qubit: str,
+        source: Trap,
+        target: Trap,
+        congestion: CongestionTracker,
+        cut: set | None,
+    ) -> RoutePlan | None:
+        """Count a cache hit and answer it from ``entry``.
+
+        A failure entry serves its recorded blocking cut verbatim; an entry
+        whose cut was never tracked (the failure was cached by a caller that
+        did not ask for it) recovers it with one fresh probe and remembers
+        it on the entry.
+        """
+        self.stats.cache_hits += 1
+        plan = entry.plan
+        if plan is None:
+            if cut is not None:
+                if entry.cut is None:
+                    probe: set = set()
+                    self._search(qubit, source, target, congestion, cut=probe)
+                    entry.cut = tuple(probe)
+                cut.update(entry.cut)
+            return None
+        if plan.qubit != qubit:
+            plan = replace(plan, qubit=qubit)
+        return plan
+
+    def _store_local(self, key: tuple[TrapId, TrapId], entry: _CacheEntry) -> None:
         """Push ``entry`` onto the pair's MRU snapshot list (bounded)."""
         entries = self._route_cache.get(key)
         if entries is None:
@@ -677,200 +448,100 @@ class Router:
             del entries[MAX_SNAPSHOTS_PER_PAIR:]
 
     @staticmethod
-    def _store_shared(shared, key: tuple[TrapId, TrapId], entry) -> None:
+    def _store_shared(
+        shared: SharedRouteStore, key: tuple[TrapId, TrapId], entry: _CacheEntry
+    ) -> None:
         """Publish a locally computed entry to the cross-run store."""
-        from repro.routing.shared_cache import SharedRouteEntry
-
         with shared.lock:
             stored = shared.entries.setdefault(key, [])
             if not any(e.reads == entry.reads for e in stored):
                 stored.insert(
-                    0,
-                    SharedRouteEntry(
-                        entry.plan, entry.regions, entry.reads, entry.result
-                    ),
+                    0, SharedRouteEntry(entry.plan, entry.reads, entry.result)
                 )
                 del stored[MAX_SHARED_SNAPSHOTS_PER_PAIR:]
             shared.stores += 1
 
-    def _serve_failure_cut(
-        self,
-        entry,
-        qubit: str,
-        key: tuple[TrapId, TrapId],
-        congestion: CongestionTracker,
-        cut: set,
-    ) -> None:
-        """Fill ``cut`` for a cache-hit failure entry.
-
-        The blocking cut is a pure function of the occupancies the failed
-        search read, so an entry that validates serves its recorded cut
-        verbatim; an entry whose cut was never tracked (the failure was
-        cached by a caller that did not ask for it) recovers it with one
-        fresh probe and remembers it on the entry.
-        """
-        known = entry.cut
-        if known is None:
-            probe: set = set()
-            self._plan_qubit_route_uncached(
-                qubit, key[0], key[1], congestion, cut=probe, use_landmarks=True
-            )
-            known = entry.cut = tuple(probe)
-        cut.update(known)
+    @staticmethod
+    def _snapshot_reads(reads: set, congestion: CongestionTracker) -> tuple:
+        """Freeze a search's channel read set into a sorted occupancy tuple."""
+        occupancy = congestion.occupancy
+        return tuple((c, occupancy(c)) for c in sorted(reads))
 
     @staticmethod
     def _reads_match(reads: tuple, congestion: CongestionTracker) -> bool:
         """Whether every snapshot occupancy equals the current state."""
-        if not reads:
-            return False
         occupancy = congestion.occupancy
         for channel_id, occ in reads:
             if occupancy(channel_id) != occ:
                 return False
         return True
 
-    def _plan_qubit_route_uncached(
+    def _search(
         self,
         qubit: str,
-        source_trap_id: TrapId,
-        target_trap_id: TrapId,
+        source: Trap,
+        target: Trap,
         congestion: CongestionTracker,
-        cut: set | None = None,
         *,
-        regions_out: set | None = None,
-        read_out: set | None = None,
-        warm_start=None,
-        use_landmarks: bool = False,
-        result_out: list | None = None,
-    ) -> RoutePlan | None:
-        if source_trap_id == target_trap_id:
-            return stationary_plan(qubit, source_trap_id)
-        source = self.fabric.trap(source_trap_id)
-        target = self.fabric.trap(target_trap_id)
+        cut: set | None = None,
+        reads: set | None = None,
+        warm_start: DijkstraResult | None = None,
+    ) -> tuple[RoutePlan | None, DijkstraResult | None]:
+        """Run the kernel for a journey between two different channels.
 
-        if source.channel_id == target.channel_id:
-            if congestion.is_full(source.channel_id):
-                if cut is not None:
-                    cut.add(source.channel_id)
-                return None
-            return expand_route(
-                self.fabric, self.technology, qubit, source, target, None, ()
-            )
-
-        if regions_out is not None:
+        Returns the plan (``None`` when unroutable) and the kernel's raw
+        result.  ``reads`` receives every channel whose occupancy shaped the
+        outcome, ``cut`` a failure's blocking cut.
+        """
+        if reads is not None:
             # The endpoint channels shape the attachment costs and the
-            # trivial failure checks below, so every outcome of this query
-            # depends on (at least) their regions.
-            grid = congestion.regions
-            regions_out.add(grid.region_of(source.channel_id))
-            regions_out.add(grid.region_of(target.channel_id))
-        if read_out is not None:
-            # Likewise their occupancies: every outcome below reads them.
-            read_out.add(source.channel_id)
-            read_out.add(target.channel_id)
-
-        source_full = congestion.is_full(source.channel_id)
-        target_full = congestion.is_full(target.channel_id)
-        if source_full or target_full:
+            # trivial failure check below, so every outcome reads them.
+            reads.add(source.channel_id)
+            reads.add(target.channel_id)
+        blocked = [
+            channel_id
+            for channel_id in (source.channel_id, target.channel_id)
+            if congestion.is_full(channel_id)
+        ]
+        if blocked:
             if cut is not None:
-                if source_full:
-                    cut.add(source.channel_id)
-                if target_full:
-                    cut.add(target.channel_id)
-            return None
-
-        key = (source_trap_id, target_trap_id)
-        if cut is not None:
-            # Cut-hint fast failure: a previously recorded blocking cut
-            # separates this trap pair for good (cuts are topological), so if
-            # every one of its channels is still full the search cannot
-            # succeed and is not worth flooding the fabric for.
-            hint = self._cut_hints.get(key)
-            if hint is not None:
-                # LRU touch: re-insert at the back so the pairs a crowded
-                # fabric keeps probing outlive the eviction horizon.
-                self._cut_hints[key] = self._cut_hints.pop(key)
-                if all(congestion.is_full(c) for c in hint):
-                    if regions_out is not None:
-                        # This outcome reads the hint channels' occupancy.
-                        grid = congestion.regions
-                        regions_out.update(grid.region_of(c) for c in hint)
-                    if read_out is not None:
-                        read_out.update(hint)
-                    cut.update(hint)
-                    return None
-
+                cut.update(blocked)
+            return None, None
         sources = self._attachment_costs(source, congestion)
         targets = self._attachment_costs(target, congestion)
-        if self.compiled is not None:
-            cost_bound = _INF
-            if warm_start is not None:
-                # Re-cost the stale cached route under the current weights:
-                # if still traversable its total is achievable, hence a
-                # valid upper bound that prunes the search without changing
-                # its answer.
-                cost_bound = self.compiled.recost_route(
-                    warm_start,
-                    sources,
-                    targets,
-                    congestion,
-                    self.technology,
-                    turn_aware_costing=self.policy.turn_aware,
-                )
-            probe: set[ChannelId] | None = set() if cut is not None else None
-            result = self.compiled.shortest_route(
+        cost_bound = _INF
+        if warm_start is not None:
+            cost_bound = self.compiled.recost_route(
+                warm_start,
                 sources,
                 targets,
                 congestion,
                 self.technology,
                 turn_aware_costing=self.policy.turn_aware,
-                stats=self.stats,
-                blocked_channels=probe,
-                regions_out=regions_out,
-                read_out=read_out,
-                cost_bound=cost_bound,
-                use_landmarks=use_landmarks,
             )
-            if result_out is not None:
-                result_out.append(result)
-            if result is None and probe:
-                # Remember this query's own cut (not the caller's running
-                # set) as the pair's fast-failure hint for later epochs.
-                self._cut_hints.pop(key, None)
-                self._cut_hints[key] = tuple(probe)
-                while len(self._cut_hints) > MAX_CUT_HINTS:
-                    self._cut_hints.pop(next(iter(self._cut_hints)))
-            if probe:
-                cut.update(probe)
-        else:
-            self.stats.dijkstra_calls += 1
-            result = shortest_route(
-                self.graph,
-                sources,
-                targets,
-                lambda edge: edge_weight(
-                    edge,
-                    congestion,
-                    self.technology,
-                    turn_aware_costing=self.policy.turn_aware,
-                ),
-            )
-            if result is None and cut is not None:
-                # The legacy object-graph kernel does not report its frontier;
-                # fall back to the coarse (but still sound) full-channel set.
-                cut.update(congestion.full_channels())
+        result = self.compiled.shortest_route(
+            sources,
+            targets,
+            congestion,
+            self.technology,
+            turn_aware_costing=self.policy.turn_aware,
+            stats=self.stats,
+            blocked_channels=cut,
+            read_out=reads,
+            cost_bound=cost_bound,
+        )
         if result is None:
-            return None
-        entry_junction = result.entry_node[0]
-        return expand_route(
+            return None, None
+        plan = expand_route(
             self.fabric,
             self.technology,
             qubit,
             source,
             target,
-            entry_junction,
+            result.entry_node[0],
             result.edges,
         )
+        return plan, result
 
     # ------------------------------------------------------------------
     # Instruction-level planning
@@ -986,7 +657,7 @@ class Router:
                     seen.add(trap_id)
 
         for index, candidate in enumerate(candidates):
-            if index == 1 and self.routing_v2 and len(candidates) > 2:
+            if index == 1 and len(candidates) > 2:
                 # The first candidate failed, so the loop is committed to
                 # probing the rest: batch-prefetch their missing legs in one
                 # shared-frontier pass instead of flooding once per probe.
@@ -1038,7 +709,7 @@ class Router:
         congestion state.  Instead of flooding the fabric once per query,
         this answers every leg not already served by a cache in a single
         :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_routes_batch`
-        pass and seeds the v2 route cache, so the loop's lookups all hit.
+        pass and seeds the route cache, so the loop's lookups all hit.
 
         Prefetches are not charged as cache misses (they are not demand
         lookups); the batch pass itself counts one ``dijkstra_call``.
@@ -1056,17 +727,11 @@ class Router:
             and technology.move_delay > 0
         ):
             return
-        # Differential-test shims replace the compiled kernel with a wrapper
-        # that only speaks the single-query API; they simply skip prefetch.
-        batch_search = getattr(self.compiled, "shortest_routes_batch", None)
-        if batch_search is None:
-            return
         serial = self.policy.channel_capacity < 2
         legs = [(source_name, source_trap)]
         if serial:
             legs.append((dest_name, dest_trap))
         shared = self.shared_store
-        grid = congestion.regions
         for qubit, origin_id in legs:
             origin = self.fabric.trap(origin_id)
             if congestion.is_full(origin.channel_id):
@@ -1089,9 +754,6 @@ class Router:
                     # query) — makes the batched flood a worse deal than
                     # the demand path.  Prefetch only never-seen pairs.
                     continue
-                hint = self._cut_hints.get(key)
-                if hint is not None and all(congestion.is_full(c) for c in hint):
-                    continue
                 if shared is not None:
                     with shared.lock:
                         if shared.entries.get(key):
@@ -1103,30 +765,22 @@ class Router:
             groups = [
                 self._attachment_costs(candidate, congestion) for _, candidate in jobs
             ]
-            regions: set[int] = set()
             reads: set = set()
-            results = batch_search(
+            results = self.compiled.shortest_routes_batch(
                 sources,
                 groups,
                 congestion,
                 technology,
                 turn_aware_costing=True,
                 stats=self.stats,
-                regions_out=regions,
                 read_out=reads,
-                use_landmarks=True,
             )
-            regions.add(grid.region_of(origin.channel_id))
             reads.add(origin.channel_id)
-            for _, candidate in jobs:
-                regions.add(grid.region_of(candidate.channel_id))
-                reads.add(candidate.channel_id)
-            # The union footprint/read set over all groups: a superset of
-            # each group's own reads, so per-entry validation stays sound
-            # (merely a little stricter than a dedicated query's would be).
-            footprint = frozenset(regions)
+            reads.update(candidate.channel_id for _, candidate in jobs)
+            # The union read set over all groups: a superset of each group's
+            # own reads, so per-entry validation stays sound (merely a little
+            # stricter than a dedicated query's would be).
             snapshot = self._snapshot_reads(reads, congestion)
-            epoch = congestion.epoch
             for (key, candidate), result in zip(jobs, results):
                 if result is None:
                     continue
@@ -1139,105 +793,10 @@ class Router:
                     result.entry_node[0],
                     result.edges,
                 )
-                entry = _CacheEntry(plan, epoch, footprint, snapshot, result)
+                entry = _CacheEntry(plan, snapshot, result)
                 self._store_local(key, entry)
                 if shared is not None:
                     self._store_shared(shared, key, entry)
-
-    def _overlay_route(
-        self,
-        qubit: str,
-        source_trap_id: TrapId,
-        target_trap_id: TrapId,
-        congestion: CongestionTracker,
-    ) -> RoutePlan | None:
-        """Destination-leg planning under a source overlay (v2 only).
-
-        The overlay congestion state is transient by construction, so the
-        query must neither store cache entries nor re-stamp existing ones
-        (the scope's ``restore_state`` rewinds the region stamps, which
-        would turn a transient re-stamp into a stale fast-path validation).
-        *Reading* a cached entry is still sound whenever it validates
-        against the overlay state — :meth:`_entry_valid` holding means a
-        fresh search here would return a byte-identical plan — and in
-        practice most overlays leave the destination leg's read set
-        untouched, so this turns the hottest remaining flood into an O(1)
-        lookup.  A miss computes fresh and stores the outcome as an
-        ``epoch == -1`` entry: the snapshot captures the overlay
-        occupancies the search read, so the entry validates exactly when a
-        later state (overlay or not) matches them, and the disabled region
-        fast path keeps the rewound region stamps from mis-validating it.
-        """
-        if source_trap_id == target_trap_id:
-            return stationary_plan(qubit, source_trap_id)
-        key = (source_trap_id, target_trap_id)
-        entries = self._route_cache.get(key)
-        if entries:
-            for entry in entries:
-                if self._entry_valid(entry, congestion):
-                    self.stats.cache_hits += 1
-                    plan = entry.plan
-                    if plan is not None and plan.qubit != qubit:
-                        plan = replace(plan, qubit=qubit)
-                    return plan
-        shared = self.shared_store
-        if shared is not None:
-            with shared.lock:
-                shared_entry = None
-                for candidate_entry in shared.entries.get(key, ()):
-                    if self._reads_match(candidate_entry.reads, congestion):
-                        shared_entry = candidate_entry
-                        shared.hits += 1
-                        break
-            if shared_entry is not None:
-                # Snapshot match against the *overlay* state: a fresh search
-                # would replay the stored answer byte-for-byte.  Seed the
-                # local list as an overlay-born entry (epoch == -1).
-                self.stats.cache_hits += 1
-                self.stats.shared_hits += 1
-                self._store_local(
-                    key,
-                    _CacheEntry(
-                        shared_entry.plan,
-                        -1,
-                        shared_entry.regions,
-                        shared_entry.reads,
-                        shared_entry.result,
-                    ),
-                )
-                plan = shared_entry.plan
-                if plan is not None and plan.qubit != qubit:
-                    plan = replace(plan, qubit=qubit)
-                return plan
-        self.stats.cache_misses += 1
-        regions: set[int] = set()
-        reads: set = set()
-        result_out: list = []
-        plan = self._plan_qubit_route_uncached(
-            qubit,
-            source_trap_id,
-            target_trap_id,
-            congestion,
-            regions_out=regions,
-            read_out=reads,
-            warm_start=entries[0].result if entries else None,
-            use_landmarks=True,
-            result_out=result_out,
-        )
-        entry = _CacheEntry(
-            plan,
-            -1,
-            frozenset(regions),
-            self._snapshot_reads(reads, congestion),
-            result_out[0] if result_out else None,
-        )
-        self._store_local(key, entry)
-        if shared is not None:
-            # Snapshot entries are state-validated, so overlay-born results
-            # are as shareable as any other: a future run (or job) whose
-            # occupancies match replays them byte-identically.
-            self._store_shared(shared, key, entry)
-        return plan
 
     def _plan_to_candidate(
         self,
@@ -1289,12 +848,12 @@ class Router:
         # Parallel movement: temporarily account for the source qubit's
         # reservations so the destination qubit's path selection sees the
         # extra congestion and the pair never exceeds channel capacity.  The
-        # reserve/release pair is balanced, so the pre-scope epoch is
-        # restored afterwards and the route cache stays valid across the
-        # scope; the destination query itself bypasses the cache (its
-        # overlay congestion state is transient by construction).
+        # reserve/release pair is balanced, so every occupancy is back to its
+        # pre-scope value afterwards, and with it the validity of every
+        # cached route.  The destination leg goes through the same cache:
+        # an entry whose snapshot matches the overlay state replays exactly
+        # what a fresh search here would return.
         reserved: list[ChannelId] = []
-        state_before = congestion.capture_state()
         try:
             for channel_id in source_plan.channels_used:
                 if congestion.is_full(channel_id):
@@ -1303,30 +862,19 @@ class Router:
                     return None
                 congestion.reserve(channel_id)
                 reserved.append(channel_id)
-            if self.routing_v2:
-                dest_plan = self._overlay_route(
-                    dest_name, dest_trap, candidate.id, congestion
-                )
-            else:
-                dest_plan = self._plan_qubit_route_uncached(
-                    dest_name, dest_trap, candidate.id, congestion
-                )
+            dest_plan = self.plan_qubit_route(
+                dest_name, dest_trap, candidate.id, congestion
+            )
         finally:
             for channel_id in reversed(reserved):
                 congestion.release(channel_id)
-            # Restore the global epoch *and* the region stamps: the balanced
-            # reserve/release pair is invisible to every epoch- and
-            # region-tagged consumer, so the route cache (v1 and v2) stays
-            # valid across the scope.
-            congestion.restore_state(state_before)
         if dest_plan is None:
             # The destination leg failed *under the source overlay*: a
             # different source-route choice might have left room, and any
             # occupancy change anywhere can change that choice.  The failure
             # is therefore not a stable full-channel cut — record the
             # catch-all key so the busy queue retries on every congestion
-            # change (issues and releases), exactly as the tick loop's
-            # wake-everything events would.
+            # change (issues and releases).
             if blockers is not None:
                 blockers.add(ANY_CONGESTION_CHANGE)
             return None

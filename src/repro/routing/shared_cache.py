@@ -1,32 +1,17 @@
 """Cross-run route store, validated by occupancy snapshots.
 
-The per-:class:`~repro.routing.router.Router` route cache is validated by
-the congestion tracker's epoch, and epochs are unique per tracker — so the
-cache can never survive from one mapping run to the next, and a service
-worker that maps hundreds of jobs on the same memoised fabric recomputes
-the same routes over and over (the near-zero hit rates visible in
-``/metrics``).
-
-This module adds the sharing layer that *is* sound across runs.  Two
-generations coexist:
-
-* **v1** (``plans``): plans computed under globally **idle** congestion (no
-  channel holds a reservation anywhere) are pure functions of the fabric
-  geometry, the technology's delay parameters and the routing policy, so
-  they may be served to any run while it is globally idle.  Kept for the
-  ``routing_v2=False`` differential/benchmark leg.
-* **v2** (``entries``): each entry carries an **occupancy snapshot** of the
-  channels its search *read* (the channels of non-turn edges out of settled
-  nodes, plus the endpoint-trap channels; see
-  :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_route`).  A
-  search is a pure function of those occupancies given the fabric geometry,
-  the technology's delay parameters and the routing policy, so the entry
-  may be served to *any* tracker of the same scenario whose current
-  occupancies all equal the snapshot — including non-idle states, which is
-  what makes the store actually hit under load.  It is default-on in
-  service workers.  Each entry also carries the spatial-region footprint of
-  its search (see :mod:`repro.routing.regions`) to seed the borrowing
-  router's region-stamped local cache.
+Each :class:`~repro.routing.router.Router` keeps a private route cache, and
+a service worker that maps hundreds of jobs on the same memoised fabric
+would otherwise recompute the same routes over and over.  This module adds
+the sharing layer that is sound across runs: each entry carries an
+**occupancy snapshot** of the channels its search *read* (the channels of
+non-turn edges out of settled nodes, plus the endpoint-trap channels; see
+:meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_route`).  A
+search is a pure function of those occupancies given the fabric geometry,
+the technology's delay parameters and the routing policy, so the entry may
+be served to *any* tracker of the same scenario whose current occupancies
+all equal the snapshot — the same validity rule as the private cache.  It is
+default-on in service workers.
 
 :class:`SharedRouteStore` memoises on the fabric instance, keyed by
 ``(technology, policy)`` — both frozen dataclasses — so every router on the
@@ -42,12 +27,12 @@ from typing import TYPE_CHECKING
 
 from repro.fabric.components import TrapId
 from repro.fabric.fabric import Fabric
+from repro.routing.dijkstra import DijkstraResult
 from repro.routing.path import RoutePlan
-from repro.routing.router import RoutingPolicy
 from repro.technology import TechnologyParams
 
 if TYPE_CHECKING:
-    from repro.routing.compiled import DijkstraResult
+    from repro.routing.router import RoutingPolicy
 
 
 @dataclass(frozen=True)
@@ -57,23 +42,20 @@ class SharedRouteEntry:
     Attributes:
         plan: The route plan (``None`` marks an unroutable pair; consumers
             rebind the qubit name on retrieval).
-        regions: Region footprint the search touched; seeds the borrowing
-            router's local entry so its region fast path works immediately.
         reads: Sorted ``(channel id, occupancy)`` pairs over every channel
             the search *read*.  The entry is valid for a tracker iff each
             channel's current occupancy equals its snapshot value — the
             search is a pure function of those occupancies, so replaying it
             would return a byte-identical answer.
         result: The kernel's raw search result backing ``plan`` (``None``
-            for failures and intra-channel plans).  Served alongside the
+            for failures).  Served alongside the
             plan so the borrowing router can warm-start a later
             re-computation when the entry goes stale locally.
     """
 
     plan: RoutePlan | None
-    regions: frozenset[int]
     reads: tuple = ()
-    result: "DijkstraResult | None" = None
+    result: DijkstraResult | None = None
 
 
 @dataclass
@@ -81,16 +63,13 @@ class SharedRouteStore:
     """Route plans shared by every run on one fabric.
 
     Attributes:
-        plans: v1 table — ``(source trap, target trap) -> plan`` computed
-            under globally idle congestion.
-        entries: v2 table — ``(source trap, target trap)`` to an
-            MRU-ordered list of :class:`SharedRouteEntry` (one per distinct
-            stored occupancy state), each validated by snapshot match.
-        hits: Number of plans served from the store (both tables).
-        stores: Number of plans written into the store (both tables).
+        entries: ``(source trap, target trap)`` to an MRU-ordered list of
+            :class:`SharedRouteEntry` (one per distinct stored occupancy
+            state), each validated by snapshot match.
+        hits: Number of plans served from the store.
+        stores: Number of plans written into the store.
     """
 
-    plans: "dict[tuple[TrapId, TrapId], RoutePlan | None]" = field(default_factory=dict)
     entries: "dict[tuple[TrapId, TrapId], list[SharedRouteEntry]]" = field(
         default_factory=dict
     )

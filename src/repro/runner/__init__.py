@@ -39,8 +39,6 @@ from repro.runner.bench import (
     BENCH_SCHEMA,
     BenchCase,
     format_perf_report,
-    measure_event_core_speedup,
-    measure_speedup,
     run_perf_suite,
 )
 from repro.runner.cache import CacheInfo, ResultCache
@@ -83,8 +81,6 @@ __all__ = [
     "format_perf_report",
     "latency_table",
     "map_spec",
-    "measure_event_core_speedup",
-    "measure_speedup",
     "parse_axis",
     "parse_bool_axis",
     "parse_capacity_axis",

@@ -1,33 +1,15 @@
 """Performance microbenchmarks of the mapping hot path (``qspr-map bench``).
 
 The suite times full place-route-simulate pipeline runs on the paper's QECC
-benchmark circuits and measures two tracked speedups:
+benchmark circuits (best of a few repeats, with the routing-core counters
+of the best run) and replays a small service loadgen trace in-process.
 
-* the *compiled routing core* (:mod:`repro.routing.compiled` plus the
-  router's route cache and the fabric's spatial memo) against the
-  pre-refactor object core (``kind: "compiled-core"`` entries), and
-* the *routing kernel v2* (occupancy-snapshot route caches, landmark-guided
-  search, cross-run shared store; see :mod:`repro.routing.router`) against
-  the v1 compiled core (``kind: "routing-v2"`` entries), and
-* the *event-driven simulation core* (wake-set gated issue polls; see
-  :mod:`repro.sim.engine`) against the tick-poll issue loop
-  (``kind: "event-core"`` entries).
-
-Each baseline leg reproduces the pre-refactor behaviour faithfully — the
-compiled-core baseline uses object-based Dijkstra with no route cache or
-spatial memo; the event-core baseline runs ``event_core=False,
-busy_wake_sets=False``, i.e. an issue poll at every event timestamp — and
-both legs of every comparison produce identical mapping results, so no
-speedup can come from doing different work.  Event-core entries carry the
-wall-clock ratio *and* the deterministic work ratios (router route queries,
-Dijkstra runs, issue polls): wall-clock is noisy and flattens the router-call
-reduction through per-call costs, while the work ratios are exactly
-reproducible, which is what CI gates on.
-
-Results are written to ``BENCH_perf.json`` so every future change has a
-recorded trajectory to beat; see ``docs/PERFORMANCE.md`` for how to read the
-report.  The schema is flat JSON on purpose: external tooling (pandas, jq,
-CI artifact diffing) can consume it without knowing this package.
+Results are written to ``BENCH_perf.json``; see ``docs/PERFORMANCE.md`` for
+how to read the report.  The committed ``BENCH_perf.json`` also keeps the
+speedup legs of earlier schemas as a frozen historical record; the
+selectable cores they compared against no longer exist.  The schema is flat
+JSON on purpose: external tooling (pandas, jq, CI artifact diffing) can
+consume it without knowing this package.
 """
 
 from __future__ import annotations
@@ -55,9 +37,10 @@ from repro.pipeline.technologies import resolve_technology
 #: Schema 3: adds ``kind: "routing-v2"`` entries — the snapshot-cached,
 #: landmark-guided kernel against the v1 compiled core — carrying wall,
 #: routing-seconds, route-cache hit-rate and deterministic heap-pop legs.
-BENCH_SCHEMA = "qspr-perf-bench/3"
+#: Schema 4: drops ``speedups``; their baseline cores were deleted.
+BENCH_SCHEMA = "qspr-perf-bench/4"
 
-#: The largest bundled circuit (most qubits); the headline speedup target.
+#: The largest bundled circuit (most qubits); the headline timing case.
 LARGEST_CIRCUIT = "[[23,1,7]]"
 
 
@@ -111,97 +94,30 @@ FULL_CASES: tuple[BenchCase, ...] = tuple(
     BenchCase("[[19,1,7]]", technology="fast-turn", scheduler="quale-alap"),
 )
 
-#: Circuits the legacy-vs-compiled speedup is measured on.
-QUICK_SPEEDUP_CIRCUITS: tuple[str, ...] = ("[[9,1,3]]",)
-FULL_SPEEDUP_CIRCUITS: tuple[str, ...] = ("[[19,1,7]]", LARGEST_CIRCUIT)
-
-#: Circuits the routing-v2-vs-v1 kernel speedup is measured on.  Both the
-#: quick and full suites run both circuits: the ISSUE/CI acceptance gates
-#: (hit rate >= 50%, routing speedup >= 2x, heap-pop reduction >= 2x) are
-#: defined over exactly this pair, and the quick suite is what CI executes.
-ROUTING_V2_CIRCUITS: tuple[str, ...] = ("[[19,1,7]]", "[[23,1,7]]")
-
-#: Circuits the event-core-vs-tick-loop speedup is measured on.  All run
-#: under the ``cap-1`` technology (capacity-1 channels, the QUALE hardware
-#: assumption): single-occupancy channels maximise congestion stalls, which
-#: is the regime the wake-set gating exists for.  The ``qecc-scaled`` cases
-#: extrapolate the paper's QECC suite past its largest member ([[23,1,7]] at
-#: distance 7 → [[41,1,9]] at distance 9); the random-layered cases exercise
-#: locality-clustered traffic, where most parked instructions are unaffected
-#: by any given release and the gating pays off hardest.
-QUICK_EVENT_SPEEDUP_CIRCUITS: tuple[str, ...] = (
-    "qecc-scaled:dist=9",
-    "random-layered:q=48:d=16:fill=1.0:locality=3:seed=3",
-)
-FULL_EVENT_SPEEDUP_CIRCUITS: tuple[str, ...] = (
-    "qecc-scaled:dist=9",
-    "qecc-scaled:dist=13",
-    "random-layered:q=96:d=64:fill=1.0:locality=3:seed=3",
-)
-
-
-def _leg_fabric(fabric_name: str, *, compiled_routing: bool):
-    """A fresh fabric for one timing leg.
-
-    Each leg owns its fabric so no memoised state leaks between legs; the
-    baseline leg disables the spatial memo to match the pre-refactor fabric
-    behaviour.  Within a leg the fabric is reused across repeats — that is
-    how the mappers use fabrics (the per-fabric graph compile is a one-off),
-    and best-of timing then reports the warm steady state.
-    """
-    fabric = resolve_fabric(fabric_name)
-    fabric.spatial_cache_enabled = compiled_routing
-    return fabric
-
-
-def _run_pipeline(
-    circuit_name: str,
-    fabric,
-    placer: str,
-    *,
-    compiled_routing: bool,
-    technology: str = "paper",
-    scheduler: str = "qspr",
-    event_core: bool = True,
-    busy_wake_sets: bool = True,
-    routing_v2: bool = True,
-    shared_route_cache: bool = False,
-) -> tuple[MappingResult, float]:
-    """One timed pipeline run; returns the result and its wall-clock seconds."""
-    circuit = resolve_circuit(circuit_name)
-    options = MapperOptions(
-        technology=resolve_technology(technology),
-        scheduler=scheduler,
-        placer=placer,
-        compiled_routing=compiled_routing,
-        event_core=event_core,
-        busy_wake_sets=busy_wake_sets,
-        routing_v2=routing_v2,
-        shared_route_cache=shared_route_cache,
-    )
-    started = time.perf_counter()
-    result = MappingPipeline.standard().run(circuit, fabric, options=options)
-    return result, time.perf_counter() - started
-
 
 def time_case(case: BenchCase, repeats: int = 3) -> dict:
-    """Best-of-``repeats`` timing of one case on the compiled core."""
+    """Best-of-``repeats`` timing of one case.
+
+    The case owns a fresh fabric, reused across its repeats — that is how
+    the mappers use fabrics (the per-fabric graph compile is a one-off), and
+    best-of timing then reports the warm steady state.
+    """
+    circuit = resolve_circuit(case.circuit)
+    fabric = resolve_fabric(case.fabric)
+    options = MapperOptions(
+        technology=resolve_technology(case.technology),
+        scheduler=case.scheduler,
+        placer=case.placer,
+    )
     best_result: MappingResult | None = None
     best_seconds = float("inf")
-    fabric = _leg_fabric(case.fabric, compiled_routing=True)
     for _ in range(max(1, repeats)):
-        result, seconds = _run_pipeline(
-            case.circuit,
-            fabric,
-            case.placer,
-            compiled_routing=True,
-            technology=case.technology,
-            scheduler=case.scheduler,
-        )
+        started = time.perf_counter()
+        result = MappingPipeline.standard().run(circuit, fabric, options=options)
+        seconds = time.perf_counter() - started
         if seconds < best_seconds:
             best_result, best_seconds = result, seconds
     assert best_result is not None
-    circuit = resolve_circuit(case.circuit)
     record = {
         "label": case.label,
         "circuit": case.circuit,
@@ -218,249 +134,6 @@ def time_case(case: BenchCase, repeats: int = 3) -> dict:
     }
     record.update(best_result.routing_stats.as_dict())
     return record
-
-
-def measure_speedup(circuit_name: str, fabric_name: str = "quale", repeats: int = 3) -> dict:
-    """Best-of-``repeats`` compiled-vs-pre-refactor speedup on one circuit.
-
-    Both legs run the identical full map-and-simulate pipeline; the result
-    latencies are asserted equal, so the speedup cannot come from doing
-    different work.
-    """
-    baseline_seconds = float("inf")
-    compiled_seconds = float("inf")
-    baseline_latency = compiled_latency = None
-    baseline_fabric = _leg_fabric(fabric_name, compiled_routing=False)
-    compiled_fabric = _leg_fabric(fabric_name, compiled_routing=True)
-    for _ in range(max(1, repeats)):
-        result, seconds = _run_pipeline(
-            circuit_name, baseline_fabric, "center", compiled_routing=False
-        )
-        baseline_seconds = min(baseline_seconds, seconds)
-        baseline_latency = result.latency
-        result, seconds = _run_pipeline(
-            circuit_name, compiled_fabric, "center", compiled_routing=True
-        )
-        compiled_seconds = min(compiled_seconds, seconds)
-        compiled_latency = result.latency
-    if baseline_latency != compiled_latency:  # pragma: no cover - equivalence gate
-        raise AssertionError(
-            f"compiled core changed the result on {circuit_name}: "
-            f"{baseline_latency} != {compiled_latency}"
-        )
-    return {
-        "kind": "compiled-core",
-        "circuit": circuit_name,
-        "fabric": fabric_name,
-        "baseline": "pre-refactor core (object dijkstra, no route cache, no spatial memo)",
-        "baseline_seconds": baseline_seconds,
-        "compiled_seconds": compiled_seconds,
-        "speedup": baseline_seconds / compiled_seconds if compiled_seconds else 0.0,
-        "latency_us": compiled_latency,
-    }
-
-
-def measure_routing_v2_speedup(
-    circuit_name: str, fabric_name: str = "quale", repeats: int = 3
-) -> dict:
-    """Routing-kernel v2 (snapshots + landmarks) against the v1 compiled core.
-
-    Four legs, every one producing the identical mapping (latency, total
-    moves and total turns are asserted equal, so no speedup can come from
-    doing different work):
-
-    * **legacy** — the pre-refactor object core (``compiled_routing=False``);
-      only its routing seconds are kept, for the cumulative trajectory.
-    * **v1** — the compiled core with the epoch-keyed route cache
-      (``routing_v2=False``): the baseline the tracked speedup is against.
-    * **v2 cold** — a solo run (no shared store).  Its heap-pop count is a
-      deterministic function of the scenario, so ``heap_pop_speedup``
-      (v1 pops / v2 cold pops) isolates the landmark lower bound's pruning
-      exactly, immune to timer noise.
-    * **v2 warm** — the service configuration (``shared_route_cache=True``):
-      one untimed run populates the store, then ``repeats`` timed runs
-      measure the steady state a worker mapping repeated jobs sees.  The
-      recorded ``route_cache_hit_rate`` and the headline ``speedup`` come
-      from this leg.
-
-    The gated ``speedup`` legs compare *routing seconds* (time inside the
-    router), not pipeline wall-clock: scheduler, placer and simulator costs
-    are unchanged by this kernel and would only dilute the measurement.
-    The wall-clock ratio is recorded alongside for context.
-    """
-    runs = max(1, repeats)
-
-    def _leg(fabric, *, warmup: int = 0, **opts) -> tuple[MappingResult, float, float]:
-        best_wall = best_routing = float("inf")
-        last: MappingResult | None = None
-        for index in range(warmup + runs):
-            result, seconds = _run_pipeline(circuit_name, fabric, "center", **opts)
-            if index < warmup:
-                continue
-            best_wall = min(best_wall, seconds)
-            best_routing = min(best_routing, result.routing_seconds)
-            last = result
-        assert last is not None
-        return last, best_wall, best_routing
-
-    legacy, _, legacy_routing = _leg(
-        _leg_fabric(fabric_name, compiled_routing=False),
-        compiled_routing=False,
-        routing_v2=False,
-    )
-    v1, v1_wall, v1_routing = _leg(
-        _leg_fabric(fabric_name, compiled_routing=True),
-        compiled_routing=True,
-        routing_v2=False,
-    )
-    cold, _, cold_routing = _leg(
-        _leg_fabric(fabric_name, compiled_routing=True),
-        compiled_routing=True,
-        routing_v2=True,
-    )
-    warm, warm_wall, warm_routing = _leg(
-        _leg_fabric(fabric_name, compiled_routing=True),
-        warmup=1,
-        compiled_routing=True,
-        routing_v2=True,
-        shared_route_cache=True,
-    )
-
-    reference = (v1.latency, v1.total_moves, v1.total_turns)
-    for leg_name, result in (("legacy", legacy), ("v2-cold", cold), ("v2-warm", warm)):
-        observed = (result.latency, result.total_moves, result.total_turns)
-        if observed != reference:  # pragma: no cover - equivalence gate
-            raise AssertionError(
-                f"routing v2 changed the result on {circuit_name} ({leg_name}): "
-                f"{observed} != {reference}"
-            )
-
-    def _ratio(baseline: float, measured: float) -> float:
-        return baseline / measured if measured else 0.0
-
-    return {
-        "kind": "routing-v2",
-        "circuit": circuit_name,
-        "fabric": fabric_name,
-        "baseline": "routing v1 (compiled core, epoch-keyed route cache, no landmarks)",
-        "legacy_routing_seconds": legacy_routing,
-        "v1_wall_seconds": v1_wall,
-        "v1_routing_seconds": v1_routing,
-        "v1_heap_pops": v1.routing_stats.heap_pops,
-        "cold_routing_seconds": cold_routing,
-        "cold_heap_pops": cold.routing_stats.heap_pops,
-        "cold_hit_rate": cold.routing_stats.cache_hit_rate,
-        "warm_wall_seconds": warm_wall,
-        "warm_routing_seconds": warm_routing,
-        "warm_heap_pops": warm.routing_stats.heap_pops,
-        "route_cache_hit_rate": warm.routing_stats.cache_hit_rate,
-        "route_cache_shared_hits": warm.routing_stats.shared_hits,
-        "speedup": _ratio(v1_routing, warm_routing),
-        "wall_speedup": _ratio(v1_wall, warm_wall),
-        "heap_pop_speedup": _ratio(
-            v1.routing_stats.heap_pops, cold.routing_stats.heap_pops
-        ),
-        "cumulative_speedup": _ratio(legacy_routing, warm_routing),
-        "latency_us": warm.latency,
-    }
-
-
-def measure_event_core_speedup(
-    circuit_name: str,
-    fabric_name: str = "quale",
-    repeats: int = 3,
-    *,
-    technology: str = "cap-1",
-    scheduler: str = "qspr",
-) -> dict:
-    """Best-of-``repeats`` event-core-vs-tick-loop comparison on one circuit.
-
-    The baseline leg runs ``event_core=False, busy_wake_sets=False`` — the
-    pre-refactor tick loop, which re-enters the issue loop at every event
-    timestamp and re-plans every parked instruction.  The event leg runs the
-    defaults (timestamp-ordered event heap, wake-set gated polls).  Both legs
-    must produce the identical latency *and* issue schedule, so the speedup
-    is pure avoided work.
-
-    Besides the wall-clock legs, the entry records the deterministic work
-    ratios, which are exactly reproducible run to run:
-
-    * ``route_query_speedup`` — ratio of router route queries (the headline:
-      every avoided query is a futile re-plan of an instruction whose
-      blockers had not changed);
-    * ``dijkstra_speedup`` — ratio of Dijkstra searches actually run;
-    * ``poll_speedup`` — ratio of issue-loop entries.
-    """
-    baseline_seconds = float("inf")
-    event_seconds = float("inf")
-    baseline_result: MappingResult | None = None
-    event_result: MappingResult | None = None
-    tick_fabric = _leg_fabric(fabric_name, compiled_routing=True)
-    event_fabric = _leg_fabric(fabric_name, compiled_routing=True)
-    for _ in range(max(1, repeats)):
-        result, seconds = _run_pipeline(
-            circuit_name,
-            tick_fabric,
-            "center",
-            compiled_routing=True,
-            technology=technology,
-            scheduler=scheduler,
-            event_core=False,
-            busy_wake_sets=False,
-        )
-        baseline_seconds = min(baseline_seconds, seconds)
-        baseline_result = result
-        result, seconds = _run_pipeline(
-            circuit_name,
-            event_fabric,
-            "center",
-            compiled_routing=True,
-            technology=technology,
-            scheduler=scheduler,
-        )
-        event_seconds = min(event_seconds, seconds)
-        event_result = result
-    assert baseline_result is not None and event_result is not None
-    if (
-        baseline_result.latency != event_result.latency
-        or baseline_result.schedule != event_result.schedule
-    ):  # pragma: no cover - equivalence gate
-        raise AssertionError(
-            f"event core changed the result on {circuit_name}: "
-            f"{baseline_result.latency} != {event_result.latency} or schedules differ"
-        )
-
-    def _ratio(baseline: float, event: float) -> float:
-        return baseline / event if event else 0.0
-
-    tick_queries = baseline_result.routing_stats.route_queries
-    event_queries = event_result.routing_stats.route_queries
-    return {
-        "kind": "event-core",
-        "circuit": circuit_name,
-        "fabric": fabric_name,
-        "technology": technology,
-        "scheduler": scheduler,
-        "baseline": "tick-poll issue loop (event_core=False, no wake-set gating)",
-        "baseline_seconds": baseline_seconds,
-        "event_seconds": event_seconds,
-        "speedup": _ratio(baseline_seconds, event_seconds),
-        "route_queries_baseline": tick_queries,
-        "route_queries_event": event_queries,
-        "route_query_speedup": _ratio(tick_queries, event_queries),
-        "dijkstra_speedup": _ratio(
-            baseline_result.routing_stats.dijkstra_calls,
-            event_result.routing_stats.dijkstra_calls,
-        ),
-        "issue_polls_baseline": baseline_result.event_stats.issue_polls,
-        "issue_polls_event": event_result.event_stats.issue_polls,
-        "poll_speedup": _ratio(
-            baseline_result.event_stats.issue_polls,
-            event_result.event_stats.issue_polls,
-        ),
-        "skipped_polls": event_result.event_stats.skipped_polls,
-        "latency_us": event_result.latency,
-    }
 
 
 #: Parameters of the tracked loadgen smoke case: a 20-job Poisson trace
@@ -533,8 +206,8 @@ def run_perf_suite(
     """Run the perf suite and (optionally) persist the JSON report.
 
     Args:
-        quick: Run the CI-smoke subset (small circuits, one speedup probe)
-            instead of the full bundled-circuit sweep.
+        quick: Run the CI-smoke subset (small circuits) instead of the full
+            bundled-circuit sweep.
         repeats: Repetitions per timing; the best (minimum) wall-clock wins.
         out: Path the JSON report is written to (``BENCH_perf.json`` by
             convention); ``None`` skips writing.
@@ -543,22 +216,12 @@ def run_perf_suite(
         The report dict (also what was serialised to ``out``).
     """
     cases = QUICK_CASES if quick else FULL_CASES
-    speedup_circuits = QUICK_SPEEDUP_CIRCUITS if quick else FULL_SPEEDUP_CIRCUITS
-    event_circuits = (
-        QUICK_EVENT_SPEEDUP_CIRCUITS if quick else FULL_EVENT_SPEEDUP_CIRCUITS
-    )
     report = {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
         "repeats": repeats,
         "python": platform.python_version(),
         "cases": [time_case(case, repeats) for case in cases],
-        "speedups": [measure_speedup(name, repeats=repeats) for name in speedup_circuits]
-        + [
-            measure_routing_v2_speedup(name, repeats=repeats)
-            for name in ROUTING_V2_CIRCUITS
-        ]
-        + [measure_event_core_speedup(name, repeats=repeats) for name in event_circuits],
         "loadgen": measure_loadgen(),
     }
     if out is not None:
@@ -597,84 +260,6 @@ def format_perf_report(report: dict) -> str:
             case_rows,
         )
     ]
-    speedup_rows = [
-        (
-            entry["circuit"],
-            round(entry["baseline_seconds"] * 1000, 1),
-            round(entry["compiled_seconds"] * 1000, 1),
-            f"{entry['speedup']:.2f}x",
-        )
-        for entry in report["speedups"]
-        if entry.get("kind", "compiled-core") == "compiled-core"
-    ]
-    if speedup_rows:
-        tables.append(
-            format_comparison_table(
-                "Compiled core vs pre-refactor core (identical results)",
-                ["circuit", "baseline (ms)", "compiled (ms)", "speedup"],
-                speedup_rows,
-            )
-        )
-    routing_rows = [
-        (
-            entry["circuit"],
-            round(entry["v1_routing_seconds"] * 1000, 1),
-            round(entry["warm_routing_seconds"] * 1000, 1),
-            f"{entry['speedup']:.2f}x",
-            f"{100 * entry['route_cache_hit_rate']:.1f}%",
-            f"{entry['v1_heap_pops']}->{entry['cold_heap_pops']}",
-            f"{entry['heap_pop_speedup']:.2f}x",
-            f"{entry['cumulative_speedup']:.1f}x",
-        )
-        for entry in report["speedups"]
-        if entry.get("kind") == "routing-v2"
-    ]
-    if routing_rows:
-        tables.append(
-            format_comparison_table(
-                "Routing kernel v2 vs v1 (identical results; warm = shared store)",
-                [
-                    "circuit",
-                    "v1 (ms)",
-                    "v2 warm (ms)",
-                    "speedup",
-                    "hit rate",
-                    "heap pops (cold)",
-                    "pops",
-                    "vs legacy",
-                ],
-                routing_rows,
-            )
-        )
-    event_rows = [
-        (
-            entry["circuit"],
-            round(entry["baseline_seconds"] * 1000, 1),
-            round(entry["event_seconds"] * 1000, 1),
-            f"{entry['speedup']:.2f}x",
-            f"{entry['route_queries_baseline']}->{entry['route_queries_event']}",
-            f"{entry['route_query_speedup']:.2f}x",
-            f"{entry['poll_speedup']:.2f}x",
-        )
-        for entry in report["speedups"]
-        if entry.get("kind") == "event-core"
-    ]
-    if event_rows:
-        tables.append(
-            format_comparison_table(
-                "Event-driven core vs tick-poll loop (identical results)",
-                [
-                    "circuit",
-                    "tick (ms)",
-                    "event (ms)",
-                    "wall",
-                    "route queries",
-                    "queries",
-                    "polls",
-                ],
-                event_rows,
-            )
-        )
     loadgen = report.get("loadgen")
     if loadgen:
         tables.append(

@@ -52,7 +52,7 @@ def map_spec(
             graphs, so a long-lived worker can pass the same fabric to every
             job that targets the same geometry and pay the graph-compilation
             cost once.
-        shared_route_cache: Opt the run into the cross-job idle-route store
+        shared_route_cache: Opt the run into the cross-job route store
             (see :mod:`repro.routing.shared_cache`).  Pointless without a
             long-lived ``fabric`` — the store is memoised on the fabric
             instance — which is why the sweep runner leaves it off and the

@@ -139,7 +139,8 @@ class CellResult:
         event_peak_heap: Largest number of pending events at once.
         event_wake_hits: Parked instructions woken by targeted wake keys.
         event_skipped_polls: Event timestamps whose issue poll was skipped
-            because no blocker changed (0 on the tick-poll loop).
+            because no blocker changed (0 for forced-order and barrier
+            runs, which poll at every event timestamp).
         event_issue_polls: Times the issue loop was entered.
         from_cache: Whether this record was served from the result cache.
 

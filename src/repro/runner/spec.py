@@ -71,7 +71,9 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: Schema 5: routing kernel v2 — records carry the shared-store and batched
 #: -search counters, and the v2 cache changes the hit/miss/heap-pop counter
 #: values of otherwise identical runs, so schema-4 records are retired.
-CACHE_SCHEMA = 5
+#: Schema 6: same-channel legs planned under a dual-operand overlay no
+#: longer count as route-cache misses, so schema-5 records are retired.
+CACHE_SCHEMA = 6
 
 
 @dataclass(frozen=True)
@@ -386,8 +388,8 @@ class ExperimentSpec:
         Placer-driven mappers (QSPR and plugins) receive the cell's full
         :meth:`mapper_options`; the fixed built-in presets receive ``None``.
         ``shared_route_cache=True`` opts those options into the cross-job
-        idle-route store (service workers use this; presets that build their
-        own options are unaffected).
+        route store (service workers use this; presets that build their own
+        options are unaffected).
 
         Example::
 

@@ -11,8 +11,6 @@ simulator composes:
   objects of QSPR, QUALE, QPOS and the QPOS variant of reference [5]; the
   pluggable scheduler surface registered in
   :data:`repro.pipeline.schedulers.SCHEDULERS`.
-* :mod:`repro.scheduling.priority` — the legacy ``PriorityPolicy`` enum, a
-  thin deprecated alias over the policy objects.
 * :mod:`repro.scheduling.ready` — dependency bookkeeping (which instructions
   are ready to issue).
 * :mod:`repro.scheduling.busy_queue` — instructions that were ready but could
@@ -27,18 +25,15 @@ from repro.scheduling.policies import (
     QualeAlapPolicy,
     SchedulingPolicy,
 )
-from repro.scheduling.priority import PriorityPolicy, compute_priorities
 from repro.scheduling.ready import DependencyTracker
 from repro.scheduling.busy_queue import BusyQueue
 
 __all__ = [
-    "PriorityPolicy",
     "QposDependentsPolicy",
     "QposPathDelayPolicy",
     "QsprPolicy",
     "QualeAlapPolicy",
     "SchedulingPolicy",
-    "compute_priorities",
     "DependencyTracker",
     "BusyQueue",
 ]

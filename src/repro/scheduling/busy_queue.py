@@ -25,10 +25,9 @@ hashables; the router emits four namespaces (see
   blocker set would be unbounded (or exceeds ``MAX_BLOCKER_KEYS``); woken on
   every release and every issue, so collapsing is always safe.
 
-Events that change the fabric in ways no key identifies wake everything
-(:meth:`BusyQueue.wake_all`).  An instruction whose recorded blockers are
-all still standing is guaranteed to fail routing again, so the issue loop
-skips it (:meth:`BusyQueue.needs_retry`).
+An instruction whose recorded blockers are all still standing is guaranteed
+to fail routing again, so the issue loop skips it
+(:meth:`BusyQueue.needs_retry`).
 """
 
 from __future__ import annotations
@@ -78,8 +77,7 @@ class BusyQueue:
     def block_on(self, index: int, resources: Iterable[Hashable]) -> None:
         """Record the resources that blocked ``index``'s last routing attempt.
 
-        Until one of them is released (:meth:`wake`) or the fabric changes in
-        a way no resource identifies (:meth:`wake_all`), the instruction is
+        Until one of them is released (:meth:`wake`), the instruction is
         known to be unroutable and :meth:`needs_retry` returns ``False``.
 
         Raises:
@@ -114,11 +112,6 @@ class BusyQueue:
                 del self._blockers[index]
                 woken.append(index)
         return woken
-
-    def wake_all(self) -> None:
-        """Invalidate every recorded blocker set (fabric-wide state change)."""
-        self._blockers.clear()
-        self._wake.clear()
 
     def __contains__(self, index: int) -> bool:
         return index in self._parked

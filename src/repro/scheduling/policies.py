@@ -26,9 +26,6 @@ policies subclass :class:`SchedulingPolicy` and register the same way::
 
         def priorities(self, qidg, technology):
             return {node: 0.0 for node in qidg.graph.nodes}
-
-The legacy :class:`~repro.scheduling.priority.PriorityPolicy` enum remains a
-thin deprecated alias over these classes.
 """
 
 from __future__ import annotations

@@ -67,9 +67,9 @@ def execute_job(
         fabric = fabrics.get(spec.fabric)
         if fabric is None:
             fabric = fabrics[spec.fabric] = spec.build_fabric()
-    # Workers map many jobs on one memoised fabric, so idle-congestion route
-    # plans are shared across jobs (the fix for the near-zero cache hit rate
-    # on repeated submissions); results are identical either way.
+    # Workers map many jobs on one memoised fabric, so snapshot-validated
+    # route plans are shared across jobs (the fix for the near-zero cache hit
+    # rate on repeated submissions); results are identical either way.
     result = map_spec(
         spec,
         fabric=fabric,

@@ -9,8 +9,7 @@ event heap.  The typed events — :class:`InstructionCompleted`,
 :class:`BarrierLevelCleared` — carry exactly the state change they announce,
 so the engine re-attempts issue only for instructions whose blockers
 actually changed (see ``docs/ARCHITECTURE.md``).  The first two correspond
-to the two event kinds of Section IV.B of the paper and keep their
-historical aliases :class:`GateFinished` and :class:`ChannelExited`.
+to the two event kinds of Section IV.B of the paper.
 
 * :mod:`repro.sim.events` — typed events, the event heap and
   :class:`EventLoopStats`.
@@ -22,11 +21,9 @@ historical aliases :class:`GateFinished` and :class:`ChannelExited`.
 
 from repro.sim.events import (
     BarrierLevelCleared,
-    ChannelExited,
     ChannelReleased,
     EventLoopStats,
     EventQueue,
-    GateFinished,
     InstructionCompleted,
     QubitArrived,
 )
@@ -41,8 +38,6 @@ __all__ = [
     "ChannelReleased",
     "QubitArrived",
     "BarrierLevelCleared",
-    "GateFinished",
-    "ChannelExited",
     "CommandKind",
     "MicroCommand",
     "ControlTrace",

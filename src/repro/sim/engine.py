@@ -19,18 +19,16 @@ paper describes (Sections III and IV.B):
    ``InstructionCompleted`` when the gate finishes (and, under barrier
    scheduling, ``BarrierLevelCleared`` when an ALAP level drains).
 
-The **event core** (the default) re-enters the issue loop only when an
-event's handler reports that some instruction's blockers actually changed:
-releases wake the instructions parked on the released channel, issues wake
-the instructions parked on a vacated or newly reserved trap, and completions
-wake nothing at all — they can be shown never to unblock a parked
-instruction (the meeting trap stays occupied either way, and an in-flight
-instruction never shares qubits with a parked one).  Event timestamps whose
-handlers woke nothing skip the issue poll entirely.  The **tick loop**
-(``event_core=False``) is the pre-event-core behaviour — re-poll the
-candidate pool after every event timestamp — kept selectable for
-differential tests and benchmarks; both cores produce byte-identical
-schedules, latencies and congestion counters.
+The simulator re-enters the issue loop only when an event's handler
+reports that some instruction's blockers actually changed: releases wake the
+instructions parked on the released channel, issues wake the instructions
+parked on a vacated or newly reserved trap, and completions wake nothing at
+all — they can be shown never to unblock a parked instruction (the meeting
+trap stays occupied either way, and an in-flight instruction never shares
+qubits with a parked one).  Event timestamps whose handlers woke nothing
+skip the issue poll entirely.  This gating applies to the standard
+policy-ordered selector; forced-order and barrier runs poll after every
+event timestamp and retry every parked instruction.
 
 The outcome carries the total latency, the realised schedule, the final
 placement (needed by the MVFB placer), per-instruction timing records, the
@@ -63,9 +61,9 @@ from repro.routing.router import (
     channel_key,
     trap_key,
 )
+from repro.routing.shared_cache import SharedRouteStore
 from repro.scheduling.busy_queue import BusyQueue
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.priority import PriorityPolicy
 from repro.scheduling.ready import DependencyTracker
 from repro.sim.events import (
     BarrierLevelCleared,
@@ -175,15 +173,10 @@ class FabricSimulator:
         technology: TechnologyParams = PAPER_TECHNOLOGY,
         *,
         routing_policy: RoutingPolicy = QSPR_POLICY,
-        priority_policy: "PriorityPolicy | SchedulingPolicy | str" = PriorityPolicy.QSPR,
-        scheduler: "SchedulingPolicy | PriorityPolicy | str | None" = None,
+        scheduler: SchedulingPolicy | str = "qspr",
         forced_order: list[int] | None = None,
         qidg: QIDG | None = None,
         barrier_scheduling: bool = False,
-        compiled_routing: bool = True,
-        event_core: bool = True,
-        busy_wake_sets: bool = True,
-        routing_v2: bool = True,
         shared_route_cache: bool = False,
     ) -> None:
         """Create a simulator.
@@ -193,13 +186,10 @@ class FabricSimulator:
             fabric: The fabric to execute it on.
             technology: Delay and capacity parameters.
             routing_policy: Router feature switches (QSPR vs legacy).
-            priority_policy: Scheduling policy selector — a
-                :class:`~repro.scheduling.policies.SchedulingPolicy`, a
-                registry name from :data:`repro.pipeline.SCHEDULERS` or a
-                legacy :class:`PriorityPolicy` member.  Ignored when a
-                ``forced_order`` is given.
-            scheduler: Alias of ``priority_policy`` under its canonical name;
-                takes precedence when both are passed.
+            scheduler: Scheduling policy — a
+                :class:`~repro.scheduling.policies.SchedulingPolicy` or a
+                registry name from :data:`repro.pipeline.SCHEDULERS`.
+                Ignored when a ``forced_order`` is given.
             forced_order: Optional total issue order (a permutation of the
                 instruction indices).  Used by MVFB backward passes, which
                 replay the reversed schedule of the preceding forward pass.
@@ -211,41 +201,11 @@ class FabricSimulator:
                 earlier ALAP levels has finished, so routing never overlaps
                 across levels.  QSPR interleaves scheduling with routing and
                 leaves this off.
-            compiled_routing: Run the router on the compiled routing core
-                (CSR Dijkstra kernel plus the epoch-validated route cache).
-                ``False`` reproduces the pre-refactor object-based core —
-                results are identical either way; only speed differs.  Kept
-                selectable for differential tests and benchmarks.
-            event_core: Drive the run off the typed event heap and only
-                re-enter the issue loop when an event changed some
-                instruction's blockers (the default).  ``False`` selects the
-                pre-event-core tick loop, which re-polls the candidate pool
-                after every event timestamp.  Schedules, latencies and
-                congestion counters are byte-identical either way; only the
-                number of (futile) router calls — and therefore wall time —
-                differs.  Kept selectable for differential tests and
-                benchmarks.
-            busy_wake_sets: Retry a parked instruction only when one of the
-                resources that blocked its last routing attempt changes,
-                instead of re-planning the whole busy queue on every event.
-                On by default since the event core made it the default path;
-                the flag is **deprecated** and kept only so benchmarks and
-                differential tests can reproduce the eager-retry behaviour.
-                Latencies, schedules and movement counts are unchanged; only
-                the number of futile router calls drops.
-            routing_v2: Run the router's v2 fast path — region-scoped route
-                -cache invalidation, landmark (ALT) heap-pop pruning,
-                warm-started re-computation and batched candidate prefills
-                (see :class:`~repro.routing.router.Router`).  Plans, routes
-                and schedules are byte-identical either way (held by the
-                differential suites); only the cache/heap counters and wall
-                time differ.  Requires ``compiled_routing``; kept
-                selectable for differential tests and benchmarks.
             shared_route_cache: Let the router consult the cross-run
                 route store memoised on the fabric (see
-                :mod:`repro.routing.shared_cache`): plans whose region
-                footprint was idle are shared by every simulator on the
-                same fabric, technology and routing policy.  Results are
+                :mod:`repro.routing.shared_cache`): snapshot-validated plans
+                are shared by every simulator on the same fabric,
+                technology and routing policy.  Results are
                 identical; only the cache-hit counters change.  Off by
                 default to keep default-scenario reports byte-stable —
                 service workers, which run many jobs on one memoised
@@ -255,33 +215,22 @@ class FabricSimulator:
         self.fabric = fabric
         self.technology = technology
         self.routing_policy = routing_policy
-        self.priority_policy = priority_policy if scheduler is None else scheduler
-        self.scheduler = _resolve_policy(self.priority_policy)
+        self.scheduler = _resolve_policy(scheduler)
         self.qidg = qidg if qidg is not None else build_qidg(circuit)
         if forced_order is not None and not self.qidg.is_valid_order(forced_order):
             raise SimulationError("forced_order is not a topological order of the QIDG")
         self.forced_order = list(forced_order) if forced_order is not None else None
         self.barrier_scheduling = barrier_scheduling
-        self.event_core = event_core
-        self.busy_wake_sets = busy_wake_sets
         self.levels: dict[int, int] | None = (
             alap_levels(self.qidg) if barrier_scheduling else None
         )
         shared_store = None
-        if shared_route_cache and compiled_routing:
-            from repro.routing.shared_cache import SharedRouteStore
-
+        if shared_route_cache:
             shared_store = SharedRouteStore.shared(
                 fabric, technology=technology, policy=routing_policy
             )
         self.router = Router(
-            fabric,
-            technology,
-            routing_policy,
-            use_compiled=compiled_routing,
-            use_route_cache=compiled_routing,
-            routing_v2=routing_v2,
-            shared_store=shared_store,
+            fabric, technology, routing_policy, shared_store=shared_store
         )
         self.priorities = self.scheduler.priorities(self.qidg, technology)
 
@@ -308,7 +257,7 @@ class FabricSimulator:
                 if state.process_event(event_time, simultaneous):
                     wake = True
                 stats.events_processed += 1
-            if state.gated and not wake:
+            if state.use_wake_sets and not wake:
                 # No handler changed any instruction's blockers: every retry
                 # the issue loop could make is known to fail, so skip it.
                 stats.skipped_polls += 1
@@ -327,10 +276,8 @@ class FabricSimulator:
         return state.build_outcome(cpu_seconds)
 
 
-def _resolve_policy(
-    selector: "SchedulingPolicy | PriorityPolicy | str",
-) -> SchedulingPolicy:
-    """The :class:`SchedulingPolicy` behind any of the selector spellings."""
+def _resolve_policy(selector: SchedulingPolicy | str) -> SchedulingPolicy:
+    """The :class:`SchedulingPolicy` behind a policy object or registry name."""
     # Imported lazily: repro.pipeline imports this module (through the
     # pipeline context), so a module-level import would be circular.
     from repro.pipeline.schedulers import resolve_scheduler
@@ -411,7 +358,7 @@ class _BarrierLevelSelector(_CandidateSelector):
     from the current level, so completions drain the levels strictly in
     order and the cursor simply advances when the current level's last
     instruction finishes (the engine then emits a
-    :class:`~repro.sim.events.BarrierLevelCleared` event on the event core).
+    :class:`~repro.sim.events.BarrierLevelCleared` event).
     """
 
     def __init__(self, state: "_RunState") -> None:
@@ -513,10 +460,9 @@ class _RunState:
         self.routes: dict[int, InstructionRoute] = {}
         self.pool: set[int] = set(self.ready)
         self.stats = EventLoopStats()
-        self.event_core = sim.event_core
-        # Operands of issued-but-unfinished instructions still under way
-        # (event core only): instruction index → outstanding QubitArrived
-        # events.  The last arrival schedules the completion.
+        # Operands of issued-but-unfinished instructions still under way:
+        # instruction index → outstanding QubitArrived events.  The last
+        # arrival schedules the completion.
         self.pending_arrivals: dict[int, int] = {}
         if sim.forced_order is not None:
             self.selector: _CandidateSelector = _ForcedOrderSelector(self)
@@ -525,15 +471,12 @@ class _RunState:
         else:
             self.selector = _PolicyOrderSelector(self)
         # Busy-queue wake-sets only apply to the standard selector: forced
-        # and barrier runs retry unconditionally (their gating is cheap and
-        # their issue patterns make skipped retries not worth the risk).
-        self.use_wake_sets = sim.busy_wake_sets and isinstance(
-            self.selector, _PolicyOrderSelector
-        )
-        # Skip issue polls after wake-less event timestamps only when the
-        # wake bookkeeping is precise: the event core records per-resource
-        # blockers, so "nothing woke" proves every possible retry fails.
-        self.gated = self.event_core and self.use_wake_sets
+        # and barrier runs retry unconditionally and poll after every event
+        # timestamp (their gating is cheap and their issue patterns make
+        # skipped retries not worth the risk).  With wake sets on, the run
+        # records per-resource blockers, so "nothing woke" proves every
+        # possible retry fails and the issue poll is skipped.
+        self.use_wake_sets = isinstance(self.selector, _PolicyOrderSelector)
         self.routing_seconds = 0.0
         self._stats_baseline = sim.router.stats.snapshot()
 
@@ -564,11 +507,10 @@ class _RunState:
                 # With wake-sets on, ask the router *why* planning failed:
                 # the returned keys (full channels, occupancy-relevant traps,
                 # the congestion-change sentinel) are this instruction's
-                # wake-set.  Both cores share the precise keys — coarser
-                # blockers (full channels only) miss route-choice-dependent
-                # failures, where releasing a channel the failure never
-                # touched still flips the outcome by changing which source
-                # route the planner prefers.
+                # wake-set.  Coarser blockers (full channels only) would miss
+                # route-choice-dependent failures, where releasing a channel
+                # the failure never touched still flips the outcome by
+                # changing which source route the planner prefers.
                 blockers: set | None = set() if self.use_wake_sets else None
                 plan_started = _time.perf_counter()
                 route = self.sim.router.plan_instruction(
@@ -647,11 +589,10 @@ class _RunState:
                         channel_exits[key] = (qubit, exit_time)
                 else:
                     self.events.push(exit_time, ChannelReleased(qubit, channel_id))
-            if self.event_core:
-                self.events.push(
-                    now + offset + plan.duration,
-                    QubitArrived(qubit, route.target_trap, index),
-                )
+            self.events.push(
+                now + offset + plan.duration,
+                QubitArrived(qubit, route.target_trap, index),
+            )
             self._emit_plan_commands(plan, now + offset, index)
         for channel_id, (qubit, exit_time) in channel_exits.items():
             self.events.push(exit_time, ChannelReleased(qubit, channel_id))
@@ -668,13 +609,8 @@ class _RunState:
                 instruction.gate.name,
             )
         )
-        if self.event_core:
-            # The last QubitArrived event schedules the completion.
-            self.pending_arrivals[index] = len(route.plans)
-        else:
-            self.events.push(
-                record.finish_time, InstructionCompleted(index, route.target_trap)
-            )
+        # The last QubitArrived event schedules the completion.
+        self.pending_arrivals[index] = len(route.plans)
         if self.use_wake_sets:
             # Issuing changes exactly two kinds of blocker state: the
             # operands' origin traps lost a qubit (they may now be legal
@@ -726,24 +662,22 @@ class _RunState:
         """Apply ``event`` to the run state.
 
         Returns whether the event may have changed some instruction's
-        routability — the event core only re-enters the issue loop when a
-        handler in the current timestamp's batch reports ``True``.
+        routability — with wake sets on, the run only re-enters the issue
+        loop when a handler in the current timestamp's batch reports
+        ``True``.
         """
         if isinstance(event, ChannelReleased):
             was_full = self.congestion.release(event.channel_id)
-            if self.use_wake_sets:
-                # A capacity-opening release retries the instructions parked
-                # on this channel; any release also retries the instructions
-                # whose failure depended on a route *choice* (the sentinel) —
-                # lowering a congestion weight can change which source route
-                # the planner prefers and thereby flip a failure.
-                woken = self.busy.wake(channel_key(event.channel_id)) if was_full else []
-                woken += self.busy.wake(ANY_CONGESTION_CHANGE)
-                self.stats.wake_hits += len(woken)
-            else:
-                woken = []
-            if not self.event_core:
+            if not self.use_wake_sets:
                 return True
+            # A capacity-opening release retries the instructions parked on
+            # this channel; any release also retries the instructions whose
+            # failure depended on a route *choice* (the sentinel) — lowering
+            # a congestion weight can change which source route the planner
+            # prefers and thereby flip a failure.
+            woken = self.busy.wake(channel_key(event.channel_id)) if was_full else []
+            woken += self.busy.wake(ANY_CONGESTION_CHANGE)
+            self.stats.wake_hits += len(woken)
             return bool(woken)
         if isinstance(event, QubitArrived):
             remaining = self.pending_arrivals[event.instruction_index] - 1
@@ -772,17 +706,13 @@ class _RunState:
             self.in_flight.discard(qubit)
             self.positions[qubit] = route.target_trap
             self.resting.setdefault(route.target_trap, set()).add(qubit)
+        # Completions never unblock a parked instruction: the meeting trap
+        # stays occupied — reserved before, holding the finished operands
+        # after — and an in-flight instruction never shares a qubit with a
+        # parked one, so no blocker state changes.
         self.reserved_traps.discard(route.target_trap)
-        if not self.event_core:
-            # Tick loop: trap occupancy and qubit positions changed — retry
-            # every parked instruction.  (The event core proves completions
-            # never unblock a parked instruction: the meeting trap stays
-            # occupied — reserved before, holding the finished operands
-            # after — and an in-flight instruction never shares a qubit with
-            # a parked one, so no blocker state changes.)
-            self.busy.wake_all()
         cleared_level = self.selector.on_completed(index)
-        if self.event_core and cleared_level is not None:
+        if cleared_level is not None:
             self.events.push(now, BarrierLevelCleared(cleared_level))
         woke = False
         for newly_ready in self.deps.mark_completed(index):

@@ -1,6 +1,6 @@
 """Simulation events, the time-ordered event queue and its counters.
 
-Four event types drive the event core (paper Section IV.B describes the
+Four event types drive the simulator (paper Section IV.B describes the
 first two; the other two are bookkeeping events of the event-driven engine):
 
 * :class:`InstructionCompleted` — execution of an instruction finished; its
@@ -11,9 +11,6 @@ first two; the other two are bookkeeping events of the event-driven engine):
   operand of an instruction arrives, its completion is scheduled.
 * :class:`BarrierLevelCleared` — every instruction of an ALAP level finished
   (barrier scheduling only); the next level becomes eligible.
-
-``GateFinished`` and ``ChannelExited`` remain importable as aliases of the
-first two for backwards compatibility.
 """
 
 from __future__ import annotations
@@ -57,10 +54,6 @@ class BarrierLevelCleared:
     level: int
 
 
-#: Backwards-compatible aliases (pre-event-core names).
-GateFinished = InstructionCompleted
-ChannelExited = ChannelReleased
-
 Event = InstructionCompleted | ChannelReleased | QubitArrived | BarrierLevelCleared
 
 
@@ -68,7 +61,7 @@ Event = InstructionCompleted | ChannelReleased | QubitArrived | BarrierLevelClea
 class EventLoopStats:
     """Counters of one simulation run's event loop.
 
-    The event core's analogue of
+    The event loop's analogue of
     :class:`~repro.routing.compiled.RoutingCoreStats`: cheap integers that
     make the loop's behaviour observable in summaries, sweep CSVs and the
     benchmark harness.
@@ -79,8 +72,8 @@ class EventLoopStats:
         wake_hits: Parked instructions woken by a targeted wake (a released
             channel or a changed trap naming them as blocker).
         skipped_polls: Event timestamps after which the issue loop was *not*
-            re-entered because no instruction's blockers changed (the event
-            core's whole point; always 0 on the tick loop).
+            re-entered because no instruction's blockers changed (always 0
+            for forced-order and barrier runs, which poll every timestamp).
         issue_polls: Times the issue loop was entered.
     """
 

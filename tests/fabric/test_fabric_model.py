@@ -6,7 +6,7 @@ from repro.errors import FabricError
 from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric, quale_fabric, small_fabric
 from repro.fabric.components import Channel, Trap
 from repro.fabric.fabric import Fabric
-from repro.fabric.geometry import Orientation
+from repro.fabric.geometry import Orientation, distance_to_point
 
 
 class TestFabricSpec:
@@ -158,15 +158,15 @@ class TestFabricQueries:
 
 
 class TestSpatialMemo:
-    def test_cached_ordering_matches_uncached(self, small_fabric_4x4):
+    def test_cached_ordering_matches_a_fresh_sort(self, small_fabric_4x4):
         point = small_fabric_4x4.center
+        small_fabric_4x4.traps_by_distance(point)  # populate the memo
         cached = small_fabric_4x4.traps_by_distance(point)
-        small_fabric_4x4.spatial_cache_enabled = False
-        try:
-            uncached = small_fabric_4x4.traps_by_distance(point)
-        finally:
-            small_fabric_4x4.spatial_cache_enabled = True
-        assert cached == uncached
+        fresh = sorted(
+            small_fabric_4x4.traps.values(),
+            key=lambda trap: (distance_to_point(trap.cell, point), trap.id),
+        )
+        assert cached == fresh
 
     def test_callers_get_independent_lists(self, small_fabric_4x4):
         point = (0.0, 0.0)

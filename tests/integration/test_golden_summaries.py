@@ -8,13 +8,12 @@ CPU time) normalised; everything else — latency, placements, schedule-derived
 moves/turns, congestion delay and the routing-core counters — must match
 exactly.
 
-A second gate proves the compiled core and the pre-refactor legacy core
-produce identical mapping results: their summaries must agree line for line
-once the core-implementation counters (cache traffic, heap pops), which
-legitimately differ between cores, are stripped.  A third gate does the same
-for the event-driven simulation core against the tick-poll issue loop
-(``event_core=False, busy_wake_sets=False``): the loop counters differ (the
-whole point is fewer polls), the mapping must not.
+A second gate maps every case again under the reference oracle (cache-less
+routing on the reference kernel, ungated event loop; see
+``tests/reference_oracle.py``): the issue order and final placement must be
+identical, and the summaries must agree line for line once the counters of
+the routing cache, the kernel and the event loop — which describe how the
+work was done, not what was computed — are stripped.
 
 Regenerate the snapshots after an *intentional* output change with::
 
@@ -29,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from reference_oracle import assert_same_mapping, oracle_mode
 from repro import MapperOptions, QsprMapper, small_fabric
 from repro.circuits.qecc import qecc_encoder
 
@@ -46,32 +46,17 @@ CASES: tuple[tuple[str, str, dict], ...] = (
 )
 
 _CPU_LINE = re.compile(r"^(  mapping CPU time  : ).*$", re.MULTILINE)
-#: Core-implementation counters; legitimately differ between the compiled
-#: and the legacy core (the legacy kernel counts no pops/relaxations and the
-#: legacy configuration runs without the route cache) and between the event
-#: core and the tick loop (fewer polls, fewer futile route queries).
+#: Work counters; legitimately differ from the oracle's, which runs without
+#: a route cache, counts no heap pops and polls at every event timestamp.
 _CORE_LINES = re.compile(
     r"^  (route cache|dijkstra core|event loop)\s*: .*\n", re.MULTILINE
 )
 
 
-def _summarise(
-    circuit_name: str,
-    mapper_kwargs: dict,
-    *,
-    compiled: bool = True,
-    event_core: bool = True,
-    busy_wake_sets: bool = True,
-) -> str:
-    options = MapperOptions(
-        compiled_routing=compiled,
-        event_core=event_core,
-        busy_wake_sets=busy_wake_sets,
-        **mapper_kwargs,
-    )
+def _map(circuit_name: str, mapper_kwargs: dict):
+    options = MapperOptions(**mapper_kwargs)
     fabric = small_fabric(junction_rows=6, junction_cols=6)
-    result = QsprMapper(options).map(qecc_encoder(circuit_name), fabric)
-    return result.summary()
+    return QsprMapper(options).map(qecc_encoder(circuit_name), fabric)
 
 
 def _normalise(summary: str) -> str:
@@ -79,20 +64,13 @@ def _normalise(summary: str) -> str:
 
 
 def _strip_core_counters(summary: str) -> str:
-    text = _CORE_LINES.sub("", summary)
-    # The options line spells out the selected cores; equal results are the
-    # point, so the core choices are normalised away as well.
-    return (
-        text.replace(" core=legacy", "")
-        .replace(" sim=tick", "")
-        .replace(" wake_sets=False", "")
-    )
+    return _CORE_LINES.sub("", summary)
 
 
 @pytest.mark.parametrize("name, circuit, kwargs", CASES, ids=[c[0] for c in CASES])
 def test_summary_matches_golden_snapshot(name, circuit, kwargs):
     golden_path = GOLDEN_DIR / f"{name}.txt"
-    summary = _normalise(_summarise(circuit, kwargs, compiled=True))
+    summary = _normalise(_map(circuit, kwargs).summary())
     if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         golden_path.write_text(summary)
@@ -104,16 +82,11 @@ def test_summary_matches_golden_snapshot(name, circuit, kwargs):
 
 
 @pytest.mark.parametrize("name, circuit, kwargs", CASES, ids=[c[0] for c in CASES])
-def test_compiled_and_legacy_cores_agree(name, circuit, kwargs):
-    compiled = _strip_core_counters(_normalise(_summarise(circuit, kwargs, compiled=True)))
-    legacy = _strip_core_counters(_normalise(_summarise(circuit, kwargs, compiled=False)))
-    assert compiled == legacy
-
-
-@pytest.mark.parametrize("name, circuit, kwargs", CASES, ids=[c[0] for c in CASES])
-def test_event_core_and_tick_loop_agree(name, circuit, kwargs):
-    event = _strip_core_counters(_normalise(_summarise(circuit, kwargs)))
-    tick = _strip_core_counters(
-        _normalise(_summarise(circuit, kwargs, event_core=False, busy_wake_sets=False))
+def test_mapping_matches_reference_oracle(name, circuit, kwargs):
+    result = _map(circuit, kwargs)
+    with oracle_mode():
+        oracle = _map(circuit, kwargs)
+    assert_same_mapping(result, oracle)
+    assert _strip_core_counters(_normalise(result.summary())) == _strip_core_counters(
+        _normalise(oracle.summary())
     )
-    assert event == tick

@@ -11,13 +11,12 @@ from repro.mapper.qpos import QposMapper, qpos_options
 from repro.mapper.qspr import QsprMapper
 from repro.mapper.quale import QualeMapper, quale_options
 from repro.routing.router import MeetingPoint
-from repro.scheduling.priority import PriorityPolicy
 
 
 class TestMapperOptions:
     def test_defaults_are_qspr(self):
         options = MapperOptions()
-        assert options.priority_policy is PriorityPolicy.QSPR
+        assert options.scheduler == "qspr"
         assert options.turn_aware_routing
         assert options.meeting_point is MeetingPoint.MEDIAN
         assert options.effective_channel_capacity == 2
@@ -47,7 +46,7 @@ class TestMapperOptions:
 
     def test_quale_preset(self):
         options = quale_options()
-        assert options.priority_policy is PriorityPolicy.QUALE_ALAP
+        assert options.scheduler == "quale-alap"
         assert options.barrier_scheduling
         assert not options.turn_aware_routing
         assert options.effective_channel_capacity == 1
@@ -55,9 +54,9 @@ class TestMapperOptions:
 
     def test_qpos_preset(self):
         options = qpos_options()
-        assert options.priority_policy is PriorityPolicy.QPOS_DEPENDENTS
+        assert options.scheduler == "qpos-dependents"
         assert options.meeting_point is MeetingPoint.DESTINATION
-        assert qpos_options(path_delay_priority=True).priority_policy is PriorityPolicy.QPOS_PATH_DELAY
+        assert qpos_options(path_delay_priority=True).scheduler == "qpos-path-delay"
 
 
 class TestIdealBaseline:

@@ -7,9 +7,7 @@ import pytest
 import repro
 from repro.errors import MappingError, SchedulingError
 from repro.pipeline import SCHEDULERS, TECHNOLOGIES, resolve_scheduler, resolve_technology
-from repro.qidg.graph import build_qidg
 from repro.scheduling.policies import QsprPolicy, SchedulingPolicy
-from repro.scheduling.priority import PriorityPolicy, compute_priorities
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -19,12 +17,10 @@ class TestSchedulerRegistry:
             "qspr", "quale-alap", "qpos-dependents", "qpos-path-delay",
         }
 
-    def test_resolve_by_name_enum_and_object(self):
+    def test_resolve_by_name_and_object(self):
         by_name = resolve_scheduler("qspr")
-        by_enum = resolve_scheduler(PriorityPolicy.QSPR)
         direct = QsprPolicy()
         assert isinstance(by_name, QsprPolicy)
-        assert isinstance(by_enum, QsprPolicy)
         assert resolve_scheduler(direct) is direct
 
     def test_unknown_name_suggests(self):
@@ -34,16 +30,6 @@ class TestSchedulerRegistry:
     def test_invalid_selector_type(self):
         with pytest.raises(SchedulingError, match="scheduler must be"):
             resolve_scheduler(42)
-
-    def test_enum_alias_matches_registry_policy(self, bell_circuit):
-        qidg = build_qidg(bell_circuit)
-        for member in PriorityPolicy:
-            assert member.value in SCHEDULERS
-            via_enum = compute_priorities(qidg, member)
-            via_registry = resolve_scheduler(member.value).priorities(
-                qidg, PAPER_TECHNOLOGY
-            )
-            assert via_enum == via_registry
 
     def test_registered_class_is_instantiated(self):
         @SCHEDULERS.register("fifo-test")

@@ -3,8 +3,7 @@
 The compiled core must be a pure speedup — every query, under every
 congestion state the simulator can produce, must return the same cost and
 the same edge sequence as the object-based reference implementation in
-:mod:`repro.routing.dijkstra`.  The legacy path stays available behind the
-``use_compiled=False`` flag exactly for these tests.
+:mod:`repro.routing.dijkstra`.
 
 Two layers of coverage:
 
@@ -140,6 +139,18 @@ class _DifferentialShim:
         _assert_same_result(legacy_result, compiled_result, f"query {self.queries}")
         return compiled_result
 
+    def shortest_routes_batch(self, sources, groups, congestion, technology, **kwargs):
+        results = self.compiled.shortest_routes_batch(
+            sources, groups, congestion, technology, **kwargs
+        )
+        for targets, batched in zip(groups, results):
+            legacy_result = _legacy_query(
+                self.router, dict(sources), dict(targets), congestion
+            )
+            self.queries += 1
+            _assert_same_result(legacy_result, batched, f"batched query {self.queries}")
+        return results
+
     def recost_route(self, *args, **kwargs):
         # Warm-start bound probes are pure reads; forward them unchecked (the
         # bounded search result is still cross-checked above).
@@ -163,36 +174,3 @@ def test_kernels_agree_during_full_simulations(circuit_name, fabric_fixture, req
     outcome = sim.run(placement)
     assert shim.queries > 0, "the simulation never reached the Dijkstra kernel"
     assert outcome.latency > 0
-
-
-def test_simulations_identical_across_cores(small_fabric_4x4, calibrated_513):
-    """Latency, schedule, placements and records match core-for-core."""
-    placement = CenterPlacer(small_fabric_4x4).place(calibrated_513)
-    outcomes = {}
-    for compiled in (False, True):
-        sim = FabricSimulator(
-            calibrated_513, small_fabric_4x4, compiled_routing=compiled
-        )
-        outcomes[compiled] = sim.run(placement)
-    legacy, fast = outcomes[False], outcomes[True]
-    assert fast.latency == legacy.latency
-    assert fast.schedule == legacy.schedule
-    assert fast.initial_placement.as_dict() == legacy.initial_placement.as_dict()
-    assert fast.final_placement.as_dict() == legacy.final_placement.as_dict()
-    for index, record in legacy.records.items():
-        twin = fast.records[index]
-        assert (
-            twin.issue_time,
-            twin.gate_start,
-            twin.finish_time,
-            twin.target_trap,
-            twin.moves,
-            twin.turns,
-        ) == (
-            record.issue_time,
-            record.gate_start,
-            record.finish_time,
-            record.target_trap,
-            record.moves,
-            record.turns,
-        )

@@ -114,15 +114,3 @@ class TestEpoch:
         first = CongestionTracker(small_fabric_4x4, 2)
         second = CongestionTracker(small_fabric_4x4, 2)
         assert first.epoch != second.epoch
-
-    def test_restore_epoch_after_balanced_mutations(self, tracker):
-        before = tracker.epoch
-        tracker.reserve(("h", 0, 0))
-        tracker.release(("h", 0, 0))
-        assert tracker.epoch != before
-        tracker.restore_epoch(before)
-        assert tracker.epoch == before
-
-    def test_restore_epoch_rejects_future_epochs(self, tracker):
-        with pytest.raises(RoutingError):
-            tracker.restore_epoch(tracker.epoch + 1)

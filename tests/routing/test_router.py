@@ -207,51 +207,6 @@ class TestRouteCache:
         congestion.release(source_channel)
         assert router.plan_qubit_route("q", source, target, congestion) is not None
 
-    def test_cut_hint_table_is_lru_capped(self, router, small_fabric_4x4):
-        from repro.routing.router import MAX_CUT_HINTS
-
-        congestion = CongestionTracker(small_fabric_4x4, 1)
-        source, target = self._distant_pair(small_fabric_4x4)
-        endpoint_channels = {
-            small_fabric_4x4.trap(source).channel_id,
-            small_fabric_4x4.trap(target).channel_id,
-        }
-        # Saturate every intermediate channel: the search fails past the
-        # endpoint fast path and records its blocking cut as a hint.
-        for channel_id in small_fabric_4x4.channels:
-            if channel_id not in endpoint_channels:
-                congestion.reserve(channel_id)
-        # A long-lived service worker accumulates one hint per probed trap
-        # pair; fill the table to its cap with synthetic stale pairs.
-        for index in range(MAX_CUT_HINTS):
-            router._cut_hints[(("fake", index), ("fake", -index))] = ()
-        oldest = next(iter(router._cut_hints))
-        cut = set()
-        assert router.plan_qubit_route("q", source, target, congestion, cut=cut) is None
-        assert cut, "the blocked search must report its cut"
-        assert (source, target) in router._cut_hints
-        assert len(router._cut_hints) <= MAX_CUT_HINTS
-        assert oldest not in router._cut_hints, "the cap must evict oldest-first"
-
-    def test_cache_disabled_router_never_counts_cache_traffic(self, small_fabric_4x4, congestion):
-        router = Router(
-            small_fabric_4x4,
-            PAPER_TECHNOLOGY,
-            RoutingPolicy(),
-            use_compiled=False,
-            use_route_cache=False,
-        )
-        source, target = self._distant_pair(small_fabric_4x4)
-        router.plan_qubit_route("q", source, target, congestion)
-        router.plan_qubit_route("q", source, target, congestion)
-        assert router.stats.cache_hits == 0
-        assert router.stats.cache_misses == 0
-        assert router.stats.dijkstra_calls == 2
-
-    def test_compiled_flag_controls_kernel_choice(self, small_fabric_4x4):
-        assert Router(small_fabric_4x4).use_compiled
-        assert not Router(small_fabric_4x4, use_compiled=False).use_compiled
-
     def test_shared_graphs_reused_across_routers(self, small_fabric_4x4):
         first = Router(small_fabric_4x4)
         second = Router(small_fabric_4x4)
@@ -278,9 +233,36 @@ class TestRouteCache:
         congestion = CongestionTracker(small_fabric_4x4, 2)
         traps = sorted(small_fabric_4x4.traps)
         positions = {"a": traps[0], "b": traps[-1]}
-        epoch = congestion.epoch
-        route = router.plan_instruction(two_qubit_instruction, positions, congestion)
+        first = router.plan_instruction(two_qubit_instruction, positions, congestion)
+        assert first is not None
+        misses = router.stats.cache_misses
+        # The balanced temporary reservations of dual-operand planning leave
+        # every occupancy as it was, so re-planning is answered from cache.
+        again = router.plan_instruction(two_qubit_instruction, positions, congestion)
+        assert again == first
+        assert router.stats.cache_misses == misses
+        assert congestion.snapshot() == {}
+
+    def test_same_channel_overlay_leg_bypasses_the_cache(
+        self, small_fabric_4x4, two_qubit_instruction
+    ):
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        congestion = CongestionTracker(small_fabric_4x4, 2)
+        dest, meeting = next(
+            traps[:2]
+            for channel in sorted(small_fabric_4x4.channels)
+            if len(traps := small_fabric_4x4.traps_on(channel)) >= 2
+        )
+        far = max(
+            small_fabric_4x4.traps,
+            key=lambda trap: small_fabric_4x4.trap_distance(trap, meeting.id),
+        )
+        # The source qubit travels to the meeting trap from afar; the
+        # destination qubit only shifts along its own channel, under the
+        # source leg's temporary reservations.
+        route = router._plan_to_candidate(
+            two_qubit_instruction, "a", far, "b", dest.id, meeting, congestion
+        )
         assert route is not None
-        # The balanced temporary reservations of dual-operand planning must
-        # not advance the epoch, so cached plans stay valid afterwards.
-        assert congestion.epoch == epoch
+        assert router.stats.cache_misses == 1  # the source leg only
+        assert set(router._route_cache) == {(far, meeting.id)}

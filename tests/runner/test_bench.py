@@ -12,12 +12,7 @@ from repro.runner.bench import (
     LARGEST_CIRCUIT,
     BenchCase,
     QUICK_CASES,
-    QUICK_EVENT_SPEEDUP_CIRCUITS,
-    ROUTING_V2_CIRCUITS,
     format_perf_report,
-    measure_event_core_speedup,
-    measure_routing_v2_speedup,
-    measure_speedup,
     run_perf_suite,
     time_case,
 )
@@ -35,15 +30,6 @@ class TestTimeCase:
         assert record["dijkstra_calls"] > 0
         assert record["heap_pops"] >= record["edge_relaxations"] >= 0
 
-
-class TestMeasureSpeedup:
-    def test_legs_produce_identical_latencies(self):
-        entry = measure_speedup("[[5,1,3]]", fabric_name="small", repeats=1)
-        assert entry["baseline_seconds"] > 0
-        assert entry["compiled_seconds"] > 0
-        assert entry["speedup"] > 0
-        assert entry["latency_us"] > 0
-
     def test_largest_circuit_is_bundled(self):
         from repro.circuits.qecc import BENCHMARK_NAMES, qecc_encoder
 
@@ -51,48 +37,6 @@ class TestMeasureSpeedup:
         largest = qecc_encoder(LARGEST_CIRCUIT)
         assert largest.num_qubits == max(
             qecc_encoder(name).num_qubits for name in BENCHMARK_NAMES
-        )
-
-
-class TestMeasureRoutingV2Speedup:
-    def test_legs_agree_and_record_all_gated_fields(self):
-        entry = measure_routing_v2_speedup("[[9,1,3]]", fabric_name="small", repeats=1)
-        assert entry["kind"] == "routing-v2"
-        assert entry["legacy_routing_seconds"] > 0
-        assert entry["v1_routing_seconds"] > 0
-        assert entry["warm_routing_seconds"] > 0
-        assert entry["speedup"] > 0
-        assert entry["wall_speedup"] > 0
-        assert entry["latency_us"] > 0
-        # Deterministic legs: cold pops shrink under the landmark bound and
-        # warm runs are answered entirely from the shared store.
-        assert 0 < entry["cold_heap_pops"] < entry["v1_heap_pops"]
-        assert entry["heap_pop_speedup"] > 1.0
-        assert entry["warm_heap_pops"] == 0
-        assert entry["route_cache_hit_rate"] > entry["cold_hit_rate"]
-        assert entry["route_cache_shared_hits"] > 0
-
-
-class TestMeasureEventCoreSpeedup:
-    def test_legs_agree_and_work_ratios_are_recorded(self):
-        entry = measure_event_core_speedup("[[9,1,3]]", fabric_name="small", repeats=1)
-        assert entry["kind"] == "event-core"
-        assert entry["technology"] == "cap-1"
-        assert entry["baseline_seconds"] > 0
-        assert entry["event_seconds"] > 0
-        assert entry["speedup"] > 0
-        assert entry["latency_us"] > 0
-        # The work ratios are deterministic: the event core never does more
-        # issue polls or route queries than the tick loop.
-        assert entry["route_queries_event"] <= entry["route_queries_baseline"]
-        assert entry["route_query_speedup"] >= 1.0
-        assert entry["issue_polls_event"] <= entry["issue_polls_baseline"]
-        assert entry["poll_speedup"] >= 1.0
-        assert entry["skipped_polls"] >= 0
-
-    def test_quick_cases_include_the_scaled_qecc_family(self):
-        assert any(
-            name.startswith("qecc-scaled") for name in QUICK_EVENT_SPEEDUP_CIRCUITS
         )
 
 
@@ -108,35 +52,7 @@ class TestRunPerfSuite:
         assert data["schema"] == BENCH_SCHEMA
         assert data["mode"] == "quick"
         assert len(data["cases"]) == len(QUICK_CASES)
-        assert data["speedups"]
-
-    def test_speedup_entries_are_kind_discriminated(self, report):
-        data, _ = report
-        kinds = {entry["kind"] for entry in data["speedups"]}
-        assert kinds == {"compiled-core", "routing-v2", "event-core"}
-        event = [e for e in data["speedups"] if e["kind"] == "event-core"]
-        assert len(event) == len(QUICK_EVENT_SPEEDUP_CIRCUITS)
-        for entry in event:
-            assert entry["route_query_speedup"] >= 1.0
-
-    def test_routing_v2_entries_carry_the_gated_legs(self, report):
-        data, _ = report
-        entries = {
-            e["circuit"]: e for e in data["speedups"] if e["kind"] == "routing-v2"
-        }
-        assert set(entries) == set(ROUTING_V2_CIRCUITS)
-        for entry in entries.values():
-            # The CI acceptance gates: warm hit rate, routing speedup and the
-            # deterministic heap-pop reduction from the landmark heuristic.
-            assert entry["route_cache_hit_rate"] >= 0.5
-            assert entry["heap_pop_speedup"] >= 2.0
-            assert entry["speedup"] > 0
-            assert entry["cumulative_speedup"] > entry["speedup"]
-            # Warm runs are fully served from the shared store: the kernel
-            # never runs, so the pop counter stays at zero.
-            assert entry["warm_heap_pops"] == 0
-            assert entry["route_cache_shared_hits"] > 0
-            assert entry["cold_heap_pops"] < entry["v1_heap_pops"]
+        assert "speedups" not in data
 
     def test_written_file_round_trips(self, report):
         data, out = report
@@ -146,12 +62,9 @@ class TestRunPerfSuite:
         data, _ = report
         text = format_perf_report(data)
         assert "Pipeline timings" in text
-        assert "pre-refactor core" in text
-        assert "tick-poll loop" in text
+        assert "Service loadgen" in text
         for case in data["cases"]:
             assert case["circuit"] in text
-        for entry in data["speedups"]:
-            assert entry["circuit"] in text
 
 
 class TestBenchCli:
@@ -159,7 +72,7 @@ class TestBenchCli:
         out = tmp_path / "BENCH_perf.json"
         assert main(["bench", "--quick", "--repeats", "1", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        assert "speedup" in stdout
+        assert "Pipeline timings" in stdout
         assert str(out) in stdout
         data = json.loads(out.read_text())
         assert data["schema"] == BENCH_SCHEMA

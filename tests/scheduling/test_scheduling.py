@@ -1,4 +1,4 @@
-"""Tests for priorities, dependency tracking and the busy queue."""
+"""Tests for scheduling-policy priorities, dependency tracking and the busy queue."""
 
 import pytest
 
@@ -6,39 +6,46 @@ from repro.circuits.builders import ghz_circuit
 from repro.errors import SchedulingError
 from repro.qidg.graph import build_qidg
 from repro.scheduling.busy_queue import BusyQueue
-from repro.scheduling.priority import PriorityPolicy, compute_priorities
+from repro.scheduling.policies import (
+    PAPER_POLICIES,
+    QposDependentsPolicy,
+    QposPathDelayPolicy,
+    QsprPolicy,
+    QualeAlapPolicy,
+)
 from repro.scheduling.ready import DependencyTracker
+from repro.technology import PAPER_TECHNOLOGY
 
 
 class TestPriorities:
     def test_qspr_priority_combines_dependents_and_path(self, bell_circuit):
         qidg = build_qidg(bell_circuit)
-        priorities = compute_priorities(qidg, PriorityPolicy.QSPR)
+        priorities = QsprPolicy().priorities(qidg, PAPER_TECHNOLOGY)
         # H: 1 dependent + 110 path; CX: 0 dependents + 100 path.
         assert priorities[0] == pytest.approx(111.0)
         assert priorities[1] == pytest.approx(100.0)
 
     def test_quale_alap_prefers_low_levels(self, ghz5):
         qidg = build_qidg(ghz5)
-        priorities = compute_priorities(qidg, PriorityPolicy.QUALE_ALAP)
+        priorities = QualeAlapPolicy().priorities(qidg, PAPER_TECHNOLOGY)
         ordered = sorted(priorities, key=lambda n: -priorities[n])
         assert ordered[0] == 0  # the Hadamard must come first
 
     def test_qpos_dependents(self, ghz5):
         qidg = build_qidg(ghz5)
-        priorities = compute_priorities(qidg, PriorityPolicy.QPOS_DEPENDENTS)
+        priorities = QposDependentsPolicy().priorities(qidg, PAPER_TECHNOLOGY)
         assert priorities[0] == pytest.approx(len(ghz5.instructions) - 1)
 
     def test_qpos_path_delay_excludes_own_delay(self, bell_circuit):
         qidg = build_qidg(bell_circuit)
-        priorities = compute_priorities(qidg, PriorityPolicy.QPOS_PATH_DELAY)
+        priorities = QposPathDelayPolicy().priorities(qidg, PAPER_TECHNOLOGY)
         assert priorities[0] == pytest.approx(100.0)
         assert priorities[1] == pytest.approx(0.0)
 
     def test_all_policies_produce_all_nodes(self, paper_circuit):
         qidg = build_qidg(paper_circuit)
-        for policy in PriorityPolicy:
-            priorities = compute_priorities(qidg, policy)
+        for policy in PAPER_POLICIES:
+            priorities = policy.priorities(qidg, PAPER_TECHNOLOGY)
             assert set(priorities) == set(qidg.graph.nodes)
 
 

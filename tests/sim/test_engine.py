@@ -5,13 +5,13 @@ import pytest
 from repro.circuits.builders import ghz_circuit, qft_like_circuit
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import SimulationError
+from repro.pipeline import SCHEDULERS
 from repro.placement.base import Placement
 from repro.placement.center import CenterPlacer
 from repro.qidg.analysis import critical_path_latency
 from repro.qidg.graph import build_qidg
 from repro.qidg.uidg import reverse_schedule
 from repro.routing.router import MeetingPoint, RoutingPolicy
-from repro.scheduling.priority import PriorityPolicy
 from repro.sim.engine import FabricSimulator
 from repro.sim.microcode import CommandKind
 from repro.technology import PAPER_TECHNOLOGY
@@ -102,9 +102,9 @@ class TestSchedulingPolicies:
         barriers = _simulate(paper_circuit, small_fabric_4x4, barrier_scheduling=True)
         assert barriers.latency >= free.latency
 
-    def test_priority_policies_all_run(self, small_fabric_4x4, paper_circuit):
-        for policy in PriorityPolicy:
-            outcome = _simulate(paper_circuit, small_fabric_4x4, priority_policy=policy)
+    def test_scheduling_policies_all_run(self, small_fabric_4x4, paper_circuit):
+        for name in SCHEDULERS.names():
+            outcome = _simulate(paper_circuit, small_fabric_4x4, scheduler=name)
             assert outcome.latency > 0
 
     def test_backward_pass_round_trip(self, small_fabric_4x4, paper_circuit):

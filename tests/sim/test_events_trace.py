@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import ChannelExited, EventQueue, GateFinished
+from repro.sim.events import ChannelReleased, EventQueue, InstructionCompleted
 from repro.sim.microcode import CommandKind, MicroCommand
 from repro.sim.trace import ControlTrace
 
@@ -11,25 +11,25 @@ from repro.sim.trace import ControlTrace
 class TestEventQueue:
     def test_time_ordering(self):
         queue = EventQueue()
-        queue.push(5.0, GateFinished(1, 0))
-        queue.push(2.0, GateFinished(0, 0))
+        queue.push(5.0, InstructionCompleted(1, 0))
+        queue.push(2.0, InstructionCompleted(0, 0))
         time, event = queue.pop()
         assert time == 2.0
         assert event.instruction_index == 0
 
     def test_insertion_order_for_ties(self):
         queue = EventQueue()
-        queue.push(1.0, GateFinished(0, 0))
-        queue.push(1.0, ChannelExited("q", ("h", 0, 0)))
+        queue.push(1.0, InstructionCompleted(0, 0))
+        queue.push(1.0, ChannelReleased("q", ("h", 0, 0)))
         _, first = queue.pop()
         _, second = queue.pop()
-        assert isinstance(first, GateFinished)
-        assert isinstance(second, ChannelExited)
+        assert isinstance(first, InstructionCompleted)
+        assert isinstance(second, ChannelReleased)
 
     def test_peek_time(self):
         queue = EventQueue()
         assert queue.peek_time() is None
-        queue.push(3.0, GateFinished(0, 0))
+        queue.push(3.0, InstructionCompleted(0, 0))
         assert queue.peek_time() == 3.0
         assert len(queue) == 1
 
@@ -39,7 +39,7 @@ class TestEventQueue:
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, GateFinished(0, 0))
+            EventQueue().push(-1.0, InstructionCompleted(0, 0))
 
 
 def _command(kind, start, duration, qubits=("q",), index=0):

@@ -1,15 +1,16 @@
 """Busy-queue wake-sets: unit behaviour and engine-level equivalence.
 
 The wake-set retry policy must never change *what* the simulator computes —
-latencies, schedules, placements, movement and congestion are byte-equal with
-the feature on or off; only the number of futile router calls (and therefore
-the routing-core counters) drops.
+latencies, schedules, placements, movement and congestion equal the
+reference oracle's, which polls at every event timestamp and retries every
+parked instruction; only the number of futile router calls drops.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from reference_oracle import assert_same_mapping, oracle_mode
 from repro.circuits.qecc import qecc_encoder
 from repro.errors import SchedulingError
 from repro.fabric.builder import small_fabric
@@ -50,14 +51,6 @@ class TestBusyQueueWakeSets:
         assert queue.wake(42) == []
         assert not queue.needs_retry(1)
 
-    def test_wake_all_invalidates_everything(self):
-        queue = BusyQueue()
-        for index in (1, 2):
-            queue.park(index, 0.0)
-            queue.block_on(index, [index])
-        queue.wake_all()
-        assert queue.needs_retry(1) and queue.needs_retry(2)
-
     def test_reblocking_replaces_the_wake_set(self):
         queue = BusyQueue()
         queue.park(1, 0.0)
@@ -74,73 +67,43 @@ class TestBusyQueueWakeSets:
         queue.remove(1)
         assert queue.wake(7) == []
 
-    def test_empty_block_set_waits_for_wake_all(self):
-        queue = BusyQueue()
-        queue.park(1, 0.0)
-        queue.block_on(1, [])  # blocked by trap occupancy, not channels
-        assert not queue.needs_retry(1)
-        queue.wake_all()
-        assert queue.needs_retry(1)
 
-
-def _run(circuit_name: str, *, event_core: bool, busy_wake_sets: bool):
+def _run(circuit_name: str):
     circuit = qecc_encoder(circuit_name)
     fabric = small_fabric(junction_rows=6, junction_cols=6)
-    sim = FabricSimulator(
-        circuit, fabric, event_core=event_core, busy_wake_sets=busy_wake_sets
-    )
     placement = CenterPlacer(fabric).place(circuit)
-    return sim.run(placement)
-
-
-def _assert_same_outcome(eager, lazy):
-    assert lazy.latency == eager.latency
-    assert lazy.schedule == eager.schedule
-    assert lazy.total_moves == eager.total_moves
-    assert lazy.total_turns == eager.total_turns
-    assert lazy.total_congestion_delay == eager.total_congestion_delay
-    assert lazy.busy_queue_entries == eager.busy_queue_entries
-    assert lazy.final_placement.as_dict() == eager.final_placement.as_dict()
-    for index, record in eager.records.items():
-        other = lazy.records[index]
-        assert (other.issue_time, other.finish_time, other.target_trap) == (
-            record.issue_time, record.finish_time, record.target_trap
-        )
+    return FabricSimulator(circuit, fabric).run(placement)
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("circuit", ["[[9,1,3]]", "[[23,1,7]]"])
-    def test_results_identical_with_fewer_issue_polls(self, circuit):
-        eager = _run(circuit, event_core=False, busy_wake_sets=False)
-        lazy = _run(circuit, event_core=True, busy_wake_sets=True)
+    def test_results_match_oracle_with_fewer_issue_polls(self, circuit):
+        lazy = _run(circuit)
+        with oracle_mode():
+            eager = _run(circuit)
 
-        _assert_same_outcome(eager, lazy)
+        assert_same_mapping(lazy, eager)
+        assert lazy.busy_queue_entries == eager.busy_queue_entries
+        for index, record in eager.records.items():
+            other = lazy.records[index]
+            assert (other.issue_time, other.finish_time, other.target_trap) == (
+                record.issue_time, record.finish_time, record.target_trap
+            )
 
-        # The congested runs park instructions; the event core must skip at
+        # The congested runs park instructions; the gated loop must skip at
         # least some wake-less timestamps there (that is its whole point).
         assert eager.busy_queue_entries > 0
         assert lazy.event_stats.skipped_polls > 0
         assert lazy.event_stats.issue_polls < eager.event_stats.issue_polls
-        # The tick loop never gates, so it never skips a poll.
+        # The oracle never gates, so it never skips a poll.
         assert eager.event_stats.skipped_polls == 0
-
-    @pytest.mark.parametrize("event_core", [False, True])
-    @pytest.mark.parametrize("busy_wake_sets", [False, True])
-    def test_all_core_flag_combinations_agree(self, event_core, busy_wake_sets):
-        baseline = _run("[[9,1,3]]", event_core=False, busy_wake_sets=False)
-        other = _run(
-            "[[9,1,3]]", event_core=event_core, busy_wake_sets=busy_wake_sets
-        )
-        _assert_same_outcome(baseline, other)
 
     def test_wake_sets_disabled_for_forced_order(self):
         circuit = qecc_encoder("[[5,1,3]]")
         fabric = small_fabric(junction_rows=6, junction_cols=6)
-        baseline = FabricSimulator(circuit, fabric, busy_wake_sets=False)
         placement = CenterPlacer(fabric).place(circuit)
-        order = baseline.run(placement).schedule
-        forced = FabricSimulator(
-            circuit, fabric, forced_order=order, busy_wake_sets=True
-        )
+        order = FabricSimulator(circuit, fabric).run(placement).schedule
+        forced = FabricSimulator(circuit, fabric, forced_order=order)
         outcome = forced.run(placement)
         assert outcome.schedule == order
+        assert outcome.event_stats.skipped_polls == 0

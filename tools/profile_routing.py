@@ -6,7 +6,7 @@ suite pins) under :mod:`cProfile` and prints the top routing-frame costs,
 so kernel PRs can see where the wall time actually goes with one command::
 
     PYTHONPATH=src python tools/profile_routing.py [[19,1,7]] --top 25
-    PYTHONPATH=src python tools/profile_routing.py [[23,1,7]] --routing-v1
+    PYTHONPATH=src python tools/profile_routing.py [[23,1,7]] --sort tottime
 
 The ``--filter`` substring (default ``routing``) restricts the report to
 frames whose file path matches, which drops the scheduler/placer noise;
@@ -60,14 +60,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=["cumulative", "tottime", "ncalls"],
         help="pstats sort key (default: %(default)s)",
     )
-    parser.add_argument(
-        "--routing-v1",
-        action="store_true",
-        help="profile the v1 path (routing_v2=False) for comparison",
-    )
     args = parser.parse_args(argv)
 
-    options = MapperOptions(placer=args.placer, routing_v2=not args.routing_v1)
+    options = MapperOptions(placer=args.placer)
     fabric = small_fabric(junction_rows=args.junctions, junction_cols=args.junctions)
     circuit = qecc_encoder(args.circuit)
     mapper = QsprMapper(options)
@@ -81,8 +76,7 @@ def main(argv: list[str] | None = None) -> int:
 
     stats = result.routing_stats
     print(
-        f"{args.circuit} on {args.junctions}x{args.junctions} "
-        f"({'v1' if args.routing_v1 else 'v2'}): wall {wall:.4f}s, "
+        f"{args.circuit} on {args.junctions}x{args.junctions}: wall {wall:.4f}s, "
         f"routing {result.routing_seconds:.4f}s, latency {result.latency}"
     )
     print(
