@@ -34,6 +34,12 @@ class TestReserveRelease:
         tracker.release(("h", 0, 0))
         assert tracker.occupancy(("h", 0, 0)) == 0
 
+    def test_release_reports_whether_it_opened_capacity(self, tracker):
+        tracker.reserve(("h", 0, 0))
+        tracker.reserve(("h", 0, 0))
+        assert tracker.release(("h", 0, 0)) is True
+        assert tracker.release(("h", 0, 0)) is False
+
     def test_release_without_reserve(self, tracker):
         with pytest.raises(RoutingError):
             tracker.release(("h", 0, 0))

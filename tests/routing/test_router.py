@@ -4,7 +4,16 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.routing.congestion import CongestionTracker
-from repro.routing.router import MeetingPoint, Router, RoutingPolicy
+from repro.routing.router import (
+    ANY_CONGESTION_CHANGE,
+    MAX_SNAPSHOTS_PER_PAIR,
+    MeetingPoint,
+    QPOS_POLICY,
+    Router,
+    RoutingPolicy,
+    candidate_trap_key,
+    channel_key,
+)
 from repro.routing.trap_selection import select_target_trap
 from repro.technology import PAPER_TECHNOLOGY
 
@@ -155,6 +164,47 @@ class TestPlanInstruction:
         )
         assert blocked.target_trap != unconstrained.target_trap
 
+    def test_failure_blockers_name_the_cut_and_the_tried_candidate(
+        self, small_fabric_4x4, two_qubit_instruction
+    ):
+        # QPOS: the destination qubit stays put, so its trap is the only
+        # candidate; the source leg fails on its own full channel.
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, QPOS_POLICY)
+        congestion = CongestionTracker(small_fabric_4x4, 1)
+        positions = self._positions(small_fabric_4x4)
+        source_channel = small_fabric_4x4.trap(positions["a"]).channel_id
+        congestion.reserve(source_channel)
+        blockers: set = set()
+        route = router.plan_instruction(
+            two_qubit_instruction, positions, congestion, blockers=blockers
+        )
+        assert route is None
+        assert blockers == {
+            channel_key(source_channel),
+            candidate_trap_key(positions["b"]),
+        }
+
+    def test_destination_leg_failure_under_overlay_wakes_on_any_change(
+        self, small_fabric_4x4, two_qubit_instruction
+    ):
+        # The source qubit's channel is full.  Median candidates fail their
+        # source leg on it, but the fallback candidate at the source's own
+        # trap leaves only the destination leg, which fails under the source
+        # overlay.  That failure depends on the source route chosen, so the
+        # catch-all key replaces every precise one.
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        congestion = CongestionTracker(small_fabric_4x4, 2)
+        positions = self._positions(small_fabric_4x4)
+        source_channel = small_fabric_4x4.trap(positions["a"]).channel_id
+        congestion.reserve(source_channel)
+        congestion.reserve(source_channel)
+        blockers: set = set()
+        route = router.plan_instruction(
+            two_qubit_instruction, positions, congestion, blockers=blockers
+        )
+        assert route is None
+        assert blockers == {ANY_CONGESTION_CHANGE}
+
 
 class TestRouteCache:
     @pytest.fixture
@@ -168,6 +218,122 @@ class TestRouteCache:
     def _distant_pair(self, fabric):
         traps = sorted(fabric.traps)
         return traps[0], traps[-1]
+
+    def _neighbour_pair(self, fabric):
+        """Traps on two adjacent channels: a search that reads few channels."""
+        return fabric.traps_on(("h", 0, 0))[0].id, fabric.traps_on(("h", 0, 1))[0].id
+
+    def _read_channels(self, router, source, target, index=0):
+        return [channel for channel, _ in router._route_cache[source, target][index].reads]
+
+    def test_entry_snapshots_the_endpoint_channels(self, router, congestion, small_fabric_4x4):
+        source, target = self._neighbour_pair(small_fabric_4x4)
+        congestion.reserve(("h", 0, 0))
+        router.plan_qubit_route("q", source, target, congestion)
+        (entry,) = router._route_cache[source, target]
+        reads = dict(entry.reads)
+        assert reads[("h", 0, 0)] == 1
+        assert reads[("h", 0, 1)] == 0
+        assert list(entry.reads) == sorted(entry.reads)
+
+    def test_hit_survives_traffic_on_channels_the_search_never_read(
+        self, router, congestion, small_fabric_4x4
+    ):
+        source, target = self._neighbour_pair(small_fabric_4x4)
+        first = router.plan_qubit_route("q", source, target, congestion)
+        far = ("h", 3, 2)
+        assert far not in self._read_channels(router, source, target)
+        congestion.reserve(far)
+        congestion.reserve(far)
+        again = router.plan_qubit_route("q", source, target, congestion)
+        assert again == first
+        assert (router.stats.cache_hits, router.stats.cache_misses) == (1, 1)
+
+    def test_a_state_the_fabric_returns_to_hits_its_older_snapshot(
+        self, router, congestion, small_fabric_4x4
+    ):
+        source, target = self._distant_pair(small_fabric_4x4)
+        idle_plan = router.plan_qubit_route("q", source, target, congestion)
+        idle_entry = router._route_cache[source, target][0]
+        busy = idle_plan.channels_used[1]
+        congestion.reserve(busy)
+        router.plan_qubit_route("q", source, target, congestion)
+        assert router._route_cache[source, target][1] is idle_entry
+        congestion.release(busy)
+        assert router.plan_qubit_route("q", source, target, congestion) == idle_plan
+        assert (router.stats.cache_hits, router.stats.cache_misses) == (1, 2)
+        # The hit moved its entry back to the head of the MRU list.
+        assert router._route_cache[source, target][0] is idle_entry
+
+    def test_snapshot_list_keeps_the_most_recent_states(self, router, small_fabric_4x4):
+        # Roomy channels, so every state below stays routable.
+        congestion = CongestionTracker(small_fabric_4x4, MAX_SNAPSHOTS_PER_PAIR + 1)
+        source, target = self._distant_pair(small_fabric_4x4)
+        source_channel = small_fabric_4x4.trap(source).channel_id
+        router.plan_qubit_route("q", source, target, congestion)
+        # Every search reads the source channel, so each reservation on it
+        # is a new occupancy state for the pair.
+        for _ in range(MAX_SNAPSHOTS_PER_PAIR):
+            congestion.reserve(source_channel)
+            router.plan_qubit_route("q", source, target, congestion)
+        assert router.stats.cache_misses == MAX_SNAPSHOTS_PER_PAIR + 1
+        assert len(router._route_cache[source, target]) == MAX_SNAPSHOTS_PER_PAIR
+        congestion.release(source_channel)
+        router.plan_qubit_route("q", source, target, congestion)
+        assert router.stats.cache_hits == 1
+        for _ in range(MAX_SNAPSHOTS_PER_PAIR - 1):
+            congestion.release(source_channel)
+        # The idle state was pushed off the list, so it is computed afresh.
+        router.plan_qubit_route("q", source, target, congestion)
+        assert router.stats.cache_misses == MAX_SNAPSHOTS_PER_PAIR + 2
+
+    def _blocked_distant_pair(self, fabric, congestion):
+        """Saturate every channel but the endpoints' own: no route exists."""
+        source, target = self._distant_pair(fabric)
+        endpoints = {fabric.trap(source).channel_id, fabric.trap(target).channel_id}
+        for channel_id in fabric.channels:
+            if channel_id not in endpoints:
+                congestion.reserve(channel_id)
+        return source, target
+
+    def test_failure_entry_replays_its_blocking_cut(self, router, small_fabric_4x4):
+        congestion = CongestionTracker(small_fabric_4x4, 1)
+        source, target = self._blocked_distant_pair(small_fabric_4x4, congestion)
+        first_cut: set = set()
+        assert router.plan_qubit_route("q", source, target, congestion, cut=first_cut) is None
+        assert first_cut
+        second_cut: set = set()
+        assert router.plan_qubit_route("q", source, target, congestion, cut=second_cut) is None
+        assert second_cut == first_cut
+        assert (router.stats.cache_hits, router.stats.cache_misses) == (1, 1)
+
+    def test_failure_cached_without_a_cut_recovers_it_when_asked(
+        self, router, small_fabric_4x4
+    ):
+        congestion = CongestionTracker(small_fabric_4x4, 1)
+        source, target = self._blocked_distant_pair(small_fabric_4x4, congestion)
+        assert router.plan_qubit_route("q", source, target, congestion) is None
+        cut: set = set()
+        assert router.plan_qubit_route("q", source, target, congestion, cut=cut) is None
+        assert router.stats.cache_hits == 1
+        fresh_cut: set = set()
+        fresh = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        fresh.plan_qubit_route("q", source, target, congestion, cut=fresh_cut)
+        assert cut == fresh_cut
+        (entry,) = router._route_cache[source, target]
+        assert set(entry.cut) == cut
+
+    def test_short_journeys_bypass_the_cache(self, router, small_fabric_4x4):
+        congestion = CongestionTracker(small_fabric_4x4, 1)
+        here, there = (trap.id for trap in small_fabric_4x4.traps_on(("h", 1, 1))[:2])
+        assert router.plan_qubit_route("q", here, here, congestion).steps == ()
+        assert router.plan_qubit_route("q", here, there, congestion) is not None
+        congestion.reserve(("h", 1, 1))
+        cut: set = set()
+        assert router.plan_qubit_route("q", here, there, congestion, cut=cut) is None
+        assert cut == {("h", 1, 1)}
+        assert (router.stats.cache_hits, router.stats.cache_misses) == (0, 0)
+        assert router._route_cache == {}
 
     def test_repeat_query_hits_cache_and_returns_equal_plan(self, router, congestion, small_fabric_4x4):
         source, target = self._distant_pair(small_fabric_4x4)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.routing.congestion import CongestionTracker
+from repro.routing.router import MAX_SHARED_SNAPSHOTS_PER_PAIR, Router
 from repro.runner import ExperimentSpec, FabricCell
 from repro.runner.executor import map_spec
 from repro.routing.shared_cache import SharedRouteStore
@@ -60,3 +64,75 @@ class TestSharedRouteStore:
         assert result.latency > 0
         # map_spec built its own fabric; nothing hung a shared store on it.
         assert "_shared_route_stores" not in small_fabric().__dict__
+
+
+class TestSnapshotValidatedServing:
+    """Router-level behaviour of the store: one validity rule across runs."""
+
+    @pytest.fixture
+    def pair(self, small_fabric_4x4):
+        traps = sorted(small_fabric_4x4.traps)
+        return traps[0], traps[-1]
+
+    def test_a_later_router_is_served_the_stored_plan(self, small_fabric_4x4, pair):
+        store = SharedRouteStore()
+        first = Router(small_fabric_4x4, shared_store=store)
+        planned = first.plan_qubit_route("q", *pair, CongestionTracker(small_fabric_4x4, 2))
+        second = Router(small_fabric_4x4, shared_store=store)
+        served = second.plan_qubit_route("r", *pair, CongestionTracker(small_fabric_4x4, 2))
+        assert served.qubit == "r"
+        assert served.steps == planned.steps
+        assert (store.stores, store.hits) == (1, 1)
+        assert (second.stats.shared_hits, second.stats.cache_misses) == (1, 0)
+        assert second.stats.dijkstra_calls == 0
+        # The hit seeded the borrowing router's own cache.
+        second.plan_qubit_route("r", *pair, CongestionTracker(small_fabric_4x4, 2))
+        assert (second.stats.cache_hits, store.hits) == (2, 1)
+
+    def test_a_stored_plan_is_not_served_when_a_read_channel_differs(
+        self, small_fabric_4x4, pair
+    ):
+        store = SharedRouteStore()
+        first = Router(small_fabric_4x4, shared_store=store)
+        planned = first.plan_qubit_route("q", *pair, CongestionTracker(small_fabric_4x4, 2))
+        busy = CongestionTracker(small_fabric_4x4, 2)
+        busy.reserve(planned.channels_used[1])
+        second = Router(small_fabric_4x4, shared_store=store)
+        second.plan_qubit_route("q", *pair, busy)
+        assert (second.stats.shared_hits, second.stats.cache_misses) == (0, 1)
+        assert store.hits == 0
+        assert len(store.entries[pair]) == 2
+
+    def test_the_store_keeps_the_newest_states_of_a_pair(self, small_fabric_4x4, pair):
+        store = SharedRouteStore()
+        states = MAX_SHARED_SNAPSHOTS_PER_PAIR + 2
+        # Roomy channels, so every occupancy of the source channel is a
+        # routable, distinct state; each state is planned by a fresh router.
+        congestion = CongestionTracker(small_fabric_4x4, states)
+        source_channel = small_fabric_4x4.trap(pair[0]).channel_id
+        for _ in range(states):
+            Router(small_fabric_4x4, shared_store=store).plan_qubit_route(
+                "q", *pair, congestion
+            )
+            congestion.reserve(source_channel)
+        assert store.stores == states
+        stored = store.entries[pair]
+        assert len(stored) == MAX_SHARED_SNAPSHOTS_PER_PAIR
+        # Newest first: the head holds the last state planned.
+        assert dict(stored[0].reads)[source_channel] == states - 1
+
+    def test_equal_snapshots_are_stored_once(self, small_fabric_4x4, pair):
+        store = SharedRouteStore()
+        first = Router(small_fabric_4x4, shared_store=store)
+        second = Router(small_fabric_4x4, shared_store=store)
+        # Two racing workers: hiding the first publication makes the second
+        # router miss and publish too; the first write then lands late and
+        # is dropped because an entry for the same state is already stored.
+        congestion = CongestionTracker(small_fabric_4x4, 2)
+        first.plan_qubit_route("q", *pair, congestion)
+        stored = store.entries.pop(pair)
+        second.plan_qubit_route("q", *pair, congestion)
+        first._store_shared(store, pair, first._route_cache[pair][0])
+        assert store.stores == 3
+        assert len(store.entries[pair]) == 1
+        assert store.entries[pair][0].reads == stored[0].reads

@@ -14,6 +14,8 @@ from reference_oracle import assert_same_mapping, oracle_mode
 from repro.circuits.qecc import qecc_encoder
 from repro.errors import SchedulingError
 from repro.fabric.builder import small_fabric
+from repro.mapper.quale import quale_options
+from repro.routing.router import ANY_CONGESTION_CHANGE, channel_key
 from repro.scheduling.busy_queue import BusyQueue
 from repro.sim.engine import FabricSimulator
 from repro.placement.center import CenterPlacer
@@ -67,6 +69,34 @@ class TestBusyQueueWakeSets:
         queue.remove(1)
         assert queue.wake(7) == []
 
+    def test_one_wake_clears_the_whole_blocker_set(self):
+        queue = BusyQueue()
+        queue.park(1, 0.0)
+        queue.block_on(1, [7, 9])
+        assert queue.wake(7) == [1]
+        # The reverse entry under 9 is stale now; waking it reports nothing.
+        assert queue.wake(9) == []
+        assert queue.needs_retry(1)
+
+    def test_sentinel_is_an_ordinary_key(self):
+        queue = BusyQueue()
+        queue.park(1, 0.0)
+        queue.park(2, 0.0)
+        queue.block_on(1, [ANY_CONGESTION_CHANGE])
+        queue.block_on(2, [channel_key(("h", 0, 0))])
+        assert queue.wake(ANY_CONGESTION_CHANGE) == [1]
+        assert not queue.needs_retry(2)
+
+    def test_repark_keeps_the_first_park_time(self):
+        queue = BusyQueue()
+        queue.park(1, 2.0)
+        queue.park(1, 5.0)
+        assert queue.parked_since(1) == 2.0
+        assert (len(queue), queue.total_entries) == (1, 1)
+        assert queue.remove(1) == 2.0
+        queue.park(1, 7.0)
+        assert queue.total_entries == 2
+
 
 def _run(circuit_name: str):
     circuit = qecc_encoder(circuit_name)
@@ -106,4 +136,22 @@ class TestEngineEquivalence:
         forced = FabricSimulator(circuit, fabric, forced_order=order)
         outcome = forced.run(placement)
         assert outcome.schedule == order
+        assert outcome.event_stats.skipped_polls == 0
+
+    def test_wake_sets_disabled_for_barrier_levels(self):
+        # QUALE's level-by-level issue on capacity-1 channels parks
+        # instructions, but only priority-order issue gates its polls.
+        circuit = qecc_encoder("[[9,1,3]]")
+        fabric = small_fabric(junction_rows=6, junction_cols=6)
+        options = quale_options()
+        placement = CenterPlacer(fabric).place(circuit)
+        outcome = FabricSimulator(
+            circuit,
+            fabric,
+            options.technology,
+            routing_policy=options.routing_policy(),
+            scheduler=options.scheduler,
+            barrier_scheduling=True,
+        ).run(placement)
+        assert outcome.busy_queue_entries > 0
         assert outcome.event_stats.skipped_polls == 0

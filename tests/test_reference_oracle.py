@@ -14,20 +14,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_oracle import OracleRouter, assert_same_mapping, oracle_mode
+from repro.circuits.qecc import BENCHMARK_NAMES
 from repro.fabric.builder import FabricSpec, build_fabric, small_fabric
 from repro.mapper.options import MapperOptions
 from repro.mapper.qpos import qpos_options
 from repro.mapper.quale import quale_options
 from repro.placement.center import CenterPlacer
 from repro.pipeline.circuits import resolve_circuit
+from repro.pipeline.fabrics import resolve_fabric
 from repro.pipeline.stages import MappingPipeline
 from repro.pipeline.technologies import resolve_technology
 from repro.routing.congestion import CongestionTracker
-from repro.routing.router import Router
+from repro.routing.router import MeetingPoint, Router
 from repro.sim.engine import FabricSimulator
 
 SCHEDULERS = ("qspr", "quale-alap", "qpos-dependents", "qpos-path-delay")
 TECHNOLOGIES = ("paper", "cap-1", "fast-turn")
+#: One mid-size circuit for the axes that vary the router, not the input.
+LAYERED = "random-layered:q=12:d=10:fill=1.0:locality=2:seed=21"
+#: Capacity-1 channels with dense layers: the heavy-parking regime.
+CONGESTED = "random-layered:q=16:d=12:fill=1.0:locality=2:seed={seed}"
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +58,7 @@ def _options(technology="paper", scheduler="qspr", **changes):
     return MapperOptions(
         technology=resolve_technology(technology),
         scheduler=scheduler,
-        placer="center",
-        **changes,
+        **{"placer": "center", **changes},
     )
 
 
@@ -71,18 +76,32 @@ class TestMappingsMatchTheOracle:
     def test_congested_capacity_one_runs_skip_polls(self, fabric, seed):
         # Capacity-1 channels with dense layers force heavy parking — the
         # regime where gated retries could plausibly diverge from polling.
-        name = f"random-layered:q=16:d=12:fill=1.0:locality=2:seed={seed}"
+        name = CONGESTED.format(seed=seed)
         result, oracle = _map_both(name, fabric, _options("cap-1"))
         assert result.event_stats.skipped_polls > 0
         assert result.event_stats.issue_polls < oracle.event_stats.issue_polls
         assert oracle.event_stats.skipped_polls == 0
 
-    @pytest.mark.parametrize("circuit", ["[[9,1,3]]", "[[19,1,7]]"])
+    @pytest.mark.parametrize("scheduler", ["qpos-dependents", "qpos-path-delay"])
+    def test_congested_runs_skip_polls_under_every_priority_order(
+        self, fabric, scheduler
+    ):
+        # Every priority-order scheduler runs the gated loop, and each ranks
+        # the parked instructions differently, so each retries them in a
+        # different order.
+        name = CONGESTED.format(seed=4)
+        result, oracle = _map_both(name, fabric, _options("cap-1", scheduler))
+        assert result.event_stats.skipped_polls > 0
+        assert result.event_stats.issue_polls < oracle.event_stats.issue_polls
+
+    # [[5,1,3]] never repeats a trap pair here, so it would not reach the
+    # cache; the golden cases hold it to the oracle.
+    @pytest.mark.parametrize("circuit", BENCHMARK_NAMES[1:])
     def test_qecc_encoders(self, fabric, circuit):
         result, _ = _map_both(circuit, fabric, _options())
         assert result.routing_stats.cache_hits > 0
 
-    @pytest.mark.parametrize("circuit", ["[[5,1,3]]", "[[9,1,3]]", "[[19,1,7]]"])
+    @pytest.mark.parametrize("circuit", BENCHMARK_NAMES)
     @pytest.mark.parametrize("preset", [quale_options, qpos_options])
     def test_prior_tool_presets(self, fabric, preset, circuit):
         # QUALE: barrier scheduling on capacity-1 channels; QPOS: destination
@@ -124,6 +143,70 @@ class TestMappingsMatchTheOracle:
                 record.moves,
                 record.turns,
             )
+
+
+class TestRoutingAxesMatchTheOracle:
+    """The router and mapper options the scheduler grid leaves at defaults."""
+
+    @pytest.mark.parametrize(
+        ("meeting_point", "capacity"),
+        [
+            (MeetingPoint.MEDIAN, 1),
+            (MeetingPoint.DESTINATION, 1),
+            (MeetingPoint.DESTINATION, 2),
+            (MeetingPoint.CENTER, 2),
+        ],
+        ids=["median-cap1", "destination-cap1", "destination-cap2", "center-cap2"],
+    )
+    def test_meeting_points(self, fabric, meeting_point, capacity):
+        # Each meeting point ranks its own candidates; capacity 1 plans the
+        # legs serially, capacity 2 plans the destination leg under the
+        # source leg's temporary reservations.
+        options = _options(meeting_point=meeting_point, channel_capacity=capacity)
+        _map_both(LAYERED, fabric, options)
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_turn_blind_path_selection(self, fabric, capacity):
+        # The turn-blind graph has zero-cost turn edges, so the batched
+        # candidate prefill stands down and every leg is a demand query.
+        options = _options(turn_aware_routing=False, channel_capacity=capacity)
+        _map_both(LAYERED, fabric, options)
+
+    @pytest.mark.parametrize("trap_candidates", [1, 2, 8])
+    def test_candidate_counts(self, fabric, trap_candidates):
+        # One candidate never prefetches; with more than two, a first
+        # candidate that fails batch-prefetches the rest.
+        options = _options("cap-1", trap_candidates=trap_candidates)
+        _map_both(CONGESTED.format(seed=6), fabric, options)
+
+    @pytest.mark.parametrize("technology", ["legacy", "slow-turn", "slow-2q"])
+    def test_other_technologies(self, fabric, technology):
+        _map_both(LAYERED, fabric, _options(technology))
+
+    def test_barrier_scheduling_under_qspr_routing(self, fabric):
+        # QUALE's level-by-level issue, but with turn-aware median routing on
+        # capacity-2 channels.
+        _map_both(LAYERED, fabric, _options(barrier_scheduling=True))
+
+    @pytest.mark.parametrize("fabric_name", ["small", "linear", "3x7c3", "5x5c5"])
+    def test_fabric_geometries(self, fabric_name):
+        _map_both(LAYERED, resolve_fabric(fabric_name), _options())
+
+    def test_paper_fabric(self):
+        _map_both("[[9,1,3]]", resolve_fabric("quale"), _options())
+
+    @pytest.mark.parametrize(
+        "placer_options",
+        [
+            {"placer": "monte-carlo", "num_placements": 3},
+            {"placer": "mvfb", "num_seeds": 2, "mvfb_max_runs_per_seed": 3},
+        ],
+        ids=["monte-carlo", "mvfb"],
+    )
+    def test_placement_searches(self, fabric, placer_options):
+        # The searches simulate many placements and keep the best; every
+        # one of those simulations must agree for the winners to agree.
+        _map_both("[[7,1,3]]", fabric, _options(**placer_options))
 
 
 #: Module-level fabric for the hypothesis property: hypothesis reuses the
