@@ -63,14 +63,6 @@ class MapperOptions:
         mvfb_patience: Consecutive non-improving runs that stop an MVFB seed.
         mvfb_max_runs_per_seed: Hard cap on placement runs per MVFB seed.
         random_seed: Seed for all randomised placement decisions.
-        shared_route_cache: Consult (and feed) the process-wide route store
-            shared across all runs on the same fabric, technology and
-            routing policy.  Stored plans are served only where the
-            occupancies their search read match, so sharing them is safe;
-            results are identical and only the cache-hit counters change.
-            Off by default to keep default-scenario reports byte-stable —
-            service workers, which map many jobs on one memoised fabric,
-            turn it on.
     """
 
     technology: TechnologyParams = PAPER_TECHNOLOGY
@@ -86,7 +78,6 @@ class MapperOptions:
     mvfb_patience: int = 3
     mvfb_max_runs_per_seed: int = 40
     random_seed: int = 0
-    shared_route_cache: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.placer, PlacerKind) and (
@@ -169,6 +160,4 @@ class MapperOptions:
         )
         if self.placer_name == PlacerKind.MONTE_CARLO.value:
             text += f" m'={self.num_placements}"
-        if self.shared_route_cache:
-            text += " shared_routes=True"
         return text

@@ -53,17 +53,16 @@ def snapshot(store: JobStore, *, now: float | None = None) -> dict:
     """One JSON-ready dashboard frame (what ``top --once --json`` prints).
 
     Keys: ``jobs`` (counts by status + total), ``queue_depth``, ``running``,
-    ``throughput_per_minute``, ``route_cache`` (hits/shared_hits/misses/
-    hit_rate),
+    ``throughput_per_minute``, ``executed_jobs``, ``cache_served_jobs`` and
+    ``route_cache`` (hits/misses/hit_rate), all as
+    :func:`~repro.service.metrics.service_metrics` reports them, plus
     ``latencies`` (per series: count, p50/p95 seconds, mean), ``workers``
     (running jobs' leases) and ``schema_version``.
     """
-    from repro.service.metrics import THROUGHPUT_WINDOW
+    from repro.service.metrics import service_metrics
 
     now = time.time() if now is None else now
-    counts = store.counts()
-    done = store.done_aggregates(now=now, window=THROUGHPUT_WINDOW)
-    route_lookups = done["route_cache_hits"] + done["route_cache_misses"]
+    metrics = service_metrics(store, now=now)
 
     latencies = {}
     for series, data in sorted(store.histograms().items()):
@@ -95,20 +94,13 @@ def snapshot(store: JobStore, *, now: float | None = None) -> dict:
     return {
         "ts": now,
         "schema_version": store.schema_version(),
-        "jobs": {**counts, "total": sum(counts.values())},
-        "queue_depth": counts["queued"],
-        "running": counts["running"],
-        "throughput_per_minute": done["finished_recently"],
-        "executed_jobs": done["finished"] - done["cache_served"],
-        "cache_served_jobs": done["cache_served"],
-        "route_cache": {
-            "hits": done["route_cache_hits"],
-            "shared_hits": done["route_cache_shared_hits"],
-            "misses": done["route_cache_misses"],
-            "hit_rate": (
-                done["route_cache_hits"] / route_lookups if route_lookups else 0.0
-            ),
-        },
+        "jobs": metrics["jobs"],
+        "queue_depth": metrics["queue_depth"],
+        "running": metrics["running"],
+        "throughput_per_minute": metrics["throughput_per_minute"],
+        "executed_jobs": metrics["executed_jobs"],
+        "cache_served_jobs": metrics["cache_served_jobs"],
+        "route_cache": metrics["route_cache"],
         "latencies": latencies,
         "workers": workers,
     }
@@ -163,8 +155,7 @@ def render(frame: dict, *, color: bool = True) -> str:
     cache = frame["route_cache"]
     lines += [
         "",
-        f"  route cache: {cache['hits']} hits "
-        f"({cache.get('shared_hits', 0)} shared) / {cache['misses']} misses "
+        f"  route cache: {cache['hits']} hits / {cache['misses']} misses "
         f"({cache['hit_rate']:.0%} hit rate)",
         "",
         f"{bold}  worker            job           running   lease left{reset}",

@@ -186,7 +186,6 @@ class PipelineContext:
             forced_order=forced_order,
             qidg=qidg if qidg is not None else self.qidg,
             barrier_scheduling=options.barrier_scheduling and forced_order is None,
-            shared_route_cache=options.shared_route_cache,
         )
 
     def simulate(self, placement: Placement) -> SimulationOutcome:

@@ -114,10 +114,8 @@ class RoutingCoreStats:
         heap_pops: Heap extractions over all searches, including lazily
             deleted (stale) entries.
         edge_relaxations: Successful distance improvements over all searches.
-        cache_hits: Route-cache hits in :class:`~repro.routing.router.Router`.
-        cache_misses: Route-cache misses (each one runs the full planner).
-        shared_hits: Subset of ``cache_hits`` served by the cross-run
-            :class:`~repro.routing.shared_cache.SharedRouteStore`.
+        cache_hits: Route-table hits in :class:`~repro.routing.router.Router`.
+        cache_misses: Route-table misses (each one runs the full planner).
         batched_searches: Multi-target batch passes
             (:meth:`CompiledRoutingGraph.shortest_routes_batch` calls); each
             counts once in ``dijkstra_calls`` but answers several trap-pair
@@ -129,7 +127,6 @@ class RoutingCoreStats:
     edge_relaxations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    shared_hits: int = 0
     batched_searches: int = 0
 
     @property
@@ -155,7 +152,6 @@ class RoutingCoreStats:
             edge_relaxations=self.edge_relaxations - baseline.edge_relaxations,
             cache_hits=self.cache_hits - baseline.cache_hits,
             cache_misses=self.cache_misses - baseline.cache_misses,
-            shared_hits=self.shared_hits - baseline.shared_hits,
             batched_searches=self.batched_searches - baseline.batched_searches,
         )
 
@@ -168,7 +164,6 @@ class RoutingCoreStats:
             "route_cache_hits": self.cache_hits,
             "route_cache_misses": self.cache_misses,
             "route_cache_hit_rate": self.cache_hit_rate,
-            "route_cache_shared_hits": self.shared_hits,
             "routing_batched_searches": self.batched_searches,
         }
 

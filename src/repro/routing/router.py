@@ -23,7 +23,6 @@ from repro.routing.congestion import CongestionTracker
 from repro.routing.dijkstra import DijkstraResult
 from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
-from repro.routing.shared_cache import SharedRouteEntry, SharedRouteStore
 from repro.routing.trap_selection import select_target_trap
 from repro.routing.weights import partial_channel_weight
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
@@ -154,23 +153,18 @@ class InstructionRoute:
 
 _INF = float("inf")
 
-#: Snapshot entries kept per trap pair in the route cache.  Congestion
+#: Snapshot entries kept per trap pair in the route table.  Congestion
 #: oscillates as instructions issue and complete, so a pair's queries cycle
 #: through a small set of recurring occupancy states; keeping the last few
 #: snapshots (MRU order) lets a state the fabric *returns to* hit again
-#: instead of recomputing.  4 covers the observed working set; beyond it the
-#: validation scans cost more than the extra hits.
+#: instead of recomputing.  4 covers the observed working set, also when
+#: every pass of an MVFB search shares the table; beyond it the validation
+#: scans cost more than the extra hits.
 MAX_SNAPSHOTS_PER_PAIR = 4
-
-#: Snapshot entries kept per trap pair in the cross-run shared store.  Wider
-#: than the local cap because one table serves every phase of every job on
-#: the fabric; a deterministic re-run then finds each of its states already
-#: stored.
-MAX_SHARED_SNAPSHOTS_PER_PAIR = 8
 
 
 class _CacheEntry:
-    """One route-cache record: a plan plus its validity evidence.
+    """One route-table record: a plan plus its validity evidence.
 
     ``reads`` holds sorted ``(channel id, occupancy)`` pairs over every
     channel the search read.  The search is a pure function of those
@@ -262,13 +256,22 @@ class Router:
     :func:`~repro.routing.dijkstra.shortest_route`.  Planned qubit routes are
     memoised per ``(source trap, target trap)`` pair under one validity
     rule: a cached route is served iff every channel occupancy its search
-    read still equals its snapshot.  The cache keeps a short MRU list of
+    read still equals its snapshot.  The table keeps a short MRU list of
     snapshots per pair, because fabric congestion oscillates and a state the
-    fabric returns to should hit again; the optional cross-run
-    :class:`~repro.routing.shared_cache.SharedRouteStore` applies the same
-    rule across runs on one fabric.
+    fabric returns to should hit again.
 
-    Counters accumulate in :attr:`stats`.
+    There is one route table per ``(fabric, technology, policy)``, memoised
+    on the fabric instance like its routing graphs, and every router on
+    that triple reads and writes it: the forward and backward passes of an
+    MVFB search, and every later job mapped on the same fabric object (a
+    service worker's memoised fabrics).  The table takes no lock, because a
+    fabric is confined to one thread anyway: its compiled graph owns scratch
+    arrays.  The snapshot rule makes sharing sound, so routes, schedules and
+    latencies never depend on what ran earlier on the fabric; the work
+    counters in :attr:`stats` (hits, misses, kernel searches, heap pops) do.
+    The congestion trackers passed in must have the policy's channel
+    capacity, as the simulator's do: a snapshot records occupancies, not
+    capacities.
     """
 
     def __init__(
@@ -276,21 +279,22 @@ class Router:
         fabric: Fabric,
         technology: TechnologyParams = PAPER_TECHNOLOGY,
         policy: RoutingPolicy = QSPR_POLICY,
-        *,
-        shared_store: SharedRouteStore | None = None,
     ) -> None:
         self.fabric = fabric
         self.technology = technology
         self.policy = policy
-        self.shared_store = shared_store
         # Both graphs are built once per fabric and shared by every router on
         # it (an MVFB search constructs one per pass).
         self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
         self.compiled = CompiledRoutingGraph.shared(self.graph)
         self.stats = RoutingCoreStats()
-        #: Trap pair to an MRU-ordered list of :class:`_CacheEntry` records,
-        #: one per distinct recent occupancy state.
-        self._route_cache: dict[tuple[TrapId, TrapId], list[_CacheEntry]] = {}
+        #: The fabric's route table for this technology and policy: trap pair
+        #: to an MRU-ordered list of :class:`_CacheEntry` records, one per
+        #: distinct recent occupancy state.
+        tables = fabric.__dict__.setdefault("_route_tables", {})
+        self._route_cache: dict[tuple[TrapId, TrapId], list[_CacheEntry]] = (
+            tables.setdefault((technology, policy), {})
+        )
 
     # ------------------------------------------------------------------
     # Single-qubit route planning
@@ -336,9 +340,9 @@ class Router:
         Journeys shorter than two hops — staying put, or moving within a
         single channel — bypass the cache entirely: planning them is cheaper
         than the cache bookkeeping, and their only input is one channel's
-        fullness.  Every other query is answered by the first entry whose
-        snapshot matches, from the pair's MRU list and then from the shared
-        store.  A miss runs the kernel with landmark (ALT) pruning,
+        fullness.  Every other query is answered by the first entry in the
+        pair's MRU list whose snapshot matches, which then moves to the head.
+        A miss runs the kernel with landmark (ALT) pruning,
         warm-started from the re-costed total of the pair's most recent
         stale route (an achievable total, hence a valid upper bound).  A hit
         for a different qubit rebinds the plan's qubit name, everything else
@@ -366,29 +370,6 @@ class Router:
                         entries.insert(0, entries.pop(i))
                     return self._serve(entry, qubit, source, target, congestion, cut)
             stale_result = entries[0].result
-        shared = self.shared_store
-        if shared is not None:
-            with shared.lock:
-                shared_entry = next(
-                    (
-                        candidate
-                        for candidate in shared.entries.get(key, ())
-                        if self._reads_match(candidate.reads, congestion)
-                    ),
-                    None,
-                )
-                if shared_entry is not None:
-                    shared.hits += 1
-            if shared_entry is not None:
-                # A cross-run hit: every occupancy the stored search read
-                # equals the snapshot, so the plan replays byte-identically
-                # here.  Seed the local cache.
-                self.stats.shared_hits += 1
-                entry = _CacheEntry(
-                    shared_entry.plan, shared_entry.reads, shared_entry.result
-                )
-                self._store_local(key, entry)
-                return self._serve(entry, qubit, source, target, congestion, cut)
         self.stats.cache_misses += 1
         reads: set = set()
         probe: set | None = set() if cut is not None else None
@@ -403,9 +384,7 @@ class Router:
         entry = _CacheEntry(
             plan, self._snapshot_reads(reads, congestion), result, failure_cut
         )
-        self._store_local(key, entry)
-        if shared is not None:
-            self._store_shared(shared, key, entry)
+        self._store(key, entry)
         return plan
 
     def _serve(
@@ -438,7 +417,7 @@ class Router:
             plan = replace(plan, qubit=qubit)
         return plan
 
-    def _store_local(self, key: tuple[TrapId, TrapId], entry: _CacheEntry) -> None:
+    def _store(self, key: tuple[TrapId, TrapId], entry: _CacheEntry) -> None:
         """Push ``entry`` onto the pair's MRU snapshot list (bounded)."""
         entries = self._route_cache.get(key)
         if entries is None:
@@ -446,20 +425,6 @@ class Router:
         else:
             entries.insert(0, entry)
             del entries[MAX_SNAPSHOTS_PER_PAIR:]
-
-    @staticmethod
-    def _store_shared(
-        shared: SharedRouteStore, key: tuple[TrapId, TrapId], entry: _CacheEntry
-    ) -> None:
-        """Publish a locally computed entry to the cross-run store."""
-        with shared.lock:
-            stored = shared.entries.setdefault(key, [])
-            if not any(e.reads == entry.reads for e in stored):
-                stored.insert(
-                    0, SharedRouteEntry(entry.plan, entry.reads, entry.result)
-                )
-                del stored[MAX_SHARED_SNAPSHOTS_PER_PAIR:]
-            shared.stores += 1
 
     @staticmethod
     def _snapshot_reads(reads: set, congestion: CongestionTracker) -> tuple:
@@ -707,9 +672,10 @@ class Router:
         The candidate loop below issues one source-leg query per candidate
         (plus one destination leg each on serial fabrics) against the *same*
         congestion state.  Instead of flooding the fabric once per query,
-        this answers every leg not already served by a cache in a single
+        this answers, in one
         :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_routes_batch`
-        pass and seeds the route cache, so the loop's lookups all hit.
+        pass, every leg whose pair the route table has never seen, and seeds
+        the table, so the loop's lookups all hit.
 
         Prefetches are not charged as cache misses (they are not demand
         lookups); the batch pass itself counts one ``dijkstra_call``.
@@ -731,7 +697,6 @@ class Router:
         legs = [(source_name, source_trap)]
         if serial:
             legs.append((dest_name, dest_trap))
-        shared = self.shared_store
         for qubit, origin_id in legs:
             origin = self.fabric.trap(origin_id)
             if congestion.is_full(origin.channel_id):
@@ -754,10 +719,6 @@ class Router:
                     # query) — makes the batched flood a worse deal than
                     # the demand path.  Prefetch only never-seen pairs.
                     continue
-                if shared is not None:
-                    with shared.lock:
-                        if shared.entries.get(key):
-                            continue
                 jobs.append((key, candidate))
             if len(jobs) < 2:
                 continue
@@ -793,10 +754,7 @@ class Router:
                     result.entry_node[0],
                     result.edges,
                 )
-                entry = _CacheEntry(plan, snapshot, result)
-                self._store_local(key, entry)
-                if shared is not None:
-                    self._store_shared(shared, key, entry)
+                self._store(key, _CacheEntry(plan, snapshot, result))
 
     def _plan_to_candidate(
         self,

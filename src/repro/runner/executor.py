@@ -29,13 +29,7 @@ from repro.runner.spec import ExperimentSpec, Sweep
 ProgressCallback = Callable[[int, int, CellResult], None]
 
 
-def map_spec(
-    spec: ExperimentSpec,
-    *,
-    fabric=None,
-    shared_route_cache: bool = False,
-    observer=None,
-):
+def map_spec(spec: ExperimentSpec, *, fabric=None, observer=None):
     """Run one declarative spec end to end and return the full mapping result.
 
     This is the shared task-execution core of both the sweep runner and the
@@ -49,14 +43,9 @@ def map_spec(
         spec: The experiment cell to execute.
         fabric: Optional pre-built :class:`~repro.fabric.fabric.Fabric` for
             ``spec.fabric``.  Fabrics are immutable and memoise their routing
-            graphs, so a long-lived worker can pass the same fabric to every
-            job that targets the same geometry and pay the graph-compilation
-            cost once.
-        shared_route_cache: Opt the run into the cross-job route store
-            (see :mod:`repro.routing.shared_cache`).  Pointless without a
-            long-lived ``fabric`` — the store is memoised on the fabric
-            instance — which is why the sweep runner leaves it off and the
-            service workers turn it on.
+            graphs and route tables, so a long-lived worker can pass the same
+            fabric to every job that targets the same geometry, pay the
+            graph-compilation cost once and reuse earlier jobs' route plans.
         observer: Optional :class:`~repro.pipeline.context.PipelineObserver`
             receiving stage start/finish callbacks.  Passed through only to
             mappers whose ``map`` accepts it (the reference
@@ -65,7 +54,7 @@ def map_spec(
     circuit = spec.build_circuit()
     if fabric is None:
         fabric = spec.build_fabric()
-    mapper = spec.build_mapper(shared_route_cache=shared_route_cache)
+    mapper = spec.build_mapper()
     if observer is not None:
         from repro.pipeline.facade import _accepts_observer
 

@@ -80,7 +80,6 @@ CSV_FIELDS: tuple[str, ...] = (
     "route_cache_hits",
     "route_cache_misses",
     "route_cache_hit_rate",
-    "route_cache_shared_hits",
     "dijkstra_calls",
     "routing_batched_searches",
     "heap_pops",
@@ -128,8 +127,6 @@ class CellResult:
         route_cache_hits: Route-cache hits of the winning pass.
         route_cache_misses: Route-cache misses of the winning pass.
         route_cache_hit_rate: Hit fraction of the route cache (0.0–1.0).
-        route_cache_shared_hits: Subset of the hits served by the cross-job
-            shared route store (0 when the store is off).
         dijkstra_calls: Shortest-route searches executed by the winning pass.
         routing_batched_searches: Batched multi-target kernel passes among
             those searches (each answers several candidate legs at once).
@@ -176,7 +173,6 @@ class CellResult:
     route_cache_hits: int = 0
     route_cache_misses: int = 0
     route_cache_hit_rate: float = 0.0
-    route_cache_shared_hits: int = 0
     dijkstra_calls: int = 0
     routing_batched_searches: int = 0
     heap_pops: int = 0
@@ -228,7 +224,6 @@ class CellResult:
             route_cache_hits=result.routing_stats.cache_hits,
             route_cache_misses=result.routing_stats.cache_misses,
             route_cache_hit_rate=result.routing_stats.cache_hit_rate,
-            route_cache_shared_hits=result.routing_stats.shared_hits,
             dijkstra_calls=result.routing_stats.dijkstra_calls,
             routing_batched_searches=result.routing_stats.batched_searches,
             heap_pops=result.routing_stats.heap_pops,

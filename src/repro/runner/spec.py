@@ -73,7 +73,10 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: values of otherwise identical runs, so schema-4 records are retired.
 #: Schema 6: same-channel legs planned under a dual-operand overlay no
 #: longer count as route-cache misses, so schema-5 records are retired.
-CACHE_SCHEMA = 6
+#: Schema 7: one route table per fabric, shared by every pass of a placement
+#: search, changes the counters of MVFB and Monte-Carlo winners, and the
+#: cross-job shared-hit counter left the record.
+CACHE_SCHEMA = 7
 
 
 @dataclass(frozen=True)
@@ -382,14 +385,11 @@ class ExperimentSpec:
             random_seed=self.random_seed,
         )
 
-    def build_mapper(self, *, shared_route_cache: bool = False):
+    def build_mapper(self):
         """Instantiate this cell's mapper through the mapper registry.
 
         Placer-driven mappers (QSPR and plugins) receive the cell's full
         :meth:`mapper_options`; the fixed built-in presets receive ``None``.
-        ``shared_route_cache=True`` opts those options into the cross-job
-        route store (service workers use this; presets that build their own
-        options are unaffected).
 
         Example::
 
@@ -398,8 +398,6 @@ class ExperimentSpec:
         """
         if self.uses_placer_axes:
             options = self.mapper_options()
-            if shared_route_cache:
-                options = replace(options, shared_route_cache=True)
         elif self.technology != "paper":
             # The fixed presets ignore every knob except the PMD: hand them
             # the selected technology so e.g. a QUALE cell of a fast-turn

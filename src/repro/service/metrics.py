@@ -63,12 +63,10 @@ def service_metrics(store: JobStore, *, now: float | None = None) -> dict:
             (``build-qidg``, ``place``, ``simulate``, ``simulate.routing``…).
         ``routing_seconds``: Total time spent planning routes (from the flat
             per-job results).
-        ``route_cache``: Route-cache hits (split into the local per-run
-            cache and the ``shared`` subset served by the cross-job
-            :class:`~repro.routing.shared_cache.SharedRouteStore`), misses
-            and hit rate summed over every done job — the gauge that shows
-            the snapshot-validated route caches working (hit rates were
-            near zero before workers shared route plans).
+        ``route_cache``: Route-table hits, misses and hit rate summed over
+            every done job — the gauge that shows the snapshot-validated
+            route table working (each worker's memoised fabrics carry their
+            tables from job to job).
         ``latency_us``: Summed mapped-circuit latency, for capacity math.
     """
     now = time.time() if now is None else now
@@ -93,7 +91,6 @@ def service_metrics(store: JobStore, *, now: float | None = None) -> dict:
         "routing_seconds": done["routing_total"],
         "route_cache": {
             "hits": done["route_cache_hits"],
-            "shared_hits": done["route_cache_shared_hits"],
             "misses": done["route_cache_misses"],
             "hit_rate": done["route_cache_hits"] / route_lookups if route_lookups else 0.0,
         },
@@ -209,26 +206,6 @@ def render_prometheus(
             value,
             labels={"result": result_label},
         )
-    # The same lookups, split by which cache layer answered: ``local`` hits
-    # were served by the worker's own per-run cache, ``shared`` hits by the
-    # cross-job SharedRouteStore (the subset that proves jobs reuse each
-    # other's routes).  Misses fell through both layers.
-    shared_hits = snapshot["route_cache"]["shared_hits"]
-    for scope, value in (
-        ("local", snapshot["route_cache"]["hits"] - shared_hits),
-        ("shared", shared_hits),
-    ):
-        registry.counter(
-            "qspr_route_cache_hits_total",
-            "Route-cache hits of done jobs, by serving cache layer.",
-            value,
-            labels={"scope": scope},
-        )
-    registry.counter(
-        "qspr_route_cache_misses_total",
-        "Route-cache lookups of done jobs that missed every cache layer.",
-        snapshot["route_cache"]["misses"],
-    )
     registry.counter(
         "qspr_mapped_latency_us_total",
         "Mapped-circuit latency (microseconds) summed over done jobs.",

@@ -581,9 +581,7 @@ class JobStore:
         (within ``window`` seconds of ``now``), ``cache_served``,
         ``wall_total`` / ``wall_samples``, ``routing_total``,
         ``latency_total``, the route-cache counters ``route_cache_hits`` /
-        ``route_cache_misses`` / ``route_cache_shared_hits`` (the subset of
-        hits served by the cross-job shared route store) and the per-stage
-        ``stage_totals`` mapping.
+        ``route_cache_misses`` and the per-stage ``stage_totals`` mapping.
         """
         now = time.time() if now is None else now
         with self._read() as conn:
@@ -610,9 +608,7 @@ class JobStore:
                     COALESCE(SUM(json_extract(result, '$.route_cache_hits')), 0)
                         AS route_cache_hits,
                     COALESCE(SUM(json_extract(result, '$.route_cache_misses')), 0)
-                        AS route_cache_misses,
-                    COALESCE(SUM(json_extract(result, '$.route_cache_shared_hits')), 0)
-                        AS route_cache_shared_hits
+                        AS route_cache_misses
                 FROM jobs WHERE status = ?
                 """,
                 (DONE,),

@@ -13,9 +13,11 @@ Workers share compiled-routing fabrics: every job targeting the same
 :class:`~repro.runner.spec.FabricCell` reuses one built
 :class:`~repro.fabric.fabric.Fabric` per worker, so the routing-graph
 compilation cost (see :mod:`repro.routing.compiled`) is paid once per
-geometry per worker, not once per job.  Fabrics are immutable but their
-compiled scratch arrays are not thread-safe, which is exactly why the memo is
-*per worker* rather than global.
+geometry per worker, not once per job, and each job is served the route
+plans earlier jobs left in the fabric's route table (see
+:class:`~repro.routing.router.Router`).  Fabrics are immutable but their
+compiled scratch arrays and route tables are not thread-safe, which is
+exactly why the memo is *per worker* rather than global.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def execute_job(
         spec: The experiment cell to map.
         fabrics: Per-worker fabric memo; jobs with the same
             :class:`~repro.runner.spec.FabricCell` share one built fabric
-            (and therefore its memoised, compiled routing graph).
+            (and therefore its compiled routing graph and route tables).
         observer: Optional :class:`~repro.pipeline.context.PipelineObserver`
             receiving stage callbacks (the worker passes a job-bound
             :class:`~repro.ops.logging.LoggingObserver`).
@@ -67,15 +69,7 @@ def execute_job(
         fabric = fabrics.get(spec.fabric)
         if fabric is None:
             fabric = fabrics[spec.fabric] = spec.build_fabric()
-    # Workers map many jobs on one memoised fabric, so snapshot-validated
-    # route plans are shared across jobs (the fix for the near-zero cache hit
-    # rate on repeated submissions); results are identical either way.
-    result = map_spec(
-        spec,
-        fabric=fabric,
-        shared_route_cache=fabric is not None,
-        observer=observer,
-    )
+    result = map_spec(spec, fabric=fabric, observer=observer)
     return CellResult.from_mapping(spec, result), dict(result.stage_seconds)
 
 

@@ -61,7 +61,6 @@ from repro.routing.router import (
     channel_key,
     trap_key,
 )
-from repro.routing.shared_cache import SharedRouteStore
 from repro.scheduling.busy_queue import BusyQueue
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.ready import DependencyTracker
@@ -177,7 +176,6 @@ class FabricSimulator:
         forced_order: list[int] | None = None,
         qidg: QIDG | None = None,
         barrier_scheduling: bool = False,
-        shared_route_cache: bool = False,
     ) -> None:
         """Create a simulator.
 
@@ -201,15 +199,6 @@ class FabricSimulator:
                 earlier ALAP levels has finished, so routing never overlaps
                 across levels.  QSPR interleaves scheduling with routing and
                 leaves this off.
-            shared_route_cache: Let the router consult the cross-run
-                route store memoised on the fabric (see
-                :mod:`repro.routing.shared_cache`): snapshot-validated plans
-                are shared by every simulator on the same fabric,
-                technology and routing policy.  Results are
-                identical; only the cache-hit counters change.  Off by
-                default to keep default-scenario reports byte-stable —
-                service workers, which run many jobs on one memoised
-                fabric, enable it.
         """
         self.circuit = circuit
         self.fabric = fabric
@@ -224,14 +213,7 @@ class FabricSimulator:
         self.levels: dict[int, int] | None = (
             alap_levels(self.qidg) if barrier_scheduling else None
         )
-        shared_store = None
-        if shared_route_cache:
-            shared_store = SharedRouteStore.shared(
-                fabric, technology=technology, policy=routing_policy
-            )
-        self.router = Router(
-            fabric, technology, routing_policy, shared_store=shared_store
-        )
+        self.router = Router(fabric, technology, routing_policy)
         self.priorities = self.scheduler.priorities(self.qidg, technology)
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.ops.top import render, run_top, snapshot
 from repro.runner.results import CellResult
 from repro.runner.spec import ExperimentSpec
 from repro.service import JobStore
+from repro.service.metrics import service_metrics
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ def _finish_one_job(store, spec):
     cell = CellResult(
         circuit=spec.circuit, mapper=spec.mapper, placer="center",
         latency=100.0, ideal_latency=80.0, routing_seconds=0.1,
-        route_cache_hits=3, route_cache_misses=1, route_cache_shared_hits=2,
+        route_cache_hits=3, route_cache_misses=1,
     )
     store.complete(claimed.id, cell, stage_seconds={"place": 0.2, "simulate": 0.3})
     return claimed
@@ -63,8 +64,8 @@ class TestSnapshot:
         for series in ("queue_wait", "wall", "stage:place", "stage:simulate"):
             assert frame["latencies"][series]["count"] == 1
             assert frame["latencies"][series]["p95_seconds"] >= 0.0
+        assert frame["route_cache"] == service_metrics(store)["route_cache"]
         assert frame["route_cache"]["hit_rate"] == pytest.approx(0.75)
-        assert frame["route_cache"]["shared_hits"] == 2
 
     def test_snapshot_round_trips_through_json(self, store, spec):
         _finish_one_job(store, spec)
@@ -81,7 +82,7 @@ class TestRender:
         assert "done      1" in text
         assert "stage place" in text
         assert "75% hit rate" in text
-        assert "(2 shared)" in text
+        assert "route cache: 3 hits / 1 misses" in text
         assert "\x1b[" not in text, "color=False must not emit ANSI codes"
 
     def test_empty_store_renders_placeholders(self, store):

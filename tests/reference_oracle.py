@@ -2,9 +2,9 @@
 
 The simulator's speed comes from layers that must never change what it
 computes: the compiled CSR kernel with landmark pruning and warm starts, the
-snapshot-validated route cache (per-router MRU lists, batched candidate
-prefill and the cross-run shared store), and the wake-set gating of the
-event loop.  The oracle removes every one of them:
+snapshot-validated route table (one per fabric, with MRU lists per trap
+pair and batched candidate prefill), and the wake-set gating of the event
+loop.  The oracle removes every one of them:
 
 * :class:`OracleRouter` plans every leg from scratch with the object-graph
   reference kernel :func:`repro.routing.dijkstra.shortest_route` under the
@@ -31,11 +31,10 @@ from repro.sim import engine
 
 
 class OracleRouter(Router):
-    """A router that computes every leg fresh on the reference kernel."""
+    """A router that computes every leg fresh on the reference kernel.
 
-    def __init__(self, fabric, technology, policy, *, shared_store=None) -> None:
-        # The shared store is dropped: the oracle never reuses a plan.
-        super().__init__(fabric, technology, policy)
+    It never reads or writes the fabric's route table.
+    """
 
     def plan_qubit_route(
         self, qubit, source_trap_id, target_trap_id, congestion, *, cut=None

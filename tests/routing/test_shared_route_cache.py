@@ -1,15 +1,16 @@
-"""Cross-job shared route cache: hits across jobs, identical results."""
+"""The one route table per fabric: shared by every router, one validity rule."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.fabric.builder import small_fabric
 from repro.routing.congestion import CongestionTracker
-from repro.routing.router import MAX_SHARED_SNAPSHOTS_PER_PAIR, Router
+from repro.routing.router import MAX_SNAPSHOTS_PER_PAIR, QUALE_POLICY, Router
 from repro.runner import ExperimentSpec, FabricCell
 from repro.runner.executor import map_spec
-from repro.routing.shared_cache import SharedRouteStore
 from repro.service import execute_job
+from repro.technology import LEGACY_TECHNOLOGY
 
 TINY = FabricCell(junction_rows=4, junction_cols=4)
 
@@ -21,53 +22,45 @@ def _spec(**overrides) -> ExperimentSpec:
 
 
 class TestSharedRouteStore:
-    def test_memoised_per_fabric_and_scenario(self):
-        from repro.fabric import small_fabric
-        from repro.scheduling import SchedulingPolicy
-        from repro.technology import PAPER_TECHNOLOGY, LEGACY_TECHNOLOGY
+    """The table lives on the fabric and outlives every run on it."""
 
+    def test_memoised_per_fabric_and_scenario(self):
         fabric = small_fabric()
-        policy = SchedulingPolicy()
-        a = SharedRouteStore.shared(fabric, technology=PAPER_TECHNOLOGY, policy=policy)
-        b = SharedRouteStore.shared(fabric, technology=PAPER_TECHNOLOGY, policy=policy)
-        assert a is b  # same fabric + scenario -> same store
-        c = SharedRouteStore.shared(fabric, technology=LEGACY_TECHNOLOGY, policy=policy)
-        assert c is not a  # a different PMD prices routes differently
+        table = Router(fabric)._route_cache
+        assert Router(fabric)._route_cache is table
+        # A different PMD prices routes differently, and a different policy
+        # searches another graph under another capacity: each gets its own.
+        assert Router(fabric, LEGACY_TECHNOLOGY)._route_cache is not table
+        assert Router(fabric, policy=QUALE_POLICY)._route_cache is not table
+        assert Router(small_fabric())._route_cache is not table
 
     def test_second_job_hits_routes_planned_by_the_first(self):
-        """The service worker fix: repeated submissions stop re-planning."""
+        """A worker's memoised fabric carries the table from job to job."""
         fabrics = {}
         first, _ = execute_job(_spec(), fabrics)
-        second, _ = execute_job(_spec(num_seeds=2), fabrics)
-
-        (fabric,) = fabrics.values()
-        (store,) = fabric.__dict__["_shared_route_stores"].values()
-        assert store.stores > 0
-        assert store.hits > 0  # job 2 reused plans stored by job 1
-        # The v2 cache prefetches candidate legs, so *total* hits saturate in
-        # both jobs; the cross-job reuse is visible in the shared-hit subset.
-        assert second.route_cache_shared_hits > 0
-        assert second.route_cache_hits >= first.route_cache_hits
+        second, _ = execute_job(_spec(), fabrics)
+        assert second.latency == first.latency
+        assert second.route_cache_misses < first.route_cache_misses
+        assert second.dijkstra_calls < first.dijkstra_calls
 
     def test_shared_cache_does_not_change_results(self):
-        baseline = map_spec(_spec())
-        shared = map_spec(_spec(), shared_route_cache=True)
-        assert shared.latency == baseline.latency
-        assert shared.total_moves == baseline.total_moves
-        assert shared.total_turns == baseline.total_turns
-
-    def test_default_path_keeps_the_shared_store_off(self):
-        from repro.fabric import small_fabric
-
-        spec = _spec()
-        result = map_spec(spec)
-        assert result.latency > 0
-        # map_spec built its own fabric; nothing hung a shared store on it.
-        assert "_shared_route_stores" not in small_fabric().__dict__
+        fresh = map_spec(_spec())
+        fabric = _spec().build_fabric()
+        map_spec(_spec(circuit="[[7,1,3]]"), fabric=fabric)
+        map_spec(_spec(), fabric=fabric)
+        warmed = map_spec(_spec(), fabric=fabric)
+        assert warmed.routing_stats.dijkstra_calls < fresh.routing_stats.dijkstra_calls
+        assert warmed.latency == fresh.latency
+        assert warmed.schedule == fresh.schedule
+        assert warmed.final_placement == fresh.final_placement
+        assert (warmed.total_moves, warmed.total_turns) == (
+            fresh.total_moves,
+            fresh.total_turns,
+        )
 
 
 class TestSnapshotValidatedServing:
-    """Router-level behaviour of the store: one validity rule across runs."""
+    """Router-level behaviour of the table across routers on one fabric."""
 
     @pytest.fixture
     def pair(self, small_fabric_4x4):
@@ -75,64 +68,84 @@ class TestSnapshotValidatedServing:
         return traps[0], traps[-1]
 
     def test_a_later_router_is_served_the_stored_plan(self, small_fabric_4x4, pair):
-        store = SharedRouteStore()
-        first = Router(small_fabric_4x4, shared_store=store)
+        first = Router(small_fabric_4x4)
         planned = first.plan_qubit_route("q", *pair, CongestionTracker(small_fabric_4x4, 2))
-        second = Router(small_fabric_4x4, shared_store=store)
+        second = Router(small_fabric_4x4)
         served = second.plan_qubit_route("r", *pair, CongestionTracker(small_fabric_4x4, 2))
         assert served.qubit == "r"
         assert served.steps == planned.steps
-        assert (store.stores, store.hits) == (1, 1)
-        assert (second.stats.shared_hits, second.stats.cache_misses) == (1, 0)
+        assert (second.stats.cache_hits, second.stats.cache_misses) == (1, 0)
         assert second.stats.dijkstra_calls == 0
-        # The hit seeded the borrowing router's own cache.
-        second.plan_qubit_route("r", *pair, CongestionTracker(small_fabric_4x4, 2))
-        assert (second.stats.cache_hits, store.hits) == (2, 1)
 
     def test_a_stored_plan_is_not_served_when_a_read_channel_differs(
         self, small_fabric_4x4, pair
     ):
-        store = SharedRouteStore()
-        first = Router(small_fabric_4x4, shared_store=store)
+        first = Router(small_fabric_4x4)
         planned = first.plan_qubit_route("q", *pair, CongestionTracker(small_fabric_4x4, 2))
         busy = CongestionTracker(small_fabric_4x4, 2)
         busy.reserve(planned.channels_used[1])
-        second = Router(small_fabric_4x4, shared_store=store)
+        second = Router(small_fabric_4x4)
         second.plan_qubit_route("q", *pair, busy)
-        assert (second.stats.shared_hits, second.stats.cache_misses) == (0, 1)
-        assert store.hits == 0
-        assert len(store.entries[pair]) == 2
-
-    def test_the_store_keeps_the_newest_states_of_a_pair(self, small_fabric_4x4, pair):
-        store = SharedRouteStore()
-        states = MAX_SHARED_SNAPSHOTS_PER_PAIR + 2
-        # Roomy channels, so every occupancy of the source channel is a
-        # routable, distinct state; each state is planned by a fresh router.
-        congestion = CongestionTracker(small_fabric_4x4, states)
-        source_channel = small_fabric_4x4.trap(pair[0]).channel_id
-        for _ in range(states):
-            Router(small_fabric_4x4, shared_store=store).plan_qubit_route(
-                "q", *pair, congestion
-            )
-            congestion.reserve(source_channel)
-        assert store.stores == states
-        stored = store.entries[pair]
-        assert len(stored) == MAX_SHARED_SNAPSHOTS_PER_PAIR
-        # Newest first: the head holds the last state planned.
-        assert dict(stored[0].reads)[source_channel] == states - 1
+        assert (second.stats.cache_hits, second.stats.cache_misses) == (0, 1)
+        assert second.stats.dijkstra_calls == 1
+        assert len(second._route_cache[pair]) == 2
 
     def test_equal_snapshots_are_stored_once(self, small_fabric_4x4, pair):
-        store = SharedRouteStore()
-        first = Router(small_fabric_4x4, shared_store=store)
-        second = Router(small_fabric_4x4, shared_store=store)
-        # Two racing workers: hiding the first publication makes the second
-        # router miss and publish too; the first write then lands late and
-        # is dropped because an entry for the same state is already stored.
         congestion = CongestionTracker(small_fabric_4x4, 2)
-        first.plan_qubit_route("q", *pair, congestion)
-        stored = store.entries.pop(pair)
-        second.plan_qubit_route("q", *pair, congestion)
-        first._store_shared(store, pair, first._route_cache[pair][0])
-        assert store.stores == 3
-        assert len(store.entries[pair]) == 1
-        assert store.entries[pair][0].reads == stored[0].reads
+        routers = [Router(small_fabric_4x4) for _ in range(3)]
+        for router in routers:
+            router.plan_qubit_route("q", *pair, congestion)
+        assert [router.stats.cache_misses for router in routers] == [1, 0, 0]
+        assert len(routers[0]._route_cache[pair]) == 1
+
+    @staticmethod
+    def _plan_every_state(fabric, pair, states):
+        """Plan ``pair`` at source-channel occupancies 0..states-1, each state
+        by a fresh router; return the congestion (left at the last state)."""
+        # Roomy channels, so every occupancy of the source channel is a
+        # routable, distinct state.
+        congestion = CongestionTracker(fabric, states)
+        source_channel = fabric.trap(pair[0]).channel_id
+        for state in range(states):
+            if state:
+                congestion.reserve(source_channel)
+            Router(fabric).plan_qubit_route("q", *pair, congestion)
+        return congestion, source_channel
+
+    def test_the_store_keeps_the_newest_states_of_a_pair(self, small_fabric_4x4, pair):
+        states = MAX_SNAPSHOTS_PER_PAIR + 2
+        congestion, source_channel = self._plan_every_state(
+            small_fabric_4x4, pair, states
+        )
+        stored = Router(small_fabric_4x4)._route_cache[pair]
+        assert len(stored) == MAX_SNAPSHOTS_PER_PAIR
+        # Newest first: the head holds the last state planned.
+        assert [dict(entry.reads)[source_channel] for entry in stored] == list(
+            range(states - 1, states - 1 - MAX_SNAPSHOTS_PER_PAIR, -1)
+        )
+        # The oldest state fell off the list, so a later router misses it.
+        while congestion.occupancy(source_channel):
+            congestion.release(source_channel)
+        late = Router(small_fabric_4x4)
+        late.plan_qubit_route("q", *pair, congestion)
+        assert (late.stats.cache_hits, late.stats.cache_misses) == (0, 1)
+
+    def test_a_hit_moves_to_the_head_for_every_router(self, small_fabric_4x4, pair):
+        states = MAX_SNAPSHOTS_PER_PAIR
+        congestion, source_channel = self._plan_every_state(
+            small_fabric_4x4, pair, states
+        )
+        # Back to the oldest stored state: a later router hits the tail entry
+        # and moves it to the head, so the next miss evicts another state.
+        while congestion.occupancy(source_channel):
+            congestion.release(source_channel)
+        tail = Router(small_fabric_4x4)._route_cache[pair][-1]
+        late = Router(small_fabric_4x4)
+        late.plan_qubit_route("q", *pair, congestion)
+        assert (late.stats.cache_hits, late.stats.cache_misses) == (1, 0)
+        stored = late._route_cache[pair]
+        assert stored[0] is tail
+        assert [dict(entry.reads)[source_channel] for entry in stored] == [
+            0,
+            *range(states - 1, 0, -1),
+        ]

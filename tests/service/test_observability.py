@@ -50,7 +50,7 @@ def _finish_one(store, spec=None):
     cell = CellResult(
         circuit=spec.circuit, mapper=spec.mapper, placer="center",
         latency=100.0, ideal_latency=80.0, routing_seconds=0.05,
-        route_cache_hits=2, route_cache_misses=2, route_cache_shared_hits=1,
+        route_cache_hits=2, route_cache_misses=2,
     )
     store.complete(job.id, cell, stage_seconds={"place": 0.1, "simulate": 0.2})
     return job
@@ -118,19 +118,20 @@ class TestMetricsEndpoints:
         assert place_count == 1
         assert place_sum == pytest.approx(0.1)
 
-    def test_route_cache_counters_split_by_serving_layer(self, config):
+    def test_route_lookups_count_hits_and_misses(self, config):
         store = JobStore(config.db_path)
         _finish_one(store)
         families = parse_exposition(render_prometheus(store))
-        hits = {
-            labels["scope"]: value
-            for _, labels, value in families["qspr_route_cache_hits_total"].samples
+        lookups = {
+            labels["result"]: value
+            for _, labels, value in families["qspr_route_cache_lookups_total"].samples
         }
-        # _finish_one records 2 hits of which 1 came from the shared store.
-        assert hits == {"local": 1, "shared": 1}
-        assert families["qspr_route_cache_misses_total"].samples[0][2] == 2
+        assert lookups == {"hit": 2, "miss": 2}
+        # One route table, one family: no per-layer split to duplicate it.
+        route_families = [n for n in families if n.startswith("qspr_route_cache_")]
+        assert route_families == ["qspr_route_cache_lookups_total"]
         document = service_metrics(store)
-        assert document["route_cache"]["shared_hits"] == 1
+        assert document["route_cache"] == {"hits": 2, "misses": 2, "hit_rate": 0.5}
 
 
 class TestServiceMetricsAggregates:

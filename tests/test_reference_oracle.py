@@ -109,16 +109,18 @@ class TestMappingsMatchTheOracle:
         _map_both(circuit, fabric, preset())
 
     def test_shared_store_double_run(self):
-        # A private fabric so the cross-run store built here dies with the
-        # test.  The second run answers from the store and must still map
-        # exactly what the oracle maps.
+        # The same options twice on one private fabric, nothing opted in, so
+        # the route table memoised on the fabric dies with the test.  The
+        # second run is served the plans the first one stored, runs fewer
+        # kernel searches, and must still map exactly what the oracle maps.
         fabric = small_fabric(junction_rows=6, junction_cols=6)
         name = "random-layered:q=16:d=12:fill=1.0:locality=2:seed=5"
-        options = _options("cap-1", shared_route_cache=True)
+        options = _options("cap-1")
         first, _ = _map_both(name, fabric, options)
         second, _ = _map_both(name, fabric, options)
-        assert second.routing_stats.shared_hits > 0
-        assert second.routing_stats.cache_hit_rate >= first.routing_stats.cache_hit_rate
+        assert second.latency == first.latency
+        assert second.routing_stats.dijkstra_calls < first.routing_stats.dijkstra_calls
+        assert second.routing_stats.cache_hit_rate > first.routing_stats.cache_hit_rate
 
     def test_instruction_records(self, small_fabric_4x4, calibrated_513):
         placement = CenterPlacer(small_fabric_4x4).place(calibrated_513)
