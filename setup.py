@@ -2,8 +2,8 @@
 
 ``pip install .`` installs the ``repro`` package from ``src/`` and the
 ``qspr-map`` console script.  The project is pure Python with no runtime
-dependencies; ``pytest`` (and ``pytest-benchmark`` for ``benchmarks/``) are
-only needed to run the test suite.
+dependencies; ``pytest`` and ``hypothesis`` (and ``pytest-benchmark`` for
+``benchmarks/``) are only needed to run the test suite.
 """
 
 from __future__ import annotations

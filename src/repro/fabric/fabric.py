@@ -96,6 +96,15 @@ class Fabric:
         """All traps keyed by trap id."""
         return self._traps
 
+    @cached_property
+    def channel_slots(self) -> dict[ChannelId, int]:
+        """Dense channel numbering ``0..n-1`` ("slots"), fixed per fabric.
+
+        Occupancy arrays and route-table snapshots are indexed by slot, so
+        every tracker and router on the fabric agrees on the numbering.
+        """
+        return {channel_id: slot for slot, channel_id in enumerate(self._channels)}
+
     @property
     def num_traps(self) -> int:
         """Number of trap sites."""

@@ -68,10 +68,11 @@ structurally at build time); asymmetric graphs silently fall back to plain
 Dijkstra.
 
 **Read sets.**  When ``read_out`` is given, the kernel records the channel
-of every non-turn edge leaving a settled node.  Those are exactly the
-weights the search *read*, so a cached result stays byte-identical for as
-long as those channels' occupancies (plus the caller's own attachment
-channels) are unchanged — the validity rule of the router's route cache.
+slot (:attr:`~repro.fabric.fabric.Fabric.channel_slots`) of every non-turn
+edge leaving a settled node.  Those are exactly the weights the search
+*read*, so a cached result stays byte-identical for as long as those
+channels' occupancies (plus the caller's own attachment channels) are
+unchanged — the validity rule of the router's route cache.
 
 **Batched multi-target search.**  :meth:`shortest_routes_batch`
 answers one source set against several target groups (the candidate
@@ -254,8 +255,8 @@ class CompiledRoutingGraph:
         edge_row_pos: list[int] = []
         edges = []
         adjacency: list[list[tuple[float, int, int]]] = []
-        channel_index: dict = {}
-        channel_edges: list[list[int]] = []
+        slots = graph.fabric.channel_slots
+        channel_edges: list[list[int]] = [[] for _ in slots]
         for i, node in enumerate(nodes):
             row: list[tuple[float, int, int]] = []
             for edge in graph.edges_from(node):
@@ -266,10 +267,7 @@ class CompiledRoutingGraph:
                 edge_is_turn.append(edge.kind is EdgeKind.TURN)
                 edge_row_pos.append(len(row))
                 if edge.kind is not EdgeKind.TURN:
-                    index = channel_index.setdefault(edge.channel_id, len(channel_index))
-                    if index == len(channel_edges):
-                        channel_edges.append([])
-                    channel_edges[index].append(e)
+                    channel_edges[slots[edge.channel_id]].append(e)
                 row.append((0.0, edge_target[e], e))
                 edges.append(edge)
             adjacency.append(row)
@@ -280,7 +278,6 @@ class CompiledRoutingGraph:
         self._edge_is_turn = edge_is_turn
         self._edge_row_pos = edge_row_pos
         self._edges = edges
-        self._channel_index = channel_index
         self._channel_edges = channel_edges
 
         num_nodes = len(nodes)
@@ -294,12 +291,12 @@ class CompiledRoutingGraph:
         node_channels: list[set] = [set() for _ in range(num_nodes)]
         for e in range(len(edges)):
             if not edge_is_turn[e]:
-                node_channels[edge_source[e]].add(edges[e].channel_id)
-        #: Channel ids whose occupancy a search *reads* when it settles a
-        #: node: the channels of the node's outgoing non-turn edges (turn
-        #: edges are congestion-independent).  The router snapshots their
-        #: occupancies to validate cached plans exactly.
-        self._node_channel_ids: list[tuple] = [tuple(s) for s in node_channels]
+                node_channels[edge_source[e]].add(slots[edges[e].channel_id])
+        #: Slots of the channels whose occupancy a search *reads* when it
+        #: settles a node: the channels of the node's outgoing non-turn edges
+        #: (turn edges are congestion-independent).  The router snapshots
+        #: their occupancies to validate cached plans exactly.
+        self._node_slots: list[tuple[int, ...]] = [tuple(s) for s in node_channels]
         #: GraphEdge identity -> edge index, for re-costing cached routes.
         self._edge_lookup = {id(edge): e for e, edge in enumerate(edges)}
         #: ``(move_delay, turn_cost) -> _LandmarkTable | None`` (``None`` when
@@ -332,7 +329,7 @@ class CompiledRoutingGraph:
     @property
     def num_channels(self) -> int:
         """Number of distinct channels appearing on channel edges."""
-        return len(self._channel_index)
+        return sum(1 for edges in self._channel_edges if edges)
 
     # ------------------------------------------------------------------
     # Weight synchronisation
@@ -380,14 +377,12 @@ class CompiledRoutingGraph:
         self._touched_edges.clear()
         touched = self._touched_edges
         lengths = self._edge_length
-        channel_index = self._channel_index
         channel_edges = self._channel_edges
         capacity = congestion.channel_capacity
-        for channel_id, count in congestion.snapshot().items():
-            index = channel_index.get(channel_id)
-            if index is None:
-                continue
-            for e in channel_edges[index]:
+        levels = congestion.levels
+        for slot in congestion.occupied:
+            count = levels[slot]
+            for e in channel_edges[slot]:
                 if count >= capacity:
                     self._set_edge_weight(e, _INF)
                 else:
@@ -577,7 +572,7 @@ class CompiledRoutingGraph:
                 one of those channels frees a slot: every other full channel
                 lies beyond the cut (unreachable either way), and releases of
                 non-full channels only change costs, never connectivity.
-            read_out: Optional output set receiving the ids of every channel
+            read_out: Optional output set receiving the slots of every channel
                 whose occupancy the search *read* — the channels of non-turn
                 edges out of settled nodes.  Together with the caller's
                 source/target attachment channels this is the exact input
@@ -715,9 +710,9 @@ class CompiledRoutingGraph:
                     relaxations += 1
 
         if track_read:
-            node_channel_ids = self._node_channel_ids
+            node_slots = self._node_slots
             for i in settled:
-                read_out.update(node_channel_ids[i])
+                read_out.update(node_slots[i])
         if stats is not None:
             stats.dijkstra_calls += 1
             stats.heap_pops += pops
@@ -904,9 +899,9 @@ class CompiledRoutingGraph:
                     relaxations += 1
 
         if track_read:
-            node_channel_ids = self._node_channel_ids
+            node_slots = self._node_slots
             for i in settled:
-                read_out.update(node_channel_ids[i])
+                read_out.update(node_slots[i])
         if stats is not None:
             stats.dijkstra_calls += 1
             stats.batched_searches += 1

@@ -6,6 +6,11 @@ Eq. 2).  The scheduler *reserves* every channel of a planned route when the
 instruction is issued and *releases* each channel when the corresponding
 qubit-exits-channel event fires.
 
+Occupancies live in one flat list, :attr:`CongestionTracker.levels`, indexed
+by the fabric's channel slots (:attr:`~repro.fabric.fabric.Fabric.channel_slots`),
+so the router validates a route-table snapshot with one ``itemgetter`` call
+and one tuple compare.
+
 Every mutation bumps the tracker's **epoch**, a monotonically increasing
 stamp drawn from a process-wide counter.  The compiled routing graph tags
 its in-row edge weights with the epoch (and tracker) they were synced
@@ -18,9 +23,8 @@ the same epoch.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
-from repro.errors import RoutingError
+from repro.errors import FabricError, RoutingError
 from repro.fabric.components import ChannelId
 from repro.fabric.fabric import Fabric
 
@@ -36,8 +40,13 @@ class CongestionTracker:
             raise RoutingError("channel capacity must be at least 1")
         self.fabric = fabric
         self.channel_capacity = channel_capacity
-        self._occupancy: Counter[ChannelId] = Counter()
-        self._peak: Counter[ChannelId] = Counter()
+        self._slots = fabric.channel_slots
+        #: Occupancy per channel slot (read-only for callers).  One spare
+        #: entry at index ``-1`` stays 0 and answers unknown channels.
+        self.levels = [0] * (len(self._slots) + 1)
+        #: Occupied slots mapped to their channel ids, in occupation order.
+        self.occupied: dict[int, ChannelId] = {}
+        self._peak = [0] * len(self._slots)
         self._total_reservations = 0
         self._epoch = next(CongestionTracker._epoch_source)
 
@@ -56,15 +65,15 @@ class CongestionTracker:
 
     def occupancy(self, channel_id: ChannelId) -> int:
         """Current number of qubits using (or booked to use) ``channel_id``."""
-        return self._occupancy[channel_id]
+        return self.levels[self._slots.get(channel_id, -1)]
 
     def is_full(self, channel_id: ChannelId) -> bool:
         """Whether ``channel_id`` has no residual capacity."""
-        return self._occupancy[channel_id] >= self.channel_capacity
+        return self.levels[self._slots.get(channel_id, -1)] >= self.channel_capacity
 
     def residual_capacity(self, channel_id: ChannelId) -> int:
         """Free slots left in ``channel_id``."""
-        return max(0, self.channel_capacity - self._occupancy[channel_id])
+        return max(0, self.channel_capacity - self.levels[self._slots.get(channel_id, -1)])
 
     @property
     def total_reservations(self) -> int:
@@ -74,11 +83,12 @@ class CongestionTracker:
     @property
     def busiest_channels(self) -> list[tuple[ChannelId, int]]:
         """Channels sorted by peak occupancy (descending)."""
-        return sorted(self._peak.items(), key=lambda item: (-item[1], item[0]))
+        peaks = [(channel, peak) for channel, peak in zip(self._slots, self._peak) if peak]
+        return sorted(peaks, key=lambda item: (-item[1], item[0]))
 
     def snapshot(self) -> dict[ChannelId, int]:
         """A copy of the current occupancy map (non-zero entries only)."""
-        return {channel: count for channel, count in self._occupancy.items() if count}
+        return {channel: self.levels[slot] for slot, channel in self.occupied.items()}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -87,14 +97,20 @@ class CongestionTracker:
         """Book one slot of ``channel_id``.
 
         Raises:
-            RoutingError: If the channel is unknown or already at capacity
-                (the router must never plan through a full channel).
+            FabricError: If the channel is unknown.
+            RoutingError: If the channel is already at capacity (the router
+                must never plan through a full channel).
         """
-        self.fabric.channel(channel_id)
-        if self.is_full(channel_id):
+        slot = self._slots.get(channel_id)
+        if slot is None:
+            raise FabricError(f"unknown channel {channel_id}")
+        level = self.levels[slot] + 1
+        if level > self.channel_capacity:
             raise RoutingError(f"channel {channel_id} is already at capacity")
-        self._occupancy[channel_id] += 1
-        self._peak[channel_id] = max(self._peak[channel_id], self._occupancy[channel_id])
+        self.levels[slot] = level
+        if level == 1:
+            self.occupied[slot] = channel_id
+        self._peak[slot] = max(self._peak[slot], level)
         self._total_reservations += 1
         self._epoch = next(CongestionTracker._epoch_source)
 
@@ -111,14 +127,15 @@ class CongestionTracker:
         Raises:
             RoutingError: If the channel has no outstanding reservation.
         """
-        if self._occupancy[channel_id] <= 0:
+        slot = self._slots.get(channel_id, -1)
+        level = self.levels[slot]
+        if level <= 0:
             raise RoutingError(f"channel {channel_id} released more often than reserved")
-        was_full = self._occupancy[channel_id] >= self.channel_capacity
-        self._occupancy[channel_id] -= 1
-        if self._occupancy[channel_id] == 0:
-            del self._occupancy[channel_id]
+        self.levels[slot] = level - 1
+        if level == 1:
+            del self.occupied[slot]
         self._epoch = next(CongestionTracker._epoch_source)
-        return was_full
+        return level >= self.channel_capacity
 
     def reserve_all(self, channel_ids: list[ChannelId]) -> None:
         """Reserve every channel in ``channel_ids`` atomically.
@@ -137,7 +154,9 @@ class CongestionTracker:
 
     def reset(self) -> None:
         """Clear all occupancy (used between independent mapping runs)."""
-        self._occupancy.clear()
-        self._peak.clear()
+        for slot in self.occupied:
+            self.levels[slot] = 0
+        self.occupied.clear()
+        self._peak = [0] * len(self._peak)
         self._total_reservations = 0
         self._epoch = next(CongestionTracker._epoch_source)

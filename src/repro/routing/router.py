@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable
 
 from repro.circuits.circuit import Instruction
@@ -166,10 +167,12 @@ MAX_SNAPSHOTS_PER_PAIR = 4
 class _CacheEntry:
     """One route-table record: a plan plus its validity evidence.
 
-    ``reads`` holds sorted ``(channel id, occupancy)`` pairs over every
-    channel the search read.  The search is a pure function of those
-    occupancies, so the entry is valid exactly when they all match the
-    current state, *regardless* of what happened in between.  This is what
+    ``getter`` is an :func:`operator.itemgetter` over the sorted channel
+    slots the search read, and ``values`` is what it returned on the
+    tracker's :attr:`~repro.routing.congestion.CongestionTracker.levels`
+    then.  The search is a pure function of those occupancies, so the entry
+    is valid exactly when ``getter(levels) == values`` (one C call, one
+    tuple compare), *regardless* of what happened in between.  This is what
     keeps the cache hot across the balanced congestion churn of a busy
     fabric.
 
@@ -180,17 +183,19 @@ class _CacheEntry:
     search read, so it is exactly as valid as the entry itself.
     """
 
-    __slots__ = ("plan", "reads", "result", "cut")
+    __slots__ = ("plan", "getter", "values", "result", "cut")
 
     def __init__(
         self,
         plan: RoutePlan | None,
-        reads: tuple,
+        getter: itemgetter,
+        values: tuple,
         result: DijkstraResult | None = None,
         cut: tuple | None = None,
     ) -> None:
         self.plan = plan
-        self.reads = reads
+        self.getter = getter
+        self.values = values
         self.result = result
         self.cut = cut
 
@@ -287,6 +292,7 @@ class Router:
         # it (an MVFB search constructs one per pass).
         self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
         self.compiled = CompiledRoutingGraph.shared(self.graph)
+        self._slots = fabric.channel_slots
         self.stats = RoutingCoreStats()
         #: The fabric's route table for this technology and policy: trap pair
         #: to an MRU-ordered list of :class:`_CacheEntry` records, one per
@@ -364,8 +370,9 @@ class Router:
         entries = self._route_cache.get(key)
         stale_result = None
         if entries:
+            levels = congestion.levels
             for i, entry in enumerate(entries):
-                if self._reads_match(entry.reads, congestion):
+                if entry.getter(levels) == entry.values:
                     if i:
                         entries.insert(0, entries.pop(i))
                     return self._serve(entry, qubit, source, target, congestion, cut)
@@ -381,10 +388,7 @@ class Router:
         if plan is None and probe is not None:
             failure_cut = tuple(probe)
             cut.update(probe)
-        entry = _CacheEntry(
-            plan, self._snapshot_reads(reads, congestion), result, failure_cut
-        )
-        self._store(key, entry)
+        self._store(key, _CacheEntry(plan, *self._snapshot(reads, congestion), result, failure_cut))
         return plan
 
     def _serve(
@@ -427,19 +431,10 @@ class Router:
             del entries[MAX_SNAPSHOTS_PER_PAIR:]
 
     @staticmethod
-    def _snapshot_reads(reads: set, congestion: CongestionTracker) -> tuple:
-        """Freeze a search's channel read set into a sorted occupancy tuple."""
-        occupancy = congestion.occupancy
-        return tuple((c, occupancy(c)) for c in sorted(reads))
-
-    @staticmethod
-    def _reads_match(reads: tuple, congestion: CongestionTracker) -> bool:
-        """Whether every snapshot occupancy equals the current state."""
-        occupancy = congestion.occupancy
-        for channel_id, occ in reads:
-            if occupancy(channel_id) != occ:
-                return False
-        return True
+    def _snapshot(reads: set, congestion: CongestionTracker) -> tuple[itemgetter, tuple]:
+        """Freeze a search's slot read set into a getter and its occupancies."""
+        getter = itemgetter(*sorted(reads))
+        return getter, getter(congestion.levels)
 
     def _search(
         self,
@@ -455,14 +450,14 @@ class Router:
         """Run the kernel for a journey between two different channels.
 
         Returns the plan (``None`` when unroutable) and the kernel's raw
-        result.  ``reads`` receives every channel whose occupancy shaped the
-        outcome, ``cut`` a failure's blocking cut.
+        result.  ``reads`` receives the slot of every channel whose occupancy
+        shaped the outcome, ``cut`` a failure's blocking cut.
         """
         if reads is not None:
             # The endpoint channels shape the attachment costs and the
             # trivial failure check below, so every outcome reads them.
-            reads.add(source.channel_id)
-            reads.add(target.channel_id)
+            reads.add(self._slots[source.channel_id])
+            reads.add(self._slots[target.channel_id])
         blocked = [
             channel_id
             for channel_id in (source.channel_id, target.channel_id)
@@ -736,12 +731,12 @@ class Router:
                 stats=self.stats,
                 read_out=reads,
             )
-            reads.add(origin.channel_id)
-            reads.update(candidate.channel_id for _, candidate in jobs)
+            reads.add(self._slots[origin.channel_id])
+            reads.update(self._slots[candidate.channel_id] for _, candidate in jobs)
             # The union read set over all groups: a superset of each group's
             # own reads, so per-entry validation stays sound (merely a little
             # stricter than a dedicated query's would be).
-            snapshot = self._snapshot_reads(reads, congestion)
+            snapshot = self._snapshot(reads, congestion)
             for (key, candidate), result in zip(jobs, results):
                 if result is None:
                     continue
@@ -754,7 +749,7 @@ class Router:
                     result.entry_node[0],
                     result.edges,
                 )
-                self._store(key, _CacheEntry(plan, snapshot, result))
+                self._store(key, _CacheEntry(plan, *snapshot, result))
 
     def _plan_to_candidate(
         self,

@@ -31,9 +31,10 @@ policy-ordered selector; forced-order and barrier runs poll after every
 event timestamp and retry every parked instruction.
 
 The outcome carries the total latency, the realised schedule, the final
-placement (needed by the MVFB placer), per-instruction timing records, the
-full micro-command trace and the event loop's own counters
-(:class:`~repro.sim.events.EventLoopStats`).
+placement (needed by the MVFB placer), per-instruction timing records and
+routes, and the event loop's own counters
+(:class:`~repro.sim.events.EventLoopStats`).  Its micro-command trace is
+built on first access, so a placement search pays only for the winner's.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class InstructionRecord:
 
 @dataclass
 class SimulationOutcome:
-    """Everything a mapping pass produces.
+    """Everything a mapping pass produces; its :attr:`trace` is built on first access.
 
     Attributes:
         latency: Completion time of the last instruction (the execution
@@ -127,7 +128,9 @@ class SimulationOutcome:
         final_placement: Where each qubit rests after the last instruction
             (the ``P'`` fed into the next MVFB pass).
         records: Per-instruction timing records, keyed by instruction index.
-        trace: The micro-command control trace.
+        routes: Per-instruction routing decisions, keyed by instruction index.
+        qidg: The dependency graph the pass executed.
+        technology: The delay parameters of the pass.
         total_moves: Total qubit moves over the whole run.
         total_turns: Total qubit turns over the whole run.
         total_congestion_delay: Sum of all instructions' busy-queue waits.
@@ -146,7 +149,9 @@ class SimulationOutcome:
     initial_placement: Placement
     final_placement: Placement
     records: dict[int, InstructionRecord]
-    trace: ControlTrace
+    routes: dict[int, InstructionRoute] = field(repr=False)
+    qidg: QIDG = field(repr=False)
+    technology: TechnologyParams = field(repr=False)
     total_moves: int = 0
     total_turns: int = 0
     total_congestion_delay: float = 0.0
@@ -155,6 +160,49 @@ class SimulationOutcome:
     routing_seconds: float = 0.0
     routing_stats: RoutingCoreStats = field(default_factory=RoutingCoreStats)
     event_stats: EventLoopStats = field(default_factory=EventLoopStats)
+    _trace: ControlTrace | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def trace(self) -> ControlTrace:
+        """The micro-command control trace, built on first access.
+
+        Commands are added in issue order: each operand plan's move and turn
+        steps, then the gate.
+        """
+        if self._trace is None:
+            trace = ControlTrace()
+            for index in self.schedule:
+                record, route = self.records[index], self.routes[index]
+                for plan, offset in zip(route.plans, route.plan_start_offsets()):
+                    self._add_plan_commands(trace, plan, record.issue_time + offset, index)
+                instruction = self.qidg.instruction(index)
+                trace.add(MicroCommand(
+                    CommandKind.GATE, record.gate_start, record.gate_delay,
+                    tuple(instruction.qubit_names), f"trap {route.target_trap}",
+                    index, instruction.gate.name,
+                ))
+            self._trace = trace
+        return self._trace
+
+    def _add_plan_commands(
+        self, trace: ControlTrace, plan: RoutePlan, start: float, index: int
+    ) -> None:
+        move_delay, turn_delay = self.technology.move_delay, self.technology.turn_delay
+        clock = start
+        for step in plan.steps:
+            where = _resource_name(step)
+            if step.moves:
+                trace.add(MicroCommand(
+                    CommandKind.MOVE, clock, step.moves * move_delay,
+                    (plan.qubit,), where, index, f"{step.moves} cells",
+                ))
+            if step.turns:
+                trace.add(MicroCommand(
+                    CommandKind.TURN, clock + step.moves * move_delay,
+                    step.turns * turn_delay, (plan.qubit,), where, index,
+                    f"{step.turns} turn(s)",
+                ))
+            clock += step.duration
 
     @property
     def total_routing_delay(self) -> float:
@@ -214,7 +262,10 @@ class FabricSimulator:
             alap_levels(self.qidg) if barrier_scheduling else None
         )
         self.router = Router(fabric, technology, routing_policy)
-        self.priorities = self.scheduler.priorities(self.qidg, technology)
+        # A forced order is replayed as given, so it reads no priorities.
+        self.priorities = (
+            None if forced_order is not None else self.scheduler.priorities(self.qidg, technology)
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -433,7 +484,6 @@ class _RunState:
         self.deps = DependencyTracker(sim.qidg)
         self.busy = BusyQueue()
         self.events = EventQueue()
-        self.trace = ControlTrace()
         self.schedule: list[int] = []
         self.records: dict[int, InstructionRecord] = {}
         self.ready: set[int] = set(self.deps.initially_ready())
@@ -575,22 +625,9 @@ class _RunState:
                 now + offset + plan.duration,
                 QubitArrived(qubit, route.target_trap, index),
             )
-            self._emit_plan_commands(plan, now + offset, index)
         for channel_id, (qubit, exit_time) in channel_exits.items():
             self.events.push(exit_time, ChannelReleased(qubit, channel_id))
 
-        gate_qubits = tuple(instruction.qubit_names)
-        self.trace.add(
-            MicroCommand(
-                CommandKind.GATE,
-                record.gate_start,
-                record.gate_delay,
-                gate_qubits,
-                f"trap {route.target_trap}",
-                index,
-                instruction.gate.name,
-            )
-        )
         # The last QubitArrived event schedules the completion.
         self.pending_arrivals[index] = len(route.plans)
         if self.use_wake_sets:
@@ -607,35 +644,6 @@ class _RunState:
             woken += len(self.busy.wake(candidate_trap_key(route.target_trap)))
             woken += len(self.busy.wake(ANY_CONGESTION_CHANGE))
             self.stats.wake_hits += woken
-
-    def _emit_plan_commands(self, plan: RoutePlan, start: float, index: int) -> None:
-        clock = start
-        for step in plan.steps:
-            if step.moves:
-                self.trace.add(
-                    MicroCommand(
-                        CommandKind.MOVE,
-                        clock,
-                        step.moves * self.sim.technology.move_delay,
-                        (plan.qubit,),
-                        _resource_name(step),
-                        index,
-                        f"{step.moves} cells",
-                    )
-                )
-            if step.turns:
-                self.trace.add(
-                    MicroCommand(
-                        CommandKind.TURN,
-                        clock + step.moves * self.sim.technology.move_delay,
-                        step.turns * self.sim.technology.turn_delay,
-                        (plan.qubit,),
-                        _resource_name(step),
-                        index,
-                        f"{step.turns} turn(s)",
-                    )
-                )
-            clock += step.duration
 
     # ------------------------------------------------------------------
     # Event handling
@@ -722,7 +730,9 @@ class _RunState:
             initial_placement=self.initial_placement,
             final_placement=final_placement,
             records=self.records,
-            trace=self.trace,
+            routes=self.routes,
+            qidg=self.sim.qidg,
+            technology=self.sim.technology,
             total_moves=sum(record.moves for record in self.records.values()),
             total_turns=sum(record.turns for record in self.records.values()),
             total_congestion_delay=sum(

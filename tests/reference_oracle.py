@@ -93,6 +93,33 @@ def oracle_mode():
         yield
 
 
+def snapshot_pairs(entry, fabric) -> tuple:
+    """A route-table entry's snapshot as sorted ``(channel id, occupancy)`` pairs.
+
+    The entry stores an ``itemgetter`` over channel slots and the values it
+    returned; this unpacks them into the channel-keyed form the reference
+    check :func:`reads_match` reads.
+    """
+    slots = entry.getter.__reduce__()[1]
+    values = entry.values if len(slots) > 1 else (entry.values,)
+    channel_ids = list(fabric.channel_slots)
+    return tuple(sorted((channel_ids[slot], value) for slot, value in zip(slots, values)))
+
+
+def reads_match(pairs, congestion) -> bool:
+    """The reference validity check of a route-table snapshot.
+
+    Walks the ``(channel id, occupancy)`` pairs one channel at a time and
+    asks the tracker for each current occupancy; the router's one-compare
+    check must always give the same answer.
+    """
+    occupancy = congestion.occupancy
+    for channel_id, occ in pairs:
+        if occupancy(channel_id) != occ:
+            return False
+    return True
+
+
 def assert_same_mapping(result, oracle) -> None:
     """``result`` computed exactly what the oracle computed.
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import FabricError, RoutingError
 from repro.routing.congestion import CongestionTracker
 
 
@@ -45,8 +45,17 @@ class TestReserveRelease:
             tracker.release(("h", 0, 0))
 
     def test_unknown_channel(self, tracker):
-        with pytest.raises(Exception):
+        with pytest.raises(FabricError):
             tracker.reserve(("h", 99, 99))
+
+    def test_unknown_channel_release(self, tracker):
+        with pytest.raises(RoutingError):
+            tracker.release(("h", 99, 99))
+
+    def test_unknown_channel_queries(self, tracker):
+        assert tracker.occupancy(("h", 99, 99)) == 0
+        assert tracker.is_full(("h", 99, 99)) is False
+        assert tracker.residual_capacity(("h", 99, 99)) == 2
 
     def test_invalid_capacity(self, small_fabric_4x4):
         with pytest.raises(RoutingError):

@@ -1,8 +1,11 @@
 """Tests for the router facade: trap selection and instruction planning."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference_oracle import reads_match, snapshot_pairs
 from repro.circuits.circuit import QuantumCircuit
+from repro.fabric.builder import FabricSpec, build_fabric
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import (
     ANY_CONGESTION_CHANGE,
@@ -224,17 +227,20 @@ class TestRouteCache:
         return fabric.traps_on(("h", 0, 0))[0].id, fabric.traps_on(("h", 0, 1))[0].id
 
     def _read_channels(self, router, source, target, index=0):
-        return [channel for channel, _ in router._route_cache[source, target][index].reads]
+        entry = router._route_cache[source, target][index]
+        return [channel for channel, _ in snapshot_pairs(entry, router.fabric)]
 
     def test_entry_snapshots_the_endpoint_channels(self, router, congestion, small_fabric_4x4):
         source, target = self._neighbour_pair(small_fabric_4x4)
         congestion.reserve(("h", 0, 0))
         router.plan_qubit_route("q", source, target, congestion)
         (entry,) = router._route_cache[source, target]
-        reads = dict(entry.reads)
+        reads = dict(snapshot_pairs(entry, small_fabric_4x4))
         assert reads[("h", 0, 0)] == 1
         assert reads[("h", 0, 1)] == 0
-        assert list(entry.reads) == sorted(entry.reads)
+        # The getter reads its slots in ascending order.
+        slots = entry.getter.__reduce__()[1]
+        assert list(slots) == sorted(slots)
 
     def test_hit_survives_traffic_on_channels_the_search_never_read(
         self, router, congestion, small_fabric_4x4
@@ -432,3 +438,62 @@ class TestRouteCache:
         assert route is not None
         assert router.stats.cache_misses == 1  # the source leg only
         assert set(router._route_cache) == {(far, meeting.id)}
+
+
+class TestOneCompareCheck:
+    """The route table's ``getter(levels) == values`` check against the
+    reference per-channel loop, under arbitrary reserve/release churn."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_reference_for_every_stored_entry(self, data):
+        # A fresh fabric per example, so its route table starts empty.
+        fabric = build_fabric(
+            FabricSpec(name="prop", junction_rows=4, junction_cols=4, channel_length=3)
+        )
+        channels, traps = sorted(fabric.channels), sorted(fabric.traps)
+        router = Router(fabric)
+        congestion = CongestionTracker(fabric, 2)
+        circuit = QuantumCircuit()
+        circuit.add_qubit("a")
+        circuit.add_qubit("b")
+        instruction = circuit.cx("a", "b")
+        reserved: list = []
+        for _ in range(data.draw(st.integers(8, 30), label="ops")):
+            op = data.draw(st.sampled_from(("reserve", "release", "route", "gate")), label="op")
+            if op == "reserve":
+                channel = data.draw(st.sampled_from(channels), label="ch")
+                if not congestion.is_full(channel):
+                    congestion.reserve(channel)
+                    reserved.append(channel)
+            elif op == "release" and reserved:
+                index = data.draw(st.integers(0, len(reserved) - 1), label="idx")
+                congestion.release(reserved.pop(index))
+            elif op == "route":
+                source = data.draw(st.sampled_from(traps), label="src")
+                target = data.draw(st.sampled_from(traps), label="tgt")
+                entries = router._route_cache.get((source, target), [])
+                valid = [reads_match(snapshot_pairs(e, fabric), congestion) for e in entries]
+                expected = entries[valid.index(True)] if True in valid else None
+                hits = router.stats.cache_hits
+                router.plan_qubit_route("q", source, target, congestion)
+                if expected is not None:
+                    # The router serves the first entry the reference validates.
+                    assert router.stats.cache_hits == hits + 1
+                    assert router._route_cache[source, target][0] is expected
+                else:
+                    assert router.stats.cache_hits == hits
+            elif op == "gate":
+                # Dual-operand planning also stores overlay and prefetched entries.
+                positions = {
+                    "a": data.draw(st.sampled_from(traps), label="a"),
+                    "b": data.draw(st.sampled_from(traps), label="b"),
+                }
+                router.plan_instruction(instruction, positions, congestion)
+            levels = congestion.levels
+            for entries in router._route_cache.values():
+                for entry in entries:
+                    pairs = snapshot_pairs(entry, fabric)
+                    assert (entry.getter(levels) == entry.values) == reads_match(
+                        pairs, congestion
+                    ), f"check disagrees on {pairs} under {congestion.snapshot()}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from reference_oracle import snapshot_pairs
 from repro.fabric.builder import small_fabric
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import MAX_SNAPSHOTS_PER_PAIR, QUALE_POLICY, Router
@@ -120,7 +121,10 @@ class TestSnapshotValidatedServing:
         stored = Router(small_fabric_4x4)._route_cache[pair]
         assert len(stored) == MAX_SNAPSHOTS_PER_PAIR
         # Newest first: the head holds the last state planned.
-        assert [dict(entry.reads)[source_channel] for entry in stored] == list(
+        assert [
+            dict(snapshot_pairs(entry, small_fabric_4x4))[source_channel]
+            for entry in stored
+        ] == list(
             range(states - 1, states - 1 - MAX_SNAPSHOTS_PER_PAIR, -1)
         )
         # The oldest state fell off the list, so a later router misses it.
@@ -145,7 +149,10 @@ class TestSnapshotValidatedServing:
         assert (late.stats.cache_hits, late.stats.cache_misses) == (1, 0)
         stored = late._route_cache[pair]
         assert stored[0] is tail
-        assert [dict(entry.reads)[source_channel] for entry in stored] == [
+        assert [
+            dict(snapshot_pairs(entry, small_fabric_4x4))[source_channel]
+            for entry in stored
+        ] == [
             0,
             *range(states - 1, 0, -1),
         ]

@@ -12,6 +12,7 @@ from repro.qidg.analysis import critical_path_latency
 from repro.qidg.graph import build_qidg
 from repro.qidg.uidg import reverse_schedule
 from repro.routing.router import MeetingPoint, RoutingPolicy
+from repro.scheduling.policies import SchedulingPolicy
 from repro.sim.engine import FabricSimulator
 from repro.sim.microcode import CommandKind
 from repro.technology import PAPER_TECHNOLOGY
@@ -77,6 +78,33 @@ class TestBasicExecution:
         outcome = _simulate(paper_circuit, small_fabric_4x4)
         assert outcome.trace.makespan == pytest.approx(outcome.latency)
 
+    def test_trace_moves_serial_operands_one_after_the_other(
+        self, small_fabric_4x4, paper_circuit
+    ):
+        # Capacity-1 channels: both operands travel, but never at once.
+        policy = RoutingPolicy(channel_capacity=1)
+        outcome = _simulate(paper_circuit, small_fabric_4x4, routing_policy=policy)
+        serial = [
+            index
+            for index, route in outcome.routes.items()
+            if route.serial and all(plan.steps for plan in route.plans)
+        ]
+        assert serial
+        for index in serial:
+            movement = [
+                c
+                for c in outcome.trace.commands_for_instruction(index)
+                if c.kind is not CommandKind.GATE
+            ]
+            first, second = (
+                [c for c in movement if c.qubits == (plan.qubit,)]
+                for plan in outcome.routes[index].plans
+            )
+            record = outcome.records[index]
+            assert first[0].start == record.issue_time
+            assert max(c.end for c in first) <= min(c.start for c in second)
+            assert max(c.end for c in second) == pytest.approx(record.gate_start)
+
     def test_invalid_placement_rejected(self, small_fabric_4x4, bell_circuit):
         simulator = FabricSimulator(bell_circuit, small_fabric_4x4, PAPER_TECHNOLOGY)
         with pytest.raises(Exception):
@@ -96,6 +124,19 @@ class TestSchedulingPolicies:
             FabricSimulator(
                 paper_circuit, small_fabric_4x4, PAPER_TECHNOLOGY, forced_order=order
             )
+
+    def test_forced_order_never_computes_priorities(self, small_fabric_4x4, paper_circuit):
+        class Unprioritised(SchedulingPolicy):
+            name = "unprioritised"
+
+            def priorities(self, qidg, technology=PAPER_TECHNOLOGY):
+                raise AssertionError("a forced order reads no priorities")
+
+        order = build_qidg(paper_circuit).topological_order()
+        outcome = _simulate(
+            paper_circuit, small_fabric_4x4, scheduler=Unprioritised(), forced_order=order
+        )
+        assert outcome.schedule == order
 
     def test_barrier_scheduling_is_slower_or_equal(self, small_fabric_4x4, paper_circuit):
         free = _simulate(paper_circuit, small_fabric_4x4)
