@@ -50,10 +50,8 @@ class IdealBaseline:
 
         # Walk the critical path greedily from the heaviest source.
         path: list[int] = []
-        candidates = [n for n in qidg.sources()]
-        current = max(candidates, key=lambda n: to_sink[n], default=None)
+        current = max(qidg.sources(), key=lambda n: to_sink[n], default=None)
         while current is not None:
             path.append(current)
-            successors = qidg.successors(current)
-            current = max(successors, key=lambda n: to_sink[n], default=None)
+            current = max(qidg.successors[current], key=lambda n: to_sink[n], default=None)
         return IdealBaselineResult(circuit.name, latency, tuple(path))

@@ -111,8 +111,7 @@ def mvfb_strategy(ctx: PipelineContext) -> PlacementOutcome:
         final = outcome.final_placement
         trace = outcome.trace
     else:
-        num_instructions = circuit.num_instructions
-        schedule = [num_instructions - 1 - index for index in reversed(outcome.schedule)]
+        schedule = reverse_schedule(outcome.schedule, circuit.num_instructions)
         initial = outcome.final_placement
         final = outcome.initial_placement
         trace = outcome.trace.reversed_trace()

@@ -20,7 +20,7 @@ sweeps, ``qspr-map run/sweep --scheduler(s)`` and the service API::
         name = "fifo"
 
         def priorities(self, qidg, technology):
-            return {node: 0.0 for node in qidg.graph.nodes}
+            return {node: 0.0 for node in range(len(qidg))}
 
 Registering a *class* stores the class; :func:`resolve_scheduler` hands back
 an instance either way, so both styles work.

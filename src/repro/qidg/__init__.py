@@ -7,7 +7,7 @@ predecessor per qubit is kept, so the graph is the transitive reduction of
 the data dependences).
 
 * :func:`build_qidg` / :class:`QIDG` — construction and traversal.
-* :mod:`repro.qidg.analysis` — critical path, ASAP/ALAP levels, priorities.
+* :mod:`repro.qidg.analysis` — critical path, ASAP/ALAP levels, dependent counts.
 * :mod:`repro.qidg.uidg` — the uncompute graph (UIDG) used by the MVFB placer.
 """
 
@@ -17,7 +17,6 @@ from repro.qidg.analysis import (
     asap_levels,
     critical_path_latency,
     descendant_counts,
-    instruction_priorities,
     longest_path_to_sink,
 )
 from repro.qidg.uidg import build_uidg, reverse_schedule
@@ -28,7 +27,6 @@ __all__ = [
     "critical_path_latency",
     "longest_path_to_sink",
     "descendant_counts",
-    "instruction_priorities",
     "asap_levels",
     "alap_levels",
     "build_uidg",

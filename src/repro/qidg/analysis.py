@@ -1,20 +1,15 @@
-"""Analyses over the QIDG: critical path, levels and scheduling priorities.
+"""Analyses over the QIDG: critical path, levels and dependent counts.
 
 All functions take the technology parameters explicitly so the same graph can
-be analysed under different physical machine descriptions.
+be analysed under different physical machine descriptions.  Every QIDG edge
+points forward in program order, so each analysis is one sweep over the
+instruction indices (backward for the quantities measured to the sinks).
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.qidg.graph import QIDG
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
-
-
-def _gate_delay(qidg: QIDG, index: int, technology: TechnologyParams) -> float:
-    instruction = qidg.instruction(index)
-    return technology.gate_delay(instruction.arity, is_measurement=instruction.is_measurement)
 
 
 def longest_path_to_sink(
@@ -26,28 +21,14 @@ def longest_path_to_sink(
     heaviest dependency chain starting at ``i``; it is the second term of the
     paper's scheduling priority function.
     """
-    result: dict[int, float] = {}
-    for node in reversed(list(nx.topological_sort(qidg.graph))):
-        own = _gate_delay(qidg, node, technology)
-        downstream = max(
-            (result[succ] for succ in qidg.graph.successors(node)), default=0.0
-        )
-        result[node] = own + downstream
-    return result
-
-
-def longest_path_from_source(
-    qidg: QIDG, technology: TechnologyParams = PAPER_TECHNOLOGY
-) -> dict[int, float]:
-    """Longest delay path from any source up to and including each instruction."""
-    result: dict[int, float] = {}
-    for node in nx.topological_sort(qidg.graph):
-        own = _gate_delay(qidg, node, technology)
-        upstream = max(
-            (result[pred] for pred in qidg.graph.predecessors(node)), default=0.0
-        )
-        result[node] = own + upstream
-    return result
+    delays = [
+        technology.gate_delay(instruction.arity, is_measurement=instruction.is_measurement)
+        for instruction in qidg.instructions()
+    ]
+    result = [0.0] * len(delays)
+    for node, succs in reversed(list(enumerate(qidg.successors))):
+        result[node] = delays[node] + max((result[succ] for succ in succs), default=0.0)
+    return dict(enumerate(result))
 
 
 def critical_path_latency(
@@ -66,55 +47,24 @@ def descendant_counts(qidg: QIDG) -> dict[int, int]:
     """Number of (transitive) dependents of each instruction.
 
     This is the first term of the paper's scheduling priority and also the
-    initial priority used by QPOS.
+    initial priority used by QPOS.  Bit ``j`` of ``reach[i]`` is set when
+    instruction ``j`` depends on ``i``.
     """
-    counts: dict[int, int] = {}
-    descendants: dict[int, set[int]] = {}
-    for node in reversed(list(nx.topological_sort(qidg.graph))):
-        acc: set[int] = set()
-        for succ in qidg.graph.successors(node):
-            acc.add(succ)
-            acc |= descendants[succ]
-        descendants[node] = acc
-        counts[node] = len(acc)
-    return counts
-
-
-def instruction_priorities(
-    qidg: QIDG,
-    technology: TechnologyParams = PAPER_TECHNOLOGY,
-    *,
-    dependents_weight: float = 1.0,
-    path_weight: float = 1.0,
-) -> dict[int, float]:
-    """The paper's scheduling priority for every instruction.
-
-    Section III defines the priority of a ready instruction as a linear
-    combination of (a) the number of unscheduled operations that depend on it
-    and (b) the longest delay path from the instruction to the end of the
-    QIDG.  Higher priority instructions are scheduled first.
-
-    Args:
-        qidg: The dependency graph.
-        technology: Gate delays used for the path term.
-        dependents_weight: Coefficient of the dependent-count term.
-        path_weight: Coefficient of the longest-path term.
-    """
-    counts = descendant_counts(qidg)
-    paths = longest_path_to_sink(qidg, technology)
-    return {
-        node: dependents_weight * counts[node] + path_weight * paths[node]
-        for node in qidg.graph.nodes
-    }
+    reach = [0] * len(qidg)
+    for node, succs in reversed(list(enumerate(qidg.successors))):
+        bits = 0
+        for succ in succs:
+            bits |= reach[succ] | (1 << succ)
+        reach[node] = bits
+    return {node: bits.bit_count() for node, bits in enumerate(reach)}
 
 
 def asap_levels(qidg: QIDG) -> dict[int, int]:
     """As-soon-as-possible level (0-based depth) of each instruction."""
-    levels: dict[int, int] = {}
-    for node in nx.topological_sort(qidg.graph):
-        preds = list(qidg.graph.predecessors(node))
-        levels[node] = 0 if not preds else 1 + max(levels[p] for p in preds)
-    return levels
+    levels: list[int] = []
+    for preds in qidg.predecessors:
+        levels.append(1 + max(levels[p] for p in preds) if preds else 0)
+    return dict(enumerate(levels))
 
 
 def alap_levels(qidg: QIDG) -> dict[int, int]:
@@ -125,23 +75,9 @@ def alap_levels(qidg: QIDG) -> dict[int, int]:
     its successors allow.  QUALE's scheduler traverses the QIDG backward in
     this ALAP fashion.
     """
-    asap = asap_levels(qidg)
-    depth = max(asap.values(), default=0)
-    levels: dict[int, int] = {}
-    for node in reversed(list(nx.topological_sort(qidg.graph))):
-        succs = list(qidg.graph.successors(node))
-        levels[node] = depth if not succs else min(levels[s] for s in succs) - 1
-    return levels
-
-
-def slack(qidg: QIDG) -> dict[int, int]:
-    """Scheduling slack (ALAP level minus ASAP level) of each instruction."""
-    asap = asap_levels(qidg)
-    alap = alap_levels(qidg)
-    return {node: alap[node] - asap[node] for node in asap}
-
-
-def dependency_depth(qidg: QIDG) -> int:
-    """Number of levels in the graph (length of the longest chain)."""
-    levels = asap_levels(qidg)
-    return 1 + max(levels.values(), default=-1)
+    depth = max(asap_levels(qidg).values(), default=0)
+    levels = [depth] * len(qidg)
+    for node, succs in reversed(list(enumerate(qidg.successors))):
+        if succs:
+            levels[node] = min(levels[s] for s in succs) - 1
+    return dict(enumerate(levels))

@@ -4,13 +4,14 @@ Nodes are instruction indices of the source circuit; an edge ``a -> b``
 states that instruction ``b`` reads a qubit last written/used by instruction
 ``a``.  Qubit declarations are not part of the graph (they carry no delay);
 only gate and measurement instructions appear.
+
+Every edge points forward in program order, so ``range(len(qidg))`` is a
+topological order and every analysis is one sweep over indices.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-import networkx as nx
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.errors import CircuitError
@@ -19,14 +20,23 @@ from repro.errors import CircuitError
 class QIDG:
     """Dependency graph over the instructions of a circuit.
 
-    The class is a thin, read-only wrapper around a :class:`networkx.DiGraph`
-    that keeps a reference to the originating circuit and provides the
-    traversal helpers the scheduler and placers need.
+    Attributes:
+        predecessors: ``predecessors[i]`` holds the sorted indices of the
+            instructions ``i`` directly depends on.
+        successors: ``successors[i]`` holds the sorted indices of the
+            instructions that directly depend on ``i``.
     """
 
-    def __init__(self, circuit: QuantumCircuit, graph: nx.DiGraph) -> None:
+    def __init__(
+        self,
+        circuit: QuantumCircuit,
+        predecessors: tuple[tuple[int, ...], ...],
+        successors: tuple[tuple[int, ...], ...],
+    ) -> None:
         self._circuit = circuit
-        self._graph = graph
+        self._instructions = circuit.instructions
+        self.predecessors = predecessors
+        self.successors = successors
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -37,51 +47,36 @@ class QIDG:
         return self._circuit
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (instruction indices as nodes)."""
-        return self._graph
-
-    @property
     def num_nodes(self) -> int:
         """Number of instructions in the graph."""
-        return self._graph.number_of_nodes()
+        return len(self._instructions)
 
     @property
     def num_edges(self) -> int:
         """Number of dependency edges."""
-        return self._graph.number_of_edges()
+        return sum(map(len, self.predecessors))
 
     def instruction(self, index: int) -> Instruction:
         """Return the :class:`Instruction` for node ``index``."""
-        try:
-            return self._graph.nodes[index]["instruction"]
-        except KeyError as exc:
-            raise CircuitError(f"instruction {index} is not part of the QIDG") from exc
+        if not 0 <= index < len(self._instructions):
+            raise CircuitError(f"instruction {index} is not part of the QIDG")
+        return self._instructions[index]
 
     def instructions(self) -> Iterator[Instruction]:
         """Iterate over instructions in program order."""
-        for index in sorted(self._graph.nodes):
-            yield self.instruction(index)
-
-    def predecessors(self, index: int) -> list[int]:
-        """Indices of instructions ``index`` directly depends on."""
-        return sorted(self._graph.predecessors(index))
-
-    def successors(self, index: int) -> list[int]:
-        """Indices of instructions that directly depend on ``index``."""
-        return sorted(self._graph.successors(index))
+        return iter(self._instructions)
 
     def sources(self) -> list[int]:
         """Instructions with no dependencies (ready at time zero)."""
-        return sorted(n for n in self._graph.nodes if self._graph.in_degree(n) == 0)
+        return [node for node, preds in enumerate(self.predecessors) if not preds]
 
     def sinks(self) -> list[int]:
         """Instructions nothing depends on (the circuit outputs)."""
-        return sorted(n for n in self._graph.nodes if self._graph.out_degree(n) == 0)
+        return [node for node, succs in enumerate(self.successors) if not succs]
 
     def topological_order(self) -> list[int]:
         """A deterministic topological order (program order is one)."""
-        return sorted(self._graph.nodes)
+        return list(range(len(self._instructions)))
 
     def is_valid_order(self, order: list[int]) -> bool:
         """Whether ``order`` is a topological order of the graph.
@@ -89,10 +84,14 @@ class QIDG:
         Used to validate externally supplied schedules (e.g. the reversed
         schedule of the MVFB backward pass against the UIDG).
         """
-        if sorted(order) != sorted(self._graph.nodes):
+        if sorted(order) != self.topological_order():
             return False
-        position = {node: i for i, node in enumerate(order)}
-        return all(position[a] < position[b] for a, b in self._graph.edges)
+        done = [False] * len(order)
+        for node in order:
+            if not all(done[pred] for pred in self.predecessors[node]):
+                return False
+            done[node] = True
+        return True
 
     def __len__(self) -> int:
         return self.num_nodes
@@ -106,20 +105,24 @@ def build_qidg(circuit: QuantumCircuit) -> QIDG:
 
     Edges connect each instruction to the *previous* instruction acting on
     each of its operand qubits, which yields the transitive reduction of the
-    full data-dependence relation.
+    full data-dependence relation.  Two operands last used by the same
+    instruction give one edge.
 
     Raises:
         CircuitError: If the circuit has no instructions.
     """
     if circuit.num_instructions == 0:
         raise CircuitError("cannot build a QIDG for an empty circuit")
-    graph = nx.DiGraph()
     last_use: dict[str, int] = {}
-    for instruction in circuit.instructions:
-        graph.add_node(instruction.index, instruction=instruction)
-        for qubit in instruction.qubits:
-            previous = last_use.get(qubit.name)
-            if previous is not None:
-                graph.add_edge(previous, instruction.index, qubit=qubit.name)
-            last_use[qubit.name] = instruction.index
-    return QIDG(circuit, graph)
+    predecessors: list[tuple[int, ...]] = []
+    successors: list[list[int]] = []
+    for index, instruction in enumerate(circuit.instructions):
+        names = instruction.qubit_names
+        preds = tuple(sorted({last_use[name] for name in names if name in last_use}))
+        for pred in preds:
+            successors[pred].append(index)
+        predecessors.append(preds)
+        successors.append([])
+        for name in names:
+            last_use[name] = index
+    return QIDG(circuit, tuple(predecessors), tuple(map(tuple, successors)))

@@ -25,7 +25,7 @@ policies subclass :class:`SchedulingPolicy` and register the same way::
         name = "fifo"
 
         def priorities(self, qidg, technology):
-            return {node: 0.0 for node in qidg.graph.nodes}
+            return {node: 0.0 for node in range(len(qidg))}
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class QsprPolicy(SchedulingPolicy):
     ) -> dict[int, float]:
         counts = descendant_counts(qidg)
         paths = longest_path_to_sink(qidg, technology)
-        return {node: counts[node] + paths[node] for node in qidg.graph.nodes}
+        return {node: counts[node] + paths[node] for node in range(len(qidg))}
 
 
 class QualeAlapPolicy(SchedulingPolicy):
@@ -127,16 +127,13 @@ class QposPathDelayPolicy(SchedulingPolicy):
         self, qidg: QIDG, technology: TechnologyParams = PAPER_TECHNOLOGY
     ) -> dict[int, float]:
         paths = longest_path_to_sink(qidg, technology)
-        own_delay = {
-            node: technology.gate_delay(
-                qidg.instruction(node).arity,
-                is_measurement=qidg.instruction(node).is_measurement,
-            )
-            for node in qidg.graph.nodes
-        }
         # "Total delay of dependent instructions": the downstream path delay,
         # excluding the instruction's own delay.
-        return {node: paths[node] - own_delay[node] for node in qidg.graph.nodes}
+        return {
+            node: paths[node]
+            - technology.gate_delay(instruction.arity, is_measurement=instruction.is_measurement)
+            for node, instruction in enumerate(qidg.instructions())
+        }
 
 
 #: The paper's four policies, in the order the paper discusses them.

@@ -12,13 +12,15 @@ from repro.qidg.graph import QIDG
 
 
 class DependencyTracker:
-    """Tracks which instructions are ready, issued and completed."""
+    """Tracks which instructions are ready, issued and completed.
+
+    It holds the QIDG's successor tuples, one remaining-predecessor counter
+    per instruction, and the sets of issued and completed instructions.
+    """
 
     def __init__(self, qidg: QIDG) -> None:
-        self.qidg = qidg
-        self._remaining: dict[int, int] = {
-            node: qidg.graph.in_degree(node) for node in qidg.graph.nodes
-        }
+        self._successors = qidg.successors
+        self._remaining = [len(preds) for preds in qidg.predecessors]
         self._issued: set[int] = set()
         self._completed: set[int] = set()
 
@@ -27,24 +29,11 @@ class DependencyTracker:
     # ------------------------------------------------------------------
     def initially_ready(self) -> list[int]:
         """Instructions with no dependencies, in program order."""
-        return sorted(node for node, remaining in self._remaining.items() if remaining == 0)
+        return [node for node, remaining in enumerate(self._remaining) if remaining == 0]
 
     def is_ready(self, index: int) -> bool:
         """Whether all predecessors of ``index`` have completed."""
         return self._remaining[index] == 0 and index not in self._issued
-
-    def is_issued(self, index: int) -> bool:
-        """Whether ``index`` has been issued (it may still be executing)."""
-        return index in self._issued
-
-    def is_completed(self, index: int) -> bool:
-        """Whether ``index`` has finished executing."""
-        return index in self._completed
-
-    @property
-    def num_completed(self) -> int:
-        """Number of completed instructions."""
-        return len(self._completed)
 
     @property
     def all_completed(self) -> bool:
@@ -54,7 +43,7 @@ class DependencyTracker:
     @property
     def outstanding(self) -> list[int]:
         """Instructions not yet completed, in program order."""
-        return sorted(set(self._remaining) - self._completed)
+        return [node for node in range(len(self._remaining)) if node not in self._completed]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -63,10 +52,10 @@ class DependencyTracker:
         """Record that ``index`` has been issued.
 
         Raises:
-            SchedulingError: If the instruction is not ready or was already
-                issued.
+            SchedulingError: If the instruction is not part of the QIDG, is
+                not ready or was already issued.
         """
-        if index not in self._remaining:
+        if not 0 <= index < len(self._remaining):
             raise SchedulingError(f"instruction {index} is not part of the QIDG")
         if self._remaining[index] != 0:
             raise SchedulingError(f"instruction {index} issued before its dependencies completed")
@@ -87,10 +76,10 @@ class DependencyTracker:
             raise SchedulingError(f"instruction {index} completed twice")
         self._completed.add(index)
         newly_ready: list[int] = []
-        for successor in self.qidg.graph.successors(index):
+        for successor in self._successors[index]:
             self._remaining[successor] -= 1
             if self._remaining[successor] == 0:
                 newly_ready.append(successor)
             elif self._remaining[successor] < 0:  # pragma: no cover - defensive
                 raise SchedulingError(f"instruction {successor} has negative dependency count")
-        return sorted(newly_ready)
+        return newly_ready

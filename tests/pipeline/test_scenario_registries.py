@@ -37,7 +37,7 @@ class TestSchedulerRegistry:
             name = "fifo-test"
 
             def priorities(self, qidg, technology=PAPER_TECHNOLOGY):
-                return {node: 0.0 for node in qidg.graph.nodes}
+                return {node: 0.0 for node in range(len(qidg))}
 
         try:
             policy = resolve_scheduler("fifo-test")
@@ -52,7 +52,7 @@ class TestSchedulerRegistry:
             name = "reverse-test"
 
             def priorities(self, qidg, technology=PAPER_TECHNOLOGY):
-                return {node: float(node) for node in qidg.graph.nodes}
+                return {node: float(node) for node in range(len(qidg))}
 
         SCHEDULERS.register("reverse-test", ReverseProgramOrder())
         try:

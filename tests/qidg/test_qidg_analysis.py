@@ -1,4 +1,4 @@
-"""Tests for QIDG analyses: critical path, levels and priorities."""
+"""Tests for QIDG analyses: critical path, levels and dependent counts."""
 
 import pytest
 
@@ -8,14 +8,12 @@ from repro.qidg.analysis import (
     alap_levels,
     asap_levels,
     critical_path_latency,
-    dependency_depth,
     descendant_counts,
-    instruction_priorities,
-    longest_path_from_source,
     longest_path_to_sink,
-    slack,
 )
 from repro.qidg.graph import build_qidg
+from repro.qidg.uidg import build_uidg
+from repro.scheduling.policies import QsprPolicy
 from repro.technology import PAPER_TECHNOLOGY
 
 
@@ -55,9 +53,12 @@ class TestPathMaps:
         assert max(to_sink.values()) == critical_path_latency(qidg)
 
     def test_from_source_at_sink_equals_critical_path(self, ghz5):
+        # The longest path from a source to the forward sink is the longest
+        # path from its mirror, instruction 0 of the UIDG, to a UIDG sink.
         qidg = build_qidg(ghz5)
-        from_source = longest_path_from_source(qidg)
-        assert max(from_source.values()) == critical_path_latency(qidg)
+        assert qidg.sinks() == [len(qidg) - 1]
+        from_source = longest_path_to_sink(build_uidg(qidg))
+        assert from_source[0] == critical_path_latency(qidg)
 
     def test_sink_value_is_own_delay(self, bell_circuit):
         qidg = build_qidg(bell_circuit)
@@ -80,11 +81,11 @@ class TestLevels:
 
     def test_slack_zero_on_critical_chain(self):
         qidg = build_qidg(ripple_chain_circuit(5))
-        assert all(value == 0 for value in slack(qidg).values())
+        assert alap_levels(qidg) == asap_levels(qidg)
 
     def test_dependency_depth(self, ghz5):
         qidg = build_qidg(ghz5)
-        assert dependency_depth(qidg) == 5
+        assert max(asap_levels(qidg).values()) + 1 == 5
 
 
 class TestPriorities:
@@ -96,13 +97,12 @@ class TestPriorities:
 
     def test_qspr_priority_decreases_along_chain(self, ghz5):
         qidg = build_qidg(ghz5)
-        priorities = instruction_priorities(qidg)
+        priorities = QsprPolicy().priorities(qidg)
         order = sorted(priorities, key=lambda n: -priorities[n])
         assert order[0] == 0  # the Hadamard heads the chain
 
     def test_priority_weights(self, bell_circuit):
+        # The two terms of the Section III priority, read one at a time.
         qidg = build_qidg(bell_circuit)
-        only_path = instruction_priorities(qidg, dependents_weight=0.0)
-        only_deps = instruction_priorities(qidg, path_weight=0.0)
-        assert only_path[0] == pytest.approx(110.0)
-        assert only_deps[0] == pytest.approx(1.0)
+        assert longest_path_to_sink(qidg)[0] == pytest.approx(110.0)
+        assert descendant_counts(qidg)[0] == 1

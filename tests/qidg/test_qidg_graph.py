@@ -18,8 +18,8 @@ class TestBuildQidg:
 
     def test_dependency_on_shared_qubit(self, bell_circuit):
         qidg = build_qidg(bell_circuit)
-        assert qidg.predecessors(1) == [0]
-        assert qidg.successors(0) == [1]
+        assert qidg.predecessors[1] == (0,)
+        assert qidg.successors[0] == (1,)
 
     def test_only_closest_predecessor_kept(self):
         circuit = QuantumCircuit()
@@ -29,8 +29,8 @@ class TestBuildQidg:
         circuit.z(q)
         qidg = build_qidg(circuit)
         # Transitive reduction: 0->1->2 but no 0->2 edge.
-        assert qidg.successors(0) == [1]
-        assert qidg.predecessors(2) == [1]
+        assert qidg.successors[0] == (1,)
+        assert qidg.predecessors[2] == (1,)
         assert qidg.num_edges == 2
 
     def test_independent_instructions_have_no_edges(self):
@@ -47,14 +47,30 @@ class TestBuildQidg:
         qidg = build_qidg(paper_circuit)
         # Instruction 4 (C-X q3,q2) depends on H q2 (index 2) only.
         cx = next(i for i in paper_circuit.instructions if i.gate.name == "C-X")
-        preds = qidg.predecessors(cx.index)
-        assert preds == [2]
+        assert qidg.predecessors[cx.index] == (2,)
 
     def test_instruction_lookup(self, paper_circuit):
         qidg = build_qidg(paper_circuit)
         assert qidg.instruction(0).gate.name == "H"
         with pytest.raises(CircuitError):
             qidg.instruction(999)
+
+    def test_instruction_lookup_out_of_range(self, paper_circuit):
+        qidg = build_qidg(paper_circuit)
+        # -1 names no instruction: it must not wrap around to the last one.
+        for index in (-1, len(qidg)):
+            with pytest.raises(CircuitError):
+                qidg.instruction(index)
+
+    def test_shared_last_use_gives_one_edge(self):
+        circuit = QuantumCircuit()
+        a, b = circuit.add_qubits(2)
+        circuit.cx(a, b)
+        circuit.cz(a, b)
+        qidg = build_qidg(circuit)
+        assert qidg.predecessors == ((), (0,))
+        assert qidg.successors == ((1,), ())
+        assert qidg.num_edges == 1
 
     def test_program_order_is_topological(self, paper_circuit):
         qidg = build_qidg(paper_circuit)

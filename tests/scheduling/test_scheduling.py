@@ -46,7 +46,7 @@ class TestPriorities:
         qidg = build_qidg(paper_circuit)
         for policy in PAPER_POLICIES:
             priorities = policy.priorities(qidg, PAPER_TECHNOLOGY)
-            assert set(priorities) == set(qidg.graph.nodes)
+            assert set(priorities) == set(range(len(qidg)))
 
 
 class TestDependencyTracker:
@@ -68,6 +68,12 @@ class TestDependencyTracker:
         tracker = DependencyTracker(qidg)
         with pytest.raises(SchedulingError):
             tracker.mark_issued(1)
+
+    def test_unknown_instruction_rejected(self, bell_circuit):
+        tracker = DependencyTracker(build_qidg(bell_circuit))
+        for index in (-1, 2):
+            with pytest.raises(SchedulingError, match="not part of the QIDG"):
+                tracker.mark_issued(index)
 
     def test_double_issue_rejected(self, bell_circuit):
         tracker = DependencyTracker(build_qidg(bell_circuit))
