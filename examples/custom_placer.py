@@ -14,9 +14,10 @@ module, the new placer is immediately addressable by name in
 
 A placer strategy receives the live
 :class:`~repro.pipeline.context.PipelineContext` and returns either a bare
-:class:`~repro.placement.base.Placement` (the pipeline simulates it) or a
-fully evaluated :class:`~repro.pipeline.context.PlacementOutcome` (for
-search placers that run simulations themselves, like MVFB).
+:class:`~repro.placement.base.Placement` (the pipeline simulates it) or the
+winning :class:`~repro.sim.engine.SimulationOutcome` of a search that ran
+simulations itself, like MVFB, with ``placement_runs`` set to the number of
+simulator runs the search made.
 """
 
 from __future__ import annotations

@@ -97,7 +97,6 @@ from repro.pipeline import (
     MappingPipeline,
     PipelineContext,
     PipelineObserver,
-    PlacementOutcome,
     Registry,
     RegistryError,
     map_circuit,
@@ -179,7 +178,6 @@ __all__ = [
     "MappingPipeline",
     "PipelineContext",
     "PipelineObserver",
-    "PlacementOutcome",
     "SchedulingPolicy",
     "resolve_scheduler",
     "resolve_technology",

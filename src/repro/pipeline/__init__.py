@@ -33,7 +33,7 @@ walkthrough.
 from __future__ import annotations
 
 from repro.pipeline.registry import Registry, RegistryError
-from repro.pipeline.context import PipelineContext, PipelineObserver, PlacementOutcome
+from repro.pipeline.context import PipelineContext, PipelineObserver
 from repro.pipeline.placers import PLACERS
 from repro.pipeline.stages import STANDARD_STAGES, MappingPipeline, Stage
 from repro.pipeline.fabrics import FABRICS, resolve_fabric
@@ -62,7 +62,6 @@ __all__ = [
     "PLACERS",
     "PipelineContext",
     "PipelineObserver",
-    "PlacementOutcome",
     "REGISTRIES",
     "Registry",
     "RegistryError",

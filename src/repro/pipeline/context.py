@@ -6,11 +6,10 @@ stage.  Stages read the inputs (circuit, fabric, options) and fill in the
 intermediate products (QIDG, simulator, placement, outcome) until the final
 stage packages a :class:`~repro.mapper.result.MappingResult`.
 
-Placer strategies communicate with the pipeline through
-:class:`PlacementOutcome`: search placers (MVFB, Monte-Carlo) return a full
-outcome because the search itself evaluates simulations, while simple placers
-return a bare :class:`~repro.placement.base.Placement` and let the pipeline's
-simulate stage evaluate it.
+Placer strategies hand the pipeline either a bare
+:class:`~repro.placement.base.Placement`, which the simulate stage evaluates,
+or the :class:`~repro.sim.engine.SimulationOutcome` a search placer (MVFB,
+Monte-Carlo) already chose, with its ``placement_runs`` set.
 """
 
 from __future__ import annotations
@@ -23,86 +22,10 @@ from repro.fabric.fabric import Fabric
 from repro.mapper.options import MapperOptions
 from repro.placement.base import Placement
 from repro.qidg.graph import QIDG
-from repro.routing.compiled import RoutingCoreStats
-from repro.sim.engine import FabricSimulator, InstructionRecord, SimulationOutcome
-from repro.sim.events import EventLoopStats
-from repro.sim.trace import ControlTrace
+from repro.sim.engine import FabricSimulator, SimulationOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapper.result import MappingResult
-
-
-@dataclass
-class PlacementOutcome:
-    """The fully evaluated product of the place/simulate stages.
-
-    Mirrors the fields :class:`~repro.mapper.result.MappingResult` needs,
-    normalised to the *forward* execution (an MVFB backward winner is already
-    converted by the MVFB strategy).
-
-    Attributes:
-        latency: Execution latency of the winning pass (µs).
-        schedule: Instruction indices in issue order over the forward circuit.
-        initial_placement: Placement the execution starts from.
-        final_placement: Placement after the last instruction.
-        trace: Micro-command control trace of the winning pass.
-        records: Per-instruction timing records.
-        direction: ``"forward"`` or ``"backward"`` (which MVFB pass won).
-        placement_runs: Number of placement runs the placer performed.
-        total_moves: Total qubit moves of the winning pass.
-        total_turns: Total qubit turns of the winning pass.
-        total_congestion_delay: Summed busy-queue waiting time.
-        cpu_seconds: Simulation time spent producing this outcome.
-        routing_seconds: Wall-clock time the winning pass spent inside the
-            router (a subset of its simulation time).
-        routing_stats: Routing-core counters of the winning pass.
-        event_stats: Event-loop counters of the winning pass (events
-            processed, peak heap size, wake hits, skipped/executed polls).
-    """
-
-    latency: float
-    schedule: list[int]
-    initial_placement: Placement
-    final_placement: Placement
-    trace: ControlTrace
-    records: dict[int, InstructionRecord]
-    direction: str = "forward"
-    placement_runs: int = 1
-    total_moves: int = 0
-    total_turns: int = 0
-    total_congestion_delay: float = 0.0
-    cpu_seconds: float = 0.0
-    routing_seconds: float = 0.0
-    routing_stats: RoutingCoreStats = field(default_factory=RoutingCoreStats)
-    event_stats: EventLoopStats = field(default_factory=EventLoopStats)
-
-    @classmethod
-    def from_simulation(
-        cls,
-        outcome: SimulationOutcome,
-        *,
-        direction: str = "forward",
-        placement_runs: int = 1,
-        cpu_seconds: float | None = None,
-    ) -> "PlacementOutcome":
-        """Wrap one :class:`~repro.sim.engine.SimulationOutcome`."""
-        return cls(
-            latency=outcome.latency,
-            schedule=list(outcome.schedule),
-            initial_placement=outcome.initial_placement,
-            final_placement=outcome.final_placement,
-            trace=outcome.trace,
-            records=outcome.records,
-            direction=direction,
-            placement_runs=placement_runs,
-            total_moves=outcome.total_moves,
-            total_turns=outcome.total_turns,
-            total_congestion_delay=outcome.total_congestion_delay,
-            cpu_seconds=outcome.cpu_seconds if cpu_seconds is None else cpu_seconds,
-            routing_seconds=outcome.routing_seconds,
-            routing_stats=outcome.routing_stats,
-            event_stats=outcome.event_stats,
-        )
 
 
 class PipelineObserver:
@@ -145,7 +68,8 @@ class PipelineContext:
         forward_sim: Forward simulator over ``circuit`` (build-qidg stage).
         placement: Initial placement chosen by a simple placer strategy;
             evaluated by the simulate stage.
-        outcome: The evaluated winning pass (place or simulate stage).
+        outcome: The evaluated winning pass, as the forward execution it
+            stands for (place or simulate stage).
         result: The packaged result (package-result stage).
         stage_seconds: Wall-clock duration of each completed stage, keyed by
             stage name, in execution order.
@@ -160,7 +84,7 @@ class PipelineContext:
     ideal_latency: float | None = None
     forward_sim: FabricSimulator | None = None
     placement: Placement | None = None
-    outcome: PlacementOutcome | None = None
+    outcome: SimulationOutcome | None = None
     result: "MappingResult | None" = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
     extras: dict[str, Any] = field(default_factory=dict)

@@ -7,9 +7,10 @@ It returns either
 * a :class:`~repro.placement.base.Placement` — an initial placement the
   pipeline's simulate stage will evaluate (the simple case; see
   :func:`center_strategy`), or
-* a :class:`~repro.pipeline.context.PlacementOutcome` — a fully evaluated
-  winning pass, for search placers that already ran simulations themselves
-  (:func:`monte_carlo_strategy`, :func:`mvfb_strategy`).
+* a :class:`~repro.sim.engine.SimulationOutcome` — the winning pass of a
+  search placer that already ran simulations itself, as the forward
+  execution it stands for and with ``placement_runs`` set to the number of
+  passes the search ran (:func:`monte_carlo_strategy`, :func:`mvfb_strategy`).
 
 Third-party placers register through the decorator::
 
@@ -27,7 +28,7 @@ and are immediately usable by name everywhere a placer is named: in
 from __future__ import annotations
 
 from repro.errors import MappingError
-from repro.pipeline.context import PipelineContext, PlacementOutcome
+from repro.pipeline.context import PipelineContext
 from repro.pipeline.registry import Registry
 from repro.placement.base import Placement
 from repro.placement.center import CenterPlacer
@@ -52,7 +53,7 @@ def center_strategy(ctx: PipelineContext) -> Placement:
 
 
 @PLACERS.register("monte-carlo")
-def monte_carlo_strategy(ctx: PipelineContext) -> PlacementOutcome:
+def monte_carlo_strategy(ctx: PipelineContext) -> SimulationOutcome:
     """Best of ``m'`` random center placements (the paper's MC baseline)."""
     options = ctx.options
     if options.num_placements is None:
@@ -60,21 +61,18 @@ def monte_carlo_strategy(ctx: PipelineContext) -> PlacementOutcome:
             "the Monte-Carlo placer requires MapperOptions.num_placements (the paper's m')"
         )
     placer = MonteCarloPlacer(ctx.fabric, ctx.simulate)
-    mc = placer.run(ctx.circuit, options.num_placements, seed=options.random_seed)
-    return PlacementOutcome.from_simulation(
-        mc.best_outcome, direction="forward", placement_runs=mc.num_runs
-    )
+    return placer.run(ctx.circuit, options.num_placements, seed=options.random_seed)
 
 
 @PLACERS.register("mvfb")
-def mvfb_strategy(ctx: PipelineContext) -> PlacementOutcome:
+def mvfb_strategy(ctx: PipelineContext) -> SimulationOutcome:
     """The paper's Multi-start Variable-length Forward/Backward search.
 
     Runs alternating forward (QIDG) and backward (UIDG, reversed schedule)
     passes for ``m`` random seeds and keeps the best pass in either
-    direction.  A backward winner is normalised here into its equivalent
-    forward execution: the forward circuit starts from the backward pass's
-    final placement and replays the reverse of the backward control trace.
+    direction.  A backward winner comes back as its equivalent forward
+    execution: the forward circuit starts from the backward pass's final
+    placement and replays the reverse of the backward control trace.
 
     Raises:
         MappingError: If the circuit contains measurements (an uncompute
@@ -102,33 +100,4 @@ def mvfb_strategy(ctx: PipelineContext) -> PlacementOutcome:
         patience=options.mvfb_patience,
         max_runs_per_seed=options.mvfb_max_runs_per_seed,
     )
-    mvfb = placer.run(circuit, options.num_seeds, seed=options.random_seed)
-
-    outcome = mvfb.best_outcome
-    if mvfb.best_direction == "forward":
-        schedule = list(outcome.schedule)
-        initial = outcome.initial_placement
-        final = outcome.final_placement
-        trace = outcome.trace
-    else:
-        schedule = reverse_schedule(outcome.schedule, circuit.num_instructions)
-        initial = outcome.final_placement
-        final = outcome.initial_placement
-        trace = outcome.trace.reversed_trace()
-    return PlacementOutcome(
-        latency=mvfb.best_latency,
-        schedule=schedule,
-        initial_placement=initial,
-        final_placement=final,
-        trace=trace,
-        records=outcome.records,
-        direction=mvfb.best_direction,
-        placement_runs=mvfb.total_runs,
-        total_moves=outcome.total_moves,
-        total_turns=outcome.total_turns,
-        total_congestion_delay=outcome.total_congestion_delay,
-        cpu_seconds=mvfb.cpu_seconds,
-        routing_seconds=outcome.routing_seconds,
-        routing_stats=outcome.routing_stats,
-        event_stats=outcome.event_stats,
-    )
+    return placer.run(circuit, options.num_seeds, seed=options.random_seed)

@@ -24,11 +24,12 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.fabric import Fabric
 from repro.mapper.options import MapperOptions
 from repro.mapper.result import MappingResult
-from repro.pipeline.context import PipelineContext, PipelineObserver, PlacementOutcome
+from repro.pipeline.context import PipelineContext, PipelineObserver
 from repro.pipeline.placers import PLACERS
 from repro.placement.base import Placement
 from repro.qidg.analysis import critical_path_latency
 from repro.qidg.graph import build_qidg
+from repro.sim.engine import SimulationOutcome
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ def _place_stage(ctx: PipelineContext) -> None:
 
     A strategy returning a bare :class:`~repro.placement.base.Placement` is
     validated here and evaluated by the simulate stage; a strategy returning
-    a :class:`~repro.pipeline.context.PlacementOutcome` already simulated.
+    a :class:`~repro.sim.engine.SimulationOutcome` already simulated.
     """
     strategy = PLACERS.resolve(ctx.options.placer_name, error=MappingError)
     produced = strategy(ctx)
-    if isinstance(produced, PlacementOutcome):
+    if isinstance(produced, SimulationOutcome):
         ctx.outcome = produced
     elif isinstance(produced, Placement):
         produced.validate(ctx.circuit, ctx.fabric)
@@ -71,7 +72,7 @@ def _place_stage(ctx: PipelineContext) -> None:
     else:
         raise MappingError(
             f"placer {ctx.options.placer_name!r} returned {type(produced).__name__}; "
-            "expected a Placement or a PlacementOutcome"
+            "expected a Placement or a SimulationOutcome"
         )
 
 
@@ -91,7 +92,7 @@ def _simulate_stage(ctx: PipelineContext) -> None:
         raise MappingError(
             f"placer {ctx.options.placer_name!r} produced neither a placement nor an outcome"
         )
-    ctx.outcome = PlacementOutcome.from_simulation(ctx.simulate(ctx.placement))
+    ctx.outcome = ctx.simulate(ctx.placement)
     ctx.stage_seconds["simulate.routing"] = ctx.outcome.routing_seconds
 
 
@@ -115,7 +116,6 @@ def _package_result_stage(ctx: PipelineContext) -> None:
         total_moves=outcome.total_moves,
         total_turns=outcome.total_turns,
         total_congestion_delay=outcome.total_congestion_delay,
-        cpu_seconds=outcome.cpu_seconds,
         options=ctx.options,
         stage_seconds=ctx.stage_seconds,
         routing_seconds=outcome.routing_seconds,

@@ -15,18 +15,15 @@ Three placers are provided, matching the paper's evaluation:
   improving for three consecutive runs.
 """
 
-from repro.placement.base import Placement, PlacementRun
+from repro.placement.base import Placement
 from repro.placement.center import CenterPlacer, center_placement
-from repro.placement.monte_carlo import MonteCarloPlacer, MonteCarloResult
-from repro.placement.mvfb import MvfbPlacer, MvfbResult
+from repro.placement.monte_carlo import MonteCarloPlacer
+from repro.placement.mvfb import MvfbPlacer
 
 __all__ = [
     "Placement",
-    "PlacementRun",
     "CenterPlacer",
     "center_placement",
     "MonteCarloPlacer",
-    "MonteCarloResult",
     "MvfbPlacer",
-    "MvfbResult",
 ]

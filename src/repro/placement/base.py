@@ -6,7 +6,6 @@ traps.  Placements are immutable; placers return new instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.circuits.circuit import QuantumCircuit
@@ -117,22 +116,3 @@ class Placement:
                     f"trap {trap_id} holds {count} qubits (limit {max_per_trap})"
                 )
 
-
-@dataclass(frozen=True)
-class PlacementRun:
-    """Bookkeeping of one placement evaluation (one simulator pass).
-
-    Attributes:
-        placement: The initial placement that was evaluated.
-        latency: Execution latency obtained with that placement.
-        direction: ``"forward"`` or ``"backward"`` (MVFB passes) or
-            ``"monte-carlo"``.
-        seed_index: Index of the random seed this run belongs to.
-        iteration: Index of the run within its seed.
-    """
-
-    placement: Placement
-    latency: float
-    direction: str
-    seed_index: int
-    iteration: int

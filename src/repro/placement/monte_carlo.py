@@ -11,46 +11,18 @@ latency is selected."
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import PlacementError
 from repro.fabric.fabric import Fabric
-from repro.placement.base import Placement, PlacementRun
+from repro.placement.base import Placement
 from repro.placement.center import CenterPlacer
 from repro.sim.engine import SimulationOutcome
 
 #: Signature of the evaluation callback: map the circuit starting from the
 #: given placement and return the simulation outcome.
 Evaluator = Callable[[Placement], SimulationOutcome]
-
-
-@dataclass
-class MonteCarloResult:
-    """Outcome of a Monte-Carlo placement search.
-
-    Attributes:
-        best_placement: Initial placement achieving the lowest latency.
-        best_outcome: Simulation outcome of that placement.
-        runs: One :class:`PlacementRun` per evaluated permutation.
-        cpu_seconds: Total simulation time across all runs.
-    """
-
-    best_placement: Placement
-    best_outcome: SimulationOutcome
-    runs: list[PlacementRun] = field(default_factory=list)
-    cpu_seconds: float = 0.0
-
-    @property
-    def best_latency(self) -> float:
-        """Latency of the best run."""
-        return self.best_outcome.latency
-
-    @property
-    def num_runs(self) -> int:
-        """Number of placement runs evaluated."""
-        return len(self.runs)
 
 
 class MonteCarloPlacer:
@@ -74,7 +46,7 @@ class MonteCarloPlacer:
         num_runs: int,
         *,
         seed: int = 0,
-    ) -> MonteCarloResult:
+    ) -> SimulationOutcome:
         """Evaluate ``num_runs`` random center placements and keep the best.
 
         Args:
@@ -82,25 +54,21 @@ class MonteCarloPlacer:
             num_runs: Number of random permutations (the paper's ``m'``).
             seed: Seed of the permutation generator.
 
+        Returns:
+            The lowest-latency outcome (the first one on ties), with
+            ``placement_runs`` set to ``num_runs``.
+
         Raises:
             PlacementError: If ``num_runs`` is not positive.
         """
         if num_runs < 1:
             raise PlacementError("the Monte-Carlo placer needs at least one run")
         rng = random.Random(seed)
-        best_outcome: SimulationOutcome | None = None
-        best_placement: Placement | None = None
-        runs: list[PlacementRun] = []
-        cpu_seconds = 0.0
-        for iteration in range(num_runs):
-            placement = self.center.random_placement(circuit, rng)
-            outcome = self.evaluate(placement)
-            cpu_seconds += outcome.cpu_seconds
-            runs.append(
-                PlacementRun(placement, outcome.latency, "monte-carlo", iteration, iteration)
-            )
-            if best_outcome is None or outcome.latency < best_outcome.latency:
-                best_outcome = outcome
-                best_placement = placement
-        assert best_outcome is not None and best_placement is not None
-        return MonteCarloResult(best_placement, best_outcome, runs, cpu_seconds)
+        best: SimulationOutcome | None = None
+        for _ in range(num_runs):
+            outcome = self.evaluate(self.center.random_placement(circuit, rng))
+            if best is None or outcome.latency < best.latency:
+                best = outcome
+        assert best is not None
+        best.placement_runs = num_runs
+        return best

@@ -16,19 +16,19 @@ the reversibility of quantum computation:
 
 If the best solution comes from a backward pass ``k``, the reported solution
 is the placement ``P(k+1)``, the *reverse* of the backward trace and the
-backward latency — see :class:`MvfbResult`.
+backward latency — see
+:meth:`~repro.sim.engine.SimulationOutcome.forward_equivalent`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import PlacementError
 from repro.fabric.fabric import Fabric
-from repro.placement.base import Placement, PlacementRun
+from repro.placement.base import Placement
 from repro.placement.center import CenterPlacer
 from repro.sim.engine import SimulationOutcome
 
@@ -37,36 +37,6 @@ ForwardEvaluator = Callable[[Placement], SimulationOutcome]
 #: Backward evaluation: map the *uncompute* circuit from the given placement,
 #: replaying the reversed schedule of the preceding forward pass.
 BackwardEvaluator = Callable[[Placement, list[int]], SimulationOutcome]
-
-
-@dataclass
-class MvfbResult:
-    """Outcome of an MVFB placement search.
-
-    Attributes:
-        best_latency: Lowest latency over all forward and backward passes.
-        best_direction: ``"forward"`` or ``"backward"``.
-        best_outcome: The simulation outcome of the winning pass.
-        best_initial_placement: The initial placement of the winning pass.
-            For a backward winner this is the placement of the *uncompute*
-            pass; the equivalent forward execution starts from
-            ``best_outcome.final_placement`` and runs the reverse of the
-            backward trace.
-        runs: Every placement run performed, across all seeds.
-        total_runs: Number of placement runs (the quantity Table 1 reports
-            and that the Monte-Carlo baseline is given twice of).
-        cpu_seconds: Total simulation time across all runs.
-        seeds_used: Number of random seeds actually explored.
-    """
-
-    best_latency: float
-    best_direction: str
-    best_outcome: SimulationOutcome
-    best_initial_placement: Placement
-    runs: list[PlacementRun] = field(default_factory=list)
-    total_runs: int = 0
-    cpu_seconds: float = 0.0
-    seeds_used: int = 0
 
 
 class MvfbPlacer:
@@ -109,7 +79,7 @@ class MvfbPlacer:
         num_seeds: int,
         *,
         seed: int = 0,
-    ) -> MvfbResult:
+    ) -> SimulationOutcome:
         """Run the MVFB search with ``num_seeds`` random starting placements.
 
         Args:
@@ -117,84 +87,47 @@ class MvfbPlacer:
             num_seeds: The paper's ``m`` (25 or 100 in the experiments).
             seed: Seed of the permutation generator.
 
+        Returns:
+            The forward equivalent of the lowest-latency pass in either
+            direction (the first one on ties), with ``placement_runs`` set to
+            the number of passes across all seeds (the quantity Table 1
+            reports and that the Monte-Carlo baseline is given twice of).
+
         Raises:
             PlacementError: If ``num_seeds`` is not positive.
         """
         if num_seeds < 1:
             raise PlacementError("MVFB needs at least one random seed")
         rng = random.Random(seed)
-        runs: list[PlacementRun] = []
-        cpu_seconds = 0.0
-        best_latency = float("inf")
-        best_direction = "forward"
-        best_outcome: SimulationOutcome | None = None
-        best_initial: Placement | None = None
-
-        for seed_index in range(num_seeds):
+        best: SimulationOutcome | None = None
+        runs = 0
+        for _ in range(num_seeds):
             placement = self.center.random_placement(circuit, rng)
             seed_best = float("inf")
             non_improving = 0
-            iteration = 0
             seed_runs = 0
             while non_improving < self.patience and seed_runs < self.max_runs_per_seed:
-                forward_outcome = self.forward(placement)
-                cpu_seconds += forward_outcome.cpu_seconds
+                if seed_runs % 2 == 0:
+                    outcome = self.forward(placement)
+                    forward_schedule = outcome.schedule
+                else:
+                    # The backward pass replays the forward schedule reversed.
+                    outcome = self.backward(placement, forward_schedule)
+                    outcome.direction = "backward"
                 seed_runs += 1
-                runs.append(
-                    PlacementRun(
-                        placement, forward_outcome.latency, "forward", seed_index, iteration
-                    )
-                )
-                if forward_outcome.latency < seed_best:
-                    seed_best = forward_outcome.latency
+                if outcome.latency < seed_best:
+                    seed_best = outcome.latency
                     non_improving = 0
                 else:
                     non_improving += 1
-                if forward_outcome.latency < best_latency:
-                    best_latency = forward_outcome.latency
-                    best_direction = "forward"
-                    best_outcome = forward_outcome
-                    best_initial = placement
-                if non_improving >= self.patience or seed_runs >= self.max_runs_per_seed:
-                    break
+                if best is None or outcome.latency < best.latency:
+                    best = outcome
+                # Each pass starts where the previous one left the qubits
+                # (a backward pass leaves the paper's P_{k+1}).
+                placement = outcome.final_placement
+            runs += seed_runs
 
-                backward_start = forward_outcome.final_placement
-                backward_outcome = self.backward(backward_start, forward_outcome.schedule)
-                cpu_seconds += backward_outcome.cpu_seconds
-                seed_runs += 1
-                runs.append(
-                    PlacementRun(
-                        backward_start,
-                        backward_outcome.latency,
-                        "backward",
-                        seed_index,
-                        iteration,
-                    )
-                )
-                if backward_outcome.latency < seed_best:
-                    seed_best = backward_outcome.latency
-                    non_improving = 0
-                else:
-                    non_improving += 1
-                if backward_outcome.latency < best_latency:
-                    best_latency = backward_outcome.latency
-                    best_direction = "backward"
-                    best_outcome = backward_outcome
-                    best_initial = backward_start
-
-                # The next forward pass starts where the backward pass left
-                # the qubits (the paper's P_{k+1}).
-                placement = backward_outcome.final_placement
-                iteration += 1
-
-        assert best_outcome is not None and best_initial is not None
-        return MvfbResult(
-            best_latency=best_latency,
-            best_direction=best_direction,
-            best_outcome=best_outcome,
-            best_initial_placement=best_initial,
-            runs=runs,
-            total_runs=len(runs),
-            cpu_seconds=cpu_seconds,
-            seeds_used=num_seeds,
-        )
+        assert best is not None
+        winner = best.forward_equivalent()
+        winner.placement_runs = runs
+        return winner

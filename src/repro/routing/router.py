@@ -73,11 +73,6 @@ class RoutingPolicy:
         if self.trap_candidates < 1:
             raise RoutingError("trap_candidates must be at least 1")
 
-    @property
-    def move_both_operands(self) -> bool:
-        """Whether both operands travel to the meeting trap."""
-        return self.meeting_point is not MeetingPoint.DESTINATION
-
 
 #: The configuration the paper uses for QSPR.
 QSPR_POLICY = RoutingPolicy()

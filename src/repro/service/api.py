@@ -349,7 +349,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(409, {"error": f"job {job.id} is {job.status}, not done"})
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise MappingError(
+                f"Content-Length must be an integer, got {raw_length!r}"
+            ) from None
         if length <= 0:
             raise MappingError("request body required")
         if length > _MAX_BODY_BYTES:

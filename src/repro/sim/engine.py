@@ -40,7 +40,7 @@ built on first access, so a placement search pays only for the winner's.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.errors import SimulationError
@@ -49,6 +49,7 @@ from repro.fabric.fabric import Fabric
 from repro.placement.base import Placement
 from repro.qidg.analysis import alap_levels
 from repro.qidg.graph import QIDG, build_qidg
+from repro.qidg.uidg import reverse_schedule
 from repro.routing.compiled import RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.path import RoutePlan
@@ -120,6 +121,10 @@ class InstructionRecord:
 class SimulationOutcome:
     """Everything a mapping pass produces; its :attr:`trace` is built on first access.
 
+    The one run record: placement searches return their winner as one, and
+    :meth:`forward_equivalent` turns a backward winner into the execution
+    the paper reports.
+
     Attributes:
         latency: Completion time of the last instruction (the execution
             latency the paper reports).
@@ -142,6 +147,10 @@ class SimulationOutcome:
             cache hits/misses, Dijkstra calls, heap pops, edge relaxations).
         event_stats: Event-loop counters of this run (events processed, peak
             heap size, wake hits, skipped issue polls).
+        direction: ``"forward"``, or ``"backward"`` for an MVFB uncompute
+            pass (set by the search, not the simulator).
+        placement_runs: Simulator passes behind this outcome: 1 for a single
+            pass, the whole search's count for a placement search's winner.
     """
 
     latency: float
@@ -160,6 +169,8 @@ class SimulationOutcome:
     routing_seconds: float = 0.0
     routing_stats: RoutingCoreStats = field(default_factory=RoutingCoreStats)
     event_stats: EventLoopStats = field(default_factory=EventLoopStats)
+    direction: str = "forward"
+    placement_runs: int = 1
     _trace: ControlTrace | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -204,10 +215,27 @@ class SimulationOutcome:
                 ))
             clock += step.duration
 
-    @property
-    def total_routing_delay(self) -> float:
-        """Sum of all instructions' routing delays."""
-        return sum(record.routing_delay for record in self.records.values())
+    def forward_equivalent(self) -> "SimulationOutcome":
+        """The forward execution this pass stands for (Section IV.A).
+
+        A forward pass is its own.  A backward pass ran the uncompute circuit
+        from ``P'`` to ``P(k+1)``; the paper reports it as the forward circuit
+        run from ``P(k+1)``: the reverse of its schedule over the forward
+        instruction indices, the placements swapped and the control trace
+        mirrored in time.  Everything else (latency, direction, records,
+        routes, QIDG and counters) stays the backward pass's, so convert a
+        pass once: its equivalent still says ``"backward"``.
+        """
+        if self.direction == "forward":
+            return self
+        equivalent = replace(
+            self,
+            schedule=reverse_schedule(self.schedule, len(self.schedule)),
+            initial_placement=self.final_placement,
+            final_placement=self.initial_placement,
+        )
+        equivalent._trace = self.trace.reversed_trace()
+        return equivalent
 
 
 class FabricSimulator:
@@ -476,7 +504,6 @@ class _RunState:
         self.resting: dict[TrapId, set[str]] = {}
         for qubit, trap in self.positions.items():
             self.resting.setdefault(trap, set()).add(qubit)
-        self.in_flight: set[str] = set()
         self.reserved_traps: set[TrapId] = set()
         self.congestion = CongestionTracker(
             sim.fabric, sim.routing_policy.channel_capacity
@@ -597,7 +624,7 @@ class _RunState:
         self.congestion.reserve_all(list(route.channels))
         self.reserved_traps.add(route.target_trap)
 
-        # Operands leave their traps and become in-flight.
+        # Operands leave their traps.
         offsets = route.plan_start_offsets()
         channel_exits: dict = {}
         origin_traps: set[TrapId] = set()
@@ -610,7 +637,6 @@ class _RunState:
                 residents.discard(qubit)
                 if not residents:
                     del self.resting[origin]
-            self.in_flight.add(qubit)
             for channel_id, exit_time in plan.channel_exit_times(now + offset):
                 if route.serial:
                     # Shared channels are reserved once; release them when the
@@ -693,7 +719,6 @@ class _RunState:
         route = self.routes[index]
         for plan in route.plans:
             qubit = plan.qubit
-            self.in_flight.discard(qubit)
             self.positions[qubit] = route.target_trap
             self.resting.setdefault(route.target_trap, set()).add(qubit)
         # Completions never unblock a parked instruction: the meeting trap

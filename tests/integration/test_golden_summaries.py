@@ -37,6 +37,7 @@ import pytest
 from reference_oracle import assert_same_mapping, oracle_mode
 from repro import MapperOptions, QsprMapper, small_fabric
 from repro.circuits.qecc import qecc_encoder
+from repro.qidg.graph import build_qidg
 from repro.sim.trace import ControlTrace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,3 +129,12 @@ def test_only_the_winning_run_builds_a_trace(monkeypatch):
     result = _map("[[5,1,3]]", {"placer": "mvfb", "num_seeds": 2, "random_seed": 0})
     assert result.placement_runs == 16
     assert len(added) == len(result.trace) > 0
+
+
+def test_backward_winner_is_reported_as_a_forward_execution():
+    """``513-mvfb`` wins on a backward pass and reports its forward equivalent."""
+    circuit_name, kwargs = next((c, k) for n, c, k in CASES if n == "513-mvfb")
+    result = _map(circuit_name, kwargs)
+    assert result.direction == "backward"
+    assert build_qidg(qecc_encoder(circuit_name)).is_valid_order(result.schedule)
+    assert result.trace.makespan == result.latency == 610.0

@@ -16,6 +16,7 @@ from repro.pipeline import (
     resolve_fabric,
 )
 from repro.pipeline.stages import STANDARD_STAGES
+from repro.sim.engine import FabricSimulator
 
 
 class RecordingObserver(PipelineObserver):
@@ -106,6 +107,30 @@ class TestMappingPipeline:
         circuit.add_qubit("q0", 0)
         with pytest.raises(MappingError, match="empty circuit"):
             MappingPipeline.standard().run(circuit, small_fabric_4x4)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            MapperOptions(placer="mvfb", num_seeds=2),
+            MapperOptions(placer="monte-carlo", num_placements=5),
+        ],
+        ids=["mvfb", "monte-carlo"],
+    )
+    def test_placement_runs_count_every_simulator_run(
+        self, monkeypatch, calibrated_513, small_fabric_4x4, options
+    ):
+        runs = []
+        original_run = FabricSimulator.run
+
+        def counting_run(simulator, placement):
+            runs.append(placement)
+            return original_run(simulator, placement)
+
+        monkeypatch.setattr(FabricSimulator, "run", counting_run)
+        result = MappingPipeline.standard().run(
+            calibrated_513, small_fabric_4x4, options=options
+        )
+        assert result.placement_runs == len(runs) > 1
 
 
 class TestResolvers:

@@ -85,36 +85,47 @@ class TestCenterPlacement:
         assert set(placement.traps) == set(central)
 
 
-def _make_evaluators(circuit, fabric):
+def _make_evaluators(circuit, fabric, calls=None):
+    """Forward and backward evaluators that log ``(direction, latency)`` per call."""
+    calls = [] if calls is None else calls
     qidg = build_qidg(circuit)
     forward_sim = FabricSimulator(circuit, fabric, PAPER_TECHNOLOGY, qidg=qidg)
     inverse = circuit.inverse()
     inverse_qidg = build_qidg(inverse)
+
+    def forward(placement):
+        outcome = forward_sim.run(placement)
+        calls.append(("forward", outcome.latency))
+        return outcome
 
     def backward(placement, schedule):
         order = reverse_schedule(schedule, circuit.num_instructions)
         sim = FabricSimulator(
             inverse, fabric, PAPER_TECHNOLOGY, forced_order=order, qidg=inverse_qidg
         )
-        return sim.run(placement)
+        outcome = sim.run(placement)
+        calls.append(("backward", outcome.latency))
+        return outcome
 
-    return forward_sim.run, backward
+    return forward, backward
 
 
 class TestMonteCarloPlacer:
     def test_best_of_runs(self, paper_circuit, small_fabric_4x4):
-        forward, _ = _make_evaluators(paper_circuit, small_fabric_4x4)
+        calls = []
+        forward, _ = _make_evaluators(paper_circuit, small_fabric_4x4, calls)
         placer = MonteCarloPlacer(small_fabric_4x4, forward)
         result = placer.run(paper_circuit, 5, seed=1)
-        assert result.num_runs == 5
-        assert result.best_latency == min(run.latency for run in result.runs)
+        assert result.placement_runs == len(calls) == 5
+        assert result.latency == min(latency for _, latency in calls)
+        assert result.direction == "forward"
 
     def test_deterministic_for_seed(self, paper_circuit, small_fabric_4x4):
         forward, _ = _make_evaluators(paper_circuit, small_fabric_4x4)
         placer = MonteCarloPlacer(small_fabric_4x4, forward)
         a = placer.run(paper_circuit, 3, seed=7)
         b = placer.run(paper_circuit, 3, seed=7)
-        assert a.best_latency == b.best_latency
+        assert a.latency == b.latency
 
     def test_needs_positive_runs(self, paper_circuit, small_fabric_4x4):
         forward, _ = _make_evaluators(paper_circuit, small_fabric_4x4)
@@ -124,32 +135,37 @@ class TestMonteCarloPlacer:
 
 class TestMvfbPlacer:
     def test_runs_and_improves_or_matches_first_run(self, paper_circuit, small_fabric_4x4):
-        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4)
+        calls = []
+        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4, calls)
         placer = MvfbPlacer(small_fabric_4x4, forward, backward)
         result = placer.run(paper_circuit, 2, seed=0)
-        assert result.total_runs == len(result.runs)
-        first_forward = result.runs[0].latency
-        assert result.best_latency <= first_forward
+        assert result.placement_runs == len(calls)
+        first_forward = calls[0][1]
+        assert result.latency <= first_forward
 
     def test_directions_alternate(self, paper_circuit, small_fabric_4x4):
-        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4)
-        result = MvfbPlacer(small_fabric_4x4, forward, backward).run(paper_circuit, 1, seed=0)
-        directions = [run.direction for run in result.runs]
-        assert directions[0] == "forward"
-        if len(directions) > 1:
-            assert directions[1] == "backward"
+        calls = []
+        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4, calls)
+        MvfbPlacer(small_fabric_4x4, forward, backward).run(paper_circuit, 1, seed=0)
+        directions = [direction for direction, _ in calls]
+        assert len(directions) > 1
+        assert directions == [("forward", "backward")[i % 2] for i in range(len(directions))]
 
     def test_patience_limits_runs_per_seed(self, paper_circuit, small_fabric_4x4):
-        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4)
+        calls = []
+        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4, calls)
         placer = MvfbPlacer(small_fabric_4x4, forward, backward, patience=1, max_runs_per_seed=10)
         result = placer.run(paper_circuit, 1, seed=0)
-        assert result.total_runs <= 10
+        assert result.placement_runs == len(calls) <= 10
 
     def test_best_direction_consistent(self, paper_circuit, small_fabric_4x4):
-        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4)
+        calls = []
+        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4, calls)
         result = MvfbPlacer(small_fabric_4x4, forward, backward).run(paper_circuit, 1, seed=0)
-        assert result.best_direction in ("forward", "backward")
-        assert result.best_outcome.latency == result.best_latency
+        best = min(latency for _, latency in calls)
+        first_best = next(call for call in calls if call[1] == best)
+        assert result.latency == best
+        assert result.direction == first_best[0]
 
     def test_invalid_parameters(self, small_fabric_4x4):
         def dummy(*args):  # pragma: no cover - never called

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import socket
 import sqlite3
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -233,6 +235,19 @@ class TestAdmissionControl:
             client.submit(payload)
 
 
+def _last_access_log_record(log_path) -> dict:
+    # The access-log record lands just *after* the response is sent, so give
+    # the handler thread a moment to write it.
+    deadline = time.monotonic() + 5.0
+    requests: list[dict] = []
+    while not requests and time.monotonic() < deadline:
+        requests = [r for r in read_jsonl(log_path) if r["event"] == "http.request"]
+        if not requests:
+            time.sleep(0.02)
+    assert requests, "every request must produce one access-log record"
+    return requests[-1]
+
+
 class TestStructuredLogs:
     def test_one_job_id_correlates_submit_to_done(self, config, service):
         client = ServiceClient(service.url)
@@ -258,24 +273,27 @@ class TestStructuredLogs:
         self, config, service
     ):
         ServiceClient(service.url).health()
-        # The access-log record lands just *after* the response is sent, so
-        # give the handler thread a moment to write it.
-        deadline = time.monotonic() + 5.0
-        requests: list[dict] = []
-        while not requests and time.monotonic() < deadline:
-            requests = [
-                r
-                for r in read_jsonl(config.log_path)
-                if r["event"] == "http.request"
-            ]
-            if not requests:
-                time.sleep(0.02)
-        assert requests, "every request must produce one access-log record"
-        record = requests[-1]
+        record = _last_access_log_record(config.log_path)
         assert record["path"] == "/healthz"
         assert record["status"] == 200
         assert record["request_id"]
         assert record["duration_ms"] >= 0.0
+
+    def test_non_integer_content_length_is_a_logged_400(self, config, service):
+        url = urllib.parse.urlsplit(service.url)
+        with socket.create_connection((url.hostname, url.port), timeout=10.0) as conn:
+            conn.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: abc\r\n\r\n{}"
+            )
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"400", head
+        assert "Content-Length" in json.loads(body)["error"]
+        record = _last_access_log_record(config.log_path)
+        assert (record["method"], record["path"], record["status"]) == ("POST", "/jobs", 400)
 
     def test_log_path_none_disables_logging(self, tmp_path):
         config = ServiceConfig(

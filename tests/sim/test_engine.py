@@ -160,6 +160,35 @@ class TestSchedulingPolicies:
         backward.final_placement.validate(inverse, small_fabric_4x4)
 
 
+class TestForwardEquivalent:
+    def test_forward_pass_is_its_own_equivalent(self, small_fabric_4x4, paper_circuit):
+        forward = _simulate(paper_circuit, small_fabric_4x4)
+        assert forward.direction == "forward" and forward.placement_runs == 1
+        assert forward.forward_equivalent() is forward
+
+    def test_backward_pass_becomes_the_reverse_forward_execution(
+        self, small_fabric_4x4, paper_circuit
+    ):
+        forward = _simulate(paper_circuit, small_fabric_4x4)
+        n = paper_circuit.num_instructions
+        backward = FabricSimulator(
+            paper_circuit.inverse(), small_fabric_4x4, PAPER_TECHNOLOGY,
+            forced_order=reverse_schedule(forward.schedule, n),
+        ).run(forward.final_placement)
+        backward.direction = "backward"
+
+        equivalent = backward.forward_equivalent()
+        assert equivalent.direction == "backward"
+        assert equivalent.latency == backward.latency
+        assert equivalent.schedule == reverse_schedule(backward.schedule, n)
+        assert build_qidg(paper_circuit).is_valid_order(equivalent.schedule)
+        assert equivalent.initial_placement == backward.final_placement
+        assert equivalent.final_placement == backward.initial_placement
+        assert equivalent.records is backward.records
+        assert equivalent.trace.commands == backward.trace.reversed_trace().commands
+        assert equivalent.trace.makespan == equivalent.latency
+
+
 class TestRoutingPolicies:
     def test_legacy_policy_runs(self, small_fabric_4x4, paper_circuit):
         policy = RoutingPolicy(
