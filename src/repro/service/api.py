@@ -43,9 +43,10 @@ import json
 import math
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.errors import MappingError, ReproError
+from repro.errors import MappingError
 from repro.ops.logging import StructuredLogger, new_request_id
 from repro.runner.cache import ResultCache
 from repro.service.config import ServiceConfig
@@ -183,6 +184,7 @@ class MappingService:
             jobs.append(job.to_dict())
             if was_created:
                 created += 1
+                self.pool.wake()  # the job is committed: an idle worker claims it now
             else:
                 deduped += 1
             self.logger.log(
@@ -266,10 +268,23 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except MappingError as exc:
             self._send(400, {"error": str(exc)})
-        except ReproError as exc:
-            self._send(500, {"error": str(exc)})
         except (BrokenPipeError, ConnectionResetError):  # client went away
             return
+        except Exception as exc:  # a fault must answer, not drop the connection
+            self.service.logger.log(
+                "http.error",
+                level="error",
+                request_id=self.request_id,
+                error=f"{type(exc).__name__}: {exc}",
+                traceback=traceback.format_exc(),
+            )
+            self._send(
+                500,
+                {
+                    "error": f"internal error: {type(exc).__name__}: {exc}",
+                    "request_id": self.request_id,
+                },
+            )
         else:
             if not handled:
                 self._send(404, {"error": f"no route for {method} {self.path}"})

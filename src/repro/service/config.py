@@ -20,7 +20,10 @@ class ServiceConfig:
             result-cache dedup (jobs still dedup against each other).
         workers: Worker count of the :class:`~repro.service.worker.WorkerPool`;
             ``0`` means one worker per CPU.
-        poll_interval: Seconds an idle worker sleeps between queue polls.
+        poll_interval: Fallback timeout (seconds) of an idle worker's wait.
+            A submit through the API, an orphan requeue and a shutdown wake
+            idle workers at once; the timeout only bounds how late a worker
+            sees a lost wake or a job written to the database directly.
         lease_seconds: How long a claimed job may run before it is considered
             orphaned and eligible for requeue.
         max_attempts: Claims a job may consume before a further orphan-requeue

@@ -14,7 +14,8 @@ lease expires (:meth:`~repro.service.store.JobStore.requeue_orphans`).
 Submission payloads are validated *at enqueue time*: the spec round-trips
 through :meth:`ExperimentSpec.from_dict`, whose ``__post_init__`` resolves the
 mapper and placer through the :mod:`repro.pipeline` registries, and the
-circuit must be a registered name or an existing QASM file.  A bad payload is
+circuit must be a string naming a registered circuit or a QASM file (a
+regular file: directories and devices are refused).  A bad payload is
 a 400 at the API boundary, never a failed job discovered minutes later.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 
-from repro.errors import MappingError
+from repro.errors import CircuitError, MappingError
 from repro.runner.spec import ExperimentSpec, Sweep
 
 #: Legal ``Job.status`` values, in lifecycle order.
@@ -102,12 +103,27 @@ def sweep_from_payload(payload: dict) -> tuple[ExperimentSpec, ...]:
 
 
 def _require_runnable_circuit(spec: ExperimentSpec) -> None:
-    from pathlib import Path
-
-    if not spec.is_registered_circuit and not Path(spec.circuit).exists():
+    if not isinstance(spec.circuit, str):
+        raise MappingError(
+            f"circuit must be a string, got {type(spec.circuit).__name__}"
+        )
+    try:
+        registered = spec.is_registered_circuit
+    except CircuitError as exc:  # a malformed parameterised name
+        raise MappingError(str(exc)) from exc
+    if not registered and not _is_regular_file(spec.circuit):
         raise MappingError(
             f"unknown circuit {spec.circuit!r}: not a registered name and not a QASM file"
         )
+
+
+def _is_regular_file(path: str) -> bool:
+    from pathlib import Path
+
+    try:
+        return Path(path).is_file()
+    except OSError:  # e.g. a name longer than the filesystem allows
+        return False
 
 
 @dataclass

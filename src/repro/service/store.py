@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -54,6 +55,17 @@ from repro.service.jobs import (
     Job,
     new_job_id,
 )
+
+#: Largest value of SQLite's signed 64-bit ``INTEGER``.
+_SQLITE_MAX_INTEGER = 2**63 - 1
+
+#: Held by any thread of this process while it is inside SQLite, and by the
+#: worker pool while it forks a worker.  SQLite's mutexes do not survive
+#: ``fork()``: a worker forked while another thread (an HTTP request, say)
+#: held one inherits it locked and hangs in its first ``sqlite3.connect``.
+#: Re-entrant, so the forked child, whose only thread holds it, can still
+#: open its own store.
+SQLITE_LOCK = threading.RLock()
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -192,25 +204,27 @@ class JobStore:
     @contextmanager
     def _read(self) -> Iterator[sqlite3.Connection]:
         """A short-lived autocommit connection, closed on exit."""
-        conn = self._connect()
-        try:
-            yield conn
-        finally:
-            conn.close()
+        with SQLITE_LOCK:
+            conn = self._connect()
+            try:
+                yield conn
+            finally:
+                conn.close()
 
     @contextmanager
     def _transaction(self) -> Iterator[sqlite3.Connection]:
         """One ``BEGIN IMMEDIATE`` transaction (serialises writers)."""
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
-            yield conn
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        finally:
-            conn.close()
+        with SQLITE_LOCK:
+            conn = self._connect()
+            try:
+                conn.execute("BEGIN IMMEDIATE")
+                yield conn
+                conn.execute("COMMIT")
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
+            finally:
+                conn.close()
 
     # ------------------------------------------------------------------
     # Submission and dedup.
@@ -441,10 +455,18 @@ class JobStore:
         return _job_from_row(row)
 
     def list_jobs(self, *, status: str | None = None, limit: int = 200) -> list[Job]:
-        """Jobs in submission order, optionally filtered by status."""
+        """Jobs in submission order, optionally filtered by status.
+
+        ``limit`` must be at least 1 (SQLite reads a negative ``LIMIT`` as
+        no limit) and fit SQLite's 64-bit integers.
+        """
         if status is not None and status not in STATUSES:
             raise MappingError(
                 f"unknown status {status!r}; known: {', '.join(STATUSES)}"
+            )
+        if not 1 <= limit <= _SQLITE_MAX_INTEGER:
+            raise MappingError(
+                f"limit must be between 1 and {_SQLITE_MAX_INTEGER}, got {limit}"
             )
         query = f"SELECT {_COLUMNS} FROM jobs"
         params: tuple = ()

@@ -18,6 +18,16 @@ plans earlier jobs left in the fabric's route table (see
 :class:`~repro.routing.router.Router`).  Fabrics are immutable but their
 compiled scratch arrays and route tables are not thread-safe, which is
 exactly why the memo is *per worker* rather than global.
+
+Dispatch is pushed, not polled.  The pool gives each worker a wake event,
+and every commit that gives the workers something to claim sets them all: a
+submit through the API (:meth:`WorkerPool.wake`), the supervisor's orphan
+requeue, and :meth:`WorkerPool.stop` after it raises the shutdown flag.  An
+idle worker clears its event, claims, and only when the claim finds nothing
+waits on the event, so a job starts as soon as it is committed.  The store
+stays the source of truth and the wait keeps ``poll_interval`` as its
+timeout: a job nothing woke the pool for (one written to the database by
+another process, say) waits at most one poll, and a job is never lost.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from repro.runner.results import CellResult
 from repro.runner.spec import ExperimentSpec, FabricCell
 from repro.service.config import ServiceConfig
 from repro.service.jobs import Job
-from repro.service.store import JobStore
+from repro.service.store import SQLITE_LOCK, JobStore
 
 
 def execute_job(
@@ -73,6 +83,35 @@ def execute_job(
     return CellResult.from_mapping(spec, result), dict(result.stage_seconds)
 
 
+class _SemaphoreEvent:
+    """``threading.Event``'s ``set``/``clear``/``wait`` shared by processes.
+
+    The event is set while one semaphore holds a token, and a woken waiter
+    puts its token back, as :class:`multiprocessing.synchronize.Event` does.
+    That class also guards its flag with a condition variable, so a worker
+    SIGKILLed while waiting on it (by an operator or the OOM killer) leaves
+    every later ``set()`` blocked for good, which would hang the next submit.
+    A bare semaphore shares no lock: a dead waiter holds nothing.
+    """
+
+    def __init__(self, context) -> None:
+        self._token = context.Semaphore(0)
+
+    def set(self) -> None:
+        self._token.acquire(False)
+        self._token.release()
+
+    def clear(self) -> None:
+        while self._token.acquire(False):
+            pass
+
+    def wait(self, timeout: float | None = None) -> bool:
+        if not self._token.acquire(True, timeout):
+            return False
+        self._token.release()
+        return True
+
+
 def worker_loop(
     db_path: str,
     cache_dir: str | None,
@@ -82,10 +121,17 @@ def worker_loop(
     lease_seconds: float = 300.0,
     max_attempts: int = 3,
     stop_event: threading.Event | None = None,
+    wake_event: threading.Event | _SemaphoreEvent | None = None,
     max_jobs: int | None = None,
     log_path: str | None = None,
 ) -> int:
     """Claim-and-execute loop of one worker; returns jobs executed.
+
+    Each pass clears ``wake_event``, claims, and, only when the claim finds
+    nothing, waits on the event for at most ``poll_interval`` seconds.  The
+    pool sets the event after every commit that queues work, so an idle
+    worker claims a new job at once; without an event the loop makes its
+    own, which nothing sets, and the wait is a plain poll.
 
     The loop exits when the store's shutdown flag is raised
     (:meth:`~repro.service.store.JobStore.request_shutdown`), when
@@ -102,16 +148,20 @@ def worker_loop(
     store = JobStore(db_path, cache=cache, max_attempts=max_attempts)
     logger = StructuredLogger(log_path, component="worker", worker=worker_id)
     fabrics: dict[FabricCell, Fabric] = {}
+    wake = wake_event if wake_event is not None else threading.Event()
     executed = 0
     try:
         while max_jobs is None or executed < max_jobs:
+            # Clear before reading the store: whatever is committed after
+            # this point either shows in the claim or leaves the event set.
+            wake.clear()
             if stop_event is not None and stop_event.is_set():
                 break
             if store.shutdown_requested():
                 break
             job = store.claim(worker_id, lease_seconds=lease_seconds)
             if job is None:
-                time.sleep(poll_interval)
+                wake.wait(poll_interval)
                 continue
             try:
                 _run_claimed(store, cache, job, fabrics, worker_id, logger)
@@ -193,6 +243,7 @@ class WorkerPool:
         )
         self._workers: list = []
         self._stop_event = threading.Event()
+        self._wakes: list[threading.Event | _SemaphoreEvent] = []
         self._supervisor: threading.Thread | None = None
         self.mode: str | None = None
 
@@ -212,25 +263,32 @@ class WorkerPool:
         A supervisor thread then keeps the pool healthy for the life of the
         service: every :attr:`supervision_interval` it requeues jobs whose
         lease expired (their worker died mid-run) and respawns dead workers.
+
+        The workers' wake events are made here for the mode they run in:
+        one semaphore shared with each worker process, or one
+        :class:`threading.Event` per thread worker.  Each worker clears only
+        its own event, so it never swallows a wake meant for another.
         """
         self.store.clear_shutdown()
         self.store.requeue_orphans()
         self._stop_event.clear()
-        if self.config.use_threads:
-            self.mode = "thread"
-        else:
+        self.mode, self._wakes = "thread", self._thread_wakes()
+        if not self.config.use_threads:
             try:
                 import multiprocessing
 
-                multiprocessing.get_context().Process  # probe availability
-                self.mode = "process"
+                # Making the shared semaphores doubles as the probe: a platform
+                # without working process semaphores runs thread workers.
+                context = multiprocessing.get_context()
+                wakes = [_SemaphoreEvent(context) for _ in range(self.size)]
             except (ImportError, OSError) as exc:  # pragma: no cover - platform
                 warnings.warn(
                     f"worker processes unavailable ({exc}); falling back to threads",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                self.mode = "thread"
+            else:
+                self.mode, self._wakes = "process", wakes
         self._workers = []
         try:
             for index in range(self.size):
@@ -245,16 +303,20 @@ class WorkerPool:
                 if hasattr(worker, "terminate"):
                     worker.terminate()
                     worker.join(1.0)
-            self.mode = "thread"
+            self.mode, self._wakes = "thread", self._thread_wakes()
             self._workers = [self._spawn(index) for index in range(self.size)]
         self._supervisor = threading.Thread(target=self._supervise, daemon=True)
         self._supervisor.start()
 
-    def _loop_kwargs(self) -> dict:
+    def _thread_wakes(self) -> list[threading.Event]:
+        return [threading.Event() for _ in range(self.size)]
+
+    def _loop_kwargs(self, index: int) -> dict:
         return {
             "poll_interval": self.config.poll_interval,
             "lease_seconds": self.config.lease_seconds,
             "max_attempts": self.config.max_attempts,
+            "wake_event": self._wakes[index],
             "log_path": self.config.log_path,
         }
 
@@ -266,15 +328,16 @@ class WorkerPool:
             process = multiprocessing.get_context().Process(
                 target=worker_loop,
                 args=(self.config.db_path, self.config.cache_dir, f"proc-{index}"),
-                kwargs=self._loop_kwargs(),
+                kwargs=self._loop_kwargs(index),
                 daemon=True,
             )
-            process.start()
+            with SQLITE_LOCK:  # fork only while no thread is inside SQLite
+                process.start()
             return process
         thread = threading.Thread(
             target=worker_loop,
             args=(self.config.db_path, self.config.cache_dir, f"thread-{index}"),
-            kwargs={**self._loop_kwargs(), "stop_event": self._stop_event},
+            kwargs={**self._loop_kwargs(index), "stop_event": self._stop_event},
             daemon=True,
         )
         thread.start()
@@ -284,7 +347,9 @@ class WorkerPool:
         """Requeue orphans and respawn dead workers until the pool stops."""
         while not self._stop_event.wait(self.supervision_interval):
             try:
-                self.store.requeue_orphans()
+                requeued, _ = self.store.requeue_orphans()
+                if requeued:
+                    self.wake()
                 for index, worker in enumerate(self._workers):
                     if not worker.is_alive() and not self._stop_event.is_set():
                         self._workers[index] = self._spawn(index)
@@ -295,15 +360,25 @@ class WorkerPool:
         """How many workers are currently alive."""
         return sum(1 for worker in self._workers if worker.is_alive())
 
+    def wake(self) -> None:
+        """Wake idle workers to claim now; call after a commit that queued work.
+
+        A no-op before :meth:`start`: the workers' first claim sees the job.
+        """
+        for event in self._wakes:
+            event.set()
+
     def stop(self, *, timeout: float = 10.0) -> None:
         """Graceful shutdown: finish in-flight jobs, then recover stragglers.
 
-        Raises the store's shutdown flag (and the thread stop event), joins
-        every worker, and requeues any job a non-cooperating worker left in
-        ``running`` so no work is stranded.
+        Raises the store's shutdown flag (and the thread stop event), wakes
+        the idle workers so they exit at once, joins every worker, and
+        requeues any job a non-cooperating worker left in ``running`` so no
+        work is stranded.
         """
         self.store.request_shutdown()
         self._stop_event.set()
+        self.wake()
         if self._supervisor is not None:
             self._supervisor.join(timeout)
             self._supervisor = None

@@ -235,6 +235,75 @@ class TestAdmissionControl:
             client.submit(payload)
 
 
+def _raw_request(
+    method: str, path: str, body: bytes = b"", *, length: str | None = None
+) -> bytes:
+    """One HTTP/1.1 request as bytes; ``length`` overrides Content-Length."""
+    length = str(len(body)) if length is None else length
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    )
+    return head.encode() + body
+
+
+def _raw_exchange(url: str, request: bytes) -> tuple[int, dict, bytes]:
+    """Send raw request bytes; returns the status, headers and body."""
+    parts = urllib.parse.urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=10.0) as conn:
+        conn.sendall(request)
+        response = b""
+        while chunk := conn.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head, "the server closed the connection without a response"
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split(" ", 2)[1]), headers, body
+
+
+#: Requests the API must answer with a 400 and a logged access record; each
+#: one but the first used to drop the connection (or list every job).
+MALFORMED_REQUESTS = {
+    "content-length-abc": (
+        _raw_request("POST", "/jobs", b"{}", length="abc"),
+        "Content-Length must be an integer",
+    ),
+    "circuit-int": (
+        _raw_request("POST", "/jobs", b'{"circuit": 5}'), "circuit must be a string"
+    ),
+    "circuit-null": (
+        _raw_request("POST", "/jobs", b'{"circuit": null}'), "circuit must be a string"
+    ),
+    "circuit-list": (
+        _raw_request("POST", "/jobs", b'{"circuit": ["a"]}'), "circuit must be a string"
+    ),
+    "sweep-circuits-int": (
+        _raw_request("POST", "/jobs", b'{"sweep": {"circuits": [1, 2]}}'),
+        "circuit must be a string",
+    ),
+    "circuit-directory": (
+        _raw_request("POST", "/jobs", b'{"circuit": "/"}'), "not a QASM file"
+    ),
+    "circuit-name-too-long": (
+        _raw_request("POST", "/jobs", b'{"circuit": "%s"}' % (b"x" * 5000)),
+        "not a QASM file",
+    ),
+    "circuit-bad-parameter": (
+        _raw_request("POST", "/jobs", b'{"circuit": "random:bad"}'),
+        "bad parameter segment",
+    ),
+    "limit-overflow": (
+        _raw_request("GET", "/jobs?limit=99999999999999999999"),
+        "limit must be between 1 and",
+    ),
+    "limit-negative": (
+        _raw_request("GET", "/jobs?limit=-5"), "limit must be between 1 and"
+    ),
+    "limit-zero": (_raw_request("GET", "/jobs?limit=0"), "limit must be between 1 and"),
+}
+
+
 def _last_access_log_record(log_path) -> dict:
     # The access-log record lands just *after* the response is sent, so give
     # the handler thread a moment to write it.
@@ -279,21 +348,40 @@ class TestStructuredLogs:
         assert record["request_id"]
         assert record["duration_ms"] >= 0.0
 
-    def test_non_integer_content_length_is_a_logged_400(self, config, service):
-        url = urllib.parse.urlsplit(service.url)
-        with socket.create_connection((url.hostname, url.port), timeout=10.0) as conn:
-            conn.sendall(
-                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Type: application/json\r\nContent-Length: abc\r\n\r\n{}"
-            )
-            response = b""
-            while chunk := conn.recv(4096):
-                response += chunk
-        head, _, body = response.partition(b"\r\n\r\n")
-        assert head.split(b" ", 2)[1] == b"400", head
-        assert "Content-Length" in json.loads(body)["error"]
+    @pytest.mark.parametrize(
+        ("request_bytes", "error"),
+        list(MALFORMED_REQUESTS.values()),
+        ids=list(MALFORMED_REQUESTS),
+    )
+    def test_malformed_request_is_a_logged_400(
+        self, config, service, request_bytes, error
+    ):
+        status, headers, body = _raw_exchange(service.url, request_bytes)
+        assert status == 400, body
+        assert error in json.loads(body)["error"]
+        method, path = request_bytes.decode("latin-1").split(" ", 2)[:2]
         record = _last_access_log_record(config.log_path)
-        assert (record["method"], record["path"], record["status"]) == ("POST", "/jobs", 400)
+        assert (record["method"], record["path"], record["status"]) == (method, path, 400)
+        assert record["request_id"] == headers["X-Request-Id"]
+
+    def test_unexpected_fault_is_a_logged_500(self, config, service, monkeypatch):
+        def broken_health():
+            raise RuntimeError("store unreadable")
+
+        monkeypatch.setattr(service, "health", broken_health)
+        status, headers, body = _raw_exchange(
+            service.url, _raw_request("GET", "/healthz")
+        )
+        document = json.loads(body)
+        assert status == 500
+        assert "RuntimeError: store unreadable" in document["error"]
+        assert document["request_id"] == headers["X-Request-Id"]
+        record = _last_access_log_record(config.log_path)
+        assert (record["path"], record["status"]) == ("/healthz", 500)
+        assert record["request_id"] == document["request_id"]
+        (fault,) = [r for r in read_jsonl(config.log_path) if r["event"] == "http.error"]
+        assert fault["request_id"] == document["request_id"]
+        assert "RuntimeError: store unreadable" in fault["traceback"]
 
     def test_log_path_none_disables_logging(self, tmp_path):
         config = ServiceConfig(
