@@ -1,7 +1,7 @@
 """Command-line interface: ``qspr-map``.
 
-The subcommands cover the single-shot, batch, benchmarking, discovery and
-service workflows:
+The subcommands cover the single-shot, batch, discovery, service and
+load-generation workflows:
 
 * ``qspr-map run`` — map one QASM file (or registered benchmark circuit)
   onto an ion-trap fabric and print the latency report.  For backward
@@ -13,9 +13,6 @@ service workflows:
   partial results are still written.
 * ``qspr-map report`` — re-render the tables from a previous sweep's
   ``results.json`` without re-running anything.
-* ``qspr-map bench`` — time the place-route-simulate hot path on the paper's
-  circuits and a small service loadgen trace, and write ``BENCH_perf.json``
-  (see ``docs/PERFORMANCE.md``).
 * ``qspr-map list`` — enumerate every plugin registered in the mapper,
   placer, fabric, circuit, scheduler and technology registries (built-ins
   and third-party).
@@ -55,7 +52,6 @@ Examples::
         --technologies paper,cap-1 --schedulers qspr,qpos-dependents \\
         --turn-aware 1,0 --barriers 0,1
     qspr-map report sweep-out/results.json
-    qspr-map bench --quick --out BENCH_perf.json
     qspr-map list --registry placers
     qspr-map serve --port 8321 --workers 4 --out service-out
     qspr-map submit --benchmarks "[[5,1,3]]" --placers center --wait
@@ -111,7 +107,7 @@ from repro.viz.trace_render import render_gantt
 
 #: Subcommand names; anything else on the command line means legacy ``run``.
 _COMMANDS = (
-    "run", "sweep", "report", "bench", "list",
+    "run", "sweep", "report", "list",
     "serve", "submit", "status", "jobs", "cancel", "cache",
     "replay", "loadgen", "top",
 )
@@ -419,26 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("results", help="path to a results.json written by sweep")
     report_parser.add_argument(
         "--csv", default=None, help="also write the results as CSV to this path"
-    )
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="time the routing/simulation hot path and write BENCH_perf.json"
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-smoke subset: small circuits only",
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="repetitions per timing; the best wall-clock wins (default: 3)",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default="BENCH_perf.json",
-        help="path of the JSON report (default: BENCH_perf.json)",
     )
 
     list_parser = subparsers.add_parser(
@@ -790,18 +766,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 130 if run.interrupted else 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    """Run the perf suite and print its tables (``qspr-map bench``)."""
-    from repro.runner.bench import format_perf_report, run_perf_suite
-
-    if args.repeats < 1:
-        raise ReproError("--repeats must be at least 1")
-    report = run_perf_suite(quick=args.quick, repeats=args.repeats, out=args.out)
-    print(format_perf_report(report))
-    print(f"report: {args.out}")
-    return 0
-
-
 def _command_list(args: argparse.Namespace) -> int:
     """Print the contents of the plugin registries (``qspr-map list``)."""
     selected = [args.registry] if args.registry else list(REGISTRIES)
@@ -1106,7 +1070,6 @@ def main(argv: list[str] | None = None) -> int:
         "run": _command_run,
         "sweep": _command_sweep,
         "report": _command_report,
-        "bench": _command_bench,
         "list": _command_list,
         "serve": _command_serve,
         "submit": _command_submit,

@@ -209,10 +209,6 @@ class Fabric:
                 return trap
         raise FabricError("no free trap available on the fabric")
 
-    def junction_distance(self, a: JunctionId, b: JunctionId) -> int:
-        """Manhattan distance between two junction cells."""
-        return manhattan_distance(self.junction(a).cell, self.junction(b).cell)
-
     # ------------------------------------------------------------------
     # Dunder helpers
     # ------------------------------------------------------------------

@@ -11,10 +11,10 @@ Components:
   horizontal-plane and a vertical-plane vertex joined by a *turn edge*.
 * :mod:`repro.routing.weights` — the edge weight function of Eq. (2).
 * :mod:`repro.routing.congestion` — channel occupancy bookkeeping.
-* :mod:`repro.routing.dijkstra` — multi-source/multi-target shortest path
-  (the object-based reference kernel the test suite's oracle plans with).
 * :mod:`repro.routing.compiled` — the CSR-array routing core the router
-  uses; returns routes identical to the reference kernel.
+  uses: a multi-source/multi-target Dijkstra kernel whose routes are
+  identical to the object-graph reference kernel of the test suite's oracle
+  (``tests/reference_oracle.py``).
 * :mod:`repro.routing.path` — expansion of a graph path into a timed
   :class:`RoutePlan` (per-channel occupancy intervals, moves and turns).
 * :mod:`repro.routing.trap_selection` — target trap choice near the median of
@@ -25,9 +25,8 @@ Components:
 
 from repro.routing.graph_model import RoutingGraph, GraphEdge, EdgeKind
 from repro.routing.weights import channel_weight, edge_weight
-from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
+from repro.routing.compiled import CompiledRoutingGraph, DijkstraResult, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
-from repro.routing.dijkstra import shortest_route, DijkstraResult
 from repro.routing.path import PathStep, RoutePlan, StepKind
 from repro.routing.trap_selection import select_target_trap
 from repro.routing.router import (
@@ -49,7 +48,6 @@ __all__ = [
     "CompiledRoutingGraph",
     "RoutingCoreStats",
     "CongestionTracker",
-    "shortest_route",
     "DijkstraResult",
     "PathStep",
     "RoutePlan",

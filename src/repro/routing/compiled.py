@@ -26,8 +26,9 @@ The Dijkstra kernel works entirely on preallocated per-node arrays
 query, every slot carries a *generation stamp*: bumping ``self._generation``
 invalidates all previous state in O(1).  The heap uses lazy deletion
 (superseded entries are skipped on pop) and the tie-breaking — a monotone
-push counter — matches the reference kernel entry-for-entry, so both return
-identical routes, not merely equal-cost ones.
+push counter — matches the object-graph reference kernel of the test
+suite's oracle (``tests/reference_oracle.py``) entry-for-entry, so both
+return identical routes, not merely equal-cost ones.
 
 **Weight synchronisation.**  Edge weights depend on channel occupancy, which
 changes with every reservation.  The congestion tracker stamps each state
@@ -92,8 +93,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.routing.congestion import CongestionTracker
-from repro.routing.dijkstra import DijkstraResult
-from repro.routing.graph_model import EdgeKind, Node, RoutingGraph
+from repro.routing.graph_model import EdgeKind, GraphEdge, Node, RoutingGraph
 from repro.technology import TechnologyParams
 
 _INF = math.inf
@@ -103,6 +103,24 @@ _INF = math.inf
 NUM_LANDMARKS = 8
 
 _MISSING = object()
+
+
+@dataclass(frozen=True)
+class DijkstraResult:
+    """Result of a shortest-route query.
+
+    Attributes:
+        cost: Total cost including the virtual entry and completion costs.
+        entry_node: The routing-graph node the route enters the graph at.
+        exit_node: The routing-graph node the route leaves the graph at.
+        edges: The traversed edges, in order (empty when the entry node is
+            also the exit node).
+    """
+
+    cost: float
+    entry_node: Node
+    exit_node: Node
+    edges: tuple[GraphEdge, ...]
 
 
 @dataclass
@@ -155,18 +173,6 @@ class RoutingCoreStats:
             cache_misses=self.cache_misses - baseline.cache_misses,
             batched_searches=self.batched_searches - baseline.batched_searches,
         )
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-JSON representation (counters plus the derived hit rate)."""
-        return {
-            "dijkstra_calls": self.dijkstra_calls,
-            "heap_pops": self.heap_pops,
-            "edge_relaxations": self.edge_relaxations,
-            "route_cache_hits": self.cache_hits,
-            "route_cache_misses": self.cache_misses,
-            "route_cache_hit_rate": self.cache_hit_rate,
-            "routing_batched_searches": self.batched_searches,
-        }
 
 
 class _LandmarkTable:
@@ -551,7 +557,7 @@ class CompiledRoutingGraph:
         read_out: set | None = None,
         cost_bound: float = _INF,
     ) -> DijkstraResult | None:
-        """Array-based equivalent of :func:`repro.routing.dijkstra.shortest_route`.
+        """Array-based equivalent of the object-graph reference kernel.
 
         All entry and completion costs must be non-negative (infinity marks a
         blocked attachment) — the standard Dijkstra precondition, which the

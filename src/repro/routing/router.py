@@ -19,9 +19,8 @@ from repro.circuits.circuit import Instruction
 from repro.errors import RoutingError
 from repro.fabric.components import ChannelId, Trap, TrapId
 from repro.fabric.fabric import Fabric
-from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
+from repro.routing.compiled import CompiledRoutingGraph, DijkstraResult, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
-from repro.routing.dijkstra import DijkstraResult
 from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
 from repro.routing.trap_selection import select_target_trap
@@ -211,9 +210,9 @@ ANY_CONGESTION_CHANGE = ("congestion", "any")
 #: :data:`ANY_CONGESTION_CHANGE` (a strict superset, woken on every release
 #: and every issue).  64 keys keeps the crowded-fabric sets — dozens of
 #: occupied traps scanned past during candidate ranking — precise while
-#: bounding the per-failure indexing cost (measured optimum on the
-#: congestion-heavy bench cases; 24 collapses over half of them, beyond 256
-#: the bookkeeping outweighs the extra pruning).
+#: bounding the per-failure indexing cost (measured optimum on
+#: congestion-heavy capacity-1 jobs; 24 collapses over half of them, beyond
+#: 256 the bookkeeping outweighs the extra pruning).
 MAX_BLOCKER_KEYS = 64
 
 
@@ -252,13 +251,13 @@ class Router:
 
     Path selection runs on the
     :class:`~repro.routing.compiled.CompiledRoutingGraph` kernel, which
-    returns routes identical to the reference
-    :func:`~repro.routing.dijkstra.shortest_route`.  Planned qubit routes are
-    memoised per ``(source trap, target trap)`` pair under one validity
-    rule: a cached route is served iff every channel occupancy its search
-    read still equals its snapshot.  The table keeps a short MRU list of
-    snapshots per pair, because fabric congestion oscillates and a state the
-    fabric returns to should hit again.
+    returns routes identical to the object-graph reference kernel of the
+    test suite's oracle (``tests/reference_oracle.py``).  Planned qubit
+    routes are memoised per ``(source trap, target trap)`` pair under one
+    validity rule: a cached route is served iff every channel occupancy its
+    search read still equals its snapshot.  The table keeps a short MRU list
+    of snapshots per pair, because fabric congestion oscillates and a state
+    the fabric returns to should hit again.
 
     There is one route table per ``(fabric, technology, policy)``, memoised
     on the fabric instance like its routing graphs, and every router on

@@ -13,8 +13,6 @@ end:
 * :mod:`repro.runner.results` — :class:`CellResult`, the flat record every
   cell produces.
 * :mod:`repro.runner.report` — JSON/CSV writers and paper-style tables.
-* :mod:`repro.runner.bench` — the performance microbenchmark suite behind
-  ``qspr-map bench`` and ``BENCH_perf.json``.
 
 A typical batch experiment::
 
@@ -35,12 +33,6 @@ subcommands and the ``benchmarks/`` harness.
 
 from __future__ import annotations
 
-from repro.runner.bench import (
-    BENCH_SCHEMA,
-    BenchCase,
-    format_perf_report,
-    run_perf_suite,
-)
 from repro.runner.cache import CacheInfo, ResultCache
 from repro.runner.executor import SweepRun, execute_cell, map_spec, run_sweep
 from repro.runner.report import cell_table, latency_table, read_json, write_csv, write_json
@@ -61,8 +53,6 @@ from repro.runner.spec import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchCase",
     "CACHE_SCHEMA",
     "CacheInfo",
     "MAPPER_NAMES",
@@ -78,14 +68,12 @@ __all__ = [
     "SweepRun",
     "cell_table",
     "execute_cell",
-    "format_perf_report",
     "latency_table",
     "map_spec",
     "parse_axis",
     "parse_bool_axis",
     "parse_capacity_axis",
     "read_json",
-    "run_perf_suite",
     "run_sweep",
     "scenario_suffix",
     "write_csv",

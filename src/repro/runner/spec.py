@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.qecc import BENCHMARK_NAMES
 from repro.errors import MappingError, ReproError
 from repro.fabric.builder import FabricSpec, build_fabric, quale_fabric
 from repro.fabric.fabric import Fabric
@@ -243,11 +242,6 @@ class ExperimentSpec:
         (:data:`PLACERLESS_MAPPERS`).
         """
         return self.mapper not in PLACERLESS_MAPPERS
-
-    @property
-    def is_benchmark(self) -> bool:
-        """Whether :attr:`circuit` names a built-in QECC benchmark."""
-        return self.circuit in BENCHMARK_NAMES
 
     @property
     def is_registered_circuit(self) -> bool:

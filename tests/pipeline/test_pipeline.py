@@ -56,6 +56,10 @@ class TestMappingPipeline:
         # routing share is recorded as a sub-key bounded by the stage itself.
         assert result.stage_seconds["simulate.routing"] == result.routing_seconds
         assert result.routing_seconds <= result.stage_seconds["simulate"]
+        # A fresh fabric's route table starts empty, so the run must search.
+        stats = result.routing_stats
+        assert stats.dijkstra_calls > 0
+        assert stats.heap_pops >= stats.edge_relaxations >= 0
 
     def test_observer_sees_every_stage_in_order(self, calibrated_513, small_fabric_4x4):
         observer = RecordingObserver()

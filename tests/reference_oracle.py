@@ -6,9 +6,12 @@ snapshot-validated route table (one per fabric, with MRU lists per trap
 pair and batched candidate prefill), and the wake-set gating of the event
 loop.  The oracle removes every one of them:
 
-* :class:`OracleRouter` plans every leg from scratch with the object-graph
-  reference kernel :func:`repro.routing.dijkstra.shortest_route` under the
-  Eq. (2) weights of :func:`repro.routing.weights.edge_weight`;
+* :class:`OracleRouter` plans every leg from scratch with
+  :func:`shortest_route` under the Eq. (2) weights of
+  :func:`repro.routing.weights.edge_weight`.  That is the object-graph
+  reference kernel, a plain multi-source, multi-target Dijkstra over
+  :class:`~repro.routing.graph_model.RoutingGraph`, and the compiled
+  kernel is also checked against it query by query;
 * :func:`oracle_mode` swaps it into the simulator and turns the wake-set
   gating off, so the real event loop polls at every event timestamp and
   retries every parked instruction.
@@ -20,14 +23,110 @@ legs) and the event semantics are the model under test and stay shared.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import math
+from typing import Callable, Mapping
 
 import pytest
 
-from repro.routing.dijkstra import shortest_route
+from repro.routing.compiled import DijkstraResult
+from repro.routing.graph_model import GraphEdge, Node, RoutingGraph
 from repro.routing.path import expand_route, stationary_plan
 from repro.routing.router import Router
 from repro.routing.weights import edge_weight
 from repro.sim import engine
+
+#: Signature of the edge weight callback.
+WeightFunction = Callable[[GraphEdge], float]
+
+
+def shortest_route(
+    graph: RoutingGraph,
+    sources: Mapping[Node, float],
+    targets: Mapping[Node, float],
+    weight: WeightFunction,
+) -> DijkstraResult | None:
+    """Find the cheapest route from any source node to any target node.
+
+    Routes start and end at trap sites part-way along a channel, so a query
+    attaches *virtual* entry costs to the source channel's endpoint nodes
+    and *virtual* completion costs to the target channel's endpoint nodes,
+    then runs an ordinary Dijkstra over the static graph.
+
+    Args:
+        graph: The routing graph.
+        sources: Entry nodes mapped to the cost of reaching them from the
+            source trap (exit moves/turn plus partial channel traversal).
+        targets: Exit nodes mapped to the cost of completing the route from
+            them to the target trap.
+        weight: Callback producing the weight of each edge; may return
+            ``math.inf`` for unusable edges.
+
+    Returns:
+        The cheapest :class:`~repro.routing.compiled.DijkstraResult`, or
+        ``None`` when every route has infinite cost (all entry/completion
+        costs or all connecting paths are blocked by congestion).
+    """
+    finite_sources = {node: cost for node, cost in sources.items() if math.isfinite(cost)}
+    finite_targets = {node: cost for node, cost in targets.items() if math.isfinite(cost)}
+    if not finite_sources or not finite_targets:
+        return None
+
+    best: dict[Node, float] = {}
+    origin: dict[Node, Node] = {}
+    parent_edge: dict[Node, GraphEdge | None] = {}
+    heap: list[tuple[float, int, Node]] = []
+    counter = 0
+    for node, cost in finite_sources.items():
+        if cost < best.get(node, math.inf):
+            best[node] = cost
+            origin[node] = node
+            parent_edge[node] = None
+            heapq.heappush(heap, (cost, counter, node))
+            counter += 1
+
+    settled: set[Node] = set()
+    best_total = math.inf
+    best_exit: Node | None = None
+
+    while heap:
+        cost, _, node = heapq.heappop(heap)
+        if node in settled or cost > best.get(node, math.inf):
+            continue
+        settled.add(node)
+        completion = finite_targets.get(node)
+        if completion is not None and cost + completion < best_total:
+            best_total = cost + completion
+            best_exit = node
+        # Once the cheapest settled node already exceeds the best complete
+        # route, no better completion can exist.
+        if cost >= best_total:
+            break
+        for edge in graph.edges_from(node):
+            edge_cost = weight(edge)
+            if not math.isfinite(edge_cost):
+                continue
+            candidate = cost + edge_cost
+            if candidate < best.get(edge.target, math.inf):
+                best[edge.target] = candidate
+                origin[edge.target] = origin[node]
+                parent_edge[edge.target] = edge
+                heapq.heappush(heap, (candidate, counter, edge.target))
+                counter += 1
+
+    if best_exit is None or not math.isfinite(best_total):
+        return None
+
+    edges: list[GraphEdge] = []
+    node = best_exit
+    while True:
+        edge = parent_edge[node]
+        if edge is None:
+            break
+        edges.append(edge)
+        node = edge.source
+    edges.reverse()
+    return DijkstraResult(best_total, origin[best_exit], best_exit, tuple(edges))
 
 
 class OracleRouter(Router):

@@ -2,8 +2,8 @@
 
 The compiled core must be a pure speedup — every query, under every
 congestion state the simulator can produce, must return the same cost and
-the same edge sequence as the object-based reference implementation in
-:mod:`repro.routing.dijkstra`.
+the same edge sequence as the object-based reference kernel
+:func:`reference_oracle.shortest_route`.
 
 Two layers of coverage:
 
@@ -19,12 +19,12 @@ import math
 
 import pytest
 
+from reference_oracle import shortest_route
 from repro.circuits.qecc import qecc_encoder
 from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric
 from repro.placement.center import CenterPlacer
 from repro.routing.compiled import CompiledRoutingGraph
 from repro.routing.congestion import CongestionTracker
-from repro.routing.dijkstra import shortest_route
 from repro.routing.router import Router, RoutingPolicy
 from repro.routing.weights import edge_weight
 from repro.sim.engine import FabricSimulator
@@ -120,6 +120,38 @@ def test_kernels_agree_on_enumerated_trap_pairs(fabric_factory, turn_aware):
                     _compiled_query(router, sources, targets, congestion),
                     context,
                 )
+
+
+def test_compiled_routes_are_costed_edge_chains(small_fabric_4x4):
+    """Each compiled answer is a connected edge chain from its entry node to
+    its exit node whose cost is entry + Eq. (2) weights + completion."""
+    fabric = small_fabric_4x4
+    policy = RoutingPolicy()
+    router = Router(fabric, PAPER_TECHNOLOGY, policy)
+    congestion = _congestion_states(fabric, policy.channel_capacity)["partial"]
+    traps = sorted(fabric.traps)
+    routed = 0
+    for source_id in traps:
+        source = fabric.trap(source_id)
+        for target_id in traps:
+            target = fabric.trap(target_id)
+            if source.channel_id == target.channel_id:
+                continue
+            sources = router._attachment_costs(source, congestion)
+            targets = router._attachment_costs(target, congestion)
+            result = _compiled_query(router, sources, targets, congestion)
+            if result is None:
+                continue
+            node = result.entry_node
+            cost = sources[node]
+            for edge in result.edges:
+                assert edge.source == node
+                cost += edge_weight(edge, congestion, PAPER_TECHNOLOGY)
+                node = edge.target
+            assert node == result.exit_node
+            assert cost + targets[node] == result.cost
+            routed += 1
+    assert routed > 0
 
 
 class _DifferentialShim:

