@@ -26,7 +26,6 @@ from repro.analysis.tables import format_comparison_table
 
 from report_util import emit as _emit
 from repro import map_circuit
-from repro.routing.router import MeetingPoint
 
 BENCH_SEEDS = int(os.environ.get("REPRO_BENCH_SEEDS", "3"))
 
@@ -39,8 +38,8 @@ _VARIANTS: dict[str, dict] = {
     "full QSPR": {},
     "no multiplexing (capacity 1)": {"channel_capacity": 1},
     "center placement (no MVFB)": {"placer": "center"},
-    "turn-oblivious routing": {"turn_aware_routing": False},
-    "single-operand movement": {"meeting_point": MeetingPoint.DESTINATION},
+    "turn-oblivious routing": {"turn_aware": False},
+    "single-operand movement": {"meeting_point": "destination"},
     "QPOS scheduler (dependent count)": {"scheduler": "qpos-dependents"},
     "fast-turn technology": {"technology": "fast-turn"},
 }

@@ -70,7 +70,6 @@ from repro.mapper import (
     IdealBaseline,
     MapperOptions,
     MappingResult,
-    PlacerKind,
     QposMapper,
     QsprMapper,
     QualeMapper,
@@ -149,7 +148,6 @@ __all__ = [
     "small_fabric",
     "MapperOptions",
     "MappingResult",
-    "PlacerKind",
     "QsprMapper",
     "QualeMapper",
     "QposMapper",

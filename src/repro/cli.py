@@ -4,9 +4,10 @@ The subcommands cover the single-shot, batch, discovery, service and
 load-generation workflows:
 
 * ``qspr-map run`` — map one QASM file (or registered benchmark circuit)
-  onto an ion-trap fabric and print the latency report.  For backward
-  compatibility the subcommand may be omitted: ``qspr-map --benchmark
-  "[[5,1,3]]"`` is equivalent to ``qspr-map run --benchmark "[[5,1,3]]"``.
+  onto an ion-trap fabric and print the latency report.  It builds one
+  :class:`~repro.runner.spec.ExperimentSpec` and runs it through
+  :func:`~repro.runner.executor.map_spec`, like ``repro.map_circuit`` and
+  ``POST /jobs``, so a job has the same defaults at every door.
 * ``qspr-map sweep`` — expand a mappers × placers × circuits × seeds grid,
   execute it (process-parallel with ``--jobs``, cached on disk) and write
   JSON + CSV results plus a latency comparison table.  Ctrl-C is graceful:
@@ -42,7 +43,7 @@ built-ins.
 
 Examples::
 
-    qspr-map --benchmark "[[5,1,3]]"
+    qspr-map run --benchmark "[[5,1,3]]"
     qspr-map run circuit.qasm --mapper quale --fabric-rows 12 --fabric-cols 22
     qspr-map run --benchmark ghz --fabric small --placer center
     qspr-map run --benchmark ghz --technology fast-turn --scheduler quale-alap
@@ -76,17 +77,7 @@ import repro
 from repro.analysis.metrics import latency_breakdown
 from repro.errors import ReproError
 from repro.mapper.options import MapperOptions
-from repro.pipeline import (
-    CIRCUITS,
-    MAPPERS,
-    PLACERS,
-    REGISTRIES,
-    resolve_circuit,
-    resolve_fabric,
-    resolve_mapper,
-    resolve_technology,
-)
-from repro.routing.router import MeetingPoint
+from repro.pipeline import MAPPERS, PLACERS, REGISTRIES, resolve_fabric
 from repro.runner import (
     MEETING_POINTS,
     SCHEDULER_NAMES,
@@ -97,6 +88,7 @@ from repro.runner import (
     Sweep,
     cell_table,
     latency_table,
+    map_spec,
     parse_axis,
     read_json,
     run_sweep,
@@ -104,13 +96,6 @@ from repro.runner import (
     write_json,
 )
 from repro.viz.trace_render import render_gantt
-
-#: Subcommand names; anything else on the command line means legacy ``run``.
-_COMMANDS = (
-    "run", "sweep", "report", "list",
-    "serve", "submit", "status", "jobs", "cancel", "cache",
-    "replay", "loadgen", "top",
-)
 
 #: Default URL of the service client subcommands.
 _DEFAULT_URL = "http://127.0.0.1:8321"
@@ -186,14 +171,19 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         default="mvfb",
         help="registered placement algorithm for the QSPR mapper (default: mvfb)",
     )
-    parser.add_argument("--seeds", type=int, default=5, help="MVFB random seeds m (default: 5)")
+    parser.add_argument(
+        "--seeds",
+        type=int,
+        default=MapperOptions.num_seeds,
+        help=f"MVFB random seeds m (default: {MapperOptions.num_seeds})",
+    )
     parser.add_argument(
         "--placements",
         type=int,
         default=None,
-        help="Monte-Carlo placement runs m' (required with --placer monte-carlo)",
+        help="Monte-Carlo placement runs m' (default: m)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
+    parser.add_argument("--seed", type=int, default=0, help="placement random seed (default: 0)")
     parser.add_argument(
         "--fabric",
         default=None,
@@ -211,7 +201,7 @@ def _add_sweep_axis_arguments(
     benchmarks: str = '[[5,1,3]]',
     mappers: str = "qspr",
     placers: str = "mvfb",
-    seeds: str = "3",
+    seeds: str = str(MapperOptions.num_seeds),
 ) -> None:
     """The grid-axis flags shared by ``sweep`` and ``submit``."""
     parser.add_argument(
@@ -336,23 +326,14 @@ def _sweep_from_args(args: argparse.Namespace) -> Sweep:
     payload axes share one parser (including the boolean and capacity
     spellings).
     """
-    fabric = FabricCell(
-        junction_rows=args.fabric_rows,
-        junction_cols=args.fabric_cols,
-        channel_length=args.channel_length,
-    )
     return Sweep.from_dict(
         {
             "circuits": args.benchmarks,
             "mappers": args.mappers,
             "placers": args.placers,
-            "num_seeds": _int_axis(args.seeds, "--seeds"),
-            "random_seeds": (
-                (args.seed,)
-                if getattr(args, "seed", None) is not None
-                else _int_axis(args.random_seeds, "--random-seeds")
-            ),
-            "fabrics": (fabric,),
+            "num_seeds": args.seeds,
+            "random_seeds": args.random_seeds if args.seed is None else (args.seed,),
+            "fabrics": (_fabric_cell(args),),
             "technologies": args.technologies,
             "schedulers": args.schedulers,
             "turn_aware": args.turn_aware,
@@ -363,10 +344,17 @@ def _sweep_from_args(args: argparse.Namespace) -> Sweep:
     )
 
 
-def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_sweep_axis_arguments(
-        parser, benchmarks="[[5,1,3]],[[7,1,3]]", mappers="qspr,quale", seeds="2"
+def _fabric_cell(args: argparse.Namespace) -> FabricCell:
+    """The fabric of the ``--fabric-rows/--fabric-cols/--channel-length`` flags."""
+    return FabricCell(
+        junction_rows=args.fabric_rows,
+        junction_cols=args.fabric_cols,
+        channel_length=args.channel_length,
     )
+
+
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_sweep_axis_arguments(parser, benchmarks="[[5,1,3]],[[7,1,3]]", mappers="qspr,quale")
     parser.add_argument(
         "--out",
         default="sweep-out",
@@ -671,58 +659,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_circuit(args: argparse.Namespace):
-    if args.benchmark:
-        # --seed reaches seed-accepting circuit factories too (random
-        # families), unless the parameterised name already pins a seed.
-        from repro.pipeline.circuits import seeded_circuit_name
+def _command_run(args: argparse.Namespace) -> int:
+    circuit = fabric = None
+    if args.qasm:
+        # The positional argument names a file: parse it directly, so a file
+        # that shares a registry name (e.g. "ghz") still wins.
+        from repro.qasm.parser import parse_qasm_file
 
-        return resolve_circuit(seeded_circuit_name(args.benchmark, args.seed))
-    path = Path(args.qasm)
-    if not path.exists():
-        raise ReproError(f"QASM file not found: {path}")
-    # The positional argument explicitly names a file: parse it directly, so
-    # a file that happens to share a registry name (e.g. "ghz") still wins.
-    from repro.qasm.parser import parse_qasm_file
-
-    return parse_qasm_file(path)
-
-
-def _build_fabric(args: argparse.Namespace):
+        path = Path(args.qasm)
+        if not path.exists():
+            raise ReproError(f"QASM file not found: {path}")
+        circuit = parse_qasm_file(path)
     if args.fabric:
-        return resolve_fabric(args.fabric)
-    if (args.fabric_rows, args.fabric_cols, args.channel_length) == (12, 22, 3):
-        return resolve_fabric("quale")
-    return resolve_fabric(
-        "grid",
-        junction_rows=args.fabric_rows,
-        junction_cols=args.fabric_cols,
-        channel_length=args.channel_length,
-        name=f"cli-{args.fabric_rows}x{args.fabric_cols}",
-    )
-
-
-def _build_mapper(args: argparse.Namespace):
-    options = MapperOptions(
-        technology=resolve_technology(args.technology),
-        scheduler=args.scheduler,
-        turn_aware_routing=not args.no_turn_aware,
-        meeting_point=MeetingPoint(args.meeting_point),
-        channel_capacity=args.channel_capacity,
-        barrier_scheduling=args.barriers,
+        fabric = resolve_fabric(args.fabric)
+    spec = ExperimentSpec(
+        circuit=args.qasm or args.benchmark,
+        mapper=args.mapper,
         placer=args.placer,
         num_seeds=args.seeds,
         num_placements=args.placements,
         random_seed=args.seed,
+        fabric=_fabric_cell(args),
+        technology=args.technology,
+        scheduler=args.scheduler,
+        turn_aware=not args.no_turn_aware,
+        meeting_point=args.meeting_point,
+        channel_capacity=args.channel_capacity,
+        barrier_scheduling=args.barriers,
     )
-    return resolve_mapper(args.mapper, options)
-
-
-def _command_run(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args)
-    fabric = _build_fabric(args)
-    mapper = _build_mapper(args)
-    result = mapper.map(circuit, fabric)
+    result = map_spec(spec, circuit=circuit, fabric=fabric)
 
     print(result.summary())
     breakdown = latency_breakdown(result)
@@ -736,13 +701,6 @@ def _command_run(args: argparse.Namespace) -> int:
         print()
         print(render_gantt(result.trace))
     return 0
-
-
-def _int_axis(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(value) for value in parse_axis(text))
-    except ValueError as exc:
-        raise ReproError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
@@ -836,19 +794,12 @@ def _client(args: argparse.Namespace):
 def _print_job_line(job: dict) -> None:
     from repro.runner import scenario_suffix
 
-    spec = job.get("spec", {})
-    label = f"{spec.get('mapper', '?')}"
-    if spec.get("placer"):
-        label += f"/{spec['placer']}"
-    label += scenario_suffix(
-        technology=spec.get("technology", "paper"),
-        scheduler=spec.get("scheduler", "qspr"),
-        turn_aware=spec.get("turn_aware", True),
-        meeting_point=spec.get("meeting_point", "median"),
-        channel_capacity=spec.get("channel_capacity"),
-        barrier_scheduling=spec.get("barrier_scheduling", False),
-    )
-    line = f"{job['id']}  {job['status']:<9}  {spec.get('circuit', '?'):<12} {label}"
+    spec = job["spec"]
+    label = spec["mapper"] + (f"/{spec['placer']}" if spec["placer"] else "")
+    scenario = ("technology", "scheduler", "turn_aware", "meeting_point",
+                "channel_capacity", "barrier_scheduling")
+    label += scenario_suffix(**{name: spec[name] for name in scenario})
+    line = f"{job['id']}  {job['status']:<9}  {spec['circuit']:<12} {label}"
     if job.get("error"):
         line += f"  error: {job['error']}"
     print(line)
@@ -1020,11 +971,7 @@ def _command_loadgen(args: argparse.Namespace) -> int:
             "num_seeds": 1,
             "technology": args.technology,
             "scheduler": args.scheduler,
-            "fabric": FabricCell(
-                junction_rows=args.fabric_rows,
-                junction_cols=args.fabric_cols,
-                channel_length=args.channel_length,
-            ),
+            "fabric": _fabric_cell(args),
         },
     )
     if args.trace_out:
@@ -1052,20 +999,10 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _normalise_argv(argv: list[str]) -> list[str]:
-    """Map legacy no-subcommand invocations onto ``run``."""
-    if not argv:
-        return ["run"]
-    first = argv[0]
-    if first in _COMMANDS or first in ("-h", "--help", "--version"):
-        return argv
-    return ["run", *argv]
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the ``qspr-map`` console script."""
     parser = build_parser()
-    args = parser.parse_args(_normalise_argv(list(sys.argv[1:] if argv is None else argv)))
+    args = parser.parse_args(argv)
     handler = {
         "run": _command_run,
         "sweep": _command_sweep,

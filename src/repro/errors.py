@@ -57,3 +57,24 @@ class SimulationError(ReproError):
 
 class MappingError(ReproError):
     """Raised when an end-to-end mapping run cannot produce a result."""
+
+
+def check_int(
+    name: str,
+    value,
+    minimum: int | None = 1,
+    maximum: int | None = None,
+    *,
+    error: type[ReproError] = MappingError,
+) -> None:
+    """Raise ``error``, naming the field, unless ``value`` is an ``int`` in range.
+
+    A ``bool`` is not an integer here, so a JSON ``true`` never passes for a
+    count.  Specs, mapper options and fabric specs share this one rule.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be at most {maximum}, got {value}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import FabricError
+from repro.errors import FabricError, check_int
 from repro.fabric.components import Channel, ChannelId, Junction, JunctionId, Trap
 from repro.fabric.fabric import Fabric
 from repro.fabric.geometry import Coord, Orientation
@@ -38,12 +38,10 @@ class FabricSpec:
     traps_per_channel: int = 2
 
     def __post_init__(self) -> None:
-        if self.junction_rows < 1 or self.junction_cols < 2:
-            raise FabricError("the lattice needs at least 1 row and 2 columns of junctions")
-        if self.channel_length < 1:
-            raise FabricError("channel_length must be at least 1")
-        if not 0 <= self.traps_per_channel <= 2:
-            raise FabricError("traps_per_channel must be 0, 1 or 2")
+        check_int("junction_rows", self.junction_rows, error=FabricError)
+        check_int("junction_cols", self.junction_cols, 2, error=FabricError)
+        check_int("channel_length", self.channel_length, error=FabricError)
+        check_int("traps_per_channel", self.traps_per_channel, 0, 2, error=FabricError)
         if self.traps_per_channel == 2 and self.channel_length < 2:
             raise FabricError("two traps per channel require channel_length >= 2")
 

@@ -15,7 +15,7 @@ realisation of the circuit together with its execution latency.
   (the QIDG critical path).
 """
 
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.result import MappingResult
 from repro.mapper.ideal import IdealBaseline
 from repro.mapper.qspr import QsprMapper
@@ -24,7 +24,6 @@ from repro.mapper.qpos import QposMapper
 
 __all__ = [
     "MapperOptions",
-    "PlacerKind",
     "MappingResult",
     "IdealBaseline",
     "QsprMapper",

@@ -9,28 +9,12 @@ concrete mappers live next to the mappers themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
-from repro.errors import MappingError
+from repro.errors import MappingError, check_int
 from repro.routing.router import MeetingPoint, RoutingPolicy
 from repro.scheduling.policies import SchedulingPolicy
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
-
-
-class PlacerKind(Enum):
-    """The built-in placement algorithms.
-
-    Kept for backwards compatibility and convenient literals; the canonical
-    identifier of a placer is its *registry name* (the enum value), which is
-    what :data:`repro.pipeline.PLACERS` is keyed by.  Custom placers have no
-    enum member — pass their registry name as a plain string wherever a
-    placer is selected (``MapperOptions(placer="my-placer")``).
-    """
-
-    MVFB = "mvfb"
-    MONTE_CARLO = "monte-carlo"
-    CENTER = "center"
 
 
 @dataclass(frozen=True)
@@ -54,14 +38,13 @@ class MapperOptions:
         channel_capacity: Channel capacity override; ``None`` uses the
             technology's value (2 for the paper's QSPR, 1 for prior tools).
         trap_candidates: Number of nearest-to-median traps the router tries.
-        placer: Placement algorithm — a :class:`PlacerKind` member or the
-            registry name of any placer in :data:`repro.pipeline.PLACERS`
-            (which is how third-party placers are selected).
-        num_seeds: MVFB's number of random seeds ``m``.
-        num_placements: Monte-Carlo's number of placement runs ``m'``
-            (required when ``placer`` is Monte-Carlo).
-        mvfb_patience: Consecutive non-improving runs that stop an MVFB seed.
-        mvfb_max_runs_per_seed: Hard cap on placement runs per MVFB seed.
+        placer: Placement algorithm — the registry name of any placer in
+            :data:`repro.pipeline.PLACERS` (``"mvfb"``, ``"monte-carlo"``,
+            ``"center"`` or a third-party placer).
+        num_seeds: MVFB's number of random seeds ``m``.  This default, the
+            paper's m=25, is the one every entry point reads.
+        num_placements: Monte-Carlo's number of placement runs ``m'``;
+            ``None`` runs ``num_seeds`` placements.
         random_seed: Seed for all randomised placement decisions.
     """
 
@@ -72,33 +55,17 @@ class MapperOptions:
     meeting_point: MeetingPoint = MeetingPoint.MEDIAN
     channel_capacity: int | None = None
     trap_candidates: int = 4
-    placer: PlacerKind | str = PlacerKind.MVFB
+    placer: str = "mvfb"
     num_seeds: int = 25
     num_placements: int | None = None
-    mvfb_patience: int = 3
-    mvfb_max_runs_per_seed: int = 40
     random_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.placer, PlacerKind) and (
-            not isinstance(self.placer, str) or not self.placer
-        ):
-            raise MappingError(
-                f"placer must be a PlacerKind or a registry name, got {self.placer!r}"
-            )
-        if self.num_seeds < 1:
-            raise MappingError("num_seeds must be at least 1")
-        if self.num_placements is not None and self.num_placements < 1:
-            raise MappingError("num_placements must be at least 1")
-        if self.channel_capacity is not None and self.channel_capacity < 1:
-            raise MappingError("channel_capacity must be at least 1")
-        if self.trap_candidates < 1:
-            raise MappingError("trap_candidates must be at least 1")
-
-    @property
-    def placer_name(self) -> str:
-        """The placer's registry name (the key into ``repro.pipeline.PLACERS``)."""
-        return self.placer.value if isinstance(self.placer, PlacerKind) else self.placer
+        check_int("num_seeds", self.num_seeds)
+        check_int("trap_candidates", self.trap_candidates)
+        for name in ("num_placements", "channel_capacity"):
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name))
 
     @property
     def scheduler_name(self) -> str:
@@ -140,10 +107,6 @@ class MapperOptions:
             trap_candidates=self.trap_candidates,
         )
 
-    def with_placer(self, placer: PlacerKind | str, **changes) -> "MapperOptions":
-        """A copy of the options with a different placer (and other changes)."""
-        return replace(self, placer=placer, **changes)
-
     def describe(self) -> str:
         """One-line human-readable summary used in logs and reports.
 
@@ -152,12 +115,12 @@ class MapperOptions:
         Monte-Carlo placer — the placement-run budget ``m'``.
         """
         text = (
-            f"placer={self.placer_name} priority={self.scheduler_name} "
+            f"placer={self.placer} priority={self.scheduler_name} "
             f"barriers={self.barrier_scheduling} turn_aware={self.turn_aware_routing} "
             f"meeting={self.meeting_point.value} "
             f"capacity={self.effective_channel_capacity} "
             f"traps={self.trap_candidates} m={self.num_seeds}"
         )
-        if self.placer_name == PlacerKind.MONTE_CARLO.value:
-            text += f" m'={self.num_placements}"
+        if self.placer == "monte-carlo":
+            text += f" m'={self.num_placements or self.num_seeds}"
         return text

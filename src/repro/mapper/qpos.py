@@ -18,7 +18,7 @@ total delay of the dependent instructions, is available through
 
 from __future__ import annotations
 
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 from repro.routing.router import MeetingPoint
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
@@ -43,7 +43,7 @@ def qpos_options(
         meeting_point=MeetingPoint.DESTINATION,
         channel_capacity=1,
         trap_candidates=1,
-        placer=PlacerKind.CENTER,
+        placer="center",
     )
 
 

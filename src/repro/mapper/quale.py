@@ -21,7 +21,7 @@ DESIGN.md, substitutions).
 
 from __future__ import annotations
 
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 from repro.routing.router import MeetingPoint
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
@@ -37,7 +37,7 @@ def quale_options(technology: TechnologyParams = PAPER_TECHNOLOGY) -> MapperOpti
         meeting_point=MeetingPoint.DESTINATION,
         channel_capacity=1,
         trap_candidates=1,
-        placer=PlacerKind.CENTER,
+        placer="center",
     )
 
 

@@ -9,23 +9,18 @@ registered via decorators — is reachable from one line::
 
     result = repro.map_circuit("[[5,1,3]]", "quale", mapper="qspr", placer="center")
     result = repro.map_circuit("ghz", "4x4c3", placer="monte-carlo",
-                               num_placements=4)
+                               num_placements=4, meeting_point="destination")
 """
 
 from __future__ import annotations
 
-import inspect
-
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import MappingError
 from repro.fabric.fabric import Fabric
-from repro.mapper.options import MapperOptions
 from repro.mapper.result import MappingResult
 from repro.pipeline.circuits import resolve_circuit
 from repro.pipeline.context import PipelineObserver
 from repro.pipeline.fabrics import resolve_fabric
-from repro.pipeline.mappers import resolve_mapper
-from repro.pipeline.technologies import resolve_technology
 
 
 def map_circuit(
@@ -38,6 +33,10 @@ def map_circuit(
     **options,
 ) -> MappingResult:
     """Map a circuit onto a fabric, resolving every name through the registries.
+
+    The call builds one :class:`~repro.runner.spec.ExperimentSpec` and runs
+    it through :func:`~repro.runner.executor.map_spec`, as ``qspr-map run``
+    and ``POST /jobs`` do, so every door has the same defaults.
 
     Args:
         circuit: A live :class:`~repro.circuits.circuit.QuantumCircuit`, a
@@ -53,18 +52,19 @@ def map_circuit(
         observer: Optional :class:`~repro.pipeline.context.PipelineObserver`
             receiving per-stage callbacks (passed through to mappers whose
             ``map`` accepts one, i.e. the pipeline-backed mappers).
-        options: Extra :class:`~repro.mapper.options.MapperOptions` fields,
-            e.g. ``num_seeds=5``, ``num_placements=10``, ``random_seed=7``,
-            ``scheduler="quale-alap"``.  ``technology`` accepts a
-            :class:`~repro.technology.TechnologyParams`, a technology-registry
-            name (``"fast-turn"``) or a custom-PMD parameter dict.
+        options: Further :class:`~repro.runner.spec.ExperimentSpec` fields:
+            ``num_seeds``, ``num_placements``, ``random_seed``,
+            ``technology`` and ``scheduler`` (registry names),
+            ``turn_aware``, ``meeting_point`` (``"median"``,
+            ``"destination"`` or ``"center"``), ``channel_capacity`` and
+            ``barrier_scheduling``.
 
     Returns:
         The :class:`~repro.mapper.result.MappingResult` of the run.
 
     Raises:
-        MappingError: On unknown names (with did-you-mean suggestions) or
-            unknown option fields.
+        MappingError: On unknown names (with did-you-mean suggestions),
+            unknown option fields or mistyped option values.
 
     Example::
 
@@ -73,34 +73,22 @@ def map_circuit(
         >>> result.latency >= result.ideal_latency > 0
         True
     """
+    # Imported lazily: repro.runner resolves its names through this package.
+    from repro.runner.executor import map_spec
+    from repro.runner.spec import ExperimentSpec
+
     live_circuit = resolve_circuit(circuit)
-    live_fabric = resolve_fabric(fabric)
-    if "technology" in options:
-        options["technology"] = resolve_technology(options["technology"])
     try:
-        # An explicit placer inside **options (e.g. an ablation override
-        # dict) wins over the positional default.
-        mapper_options = MapperOptions(**{"placer": placer, **options})
-    except TypeError as exc:
-        known = ", ".join(
-            name for name in MapperOptions.__dataclass_fields__ if name != "placer"
+        spec = ExperimentSpec(
+            circuit=circuit if isinstance(circuit, str) else circuit.name,
+            mapper=mapper,
+            placer=placer,
+            **options,
         )
+    except TypeError as exc:
+        fixed = ("circuit", "mapper", "placer", "fabric")
+        known = ", ".join(f for f in ExperimentSpec.__dataclass_fields__ if f not in fixed)
         raise MappingError(f"invalid mapper option: {exc} (known options: {known})") from exc
-    mapper_object = resolve_mapper(mapper, mapper_options)
-    if observer is not None and _accepts_observer(mapper_object.map):
-        return mapper_object.map(live_circuit, live_fabric, observer=observer)
-    return mapper_object.map(live_circuit, live_fabric)
-
-
-def _accepts_observer(map_method) -> bool:
-    """Whether a mapper's ``map`` accepts an ``observer`` keyword."""
-    try:
-        signature = inspect.signature(map_method)
-    except (TypeError, ValueError):  # pragma: no cover - builtins/extensions
-        return False
-    if "observer" in signature.parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in signature.parameters.values()
+    return map_spec(
+        spec, circuit=live_circuit, fabric=resolve_fabric(fabric), observer=observer
     )

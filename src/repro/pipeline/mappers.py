@@ -86,17 +86,13 @@ def build_qspr(options: MapperOptions | None = None) -> QsprMapper:
 @MAPPERS.register("quale")
 def build_quale(options: MapperOptions | None = None) -> QualeMapper:
     """The QUALE preset (fixed placer/scheduling/routing choices)."""
-    if options is not None:
-        return QualeMapper(options.technology)
-    return QualeMapper()
+    return QualeMapper((options or MapperOptions()).technology)
 
 
 @MAPPERS.register("qpos")
 def build_qpos(options: MapperOptions | None = None) -> QposMapper:
     """The QPOS preset (fixed placer/scheduling/routing choices)."""
-    if options is not None:
-        return QposMapper(options.technology)
-    return QposMapper()
+    return QposMapper((options or MapperOptions()).technology)
 
 
 @MAPPERS.register("ideal")

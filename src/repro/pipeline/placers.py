@@ -54,14 +54,14 @@ def center_strategy(ctx: PipelineContext) -> Placement:
 
 @PLACERS.register("monte-carlo")
 def monte_carlo_strategy(ctx: PipelineContext) -> SimulationOutcome:
-    """Best of ``m'`` random center placements (the paper's MC baseline)."""
+    """Best of ``m'`` random center placements (the paper's MC baseline).
+
+    ``m'`` is ``num_placements``, or the MVFB seed count ``m`` when unset.
+    """
     options = ctx.options
-    if options.num_placements is None:
-        raise MappingError(
-            "the Monte-Carlo placer requires MapperOptions.num_placements (the paper's m')"
-        )
     placer = MonteCarloPlacer(ctx.fabric, ctx.simulate)
-    return placer.run(ctx.circuit, options.num_placements, seed=options.random_seed)
+    runs = options.num_placements or options.num_seeds
+    return placer.run(ctx.circuit, runs, seed=options.random_seed)
 
 
 @PLACERS.register("mvfb")
@@ -93,11 +93,5 @@ def mvfb_strategy(ctx: PipelineContext) -> SimulationOutcome:
         simulator = ctx.make_simulator(inverse_circuit, uidg, forced_order=order)
         return simulator.run(placement)
 
-    placer = MvfbPlacer(
-        ctx.fabric,
-        ctx.simulate,
-        backward,
-        patience=options.mvfb_patience,
-        max_runs_per_seed=options.mvfb_max_runs_per_seed,
-    )
+    placer = MvfbPlacer(ctx.fabric, ctx.simulate, backward)
     return placer.run(circuit, options.num_seeds, seed=options.random_seed)

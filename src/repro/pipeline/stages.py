@@ -62,7 +62,7 @@ def _place_stage(ctx: PipelineContext) -> None:
     validated here and evaluated by the simulate stage; a strategy returning
     a :class:`~repro.sim.engine.SimulationOutcome` already simulated.
     """
-    strategy = PLACERS.resolve(ctx.options.placer_name, error=MappingError)
+    strategy = PLACERS.resolve(ctx.options.placer, error=MappingError)
     produced = strategy(ctx)
     if isinstance(produced, SimulationOutcome):
         ctx.outcome = produced
@@ -71,7 +71,7 @@ def _place_stage(ctx: PipelineContext) -> None:
         ctx.placement = produced
     else:
         raise MappingError(
-            f"placer {ctx.options.placer_name!r} returned {type(produced).__name__}; "
+            f"placer {ctx.options.placer!r} returned {type(produced).__name__}; "
             "expected a Placement or a SimulationOutcome"
         )
 
@@ -90,7 +90,7 @@ def _simulate_stage(ctx: PipelineContext) -> None:
         return
     if ctx.placement is None:
         raise MappingError(
-            f"placer {ctx.options.placer_name!r} produced neither a placement nor an outcome"
+            f"placer {ctx.options.placer!r} produced neither a placement nor an outcome"
         )
     ctx.outcome = ctx.simulate(ctx.placement)
     ctx.stage_seconds["simulate.routing"] = ctx.outcome.routing_seconds

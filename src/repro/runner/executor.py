@@ -14,6 +14,7 @@ sequential path instead of failing the sweep.
 
 from __future__ import annotations
 
+import inspect
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -29,38 +30,53 @@ from repro.runner.spec import ExperimentSpec, Sweep
 ProgressCallback = Callable[[int, int, CellResult], None]
 
 
-def map_spec(spec: ExperimentSpec, *, fabric=None, observer=None):
+def map_spec(spec: ExperimentSpec, *, circuit=None, fabric=None, observer=None):
     """Run one declarative spec end to end and return the full mapping result.
 
-    This is the shared task-execution core of both the sweep runner and the
-    job-service workers: it builds the circuit, fabric and mapper from the
-    spec (each resolved through the :mod:`repro.pipeline` registries) and
-    returns the live :class:`~repro.mapper.result.MappingResult` — including
+    This is the one way a job runs: :func:`repro.map_circuit`, ``qspr-map
+    run``, the sweep runner and the service workers all call it.  It builds
+    the circuit, fabric and mapper from the spec (each resolved through the
+    :mod:`repro.pipeline` registries) and returns the live
+    :class:`~repro.mapper.result.MappingResult` — including
     ``stage_seconds`` and routing counters that the flat
     :class:`~repro.runner.results.CellResult` summary does not carry.
 
     Args:
         spec: The experiment cell to execute.
-        fabric: Optional pre-built :class:`~repro.fabric.fabric.Fabric` for
-            ``spec.fabric``.  Fabrics are immutable and memoise their routing
-            graphs and route tables, so a long-lived worker can pass the same
-            fabric to every job that targets the same geometry, pay the
-            graph-compilation cost once and reuse earlier jobs' route plans.
+        circuit: Optional live circuit to map instead of ``spec.circuit``.
+        fabric: Optional pre-built :class:`~repro.fabric.fabric.Fabric` to map
+            onto instead of ``spec.fabric``.  Fabrics are immutable and
+            memoise their routing graphs and route tables, so a long-lived
+            worker can pass the same fabric to every job that targets the
+            same geometry, pay the graph-compilation cost once and reuse
+            earlier jobs' route plans.
         observer: Optional :class:`~repro.pipeline.context.PipelineObserver`
             receiving stage start/finish callbacks.  Passed through only to
             mappers whose ``map`` accepts it (the reference
             :class:`~repro.pipeline.mappers.IdealMapper` does not).
     """
-    circuit = spec.build_circuit()
+    if circuit is None:
+        circuit = spec.build_circuit()
     if fabric is None:
         fabric = spec.build_fabric()
     mapper = spec.build_mapper()
-    if observer is not None:
-        from repro.pipeline.facade import _accepts_observer
-
-        if _accepts_observer(mapper.map):
-            return mapper.map(circuit, fabric, observer=observer)
+    if observer is not None and _accepts_observer(mapper.map):
+        return mapper.map(circuit, fabric, observer=observer)
     return mapper.map(circuit, fabric)
+
+
+def _accepts_observer(map_method) -> bool:
+    """Whether a mapper's ``map`` accepts an ``observer`` keyword."""
+    try:
+        signature = inspect.signature(map_method)
+    except (TypeError, ValueError):  # pragma: no cover - builtins/extensions
+        return False
+    if "observer" in signature.parameters:
+        return True
+    return any(
+        parameter.kind is inspect.Parameter.VAR_KEYWORD
+        for parameter in signature.parameters.values()
+    )
 
 
 def execute_cell(spec: ExperimentSpec) -> CellResult:

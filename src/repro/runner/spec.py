@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Sequence
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.errors import MappingError, ReproError
+from repro.errors import MappingError, check_int
 from repro.fabric.builder import FabricSpec, build_fabric, quale_fabric
 from repro.fabric.fabric import Fabric
 from repro.mapper.options import MapperOptions
@@ -99,6 +99,10 @@ class FabricCell:
     channel_length: int = 3
     traps_per_channel: int = 2
 
+    def __post_init__(self) -> None:
+        # FabricSpec's geometry rules: a bad cell fails at enqueue, not in a worker.
+        FabricSpec(**asdict(self))
+
     @classmethod
     def quale(cls) -> "FabricCell":
         """The 45×85-cell fabric used by all of the paper's experiments.
@@ -137,15 +141,7 @@ class FabricCell:
         """
         if self.is_quale:
             return quale_fabric()
-        return build_fabric(
-            FabricSpec(
-                name=self.label,
-                junction_rows=self.junction_rows,
-                junction_cols=self.junction_cols,
-                channel_length=self.channel_length,
-                traps_per_channel=self.traps_per_channel,
-            )
-        )
+        return build_fabric(FabricSpec(name=self.label, **asdict(self)))
 
 
 #: Shared default fabric (frozen, so safe as a dataclass default).
@@ -165,11 +161,11 @@ class ExperimentSpec:
             :data:`repro.pipeline.PLACERS` (``"mvfb"``, ``"monte-carlo"``,
             ``"center"`` or a plugin); ``None`` for mappers that have no
             placer choice.
-        num_seeds: MVFB's seed count ``m``.  For the Monte-Carlo placer this
-            doubles as the default number of placement runs ``m'`` when
-            ``num_placements`` is not given.
-        num_placements: Monte-Carlo placement runs ``m'`` (overrides the
-            ``num_seeds`` default).
+        num_seeds: MVFB's seed count ``m``, by default
+            :attr:`MapperOptions.num_seeds <repro.mapper.options.MapperOptions>`
+            (the paper's 25).  The Monte-Carlo placer runs this many
+            placements when ``num_placements`` is not given.
+        num_placements: Monte-Carlo placement runs ``m'`` (``None``: ``m``).
         random_seed: Seed of all randomised placement decisions.
         fabric: Target fabric parameters.
         technology: Name of the physical machine description in
@@ -201,7 +197,7 @@ class ExperimentSpec:
     circuit: str
     mapper: str = "qspr"
     placer: str | None = "mvfb"
-    num_seeds: int = 3
+    num_seeds: int = MapperOptions.num_seeds
     num_placements: int | None = None
     random_seed: int = 0
     fabric: FabricCell = QUALE_FABRIC_CELL
@@ -213,6 +209,22 @@ class ExperimentSpec:
     barrier_scheduling: bool = False
 
     def __post_init__(self) -> None:
+        # Types first: a payload's "false" is no boolean, nor 2.5 or true a count.
+        for name in ("circuit", "mapper", "technology", "scheduler", "meeting_point"):
+            if not isinstance(getattr(self, name), str):
+                raise MappingError(
+                    f"{name} must be a string, got {type(getattr(self, name)).__name__}"
+                )
+        for name in ("turn_aware", "barrier_scheduling"):
+            if not isinstance(getattr(self, name), bool):
+                raise MappingError(f"{name} must be a boolean, got {getattr(self, name)!r}")
+        check_int("num_seeds", self.num_seeds)
+        check_int("random_seed", self.random_seed, None)
+        for name in ("num_placements", "channel_capacity"):
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name))
+        if not isinstance(self.fabric, FabricCell):
+            raise MappingError(f"fabric must be a FabricCell, got {self.fabric!r}")
         MAPPERS.resolve(self.mapper, error=MappingError)
         TECHNOLOGIES.resolve(self.technology, error=MappingError)
         SCHEDULERS.resolve(self.scheduler, error=MappingError)
@@ -221,8 +233,6 @@ class ExperimentSpec:
                 f"unknown meeting point {self.meeting_point!r} "
                 f"(known: {', '.join(MEETING_POINTS)})"
             )
-        if self.channel_capacity is not None and self.channel_capacity < 1:
-            raise MappingError("channel_capacity must be at least 1")
         if self.uses_placer_axes:
             if self.placer is None:
                 raise MappingError(
@@ -230,8 +240,6 @@ class ExperimentSpec:
                     f"known placers: {', '.join(PLACERS.names())}"
                 )
             PLACERS.resolve(self.placer, error=MappingError)
-            if self.num_seeds < 1:
-                raise MappingError("num_seeds must be at least 1")
 
     @property
     def uses_placer_axes(self) -> bool:
@@ -341,8 +349,6 @@ class ExperimentSpec:
             >>> ExperimentSpec("[[5,1,3]]").build_circuit().num_qubits
             5
         """
-        if not self.is_registered_circuit and not Path(self.circuit).exists():
-            raise ReproError(f"QASM file not found: {self.circuit}")
         return resolve_circuit(self.circuit)
 
     def build_fabric(self) -> Fabric:
@@ -357,15 +363,11 @@ class ExperimentSpec:
 
         Example::
 
-            >>> spec = ExperimentSpec("[[5,1,3]]", placer="monte-carlo", num_seeds=4)
-            >>> spec.mapper_options().num_placements
-            4
+            >>> ExperimentSpec("[[5,1,3]]", placer="center").mapper_options().placer
+            'center'
         """
         if not self.uses_placer_axes:
             raise MappingError(f"mapper {self.mapper!r} takes no options")
-        num_placements = self.num_placements
-        if self.placer == "monte-carlo" and num_placements is None:
-            num_placements = self.num_seeds
         return MapperOptions(
             technology=resolve_technology(self.technology),
             scheduler=self.scheduler,
@@ -375,7 +377,7 @@ class ExperimentSpec:
             barrier_scheduling=self.barrier_scheduling,
             placer=self.placer,
             num_seeds=self.num_seeds,
-            num_placements=num_placements,
+            num_placements=self.num_placements,
             random_seed=self.random_seed,
         )
 
@@ -383,7 +385,9 @@ class ExperimentSpec:
         """Instantiate this cell's mapper through the mapper registry.
 
         Placer-driven mappers (QSPR and plugins) receive the cell's full
-        :meth:`mapper_options`; the fixed built-in presets receive ``None``.
+        :meth:`mapper_options`.  The fixed built-in presets ignore every knob
+        except the PMD, so they receive options that carry only the cell's
+        technology.
 
         Example::
 
@@ -392,13 +396,8 @@ class ExperimentSpec:
         """
         if self.uses_placer_axes:
             options = self.mapper_options()
-        elif self.technology != "paper":
-            # The fixed presets ignore every knob except the PMD: hand them
-            # the selected technology so e.g. a QUALE cell of a fast-turn
-            # sweep actually runs under fast-turn delays.
-            options = MapperOptions(technology=resolve_technology(self.technology))
         else:
-            options = None
+            options = MapperOptions(technology=resolve_technology(self.technology))
         return resolve_mapper(self.mapper, options)
 
     # ------------------------------------------------------------------
@@ -482,7 +481,7 @@ class Sweep:
     circuits: tuple[str, ...]
     mappers: tuple[str, ...] = ("qspr",)
     placers: tuple[str, ...] = ("mvfb",)
-    num_seeds: tuple[int, ...] = (3,)
+    num_seeds: tuple[int, ...] = (MapperOptions.num_seeds,)
     random_seeds: tuple[int, ...] = (0,)
     fabrics: tuple[FabricCell, ...] = (QUALE_FABRIC_CELL,)
     technologies: tuple[str, ...] = ("paper",)
@@ -598,6 +597,8 @@ class Sweep:
 
         Unknown keys raise :class:`~repro.errors.MappingError` so malformed
         service submissions fail at enqueue time, not at execution time.
+        Seed counts and random seeds must be integers or a comma-separated
+        string of them; a JSON ``2.5`` is refused, not truncated.
         """
         data = dict(record)
         known = {f.name for f in fields(cls)}
@@ -619,10 +620,17 @@ class Sweep:
             if name in data:
                 axis = data[name]
                 if isinstance(axis, str):  # "2,5" — same style as the name axes
-                    axis = parse_axis(axis)
-                elif isinstance(axis, (int, float)):
+                    try:
+                        axis = tuple(int(value) for value in parse_axis(axis))
+                    except ValueError:
+                        raise MappingError(
+                            f"sweep axis {name!r} must be an integer, got {axis!r}"
+                        ) from None
+                elif not isinstance(axis, (list, tuple)):
                     axis = (axis,)
-                data[name] = tuple(int(value) for value in axis)
+                for value in axis:
+                    check_int(f"sweep axis {name!r}", value, None)
+                data[name] = tuple(axis)
         for name in ("turn_aware", "barriers"):
             if name in data:
                 data[name] = parse_bool_axis(data[name], name)

@@ -12,11 +12,12 @@ plus the crash-recovery edge ``running → queued`` when a worker dies and its
 lease expires (:meth:`~repro.service.store.JobStore.requeue_orphans`).
 
 Submission payloads are validated *at enqueue time*: the spec round-trips
-through :meth:`ExperimentSpec.from_dict`, whose ``__post_init__`` resolves the
-mapper and placer through the :mod:`repro.pipeline` registries, and the
-circuit must be a string naming a registered circuit or a QASM file (a
-regular file: directories and devices are refused).  A bad payload is
-a 400 at the API boundary, never a failed job discovered minutes later.
+through :meth:`ExperimentSpec.from_dict`, whose ``__post_init__`` checks
+every field's type and range and resolves the mapper and placer through the
+:mod:`repro.pipeline` registries, and the circuit must name a registered
+circuit or a QASM file (a regular file: directories and devices are
+refused).  A bad payload is a 400 at the API boundary, never a failed job
+discovered minutes later.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 
-from repro.errors import CircuitError, MappingError
+from repro.errors import CircuitError, MappingError, ReproError
 from repro.runner.spec import ExperimentSpec, Sweep
 
 #: Legal ``Job.status`` values, in lifecycle order.
@@ -66,9 +67,10 @@ def spec_from_payload(payload: dict) -> ExperimentSpec:
     """Build and validate an :class:`ExperimentSpec` from an API payload.
 
     Raises:
-        MappingError: On unknown fields, unknown registry names (with
-            did-you-mean suggestions) or a circuit that is neither a
-            registered name nor an existing QASM file.
+        MappingError: On unknown fields, mistyped or out-of-range values,
+            unknown registry names (with did-you-mean suggestions) or a
+            circuit that is neither a registered name nor an existing QASM
+            file.
     """
     if not isinstance(payload, dict):
         raise MappingError(f"spec payload must be an object, got {type(payload).__name__}")
@@ -76,7 +78,7 @@ def spec_from_payload(payload: dict) -> ExperimentSpec:
         spec = ExperimentSpec.from_dict(payload)
     except MappingError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (ReproError, TypeError, ValueError) as exc:
         raise MappingError(f"invalid spec payload: {exc}") from exc
     _require_runnable_circuit(spec)
     return spec
@@ -95,7 +97,7 @@ def sweep_from_payload(payload: dict) -> tuple[ExperimentSpec, ...]:
         cells = Sweep.from_dict(payload).expand()
     except MappingError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (ReproError, TypeError, ValueError) as exc:
         raise MappingError(f"invalid sweep payload: {exc}") from exc
     for spec in cells:
         _require_runnable_circuit(spec)
@@ -103,10 +105,6 @@ def sweep_from_payload(payload: dict) -> tuple[ExperimentSpec, ...]:
 
 
 def _require_runnable_circuit(spec: ExperimentSpec) -> None:
-    if not isinstance(spec.circuit, str):
-        raise MappingError(
-            f"circuit must be a string, got {type(spec.circuit).__name__}"
-        )
     try:
         registered = spec.is_registered_circuit
     except CircuitError as exc:  # a malformed parameterised name

@@ -39,10 +39,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import MappingError
+from repro.errors import MappingError, ReproError
 from repro.runner.cache import ResultCache
 from repro.runner.results import CellResult
-from repro.runner.spec import ExperimentSpec
+from repro.runner.spec import ExperimentSpec, FabricCell
 from repro.service.jobs import (
     ACTIVE_OR_DONE,
     CANCELLED,
@@ -683,10 +683,26 @@ class JobStore:
         return row
 
 
+def _stored_spec(text: str) -> ExperimentSpec:
+    """Rebuild a stored spec, without today's checks if they refuse it.
+
+    An older build may have stored such a spec: it still lists, and the
+    worker that claims it fails the job with the check's message.
+    """
+    record = json.loads(text)
+    try:
+        return ExperimentSpec.from_dict(record)
+    except (ReproError, TypeError):
+        spec, fabric = object.__new__(ExperimentSpec), object.__new__(FabricCell)
+        fabric.__dict__.update(record.get("fabric", {}))
+        spec.__dict__.update(record, fabric=fabric)
+        return spec
+
+
 def _job_from_row(row: sqlite3.Row) -> Job:
     return Job(
         id=row["id"],
-        spec=ExperimentSpec.from_dict(json.loads(row["spec"])),
+        spec=_stored_spec(row["spec"]),
         cache_key=row["cache_key"],
         status=row["status"],
         created_at=row["created_at"],

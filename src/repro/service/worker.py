@@ -196,7 +196,10 @@ def _run_claimed(
     # two-argument callable.
     kwargs = {"observer": observer} if observer is not None else {}
     try:
-        cell, stage_seconds = execute_job(job.spec, fabrics, **kwargs)
+        # Rebuilt through today's checks: a spec an older build stored may
+        # fail them, and then the job fails with the check's message.
+        spec = ExperimentSpec.from_dict(job.spec.to_dict())
+        cell, stage_seconds = execute_job(spec, fabrics, **kwargs)
     except KeyboardInterrupt:
         raise
     except Exception as exc:  # a bad job must not kill the worker
@@ -210,7 +213,7 @@ def _run_claimed(
         )
         return
     if cache is not None:
-        cache.store(job.spec, cell)
+        cache.store(spec, cell)
     store.complete(job.id, cell, stage_seconds=stage_seconds, worker=worker_id)
     job_log.log(
         "job.done",

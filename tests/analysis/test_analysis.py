@@ -6,7 +6,7 @@ from repro.analysis.error_model import DecoherenceModel, circuit_success_probabi
 from repro.analysis.metrics import critical_instructions, latency_breakdown, schedule_parallelism
 from repro.analysis.tables import TextTable, format_comparison_table
 from repro.errors import ReproError
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 
 
@@ -15,7 +15,7 @@ def mapped_result():
     from repro.circuits.qecc import qecc_encoder
     from repro.fabric.builder import small_fabric
 
-    return QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+    return QsprMapper(MapperOptions(placer="center")).map(
         qecc_encoder("[[5,1,3]]"), small_fabric()
     )
 

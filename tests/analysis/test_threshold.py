@@ -7,13 +7,13 @@ from repro.analysis.threshold import check_error_threshold
 from repro.circuits.qecc import qecc_encoder
 from repro.errors import ReproError
 from repro.fabric.builder import small_fabric
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 
 
 @pytest.fixture(scope="module")
 def mapped_result():
-    return QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+    return QsprMapper(MapperOptions(placer="center")).map(
         qecc_encoder("[[5,1,3]]"), small_fabric()
     )
 

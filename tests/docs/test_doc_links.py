@@ -16,7 +16,7 @@ def test_readme_exists_with_quickstart():
     readme = REPO_ROOT / "README.md"
     assert readme.exists()
     text = readme.read_text()
-    assert 'qspr-map --benchmark "[[5,1,3]]"' in text
+    assert 'qspr-map run --benchmark "[[5,1,3]]"' in text
     assert "qspr-map sweep" in text
 
 

@@ -19,7 +19,6 @@ from repro import (
     small_fabric,
 )
 from repro.circuits.qecc import BENCHMARK_NAMES, QECC_BENCHMARKS, qecc_encoder
-from repro.mapper.options import PlacerKind
 from repro.sim.microcode import CommandKind
 
 
@@ -37,7 +36,7 @@ class TestPublicApi:
     def test_qasm_text_to_result(self, fabric):
         source = "QUBIT a,0\nQUBIT b,0\nQUBIT c,0\nH a\nC-X a,b\nC-X b,c\n"
         circuit = parse_qasm(source, name="chain")
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(circuit, fabric)
+        result = QsprMapper(MapperOptions(placer="center")).map(circuit, fabric)
         assert result.circuit_name == "chain"
         assert len(result.records) == 3
 
@@ -108,7 +107,7 @@ class TestTraceConsistency:
 
     def test_moves_consistent_with_records(self, fabric):
         circuit = qecc_encoder("[[5,1,3]]")
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(circuit, fabric)
+        result = QsprMapper(MapperOptions(placer="center")).map(circuit, fabric)
         move_time = result.trace.busy_time(CommandKind.MOVE)
         assert move_time == pytest.approx(result.total_moves * 1.0)
         turn_time = result.trace.busy_time(CommandKind.TURN)

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits.random_circuits import random_circuit
 from repro.fabric.builder import FabricSpec, build_fabric
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 from repro.qidg.analysis import critical_path_latency
 from repro.qidg.graph import build_qidg
 
 _FABRIC = build_fabric(FabricSpec(name="prop", junction_rows=4, junction_cols=4))
-_MAPPER = QsprMapper(MapperOptions(placer=PlacerKind.CENTER))
+_MAPPER = QsprMapper(MapperOptions(placer="center"))
 
 
 @st.composite

@@ -6,7 +6,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qecc import qecc_encoder
 from repro.errors import MappingError
 from repro.mapper.ideal import IdealBaseline
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qpos import QposMapper, qpos_options
 from repro.mapper.qspr import QsprMapper
 from repro.mapper.quale import QualeMapper, quale_options
@@ -20,7 +20,7 @@ class TestMapperOptions:
         assert options.turn_aware_routing
         assert options.meeting_point is MeetingPoint.MEDIAN
         assert options.effective_channel_capacity == 2
-        assert options.placer is PlacerKind.MVFB
+        assert options.placer == "mvfb"
 
     def test_channel_capacity_override(self):
         options = MapperOptions(channel_capacity=1)
@@ -34,10 +34,8 @@ class TestMapperOptions:
             MapperOptions(num_placements=0)
         with pytest.raises(MappingError):
             MapperOptions(channel_capacity=0)
-
-    def test_with_placer(self):
-        options = MapperOptions().with_placer(PlacerKind.CENTER)
-        assert options.placer is PlacerKind.CENTER
+        with pytest.raises(MappingError, match="num_seeds must be an integer"):
+            MapperOptions(num_seeds=True)
 
     def test_describe_mentions_key_features(self):
         text = MapperOptions().describe()
@@ -50,7 +48,7 @@ class TestMapperOptions:
         assert options.barrier_scheduling
         assert not options.turn_aware_routing
         assert options.effective_channel_capacity == 1
-        assert options.placer is PlacerKind.CENTER
+        assert options.placer == "center"
 
     def test_qpos_preset(self):
         options = qpos_options()
@@ -75,7 +73,7 @@ class TestIdealBaseline:
 
 class TestQsprMapper:
     def test_center_placer_flow(self, calibrated_513, small_fabric_4x4):
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        result = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         assert result.latency >= result.ideal_latency
@@ -91,21 +89,24 @@ class TestQsprMapper:
         result.final_placement.validate(calibrated_513, small_fabric_4x4)
 
     def test_mvfb_beats_or_matches_center(self, calibrated_513, small_fabric_4x4):
-        center = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        center = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         mvfb = QsprMapper(MapperOptions(num_seeds=3)).map(calibrated_513, small_fabric_4x4)
         assert mvfb.latency <= center.latency
 
-    def test_monte_carlo_requires_num_placements(self, calibrated_513, small_fabric_4x4):
-        with pytest.raises(MappingError):
-            QsprMapper(MapperOptions(placer=PlacerKind.MONTE_CARLO)).map(
-                calibrated_513, small_fabric_4x4
-            )
+    def test_monte_carlo_placements_default_to_num_seeds(
+        self, calibrated_513, small_fabric_4x4
+    ):
+        result = QsprMapper(MapperOptions(placer="monte-carlo", num_seeds=3)).map(
+            calibrated_513, small_fabric_4x4
+        )
+        assert result.placement_runs == 3
+        assert "m'=3" in result.options.describe()
 
     def test_monte_carlo_flow(self, calibrated_513, small_fabric_4x4):
         result = QsprMapper(
-            MapperOptions(placer=PlacerKind.MONTE_CARLO, num_placements=4)
+            MapperOptions(placer="monte-carlo", num_placements=4)
         ).map(calibrated_513, small_fabric_4x4)
         assert result.placement_runs == 4
 
@@ -129,7 +130,7 @@ class TestQsprMapper:
         circuit.cx(a, b)
         circuit.measure(a)
         circuit.measure(b)
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(circuit, small_fabric_4x4)
+        result = QsprMapper(MapperOptions(placer="center")).map(circuit, small_fabric_4x4)
         assert len(result.records) == 4
 
     def test_schedule_covers_all_instructions(self, calibrated_513, small_fabric_4x4):
@@ -146,7 +147,7 @@ class TestQsprMapper:
         assert a.latency == b.latency
 
     def test_summary_mentions_latency(self, calibrated_513, small_fabric_4x4):
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        result = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         assert "latency" in result.summary()
@@ -172,7 +173,7 @@ class TestBaselineMappers:
         assert qspr.improvement_over(quale) > 0
 
     def test_improvement_over_accepts_float(self, calibrated_513, small_fabric_4x4):
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        result = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         assert result.improvement_over(result.latency * 2) == pytest.approx(50.0)

@@ -49,7 +49,7 @@ class TestCustomPlacer:
     def test_through_the_facade(self, corner_placer):
         result = repro.map_circuit("[[5,1,3]]", "small", placer=corner_placer)
         assert result.latency >= result.ideal_latency > 0
-        assert result.options.placer_name == corner_placer
+        assert result.options.placer == corner_placer
 
     def test_through_experiment_spec_and_runner(self, corner_placer):
         spec = ExperimentSpec("[[5,1,3]]", placer=corner_placer)
@@ -113,7 +113,7 @@ class TestCustomMapper:
             "[[5,1,3]]", mapper=echo_mapper, placer="center", random_seed=3
         )
         mapper = spec.build_mapper()
-        assert mapper.options.placer_name == "center"
+        assert mapper.options.placer == "center"
         assert mapper.options.random_seed == 3
 
     def test_plugin_mapper_placer_typo_rejected(self, echo_mapper):

@@ -1,15 +1,14 @@
-"""CLI smoke tests for the sweep/report subcommands and the legacy shim."""
+"""CLI smoke tests for the sweep/report subcommands and the top-level parser."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 
 import pytest
 
 import repro
-from repro.cli import _COMMANDS, build_parser, main
+from repro.cli import build_parser, main
 
 _SWEEP_ARGS = [
     "sweep",
@@ -102,10 +101,12 @@ class TestTopLevel:
         assert excinfo.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
 
-    def test_legacy_invocation_still_maps(self, capsys):
-        rc = main(["--benchmark", "[[5,1,3]]", "--placer", "center"])
-        assert rc == 0
-        assert "latency" in capsys.readouterr().out
+    def test_bare_invocation_needs_a_subcommand(self, capsys):
+        # No alias: a missing subcommand is an argparse error, not ``run``.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--benchmark", "[[5,1,3]]", "--placer", "center"])
+        assert excinfo.value.code == 2
+        assert "latency" not in capsys.readouterr().out
 
     def test_explicit_run_subcommand(self, capsys):
         rc = main(["run", "--benchmark", "[[5,1,3]]", "--placer", "center"])
@@ -134,21 +135,10 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_every_subcommand_is_in_the_command_table(self):
-        # ``main`` reads any first word outside ``_COMMANDS`` as a legacy
-        # ``run`` argument, so a subcommand missing there is unreachable.
-        (subparsers,) = [
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        assert set(subparsers.choices) == set(_COMMANDS)
-
     def test_bench_is_not_a_subcommand(self, capsys):
-        # The speed benchmark is perfbench/run.py; ``bench`` is read as a
-        # legacy ``run`` circuit, and ``run`` has no ``--quick`` flag.
+        # The speed benchmark is perfbench/run.py.
         assert re.search(r"\bbench\b", build_parser().format_help()) is None
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--quick"])
         assert excinfo.value.code == 2
-        assert "--quick" in capsys.readouterr().err
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

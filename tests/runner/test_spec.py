@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.errors import MappingError
-from repro.runner import ExperimentSpec, FabricCell, Sweep, parse_axis
+from repro.errors import FabricError, MappingError
+from repro.runner import ExperimentSpec, FabricCell, Sweep, execute_cell, parse_axis
 
 TINY = FabricCell(junction_rows=4, junction_cols=4)
 
@@ -20,6 +22,10 @@ class TestFabricCell:
     def test_custom_build(self):
         fabric = TINY.build()
         assert fabric.name == TINY.label == "4x4c3"
+
+    def test_geometry_is_checked_when_declared(self):
+        with pytest.raises(FabricError, match="junction_cols must be at least 2"):
+            FabricCell(junction_rows=4, junction_cols=1)
 
 
 class TestExperimentSpec:
@@ -37,10 +43,10 @@ class TestExperimentSpec:
         assert a.normalized() == b.normalized()
 
     def test_monte_carlo_defaults_placements_to_num_seeds(self):
-        spec = ExperimentSpec("[[5,1,3]]", placer="monte-carlo", num_seeds=4)
-        assert spec.mapper_options().num_placements == 4
-        explicit = ExperimentSpec("[[5,1,3]]", placer="monte-carlo", num_seeds=4, num_placements=9)
-        assert explicit.mapper_options().num_placements == 9
+        spec = ExperimentSpec("[[5,1,3]]", placer="monte-carlo", num_seeds=4, fabric=TINY)
+        assert execute_cell(spec).placement_runs == 4
+        explicit = replace(spec, num_placements=2)
+        assert execute_cell(explicit).placement_runs == 2
 
     def test_dict_roundtrip(self):
         spec = ExperimentSpec("[[7,1,3]]", placer="center", num_seeds=2, fabric=TINY)
@@ -133,6 +139,11 @@ class TestSweep:
 
     def test_from_dict_accepts_scalar_seed_axis(self):
         assert Sweep.from_dict({"circuits": "ghz", "num_seeds": 4}).num_seeds == (4,)
+
+    def test_from_dict_refuses_non_integer_seed_counts(self):
+        for axis in (2.5, [2.5], "2.5", [True]):
+            with pytest.raises(MappingError, match="'num_seeds' must be an integer"):
+                Sweep.from_dict({"circuits": "ghz", "num_seeds": axis})
 
     def test_from_dict_rejects_unknown_axes(self):
         with pytest.raises(MappingError, match="unknown sweep axes"):

@@ -15,7 +15,7 @@ import pytest
 from repro.ops.logging import read_jsonl
 from repro.ops.prom import histogram_series, parse_exposition
 from repro.runner.results import CellResult
-from repro.runner.spec import ExperimentSpec
+from repro.runner.spec import ExperimentSpec, FabricCell
 from repro.service import (
     JobStore,
     MappingService,
@@ -262,6 +262,11 @@ def _raw_exchange(url: str, request: bytes) -> tuple[int, dict, bytes]:
     return int(status_line.split(" ", 2)[1]), headers, body
 
 
+def _spec_request(fields: bytes) -> bytes:
+    """``POST /jobs`` of a ``[[5,1,3]]`` spec with extra JSON ``fields``."""
+    return _raw_request("POST", "/jobs", b'{"circuit": "[[5,1,3]]", %s}' % fields)
+
+
 #: Requests the API must answer with a 400 and a logged access record; each
 #: one but the first used to drop the connection (or list every job).
 MALFORMED_REQUESTS = {
@@ -301,8 +306,31 @@ MALFORMED_REQUESTS = {
         _raw_request("GET", "/jobs?limit=-5"), "limit must be between 1 and"
     ),
     "limit-zero": (_raw_request("GET", "/jobs?limit=0"), "limit must be between 1 and"),
+    # Spec fields of the wrong type or out of range: each one used to be
+    # accepted, then run as something else or fail in the worker.
+    "barriers-string": (
+        _spec_request(b'"barrier_scheduling": "false"'), "barrier_scheduling must be a boolean"
+    ),
+    "turn-aware-string": (_spec_request(b'"turn_aware": "no"'), "turn_aware must be a boolean"),
+    "num-seeds-float": (_spec_request(b'"num_seeds": 2.5'), "num_seeds must be an integer"),
+    "num-seeds-bool": (_spec_request(b'"num_seeds": true'), "num_seeds must be an integer"),
+    "num-placements-zero": (
+        _spec_request(b'"num_placements": 0'), "num_placements must be at least 1"
+    ),
+    "capacity-float": (
+        _spec_request(b'"channel_capacity": 1.5'), "channel_capacity must be an integer"
+    ),
+    "fabric-rows-zero": (
+        _spec_request(b'"fabric": {"junction_rows": 0}'), "junction_rows must be at least 1"
+    ),
+    "fabric-rows-string": (
+        _spec_request(b'"fabric": {"junction_rows": "4"}'), "junction_rows must be an integer"
+    ),
+    "sweep-num-seeds-float": (
+        _raw_request("POST", "/jobs", b'{"sweep": {"circuits": "[[5,1,3]]", "num_seeds": 2.5}}'),
+        "'num_seeds' must be an integer",
+    ),
 }
-
 
 def _last_access_log_record(log_path) -> dict:
     # The access-log record lands just *after* the response is sent, so give
@@ -392,6 +420,52 @@ class TestStructuredLogs:
         try:
             ServiceClient(service.url).health()
             assert not (tmp_path / "service.log.jsonl").exists()
+        finally:
+            service.shutdown()
+
+
+class TestSpecsWrittenBeforeTheChecks:
+    """A store row whose spec today's checks refuse, as an older build wrote it."""
+
+    def _write_row(self, store, job_id, spec_fields):
+        record = {**ExperimentSpec("[[5,1,3]]", placer="center").to_dict(), **spec_fields}
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute(
+                "INSERT INTO jobs (id, cache_key, spec, status, created_at) "
+                "VALUES (?, ?, ?, 'queued', ?)",
+                (job_id, job_id, json.dumps(record), time.time()),
+            )
+
+    def test_listed_then_failed_by_its_worker_with_the_checks_message(self, tmp_path):
+        from repro.service.worker import worker_loop
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        self._write_row(store, "stale", {"barrier_scheduling": "false"})
+        valid, _ = store.submit(
+            ExperimentSpec("[[7,1,3]]", placer="center", fabric=FabricCell(4, 4))
+        )
+        listed = store.list_jobs()
+        assert [job.id for job in listed] == ["stale", valid.id]
+        assert listed[0].to_dict()["spec"]["barrier_scheduling"] == "false"
+
+        assert worker_loop(str(store.db_path), None, "w0", max_jobs=2) == 2
+        stale = store.get("stale")
+        assert stale.status == "failed"
+        assert "barrier_scheduling must be a boolean, got 'false'" in stale.error
+        assert store.get(valid.id).status == "done"
+
+    def test_service_lists_the_store_and_fails_the_job(self, config):
+        store = JobStore(config.db_path)
+        self._write_row(store, "stale", {"fabric": {"junction_rows": 0}})
+        service = MappingService(config)
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            done = client.wait("stale", timeout=30)
+            assert done["status"] == "failed"
+            assert "junction_rows must be at least 1" in done["error"]
+            (job,) = client.jobs()
+            assert job["spec"]["fabric"]["junction_rows"] == 0
         finally:
             service.shutdown()
 

@@ -4,15 +4,22 @@ The acceptance path of the service PR: boot the server, submit a tiny
 ``[[5,1,3]]`` job over HTTP, poll it to ``done``, fetch the result and check
 it equals :func:`repro.map_circuit` run in-process on the same spec — then
 resubmit the identical spec and verify it is answered from the dedup/cache
-path without re-running the mapper.
+path without re-running the mapper.  One job entered by each of the three
+doors (``repro.map_circuit``, ``qspr-map run`` and ``POST /jobs``) must map
+the same way.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import repro
-from repro.runner import ExperimentSpec, FabricCell
+from repro.cli import build_parser, main
+from repro.mapper.options import MapperOptions
+from repro.runner import ExperimentSpec, FabricCell, Sweep
+from repro.viz.trace_render import render_gantt
 from repro.service import (
     MappingService,
     ServiceClient,
@@ -162,6 +169,43 @@ class TestEndToEnd:
         assert metrics["done"] == 1
         assert metrics["stage_seconds"].get("simulate", 0.0) > 0.0
         assert metrics["wall_seconds"]["total"] > 0.0
+
+
+class TestOneJobAtEveryDoor:
+    def test_default_job_maps_alike_at_all_three_doors(self, client, capsys):
+        # No options at any door: the paper's MVFB search at m=25.
+        facade = repro.map_circuit("[[5,1,3]]")
+        assert main(["run", "--benchmark", "[[5,1,3]]", "--show-trace"]) == 0
+        cli_out = capsys.readouterr().out
+        (job,) = client.submit({"circuit": "[[5,1,3]]"})["jobs"]
+        assert client.wait(job["id"], timeout=120.0)["status"] == "done"
+        served = client.result(job["id"])["result"]
+
+        assert (facade.latency, facade.placement_runs) == (632.0, 147)
+        assert (served["latency"], served["placement_runs"]) == (632.0, 147)
+        # Each door builds its own fabric, so the work counters match too.
+        cpu_line = re.compile(r"^  mapping CPU time  : .*\n", re.MULTILINE)
+        assert cpu_line.sub("", facade.summary() + "\n") in cpu_line.sub("", cli_out)
+        assert render_gantt(facade.trace) in cli_out
+
+    def test_run_seed_seeds_placement_not_the_circuit(self, capsys):
+        name = "random-layered:q=8:d=12"
+        facade = repro.map_circuit(name, "small", placer="center", random_seed=7)
+        argv = ["run", "--benchmark", name, "--seed", "7", "--placer", "center"]
+        assert main(argv + ["--fabric", "small"]) == 0
+        cli_out = capsys.readouterr().out
+        assert facade.summary().splitlines()[:2] == cli_out.splitlines()[:2]
+
+    def test_every_door_defaults_to_the_papers_seed_count(self):
+        parser = build_parser()
+        defaults = [
+            parser.parse_args(["run", "--benchmark", "[[5,1,3]]"]).seeds,
+            int(parser.parse_args(["sweep"]).seeds),
+            int(parser.parse_args(["submit"]).seeds),
+            *Sweep(circuits=("[[5,1,3]]",)).num_seeds,
+            ExperimentSpec("[[5,1,3]]").num_seeds,
+        ]
+        assert defaults == [MapperOptions.num_seeds] * 5 == [25] * 5
 
 
 class TestValidationAndErrors:

@@ -201,7 +201,7 @@ class TestRoutingAxesMatchTheOracle:
         "placer_options",
         [
             {"placer": "monte-carlo", "num_placements": 3},
-            {"placer": "mvfb", "num_seeds": 2, "mvfb_max_runs_per_seed": 3},
+            {"placer": "mvfb", "num_seeds": 2},
         ],
         ids=["monte-carlo", "mvfb"],
     )

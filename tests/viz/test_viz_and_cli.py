@@ -5,7 +5,7 @@ import pytest
 from repro.circuits.qecc import qecc_encoder
 from repro.cli import build_parser, main
 from repro.fabric.builder import small_fabric
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 from repro.placement.center import CenterPlacer
 from repro.viz.fabric_ascii import fabric_legend, render_fabric, render_placement
@@ -16,7 +16,7 @@ from repro.viz.trace_render import render_gantt, render_timeline
 def mapped():
     fabric = small_fabric()
     circuit = qecc_encoder("[[5,1,3]]")
-    result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(circuit, fabric)
+    result = QsprMapper(MapperOptions(placer="center")).map(circuit, fabric)
     return fabric, circuit, result
 
 
@@ -67,7 +67,7 @@ class TestCli:
             build_parser().parse_args([])
 
     def test_benchmark_run(self, capsys):
-        rc = main(["--benchmark", "[[5,1,3]]", "--placer", "center"])
+        rc = main(["run", "--benchmark", "[[5,1,3]]", "--placer", "center"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "latency" in out
@@ -75,17 +75,19 @@ class TestCli:
     def test_qasm_file_run(self, tmp_path, capsys):
         path = tmp_path / "bell.qasm"
         path.write_text("QUBIT a,0\nQUBIT b,0\nH a\nC-X a,b\n")
-        rc = main([str(path), "--placer", "center", "--fabric-rows", "3", "--fabric-cols", "4"])
+        rc = main(
+            ["run", str(path), "--placer", "center", "--fabric-rows", "3", "--fabric-cols", "4"]
+        )
         assert rc == 0
         assert "QSPR" in capsys.readouterr().out
 
     def test_missing_file_errors(self, capsys):
-        rc = main(["/nonexistent/file.qasm"])
+        rc = main(["run", "/nonexistent/file.qasm"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
     def test_quale_mapper_and_trace(self, capsys):
-        rc = main(["--benchmark", "[[5,1,3]]", "--mapper", "quale", "--show-trace"])
+        rc = main(["run", "--benchmark", "[[5,1,3]]", "--mapper", "quale", "--show-trace"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "QUALE" in out
