@@ -20,10 +20,10 @@ The public API is organised by pipeline stage:
 * :mod:`repro.viz` — ASCII renderings of fabrics and traces.
 * :mod:`repro.runner` — batch experiment runner: sweeps, caching, reports.
 * :mod:`repro.pipeline` — the composable mapping pipeline and the plugin
-  registries (mappers, placers, fabrics, circuits) behind every name in the
-  system.
-* :mod:`repro.workloads` — workload circuit families, JSONL traces and the
-  trace-replay load generator with JCT/SLO reporting.
+  registries (mappers, placers, fabrics, circuits, schedulers,
+  technologies) behind every name in the system.
+* :mod:`repro.workloads` — random-circuit families and QASM ingest,
+  registered as circuit names.
 
 The one-call facade resolves every argument through the registries::
 
@@ -103,21 +103,10 @@ from repro.pipeline import (
     resolve_technology,
 )
 
-# Imported last (it builds on pipeline + runner): registers the workload
-# circuit families, the bundled QASM suite and the arrivals registry in
-# every process that imports repro.
-from repro.workloads import (
-    LoadReport,
-    Trace,
-    TraceReader,
-    TraceRecord,
-    TraceWriter,
-    read_trace,
-    replay_trace,
-    run_load,
-    synthesize_trace,
-    write_trace,
-)
+# Imported for its side effect: registers the workload circuit families and
+# the bundled QASM suite in every process that imports repro, so service
+# workers resolve "random-layered:…" and "qasm/…" names.
+from repro import workloads  # noqa: F401
 
 __all__ = [
     "TechnologyParams",
@@ -179,16 +168,6 @@ __all__ = [
     "SchedulingPolicy",
     "resolve_scheduler",
     "resolve_technology",
-    "LoadReport",
-    "Trace",
-    "TraceReader",
-    "TraceRecord",
-    "TraceWriter",
-    "read_trace",
-    "replay_trace",
-    "run_load",
-    "synthesize_trace",
-    "write_trace",
 ]
 
 __version__ = "1.0.0"

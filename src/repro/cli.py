@@ -1,7 +1,7 @@
 """Command-line interface: ``qspr-map``.
 
-The subcommands cover the single-shot, batch, discovery, service and
-load-generation workflows:
+The subcommands cover the single-shot, batch, discovery and service
+workflows:
 
 * ``qspr-map run`` — map one QASM file (or registered benchmark circuit)
   onto an ion-trap fabric and print the latency report.  It builds one
@@ -30,11 +30,6 @@ load-generation workflows:
   ``docs/OBSERVABILITY.md``).
 * ``qspr-map cache`` — inspect (``info``) or age-out (``prune``) the on-disk
   result cache shared by sweeps and the service.
-* ``qspr-map replay`` / ``loadgen`` — the workload subsystem's load
-  generator: replay a JSONL trace (or synthesize one from an arrival
-  process) against a running service — or an ephemeral in-process one —
-  and report p50/p95/p99 JCT tails and SLO attainment (see
-  ``docs/WORKLOADS.md``).
 
 Every mapper, placer, fabric, circuit, scheduler and technology name on the
 command line is resolved through the :mod:`repro.pipeline` registries, so
@@ -61,9 +56,6 @@ Examples::
     qspr-map cache info --cache-dir sweep-out/cache
     qspr-map cache prune --cache-dir sweep-out/cache --max-age-days 30
     qspr-map run --benchmark "random-layered:q=8:d=12:seed=3" --placer center
-    qspr-map loadgen --arrival poisson --rate 5 --jobs 20 --seed 1 --slo 30
-    qspr-map loadgen --in-process --time-scale 20 --trace-out trace.jsonl
-    qspr-map replay trace.jsonl --time-scale 10 --out jct-report.json
 """
 
 from __future__ import annotations
@@ -89,7 +81,6 @@ from repro.runner import (
     cell_table,
     latency_table,
     map_spec,
-    parse_axis,
     read_json,
     run_sweep,
     write_csv,
@@ -207,7 +198,8 @@ def _add_sweep_axis_arguments(
     parser.add_argument(
         "--benchmarks",
         default=benchmarks,
-        help="comma-separated QECC benchmark names or QASM paths "
+        help="comma-separated circuit names, registered or parameterised "
+        'like "random-layered:q=8:d=12", or QASM paths '
         f'(default: "{benchmarks}")',
     )
     parser.add_argument(
@@ -274,49 +266,6 @@ def _add_sweep_axis_arguments(
         "(level-by-level) scheduling (default: 0)",
     )
     _add_fabric_arguments(parser)
-
-
-def _add_load_arguments(parser: argparse.ArgumentParser) -> None:
-    """The replay-engine flags shared by ``replay`` and ``loadgen``."""
-    parser.add_argument(
-        "--url", default=_DEFAULT_URL, help=f"service URL (default: {_DEFAULT_URL})"
-    )
-    parser.add_argument(
-        "--in-process",
-        action="store_true",
-        help="boot an ephemeral in-process service instead of using --url",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker threads of the --in-process service (default: 2)",
-    )
-    parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=1.0,
-        help="time-compression factor: 10 replays ten times faster than "
-        "recorded (default: 1)",
-    )
-    parser.add_argument(
-        "--slo",
-        type=float,
-        default=None,
-        help="JCT target in seconds; the report grades done jobs against it",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=600.0,
-        help="deadline for waiting on completions after the last submission "
-        "(default: 600)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="write the full JSON report (per-job outcomes included) to this path",
-    )
 
 
 def _sweep_from_args(args: argparse.Namespace) -> Sweep:
@@ -406,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     list_parser = subparsers.add_parser(
-        "list", help="list every registered mapper, placer, fabric and circuit"
+        "list", help="list every plugin registry and its registered names"
     )
     list_parser.add_argument(
         "--registry",
         choices=sorted(REGISTRIES),
         default=None,
-        help="limit the listing to one registry (default: all four)",
+        help="limit the listing to one registry (default: all)",
     )
 
     serve_parser = subparsers.add_parser(
@@ -571,73 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     cancel_parser.add_argument(
         "--url", default=_DEFAULT_URL, help=f"service URL (default: {_DEFAULT_URL})"
     )
-
-    replay_parser = subparsers.add_parser(
-        "replay", help="replay a workload trace against a mapping service"
-    )
-    replay_parser.add_argument("trace", help="path of a JSONL trace file")
-    _add_load_arguments(replay_parser)
-
-    loadgen_parser = subparsers.add_parser(
-        "loadgen", help="synthesize a workload trace and replay it in one step"
-    )
-    loadgen_parser.add_argument(
-        "--arrival",
-        default="poisson",
-        help="registered arrival process (poisson, uniform, bursty, ramp; "
-        "default: poisson)",
-    )
-    loadgen_parser.add_argument(
-        "--rate",
-        type=float,
-        default=5.0,
-        help="mean arrival rate in jobs per second (default: 5)",
-    )
-    loadgen_parser.add_argument(
-        "--jobs", type=int, default=20, help="number of jobs (default: 20)"
-    )
-    loadgen_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="master seed of arrivals and per-job circuit seeds (default: 0)",
-    )
-    loadgen_parser.add_argument(
-        "--circuits",
-        default="random-layered:q=6:d=6",
-        help="comma-separated circuit names the jobs cycle through "
-        '(default: "random-layered:q=6:d=6")',
-    )
-    loadgen_parser.add_argument(
-        "--mapper",
-        choices=list(MAPPERS.names()),
-        default="qspr",
-        help="mapper of every job (default: qspr)",
-    )
-    loadgen_parser.add_argument(
-        "--placer",
-        choices=list(PLACERS.names()),
-        default="center",
-        help="placer of every job (default: center — load tests measure the "
-        "service, not placement quality)",
-    )
-    loadgen_parser.add_argument(
-        "--technology",
-        default="paper",
-        help="registered technology (PMD) of every job (default: paper)",
-    )
-    loadgen_parser.add_argument(
-        "--scheduler",
-        default="qspr",
-        help="registered scheduling policy of every job (default: qspr)",
-    )
-    _add_fabric_arguments(loadgen_parser)
-    loadgen_parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="also write the synthesized trace to this JSONL path",
-    )
-    _add_load_arguments(loadgen_parser)
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect or prune the on-disk result cache"
@@ -924,67 +806,6 @@ def _command_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_load(trace, args: argparse.Namespace) -> int:
-    """Replay ``trace`` per the shared load flags and print/write the report."""
-    from repro.workloads import format_report, run_load
-
-    report = run_load(
-        trace,
-        url=None if args.in_process else args.url,
-        workers=args.workers,
-        time_scale=args.time_scale,
-        slo_seconds=args.slo,
-        timeout=args.timeout,
-    )
-    print(format_report(report))
-    if args.out:
-        report.write(args.out)
-        print(f"report: {args.out}")
-    return 1 if report.failed else 0
-
-
-def _command_replay(args: argparse.Namespace) -> int:
-    """Replay a recorded trace file (``qspr-map replay``)."""
-    from repro.workloads import read_trace
-
-    path = Path(args.trace)
-    if not path.exists():
-        raise ReproError(f"trace file not found: {path}")
-    trace = read_trace(path)
-    print(f"replaying {len(trace)} jobs over {trace.duration / args.time_scale:.1f} s")
-    return _run_load(trace, args)
-
-
-def _command_loadgen(args: argparse.Namespace) -> int:
-    """Synthesize a trace and replay it (``qspr-map loadgen``)."""
-    from repro.workloads import synthesize_trace, write_trace
-
-    trace = synthesize_trace(
-        arrival=args.arrival,
-        rate=args.rate,
-        jobs=args.jobs,
-        seed=args.seed,
-        circuits=parse_axis(args.circuits),
-        spec_defaults={
-            "mapper": args.mapper,
-            "placer": args.placer,
-            "num_seeds": 1,
-            "technology": args.technology,
-            "scheduler": args.scheduler,
-            "fabric": _fabric_cell(args),
-        },
-    )
-    if args.trace_out:
-        write_trace(trace, args.trace_out)
-        print(f"trace: {args.trace_out}")
-    print(
-        f"synthesized {len(trace)} {args.arrival} jobs at {args.rate:g}/s "
-        f"(seed {args.seed}), replaying over "
-        f"{trace.duration / args.time_scale:.1f} s"
-    )
-    return _run_load(trace, args)
-
-
 def _command_report(args: argparse.Namespace) -> int:
     path = Path(args.results)
     if not path.exists():
@@ -1014,8 +835,6 @@ def main(argv: list[str] | None = None) -> int:
         "jobs": _command_jobs,
         "cancel": _command_cancel,
         "cache": _command_cache,
-        "replay": _command_replay,
-        "loadgen": _command_loadgen,
         "top": _command_top,
     }[args.command]
     try:

@@ -22,15 +22,14 @@ so parameterised names survive the CLI's comma-separated sweep axes and
 :func:`~repro.runner.spec.parse_axis`).  Values parse as int, then float,
 then bool, then plain string; short aliases (``q``/``w`` → ``num_qubits``,
 ``d`` → ``depth``, ``g`` → ``num_gates``, ``l`` → ``locality``, ``s`` →
-``seed``, ``f`` → ``fill``, ``r`` → ``rounds``) keep trace files and command
-lines compact.  Because the whole configuration lives in the *name*, a
+``seed``, ``f`` → ``fill``, ``r`` → ``rounds``) keep command lines
+compact.  Because the whole configuration lives in the *name*, a
 parameterised circuit is picklable across worker processes and hashes into
 result-cache keys like any registered name.
 """
 
 from __future__ import annotations
 
-import inspect
 from pathlib import Path
 
 from repro.circuits.builders import ghz_circuit, qft_like_circuit, ripple_chain_circuit
@@ -170,42 +169,6 @@ def is_circuit_name(name: str) -> bool:
     """Whether ``name`` resolves through the registry (plain or parameterised)."""
     base, _ = parse_circuit_name(name)
     return base in CIRCUITS
-
-
-def circuit_accepts_param(name: str, param: str) -> bool:
-    """Whether the factory behind ``name`` takes a keyword named ``param``.
-
-    False for unregistered names, for factories whose signature cannot be
-    inspected, and for QASM paths — callers use this to decide whether e.g.
-    a ``--seed`` flag can be threaded into the circuit itself.
-    """
-    base, _ = parse_circuit_name(name)
-    if base not in CIRCUITS:
-        return False
-    try:
-        signature = inspect.signature(CIRCUITS.get(base))
-    except (TypeError, ValueError):  # builtins, C callables
-        return False
-    return param in signature.parameters
-
-
-def seeded_circuit_name(name: str, seed: int) -> str:
-    """Thread ``seed`` into a registered circuit name, if the factory takes one.
-
-    A seed already embedded in the name wins; names whose factory has no
-    ``seed`` parameter (the QECC suite, QASM ingests, …) come back unchanged.
-
-    Example::
-
-        >>> seeded_circuit_name("random:q=4", 7)
-        'random:q=4:seed=7'
-        >>> seeded_circuit_name("[[5,1,3]]", 7)
-        '[[5,1,3]]'
-    """
-    base, params = parse_circuit_name(name)
-    if "seed" in params or not circuit_accepts_param(name, "seed"):
-        return name
-    return f"{name}:seed={seed}"
 
 
 def resolve_circuit(circuit: "QuantumCircuit | str", **params) -> QuantumCircuit:

@@ -1,70 +1,29 @@
-"""The workload subsystem: circuit families, traces, replay and loadgen.
+"""Workload circuits: random-circuit families and QASM ingest.
 
-Three layers, bottom up:
+* :mod:`~repro.workloads.families` — layered random-circuit families
+  (``random-layered``, ``random-local``) with width, depth, locality and
+  fill knobs;
+* :mod:`~repro.workloads.qasm_ingest` — external QASM files as
+  ``qasm/<stem>`` registry names, plus the bundled suite.
 
-* **generation** (:mod:`~repro.workloads.families`,
-  :mod:`~repro.workloads.qasm_ingest`) — layered random-circuit families
-  and ingested QASM benchmarks, all registered into
-  :data:`repro.pipeline.CIRCUITS` so every consumer resolves them by name;
-* **traces** (:mod:`~repro.workloads.trace`,
-  :mod:`~repro.workloads.arrivals`) — the versioned JSONL trace format plus
-  deterministic synthesis from arrival processes (Poisson, bursty, ramp…);
-* **replay** (:mod:`~repro.workloads.replay`,
-  :mod:`~repro.workloads.report`) — the open-loop load generator behind
-  ``qspr-map replay`` / ``qspr-map loadgen`` and its JCT/SLO report.
-
-Importing the package registers the circuit families, the bundled QASM
-suite and the ``arrivals`` registry; ``repro/__init__`` imports it, so
-every process that imports anything of the reproduction sees the same
-names.  See ``docs/WORKLOADS.md``.
+Importing the package registers both into :data:`repro.pipeline.CIRCUITS`;
+``repro/__init__`` imports it, so every process that imports anything of
+the reproduction, service workers included, resolves the same names.  See
+``docs/WORKLOADS.md``.
 """
 
 from __future__ import annotations
 
-from repro.pipeline import REGISTRIES
-from repro.workloads.arrivals import ARRIVALS, arrival_times
 from repro.workloads.families import layered_random_circuit
 from repro.workloads.qasm_ingest import (
     BUNDLED_SUITE,
     ingest_qasm_dir,
     ingest_qasm_file,
 )
-from repro.workloads.report import JobOutcome, LoadReport, format_report, percentile
-from repro.workloads.trace import (
-    TRACE_FORMAT,
-    Trace,
-    TraceReader,
-    TraceRecord,
-    TraceWriter,
-    read_trace,
-    serialize_trace,
-    synthesize_trace,
-    write_trace,
-)
-from repro.workloads.replay import replay_trace, run_load
-
-REGISTRIES.setdefault("arrivals", ARRIVALS)
 
 __all__ = [
-    "ARRIVALS",
     "BUNDLED_SUITE",
-    "JobOutcome",
-    "LoadReport",
-    "TRACE_FORMAT",
-    "Trace",
-    "TraceReader",
-    "TraceRecord",
-    "TraceWriter",
-    "arrival_times",
-    "format_report",
     "ingest_qasm_dir",
     "ingest_qasm_file",
     "layered_random_circuit",
-    "percentile",
-    "read_trace",
-    "replay_trace",
-    "run_load",
-    "serialize_trace",
-    "synthesize_trace",
-    "write_trace",
 ]

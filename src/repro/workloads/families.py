@@ -1,7 +1,8 @@
 """Random-circuit families for workload generation.
 
 Where :func:`repro.circuits.random_circuits.random_circuit` draws a flat
-gate list, the families here have the knobs load tests care about:
+gate list, the families here have knobs that set how hard a circuit
+presses on the fabric:
 
 * **width** (``num_qubits``) and **depth** (layers) set the pressure on
   placement and on the fabric's trap capacity;
@@ -13,8 +14,8 @@ gate list, the families here have the knobs load tests care about:
 
 Every family is registered into :data:`repro.pipeline.CIRCUITS`, so a
 parameterised name such as ``"random-layered:q=8:d=12:l=2:seed=5"`` works
-anywhere a circuit name does — ``qspr-map run``, sweeps, service
-submissions and trace records.
+anywhere a circuit name does — ``qspr-map run``, sweeps and service
+submissions.
 """
 
 from __future__ import annotations

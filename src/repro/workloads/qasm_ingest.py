@@ -1,8 +1,8 @@
 """QASM ingest: external benchmark files as first-class registry circuits.
 
 :mod:`repro.qasm` can already parse files, but a path only works where a
-path is meaningful — it does not survive trace records, service submissions
-from another host, or cache keys.  Ingesting a file registers a *lazy*
+path is meaningful — it does not survive service submissions from another
+host, or cache keys.  Ingesting a file registers a *lazy*
 factory under ``qasm/<stem>`` in :data:`repro.pipeline.CIRCUITS`, after
 which the circuit behaves like any built-in benchmark name.
 

@@ -1,8 +1,9 @@
 """Public-API surface guarantees.
 
 Run in CI as its own step: every name promised by ``repro.__all__`` must be
-importable, and every plugin registered in the four registries must round-trip
-through the ``qspr-map list`` subcommand.
+importable, and every plugin registered in the six registries of
+``repro.pipeline.REGISTRIES`` must round-trip through the ``qspr-map list``
+subcommand.
 """
 
 from __future__ import annotations

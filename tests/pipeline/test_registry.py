@@ -102,7 +102,7 @@ class TestBuiltinRegistries:
 
         assert set(REGISTRIES) == {
             "mappers", "placers", "fabrics", "circuits", "schedulers",
-            "technologies", "arrivals",
+            "technologies",
         }
         assert {"qspr", "quale", "qpos", "ideal"} <= set(MAPPERS.names())
         assert {"mvfb", "monte-carlo", "center"} <= set(PLACERS.names())

@@ -135,10 +135,11 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_bench_is_not_a_subcommand(self, capsys):
-        # The speed benchmark is perfbench/run.py.
-        assert re.search(r"\bbench\b", build_parser().format_help()) is None
+    @pytest.mark.parametrize("command", ["bench", "replay", "loadgen"])
+    def test_retired_command_is_not_a_subcommand(self, command, capsys):
+        # Speed and service load are measured by perfbench/run.py.
+        assert re.search(rf"\b{command}\b", build_parser().format_help()) is None
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--quick"])
+            main([command, "--help"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err

@@ -32,6 +32,13 @@ TINY_PAYLOAD = {
     "fabric": {"junction_rows": 4, "junction_cols": 4},
 }
 
+#: Eight distinct tiny jobs: four circuits, each under QSPR and QUALE.
+STREAM_PAYLOADS = [
+    {**TINY_PAYLOAD, "circuit": circuit, "mapper": mapper}
+    for circuit in ("[[5,1,3]]", "[[7,1,3]]", "ghz", "random-layered:q=4:d=3")
+    for mapper in ("qspr", "quale")
+]
+
 
 def _await_status(store, job_id: str, status: str, timeout: float) -> None:
     deadline = time.monotonic() + timeout
@@ -61,6 +68,21 @@ class TestPromptDispatch:
         done = client.wait(job["id"], timeout=60.0)
         assert done["status"] == "done", done.get("error")
         assert done["started_at"] - done["created_at"] < 1.0
+
+    def test_two_workers_drain_a_stream_of_distinct_jobs(self, idle_service):
+        client = ServiceClient(idle_service.url)
+        job_ids = []
+        for payload in STREAM_PAYLOADS:
+            (job,) = client.submit(payload)["jobs"]
+            job_ids.append(job["id"])
+            time.sleep(0.01)
+        assert len(set(job_ids)) == len(STREAM_PAYLOADS)
+        finished = client.wait(job_ids, timeout=60.0)
+        for payload, job in zip(STREAM_PAYLOADS, finished):
+            assert job["status"] == "done", job.get("error")
+            assert job["attempts"] == 1
+            spec = ExperimentSpec.from_dict(payload)
+            assert job["result"]["latency"] == execute_cell(spec).latency
 
     def test_stop_returns_at_once_on_an_idle_pool(self, idle_service):
         started = time.monotonic()
