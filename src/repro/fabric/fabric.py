@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from repro.errors import FabricError
 from repro.fabric.components import Channel, ChannelId, Junction, JunctionId, Trap, TrapId
-from repro.fabric.geometry import Coord, distance_to_point, manhattan_distance
+from repro.fabric.geometry import Coord, manhattan_distance
 
 
 class Fabric:
@@ -164,25 +164,39 @@ class Fabric:
     #: that query many distinct median points).
     _TRAPS_BY_DISTANCE_CACHE_SIZE = 4096
 
+    @cached_property
+    def _ranking_basis(self) -> tuple[tuple[Trap, ...], tuple[Coord, ...]]:
+        """The traps in id order and their cells: what every ranking sorts."""
+        traps = tuple(sorted(self._traps.values(), key=lambda trap: trap.id))
+        return traps, tuple(trap.cell for trap in traps)
+
+    def ranked_traps(self, point: tuple[float, float]) -> tuple[Trap, ...]:
+        """The memoised :meth:`traps_by_distance` ordering itself, shared.
+
+        For callers that only iterate the ranking: it costs no copy.
+        """
+        key = (point[0], point[1])
+        ranked = self._traps_by_distance_cache.get(key)
+        if ranked is None:
+            if len(self._traps_by_distance_cache) >= self._TRAPS_BY_DISTANCE_CACHE_SIZE:
+                self._traps_by_distance_cache.clear()
+            # A stable sort of the id-ordered traps by distance alone is the
+            # (distance, id) order.  The expression is distance_to_point's.
+            traps, cells = self._ranking_basis
+            row, col = key
+            distances = [abs(r - row) + abs(c - col) for r, c in cells]
+            order = sorted(range(len(traps)), key=distances.__getitem__)
+            ranked = tuple([traps[i] for i in order])
+            self._traps_by_distance_cache[key] = ranked
+        return ranked
+
     def traps_by_distance(self, point: tuple[float, float]) -> list[Trap]:
         """All traps sorted by L1 distance to ``point`` (ties by trap id).
 
         The ordering is memoised per point; callers receive a fresh list they
         are free to mutate.
         """
-        key = (point[0], point[1])
-        cached = self._traps_by_distance_cache.get(key)
-        if cached is None:
-            if len(self._traps_by_distance_cache) >= self._TRAPS_BY_DISTANCE_CACHE_SIZE:
-                self._traps_by_distance_cache.clear()
-            cached = tuple(
-                sorted(
-                    self._traps.values(),
-                    key=lambda trap: (distance_to_point(trap.cell, point), trap.id),
-                )
-            )
-            self._traps_by_distance_cache[key] = cached
-        return list(cached)
+        return list(self.ranked_traps(point))
 
     def traps_near_center(self) -> list[Trap]:
         """All traps sorted by distance to the fabric center.

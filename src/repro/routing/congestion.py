@@ -23,6 +23,7 @@ the same epoch.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 from repro.errors import FabricError, RoutingError
 from repro.fabric.components import ChannelId
@@ -137,17 +138,19 @@ class CongestionTracker:
         self._epoch = next(CongestionTracker._epoch_source)
         return level >= self.channel_capacity
 
-    def reserve_all(self, channel_ids: list[ChannelId]) -> None:
+    def reserve_all(self, channel_ids: Iterable[ChannelId]) -> None:
         """Reserve every channel in ``channel_ids`` atomically.
 
-        Either all reservations succeed or none are applied.
+        Either all reservations succeed or none are applied: a full channel
+        (``RoutingError``) or an unknown one (``FabricError``) rolls back the
+        reservations already made.
         """
         reserved: list[ChannelId] = []
         try:
             for channel_id in channel_ids:
                 self.reserve(channel_id)
                 reserved.append(channel_id)
-        except RoutingError:
+        except (RoutingError, FabricError):
             for channel_id in reversed(reserved):
                 self.release(channel_id)
             raise

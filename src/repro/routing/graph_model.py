@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.fabric.components import ChannelId, JunctionId
+from repro.fabric.components import ChannelId, JunctionId, TrapId
 from repro.fabric.fabric import Fabric
 from repro.fabric.geometry import Orientation
 
@@ -74,12 +74,17 @@ class RoutingGraph:
     The graph is static; congestion-dependent weights are computed per query
     by :func:`repro.routing.weights.edge_weight`, so a single instance can be
     shared by all mapping runs on the same fabric.
+
+    ``trap_attachments`` maps each trap to where its routes join the
+    junction lattice: each endpoint node of its channel (a, then b) with the
+    channel cells between that junction and the trap.
     """
 
     def __init__(self, fabric: Fabric, *, turn_aware: bool = True) -> None:
         self.fabric = fabric
         self.turn_aware = turn_aware
         self._adjacency: dict[Node, list[GraphEdge]] = {}
+        self.trap_attachments: dict[TrapId, tuple[tuple[Node, int], ...]] = {}
         self._build()
 
     @classmethod
@@ -126,6 +131,13 @@ class RoutingGraph:
             )
             self._add_edge(
                 GraphEdge(node_b, node_a, EdgeKind.CHANNEL, channel.id, None, channel.length)
+            )
+
+        for trap in fabric.traps.values():
+            channel = fabric.channel(trap.channel_id)
+            self.trap_attachments[trap.id] = tuple(
+                (node, channel.distance_from_endpoint(node[0], trap.offset))
+                for node in self.channel_endpoints(channel.id)
             )
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ Accounting conventions (documented here once, used consistently everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import RoutingError
@@ -64,39 +64,29 @@ class PathStep:
 class RoutePlan:
     """The complete, timed journey of one qubit for one instruction.
 
+    The last four attributes total the steps, once, where they are built;
+    they take no part in ``repr`` or ``==``.
+
     Attributes:
         qubit: Name of the travelling qubit.
         source_trap: Trap id the qubit starts in.
         target_trap: Trap id the qubit ends in.
         steps: Ordered steps; empty when source and target traps coincide.
+        duration: Total travel time, summed left to right (the qubit's
+            contribution to ``T_routing``).
+        total_moves: Total number of single-cell moves.
+        total_turns: Total number of turns.
+        channels_used: Channels occupied along the route, in traversal order.
     """
 
     qubit: str
     source_trap: int
     target_trap: int
     steps: tuple[PathStep, ...]
-
-    @property
-    def duration(self) -> float:
-        """Total travel time (the qubit's contribution to ``T_routing``)."""
-        return sum(step.duration for step in self.steps)
-
-    @property
-    def total_moves(self) -> int:
-        """Total number of single-cell moves."""
-        return sum(step.moves for step in self.steps)
-
-    @property
-    def total_turns(self) -> int:
-        """Total number of turns."""
-        return sum(step.turns for step in self.steps)
-
-    @property
-    def channels_used(self) -> tuple[ChannelId, ...]:
-        """Channels occupied along the route, in traversal order."""
-        return tuple(
-            step.channel_id for step in self.steps if step.channel_id is not None
-        )
+    duration: float = field(repr=False, compare=False)
+    total_moves: int = field(repr=False, compare=False)
+    total_turns: int = field(repr=False, compare=False)
+    channels_used: tuple[ChannelId, ...] = field(repr=False, compare=False)
 
     def channel_exit_times(self, start_time: float) -> list[tuple[ChannelId, float]]:
         """Absolute time at which the qubit leaves each occupied channel.
@@ -118,7 +108,7 @@ class RoutePlan:
 
 def stationary_plan(qubit: str, trap_id: int) -> RoutePlan:
     """A plan for a qubit that does not need to move."""
-    return RoutePlan(qubit, trap_id, trap_id, ())
+    return RoutePlan(qubit, trap_id, trap_id, (), 0, 0, 0, ())
 
 
 def _channel_step(
@@ -177,7 +167,10 @@ def expand_route(
         slide = abs(source.offset - target.offset)
         moves = 1 + slide + 1
         step = _channel_step(source.channel_id, moves, 2, technology)
-        return RoutePlan(qubit, source.id, target.id, (step,))
+        return RoutePlan(
+            qubit, source.id, target.id, (step,),
+            step.duration, moves, 2, (source.channel_id,),
+        )
 
     if entry_endpoint is None:
         raise RoutingError("cross-channel routes require an entry endpoint")
@@ -215,4 +208,15 @@ def expand_route(
         steps.append(_turn_step(current_junction, technology))
     enter_moves = target_channel.distance_from_endpoint(current_junction, target.offset) + 1
     steps.append(_channel_step(target.channel_id, enter_moves, 1, technology))
-    return RoutePlan(qubit, source.id, target.id, tuple(steps))
+
+    duration, moves, turns = 0, 0, 0
+    channels: list[ChannelId] = []
+    for step in steps:
+        duration += step.duration
+        moves += step.moves
+        turns += step.turns
+        if step.channel_id is not None:
+            channels.append(step.channel_id)
+    return RoutePlan(
+        qubit, source.id, target.id, tuple(steps), duration, moves, turns, tuple(channels)
+    )

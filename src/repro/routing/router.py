@@ -10,7 +10,7 @@ where the paper's ``T_congestion`` comes from).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable
@@ -24,7 +24,6 @@ from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
 from repro.routing.trap_selection import select_target_trap
-from repro.routing.weights import partial_channel_weight
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -287,6 +286,8 @@ class Router:
         self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
         self.compiled = CompiledRoutingGraph.shared(self.graph)
         self._slots = fabric.channel_slots
+        #: Selection cost of leaving or entering a trap (one move, one turn).
+        self._access_cost = technology.move_delay + technology.turn_delay
         self.stats = RoutingCoreStats()
         #: The fabric's route table for this technology and policy: trap pair
         #: to an MRU-ordered list of :class:`_CacheEntry` records, one per
@@ -299,25 +300,25 @@ class Router:
     # ------------------------------------------------------------------
     # Single-qubit route planning
     # ------------------------------------------------------------------
-    def _trap_access_cost(self) -> float:
-        """Selection cost of leaving or entering a trap (one move, one turn)."""
-        return self.technology.move_delay + self.technology.turn_delay
-
     def _attachment_costs(
         self, trap: Trap, congestion: CongestionTracker
     ) -> dict[Node, float]:
-        """Virtual costs from/to ``trap`` at its channel's endpoint nodes."""
-        channel = self.fabric.channel(trap.channel_id)
-        occupancy = congestion.occupancy(channel.id)
-        costs: dict[Node, float] = {}
-        for endpoint_node in self.graph.channel_endpoints(channel.id):
-            junction_id = endpoint_node[0]
-            cells = channel.distance_from_endpoint(junction_id, trap.offset)
-            travel = partial_channel_weight(
-                occupancy, cells, congestion.channel_capacity, self.technology
-            )
-            costs[endpoint_node] = self._trap_access_cost() + travel
-        return costs
+        """Virtual costs from/to ``trap`` at its channel's endpoint nodes.
+
+        Leaving or entering the trap (one move, one turn) plus Eq. (2) over
+        the channel cells between the trap and each endpoint, as
+        :func:`~repro.routing.weights.partial_channel_weight` prices them:
+        infinite when the channel is full.
+        """
+        occupancy = congestion.occupancy(trap.channel_id)
+        attachments = self.graph.trap_attachments[trap.id]
+        if occupancy >= congestion.channel_capacity:
+            return {node: _INF for node, _ in attachments}
+        access, move_delay = self._access_cost, self.technology.move_delay
+        return {
+            node: access + (occupancy + 1) * cells * move_delay
+            for node, cells in attachments
+        }
 
     def plan_qubit_route(
         self,
@@ -412,7 +413,10 @@ class Router:
                 cut.update(entry.cut)
             return None
         if plan.qubit != qubit:
-            plan = replace(plan, qubit=qubit)
+            plan = RoutePlan(
+                qubit, plan.source_trap, plan.target_trap, plan.steps,
+                plan.duration, plan.total_moves, plan.total_turns, plan.channels_used,
+            )
         return plan
 
     def _store(self, key: tuple[TrapId, TrapId], entry: _CacheEntry) -> None:
@@ -518,7 +522,8 @@ class Router:
             congestion: Current channel occupancy.
             occupied_traps: Traps that cannot be chosen as the meeting trap
                 (resting qubits of other instructions, or traps reserved by
-                in-flight instructions).
+                in-flight instructions).  A set is read as it is, never
+                copied.
             blockers: Optional output set.  When planning fails it receives
                 the wake-set keys of every resource whose state change could
                 flip the failure: :func:`channel_key` of each channel in a
@@ -555,7 +560,7 @@ class Router:
         # maintained when the caller asked for failure blockers.
         considered: set[TrapId] = set()
         track = blockers is not None
-        occupied = set(occupied_traps)
+        occupied = occupied_traps if isinstance(occupied_traps, set) else set(occupied_traps)
 
         if self.policy.meeting_point is MeetingPoint.DESTINATION:
             # The destination qubit stays put (QPOS/QUALE behaviour) unless its
@@ -569,7 +574,7 @@ class Router:
                     considered.add(dest_trap)
                 dest_cell = self.fabric.trap(dest_trap).cell
                 candidates = []
-                for trap in self.fabric.traps_by_distance(dest_cell):
+                for trap in self.fabric.ranked_traps(dest_cell):
                     if trap.id in occupied:
                         if track:
                             considered.add(trap.id)
@@ -579,7 +584,7 @@ class Router:
                         break
         elif self.policy.meeting_point is MeetingPoint.CENTER:
             candidates = []
-            for trap in self.fabric.traps_near_center():
+            for trap in self.fabric.ranked_traps(self.fabric.center):
                 if trap.id in occupied:
                     if track:
                         considered.add(trap.id)

@@ -33,7 +33,8 @@ def select_target_trap(
             operands rest in them, or other in-flight instructions reserved
             them.  The caller (the simulator) is responsible for *not*
             including an operand's own trap here when meeting there is legal,
-            i.e. when no third qubit shares it.
+            i.e. when no third qubit shares it.  A set is read as it is,
+            never copied.
         max_candidates: Number of candidates to return, nearest first.
             Returning more than one lets the router fall back to the next
             nearest trap when the nearest one is unreachable under the current
@@ -47,11 +48,11 @@ def select_target_trap(
         Up to ``max_candidates`` traps ordered by distance to the median of
         the operand positions.
     """
-    excluded = set(occupied)
+    excluded = occupied if isinstance(occupied, set) else set(occupied)
     cells = [fabric.trap(trap_id).cell for trap_id in operand_traps]
     median = median_point(cells)
     candidates: list[Trap] = []
-    for trap in fabric.traps_by_distance(median):
+    for trap in fabric.ranked_traps(median):
         if trap.id in excluded:
             if skipped is not None:
                 skipped.add(trap.id)

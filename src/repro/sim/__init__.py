@@ -4,12 +4,13 @@ The simulator is where scheduling, placement and routing meet: starting from
 an initial placement of qubits in traps, it issues ready instructions in
 priority (or forced-schedule) order, asks the router for operand journeys,
 reserves channel capacity, and advances time through a timestamp-ordered
-event heap.  The typed events — :class:`InstructionCompleted`,
-:class:`ChannelReleased`, :class:`QubitArrived` and
+event heap, one timestamp at a time.  The typed events —
+:class:`InstructionCompleted`, :class:`ChannelReleased` and
 :class:`BarrierLevelCleared` — carry exactly the state change they announce,
 so the engine re-attempts issue only for instructions whose blockers
 actually changed (see ``docs/ARCHITECTURE.md``).  The first two correspond
-to the two event kinds of Section IV.B of the paper.
+to the two event kinds of Section IV.B of the paper; both are scheduled
+when their instruction issues.
 
 * :mod:`repro.sim.events` — typed events, the event heap and
   :class:`EventLoopStats`.
@@ -25,7 +26,6 @@ from repro.sim.events import (
     EventLoopStats,
     EventQueue,
     InstructionCompleted,
-    QubitArrived,
 )
 from repro.sim.microcode import CommandKind, MicroCommand
 from repro.sim.trace import ControlTrace
@@ -36,7 +36,6 @@ __all__ = [
     "EventLoopStats",
     "InstructionCompleted",
     "ChannelReleased",
-    "QubitArrived",
     "BarrierLevelCleared",
     "CommandKind",
     "MicroCommand",

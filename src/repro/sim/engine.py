@@ -14,21 +14,23 @@ paper describes (Sections III and IV.B):
    busy queue on the exact resources that blocked it (its waiting time is
    the ``T_congestion`` of Eq. 1).
 3. Issued instructions reserve every channel on their routes and push typed
-   events onto a timestamp-ordered heap: ``QubitArrived`` when an operand
-   reaches the meeting trap, ``ChannelReleased`` when it exits a channel,
-   ``InstructionCompleted`` when the gate finishes (and, under barrier
-   scheduling, ``BarrierLevelCleared`` when an ALAP level drains).
+   events, at times known at issue, onto a timestamp-ordered heap:
+   ``ChannelReleased`` when an operand exits a channel and
+   ``InstructionCompleted`` when the gate finishes (under barrier
+   scheduling, a completion that drains an ALAP level pushes
+   ``BarrierLevelCleared``).
 
-The simulator re-enters the issue loop only when an event's handler
-reports that some instruction's blockers actually changed: releases wake the
-instructions parked on the released channel, issues wake the instructions
-parked on a vacated or newly reserved trap, and completions wake nothing at
-all — they can be shown never to unblock a parked instruction (the meeting
-trap stays occupied either way, and an in-flight instruction never shares
-qubits with a parked one).  Event timestamps whose handlers woke nothing
-skip the issue poll entirely.  This gating applies to the standard
-policy-ordered selector; forced-order and barrier runs poll after every
-event timestamp and retry every parked instruction.
+The loop applies one timestamp's events at a time and re-enters the issue
+loop only when an event's handler reports that some instruction's blockers
+actually changed: releases wake the instructions parked on the released
+channel, issues wake the instructions parked on a vacated or newly reserved
+trap, and completions wake nothing at all — they can be shown never to
+unblock a parked instruction (the meeting trap stays occupied either way,
+and an in-flight instruction never shares qubits with a parked one).  Event
+timestamps whose handlers woke nothing skip the issue poll entirely.  This
+gating applies to the standard policy-ordered selector; forced-order and
+barrier runs poll after every event timestamp and retry every parked
+instruction.
 
 The outcome carries the total latency, the realised schedule, the final
 placement (needed by the MVFB placer), per-instruction timing records and
@@ -73,7 +75,6 @@ from repro.sim.events import (
     EventLoopStats,
     EventQueue,
     InstructionCompleted,
-    QubitArrived,
 )
 from repro.sim.microcode import CommandKind, MicroCommand
 from repro.sim.trace import ControlTrace
@@ -307,17 +308,11 @@ class FabricSimulator:
         stats = state.stats
         state.attempt_issue(0.0)
         stats.issue_polls += 1
-        while state.events:
-            event_time, event = state.events.pop()
-            wake = state.process_event(event_time, event)
-            stats.events_processed += 1
-            # Drain all events that share this timestamp before re-issuing, so
-            # simultaneous channel exits are all visible to the router.
-            while state.events and state.events.peek_time() == event_time:
-                _, simultaneous = state.events.pop()
-                if state.process_event(event_time, simultaneous):
-                    wake = True
-                stats.events_processed += 1
+        # Apply every event of the earliest timestamp before re-issuing, so
+        # simultaneous channel exits are all visible to the router.
+        while (batch := state.events.apply_earliest(state.process_event)) is not None:
+            event_time, applied, wake = batch
+            stats.events_processed += applied
             if state.use_wake_sets and not wake:
                 # No handler changed any instruction's blockers: every retry
                 # the issue loop could make is known to fail, so skip it.
@@ -519,10 +514,6 @@ class _RunState:
         self.routes: dict[int, InstructionRoute] = {}
         self.pool: set[int] = set(self.ready)
         self.stats = EventLoopStats()
-        # Operands of issued-but-unfinished instructions still under way:
-        # instruction index → outstanding QubitArrived events.  The last
-        # arrival schedules the completion.
-        self.pending_arrivals: dict[int, int] = {}
         if sim.forced_order is not None:
             self.selector: _CandidateSelector = _ForcedOrderSelector(self)
         elif sim.levels is not None:
@@ -540,12 +531,15 @@ class _RunState:
         self._stats_baseline = sim.router.stats.snapshot()
 
     def _occupied_traps_for(self, instruction: Instruction) -> set[TrapId]:
-        """Traps the router must not pick as the meeting trap."""
-        operand_names = set(instruction.qubit_names)
-        occupied: set[TrapId] = set(self.reserved_traps)
-        for trap, qubits in self.resting.items():
-            if qubits - operand_names:
-                occupied.add(trap)
+        """Traps the router must not pick as the meeting trap: reserved or
+        resting ones, less each unreserved operand trap holding only operands."""
+        reserved, resting = self.reserved_traps, self.resting
+        operands = instruction.qubit_names
+        occupied = reserved.union(resting)
+        for qubit in operands:
+            trap = self.positions[qubit]
+            if trap not in reserved and resting[trap].issubset(operands):
+                occupied.discard(trap)
         return occupied
 
     def attempt_issue(self, now: float) -> None:
@@ -606,22 +600,25 @@ class _RunState:
         self.deps.mark_issued(index)
         self.schedule.append(index)
 
-        record = self.records.setdefault(index, InstructionRecord(index=index, ready_time=now))
+        record = self.records.get(index)
+        if record is None:
+            record = self.records[index] = InstructionRecord(index=index, ready_time=now)
+        routing_delay = route.routing_delay
         record.issue_time = now
         record.congestion_delay = max(0.0, now - record.ready_time)
         record.target_trap = route.target_trap
-        record.routing_delay = route.routing_delay
+        record.routing_delay = routing_delay
         record.gate_delay = self.sim.technology.gate_delay(
             instruction.arity, is_measurement=instruction.is_measurement
         )
         record.moves = route.total_moves
         record.turns = route.total_turns
-        record.gate_start = now + route.routing_delay
+        record.gate_start = now + routing_delay
         record.finish_time = record.gate_start + record.gate_delay
         self.routes[index] = route
 
         # Reserve routing resources and the meeting trap.
-        self.congestion.reserve_all(list(route.channels))
+        self.congestion.reserve_all(route.channels)
         self.reserved_traps.add(route.target_trap)
 
         # Operands leave their traps.
@@ -647,15 +644,12 @@ class _RunState:
                         channel_exits[key] = (qubit, exit_time)
                 else:
                     self.events.push(exit_time, ChannelReleased(qubit, channel_id))
-            self.events.push(
-                now + offset + plan.duration,
-                QubitArrived(qubit, route.target_trap, index),
-            )
         for channel_id, (qubit, exit_time) in channel_exits.items():
             self.events.push(exit_time, ChannelReleased(qubit, channel_id))
+        self.events.push(
+            record.finish_time, InstructionCompleted(index, route.target_trap)
+        )
 
-        # The last QubitArrived event schedules the completion.
-        self.pending_arrivals[index] = len(route.plans)
         if self.use_wake_sets:
             # Issuing changes exactly two kinds of blocker state: the
             # operands' origin traps lost a qubit (they may now be legal
@@ -695,20 +689,6 @@ class _RunState:
             woken += self.busy.wake(ANY_CONGESTION_CHANGE)
             self.stats.wake_hits += len(woken)
             return bool(woken)
-        if isinstance(event, QubitArrived):
-            remaining = self.pending_arrivals[event.instruction_index] - 1
-            if remaining:
-                self.pending_arrivals[event.instruction_index] = remaining
-            else:
-                del self.pending_arrivals[event.instruction_index]
-                record = self.records[event.instruction_index]
-                self.events.push(
-                    record.finish_time,
-                    InstructionCompleted(event.instruction_index, event.trap_id),
-                )
-            # Arrival alone changes nothing a parked instruction is blocked
-            # on: positions and trap occupancy update at completion.
-            return False
         if isinstance(event, BarrierLevelCleared):
             # The selector already advanced its cursor when the last
             # instruction of the level completed; the event's job is to force

@@ -1,14 +1,13 @@
 """Simulation events, the time-ordered event queue and its counters.
 
-Four event types drive the simulator (paper Section IV.B describes the
-first two; the other two are bookkeeping events of the event-driven engine):
+Three event types drive the simulator (paper Section IV.B describes the
+first two; the third is a bookkeeping event of the event-driven engine):
 
 * :class:`InstructionCompleted` — execution of an instruction finished; its
-  dependent instructions may become ready.
+  dependent instructions may become ready.  It is scheduled when the
+  instruction issues, since its finish time is known then.
 * :class:`ChannelReleased` — a qubit left a channel; the channel's congestion
   weight drops and busy-queued instructions parked on it are retried.
-* :class:`QubitArrived` — an operand reached the meeting trap; when the last
-  operand of an instruction arrives, its completion is scheduled.
 * :class:`BarrierLevelCleared` — every instruction of an ALAP level finished
   (barrier scheduling only); the next level becomes eligible.
 """
@@ -16,7 +15,8 @@ first two; the other two are bookkeeping events of the event-driven engine):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.fabric.components import ChannelId
@@ -39,22 +39,13 @@ class ChannelReleased:
 
 
 @dataclass(frozen=True)
-class QubitArrived:
-    """Operand ``qubit`` of ``instruction_index`` arrived in trap ``trap_id``."""
-
-    qubit: str
-    trap_id: int
-    instruction_index: int
-
-
-@dataclass(frozen=True)
 class BarrierLevelCleared:
     """Every instruction of ALAP level ``level`` finished (barrier mode)."""
 
     level: int
 
 
-Event = InstructionCompleted | ChannelReleased | QubitArrived | BarrierLevelCleared
+Event = InstructionCompleted | ChannelReleased | BarrierLevelCleared
 
 
 @dataclass
@@ -131,6 +122,26 @@ class EventQueue:
         time, _, event = heapq.heappop(self._heap)
         return time, event
 
+    def apply_earliest(
+        self, apply: Callable[[float, Event], bool]
+    ) -> tuple[float, int, bool] | None:
+        """Pop and ``apply(time, event)`` every event at the earliest time.
+
+        Events apply in insertion order; one that ``apply`` pushes at the
+        batch's own time joins the batch.  Returns ``(time, events applied,
+        whether any apply returned true)``, or ``None`` when the queue is empty.
+        """
+        heap = self._heap
+        if not heap:
+            return None
+        time, _, event = heapq.heappop(heap)
+        woke = apply(time, event)
+        applied = 1
+        while heap and heap[0][0] == time:
+            woke = apply(time, heapq.heappop(heap)[2]) or woke
+            applied += 1
+        return time, applied, woke
+
     def peek_time(self) -> float | None:
         """Time of the next event, or ``None`` when the queue is empty."""
         return self._heap[0][0] if self._heap else None
@@ -142,6 +153,3 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)

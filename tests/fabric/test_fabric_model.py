@@ -157,16 +157,31 @@ class TestFabricQueries:
             )
 
 
+def _half_cell_points(fabric):
+    """Every point of the cell grid whose coordinates are multiples of 0.5."""
+    return [
+        (row / 2.0, col / 2.0)
+        for row in range(2 * fabric.cell_rows - 1)
+        for col in range(2 * fabric.cell_cols - 1)
+    ]
+
+
 class TestSpatialMemo:
-    def test_cached_ordering_matches_a_fresh_sort(self, small_fabric_4x4):
-        point = small_fabric_4x4.center
-        small_fabric_4x4.traps_by_distance(point)  # populate the memo
-        cached = small_fabric_4x4.traps_by_distance(point)
-        fresh = sorted(
-            small_fabric_4x4.traps.values(),
-            key=lambda trap: (distance_to_point(trap.cell, point), trap.id),
-        )
-        assert cached == fresh
+    @pytest.mark.parametrize("build", [small_fabric, quale_fabric], ids=["4x4", "quale"])
+    def test_cached_ordering_matches_a_fresh_sort(self, build):
+        # Medians of two operand cells are half-cell points, so these are
+        # every point the router ranks traps around.  Each point is a memo
+        # miss once, then served from the memo by both accessors.
+        fabric = build()
+        traps = list(fabric.traps.values())
+        for point in _half_cell_points(fabric):
+            fresh = sorted(
+                traps, key=lambda trap: (distance_to_point(trap.cell, point), trap.id)
+            )
+            computed = fabric.ranked_traps(point)
+            assert list(computed) == fresh, point
+            assert fabric.traps_by_distance(point) == fresh, point
+            assert fabric.ranked_traps(point) is computed
 
     def test_callers_get_independent_lists(self, small_fabric_4x4):
         point = (0.0, 0.0)

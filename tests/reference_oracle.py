@@ -11,10 +11,15 @@ loop.  The oracle removes every one of them:
   :func:`repro.routing.weights.edge_weight`.  That is the object-graph
   reference kernel, a plain multi-source, multi-target Dijkstra over
   :class:`~repro.routing.graph_model.RoutingGraph`, and the compiled
-  kernel is also checked against it query by query;
-* :func:`oracle_mode` swaps it into the simulator and turns the wake-set
-  gating off, so the real event loop polls at every event timestamp and
-  retries every parked instruction.
+  kernel is also checked against it query by query.  Its attachment costs
+  are derived per query from the trap's channel
+  (:func:`reference_attachment_costs`), not read from the graph's
+  precomputed trap attachments;
+* :func:`oracle_mode` swaps it into the simulator, derives the occupied
+  meeting traps by a scan of every resting trap
+  (:func:`reference_occupied_traps`) and turns the wake-set gating off, so
+  the real event loop polls at every event timestamp and retries every
+  parked instruction.
 
 Instruction-level planning (candidate meeting traps, serial or overlaid
 legs) and the event semantics are the model under test and stay shared.
@@ -33,7 +38,7 @@ from repro.routing.compiled import DijkstraResult
 from repro.routing.graph_model import GraphEdge, Node, RoutingGraph
 from repro.routing.path import expand_route, stationary_plan
 from repro.routing.router import Router
-from repro.routing.weights import edge_weight
+from repro.routing.weights import edge_weight, partial_channel_weight
 from repro.sim import engine
 
 #: Signature of the edge weight callback.
@@ -129,11 +134,47 @@ def shortest_route(
     return DijkstraResult(best_total, origin[best_exit], best_exit, tuple(edges))
 
 
+def reference_attachment_costs(router, trap, congestion) -> dict[Node, float]:
+    """Virtual costs from/to ``trap`` at its channel's endpoint nodes.
+
+    Leaving or entering the trap costs one move and one turn; the channel
+    cells between the trap and each endpoint cost Eq. (2) under the
+    channel's occupancy.
+    """
+    channel = router.fabric.channel(trap.channel_id)
+    occupancy = congestion.occupancy(channel.id)
+    access = router.technology.move_delay + router.technology.turn_delay
+    costs: dict[Node, float] = {}
+    for endpoint_node in router.graph.channel_endpoints(channel.id):
+        cells = channel.distance_from_endpoint(endpoint_node[0], trap.offset)
+        travel = partial_channel_weight(
+            occupancy, cells, congestion.channel_capacity, router.technology
+        )
+        costs[endpoint_node] = access + travel
+    return costs
+
+
+def reference_occupied_traps(state, instruction) -> set:
+    """Traps the router must not pick as ``instruction``'s meeting trap.
+
+    Every reserved trap, and every trap where a qubit other than the
+    operands rests.
+    """
+    operand_names = set(instruction.qubit_names)
+    occupied = set(state.reserved_traps)
+    for trap, qubits in state.resting.items():
+        if qubits - operand_names:
+            occupied.add(trap)
+    return occupied
+
+
 class OracleRouter(Router):
     """A router that computes every leg fresh on the reference kernel.
 
     It never reads or writes the fabric's route table.
     """
+
+    _attachment_costs = reference_attachment_costs
 
     def plan_qubit_route(
         self, qubit, source_trap_id, target_trap_id, congestion, *, cut=None
@@ -189,6 +230,7 @@ def oracle_mode():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "Router", OracleRouter)
         patch.setattr(engine._RunState, "__init__", ungated_init)
+        patch.setattr(engine._RunState, "_occupied_traps_for", reference_occupied_traps)
         yield
 
 

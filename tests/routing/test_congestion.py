@@ -76,6 +76,12 @@ class TestReserveAll:
         # The first reservation must have been rolled back.
         assert tracker.occupancy(("h", 0, 0)) == 0
 
+    def test_atomic_rollback_on_unknown_channel(self, tracker):
+        with pytest.raises(FabricError):
+            tracker.reserve_all([("h", 0, 0), ("h", 99, 99)])
+        assert tracker.occupancy(("h", 0, 0)) == 0
+        assert tracker.snapshot() == {}
+
     def test_duplicate_channels_in_one_call(self, tracker):
         tracker.reserve_all([("h", 0, 0), ("h", 0, 0)])
         assert tracker.occupancy(("h", 0, 0)) == 2

@@ -120,6 +120,30 @@ class TestExpandRoute:
         assert plan.duration == pytest.approx(expected_moves * 1.0 + 2 * 10.0)
         assert plan.channels_used == (("h", 0, 0),)
 
+    def test_totals_are_the_sums_of_the_steps_for_every_trap_pair(self, small_fabric_4x4):
+        # Stationary, same-channel and cross-channel plans alike: each total
+        # is what summing the plan's steps gives, and the repr shows only
+        # the four defining fields.
+        from repro.routing.router import Router
+
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY)
+        congestion = CongestionTracker(small_fabric_4x4, 2)
+        for source in small_fabric_4x4.traps:
+            for target in small_fabric_4x4.traps:
+                plan = router.plan_qubit_route("q", source, target, congestion)
+                steps = plan.steps
+                duration = sum(step.duration for step in steps)
+                assert (plan.duration, type(plan.duration)) == (duration, type(duration))
+                assert plan.total_moves == sum(step.moves for step in steps)
+                assert plan.total_turns == sum(step.turns for step in steps)
+                assert plan.channels_used == tuple(
+                    step.channel_id for step in steps if step.channel_id is not None
+                )
+                assert repr(plan) == (
+                    f"RoutePlan(qubit='q', source_trap={source}, "
+                    f"target_trap={target}, steps={steps!r})"
+                )
+
     def test_channel_exit_times_monotonic(self, small_fabric_4x4):
         from repro.routing.router import Router, RoutingPolicy
         from repro.routing.congestion import CongestionTracker

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_oracle import reads_match, snapshot_pairs
+from reference_oracle import OracleRouter, reads_match, snapshot_pairs
 from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.builder import FabricSpec, build_fabric
 from repro.routing.congestion import CongestionTracker
@@ -19,6 +19,10 @@ from repro.routing.router import (
 )
 from repro.routing.trap_selection import select_target_trap
 from repro.technology import PAPER_TECHNOLOGY
+
+
+def _totals(plan):
+    return (plan.duration, plan.total_moves, plan.total_turns, plan.channels_used)
 
 
 @pytest.fixture
@@ -353,9 +357,15 @@ class TestRouteCache:
         source, target = self._distant_pair(small_fabric_4x4)
         first = router.plan_qubit_route("q", source, target, congestion)
         second = router.plan_qubit_route("r", source, target, congestion)
+        assert router.stats.cache_hits == 1
         assert second.qubit == "r"
         assert second.steps == first.steps
         assert (second.source_trap, second.target_trap) == (first.source_trap, first.target_trap)
+        # The rebound plan is the plan a fresh search makes for "r", totals
+        # included (they take no part in ==).
+        fresh = OracleRouter(small_fabric_4x4).plan_qubit_route("r", source, target, congestion)
+        assert second == fresh
+        assert _totals(second) == _totals(fresh)
 
     def test_congestion_change_invalidates_cache(self, router, congestion, small_fabric_4x4):
         source, target = self._distant_pair(small_fabric_4x4)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import ChannelReleased, EventQueue, InstructionCompleted
+from repro.sim.events import (
+    BarrierLevelCleared,
+    ChannelReleased,
+    EventQueue,
+    InstructionCompleted,
+)
 from repro.sim.microcode import CommandKind, MicroCommand
 from repro.sim.trace import ControlTrace
 
@@ -32,6 +37,32 @@ class TestEventQueue:
         queue.push(3.0, InstructionCompleted(0, 0))
         assert queue.peek_time() == 3.0
         assert len(queue) == 1
+
+    def test_batch_applies_every_event_at_the_earliest_time(self):
+        queue = EventQueue()
+        queue.push(2.0, InstructionCompleted(1, 0))
+        queue.push(1.0, InstructionCompleted(0, 0))
+        queue.push(1.0, ChannelReleased("q", ("h", 0, 0)))
+        applied = []
+
+        def apply(time, event):
+            applied.append((time, event))
+            if isinstance(event, InstructionCompleted):
+                # Pushed at the batch's own time while the batch is applied,
+                # as a completion that clears a barrier level does.
+                queue.push(time, BarrierLevelCleared(event.instruction_index))
+            return isinstance(event, ChannelReleased)
+
+        assert queue.apply_earliest(apply) == (1.0, 3, True)
+        assert applied == [
+            (1.0, InstructionCompleted(0, 0)),
+            (1.0, ChannelReleased("q", ("h", 0, 0))),
+            (1.0, BarrierLevelCleared(0)),
+        ]
+        assert queue.apply_earliest(apply) == (2.0, 2, False)
+        assert applied[3:] == [(2.0, InstructionCompleted(1, 0)), (2.0, BarrierLevelCleared(1))]
+        assert queue.apply_earliest(apply) is None
+        assert queue.peak_size == 3
 
     def test_pop_empty(self):
         with pytest.raises(SimulationError):

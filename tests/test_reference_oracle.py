@@ -13,7 +13,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_oracle import OracleRouter, assert_same_mapping, oracle_mode
+from reference_oracle import (
+    OracleRouter,
+    assert_same_mapping,
+    oracle_mode,
+    reference_attachment_costs,
+    reference_occupied_traps,
+)
 from repro.circuits.qecc import BENCHMARK_NAMES
 from repro.fabric.builder import FabricSpec, build_fabric, small_fabric
 from repro.mapper.options import MapperOptions
@@ -25,7 +31,8 @@ from repro.pipeline.fabrics import resolve_fabric
 from repro.pipeline.stages import MappingPipeline
 from repro.pipeline.technologies import resolve_technology
 from repro.routing.congestion import CongestionTracker
-from repro.routing.router import MeetingPoint, Router
+from repro.routing.router import MeetingPoint, Router, RoutingPolicy
+from repro.sim import engine
 from repro.sim.engine import FabricSimulator
 
 SCHEDULERS = ("qspr", "quale-alap", "qpos-dependents", "qpos-path-delay")
@@ -209,6 +216,50 @@ class TestRoutingAxesMatchTheOracle:
         # The searches simulate many placements and keep the best; every
         # one of those simulations must agree for the winners to agree.
         _map_both("[[7,1,3]]", fabric, _options(**placer_options))
+
+
+class TestFastPathsMatchTheirDefinitions:
+    """The router's and simulator's shortcuts against the oracle's definitions.
+
+    Call by call, so a difference that no mapping would show still fails.
+    """
+
+    @pytest.mark.parametrize("turn_aware", [True, False])
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_attachment_costs_for_every_trap_and_occupancy(self, turn_aware, capacity):
+        fabric = resolve_fabric("quale")
+        router = Router(fabric, policy=RoutingPolicy(turn_aware=turn_aware))
+        congestion = CongestionTracker(fabric, capacity)
+        # Every channel empty, then one more qubit in each, up to full.
+        for level in range(capacity + 1):
+            if level:
+                for channel in fabric.channels:
+                    congestion.reserve(channel)
+            for trap in fabric.traps.values():
+                fast = router._attachment_costs(trap, congestion)
+                reference = reference_attachment_costs(router, trap, congestion)
+                # Same costs, keyed in the same order: the kernel reads the
+                # sources and targets in order.
+                assert list(fast.items()) == list(reference.items()), (trap, level)
+
+    @pytest.mark.parametrize(
+        "circuit, technology",
+        [("[[23,1,7]]", "paper"), (CONGESTED.format(seed=7), "cap-1")],
+        ids=["23117", "congested-cap1"],
+    )
+    def test_occupied_traps_at_every_plan(self, fabric, monkeypatch, circuit, technology):
+        fast = engine._RunState._occupied_traps_for
+        calls = []
+
+        def checked(state, instruction):
+            occupied = fast(state, instruction)
+            assert occupied == reference_occupied_traps(state, instruction)
+            calls.append(instruction.index)
+            return occupied
+
+        monkeypatch.setattr(engine._RunState, "_occupied_traps_for", checked)
+        _map(circuit, fabric, _options(technology))
+        assert calls
 
 
 #: Module-level fabric for the hypothesis property: hypothesis reuses the

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import sys
+import time
 from pathlib import Path
 
 from repro.circuits.qecc import BENCHMARK_NAMES, qecc_encoder
@@ -12,7 +14,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from profile_routing import NUM_SEEDS, build_parser, job_spec, main  # noqa: E402
+from profile_routing import (  # noqa: E402
+    NUM_SEEDS,
+    StackSampler,
+    build_parser,
+    job_spec,
+    main,
+)
 
 #: The largest job of the cap1-single-pass workload, as the tool's docstring
 #: gives it.
@@ -64,3 +72,46 @@ def test_prints_summary_lines_then_routing_frames(capsys):
     frames = [line for line in lines if "(" in line and ".py:" in line]
     assert 0 < len(frames) <= 3
     assert all("routing" in line for line in frames)
+
+
+def _shares(line: str) -> tuple[float, float, str]:
+    self_share, inclusive_share, label = line.split(maxsplit=2)
+    return float(self_share.rstrip("%")), float(inclusive_share.rstrip("%")), label
+
+
+def test_sample_mode_prints_self_and_inclusive_shares(capsys):
+    argv = ["[[5,1,3]]", "--placer", "center", "--sample", "--filter", "", "--top", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[[5,1,3]] qspr/center on quale-")
+    assert lines[1].startswith("  winning run: routing ")
+    header = re.fullmatch(r"(\d+) samples over ([\d.]+) s of process CPU", lines[3])
+    assert header is not None
+    assert lines[4].split() == ["self", "incl", "frame"]
+    rows = [_shares(line) for line in lines[5:]]
+    assert len(rows) <= 4
+    for self_share, inclusive_share, label in rows:
+        assert 0.0 <= self_share <= inclusive_share <= 100.0
+        assert re.fullmatch(r".+:\d+\(.+\)", label)
+    if int(header.group(1)):
+        # Sorted by inclusive share: the job's entry point is on every
+        # sampled stack.
+        assert rows[0][1] == 100.0
+
+
+def _spin(seconds: float) -> None:
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+def test_sampler_charges_the_running_frame(capsys):
+    with StackSampler() as sampler:
+        _spin(0.2)
+    assert sampler.cpu_seconds >= 0.2
+    assert sampler.samples > 0
+    sampler.print_report("_spin", 1, inclusive=False)
+    (row,) = capsys.readouterr().out.splitlines()[2:]
+    self_share, inclusive_share, label = _shares(row)
+    assert label.endswith("(_spin)")
+    assert self_share > 50.0 and inclusive_share > 50.0

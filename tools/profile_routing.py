@@ -13,12 +13,21 @@ command::
     PYTHONPATH=src python tools/profile_routing.py \\
         random-layered:q=96:d=64:fill=1.0:locality=3:seed=3 \\
         --placer center --technology cap-1
+    PYTHONPATH=src python tools/profile_routing.py --sample --filter ''
 
 The default, ``[[19,1,7]]`` with MVFB, is the largest job of the
-paper-mvfb workload; the last command is the largest job of
+paper-mvfb workload; the third command is the largest job of
 cap1-single-pass.  The ``--filter`` substring (default ``routing``)
 restricts the report to frames whose file path matches, which drops the
 scheduler/placer noise; pass ``--filter ''`` for the unfiltered profile.
+
+cProfile charges every Python call a fixed cost, which inflates the share
+of code that makes many small calls.  ``--sample`` replaces it with a stack
+sampler: every millisecond of process CPU time (``ITIMER_PROF``) it records
+the running Python stack, then prints each frame's share of the samples as
+self time (the frame was running) and inclusive time (the frame was on the
+stack).  ``--sort cumulative`` orders that report by inclusive share, the
+other keys by self share.
 """
 
 from __future__ import annotations
@@ -26,8 +35,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import signal
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -36,6 +47,9 @@ from repro.runner import ExperimentSpec, FabricCell, map_spec  # noqa: E402
 
 #: MVFB's seed count ``m`` in the paper's Tables 1 and 2.
 NUM_SEEDS = 25
+
+#: Process CPU seconds between two ``--sample`` stack samples.
+SAMPLE_INTERVAL_S = 0.001
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,9 +81,72 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort",
         default="cumulative",
         choices=["cumulative", "tottime", "ncalls"],
-        help="pstats sort key (default: %(default)s)",
+        help="pstats sort key; --sample sorts by inclusive share for "
+        "'cumulative', else by self share (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--sample",
+        action="store_true",
+        help="sample the stack on a CPU-time timer instead of running cProfile",
     )
     return parser
+
+
+class StackSampler:
+    """Counts the Python frames on the stack at every ``ITIMER_PROF`` tick.
+
+    Use it as a context manager around the code to profile.  The timer
+    counts the process's CPU time, and the signal runs on the main thread,
+    so the samples cover the main thread's Python stack.  Frames are
+    counted by their ``file:line(function)`` label, as pstats prints them,
+    so code objects that share a label share a row: the generated
+    ``__init__`` of every dataclass is ``<string>:2(__init__)``.
+    """
+
+    def __init__(self) -> None:
+        self.samples = 0
+        self.cpu_seconds = 0.0
+        self.self_counts: Counter = Counter()
+        self.inclusive_counts: Counter = Counter()
+
+    def _sample(self, signum, frame) -> None:
+        self.samples += 1
+        if frame is None:
+            return
+        self.self_counts[_label(frame.f_code)] += 1
+        on_stack = set()
+        while frame is not None:
+            on_stack.add(_label(frame.f_code))
+            frame = frame.f_back
+        self.inclusive_counts.update(on_stack)
+
+    def __enter__(self) -> "StackSampler":
+        self._previous = signal.signal(signal.SIGPROF, self._sample)
+        self._started = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        self.cpu_seconds = time.process_time() - self._started
+        signal.signal(signal.SIGPROF, self._previous)
+
+    def print_report(self, restriction: str, top: int, *, inclusive: bool) -> None:
+        """Print the ``top`` frames whose label contains ``restriction``."""
+        # The kernel may deliver the timer at a coarser tick than asked.
+        print(f"{self.samples} samples over {self.cpu_seconds:.3f} s of process CPU")
+        print(f"{'self':>7} {'incl':>7}  frame")
+        ranked = (self.inclusive_counts if inclusive else self.self_counts).most_common()
+        labels = [label for label, _ in ranked if restriction in label]
+        total = max(self.samples, 1)
+        for label in labels[:top]:
+            self_share = 100.0 * self.self_counts[label] / total
+            inclusive_share = 100.0 * self.inclusive_counts[label] / total
+            print(f"{self_share:6.1f}% {inclusive_share:6.1f}%  {label}")
+
+
+def _label(code) -> str:
+    return f"{code.co_filename}:{code.co_firstlineno}({code.co_name})"
 
 
 def job_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -87,11 +164,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     spec = job_spec(args)
 
-    profiler = cProfile.Profile()
+    profiler = StackSampler() if args.sample else cProfile.Profile()
     started = time.perf_counter()
-    profiler.enable()
-    result = map_spec(spec)
-    profiler.disable()
+    with profiler:
+        result = map_spec(spec)
     wall = time.perf_counter() - started
 
     stats = result.routing_stats
@@ -107,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{stats.cache_misses} misses"
     )
     print()
+    if args.sample:
+        profiler.print_report(args.filter, args.top, inclusive=args.sort == "cumulative")
+        return 0
     report = pstats.Stats(profiler, stream=sys.stdout).sort_stats(args.sort)
     if args.filter:
         report.print_stats(args.filter, args.top)
