@@ -19,7 +19,7 @@ The public API is organised by pipeline stage:
 * :mod:`repro.analysis` — latency metrics, error models and table formatting.
 * :mod:`repro.viz` — ASCII renderings of fabrics and traces.
 * :mod:`repro.runner` — batch experiment runner: sweeps, caching, reports.
-* :mod:`repro.pipeline` — the composable mapping pipeline and the plugin
+* :mod:`repro.pipeline` — the four-stage mapping pipeline and the plugin
   registries (mappers, placers, fabrics, circuits, schedulers,
   technologies) behind every name in the system.
 * :mod:`repro.workloads` — random-circuit families and QASM ingest,
@@ -93,7 +93,6 @@ from repro.pipeline import (
     REGISTRIES,
     SCHEDULERS,
     TECHNOLOGIES,
-    MappingPipeline,
     PipelineContext,
     PipelineObserver,
     Registry,
@@ -162,7 +161,6 @@ __all__ = [
     "SCHEDULERS",
     "TECHNOLOGIES",
     "REGISTRIES",
-    "MappingPipeline",
     "PipelineContext",
     "PipelineObserver",
     "SchedulingPolicy",

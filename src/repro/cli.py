@@ -70,6 +70,7 @@ from repro.analysis.metrics import latency_breakdown
 from repro.errors import ReproError
 from repro.mapper.options import MapperOptions
 from repro.pipeline import MAPPERS, PLACERS, REGISTRIES, resolve_fabric
+from repro.pipeline.circuits import is_regular_file
 from repro.runner import (
     MEETING_POINTS,
     SCHEDULER_NAMES,
@@ -549,7 +550,7 @@ def _command_run(args: argparse.Namespace) -> int:
         from repro.qasm.parser import parse_qasm_file
 
         path = Path(args.qasm)
-        if not path.exists():
+        if not is_regular_file(args.qasm):
             raise ReproError(f"QASM file not found: {path}")
         circuit = parse_qasm_file(path)
     if args.fabric:

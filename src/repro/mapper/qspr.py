@@ -1,7 +1,7 @@
 """The QSPR mapper: the paper's scheduling + placement + routing tool.
 
-:class:`QsprMapper` is a thin configuration shim over the staged
-:class:`~repro.pipeline.stages.MappingPipeline`
+:class:`QsprMapper` is a thin configuration shim over
+:func:`~repro.pipeline.stages.run_pipeline`
 (build-QIDG → place → simulate → package-result).  The placer is resolved by
 name through the :data:`repro.pipeline.PLACERS` registry, so any
 decorator-registered strategy — not just the paper's MVFB/Monte-Carlo/center
@@ -24,7 +24,6 @@ from repro.mapper.result import MappingResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.context import PipelineObserver
-    from repro.pipeline.stages import MappingPipeline
 
 
 class QsprMapper:
@@ -35,14 +34,6 @@ class QsprMapper:
 
     def __init__(self, options: MapperOptions | None = None) -> None:
         self.options = options if options is not None else MapperOptions()
-
-    def pipeline(self) -> "MappingPipeline":
-        """The staged pipeline this mapper runs (override to customise)."""
-        # Imported lazily: repro.pipeline registers this class's factory, so
-        # a module-level import would be circular.
-        from repro.pipeline.stages import MappingPipeline
-
-        return MappingPipeline.standard()
 
     def map(
         self,
@@ -64,9 +55,10 @@ class QsprMapper:
                 options (e.g. MVFB placement of a circuit with measurements,
                 which cannot be uncomputed) or the placer name is unknown.
         """
-        pipeline = self.pipeline()
-        if observer is not None:
-            pipeline = pipeline.with_observer(observer)
-        return pipeline.run(
-            circuit, fabric, options=self.options, mapper_name=self.name
+        # Imported lazily: repro.pipeline registers this class's factory, so
+        # a module-level import would be circular.
+        from repro.pipeline.stages import run_pipeline
+
+        return run_pipeline(
+            circuit, fabric, self.options, mapper_name=self.name, observer=observer
         )

@@ -40,7 +40,7 @@ class MappingResult:
         options: The options the mapper ran with.
         stage_seconds: Per-stage wall-clock breakdown of the pipeline run,
             keyed by stage name in execution order (empty for mappers that
-            do not run the staged pipeline).  Dotted sub-keys such as
+            do not run the pipeline).  Dotted sub-keys such as
             ``simulate.routing`` attribute a stage's time to the routing
             core.
         routing_seconds: Wall-clock time the winning pass spent planning

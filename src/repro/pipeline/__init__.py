@@ -1,4 +1,4 @@
-"""Composable mapping pipeline and plugin registries.
+"""The mapping pipeline and its plugin registries.
 
 This subpackage is the canonical public API of the reproduction.  It exposes
 
@@ -10,9 +10,9 @@ This subpackage is the canonical public API of the reproduction.  It exposes
   :data:`TECHNOLOGIES` — through which every name in the system (CLI flags,
   :class:`~repro.runner.spec.ExperimentSpec` axes, facade arguments) is
   resolved;
-* :class:`MappingPipeline` (:mod:`repro.pipeline.stages`) — the staged
-  build-QIDG → place → simulate → package-result engine behind every mapper,
-  with per-stage timings and :class:`PipelineObserver` hooks;
+* :func:`run_pipeline` (:mod:`repro.pipeline.stages`) — the
+  build-QIDG → place → simulate → package-result function behind every
+  mapper, with per-stage timings and :class:`PipelineObserver` hooks;
 * :func:`map_circuit` (:mod:`repro.pipeline.facade`) — the one-call facade.
 
 Registering a plugin makes it available *everywhere* without touching any
@@ -35,7 +35,7 @@ from __future__ import annotations
 from repro.pipeline.registry import Registry, RegistryError
 from repro.pipeline.context import PipelineContext, PipelineObserver
 from repro.pipeline.placers import PLACERS
-from repro.pipeline.stages import STANDARD_STAGES, MappingPipeline, Stage
+from repro.pipeline.stages import run_pipeline
 from repro.pipeline.fabrics import FABRICS, resolve_fabric
 from repro.pipeline.circuits import CIRCUITS, resolve_circuit
 from repro.pipeline.mappers import IdealMapper, MAPPERS, resolve_mapper
@@ -58,7 +58,6 @@ __all__ = [
     "FABRICS",
     "IdealMapper",
     "MAPPERS",
-    "MappingPipeline",
     "PLACERS",
     "PipelineContext",
     "PipelineObserver",
@@ -66,8 +65,6 @@ __all__ = [
     "Registry",
     "RegistryError",
     "SCHEDULERS",
-    "STANDARD_STAGES",
-    "Stage",
     "TECHNOLOGIES",
     "map_circuit",
     "resolve_circuit",
@@ -75,4 +72,5 @@ __all__ = [
     "resolve_mapper",
     "resolve_scheduler",
     "resolve_technology",
+    "run_pipeline",
 ]

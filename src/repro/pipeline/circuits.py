@@ -171,6 +171,18 @@ def is_circuit_name(name: str) -> bool:
     return base in CIRCUITS
 
 
+def is_regular_file(path: str) -> bool:
+    """Whether ``path`` names an existing regular file, such as a QASM file.
+
+    A directory is not one, and neither is a name the operating system
+    rejects (say, one longer than the filesystem allows).
+    """
+    try:
+        return Path(path).is_file()
+    except OSError:
+        return False
+
+
 def resolve_circuit(circuit: "QuantumCircuit | str", **params) -> QuantumCircuit:
     """Turn a circuit, registry name or QASM path into a live circuit.
 
@@ -184,8 +196,8 @@ def resolve_circuit(circuit: "QuantumCircuit | str", **params) -> QuantumCircuit
             take precedence over these keyword defaults.
 
     Raises:
-        CircuitError: When the string is neither a registered name nor an
-            existing file (the message carries the did-you-mean suggestion),
+        CircuitError: When the string is neither a registered name nor a
+            regular file (the message carries the did-you-mean suggestion),
             or when the factory rejects the given parameters.
     """
     if isinstance(circuit, QuantumCircuit):
@@ -200,7 +212,7 @@ def resolve_circuit(circuit: "QuantumCircuit | str", **params) -> QuantumCircuit
                 f"circuit {base!r} rejected parameters {merged!r}: {exc}"
             ) from exc
     path = Path(circuit)
-    if path.exists():
+    if is_regular_file(circuit):
         from repro.qasm.parser import parse_qasm_file
 
         return parse_qasm_file(path)

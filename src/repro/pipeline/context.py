@@ -1,7 +1,7 @@
 """Shared state of one pipeline run: context, observers and stage output.
 
 A :class:`PipelineContext` is created by
-:meth:`~repro.pipeline.stages.MappingPipeline.run` and threaded through every
+:func:`~repro.pipeline.stages.run_pipeline` and threaded through every
 stage.  Stages read the inputs (circuit, fabric, options) and fill in the
 intermediate products (QIDG, simulator, placement, outcome) until the final
 stage packages a :class:`~repro.mapper.result.MappingResult`.
@@ -15,7 +15,7 @@ Monte-Carlo) already chose, with its ``placement_runs`` set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.fabric import Fabric
@@ -54,8 +54,8 @@ class PipelineContext:
     """Everything a pipeline run reads and produces.
 
     The immutable inputs (``circuit``, ``fabric``, ``options``,
-    ``mapper_name``) are set by :meth:`MappingPipeline.run
-    <repro.pipeline.stages.MappingPipeline.run>`; the remaining slots are
+    ``mapper_name``) are set by
+    :func:`~repro.pipeline.stages.run_pipeline`; the remaining slots are
     filled by the stages as the run progresses.
 
     Attributes:
@@ -73,7 +73,6 @@ class PipelineContext:
         result: The packaged result (package-result stage).
         stage_seconds: Wall-clock duration of each completed stage, keyed by
             stage name, in execution order.
-        extras: Free-form scratch space for custom stages and strategies.
     """
 
     circuit: QuantumCircuit
@@ -87,7 +86,6 @@ class PipelineContext:
     outcome: SimulationOutcome | None = None
     result: "MappingResult | None" = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def make_simulator(
         self,
@@ -114,6 +112,4 @@ class PipelineContext:
 
     def simulate(self, placement: Placement) -> SimulationOutcome:
         """Run the forward simulator from ``placement`` (placer helper)."""
-        if self.forward_sim is None:
-            raise RuntimeError("the build-qidg stage has not run yet")
         return self.forward_sim.run(placement)

@@ -50,8 +50,8 @@ def map_circuit(
         placer: Placer-registry name used by placer-driven mappers
             (``"mvfb"``, ``"monte-carlo"``, ``"center"`` or a plugin).
         observer: Optional :class:`~repro.pipeline.context.PipelineObserver`
-            receiving per-stage callbacks (passed through to mappers whose
-            ``map`` accepts one, i.e. the pipeline-backed mappers).
+            receiving per-stage callbacks, passed to the mapper's ``map``
+            (the ideal baseline runs no stages and ignores it).
         options: Further :class:`~repro.runner.spec.ExperimentSpec` fields:
             ``num_seeds``, ``num_placements``, ``random_seed``,
             ``technology`` and ``scheduler`` (registry names),

@@ -1,7 +1,10 @@
 """The mapper registry: named factories for end-to-end mappers.
 
 Entries are factories ``(options: MapperOptions | None) -> mapper`` where the
-returned object exposes ``map(circuit, fabric) -> MappingResult``.  Built-ins:
+returned object exposes ``map(circuit, fabric, *, observer=None) ->
+MappingResult``; ``observer`` is an optional
+:class:`~repro.pipeline.context.PipelineObserver`, which a mapper without
+stages may ignore.  Built-ins:
 
 * ``qspr`` — the paper's mapper; honours every ``MapperOptions`` knob.
 * ``quale`` / ``qpos`` — the prior-art presets (fixed options; the
@@ -34,7 +37,7 @@ MAPPERS = Registry("mapper")
 
 
 class IdealMapper:
-    """The ideal baseline behind the common ``map(circuit, fabric)`` surface.
+    """The ideal baseline behind the common ``map`` surface.
 
     Wraps :class:`~repro.mapper.ideal.IdealBaseline` so the zero-routing /
     zero-congestion bound participates in sweeps, the facade and the CLI
@@ -47,7 +50,7 @@ class IdealMapper:
     def __init__(self, options: MapperOptions | None = None) -> None:
         self.options = options if options is not None else MapperOptions()
 
-    def map(self, circuit, fabric) -> MappingResult:
+    def map(self, circuit, fabric, *, observer=None) -> MappingResult:
         """Latency lower bound of ``circuit``, packaged as a mapping result."""
         import time as _time
 

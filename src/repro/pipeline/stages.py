@@ -1,11 +1,11 @@
-"""The staged mapping pipeline: build-QIDG → place → simulate → package-result.
+"""The mapping pipeline: build-QIDG → place → simulate → package-result.
 
-:class:`MappingPipeline` is the engine behind every mapper in the package:
+:func:`run_pipeline` is the engine behind every mapper in the package:
 :class:`~repro.mapper.qspr.QsprMapper` (and therefore the QUALE/QPOS presets)
-delegates to :meth:`MappingPipeline.standard`.  Each stage is a named
-function over the shared :class:`~repro.pipeline.context.PipelineContext`;
-observers receive start/finish callbacks per stage and the per-stage
-wall-clock timings are recorded in ``ctx.stage_seconds`` and on the final
+calls it.  Each stage is a function over the shared
+:class:`~repro.pipeline.context.PipelineContext`; an optional observer
+receives start/finish callbacks per stage and the per-stage wall-clock
+timings are recorded in ``ctx.stage_seconds`` and on the final
 :class:`~repro.mapper.result.MappingResult`.
 
 The place stage resolves the placer *by name* through the
@@ -16,8 +16,6 @@ third-party strategy participates without any core change.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from repro.errors import MappingError
 from repro.circuits.circuit import QuantumCircuit
@@ -32,22 +30,6 @@ from repro.qidg.graph import build_qidg
 from repro.sim.engine import SimulationOutcome
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One named step of a pipeline.
-
-    Attributes:
-        name: Stage name, used in timings, observer callbacks and errors.
-        run: The stage body; mutates the shared context in place.
-    """
-
-    name: str
-    run: Callable[[PipelineContext], None]
-
-
-# ----------------------------------------------------------------------
-# Standard stages
-# ----------------------------------------------------------------------
 def _build_qidg_stage(ctx: PipelineContext) -> None:
     """Build the dependency graph, the ideal bound and the forward simulator."""
     ctx.qidg = build_qidg(ctx.circuit)
@@ -88,10 +70,6 @@ def _simulate_stage(ctx: PipelineContext) -> None:
         # winning pass's routing time there.
         ctx.stage_seconds["place.routing"] = ctx.outcome.routing_seconds
         return
-    if ctx.placement is None:
-        raise MappingError(
-            f"placer {ctx.options.placer!r} produced neither a placement nor an outcome"
-        )
     ctx.outcome = ctx.simulate(ctx.placement)
     ctx.stage_seconds["simulate.routing"] = ctx.outcome.routing_seconds
 
@@ -99,7 +77,6 @@ def _simulate_stage(ctx: PipelineContext) -> None:
 def _package_result_stage(ctx: PipelineContext) -> None:
     """Package the winning outcome into a :class:`MappingResult`."""
     outcome = ctx.outcome
-    assert outcome is not None and ctx.ideal_latency is not None
     ctx.result = MappingResult(
         circuit_name=ctx.circuit.name,
         fabric_name=ctx.fabric.name,
@@ -124,119 +101,65 @@ def _package_result_stage(ctx: PipelineContext) -> None:
     )
 
 
-#: The standard stage sequence, in execution order.
-STANDARD_STAGES: tuple[Stage, ...] = (
-    Stage("build-qidg", _build_qidg_stage),
-    Stage("place", _place_stage),
-    Stage("simulate", _simulate_stage),
-    Stage("package-result", _package_result_stage),
+_STAGES = (
+    ("build-qidg", _build_qidg_stage),
+    ("place", _place_stage),
+    ("simulate", _simulate_stage),
+    ("package-result", _package_result_stage),
 )
 
+#: The stage names, in execution order: the coarse keys of
+#: ``stage_seconds`` and the names observers are called with.
+STAGE_NAMES: tuple[str, ...] = tuple(name for name, _ in _STAGES)
 
-class MappingPipeline:
-    """A composable sequence of mapping stages.
 
-    Example::
+def run_pipeline(
+    circuit: QuantumCircuit,
+    fabric: Fabric,
+    options: MapperOptions | None = None,
+    *,
+    mapper_name: str = "QSPR",
+    observer: PipelineObserver | None = None,
+) -> MappingResult:
+    """Map ``circuit`` onto ``fabric`` through the four stages.
 
-        from repro.pipeline import MappingPipeline
+    Args:
+        circuit: The circuit to map (must contain instructions).
+        fabric: The target fabric.
+        options: Mapping options; defaults to ``MapperOptions()``.
+        mapper_name: Name stamped on the result.
+        observer: Optional per-stage hooks (see
+            :class:`~repro.pipeline.context.PipelineObserver`).
 
-        pipeline = MappingPipeline.standard()
-        result = pipeline.run(circuit, fabric, options=MapperOptions(placer="center"))
+    Returns:
+        The packaged :class:`~repro.mapper.result.MappingResult`, with
+        ``cpu_seconds`` covering the whole run and ``stage_seconds``
+        holding the per-stage wall-clock breakdown.  Besides the coarse
+        stages, ``stage_seconds`` carries dotted sub-keys (e.g.
+        ``simulate.routing``) attributing a stage's wall-clock to the
+        routing core.
 
-    Custom pipelines insert extra stages (say, a QIDG rewrite between
-    build-qidg and place) by constructing the class with their own stage
-    tuple; :meth:`with_stage` inserts into a copy.
+    Raises:
+        MappingError: On an empty circuit, an unknown placer name, or a
+            placer that returns neither a placement nor an outcome.
     """
-
-    def __init__(
-        self,
-        stages: Sequence[Stage] = STANDARD_STAGES,
-        observers: Sequence[PipelineObserver] = (),
-    ) -> None:
-        self.stages = tuple(stages)
-        self.observers = tuple(observers)
-
-    @classmethod
-    def standard(cls, observers: Sequence[PipelineObserver] = ()) -> "MappingPipeline":
-        """The canonical build-QIDG → place → simulate → package pipeline."""
-        return cls(STANDARD_STAGES, observers)
-
-    def with_observer(self, observer: PipelineObserver) -> "MappingPipeline":
-        """A copy of this pipeline with one more observer attached."""
-        return MappingPipeline(self.stages, (*self.observers, observer))
-
-    def with_stage(self, stage: Stage, *, after: str | None = None) -> "MappingPipeline":
-        """A copy with ``stage`` inserted after the named stage (or appended).
-
-        Raises:
-            MappingError: If ``after`` names no existing stage.
-        """
-        if after is None:
-            return MappingPipeline((*self.stages, stage), self.observers)
-        names = [existing.name for existing in self.stages]
-        if after not in names:
-            raise MappingError(
-                f"unknown stage {after!r}; pipeline stages: {', '.join(names)}"
-            )
-        index = names.index(after) + 1
-        return MappingPipeline(
-            (*self.stages[:index], stage, *self.stages[index:]), self.observers
-        )
-
-    def stage_names(self) -> tuple[str, ...]:
-        """The stage names, in execution order."""
-        return tuple(stage.name for stage in self.stages)
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        fabric: Fabric,
-        *,
-        options: MapperOptions | None = None,
-        mapper_name: str = "QSPR",
-    ) -> MappingResult:
-        """Map ``circuit`` onto ``fabric`` through every stage.
-
-        Args:
-            circuit: The circuit to map (must contain instructions).
-            fabric: The target fabric.
-            options: Mapping options; defaults to ``MapperOptions()``.
-            mapper_name: Name stamped on the result.
-
-        Returns:
-            The packaged :class:`~repro.mapper.result.MappingResult`, with
-            ``cpu_seconds`` covering the whole run and ``stage_seconds``
-            holding the per-stage wall-clock breakdown.  Besides the coarse
-            stages, ``stage_seconds`` carries dotted sub-keys (e.g.
-            ``simulate.routing``) attributing a stage's wall-clock to the
-            routing core.
-
-        Raises:
-            MappingError: On an empty circuit, an unknown placer name, or a
-                pipeline that fails to produce a result.
-        """
-        if circuit.num_instructions == 0:
-            raise MappingError("cannot map an empty circuit")
-        started = _time.perf_counter()
-        ctx = PipelineContext(
-            circuit=circuit,
-            fabric=fabric,
-            options=options if options is not None else MapperOptions(),
-            mapper_name=mapper_name,
-        )
-        for stage in self.stages:
-            for observer in self.observers:
-                observer.stage_started(stage.name, ctx)
-            stage_started = _time.perf_counter()
-            stage.run(ctx)
-            elapsed = _time.perf_counter() - stage_started
-            ctx.stage_seconds[stage.name] = elapsed
-            for observer in self.observers:
-                observer.stage_finished(stage.name, ctx, elapsed)
-        if ctx.result is None:
-            raise MappingError(
-                "the pipeline finished without packaging a result; "
-                "custom stage lists must end with a package-result stage"
-            )
-        ctx.result.cpu_seconds = _time.perf_counter() - started
-        return ctx.result
+    if circuit.num_instructions == 0:
+        raise MappingError("cannot map an empty circuit")
+    started = _time.perf_counter()
+    ctx = PipelineContext(
+        circuit=circuit,
+        fabric=fabric,
+        options=options if options is not None else MapperOptions(),
+        mapper_name=mapper_name,
+    )
+    for name, stage in _STAGES:
+        if observer is not None:
+            observer.stage_started(name, ctx)
+        stage_started = _time.perf_counter()
+        stage(ctx)
+        elapsed = _time.perf_counter() - stage_started
+        ctx.stage_seconds[name] = elapsed
+        if observer is not None:
+            observer.stage_finished(name, ctx, elapsed)
+    ctx.result.cpu_seconds = _time.perf_counter() - started
+    return ctx.result

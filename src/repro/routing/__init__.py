@@ -17,8 +17,8 @@ Components:
   (``tests/reference_oracle.py``).
 * :mod:`repro.routing.path` — expansion of a graph path into a timed
   :class:`RoutePlan` (per-channel occupancy intervals, moves and turns).
-* :mod:`repro.routing.trap_selection` — target trap choice near the median of
-  the operand positions.
+* :mod:`repro.routing.trap_selection` — the nearest-free-trap ranking every
+  meeting-point rule uses, and the median rule of the paper.
 * :mod:`repro.routing.router` — the :class:`Router` facade used by the
   simulator.
 """
@@ -35,8 +35,6 @@ from repro.routing.router import (
     Router,
     RoutingPolicy,
     QSPR_POLICY,
-    QUALE_POLICY,
-    QPOS_POLICY,
 )
 
 __all__ = [
@@ -58,6 +56,4 @@ __all__ = [
     "Router",
     "RoutingPolicy",
     "QSPR_POLICY",
-    "QUALE_POLICY",
-    "QPOS_POLICY",
 ]

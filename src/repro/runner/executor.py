@@ -14,7 +14,6 @@ sequential path instead of failing the sweep.
 
 from __future__ import annotations
 
-import inspect
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -51,32 +50,14 @@ def map_spec(spec: ExperimentSpec, *, circuit=None, fabric=None, observer=None):
             same geometry, pay the graph-compilation cost once and reuse
             earlier jobs' route plans.
         observer: Optional :class:`~repro.pipeline.context.PipelineObserver`
-            receiving stage start/finish callbacks.  Passed through only to
-            mappers whose ``map`` accepts it (the reference
-            :class:`~repro.pipeline.mappers.IdealMapper` does not).
+            receiving stage start/finish callbacks, passed to the mapper's
+            ``map``.  The ideal baseline runs no stages and ignores it.
     """
     if circuit is None:
         circuit = spec.build_circuit()
     if fabric is None:
         fabric = spec.build_fabric()
-    mapper = spec.build_mapper()
-    if observer is not None and _accepts_observer(mapper.map):
-        return mapper.map(circuit, fabric, observer=observer)
-    return mapper.map(circuit, fabric)
-
-
-def _accepts_observer(map_method) -> bool:
-    """Whether a mapper's ``map`` accepts an ``observer`` keyword."""
-    try:
-        signature = inspect.signature(map_method)
-    except (TypeError, ValueError):  # pragma: no cover - builtins/extensions
-        return False
-    if "observer" in signature.parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in signature.parameters.values()
-    )
+    return spec.build_mapper().map(circuit, fabric, observer=observer)
 
 
 def execute_cell(spec: ExperimentSpec) -> CellResult:

@@ -28,7 +28,7 @@ from repro.errors import MappingError, check_int
 from repro.fabric.builder import FabricSpec, build_fabric, quale_fabric
 from repro.fabric.fabric import Fabric
 from repro.mapper.options import MapperOptions
-from repro.pipeline.circuits import resolve_circuit
+from repro.pipeline.circuits import is_regular_file, resolve_circuit
 from repro.pipeline.mappers import MAPPERS, resolve_mapper
 from repro.pipeline.placers import PLACERS
 from repro.pipeline.schedulers import SCHEDULERS
@@ -75,7 +75,11 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: Schema 7: one route table per fabric, shared by every pass of a placement
 #: search, changes the counters of MVFB and Monte-Carlo winners, and the
 #: cross-job shared-hit counter left the record.
-CACHE_SCHEMA = 7
+#: Schema 8: the event loop lost its arrival events and its barrier-level
+#: event, which changes ``events_processed``, ``event_issue_polls`` and
+#: ``event_skipped_polls`` of otherwise identical runs, so schema-7 records
+#: are retired.
+CACHE_SCHEMA = 8
 
 
 @dataclass(frozen=True)
@@ -442,9 +446,8 @@ class ExperimentSpec:
         payload = spec.to_dict()
         payload["schema"] = CACHE_SCHEMA
         if not spec.is_registered_circuit:
-            path = Path(spec.circuit)
-            if path.exists():
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            if is_regular_file(spec.circuit):
+                digest = hashlib.sha256(Path(spec.circuit).read_bytes()).hexdigest()
             else:  # keying a missing file is fine; running it will fail later
                 digest = "missing"
             payload["circuit"] = {"qasm_sha256": digest}

@@ -26,6 +26,7 @@ import uuid
 from dataclasses import dataclass, field
 
 from repro.errors import CircuitError, MappingError, ReproError
+from repro.pipeline.circuits import is_regular_file
 from repro.runner.spec import ExperimentSpec, Sweep
 
 #: Legal ``Job.status`` values, in lifecycle order.
@@ -109,19 +110,10 @@ def _require_runnable_circuit(spec: ExperimentSpec) -> None:
         registered = spec.is_registered_circuit
     except CircuitError as exc:  # a malformed parameterised name
         raise MappingError(str(exc)) from exc
-    if not registered and not _is_regular_file(spec.circuit):
+    if not registered and not is_regular_file(spec.circuit):
         raise MappingError(
             f"unknown circuit {spec.circuit!r}: not a registered name and not a QASM file"
         )
-
-
-def _is_regular_file(path: str) -> bool:
-    from pathlib import Path
-
-    try:
-        return Path(path).is_file()
-    except OSError:  # e.g. a name longer than the filesystem allows
-        return False
 
 
 @dataclass

@@ -235,16 +235,16 @@ def render_prometheus(
     if not stage_series:
         # Zero-filled canonical stages: scrapers see the family (and its
         # bucket layout) from the very first scrape of an idle service.
-        from repro.pipeline.stages import STANDARD_STAGES
+        from repro.pipeline.stages import STAGE_NAMES
 
-        for stage in STANDARD_STAGES:
+        for stage in STAGE_NAMES:
             registry.histogram(
                 "qspr_stage_duration_seconds",
                 "Per-job pipeline stage duration, by stage.",
                 bounds=empty["bounds"],
                 cumulative=empty["cumulative"],
                 sum_value=0.0,
-                labels={"stage": stage.name},
+                labels={"stage": stage},
             )
     for series in stage_series:
         data = histograms[series]

@@ -4,13 +4,12 @@ The simulator is where scheduling, placement and routing meet: starting from
 an initial placement of qubits in traps, it issues ready instructions in
 priority (or forced-schedule) order, asks the router for operand journeys,
 reserves channel capacity, and advances time through a timestamp-ordered
-event heap, one timestamp at a time.  The typed events —
-:class:`InstructionCompleted`, :class:`ChannelReleased` and
-:class:`BarrierLevelCleared` — carry exactly the state change they announce,
-so the engine re-attempts issue only for instructions whose blockers
-actually changed (see ``docs/ARCHITECTURE.md``).  The first two correspond
-to the two event kinds of Section IV.B of the paper; both are scheduled
-when their instruction issues.
+event heap, one timestamp at a time.  The two typed events of Section IV.B
+of the paper — :class:`InstructionCompleted` and :class:`ChannelReleased` —
+carry exactly the state change they announce, so the engine re-attempts
+issue only for instructions whose blockers actually changed (see
+``docs/ARCHITECTURE.md``).  Both are scheduled when their instruction
+issues.
 
 * :mod:`repro.sim.events` — typed events, the event heap and
   :class:`EventLoopStats`.
@@ -21,7 +20,6 @@ when their instruction issues.
 """
 
 from repro.sim.events import (
-    BarrierLevelCleared,
     ChannelReleased,
     EventLoopStats,
     EventQueue,
@@ -36,7 +34,6 @@ __all__ = [
     "EventLoopStats",
     "InstructionCompleted",
     "ChannelReleased",
-    "BarrierLevelCleared",
     "CommandKind",
     "MicroCommand",
     "ControlTrace",

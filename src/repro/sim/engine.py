@@ -16,9 +16,7 @@ paper describes (Sections III and IV.B):
 3. Issued instructions reserve every channel on their routes and push typed
    events, at times known at issue, onto a timestamp-ordered heap:
    ``ChannelReleased`` when an operand exits a channel and
-   ``InstructionCompleted`` when the gate finishes (under barrier
-   scheduling, a completion that drains an ALAP level pushes
-   ``BarrierLevelCleared``).
+   ``InstructionCompleted`` when the gate finishes.
 
 The loop applies one timestamp's events at a time and re-enters the issue
 loop only when an event's handler reports that some instruction's blockers
@@ -30,7 +28,8 @@ and an in-flight instruction never shares qubits with a parked one).  Event
 timestamps whose handlers woke nothing skip the issue poll entirely.  This
 gating applies to the standard policy-ordered selector; forced-order and
 barrier runs poll after every event timestamp and retry every parked
-instruction.
+instruction, so a completion that drains a barrier run's ALAP level is
+followed by a poll at its own timestamp.
 
 The outcome carries the total latency, the realised schedule, the final
 placement (needed by the MVFB placer), per-instruction timing records and
@@ -69,7 +68,6 @@ from repro.scheduling.busy_queue import BusyQueue
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.ready import DependencyTracker
 from repro.sim.events import (
-    BarrierLevelCleared,
     ChannelReleased,
     Event,
     EventLoopStats,
@@ -366,13 +364,8 @@ class _CandidateSelector:
     def on_issued(self, index: int) -> None:
         """``index`` was issued."""
 
-    def on_completed(self, index: int) -> int | None:
-        """``index`` finished executing.
-
-        Returns the ALAP level this completion cleared (barrier scheduling
-        only), or ``None``.
-        """
-        return None
+    def on_completed(self, index: int) -> None:
+        """``index`` finished executing."""
 
     @property
     def stop_on_blocked_head(self) -> bool:
@@ -413,8 +406,8 @@ class _BarrierLevelSelector(_CandidateSelector):
     The open level is tracked incrementally: instructions only ever issue
     from the current level, so completions drain the levels strictly in
     order and the cursor simply advances when the current level's last
-    instruction finishes (the engine then emits a
-    :class:`~repro.sim.events.BarrierLevelCleared` event).
+    instruction finishes.  Barrier runs poll after every event timestamp,
+    so the next level is tried at that completion's own time.
     """
 
     def __init__(self, state: "_RunState") -> None:
@@ -451,18 +444,17 @@ class _BarrierLevelSelector(_CandidateSelector):
     def on_pool_changed(self) -> None:
         self._dirty = True
 
-    def on_completed(self, index: int) -> int | None:
+    def on_completed(self, index: int) -> None:
         level = self.levels[index]
         self.level_remaining[level] -= 1
         if level != self.current_level or self.level_remaining[level] > 0:
-            return None
+            return
         while (
             self._cursor < len(self._level_order)
             and self.level_remaining[self._level_order[self._cursor]] == 0
         ):
             self._cursor += 1
         self._dirty = True
-        return level
 
 
 class _ForcedOrderSelector(_CandidateSelector):
@@ -522,9 +514,11 @@ class _RunState:
             self.selector = _PolicyOrderSelector(self)
         # Busy-queue wake-sets only apply to the standard selector: forced
         # and barrier runs retry unconditionally and poll after every event
-        # timestamp (their gating is cheap and their issue patterns make
-        # skipped retries not worth the risk).  With wake sets on, the run
-        # records per-resource blockers, so "nothing woke" proves every
+        # timestamp.  Gating them too maps identically, but only 688 of the
+        # 103,001 plan calls of the paper's MVFB jobs are futile retries,
+        # while every issue, release and plan pays the wake bookkeeping; it
+        # measured no faster (docs/PERFORMANCE.md).  With wake sets on, the
+        # run records per-resource blockers, so "nothing woke" proves every
         # possible retry fails and the issue poll is skipped.
         self.use_wake_sets = isinstance(self.selector, _PolicyOrderSelector)
         self.routing_seconds = 0.0
@@ -689,11 +683,6 @@ class _RunState:
             woken += self.busy.wake(ANY_CONGESTION_CHANGE)
             self.stats.wake_hits += len(woken)
             return bool(woken)
-        if isinstance(event, BarrierLevelCleared):
-            # The selector already advanced its cursor when the last
-            # instruction of the level completed; the event's job is to force
-            # an issue poll for the newly opened level.
-            return True
         # InstructionCompleted
         index = event.instruction_index
         route = self.routes[index]
@@ -706,9 +695,7 @@ class _RunState:
         # after — and an in-flight instruction never shares a qubit with a
         # parked one, so no blocker state changes.
         self.reserved_traps.discard(route.target_trap)
-        cleared_level = self.selector.on_completed(index)
-        if cleared_level is not None:
-            self.events.push(now, BarrierLevelCleared(cleared_level))
+        self.selector.on_completed(index)
         woke = False
         for newly_ready in self.deps.mark_completed(index):
             self.ready.add(newly_ready)

@@ -1,15 +1,12 @@
 """Simulation events, the time-ordered event queue and its counters.
 
-Three event types drive the simulator (paper Section IV.B describes the
-first two; the third is a bookkeeping event of the event-driven engine):
+The two event types of paper Section IV.B drive the simulator:
 
 * :class:`InstructionCompleted` — execution of an instruction finished; its
   dependent instructions may become ready.  It is scheduled when the
   instruction issues, since its finish time is known then.
 * :class:`ChannelReleased` — a qubit left a channel; the channel's congestion
   weight drops and busy-queued instructions parked on it are retried.
-* :class:`BarrierLevelCleared` — every instruction of an ALAP level finished
-  (barrier scheduling only); the next level becomes eligible.
 """
 
 from __future__ import annotations
@@ -38,14 +35,7 @@ class ChannelReleased:
     channel_id: ChannelId
 
 
-@dataclass(frozen=True)
-class BarrierLevelCleared:
-    """Every instruction of ALAP level ``level`` finished (barrier mode)."""
-
-    level: int
-
-
-Event = InstructionCompleted | ChannelReleased | BarrierLevelCleared
+Event = InstructionCompleted | ChannelReleased
 
 
 @dataclass

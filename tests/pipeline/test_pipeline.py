@@ -1,4 +1,4 @@
-"""The staged mapping pipeline: stages, observers, timings and the facade."""
+"""The mapping pipeline: stages, observers, timings and the facade."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import repro
 from repro.errors import CircuitError, FabricError, MappingError
 from repro.mapper.options import MapperOptions
 from repro.pipeline import (
-    MappingPipeline,
     PipelineObserver,
-    Stage,
     map_circuit,
     resolve_circuit,
     resolve_fabric,
+    run_pipeline,
 )
-from repro.pipeline.stages import STANDARD_STAGES
+from repro.pipeline.stages import STAGE_NAMES
 from repro.sim.engine import FabricSimulator
 
 
@@ -33,7 +32,7 @@ class RecordingObserver(PipelineObserver):
 
 class TestMappingPipeline:
     def test_standard_stage_order(self):
-        assert MappingPipeline.standard().stage_names() == (
+        assert STAGE_NAMES == (
             "build-qidg",
             "place",
             "simulate",
@@ -41,14 +40,14 @@ class TestMappingPipeline:
         )
 
     def test_run_produces_result_with_stage_timings(self, calibrated_513, small_fabric_4x4):
-        result = MappingPipeline.standard().run(
+        result = run_pipeline(
             calibrated_513, small_fabric_4x4, options=MapperOptions(placer="center")
         )
         assert result.latency >= result.ideal_latency > 0
         # Dotted entries are sub-attributions inside a stage (e.g. routing
         # time of the simulate stage); the coarse keys are the stages.
         coarse = tuple(name for name in result.stage_seconds if "." not in name)
-        assert coarse == MappingPipeline.standard().stage_names()
+        assert coarse == STAGE_NAMES
         assert all(seconds >= 0 for seconds in result.stage_seconds.values())
         # The whole run takes at least as long as the sum of its stages.
         assert result.cpu_seconds >= max(result.stage_seconds.values())
@@ -63,10 +62,15 @@ class TestMappingPipeline:
 
     def test_observer_sees_every_stage_in_order(self, calibrated_513, small_fabric_4x4):
         observer = RecordingObserver()
-        pipeline = MappingPipeline.standard().with_observer(observer)
-        pipeline.run(calibrated_513, small_fabric_4x4, options=MapperOptions(placer="center"))
-        names = pipeline.stage_names()
-        expected = [item for name in names for item in (("start", name), ("finish", name))]
+        run_pipeline(
+            calibrated_513,
+            small_fabric_4x4,
+            options=MapperOptions(placer="center"),
+            observer=observer,
+        )
+        expected = [
+            item for name in STAGE_NAMES for item in (("start", name), ("finish", name))
+        ]
         assert observer.events == expected
 
     def test_qspr_mapper_forwards_observer(self, calibrated_513, small_fabric_4x4):
@@ -76,33 +80,11 @@ class TestMappingPipeline:
         )
         assert ("finish", "package-result") in observer.events
 
-    def test_with_stage_inserts_after(self):
-        seen = []
-        probe = Stage("probe", lambda ctx: seen.append(ctx.qidg is not None))
-        pipeline = MappingPipeline.standard().with_stage(probe, after="build-qidg")
-        assert pipeline.stage_names()[1] == "probe"
-
-    def test_with_stage_unknown_anchor(self):
-        with pytest.raises(MappingError, match="unknown stage"):
-            MappingPipeline.standard().with_stage(Stage("x", lambda ctx: None), after="nope")
-
-    def test_custom_stage_runs_with_pipeline_state(self, calibrated_513, small_fabric_4x4):
-        seen = []
-        probe = Stage("probe", lambda ctx: seen.append(ctx.placement or ctx.outcome))
-        pipeline = MappingPipeline.standard().with_stage(probe, after="place")
-        pipeline.run(calibrated_513, small_fabric_4x4, options=MapperOptions(placer="center"))
-        assert len(seen) == 1 and seen[0] is not None
-
     def test_unknown_placer_is_a_mapping_error(self, calibrated_513, small_fabric_4x4):
         with pytest.raises(MappingError, match="did you mean 'mvfb'"):
-            MappingPipeline.standard().run(
+            run_pipeline(
                 calibrated_513, small_fabric_4x4, options=MapperOptions(placer="mvfbb")
             )
-
-    def test_pipeline_without_package_stage_errors(self, calibrated_513, small_fabric_4x4):
-        pipeline = MappingPipeline(STANDARD_STAGES[:-1])
-        with pytest.raises(MappingError, match="without packaging a result"):
-            pipeline.run(calibrated_513, small_fabric_4x4, options=MapperOptions(placer="center"))
 
     def test_empty_circuit_rejected(self, small_fabric_4x4):
         from repro.circuits.circuit import QuantumCircuit
@@ -110,7 +92,7 @@ class TestMappingPipeline:
         circuit = QuantumCircuit("empty")
         circuit.add_qubit("q0", 0)
         with pytest.raises(MappingError, match="empty circuit"):
-            MappingPipeline.standard().run(circuit, small_fabric_4x4)
+            run_pipeline(circuit, small_fabric_4x4)
 
     @pytest.mark.parametrize(
         "options",
@@ -131,9 +113,7 @@ class TestMappingPipeline:
             return original_run(simulator, placement)
 
         monkeypatch.setattr(FabricSimulator, "run", counting_run)
-        result = MappingPipeline.standard().run(
-            calibrated_513, small_fabric_4x4, options=options
-        )
+        result = run_pipeline(calibrated_513, small_fabric_4x4, options=options)
         assert result.placement_runs == len(runs) > 1
 
 
@@ -187,6 +167,14 @@ class TestMapCircuitFacade:
     def test_unknown_mapper_gets_suggestion(self):
         with pytest.raises(MappingError, match="did you mean 'qspr'"):
             map_circuit("[[5,1,3]]", "small", mapper="qsrp")
+
+    @pytest.mark.parametrize("kind", ["directory", "overlong-name"])
+    def test_a_directory_or_overlong_name_is_a_circuit_error(self, tmp_path, kind):
+        # Neither is a QASM file: both get the registry's lookup error, not
+        # the operating system's IsADirectoryError or ENAMETOOLONG.
+        circuit = str(tmp_path) if kind == "directory" else "x" * 300
+        with pytest.raises(CircuitError, match="unknown circuit"):
+            map_circuit(circuit, "small", placer="center")
 
     def test_observer_passes_through(self):
         observer = RecordingObserver()

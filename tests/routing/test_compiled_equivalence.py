@@ -16,15 +16,18 @@ Two layers of coverage:
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
 from reference_oracle import shortest_route
 from repro.circuits.qecc import qecc_encoder
 from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric
+from repro.pipeline.fabrics import FABRICS
 from repro.placement.center import CenterPlacer
 from repro.routing.compiled import CompiledRoutingGraph
 from repro.routing.congestion import CongestionTracker
+from repro.routing.graph_model import RoutingGraph
 from repro.routing.router import Router, RoutingPolicy
 from repro.routing.weights import edge_weight
 from repro.sim.engine import FabricSimulator
@@ -120,6 +123,28 @@ def test_kernels_agree_on_enumerated_trap_pairs(fabric_factory, turn_aware):
                     _compiled_query(router, sources, targets, congestion),
                     context,
                 )
+
+
+@pytest.mark.parametrize("turn_aware", [True, False], ids=["turn-aware", "turn-blind"])
+@pytest.mark.parametrize("fabric_name", FABRICS.names())
+def test_every_edge_has_a_reverse_twin_of_the_same_kind_and_length(fabric_name, turn_aware):
+    # The kernel's landmark bound |d(L,u) - d(L,v)| <= d(u,v) holds only
+    # for symmetric base weights, which are functions of (kind, length);
+    # the kernel assumes this of every graph without checking it.
+    graph = RoutingGraph(FABRICS.get(fabric_name)(), turn_aware=turn_aware)
+    edges = Counter(
+        (edge.source, edge.target, edge.kind, edge.length)
+        for node in graph.nodes
+        for edge in graph.edges_from(node)
+    )
+    assert edges
+    reverse = Counter(
+        {
+            (target, source, kind, length): count
+            for (source, target, kind, length), count in edges.items()
+        }
+    )
+    assert edges == reverse
 
 
 def test_compiled_routes_are_costed_edge_chains(small_fabric_4x4):

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from reference_oracle import OracleRouter, reads_match, snapshot_pairs
 from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.builder import FabricSpec, build_fabric
+from repro.mapper.qpos import qpos_options
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import (
     ANY_CONGESTION_CHANGE,
     MAX_SNAPSHOTS_PER_PAIR,
     MeetingPoint,
-    QPOS_POLICY,
     Router,
     RoutingPolicy,
     candidate_trap_key,
@@ -176,7 +176,7 @@ class TestPlanInstruction:
     ):
         # QPOS: the destination qubit stays put, so its trap is the only
         # candidate; the source leg fails on its own full channel.
-        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, QPOS_POLICY)
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, qpos_options().routing_policy())
         congestion = CongestionTracker(small_fabric_4x4, 1)
         positions = self._positions(small_fabric_4x4)
         source_channel = small_fabric_4x4.trap(positions["a"]).channel_id
@@ -323,9 +323,13 @@ class TestRouteCache:
         congestion = CongestionTracker(small_fabric_4x4, 1)
         source, target = self._blocked_distant_pair(small_fabric_4x4, congestion)
         assert router.plan_qubit_route("q", source, target, congestion) is None
+        searches = router.stats.dijkstra_calls
         cut: set = set()
         assert router.plan_qubit_route("q", source, target, congestion, cut=cut) is None
         assert router.stats.cache_hits == 1
+        # The failure recorded its cut when it was cached: the hit runs no
+        # kernel search to recover it.
+        assert router.stats.dijkstra_calls == searches
         fresh_cut: set = set()
         fresh = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
         fresh.plan_qubit_route("q", source, target, congestion, cut=fresh_cut)

@@ -9,10 +9,11 @@ import pytest
 from reference_oracle import snapshot_pairs
 from repro.circuits.qecc import qecc_encoder
 from repro.fabric.builder import small_fabric
+from repro.mapper.quale import quale_options
 from repro.placement.center import CenterPlacer
 from repro.routing.compiled import RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
-from repro.routing.router import MAX_SNAPSHOTS_PER_PAIR, QUALE_POLICY, Router
+from repro.routing.router import MAX_SNAPSHOTS_PER_PAIR, Router
 from repro.runner import ExperimentSpec, FabricCell
 from repro.runner.executor import map_spec
 from repro.service import execute_job
@@ -38,7 +39,7 @@ class TestSharedRouteStore:
         # A different PMD prices routes differently, and a different policy
         # searches another graph under another capacity: each gets its own.
         assert Router(fabric, LEGACY_TECHNOLOGY)._route_cache is not table
-        assert Router(fabric, policy=QUALE_POLICY)._route_cache is not table
+        assert Router(fabric, policy=quale_options().routing_policy())._route_cache is not table
         assert Router(small_fabric())._route_cache is not table
 
     def test_second_job_hits_routes_planned_by_the_first(self):

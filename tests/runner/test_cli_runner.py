@@ -57,6 +57,16 @@ class TestSweepCommand:
         assert table(sequential) == table(parallel)
 
 
+    @pytest.mark.parametrize("kind", ["directory", "overlong-name"])
+    def test_a_directory_or_overlong_name_exits_1(self, tmp_path, capsys, kind):
+        # The result cache keys the circuit before any cell runs.
+        circuit = str(tmp_path) if kind == "directory" else "x" * 300
+        args = ["sweep", "--benchmarks", circuit, "--placers", "center",
+                "--fabric-rows", "4", "--fabric-cols", "4", "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        assert "error: unknown circuit" in capsys.readouterr().err
+
+
 class TestReportCommand:
     def test_report_renders_saved_results(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -112,6 +122,24 @@ class TestTopLevel:
         rc = main(["run", "--benchmark", "[[5,1,3]]", "--placer", "center"])
         assert rc == 0
         assert "latency" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("kind", "flag", "message"),
+        [
+            ("directory", "--benchmark", "error: unknown circuit"),
+            ("overlong-name", "--benchmark", "error: unknown circuit"),
+            ("directory", None, "error: QASM file not found"),
+            ("overlong-name", None, "error: QASM file not found"),
+        ],
+        ids=["benchmark-directory", "benchmark-overlong", "qasm-directory", "qasm-overlong"],
+    )
+    def test_run_of_a_directory_or_overlong_name_exits_1(
+        self, tmp_path, capsys, kind, flag, message
+    ):
+        circuit = str(tmp_path) if kind == "directory" else "x" * 300
+        source = [flag, circuit] if flag else [circuit]
+        assert main(["run", *source, "--placer", "center", "--fabric", "small"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_qasm_path_wins_over_registry_name(self, tmp_path, capsys):
         # A file that shares its name with a registered circuit ("ghz") must

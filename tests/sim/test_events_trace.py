@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    BarrierLevelCleared,
-    ChannelReleased,
-    EventQueue,
-    InstructionCompleted,
-)
+from repro.sim.events import ChannelReleased, EventQueue, InstructionCompleted
 from repro.sim.microcode import CommandKind, MicroCommand
 from repro.sim.trace import ControlTrace
 
@@ -42,25 +37,29 @@ class TestEventQueue:
         queue = EventQueue()
         queue.push(2.0, InstructionCompleted(1, 0))
         queue.push(1.0, InstructionCompleted(0, 0))
-        queue.push(1.0, ChannelReleased("q", ("h", 0, 0)))
+        released = ChannelReleased("q", ("h", 0, 0))
+        queue.push(1.0, released)
         applied = []
 
         def apply(time, event):
             applied.append((time, event))
             if isinstance(event, InstructionCompleted):
-                # Pushed at the batch's own time while the batch is applied,
-                # as a completion that clears a barrier level does.
-                queue.push(time, BarrierLevelCleared(event.instruction_index))
-            return isinstance(event, ChannelReleased)
+                # Pushed at the batch's own time while the batch is applied:
+                # it joins the batch.
+                queue.push(time, ChannelReleased(f"p{event.instruction_index}", ("v", 0, 0)))
+            return event == released
 
         assert queue.apply_earliest(apply) == (1.0, 3, True)
         assert applied == [
             (1.0, InstructionCompleted(0, 0)),
-            (1.0, ChannelReleased("q", ("h", 0, 0))),
-            (1.0, BarrierLevelCleared(0)),
+            (1.0, released),
+            (1.0, ChannelReleased("p0", ("v", 0, 0))),
         ]
         assert queue.apply_earliest(apply) == (2.0, 2, False)
-        assert applied[3:] == [(2.0, InstructionCompleted(1, 0)), (2.0, BarrierLevelCleared(1))]
+        assert applied[3:] == [
+            (2.0, InstructionCompleted(1, 0)),
+            (2.0, ChannelReleased("p1", ("v", 0, 0))),
+        ]
         assert queue.apply_earliest(apply) is None
         assert queue.peak_size == 3
 

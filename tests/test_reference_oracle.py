@@ -28,7 +28,7 @@ from repro.mapper.quale import quale_options
 from repro.placement.center import CenterPlacer
 from repro.pipeline.circuits import resolve_circuit
 from repro.pipeline.fabrics import resolve_fabric
-from repro.pipeline.stages import MappingPipeline
+from repro.pipeline.stages import run_pipeline
 from repro.pipeline.technologies import resolve_technology
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import MeetingPoint, Router, RoutingPolicy
@@ -50,7 +50,7 @@ def fabric():
 
 def _map(circuit_name, fabric, options):
     circuit = resolve_circuit(circuit_name)
-    return MappingPipeline.standard().run(circuit, fabric, options=options)
+    return run_pipeline(circuit, fabric, options=options)
 
 
 def _map_both(circuit_name, fabric, options):
