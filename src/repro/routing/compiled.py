@@ -91,7 +91,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import EdgeKind, GraphEdge, Node, RoutingGraph
@@ -104,8 +104,7 @@ _INF = math.inf
 NUM_LANDMARKS = 8
 
 
-@dataclass(frozen=True)
-class DijkstraResult:
+class DijkstraResult(NamedTuple):
     """Result of a shortest-route query.
 
     Attributes:
@@ -337,12 +336,6 @@ class CompiledRoutingGraph:
     # ------------------------------------------------------------------
     # Weight synchronisation
     # ------------------------------------------------------------------
-    def _set_edge_weight(self, e: int, weight: float) -> None:
-        """Patch the weight member of edge ``e``'s adjacency-row triple."""
-        row = self._adjacency[self._edge_source[e]]
-        position = self._edge_row_pos[e]
-        row[position] = (weight, self._edge_target[e], e)
-
     def _sync_weights(
         self, congestion: CongestionTracker, move_delay: float, turn_cost: float
     ) -> None:
@@ -351,20 +344,25 @@ class CompiledRoutingGraph:
         A no-change epoch match is O(1); otherwise the cost is O(edges of
         previously and currently occupied channels).  A change of technology
         parameters (different ``T_move``/``T_turn``, or toggled turn-aware
-        costing) triggers a full O(edges) rebuild.
+        costing) triggers a full O(edges) rebuild.  Each write replaces edge
+        ``e``'s ``(weight, target, e)`` triple in its source node's row.
         """
+        adjacency = self._adjacency
+        edge_source = self._edge_source
+        edge_target = self._edge_target
+        row_pos = self._edge_row_pos
+        base = self._base_weight
         if (
             move_delay != self._weight_move_delay
             or turn_cost != self._weight_turn_cost
         ):
-            base = self._base_weight
             lengths = self._edge_length
             is_turn = self._edge_is_turn
             for e in range(len(base)):
                 # ``length * move_delay`` is exactly the reference Eq. (2)
                 # value for an unoccupied channel: (0 + 1) * length * T_move.
-                base[e] = turn_cost if is_turn[e] else lengths[e] * move_delay
-                self._set_edge_weight(e, base[e])
+                weight = base[e] = turn_cost if is_turn[e] else lengths[e] * move_delay
+                adjacency[edge_source[e]][row_pos[e]] = (weight, edge_target[e], e)
             self._weight_move_delay = move_delay
             self._weight_turn_cost = turn_cost
             self._touched_edges.clear()
@@ -374,11 +372,10 @@ class CompiledRoutingGraph:
             and id(congestion) == self._weight_tracker_id
         ):
             return
-        base = self._base_weight
-        for e in self._touched_edges:
-            self._set_edge_weight(e, base[e])
-        self._touched_edges.clear()
         touched = self._touched_edges
+        for e in touched:
+            adjacency[edge_source[e]][row_pos[e]] = (base[e], edge_target[e], e)
+        touched.clear()
         lengths = self._edge_length
         channel_edges = self._channel_edges
         capacity = congestion.channel_capacity
@@ -387,13 +384,14 @@ class CompiledRoutingGraph:
             count = levels[slot]
             for e in channel_edges[slot]:
                 if count >= capacity:
-                    self._set_edge_weight(e, _INF)
+                    weight = _INF
                 else:
                     # Multiplication order matches the reference kernel
                     # exactly: ((n + 1) * length) is an exact integer, then
                     # one float multiply — bit-identical to
                     # weights.channel_weight.
-                    self._set_edge_weight(e, (count + 1) * lengths[e] * move_delay)
+                    weight = (count + 1) * lengths[e] * move_delay
+                adjacency[edge_source[e]][row_pos[e]] = (weight, edge_target[e], e)
                 touched.append(e)
         self._weight_epoch = congestion.epoch
         self._weight_tracker_id = id(congestion)

@@ -22,8 +22,8 @@ Accounting conventions (documented here once, used consistently everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import RoutingError
 from repro.fabric.components import ChannelId, JunctionId, Trap
@@ -39,8 +39,7 @@ class StepKind(Enum):
     TURN = "turn"
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     """One leg of a qubit's journey.
 
     Attributes:
@@ -60,12 +59,11 @@ class PathStep:
     duration: float
 
 
-@dataclass(frozen=True)
-class RoutePlan:
+class RoutePlan(NamedTuple):
     """The complete, timed journey of one qubit for one instruction.
 
-    The last four attributes total the steps, once, where they are built;
-    they take no part in ``repr`` or ``==``.
+    The last four attributes total the steps, once, where they are built,
+    so they add nothing to ``==`` and ``repr`` leaves them out.
 
     Attributes:
         qubit: Name of the travelling qubit.
@@ -83,10 +81,16 @@ class RoutePlan:
     source_trap: int
     target_trap: int
     steps: tuple[PathStep, ...]
-    duration: float = field(repr=False, compare=False)
-    total_moves: int = field(repr=False, compare=False)
-    total_turns: int = field(repr=False, compare=False)
-    channels_used: tuple[ChannelId, ...] = field(repr=False, compare=False)
+    duration: float
+    total_moves: int
+    total_turns: int
+    channels_used: tuple[ChannelId, ...]
+
+    def __repr__(self) -> str:
+        return (
+            f"RoutePlan(qubit={self.qubit!r}, source_trap={self.source_trap!r}, "
+            f"target_trap={self.target_trap!r}, steps={self.steps!r})"
+        )
 
     def channel_exit_times(self, start_time: float) -> list[tuple[ChannelId, float]]:
         """Absolute time at which the qubit leaves each occupied channel.

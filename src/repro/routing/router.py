@@ -10,10 +10,10 @@ where the paper's ``T_congestion`` comes from).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.circuits.circuit import Instruction
 from repro.errors import RoutingError
@@ -76,8 +76,7 @@ class RoutingPolicy:
 QSPR_POLICY = RoutingPolicy()
 
 
-@dataclass(frozen=True)
-class InstructionRoute:
+class InstructionRoute(NamedTuple):
     """The routing decision for one instruction.
 
     Attributes:
@@ -95,7 +94,7 @@ class InstructionRoute:
     instruction_index: int
     target_trap: TrapId
     plans: tuple[RoutePlan, ...]
-    channels: tuple[ChannelId, ...] = field(default_factory=tuple)
+    channels: tuple[ChannelId, ...] = ()
     serial: bool = False
 
     @property
@@ -796,8 +795,9 @@ class Router:
             if blockers is not None:
                 blockers.add(ANY_CONGESTION_CHANGE)
             return None
-        plans = (source_plan, dest_plan)
-        channels = tuple(
-            channel_id for plan in plans for channel_id in plan.channels_used
+        return InstructionRoute(
+            instruction.index,
+            candidate.id,
+            (source_plan, dest_plan),
+            source_plan.channels_used + dest_plan.channels_used,
         )
-        return InstructionRoute(instruction.index, candidate.id, plans, channels)

@@ -13,22 +13,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.errors import SimulationError
 from repro.fabric.components import ChannelId
 
 
-@dataclass(frozen=True)
-class InstructionCompleted:
+class InstructionCompleted(NamedTuple):
     """Execution of instruction ``instruction_index`` finished in ``trap_id``."""
 
     instruction_index: int
     trap_id: int
 
 
-@dataclass(frozen=True)
-class ChannelReleased:
+class ChannelReleased(NamedTuple):
     """Qubit ``qubit`` left channel ``channel_id``."""
 
     qubit: str
@@ -92,10 +90,12 @@ class EventQueue:
         """Schedule ``event`` at ``time``.
 
         Raises:
-            SimulationError: If ``time`` is negative.
+            SimulationError: If ``time`` is negative or NaN.
         """
-        if time < 0:
-            raise SimulationError(f"cannot schedule an event at negative time {time}")
+        if not time >= 0:
+            raise SimulationError(
+                f"cannot schedule an event at negative or NaN time {time}"
+            )
         heapq.heappush(self._heap, (time, self._counter, event))
         self._counter += 1
         if len(self._heap) > self._peak:

@@ -18,14 +18,26 @@ different instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+
+#: The delay fields of :class:`TechnologyParams`, each a finite number of µs.
+_DELAY_FIELDS = (
+    "move_delay",
+    "turn_delay",
+    "one_qubit_gate_delay",
+    "two_qubit_gate_delay",
+    "measure_delay",
+    "prepare_delay",
+)
 
 
 @dataclass(frozen=True)
 class TechnologyParams:
     """Physical machine description of an ion-trap fabric.
 
-    All delays are expressed in microseconds, matching the paper.
+    All delays are finite and expressed in microseconds, matching the
+    paper.
 
     Attributes:
         move_delay: Delay of moving a qubit by one cell in a straight line.
@@ -58,6 +70,10 @@ class TechnologyParams:
     trap_capacity: int = 2
 
     def __post_init__(self) -> None:
+        for name in _DELAY_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.move_delay <= 0:
             raise ValueError("move_delay must be positive")
         if self.turn_delay < 0:

@@ -71,6 +71,13 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().push(-1.0, InstructionCompleted(0, 0))
 
+    def test_nan_time_rejected(self):
+        # ``nan < 0`` is false, so only a ``not time >= 0`` guard catches it.
+        queue = EventQueue()
+        with pytest.raises(SimulationError):
+            queue.push(float("nan"), InstructionCompleted(0, 0))
+        assert len(queue) == 0
+
 
 def _command(kind, start, duration, qubits=("q",), index=0):
     return MicroCommand(kind, start, duration, qubits, "resource", index, "detail")

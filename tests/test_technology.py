@@ -1,8 +1,21 @@
 """Tests for the technology parameter model."""
 
+import math
+
 import pytest
 
+from repro.errors import MappingError
+from repro.pipeline.technologies import resolve_technology
 from repro.technology import LEGACY_TECHNOLOGY, PAPER_TECHNOLOGY, TechnologyParams
+
+DELAYS = (
+    "move_delay",
+    "turn_delay",
+    "one_qubit_gate_delay",
+    "two_qubit_gate_delay",
+    "measure_delay",
+    "prepare_delay",
+)
 
 
 class TestPaperDefaults:
@@ -64,6 +77,18 @@ class TestValidation:
     def test_negative_gate_delay_rejected(self):
         with pytest.raises(ValueError):
             TechnologyParams(two_qubit_gate_delay=-5.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", DELAYS)
+    def test_non_finite_delay_rejected_by_name(self, name, value):
+        # NaN and inf pass every sign check, yet either one makes the
+        # simulator report a wrong latency or stall.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TechnologyParams(**{name: value})
+
+    def test_non_finite_custom_technology_is_a_mapping_error(self):
+        with pytest.raises(MappingError, match="turn_delay must be finite"):
+            resolve_technology({"turn_delay": math.inf})
 
 
 class TestDerivedCopies:

@@ -8,7 +8,10 @@ import time
 from pathlib import Path
 
 from repro.circuits.qecc import BENCHMARK_NAMES, qecc_encoder
+from repro.routing.path import stationary_plan
 from repro.runner import ExperimentSpec, FabricCell
+from repro.sim.engine import InstructionRecord
+from repro.sim.events import InstructionCompleted
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -97,6 +100,30 @@ def test_sample_mode_prints_self_and_inclusive_shares(capsys):
         # Sorted by inclusive share: the job's entry point is on every
         # sampled stack.
         assert rows[0][1] == 100.0
+
+
+def test_sampler_gives_each_generated_constructor_its_own_row():
+    # Every dataclass ``__init__`` and every NamedTuple constructor is
+    # generated code in ``<string>``; the row names the record's class.
+    sampler = StackSampler()
+
+    def sample_generated_frames(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == "<string>":
+            sampler._sample(None, frame)
+
+    sys.setprofile(sample_generated_frames)
+    try:
+        stationary_plan("q", 3)
+        InstructionCompleted(0, 3)
+        InstructionRecord(index=0, ready_time=0.0)
+    finally:
+        sys.setprofile(None)
+    owners = []
+    for label in sampler.self_counts:
+        match = re.fullmatch(r"<string>:\d+\((\w+)\.[^()]+\)", label)
+        assert match is not None, label
+        owners.append(match.group(1))
+    assert sorted(owners) == ["InstructionCompleted", "InstructionRecord", "RoutePlan"]
 
 
 def _spin(seconds: float) -> None:

@@ -98,9 +98,12 @@ class StackSampler:
     Use it as a context manager around the code to profile.  The timer
     counts the process's CPU time, and the signal runs on the main thread,
     so the samples cover the main thread's Python stack.  Frames are
-    counted by their ``file:line(function)`` label, as pstats prints them,
-    so code objects that share a label share a row: the generated
-    ``__init__`` of every dataclass is ``<string>:2(__init__)``.
+    counted by their ``file:line(function)`` label, as pstats prints them.
+    Generated code (file ``<string>``) shares one label per method across
+    classes, so its function also names the class found in the frame's
+    ``self`` or ``_cls`` local: a dataclass ``__init__`` counts as
+    ``<string>:2(InstructionRecord.__init__)`` and a NamedTuple's
+    constructor as ``<string>:1(RoutePlan.<lambda>)``, a row per record.
     """
 
     def __init__(self) -> None:
@@ -113,10 +116,10 @@ class StackSampler:
         self.samples += 1
         if frame is None:
             return
-        self.self_counts[_label(frame.f_code)] += 1
+        self.self_counts[_label(frame)] += 1
         on_stack = set()
         while frame is not None:
-            on_stack.add(_label(frame.f_code))
+            on_stack.add(_label(frame))
             frame = frame.f_back
         self.inclusive_counts.update(on_stack)
 
@@ -145,8 +148,17 @@ class StackSampler:
             print(f"{self_share:6.1f}% {inclusive_share:6.1f}%  {label}")
 
 
-def _label(code) -> str:
-    return f"{code.co_filename}:{code.co_firstlineno}({code.co_name})"
+def _label(frame) -> str:
+    code = frame.f_code
+    function = code.co_name
+    if code.co_filename == "<string>":
+        local = frame.f_locals
+        owner = local.get("_cls")
+        if owner is None and "self" in local:
+            owner = type(local["self"])
+        if owner is not None:
+            function = f"{owner.__qualname__}.{function}"
+    return f"{code.co_filename}:{code.co_firstlineno}({function})"
 
 
 def job_spec(args: argparse.Namespace) -> ExperimentSpec:
