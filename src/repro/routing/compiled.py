@@ -47,34 +47,45 @@ improve the answer; in the reference kernel it would only ever be popped
 after the termination condition fired.  The pruning changes heap-pop counts,
 never distances, origins or routes.
 
-**Landmark pruning (ALT).**  The kernel additionally prunes against a
-congestion-free lower bound: ~8 landmark nodes are chosen once per fabric by
-farthest-point selection and the congestion-free distance from each
-landmark to every node is precomputed
-(per ``(T_move, T_turn)`` pair, memoised on the compiled graph).  For a
-query the per-node heuristic ``h(v)`` is the largest landmark-interval
-distance to the target set plus the smallest completion cost — admissible
-because congestion only ever *raises* weights above the congestion-free
-base, and consistent because each landmark term is 1-Lipschitz along edges.
-The kernel keeps plain Dijkstra's pop order and tie-breaking and uses
-``h`` **only to discard entries**, with a *strict* bound test
-(``candidate + h > bound``): any such entry can only lead to completions
-strictly worse than an already-known route, and the completion update uses
-a strict ``<``, so dropping them provably changes heap traffic, never the
-returned route.  ``cost_bound`` feeds the same test with an externally
-known achievable cost (the router re-costs a stale cached plan under the
-current congestion), so pruning starts before the first in-search
-completion is found.  Landmarks require a weight-symmetric graph:
+**Target-distance bound.**  The kernel also prunes against a
+congestion-free lower bound.  For each target-node set it needs, the graph
+runs one multi-source Dijkstra from the targets under the congestion-free
+weights (per ``(T_move, T_turn)`` pair, memoised on the compiled graph).
+That gives every node's exact congestion-free distance to the set and its
+shortest-path-tree edge.  Dijkstra *from* the targets measures distances *to*
+them because every compiled graph is weight-symmetric:
 :class:`~repro.routing.graph_model.RoutingGraph` builds every channel and
-turn edge in both directions with the same kind and length, so every
-compiled graph is one (a test checks it for every registered fabric).
+turn edge in both directions with the same kind, length and channel, so
+each edge's reverse twin also has the same weight under any congestion (a
+test checks the symmetry for every registered fabric).  The per-node
+heuristic ``h(v)`` is that distance plus the smallest completion cost.  It
+is admissible because congestion only ever *raises* weights above the
+congestion-free base, and consistent because it is an exact distance.
+
+Before its first pop, :meth:`CompiledRoutingGraph.shortest_route` walks
+each source's tree path under the *current* weights.  The smallest finite
+total is the cost of a real route, so it bounds the optimum from above and
+pruning starts at once.  The kernel keeps plain Dijkstra's pop order and
+tie-breaking and uses ``h`` **only to discard entries**: an entry goes only
+when ``candidate + h`` exceeds the bound by more than a relative slack of
+``1e-9``.  Such an entry can only lead to completions worse than a known
+route, and the completion update uses a strict ``<``, so dropping it changes
+heap traffic, never the returned route.  The slack matters: a bound often
+equals the optimum exactly, and the float sum ``candidate + h`` can round
+above it, which a strict test would take for a worse route.
 
 **Read sets.**  When ``read_out`` is given, the kernel records the channel
 slot (:attr:`~repro.fabric.fabric.Fabric.channel_slots`) of every non-turn
-edge leaving a settled node.  Those are exactly the weights the search
-*read*, so a cached result stays byte-identical for as long as those
-channels' occupancies (plus the caller's own attachment channels) are
-unchanged — the validity rule of the router's route cache.
+edge leaving an *expanded* node: a popped node that the bound skips, or
+that ends the loop, reads no edge weight.  The tree walks read weights too,
+but only to pick a bound, and the answer does not depend on which valid
+bound was picked.  Under any occupancy state that agrees on the recorded
+channels, the same search with the same bound makes the same moves and
+returns a route that costs what it did, so that bound is valid there too
+and the answer is still the reference's.  A cached result therefore stays
+byte-identical for as long as those channels' occupancies (plus the
+caller's own attachment channels) are unchanged, which is the validity
+rule of the router's route cache.
 
 **Batched multi-target search.**  :meth:`shortest_routes_batch`
 answers one source set against several target groups (the candidate
@@ -99,9 +110,9 @@ from repro.technology import TechnologyParams
 
 _INF = math.inf
 
-#: Landmarks per fabric; 8 keeps the per-node bound tight on the paper's
-#: fabrics while the per-node evaluation stays a short fixed-size loop.
-NUM_LANDMARKS = 8
+#: A lower bound prunes only beyond ``bound * _PRUNE_SLACK``: the float sum
+#: ``candidate + h`` can round above a bound that equals the optimum exactly.
+_PRUNE_SLACK = 1.0 + 1e-9
 
 
 class DijkstraResult(NamedTuple):
@@ -171,52 +182,6 @@ class RoutingCoreStats:
             cache_misses=self.cache_misses - baseline.cache_misses,
             batched_searches=self.batched_searches - baseline.batched_searches,
         )
-
-
-class _LandmarkTable:
-    """Congestion-free landmark distances of one ``(T_move, T_turn)`` pair.
-
-    ``node_dists[v]`` is the tuple of distances from each landmark to node
-    ``v`` (transposed for cache-friendly per-node reads in the heuristic).
-
-    ``interval_cache`` memoises, per target-node set, the full per-node
-    vector of the heuristic's landmark-interval term
-    ``max_L interval_dist(D_L[v], [lo_L, hi_L])``.  Landmark distances are
-    congestion-free, so the vector depends only on *which* nodes are
-    targets — not on their completion costs — and searches towards the
-    same channel endpoints (the overwhelmingly common case: every trap
-    pair on the same channels shares them) reuse it for the lifetime of
-    the graph.  This turns the per-pop heuristic into one list index.
-    """
-
-    __slots__ = ("node_dists", "interval_cache")
-
-    def __init__(self, node_dists: list[tuple[float, ...]]) -> None:
-        self.node_dists = node_dists
-        self.interval_cache: dict[tuple[int, ...], list[float]] = {}
-
-    def interval_vector(self, target_nodes: tuple[int, ...]) -> list[float]:
-        """The memoised per-node interval term for one target-node set."""
-        vec = self.interval_cache.get(target_nodes)
-        if vec is None:
-            node_dists = self.node_dists
-            bounds = [
-                (min(column), max(column))
-                for column in zip(*(node_dists[t] for t in target_nodes))
-            ]
-            vec = []
-            append = vec.append
-            for dists in node_dists:
-                h = 0.0
-                for d, (lo, hi) in zip(dists, bounds):
-                    if d < lo:
-                        if lo - d > h:
-                            h = lo - d
-                    elif d > hi and d - hi > h:
-                        h = d - hi
-                append(h)
-            self.interval_cache[target_nodes] = vec
-        return vec
 
 
 class CompiledRoutingGraph:
@@ -297,14 +262,13 @@ class CompiledRoutingGraph:
             if not edge_is_turn[e]:
                 node_channels[edge_source[e]].add(slots[edges[e].channel_id])
         #: Slots of the channels whose occupancy a search *reads* when it
-        #: settles a node: the channels of the node's outgoing non-turn edges
+        #: expands a node: the channels of the node's outgoing non-turn edges
         #: (turn edges are congestion-independent).  The router snapshots
         #: their occupancies to validate cached plans exactly.
         self._node_slots: list[tuple[int, ...]] = [tuple(s) for s in node_channels]
-        #: GraphEdge identity -> edge index, for re-costing cached routes.
-        self._edge_lookup = {id(edge): e for e, edge in enumerate(edges)}
-        #: ``(move_delay, turn_cost) -> _LandmarkTable``, built on first use.
-        self._landmark_tables: dict[tuple[float, float], _LandmarkTable] = {}
+        #: ``(move_delay, turn_cost, target nodes) -> (distances, tree edges)``,
+        #: filled on first use (see :meth:`_target_distances`).
+        self._target_tables: dict[tuple, tuple[list[float], list[int]]] = {}
         # Congestion-dependent weights live inside the adjacency rows and are
         # patched lazily per epoch; ``_base_weight`` remembers each edge's
         # congestion-free weight for the reset half of a sync.
@@ -397,117 +361,45 @@ class CompiledRoutingGraph:
         self._weight_tracker_id = id(congestion)
 
     # ------------------------------------------------------------------
-    # Landmarks (ALT)
+    # Congestion-free target distances
     # ------------------------------------------------------------------
-    def _congestion_free_dijkstra(
-        self, start: int, weights: list[float]
-    ) -> list[float]:
-        """Distances from ``start`` to every node under congestion-free weights."""
-        dist = [_INF] * self.num_nodes
-        dist[start] = 0.0
-        heap = [(0.0, start)]
-        adjacency = self._adjacency
-        pop = heapq.heappop
-        push = heapq.heappush
-        while heap:
-            cost, node = pop(heap)
-            if cost > dist[node]:
-                continue
-            for _, t, e in adjacency[node]:
-                candidate = cost + weights[e]
-                if candidate < dist[t]:
-                    dist[t] = candidate
-                    push(heap, (candidate, t))
-        return dist
+    def _target_distances(
+        self, target_nodes: tuple[int, ...]
+    ) -> tuple[list[float], list[int]]:
+        """Each node's congestion-free distance to ``target_nodes`` and tree edge.
 
-    def _get_landmarks(self, move_delay: float, turn_cost: float) -> _LandmarkTable:
-        """The landmark table of one technology key, built on first use."""
-        key = (move_delay, turn_cost)
-        table = self._landmark_tables.get(key)
-        if table is None:
-            table = self._landmark_tables[key] = self._build_landmarks(
-                move_delay, turn_cost
-            )
-        return table
-
-    def _build_landmarks(self, move_delay: float, turn_cost: float) -> _LandmarkTable:
-        """Farthest-point landmark selection + one Dijkstra per landmark."""
-        num_nodes = self.num_nodes
-        lengths = self._edge_length
-        is_turn = self._edge_is_turn
-        weights = [
-            turn_cost if is_turn[e] else lengths[e] * move_delay
-            for e in range(len(self._edges))
-        ]
-        # Farthest-point selection: seed with the node farthest from node 0,
-        # then repeatedly add the node farthest from the chosen set.
-        seed = self._congestion_free_dijkstra(0, weights)
-        first = max(
-            (i for i in range(num_nodes) if math.isfinite(seed[i])),
-            key=seed.__getitem__,
-            default=0,
-        )
-        landmark_dists: list[list[float]] = []
-        chosen: set[int] = set()
-        current = first
-        min_dist = [_INF] * num_nodes
-        for _ in range(min(NUM_LANDMARKS, num_nodes)):
-            chosen.add(current)
-            dists = self._congestion_free_dijkstra(current, weights)
-            landmark_dists.append(dists)
-            for i in range(num_nodes):
-                if dists[i] < min_dist[i]:
-                    min_dist[i] = dists[i]
-            candidates = [
-                i
-                for i in range(num_nodes)
-                if i not in chosen and math.isfinite(min_dist[i])
-            ]
-            if not candidates:
-                break
-            current = max(candidates, key=min_dist.__getitem__)
-            if min_dist[current] <= 0.0:
-                break
-        node_dists = [
-            tuple(dists[v] for dists in landmark_dists) for v in range(num_nodes)
-        ]
-        return _LandmarkTable(node_dists)
-
-    def recost_route(
-        self,
-        result: DijkstraResult,
-        sources: Mapping[Node, float],
-        targets: Mapping[Node, float],
-        congestion: CongestionTracker,
-        technology: TechnologyParams,
-        *,
-        turn_aware_costing: bool = True,
-    ) -> float:
-        """Cost of re-walking ``result``'s route under the current congestion.
-
-        Returns ``inf`` when the old route is no longer traversable (a full
-        channel on it) or its endpoints' attachment costs went infinite.
-        The value is the total of an *achievable* route, so it is always an
-        upper bound on the current optimum — a valid ``cost_bound`` warm
-        start for :meth:`shortest_route` on the same query.
+        One multi-source Dijkstra from the targets over the base weights of
+        the last :meth:`_sync_weights`, memoised per weight key and target
+        set.  ``tree[v]`` is the edge ``u -> v`` that reached ``v`` (``-1`` at
+        a target or an unreachable node); by weight symmetry its reverse twin
+        is ``v``'s first step of a shortest path to the set, at the same
+        weight under any congestion.
         """
-        turn_cost = technology.turn_delay if turn_aware_costing else 0.0
-        self._sync_weights(congestion, technology.move_delay, turn_cost)
-        total = sources.get(result.entry_node, _INF)
-        if not math.isfinite(total):
-            return _INF
-        edge_lookup = self._edge_lookup
-        adjacency = self._adjacency
-        edge_source = self._edge_source
-        edge_row_pos = self._edge_row_pos
-        for edge in result.edges:
-            e = edge_lookup.get(id(edge))
-            if e is None:
-                return _INF
-            total += adjacency[edge_source[e]][edge_row_pos[e]][0]
-            if not math.isfinite(total):
-                return _INF
-        return total + targets.get(result.exit_node, _INF)
+        key = (self._weight_move_delay, self._weight_turn_cost, target_nodes)
+        entry = self._target_tables.get(key)
+        if entry is None:
+            dist = [_INF] * len(self._nodes)
+            tree = [-1] * len(self._nodes)
+            heap = []
+            for t in target_nodes:
+                dist[t] = 0.0
+                heap.append((0.0, t))
+            adjacency = self._adjacency
+            base = self._base_weight
+            pop = heapq.heappop
+            push = heapq.heappush
+            while heap:
+                cost, node = pop(heap)
+                if cost > dist[node]:
+                    continue
+                for _, t, e in adjacency[node]:
+                    candidate = cost + base[e]
+                    if candidate < dist[t]:
+                        dist[t] = candidate
+                        tree[t] = e
+                        push(heap, (candidate, t))
+            entry = self._target_tables[key] = (dist, tree)
+        return entry
 
     # ------------------------------------------------------------------
     # The kernel
@@ -523,7 +415,6 @@ class CompiledRoutingGraph:
         stats: RoutingCoreStats | None = None,
         blocked_channels: set | None = None,
         read_out: set | None = None,
-        cost_bound: float = _INF,
     ) -> DijkstraResult | None:
         """Array-based equivalent of the object-graph reference kernel.
 
@@ -548,14 +439,10 @@ class CompiledRoutingGraph:
                 non-full channels only change costs, never connectivity.
             read_out: Optional output set receiving the slots of every channel
                 whose occupancy the search *read* — the channels of non-turn
-                edges out of settled nodes.  Together with the caller's
+                edges out of expanded nodes.  Together with the caller's
                 source/target attachment channels this is the exact input
-                state of the search: while those occupancies are unchanged,
-                re-running it returns a byte-identical answer.
-            cost_bound: A known-achievable route total (default ``inf``);
-                entries that provably cannot beat it are pruned from the
-                start.  Must be an upper bound on the optimum — the router
-                derives it by re-costing a stale cached plan.
+                state of the answer: while those occupancies are unchanged,
+                re-running the query returns a byte-identical answer.
 
         Returns:
             The cheapest :class:`DijkstraResult` — identical, route-for-route,
@@ -566,6 +453,17 @@ class CompiledRoutingGraph:
         turn_cost = technology.turn_delay if turn_aware_costing else 0.0
         self._sync_weights(congestion, technology.move_delay, turn_cost)
 
+        target_cost: dict[int, float] = {}
+        for node, cost in targets.items():
+            if math.isfinite(cost):
+                target_cost[node_index[node]] = cost
+        if not target_cost:
+            return None
+        # The heuristic h(v) = h_dist[v] + h_floor: the exact congestion-free
+        # distance to the target set plus the smallest completion cost.
+        h_dist, tree = self._target_distances(tuple(sorted(target_cost)))
+        h_floor = min(target_cost.values())
+
         self._generation += 1
         generation = self._generation
         dist = self._dist
@@ -573,9 +471,15 @@ class CompiledRoutingGraph:
         origin = self._origin
         dist_gen = self._dist_gen
         visited_gen = self._visited_gen
+        adjacency = self._adjacency
+        edge_source = self._edge_source
+        row_pos = self._edge_row_pos
 
         heap: list[tuple[float, int, int]] = []
         counter = 0
+        # The cost bound starts at the cheapest tree descent below, so the
+        # search prunes from its first pop.
+        prune_bound = _INF
         for node, cost in sources.items():
             if not math.isfinite(cost):
                 continue
@@ -588,38 +492,32 @@ class CompiledRoutingGraph:
             parent[i] = -1
             heapq.heappush(heap, (cost, counter, i))
             counter += 1
+            # Descent bound: walk the source's tree path to the target set
+            # under the current weights (each tree edge's reverse twin has its
+            # weight).  A finite total is the cost of a real route.
+            total = cost
+            e = tree[i]
+            while e >= 0:
+                total += adjacency[edge_source[e]][row_pos[e]][0]
+                i = edge_source[e]
+                e = tree[i]
+            completion = target_cost.get(i)
+            if completion is not None and total + completion < prune_bound:
+                prune_bound = total + completion
         if not heap:
             return None
 
-        target_cost: dict[int, float] = {}
-        for node, cost in targets.items():
-            if math.isfinite(cost):
-                target_cost[node_index[node]] = cost
-        if not target_cost:
-            return None
-
-        # ALT setup: the per-node heuristic is the largest landmark-interval
-        # distance to the target set plus the smallest completion cost.  The
-        # interval form (one [lo, hi] per landmark over all target nodes)
-        # needs no per-target loop and stays admissible and consistent; the
-        # interval term is congestion-free and memoised per target-node set,
-        # so inside the loop ``h(v)`` is one list index plus one add.
-        h_table = self._get_landmarks(technology.move_delay, turn_cost)
-        h_int = h_table.interval_vector(tuple(sorted(target_cost)))
-        h_floor = min(target_cost.values())
-
-        adjacency = self._adjacency
         best_total = _INF
         best_exit = -1
-        prune_bound = cost_bound
+        prune_limit = prune_bound * _PRUNE_SLACK
         pops = 0
         relaxations = 0
         pop = heapq.heappop
         push = heapq.heappush
         track_cut = blocked_channels is not None
         track_read = read_out is not None
-        track_settled = track_cut or track_read
-        settled: list[int] = []
+        track_expanded = track_cut or track_read
+        expanded: list[int] = []
 
         while heap:
             cost, _, node = pop(heap)
@@ -629,23 +527,24 @@ class CompiledRoutingGraph:
             ):
                 continue
             visited_gen[node] = generation
-            if track_settled:
-                settled.append(node)
             completion = target_cost.get(node)
             if completion is not None and cost + completion < best_total:
                 best_total = cost + completion
                 if best_total < prune_bound:
                     prune_bound = best_total
+                    prune_limit = best_total * _PRUNE_SLACK
                 best_exit = node
             # Once the cheapest settled node already exceeds the best complete
             # route, no better completion can exist.
             if cost >= best_total:
                 break
-            node_origin = origin[node]
             # Expansion skip: every push below would fail its own bound test
             # (h is consistent), so skip the adjacency walk at once.
-            if cost + h_int[node] + h_floor > prune_bound:
+            if cost + h_dist[node] + h_floor > prune_limit:
                 continue
+            if track_expanded:
+                expanded.append(node)
+            node_origin = origin[node]
             for edge_cost, t, e in adjacency[node]:
                 candidate = cost + edge_cost
                 # Frontier pruning (see module docstring); an infinite edge
@@ -653,11 +552,11 @@ class CompiledRoutingGraph:
                 if candidate >= best_total:
                     continue
                 if dist_gen[t] != generation or candidate < dist[t]:
-                    # Strict-bound landmark prune: totals through ``t`` are at
-                    # least ``candidate + h(t)``; beyond the known achievable
-                    # bound they can never win under the strict-< completion
-                    # update.
-                    if candidate + h_int[t] + h_floor > prune_bound:
+                    # Bound prune: totals through ``t`` are at least
+                    # ``candidate + h(t)``; beyond the known achievable bound
+                    # (and its rounding slack) they can never win under the
+                    # strict-< completion update.
+                    if candidate + h_dist[t] + h_floor > prune_limit:
                         continue
                     dist[t] = candidate
                     dist_gen[t] = generation
@@ -669,7 +568,7 @@ class CompiledRoutingGraph:
 
         if track_read:
             node_slots = self._node_slots
-            for i in settled:
+            for i in expanded:
                 read_out.update(node_slots[i])
         if stats is not None:
             stats.dijkstra_calls += 1
@@ -679,18 +578,18 @@ class CompiledRoutingGraph:
         if best_exit < 0 or not math.isfinite(best_total):
             if track_cut:
                 # The search exhausted the reachable component: every full
-                # channel incident to a settled node is part of the cut that
-                # separates the sources from the targets.
+                # channel incident to an expanded node is part of the cut that
+                # separates the sources from the targets.  (A failing search
+                # has no finite bound, so it expands every node it settles.)
                 edge_objects = self._edges
                 is_turn = self._edge_is_turn
-                for i in settled:
+                for i in expanded:
                     for weight, _, e in adjacency[i]:
                         if weight == _INF and not is_turn[e]:
                             blocked_channels.add(edge_objects[e].channel_id)
             return None
 
         edge_objects = self._edges
-        edge_source = self._edge_source
         edges = []
         node = best_exit
         while True:
@@ -782,8 +681,7 @@ class CompiledRoutingGraph:
         if not group_targets:
             return results
 
-        h_table = self._get_landmarks(technology.move_delay, turn_cost)
-        h_int = h_table.interval_vector(tuple(sorted(group_targets)))
+        h_dist, _ = self._target_distances(tuple(sorted(group_targets)))
         h_floor = min(cost for pairs in group_targets.values() for _, cost in pairs)
 
         adjacency = self._adjacency
@@ -794,13 +692,13 @@ class CompiledRoutingGraph:
         # The shared prune bound: entries at or above every open group's best
         # completion can improve none of them (same argument as the single
         # search, applied group-wise with the loosest open bound).
-        bound_max = _INF
+        bound_max = bound_limit = _INF
         pops = 0
         relaxations = 0
         pop = heapq.heappop
         push = heapq.heappush
         track_read = read_out is not None
-        settled: list[int] = []
+        expanded: list[int] = []
 
         while heap and open_groups:
             cost, _, node = pop(heap)
@@ -810,8 +708,6 @@ class CompiledRoutingGraph:
             ):
                 continue
             visited_gen[node] = generation
-            if track_read:
-                settled.append(node)
             hits = group_targets.get(node)
             recompute_bound = False
             if hits is not None:
@@ -833,15 +729,18 @@ class CompiledRoutingGraph:
                 bound_max = max(
                     best_total[g] for g in alive if not frozen[g]
                 )
-            node_origin = origin[node]
-            if cost + h_int[node] + h_floor > bound_max:
+                bound_limit = bound_max * _PRUNE_SLACK
+            if cost + h_dist[node] + h_floor > bound_limit:
                 continue
+            if track_read:
+                expanded.append(node)
+            node_origin = origin[node]
             for edge_cost, t, e in adjacency[node]:
                 candidate = cost + edge_cost
                 if candidate >= bound_max:
                     continue
                 if dist_gen[t] != generation or candidate < dist[t]:
-                    if candidate + h_int[t] + h_floor > bound_max:
+                    if candidate + h_dist[t] + h_floor > bound_limit:
                         continue
                     dist[t] = candidate
                     dist_gen[t] = generation
@@ -853,7 +752,7 @@ class CompiledRoutingGraph:
 
         if track_read:
             node_slots = self._node_slots
-            for i in settled:
+            for i in expanded:
                 read_out.update(node_slots[i])
         if stats is not None:
             stats.dijkstra_calls += 1

@@ -19,7 +19,7 @@ from repro.circuits.circuit import Instruction
 from repro.errors import RoutingError
 from repro.fabric.components import ChannelId, Trap, TrapId
 from repro.fabric.fabric import Fabric
-from repro.routing.compiled import CompiledRoutingGraph, DijkstraResult, RoutingCoreStats
+from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
@@ -82,7 +82,8 @@ class InstructionRoute(NamedTuple):
     Attributes:
         instruction_index: Index of the routed instruction.
         target_trap: Trap where the gate will be executed.
-        plans: One plan per operand qubit (stationary operands included).
+        plans: One plan per operand qubit (stationary operands included),
+            so one or two; the totals below read exactly those.
         channels: Every channel the simulator must reserve at issue time.
             For parallel routes this carries multiplicity (one entry per plan
             using the channel); for serial routes it is de-duplicated, since
@@ -104,30 +105,37 @@ class InstructionRoute(NamedTuple):
         The travel time of the slowest operand when both move concurrently,
         or the sum of travel times when the movement is serialised.
         """
+        plans = self.plans
+        if len(plans) == 1:
+            return plans[0].duration
+        first, second = plans[0].duration, plans[1].duration
         if self.serial:
-            return sum(plan.duration for plan in self.plans)
-        return max((plan.duration for plan in self.plans), default=0.0)
+            return first + second
+        return second if second > first else first
 
     def plan_start_offsets(self) -> tuple[float, ...]:
         """Start time of each plan relative to the instruction's issue time."""
-        if not self.serial:
-            return tuple(0.0 for _ in self.plans)
-        offsets: list[float] = []
-        clock = 0.0
-        for plan in self.plans:
-            offsets.append(clock)
-            clock += plan.duration
-        return tuple(offsets)
+        if len(self.plans) == 1:
+            return (0.0,)
+        if self.serial:
+            return (0.0, 0.0 + self.plans[0].duration)
+        return (0.0, 0.0)
 
     @property
     def total_moves(self) -> int:
         """Total moves over all operands."""
-        return sum(plan.total_moves for plan in self.plans)
+        plans = self.plans
+        if len(plans) == 1:
+            return plans[0].total_moves
+        return plans[0].total_moves + plans[1].total_moves
 
     @property
     def total_turns(self) -> int:
         """Total turns over all operands."""
-        return sum(plan.total_turns for plan in self.plans)
+        plans = self.plans
+        if len(plans) == 1:
+            return plans[0].total_turns
+        return plans[0].total_turns + plans[1].total_turns
 
 
 _INF = float("inf")
@@ -156,27 +164,23 @@ class _CacheEntry:
     keeps the cache hot across the balanced congestion churn of a busy
     fabric.
 
-    ``result`` keeps the kernel's raw search result so a later
-    re-computation of an invalidated entry can warm-start from the stale
-    route's re-costed total.  ``cut`` carries a failed search's blocking
-    cut, recorded on every failure: the cut is a function of the occupancies
-    the search read, so it is exactly as valid as the entry itself.
+    ``cut`` carries a failed search's blocking cut, recorded on every
+    failure: the cut is a function of the occupancies the search read, so it
+    is exactly as valid as the entry itself.
     """
 
-    __slots__ = ("plan", "getter", "values", "result", "cut")
+    __slots__ = ("plan", "getter", "values", "cut")
 
     def __init__(
         self,
         plan: RoutePlan | None,
         getter: itemgetter,
         values: tuple,
-        result: DijkstraResult | None = None,
         cut: tuple | None = None,
     ) -> None:
         self.plan = plan
         self.getter = getter
         self.values = values
-        self.result = result
         self.cut = cut
 
 
@@ -330,11 +334,11 @@ class Router:
         than the cache bookkeeping, and their only input is one channel's
         fullness.  Every other query is answered by the first entry in the
         pair's MRU list whose snapshot matches, which then moves to the head.
-        A miss runs the kernel with landmark (ALT) pruning,
-        warm-started from the re-costed total of the pair's most recent
-        stale route (an achievable total, hence a valid upper bound).  A hit
-        for a different qubit rebinds the plan's qubit name, everything else
-        being qubit-independent.
+        A miss runs the kernel, which bounds its search from the first pop
+        with the congestion-free distances to the target channel's endpoints
+        and stores the channels of the nodes it expanded as the entry's
+        snapshot.  A hit for a different qubit rebinds the plan's qubit name,
+        everything else being qubit-independent.
         """
         if source_trap_id == target_trap_id:
             return stationary_plan(qubit, source_trap_id)
@@ -350,7 +354,6 @@ class Router:
             )
         key = (source_trap_id, target_trap_id)
         entries = self._route_cache.get(key)
-        stale_result = None
         if entries:
             levels = congestion.levels
             for i, entry in enumerate(entries):
@@ -358,22 +361,18 @@ class Router:
                     if i:
                         entries.insert(0, entries.pop(i))
                     return self._serve(entry, qubit, cut)
-            stale_result = entries[0].result
         self.stats.cache_misses += 1
         reads: set = set()
-        # The kernel settles nodes for the read set anyway, so recording the
-        # cut costs only a failing search its scan of them.
+        # The kernel lists expanded nodes for the read set anyway, so
+        # recording the cut costs only a failing search its scan of them.
         blocking: set = set()
-        plan, result = self._search(
-            qubit, source, target, congestion,
-            cut=blocking, reads=reads, warm_start=stale_result,
-        )
+        plan = self._search(qubit, source, target, congestion, cut=blocking, reads=reads)
         failure_cut = None
         if plan is None:
             failure_cut = tuple(blocking)
             if cut is not None:
                 cut.update(blocking)
-        self._store(key, _CacheEntry(plan, *self._snapshot(reads, congestion), result, failure_cut))
+        self._store(key, _CacheEntry(plan, *self._snapshot(reads, congestion), failure_cut))
         return plan
 
     def _serve(self, entry: _CacheEntry, qubit: str, cut: set | None) -> RoutePlan | None:
@@ -418,13 +417,12 @@ class Router:
         *,
         cut: set,
         reads: set,
-        warm_start: DijkstraResult | None,
-    ) -> tuple[RoutePlan | None, DijkstraResult | None]:
+    ) -> RoutePlan | None:
         """Run the kernel for a journey between two different channels.
 
-        Returns the plan (``None`` when unroutable) and the kernel's raw
-        result.  ``reads`` receives the slot of every channel whose occupancy
-        shaped the outcome, ``cut`` a failure's blocking cut.
+        Returns the plan, or ``None`` when unroutable.  ``reads`` receives
+        the slot of every channel whose occupancy shaped the outcome, ``cut``
+        a failure's blocking cut.
         """
         # The endpoint channels shape the attachment costs and the trivial
         # failure check below, so every outcome reads them.
@@ -437,33 +435,20 @@ class Router:
         ]
         if blocked:
             cut.update(blocked)
-            return None, None
-        sources = self._attachment_costs(source, congestion)
-        targets = self._attachment_costs(target, congestion)
-        cost_bound = _INF
-        if warm_start is not None:
-            cost_bound = self.compiled.recost_route(
-                warm_start,
-                sources,
-                targets,
-                congestion,
-                self.technology,
-                turn_aware_costing=self.policy.turn_aware,
-            )
+            return None
         result = self.compiled.shortest_route(
-            sources,
-            targets,
+            self._attachment_costs(source, congestion),
+            self._attachment_costs(target, congestion),
             congestion,
             self.technology,
             turn_aware_costing=self.policy.turn_aware,
             stats=self.stats,
             blocked_channels=cut,
             read_out=reads,
-            cost_bound=cost_bound,
         )
         if result is None:
-            return None, None
-        plan = expand_route(
+            return None
+        return expand_route(
             self.fabric,
             self.technology,
             qubit,
@@ -472,7 +457,6 @@ class Router:
             result.entry_node[0],
             result.edges,
         )
-        return plan, result
 
     # ------------------------------------------------------------------
     # Instruction-level planning
@@ -673,10 +657,10 @@ class Router:
                     continue
                 key = (origin_id, cand_id)
                 if self._route_cache.get(key):
-                    # Any entry at all — valid (the loop will hit it) or
-                    # stale (its result warm-bounds a cheap dedicated
-                    # query) — makes the batched flood a worse deal than
-                    # the demand path.  Prefetch only never-seen pairs.
+                    # Any entry at all keeps the pair out of the batch: a
+                    # valid one will hit, and a stale one's dedicated query
+                    # is bounded from its first pop.  Prefetch only
+                    # never-seen pairs.
                     continue
                 jobs.append((key, candidate))
             if len(jobs) < 2:
@@ -713,7 +697,7 @@ class Router:
                     result.entry_node[0],
                     result.edges,
                 )
-                self._store(key, _CacheEntry(plan, *snapshot, result))
+                self._store(key, _CacheEntry(plan, *snapshot))
 
     def _plan_to_candidate(
         self,

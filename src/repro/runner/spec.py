@@ -79,7 +79,10 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: event, which changes ``events_processed``, ``event_issue_polls`` and
 #: ``event_skipped_polls`` of otherwise identical runs, so schema-7 records
 #: are retired.
-CACHE_SCHEMA = 8
+#: Schema 9: exact target distances, a descent bound and expanded-node read
+#: sets change the kernel's hit/miss, search and heap-pop counters of
+#: otherwise identical runs, so schema-8 records are retired.
+CACHE_SCHEMA = 9
 
 
 @dataclass(frozen=True)

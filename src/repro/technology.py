@@ -31,6 +31,9 @@ _DELAY_FIELDS = (
     "prepare_delay",
 )
 
+#: The capacity fields of :class:`TechnologyParams`, each an integer of at least 1.
+_CAPACITY_FIELDS = ("channel_capacity", "junction_capacity", "trap_capacity")
+
 
 @dataclass(frozen=True)
 class TechnologyParams:
@@ -70,10 +73,19 @@ class TechnologyParams:
     trap_capacity: int = 2
 
     def __post_init__(self) -> None:
+        # Types first: a custom PMD is a plain dict, so "1" or True may arrive.
         for name in _DELAY_FIELDS:
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in _CAPACITY_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.move_delay <= 0:
             raise ValueError("move_delay must be positive")
         if self.turn_delay < 0:
@@ -82,12 +94,6 @@ class TechnologyParams:
             raise ValueError("gate delays must be non-negative")
         if self.measure_delay < 0 or self.prepare_delay < 0:
             raise ValueError("measure/prepare delays must be non-negative")
-        if self.channel_capacity < 1:
-            raise ValueError("channel_capacity must be at least 1")
-        if self.junction_capacity < 1:
-            raise ValueError("junction_capacity must be at least 1")
-        if self.trap_capacity < 1:
-            raise ValueError("trap_capacity must be at least 1")
 
     def gate_delay(self, arity: int, *, is_measurement: bool = False) -> float:
         """Return the gate delay for an operation with ``arity`` operands.

@@ -1,10 +1,12 @@
 """The reference oracle: cache-less routing under an ungated event loop.
 
 The simulator's speed comes from layers that must never change what it
-computes: the compiled CSR kernel with landmark pruning and warm starts, the
-snapshot-validated route table (one per fabric, with MRU lists per trap
-pair and batched candidate prefill), and the wake-set gating of the event
-loop.  The oracle removes every one of them:
+computes: the compiled CSR kernel with its congestion-free target-distance
+bounds (a per-node lower bound, and an upper bound from walking each
+source's shortest-path tree), the snapshot-validated route table (one per
+fabric, with MRU lists per trap pair and batched candidate prefill), and
+the wake-set gating of the event loop.  The oracle removes every one of
+them:
 
 * :class:`OracleRouter` plans every leg from scratch with
   :func:`shortest_route` under the Eq. (2) weights of

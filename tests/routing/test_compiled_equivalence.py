@@ -7,22 +7,27 @@ the same edge sequence as the object-based reference kernel
 
 Two layers of coverage:
 
-* direct kernel queries over enumerated trap pairs and hand-made congestion
-  states (including fully blocked channels and unroutable pairs);
+* direct kernel queries over enumerated trap pairs (a seeded sample on the
+  paper's fabric) and hand-made congestion states (including fully blocked
+  channels and unroutable pairs);
 * full simulations of the fixture circuits on the fixture fabrics with a
   shim that routes every live query through *both* kernels and compares.
+
+The kernel's congestion-free target-distance table is checked against the
+reference kernel on its own.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import pytest
 
 from reference_oracle import shortest_route
 from repro.circuits.qecc import qecc_encoder
-from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric
+from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric, quale_fabric
 from repro.pipeline.fabrics import FABRICS
 from repro.placement.center import CenterPlacer
 from repro.routing.compiled import CompiledRoutingGraph
@@ -83,68 +88,199 @@ def _congestion_states(fabric, capacity):
     return {"empty": empty, "partial": partial, "saturated": saturated}
 
 
+def _trap_pairs(fabric, sample: int | None, seed: str):
+    """Every pair of traps on different channels, or a seeded sample of them."""
+    traps = sorted(fabric.traps)
+
+    def apart(source, target):
+        return fabric.trap(source).channel_id != fabric.trap(target).channel_id
+
+    if sample is None:
+        return [(s, t) for s in traps for t in traps if apart(s, t)]
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < sample:
+        source, target = rng.sample(traps, 2)
+        if apart(source, target):
+            pairs.append((source, target))
+    return pairs
+
+
 @pytest.mark.parametrize("turn_aware", [True, False])
 @pytest.mark.parametrize(
-    "fabric_factory",
+    "fabric_factory, sample",
     [
-        lambda: build_fabric(
-            FabricSpec(name="tiny", junction_rows=2, junction_cols=3, channel_length=2)
+        (
+            lambda: build_fabric(
+                FabricSpec(name="tiny", junction_rows=2, junction_cols=3, channel_length=2)
+            ),
+            None,
         ),
-        lambda: build_fabric(
-            FabricSpec(name="small", junction_rows=4, junction_cols=4, channel_length=3)
+        (
+            lambda: build_fabric(
+                FabricSpec(name="small", junction_rows=4, junction_cols=4, channel_length=3)
+            ),
+            None,
         ),
-        lambda: linear_fabric(),
+        (linear_fabric, None),
+        # The paper's fabric has 504 traps: a seeded 150 pairs per state.
+        (quale_fabric, 150),
     ],
-    ids=["tiny-2x3", "small-4x4", "linear"],
+    ids=["tiny-2x3", "small-4x4", "linear", "quale"],
 )
-def test_kernels_agree_on_enumerated_trap_pairs(fabric_factory, turn_aware):
+def test_kernels_agree_on_enumerated_trap_pairs(fabric_factory, sample, turn_aware):
     fabric = fabric_factory()
     policy = RoutingPolicy(turn_aware=turn_aware)
     router = Router(fabric, PAPER_TECHNOLOGY, policy)
-    traps = sorted(fabric.traps)
+    compared = 0
     for state_name, congestion in _congestion_states(
         fabric, policy.channel_capacity
     ).items():
-        for source_id in traps:
-            source = fabric.trap(source_id)
-            for target_id in traps:
-                target = fabric.trap(target_id)
-                if source_id == target_id or source.channel_id == target.channel_id:
-                    continue
-                sources = router._attachment_costs(source, congestion)
-                targets = router._attachment_costs(target, congestion)
-                if not any(math.isfinite(c) for c in sources.values()) or not any(
-                    math.isfinite(c) for c in targets.values()
-                ):
-                    continue
-                context = f"{fabric.name} {state_name} {source_id}->{target_id}"
-                _assert_same_result(
-                    _legacy_query(router, sources, targets, congestion),
-                    _compiled_query(router, sources, targets, congestion),
-                    context,
-                )
+        for source_id, target_id in _trap_pairs(fabric, sample, state_name):
+            sources = router._attachment_costs(fabric.trap(source_id), congestion)
+            targets = router._attachment_costs(fabric.trap(target_id), congestion)
+            if not any(math.isfinite(c) for c in sources.values()) or not any(
+                math.isfinite(c) for c in targets.values()
+            ):
+                continue
+            context = f"{fabric.name} {state_name} {source_id}->{target_id}"
+            _assert_same_result(
+                _legacy_query(router, sources, targets, congestion),
+                _compiled_query(router, sources, targets, congestion),
+                context,
+            )
+            compared += 1
+    assert compared > 0
 
 
 @pytest.mark.parametrize("turn_aware", [True, False], ids=["turn-aware", "turn-blind"])
 @pytest.mark.parametrize("fabric_name", FABRICS.names())
 def test_every_edge_has_a_reverse_twin_of_the_same_kind_and_length(fabric_name, turn_aware):
-    # The kernel's landmark bound |d(L,u) - d(L,v)| <= d(u,v) holds only
-    # for symmetric base weights, which are functions of (kind, length);
-    # the kernel assumes this of every graph without checking it.
+    # The kernel's target-distance table runs Dijkstra *from* the targets and
+    # walks each tree edge backwards; both need every edge's reverse twin to
+    # weigh the same under any congestion, and a weight is a function of the
+    # kind, the length and the channel's occupancy.  The kernel assumes this
+    # of every graph without checking it.
     graph = RoutingGraph(FABRICS.get(fabric_name)(), turn_aware=turn_aware)
     edges = Counter(
-        (edge.source, edge.target, edge.kind, edge.length)
+        (edge.source, edge.target, edge.kind, edge.length, edge.channel_id)
         for node in graph.nodes
         for edge in graph.edges_from(node)
     )
     assert edges
     reverse = Counter(
         {
-            (target, source, kind, length): count
-            for (source, target, kind, length), count in edges.items()
+            (target, source, kind, length, channel): count
+            for (source, target, kind, length, channel), count in edges.items()
         }
     )
     assert edges == reverse
+
+
+def _target_sets(compiled, rng):
+    """The endpoint nodes of three sampled channels, and their union."""
+    graph = compiled.graph
+    channels = rng.sample(sorted(graph.fabric.channels), 3)
+    sets = [
+        {compiled._node_index[node] for node in graph.channel_endpoints(channel)}
+        for channel in channels
+    ]
+    return [tuple(sorted(nodes)) for nodes in sets + [set().union(*sets)]]
+
+
+@pytest.mark.parametrize("turn_aware", [True, False], ids=["turn-aware", "turn-blind"])
+@pytest.mark.parametrize("fabric_name", FABRICS.names())
+def test_target_distances_are_exact_and_their_tree_reaches_a_target(fabric_name, turn_aware):
+    # The kernel's lower bound and descent bound both come from this table:
+    # ``dist`` must be the reference kernel's congestion-free distance to the
+    # set, and the reverse twins of the tree edges a real path of that cost.
+    fabric = FABRICS.get(fabric_name)()
+    graph = RoutingGraph(fabric, turn_aware=turn_aware)
+    compiled = CompiledRoutingGraph(graph)
+    empty = CongestionTracker(fabric, 2)
+    turn_cost = PAPER_TECHNOLOGY.turn_delay if turn_aware else 0.0
+    compiled._sync_weights(empty, PAPER_TECHNOLOGY.move_delay, turn_cost)
+
+    def weight(edge):
+        return edge_weight(edge, empty, PAPER_TECHNOLOGY, turn_aware_costing=turn_aware)
+
+    nodes = graph.nodes
+    rng = random.Random(fabric_name)
+    for target_nodes in _target_sets(compiled, rng):
+        dist, tree = compiled._target_distances(target_nodes)
+        targets = {nodes[t]: 0.0 for t in target_nodes}
+        for v in rng.sample(range(len(nodes)), min(40, len(nodes))):
+            reference = shortest_route(graph, {nodes[v]: 0.0}, targets, weight)
+            assert dist[v] == (math.inf if reference is None else reference.cost)
+        for v in range(len(nodes)):
+            if math.isinf(dist[v]):
+                assert tree[v] == -1
+                continue
+            node, cost = v, 0.0
+            while tree[node] >= 0:
+                edge = compiled._edges[tree[node]]
+                assert edge.target == nodes[node]
+                twin = next(
+                    e
+                    for e in graph.edges_from(nodes[node])
+                    if (e.target, e.kind, e.channel_id)
+                    == (edge.source, edge.kind, edge.channel_id)
+                )
+                cost += weight(twin)
+                node = compiled._node_index[edge.source]
+            assert node in target_nodes
+            assert cost == dist[v]
+
+
+def _set_occupancy(congestion, channel, level):
+    while congestion.occupancy(channel) < level:
+        congestion.reserve(channel)
+    while congestion.occupancy(channel) > level:
+        congestion.release(channel)
+
+
+@pytest.mark.parametrize("turn_aware", [True, False], ids=["turn-aware", "turn-blind"])
+def test_answers_depend_only_on_the_channels_the_search_read(turn_aware):
+    # The route table serves an entry while the channels its search read
+    # (plus the two endpoint channels) keep their occupancies.  So emptying
+    # or filling any other channel must leave the reference answer as it was.
+    fabric = build_fabric(
+        FabricSpec(name="small", junction_rows=4, junction_cols=4, channel_length=3)
+    )
+    policy = RoutingPolicy(turn_aware=turn_aware)
+    router = Router(fabric, PAPER_TECHNOLOGY, policy)
+    congestion = _congestion_states(fabric, policy.channel_capacity)["partial"]
+    slots = fabric.channel_slots
+    unread_checked = 0
+    for source_id, target_id in _trap_pairs(fabric, 25, f"reads-{turn_aware}"):
+        source, target = fabric.trap(source_id), fabric.trap(target_id)
+        reads = {slots[source.channel_id], slots[target.channel_id]}
+        answer = router.compiled.shortest_route(
+            router._attachment_costs(source, congestion),
+            router._attachment_costs(target, congestion),
+            congestion,
+            PAPER_TECHNOLOGY,
+            turn_aware_costing=turn_aware,
+            read_out=reads,
+        )
+        for channel in sorted(fabric.channels):
+            if slots[channel] in reads:
+                continue
+            level = congestion.occupancy(channel)
+            for changed in sorted({0, policy.channel_capacity} - {level}):
+                _set_occupancy(congestion, channel, changed)
+                reference = _legacy_query(
+                    router,
+                    router._attachment_costs(source, congestion),
+                    router._attachment_costs(target, congestion),
+                    congestion,
+                )
+                _set_occupancy(congestion, channel, level)
+                _assert_same_result(
+                    reference, answer, f"{source_id}->{target_id}, {channel} at {changed}"
+                )
+                unread_checked += 1
+    assert unread_checked > 0
 
 
 def test_compiled_routes_are_costed_edge_chains(small_fabric_4x4):
@@ -207,11 +343,6 @@ class _DifferentialShim:
             self.queries += 1
             _assert_same_result(legacy_result, batched, f"batched query {self.queries}")
         return results
-
-    def recost_route(self, *args, **kwargs):
-        # Warm-start bound probes are pure reads; forward them unchecked (the
-        # bounded search result is still cross-checked above).
-        return self.compiled.recost_route(*args, **kwargs)
 
 
 @pytest.mark.parametrize("circuit_name", ["[[5,1,3]]", "[[7,1,3]]", "[[9,1,3]]"])

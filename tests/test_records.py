@@ -87,3 +87,32 @@ def test_instruction_route_defaults_to_no_channels_and_parallel_travel():
     assert route.channels == ()
     assert route.serial is False
     assert route == InstructionRoute(3, 7, (_plan(),), (), False)
+
+
+def _timed_plan(duration, moves, turns) -> RoutePlan:
+    return RoutePlan("q", 0, 5, (), duration, moves, turns, ())
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["parallel", "serial"])
+@pytest.mark.parametrize(
+    "durations",
+    [(0,), (13.0,), (0, 0), (0, 7.5), (7.5, 0), (4.0, 4), (4, 4.0), (0.1, 0.2), (9.0, 2.0)],
+)
+def test_instruction_route_totals_equal_the_sums_over_its_plans(durations, serial):
+    # Values *and* types: a stationary plan's duration is the int 0, and
+    # max() keeps the first of equal operands.
+    plans = tuple(_timed_plan(d, 3 * i + 1, i) for i, d in enumerate(durations))
+    route = InstructionRoute(1, 5, plans, (), serial)
+    if serial:
+        delay = sum(plan.duration for plan in plans)
+        offsets, clock = [], 0.0
+        for plan in plans:
+            offsets.append(clock)
+            clock += plan.duration
+    else:
+        delay = max((plan.duration for plan in plans), default=0.0)
+        offsets = [0.0 for _ in plans]
+    assert (repr(route.routing_delay), type(route.routing_delay)) == (repr(delay), type(delay))
+    assert [repr(o) for o in route.plan_start_offsets()] == [repr(o) for o in offsets]
+    assert route.total_moves == sum(plan.total_moves for plan in plans)
+    assert route.total_turns == sum(plan.total_turns for plan in plans)

@@ -10,6 +10,8 @@ final placement.  The golden cases are held to the oracle in
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +43,9 @@ TECHNOLOGIES = ("paper", "cap-1", "fast-turn")
 LAYERED = "random-layered:q=12:d=10:fill=1.0:locality=2:seed=21"
 #: Capacity-1 channels with dense layers: the heavy-parking regime.
 CONGESTED = "random-layered:q=16:d=12:fill=1.0:locality=2:seed={seed}"
+#: A custom PMD with fractional delays: route totals are inexact float sums,
+#: so a lower bound can round above a bound that equals the optimum.
+FRACTIONAL_PMD = {"move_delay": 0.3, "turn_delay": 2.7}
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,13 @@ class TestMappingsMatchTheOracle:
     def test_qecc_encoders(self, fabric, circuit):
         result, _ = _map_both(circuit, fabric, _options())
         assert result.routing_stats.cache_hits > 0
+
+    @pytest.mark.parametrize("circuit", BENCHMARK_NAMES)
+    def test_fractional_technology(self, fabric, circuit):
+        # A search's bound is often exactly its optimum; pruning must leave
+        # the optimal route alone when ``candidate + h`` rounds above it.
+        options = _options(FRACTIONAL_PMD, placer="mvfb", num_seeds=3)
+        _map_both(circuit, fabric, options)
 
     @pytest.mark.parametrize("circuit", BENCHMARK_NAMES)
     @pytest.mark.parametrize("preset", [quale_options, qpos_options])
@@ -274,11 +286,13 @@ _PROP_TRAPS = sorted(_PROP_FABRIC.traps)
 class TestRouteCacheProperty:
     """Cache soundness under arbitrary congestion churn.
 
-    The cached router runs the full stack (snapshot-validated MRU entries,
-    warm starts, landmark pruning); the oracle router plans every query from
-    scratch.  If a snapshot ever validated a plan whose read channels
-    changed, the served plan would diverge from the fresh one on some
-    interleaving — hypothesis searches for exactly that.
+    The cached router runs the full stack (snapshot-validated MRU entries
+    over expanded-node read sets, target-distance pruning and its descent
+    bound); the oracle router plans every query from scratch.  If a
+    snapshot ever validated a plan whose read channels changed, the served
+    plan would diverge from the fresh one on some interleaving — hypothesis
+    searches for exactly that, and a seeded churn repeats it under
+    fractional delays.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -312,3 +326,31 @@ class TestRouteCacheProperty:
                     f"cached plan diverged for {source}->{target} under "
                     f"occupancies {congestion.snapshot()}"
                 )
+
+    def test_fractional_technology_under_seeded_churn(self):
+        # Every leg query under random reservations and releases, with the
+        # fractional PMD, must equal a fresh reference computation.
+        technology = resolve_technology(FRACTIONAL_PMD)
+        cached = Router(_PROP_FABRIC, technology)
+        reference = OracleRouter(_PROP_FABRIC, technology, cached.policy)
+        congestion = CongestionTracker(_PROP_FABRIC, channel_capacity=2)
+        rng = random.Random(26)
+        reserved: list = []
+        queries = 0
+        for _ in range(1200):
+            op = rng.choice(("reserve", "release", "query", "query"))
+            if op == "reserve":
+                channel = rng.choice(_PROP_CHANNELS)
+                if not congestion.is_full(channel):
+                    congestion.reserve(channel)
+                    reserved.append(channel)
+            elif op == "release":
+                if reserved:
+                    congestion.release(reserved.pop(rng.randrange(len(reserved))))
+            else:
+                source, target = rng.choice(_PROP_TRAPS), rng.choice(_PROP_TRAPS)
+                served = cached.plan_qubit_route("q", source, target, congestion)
+                fresh = reference.plan_qubit_route("q", source, target, congestion)
+                assert served == fresh, f"query {queries}: {source}->{target}"
+                queries += 1
+        assert cached.stats.cache_hits > 0 and cached.stats.dijkstra_calls > 0

@@ -90,6 +90,23 @@ class TestValidation:
         with pytest.raises(MappingError, match="turn_delay must be finite"):
             resolve_technology({"turn_delay": math.inf})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("turn_delay", "1"),
+            ("channel_capacity", "2"),
+            ("channel_capacity", 2.5),
+            ("turn_delay", True),
+        ],
+        ids=["str-delay", "str-capacity", "float-capacity", "bool-delay"],
+    )
+    def test_mistyped_field_is_rejected_by_name(self, name, value):
+        # A delay is an int or a float, a capacity an int; a bool is neither.
+        with pytest.raises(ValueError, match=f"^{name} must be an? (number|integer)"):
+            TechnologyParams(**{name: value})
+        with pytest.raises(MappingError, match=f"invalid custom technology: {name} "):
+            resolve_technology({name: value})
+
 
 class TestDerivedCopies:
     def test_with_channel_capacity(self):
