@@ -1,4 +1,4 @@
-"""Latency and fidelity scaling of GHZ-state preparation with qubit count.
+"""Latency scaling of GHZ-state preparation with qubit count.
 
 Run with::
 
@@ -7,9 +7,7 @@ Run with::
 GHZ preparation is fully sequential (every CNOT shares the hub qubit), so its
 ideal latency grows linearly with the number of qubits; on a real fabric the
 hub's partners must additionally travel to meet it, and this script shows how
-much of the mapped latency is routing as the state grows — and what that
-costs in estimated success probability, which is the paper's motivation for
-minimizing latency in the first place.
+much of the mapped latency is routing as the state grows.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ from __future__ import annotations
 import argparse
 
 from repro import IdealBaseline, MapperOptions, QsprMapper, quale_fabric
-from repro.analysis import check_error_threshold, circuit_success_probability, format_comparison_table
-from repro.analysis.error_model import DecoherenceModel
+from repro.analysis import format_comparison_table
 from repro.circuits.builders import ghz_circuit
 
 
@@ -30,36 +27,18 @@ def main() -> None:
 
     fabric = quale_fabric()
     ideal = IdealBaseline()
-    model = DecoherenceModel(t2_us=200_000.0)
 
     rows = []
     sizes = [n for n in (4, 8, 12, 16, 20, 24) if n <= args.max_qubits]
     for size in sizes:
         circuit = ghz_circuit(size)
         result = QsprMapper(MapperOptions(num_seeds=args.seeds)).map(circuit, fabric)
-        report = check_error_threshold(result, target_success_probability=0.9, model=model)
-        rows.append(
-            (
-                size,
-                ideal.latency(circuit),
-                result.latency,
-                result.overhead_vs_ideal,
-                f"{circuit_success_probability(result, model):.4f}",
-                "yes" if report.meets_threshold else "no",
-            )
-        )
+        rows.append((size, ideal.latency(circuit), result.latency, result.overhead_vs_ideal))
 
     print(
         format_comparison_table(
-            "GHZ preparation: latency and fidelity vs number of qubits",
-            [
-                "qubits",
-                "ideal latency (us)",
-                "mapped latency (us)",
-                "routing overhead (us)",
-                "success probability",
-                "meets 0.9 target",
-            ],
+            "GHZ preparation: latency vs number of qubits",
+            ["qubits", "ideal latency (us)", "mapped latency (us)", "routing overhead (us)"],
             rows,
         )
     )

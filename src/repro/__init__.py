@@ -16,7 +16,7 @@ The public API is organised by pipeline stage:
 * :mod:`repro.sim` — the event-driven fabric simulator and micro-command traces.
 * :mod:`repro.placement` — center, Monte-Carlo and MVFB placers.
 * :mod:`repro.mapper` — end-to-end mappers: QSPR, QUALE, QPOS and the ideal baseline.
-* :mod:`repro.analysis` — latency metrics, error models and table formatting.
+* :mod:`repro.analysis` — latency metrics and table formatting.
 * :mod:`repro.viz` — ASCII renderings of fabrics and traces.
 * :mod:`repro.runner` — batch experiment runner: sweeps, caching, reports.
 * :mod:`repro.pipeline` — the four-stage mapping pipeline and the plugin

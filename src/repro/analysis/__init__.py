@@ -1,28 +1,18 @@
-"""Analysis utilities: latency metrics, error models and table formatting.
+"""Analysis utilities: latency metrics and table formatting.
 
 * :mod:`repro.analysis.metrics` — latency breakdowns and schedule statistics
   derived from a :class:`~repro.mapper.result.MappingResult`.
-* :mod:`repro.analysis.error_model` — the decoherence-driven error model that
-  motivates latency minimisation (Section I of the paper).
-* :mod:`repro.analysis.threshold` — the post-mapping error-threshold check
-  that closes the synthesiser/mapper loop described in the paper's Section I.
 * :mod:`repro.analysis.tables` — plain-text table rendering used by the
   benchmark harness to print Table 1 / Table 2 style reports.
 """
 
 from repro.analysis.metrics import LatencyBreakdown, latency_breakdown, schedule_parallelism
-from repro.analysis.error_model import DecoherenceModel, circuit_success_probability
-from repro.analysis.threshold import ThresholdReport, check_error_threshold
 from repro.analysis.tables import TextTable, format_comparison_table
 
 __all__ = [
     "LatencyBreakdown",
     "latency_breakdown",
     "schedule_parallelism",
-    "DecoherenceModel",
-    "circuit_success_probability",
-    "ThresholdReport",
-    "check_error_threshold",
     "TextTable",
     "format_comparison_table",
 ]

@@ -80,11 +80,3 @@ def schedule_parallelism(records: dict[int, InstructionRecord]) -> float:
         return 0.0
     busy = sum(record.finish_time - record.issue_time for record in records.values())
     return busy / makespan
-
-
-def critical_instructions(
-    records: dict[int, InstructionRecord], *, top: int = 5
-) -> list[InstructionRecord]:
-    """The ``top`` instructions with the largest total delay (Eq. 1)."""
-    ranked = sorted(records.values(), key=lambda record: -record.total_delay)
-    return ranked[:top]

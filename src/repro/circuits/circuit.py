@@ -9,7 +9,7 @@ per-qubit ordering of instructions, exactly as the paper's QIDG does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from repro.circuits.gates import GateSpec, get_gate
 from repro.errors import CircuitError
@@ -263,28 +263,6 @@ class QuantumCircuit:
         """
         return self._resolve(name)
 
-    def has_qubit(self, name: str) -> bool:
-        """Whether a qubit named ``name`` is declared."""
-        return name in self._by_name
-
-    def instructions_on(self, qubit: Qubit | str) -> list[Instruction]:
-        """All instructions that act on ``qubit``, in program order."""
-        resolved = self._resolve(qubit)
-        return [instr for instr in self._instructions if resolved in instr.qubits]
-
-    def interaction_pairs(self) -> dict[frozenset[str], int]:
-        """Count of two-qubit interactions per unordered qubit pair.
-
-        Used by placement heuristics and analysis reports to characterise how
-        strongly qubits are coupled.
-        """
-        counts: dict[frozenset[str], int] = {}
-        for instr in self._instructions:
-            if instr.is_two_qubit:
-                key = frozenset(instr.qubit_names)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self._instructions)
 
@@ -331,26 +309,6 @@ class QuantumCircuit:
             )
         return inverse_circuit
 
-    def subcircuit(self, instruction_indices: Sequence[int], name: str | None = None) -> "QuantumCircuit":
-        """Return a new circuit containing only the selected instructions.
-
-        Qubit declarations are preserved in full so indices remain stable.
-        """
-        selected = sorted(set(instruction_indices))
-        sub = QuantumCircuit(name or f"{self.name}_sub")
-        for qubit in self._qubits:
-            sub.add_qubit(qubit.name, qubit.initial_value)
-        for index in selected:
-            if not 0 <= index < len(self._instructions):
-                raise CircuitError(f"instruction index {index} out of range")
-            instruction = self._instructions[index]
-            sub.append(
-                instruction.gate.name,
-                *[q.name for q in instruction.qubits],
-                label=instruction.label,
-            )
-        return sub
-
     # ------------------------------------------------------------------
     # QASM interoperability
     # ------------------------------------------------------------------
@@ -374,29 +332,4 @@ class QuantumCircuit:
                 circuit.measure(statement.qubit)
             else:  # pragma: no cover - exhaustive over the AST
                 raise CircuitError(f"unsupported statement: {statement!r}")
-        return circuit
-
-    def to_qasm(self) -> str:
-        """Serialise the circuit to QASM text (see :mod:`repro.qasm.writer`)."""
-        from repro.qasm.writer import write_qasm
-
-        return write_qasm(self)
-
-    @classmethod
-    def from_interactions(
-        cls,
-        num_qubits: int,
-        interactions: Iterable[tuple[int, int]],
-        *,
-        gate: str = "C-X",
-        name: str = "interaction_circuit",
-    ) -> "QuantumCircuit":
-        """Build a circuit from a list of (control, target) index pairs.
-
-        Convenience constructor used by tests and synthetic workloads.
-        """
-        circuit = cls(name)
-        qubits = circuit.add_qubits(num_qubits)
-        for control, target in interactions:
-            circuit.append(gate, qubits[control], qubits[target])
         return circuit

@@ -33,11 +33,6 @@ class GateSpec:
     is_measurement: bool = False
     description: str = ""
 
-    @property
-    def is_self_inverse(self) -> bool:
-        """Whether applying the gate twice is the identity."""
-        return self.inverse_name == self.name
-
 
 def _spec(
     name: str,
@@ -106,8 +101,3 @@ def get_gate(name: str) -> GateSpec:
     if spec is None:
         raise CircuitError(f"unknown gate mnemonic: {name!r}")
     return spec
-
-
-def inverse_gate(name: str) -> GateSpec:
-    """Return the :class:`GateSpec` of the inverse of gate ``name``."""
-    return get_gate(get_gate(name).inverse_name)

@@ -230,11 +230,6 @@ def qecc_encoder(name: str) -> QuantumCircuit:
     )
 
 
-def all_benchmark_circuits() -> dict[str, QuantumCircuit]:
-    """Return all six benchmark circuits keyed by code name, in paper order."""
-    return {name: qecc_encoder(name) for name in BENCHMARK_NAMES}
-
-
 #: Block length of the quantum quadratic-residue code ``[[n, 1, d]]`` for the
 #: distances where one exists.  These are the natural extrapolation of the
 #: paper's ``[[23,1,7]]`` (the QR code of length 23): the scaled benchmark

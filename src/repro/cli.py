@@ -69,12 +69,10 @@ import repro
 from repro.analysis.metrics import latency_breakdown
 from repro.errors import ReproError
 from repro.mapper.options import MapperOptions
-from repro.pipeline import MAPPERS, PLACERS, REGISTRIES, resolve_fabric
+from repro.pipeline import MAPPERS, PLACERS, REGISTRIES, SCHEDULERS, TECHNOLOGIES, resolve_fabric
 from repro.pipeline.circuits import is_regular_file
 from repro.runner import (
     MEETING_POINTS,
-    SCHEDULER_NAMES,
-    TECHNOLOGY_NAMES,
     ExperimentSpec,
     FabricCell,
     ResultCache,
@@ -99,13 +97,13 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "--technology",
         default="paper",
         help="registered technology (PMD) name, e.g. "
-        f"{', '.join(TECHNOLOGY_NAMES)} (default: paper)",
+        f"{', '.join(TECHNOLOGIES.names())} (default: paper)",
     )
     parser.add_argument(
         "--scheduler",
         default="qspr",
         help="registered scheduling policy, e.g. "
-        f"{', '.join(SCHEDULER_NAMES)} (default: qspr)",
+        f"{', '.join(SCHEDULERS.names())} (default: qspr)",
     )
     parser.add_argument(
         "--no-turn-aware",
@@ -234,13 +232,13 @@ def _add_sweep_axis_arguments(
         "--technologies",
         default="paper",
         help="comma-separated registered technologies (PMDs), e.g. "
-        f"{', '.join(TECHNOLOGY_NAMES)} (default: paper)",
+        f"{', '.join(TECHNOLOGIES.names())} (default: paper)",
     )
     parser.add_argument(
         "--schedulers",
         default="qspr",
         help="comma-separated registered scheduling policies, e.g. "
-        f"{', '.join(SCHEDULER_NAMES)} (default: qspr)",
+        f"{', '.join(SCHEDULERS.names())} (default: qspr)",
     )
     parser.add_argument(
         "--turn-aware",

@@ -4,7 +4,7 @@ The fabric (the paper's "quantum circuit fabric", Figure 4) is modelled as a
 lattice of *junctions* connected by *channels*; *traps* — the sites where
 gate operations are performed — are attached to channels at integer offsets.
 A cell-grid rendering (``J``/``C``/``T`` characters) is generated from the
-lattice for visualisation and interchange.
+lattice for visualisation.
 
 * :mod:`repro.fabric.geometry` — directions, orientations and coordinates.
 * :mod:`repro.fabric.components` — :class:`Junction`, :class:`Channel`, :class:`Trap`.
@@ -13,20 +13,17 @@ lattice for visualisation and interchange.
   :func:`quale_fabric` (the 45×85-cell instance used by all experiments) and
   :func:`small_fabric` (a compact instance for tests and examples).
 * :mod:`repro.fabric.grid` — cell-grid rendering (Figure 4 style).
-* :mod:`repro.fabric.io` — JSON round-trip of fabric specifications.
 """
 
-from repro.fabric.geometry import Direction, Orientation, manhattan_distance, midpoint
+from repro.fabric.geometry import Direction, Orientation, midpoint
 from repro.fabric.components import Channel, Junction, Trap
 from repro.fabric.fabric import Fabric
 from repro.fabric.builder import FabricBuilder, FabricSpec, quale_fabric, small_fabric, linear_fabric
 from repro.fabric.grid import render_cell_grid, CellType
-from repro.fabric.io import fabric_spec_to_json, fabric_spec_from_json, save_fabric_spec, load_fabric_spec
 
 __all__ = [
     "Direction",
     "Orientation",
-    "manhattan_distance",
     "midpoint",
     "Junction",
     "Channel",
@@ -39,8 +36,4 @@ __all__ = [
     "linear_fabric",
     "CellType",
     "render_cell_grid",
-    "fabric_spec_to_json",
-    "fabric_spec_from_json",
-    "save_fabric_spec",
-    "load_fabric_spec",
 ]

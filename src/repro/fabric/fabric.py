@@ -2,19 +2,18 @@
 
 A fabric is an immutable description of the ion-trap layout: junctions on a
 lattice, channels between adjacent junctions and traps attached to channels.
-It offers the spatial queries the placers and the router need: nearest traps
-to a point, trap-to-trap Manhattan distances and the fabric center used by
-center placement.
+It offers the spatial queries the placers and the router need: traps ranked
+by distance to a point and the fabric center used by center placement.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import FabricError
 from repro.fabric.components import Channel, ChannelId, Junction, JunctionId, Trap, TrapId
-from repro.fabric.geometry import Coord, manhattan_distance
+from repro.fabric.geometry import Coord
 
 
 class Fabric:
@@ -45,10 +44,6 @@ class Fabric:
         self.cell_rows = cell_rows
         self.cell_cols = cell_cols
         self._validate()
-        self._adjacency: dict[JunctionId, list[ChannelId]] = {j: [] for j in self._junctions}
-        for channel in self._channels.values():
-            self._adjacency[channel.endpoint_a].append(channel.id)
-            self._adjacency[channel.endpoint_b].append(channel.id)
         # Memoised distance orderings: the fabric is immutable, so the sorted
         # trap list of a query point never changes.  The router asks for the
         # same few points (trap cells, operand medians, the center) for every
@@ -110,13 +105,6 @@ class Fabric:
         """Number of trap sites."""
         return len(self._traps)
 
-    def junction(self, junction_id: JunctionId) -> Junction:
-        """Look up a junction by lattice id."""
-        try:
-            return self._junctions[junction_id]
-        except KeyError as exc:
-            raise FabricError(f"unknown junction {junction_id}") from exc
-
     def channel(self, channel_id: ChannelId) -> Channel:
         """Look up a channel by id."""
         try:
@@ -130,10 +118,6 @@ class Fabric:
             return self._traps[trap_id]
         except KeyError as exc:
             raise FabricError(f"unknown trap {trap_id}") from exc
-
-    def channels_at(self, junction_id: JunctionId) -> list[Channel]:
-        """Channels incident to ``junction_id``."""
-        return [self._channels[c] for c in self._adjacency[self.junction(junction_id).id]]
 
     def traps_on(self, channel_id: ChannelId) -> list[Trap]:
         """Traps attached to ``channel_id``, ordered by offset."""
@@ -150,14 +134,6 @@ class Fabric:
     def center(self) -> tuple[float, float]:
         """Geometric center of the cell grid."""
         return ((self.cell_rows - 1) / 2.0, (self.cell_cols - 1) / 2.0)
-
-    def trap_distance(self, a: TrapId, b: TrapId) -> int:
-        """Manhattan distance between two trap cells.
-
-        This is a geometric estimate (ignores the channel topology); the
-        router computes true move/turn counts.
-        """
-        return manhattan_distance(self.trap(a).cell, self.trap(b).cell)
 
     #: Cached distance orderings kept per fabric (each entry holds one
     #: reference per trap, so the bound keeps memory modest even for sweeps
@@ -205,23 +181,6 @@ class Fabric:
         qubits.
         """
         return self.traps_by_distance(self.center)
-
-    def nearest_trap(
-        self,
-        point: tuple[float, float],
-        *,
-        exclude: Iterable[TrapId] = (),
-    ) -> Trap:
-        """The trap closest to ``point`` that is not in ``exclude``.
-
-        Raises:
-            FabricError: If every trap is excluded.
-        """
-        excluded = set(exclude)
-        for trap in self.traps_by_distance(point):
-            if trap.id not in excluded:
-                return trap
-        raise FabricError("no free trap available on the fabric")
 
     # ------------------------------------------------------------------
     # Dunder helpers

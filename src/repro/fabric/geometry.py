@@ -18,13 +18,6 @@ class Orientation(Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
 
-    @property
-    def perpendicular(self) -> "Orientation":
-        """The other orientation."""
-        if self is Orientation.HORIZONTAL:
-            return Orientation.VERTICAL
-        return Orientation.HORIZONTAL
-
 
 class Direction(Enum):
     """Cardinal movement directions on the cell grid."""
@@ -55,11 +48,6 @@ class Direction(Enum):
             Direction.EAST: Direction.WEST,
             Direction.WEST: Direction.EAST,
         }[self]
-
-
-def manhattan_distance(a: Coord, b: Coord) -> int:
-    """Manhattan (L1) distance between two cell coordinates."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
 def midpoint(a: Coord, b: Coord) -> tuple[float, float]:

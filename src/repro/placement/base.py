@@ -28,26 +28,6 @@ class Placement:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def trap_of(self, qubit: str) -> TrapId:
-        """Trap holding ``qubit``.
-
-        Raises:
-            PlacementError: If the qubit is not placed.
-        """
-        try:
-            return self._assignment[qubit]
-        except KeyError as exc:
-            raise PlacementError(f"qubit {qubit!r} is not placed") from exc
-
-    def qubits_at(self, trap_id: TrapId) -> list[str]:
-        """The qubits placed in ``trap_id`` (empty if the trap is free)."""
-        return [qubit for qubit, trap in self._assignment.items() if trap == trap_id]
-
-    def qubit_at(self, trap_id: TrapId) -> str | None:
-        """The first qubit placed in ``trap_id``, or ``None`` if it is free."""
-        residents = self.qubits_at(trap_id)
-        return residents[0] if residents else None
-
     def trap_sharing(self) -> dict[TrapId, int]:
         """Number of qubits per occupied trap."""
         counts: dict[TrapId, int] = {}

@@ -89,15 +89,3 @@ def tokenize_line(line: str, line_number: int = 0) -> list[Token]:
             )
         pos = match.end()
     return tokens
-
-
-def tokenize(source: str) -> list[list[Token]]:
-    """Tokenize a full QASM source string into per-line token lists.
-
-    Blank and comment-only lines produce empty lists so that callers can keep
-    the correspondence with source line numbers.
-    """
-    return [
-        tokenize_line(line, line_number)
-        for line_number, line in enumerate(source.splitlines(), start=1)
-    ]

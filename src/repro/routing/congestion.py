@@ -16,8 +16,8 @@ stamp drawn from a process-wide counter.  The compiled routing graph tags
 its in-row edge weights with the epoch (and tracker) they were synced
 against, so a query under unchanged congestion skips the resync with one
 integer comparison.  Because the counter is process-wide and also advanced
-when a tracker is created or reset, two *different* trackers can never carry
-the same epoch.
+when a tracker is created, two *different* trackers can never carry the same
+epoch.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class CongestionTracker:
         self.levels = [0] * (len(self._slots) + 1)
         #: Occupied slots mapped to their channel ids, in occupation order.
         self.occupied: dict[int, ChannelId] = {}
-        self._peak = [0] * len(self._slots)
-        self._total_reservations = 0
         self._epoch = next(CongestionTracker._epoch_source)
 
     # ------------------------------------------------------------------
@@ -71,21 +69,6 @@ class CongestionTracker:
     def is_full(self, channel_id: ChannelId) -> bool:
         """Whether ``channel_id`` has no residual capacity."""
         return self.levels[self._slots.get(channel_id, -1)] >= self.channel_capacity
-
-    def residual_capacity(self, channel_id: ChannelId) -> int:
-        """Free slots left in ``channel_id``."""
-        return max(0, self.channel_capacity - self.levels[self._slots.get(channel_id, -1)])
-
-    @property
-    def total_reservations(self) -> int:
-        """Number of channel reservations made over the run (a traffic metric)."""
-        return self._total_reservations
-
-    @property
-    def busiest_channels(self) -> list[tuple[ChannelId, int]]:
-        """Channels sorted by peak occupancy (descending)."""
-        peaks = [(channel, peak) for channel, peak in zip(self._slots, self._peak) if peak]
-        return sorted(peaks, key=lambda item: (-item[1], item[0]))
 
     def snapshot(self) -> dict[ChannelId, int]:
         """A copy of the current occupancy map (non-zero entries only)."""
@@ -111,8 +94,6 @@ class CongestionTracker:
         self.levels[slot] = level
         if level == 1:
             self.occupied[slot] = channel_id
-        self._peak[slot] = max(self._peak[slot], level)
-        self._total_reservations += 1
         self._epoch = next(CongestionTracker._epoch_source)
 
     def release(self, channel_id: ChannelId) -> bool:
@@ -154,12 +135,3 @@ class CongestionTracker:
             for channel_id in reversed(reserved):
                 self.release(channel_id)
             raise
-
-    def reset(self) -> None:
-        """Clear all occupancy (used between independent mapping runs)."""
-        for slot in self.occupied:
-            self.levels[slot] = 0
-        self.occupied.clear()
-        self._peak = [0] * len(self._peak)
-        self._total_reservations = 0
-        self._epoch = next(CongestionTracker._epoch_source)

@@ -39,11 +39,7 @@ from repro.runner.report import cell_table, latency_table, read_json, write_csv,
 from repro.runner.results import CellResult, scenario_suffix
 from repro.runner.spec import (
     CACHE_SCHEMA,
-    MAPPER_NAMES,
     MEETING_POINTS,
-    PLACER_NAMES,
-    SCHEDULER_NAMES,
-    TECHNOLOGY_NAMES,
     ExperimentSpec,
     FabricCell,
     Sweep,
@@ -55,11 +51,7 @@ from repro.runner.spec import (
 __all__ = [
     "CACHE_SCHEMA",
     "CacheInfo",
-    "MAPPER_NAMES",
     "MEETING_POINTS",
-    "PLACER_NAMES",
-    "SCHEDULER_NAMES",
-    "TECHNOLOGY_NAMES",
     "CellResult",
     "ExperimentSpec",
     "FabricCell",

@@ -88,11 +88,17 @@ class ResultCache:
             return None
         try:
             record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if record.get("key") != key:  # filename-prefix collision or stale schema
+        if not isinstance(record, dict) or record.get("key") != key:
+            return None  # not a record, a filename-prefix collision or a stale schema
+        fields = record.get("result")
+        if not isinstance(fields, dict):
             return None
-        result = CellResult.from_dict(record.get("result", {}))
+        try:
+            result = CellResult.from_dict(fields)
+        except TypeError:  # required fields missing
+            return None
         result.from_cache = True
         return result
 

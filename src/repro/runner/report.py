@@ -43,7 +43,8 @@ def read_json(path: str | Path) -> list[CellResult]:
     """Load results written by :func:`write_json`.
 
     Raises:
-        ReproError: If the file is not valid JSON or not a list of records.
+        ReproError: If the file cannot be read, is not UTF-8 JSON or is not
+            a list of records.
 
     Example::
 
@@ -56,8 +57,8 @@ def read_json(path: str | Path) -> list[CellResult]:
     path = Path(path)
     try:
         records = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"results file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ReproError(f"cannot read results file {path}: {exc}") from exc
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ReproError(f"results file {path} must hold a JSON list of cell records")
     try:

@@ -37,20 +37,6 @@ from repro.routing.router import MeetingPoint
 from repro.runner.results import scenario_suffix
 
 
-#: Built-in mapper names at import time.  Validation goes through the live
-#: :data:`repro.pipeline.MAPPERS` registry, so mappers registered *after*
-#: import are accepted too; this snapshot only feeds help strings.
-MAPPER_NAMES: tuple[str, ...] = MAPPERS.names()
-
-#: Built-in placer names at import time (see :data:`repro.pipeline.PLACERS`).
-PLACER_NAMES: tuple[str, ...] = PLACERS.names()
-
-#: Built-in scheduler names at import time (see :data:`repro.pipeline.SCHEDULERS`).
-SCHEDULER_NAMES: tuple[str, ...] = SCHEDULERS.names()
-
-#: Built-in technology names at import time (see :data:`repro.pipeline.TECHNOLOGIES`).
-TECHNOLOGY_NAMES: tuple[str, ...] = TECHNOLOGIES.names()
-
 #: Legal ``meeting_point`` axis values (the :class:`MeetingPoint` enum values).
 MEETING_POINTS: tuple[str, ...] = tuple(point.value for point in MeetingPoint)
 

@@ -3,8 +3,9 @@
 When the router cannot find a finite-weight path for a ready instruction
 (all candidate channels are at capacity), the instruction is parked here and
 retried whenever the status of some channel changes (a qubit-exits-channel
-event).  The time an instruction spends in this queue is the paper's
-``T_congestion`` contribution to its delay (Eq. 1).
+event).  The queue keeps no times: an instruction's wait, the paper's
+``T_congestion`` contribution to its delay (Eq. 1), is its issue time less
+the ready time on its :class:`~repro.sim.engine.InstructionRecord`.
 
 Retries are driven by **wake-sets keyed by tagged resources**: a parked
 instruction records the resources that blocked its last routing attempt
@@ -38,10 +39,10 @@ from repro.errors import SchedulingError
 
 
 class BusyQueue:
-    """Set of parked instructions with the time they were first parked."""
+    """Set of parked instructions and the resources that blocked each."""
 
     def __init__(self) -> None:
-        self._parked: dict[int, float] = {}
+        self._parked: set[int] = set()
         self._total_entries = 0
         # Wake-set bookkeeping: a parked instruction appears in `_blockers`
         # exactly while its last routing failure is known to still stand;
@@ -52,24 +53,23 @@ class BusyQueue:
         self._blockers: dict[int, frozenset[Hashable]] = {}
         self._wake: dict[Hashable, set[int]] = {}
 
-    def park(self, index: int, time: float) -> None:
-        """Add ``index`` to the queue at ``time`` (idempotent for re-parks)."""
+    def park(self, index: int) -> None:
+        """Add ``index`` to the queue (idempotent for re-parks)."""
         if index not in self._parked:
-            self._parked[index] = time
+            self._parked.add(index)
             self._total_entries += 1
 
-    def remove(self, index: int) -> float:
-        """Remove ``index`` and return the time it was parked.
+    def remove(self, index: int) -> None:
+        """Remove ``index`` from the queue.
 
         Raises:
             SchedulingError: If the instruction is not in the queue.
         """
         try:
-            parked_at = self._parked.pop(index)
+            self._parked.remove(index)
         except KeyError as exc:
             raise SchedulingError(f"instruction {index} is not in the busy queue") from exc
         self._blockers.pop(index, None)
-        return parked_at
 
     # ------------------------------------------------------------------
     # Wake-sets keyed by resource
@@ -119,21 +119,7 @@ class BusyQueue:
     def __len__(self) -> int:
         return len(self._parked)
 
-    def __bool__(self) -> bool:
-        return bool(self._parked)
-
-    @property
-    def instructions(self) -> list[int]:
-        """Parked instruction indices in park order."""
-        return list(self._parked)
-
     @property
     def total_entries(self) -> int:
         """How many times any instruction has been parked (a congestion metric)."""
         return self._total_entries
-
-    def parked_since(self, index: int) -> float:
-        """Time at which ``index`` was parked."""
-        if index not in self._parked:
-            raise SchedulingError(f"instruction {index} is not in the busy queue")
-        return self._parked[index]

@@ -31,10 +31,6 @@ class DependencyTracker:
         """Instructions with no dependencies, in program order."""
         return [node for node, remaining in enumerate(self._remaining) if remaining == 0]
 
-    def is_ready(self, index: int) -> bool:
-        """Whether all predecessors of ``index`` have completed."""
-        return self._remaining[index] == 0 and index not in self._issued
-
     @property
     def all_completed(self) -> bool:
         """Whether every instruction has completed."""

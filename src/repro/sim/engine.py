@@ -110,11 +110,6 @@ class InstructionRecord:
     moves: int = 0
     turns: int = 0
 
-    @property
-    def total_delay(self) -> float:
-        """Instruction delay per Eq. 1: gate + routing + congestion."""
-        return self.gate_delay + self.routing_delay + self.congestion_delay
-
 
 @dataclass
 class SimulationOutcome:
@@ -571,7 +566,7 @@ class _RunState:
                 if route is None:
                     if index in self.ready:
                         self.ready.discard(index)
-                        self.busy.park(index, now)
+                        self.busy.park(index)
                     if blockers is not None:
                         self.busy.block_on(index, blockers)
                     if self.selector.stop_on_blocked_head:

@@ -132,10 +132,6 @@ class EventQueue:
             applied += 1
         return time, applied, woke
 
-    def peek_time(self) -> float | None:
-        """Time of the next event, or ``None`` when the queue is empty."""
-        return self._heap[0][0] if self._heap else None
-
     @property
     def peak_size(self) -> int:
         """Largest number of events that were ever pending at once."""

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
-from repro.sim.microcode import CommandKind, MicroCommand
+from repro.sim.microcode import MicroCommand
 
 
 class ControlTrace:
@@ -33,7 +32,7 @@ class ControlTrace:
         """All commands sorted by start time (ties by insertion order).
 
         The sorted view is cached between mutations: reporting code walks it
-        repeatedly (per-qubit and per-instruction projections), and Python's
+        repeatedly (the Gantt chart projects it once per qubit), and Python's
         sort is near-linear on the already-sorted cached input anyway.
         """
         if self._sorted is None:
@@ -51,26 +50,9 @@ class ControlTrace:
         """Completion time of the last command (0 for an empty trace)."""
         return max((command.end for command in self._commands), default=0.0)
 
-    def count_by_kind(self) -> dict[CommandKind, int]:
-        """Number of commands of each kind."""
-        counts = Counter(command.kind for command in self._commands)
-        return {kind: counts.get(kind, 0) for kind in CommandKind}
-
     def commands_for_qubit(self, qubit: str) -> list[MicroCommand]:
         """All commands involving ``qubit``, in time order."""
         return [command for command in self.commands if qubit in command.qubits]
-
-    def commands_for_instruction(self, instruction_index: int) -> list[MicroCommand]:
-        """All commands belonging to one circuit instruction, in time order."""
-        return [
-            command
-            for command in self.commands
-            if command.instruction_index == instruction_index
-        ]
-
-    def busy_time(self, kind: CommandKind) -> float:
-        """Total duration of all commands of ``kind`` (summed over qubits)."""
-        return sum(command.duration for command in self._commands if command.kind is kind)
 
     # ------------------------------------------------------------------
     # Rendering

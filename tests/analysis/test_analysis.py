@@ -1,11 +1,9 @@
-"""Tests for the analysis utilities (metrics, error model, tables)."""
+"""Tests for the analysis utilities (metrics and tables)."""
 
 import pytest
 
-from repro.analysis.error_model import DecoherenceModel, circuit_success_probability
-from repro.analysis.metrics import critical_instructions, latency_breakdown, schedule_parallelism
+from repro.analysis.metrics import latency_breakdown, schedule_parallelism
 from repro.analysis.tables import TextTable, format_comparison_table
-from repro.errors import ReproError
 from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 
@@ -36,34 +34,6 @@ class TestLatencyBreakdown:
     def test_parallelism_at_least_one_when_busy(self, mapped_result):
         value = schedule_parallelism(mapped_result.records)
         assert value > 0
-
-    def test_critical_instructions_ranked(self, mapped_result):
-        top = critical_instructions(mapped_result.records, top=3)
-        assert len(top) == 3
-        delays = [record.total_delay for record in top]
-        assert delays == sorted(delays, reverse=True)
-
-
-class TestDecoherenceModel:
-    def test_success_probability_in_unit_interval(self, mapped_result):
-        probability = circuit_success_probability(mapped_result)
-        assert 0.0 < probability <= 1.0
-
-    def test_lower_latency_gives_higher_fidelity(self, mapped_result):
-        model = DecoherenceModel(t2_us=10_000.0)
-        fast = model.idle_fidelity(100.0, 5)
-        slow = model.idle_fidelity(1000.0, 5)
-        assert fast > slow
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ReproError):
-            DecoherenceModel(t2_us=0)
-        with pytest.raises(ReproError):
-            DecoherenceModel(two_qubit_gate_error=1.5)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ReproError):
-            DecoherenceModel().idle_fidelity(-1.0, 1)
 
 
 class TestTables:

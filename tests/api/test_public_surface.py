@@ -1,12 +1,16 @@
 """Public-API surface guarantees.
 
-Run in CI as its own step: every name promised by ``repro.__all__`` must be
-importable, and every plugin registered in the six registries of
+Run in CI as its own step: every name promised by the ``__all__`` of
+``repro`` or any of its modules must be importable, and every plugin
+registered in the six registries of
 ``repro.pipeline.REGISTRIES`` must round-trip through the ``qspr-map list``
 subcommand.
 """
 
 from __future__ import annotations
+
+import importlib
+import pkgutil
 
 import pytest
 
@@ -17,8 +21,18 @@ from repro.pipeline import REGISTRIES
 
 class TestPublicSurface:
     def test_all_entries_are_importable(self):
-        missing = [name for name in repro.__all__ if not hasattr(repro, name)]
-        assert missing == [], f"repro.__all__ names without attribute: {missing}"
+        # Every module, so that a deletion leaving a dangling export fails.
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert missing == [], f"__all__ names without attribute: {missing}"
 
     def test_all_has_no_duplicates(self):
         assert len(repro.__all__) == len(set(repro.__all__))

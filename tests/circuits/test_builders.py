@@ -48,7 +48,7 @@ class TestQftLike:
 
     def test_all_pairs_interact(self):
         circuit = qft_like_circuit(4)
-        pairs = set(circuit.interaction_pairs())
+        pairs = {frozenset(i.qubit_names) for i in circuit if i.is_two_qubit}
         assert len(pairs) == 6
 
     def test_too_small(self):

@@ -10,7 +10,6 @@ import pytest
 from repro.circuits.qecc import (
     BENCHMARK_NAMES,
     QECC_BENCHMARKS,
-    all_benchmark_circuits,
     calibrated_encoder,
     five_one_three_paper_circuit,
     qecc_encoder,
@@ -69,10 +68,6 @@ class TestCalibration:
         bench = QECC_BENCHMARKS[name]
         hadamards = [i for i in circuit.instructions if i.gate.name == "H"]
         assert len(hadamards) == bench.num_ancillas
-
-    def test_all_benchmark_circuits(self):
-        circuits = all_benchmark_circuits()
-        assert list(circuits) == list(BENCHMARK_NAMES)
 
     def test_unknown_benchmark(self):
         with pytest.raises(CircuitError):

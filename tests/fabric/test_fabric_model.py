@@ -100,17 +100,9 @@ class TestChannelGeometry:
 class TestFabricQueries:
     def test_lookup_errors(self, tiny_fabric):
         with pytest.raises(FabricError):
-            tiny_fabric.junction((99, 99))
-        with pytest.raises(FabricError):
             tiny_fabric.channel(("h", 9, 9))
         with pytest.raises(FabricError):
             tiny_fabric.trap(9999)
-
-    def test_channels_at_junction(self, small_fabric_4x4):
-        corner = small_fabric_4x4.channels_at((0, 0))
-        interior = small_fabric_4x4.channels_at((1, 1))
-        assert len(corner) == 2
-        assert len(interior) == 4
 
     def test_traps_on_channel_sorted(self, small_fabric_4x4):
         traps = small_fabric_4x4.traps_on(("h", 0, 0))
@@ -128,21 +120,6 @@ class TestFabricQueries:
             for t in ordered
         ]
         assert distances == sorted(distances)
-
-    def test_nearest_trap_excludes(self, small_fabric_4x4):
-        nearest = small_fabric_4x4.nearest_trap(small_fabric_4x4.center)
-        second = small_fabric_4x4.nearest_trap(small_fabric_4x4.center, exclude=[nearest.id])
-        assert second.id != nearest.id
-
-    def test_nearest_trap_all_excluded(self, tiny_fabric):
-        everything = list(tiny_fabric.traps)
-        with pytest.raises(FabricError):
-            tiny_fabric.nearest_trap((0, 0), exclude=everything)
-
-    def test_trap_distance_symmetric(self, small_fabric_4x4):
-        traps = list(small_fabric_4x4.traps)
-        a, b = traps[0], traps[-1]
-        assert small_fabric_4x4.trap_distance(a, b) == small_fabric_4x4.trap_distance(b, a)
 
     def test_validation_rejects_dangling_references(self):
         fabric = small_fabric()

@@ -6,16 +6,9 @@ from repro.fabric.geometry import (
     Direction,
     Orientation,
     distance_to_point,
-    manhattan_distance,
     median_point,
     midpoint,
 )
-
-
-class TestOrientation:
-    def test_perpendicular(self):
-        assert Orientation.HORIZONTAL.perpendicular is Orientation.VERTICAL
-        assert Orientation.VERTICAL.perpendicular is Orientation.HORIZONTAL
 
 
 class TestDirection:
@@ -33,10 +26,6 @@ class TestDirection:
 
 
 class TestDistances:
-    def test_manhattan(self):
-        assert manhattan_distance((0, 0), (3, 4)) == 7
-        assert manhattan_distance((2, 2), (2, 2)) == 0
-
     def test_midpoint(self):
         assert midpoint((0, 0), (4, 6)) == (2.0, 3.0)
 

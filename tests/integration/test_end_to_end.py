@@ -108,7 +108,7 @@ class TestTraceConsistency:
     def test_moves_consistent_with_records(self, fabric):
         circuit = qecc_encoder("[[5,1,3]]")
         result = QsprMapper(MapperOptions(placer="center")).map(circuit, fabric)
-        move_time = result.trace.busy_time(CommandKind.MOVE)
+        move_time = sum(c.duration for c in result.trace if c.kind is CommandKind.MOVE)
         assert move_time == pytest.approx(result.total_moves * 1.0)
-        turn_time = result.trace.busy_time(CommandKind.TURN)
+        turn_time = sum(c.duration for c in result.trace if c.kind is CommandKind.TURN)
         assert turn_time == pytest.approx(result.total_turns * 10.0)

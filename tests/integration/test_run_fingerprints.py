@@ -11,7 +11,11 @@ enter through ``repr``, so the match is bit for bit.
 
 The jobs: QSPR + MVFB at m=25 on ``[[5,1,3]]``, ``[[7,1,3]]`` and
 ``[[9,1,3]]`` on the paper's fabric with ``ExperimentSpec``'s default random
-seed, and the QUALE and QPOS presets on the six encoders.
+seed, the QUALE and QPOS presets on the six encoders, and one center-placed
+run each of ``qecc-scaled`` at distances 9 and 13 on capacity-1 channels,
+where many plans fail and instructions wait in the busy queue.  A warm-fabric
+test maps every job again on one shared fabric, whose route table then holds
+earlier jobs' plans, and requires the same digests.
 
 Regenerate after an *intentional* change of what a run computes with::
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 from pathlib import Path
 
 from repro.circuits.qecc import BENCHMARK_NAMES
@@ -41,6 +46,10 @@ JOBS: dict[str, ExperimentSpec] = {
         f"{mapper} {name}": ExperimentSpec(name, mapper=mapper)
         for mapper in ("quale", "qpos")
         for name in BENCHMARK_NAMES
+    },
+    **{
+        f"center cap-1 {name}": ExperimentSpec(name, placer="center", technology="cap-1")
+        for name in ("qecc-scaled:dist=9", "qecc-scaled:dist=13")
     },
 }
 
@@ -66,8 +75,11 @@ def run_digest(outcome) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 
-def job_fingerprint(spec: ExperimentSpec, monkeypatch) -> list[str]:
-    """The digests of every simulation run of ``spec``, in run order."""
+def job_fingerprint(spec: ExperimentSpec, monkeypatch, fabric=None) -> list[str]:
+    """The digests of every simulation run of ``spec``, in run order.
+
+    ``fabric`` maps onto a pre-built fabric instead of a fresh one.
+    """
     digests: list[str] = []
     original_run = FabricSimulator.run
 
@@ -78,7 +90,7 @@ def job_fingerprint(spec: ExperimentSpec, monkeypatch) -> list[str]:
 
     with monkeypatch.context() as patch:
         patch.setattr(FabricSimulator, "run", digesting_run)
-        map_spec(spec)
+        map_spec(spec, fabric=fabric)
     return digests
 
 
@@ -101,6 +113,19 @@ def test_every_run_matches_its_fingerprint(monkeypatch):
             f"{job}: {len(runs)} runs against {len(expected)} pinned; "
             f"first difference at run {first_difference}"
         )
+
+
+def test_a_warm_fabric_maps_every_run_alike(monkeypatch):
+    # One fabric's route table serves every job on it, as in a service
+    # worker.  A hit must give the plan a fresh search would, so every run
+    # matches its fresh-fabric digest; only the work counters may differ.
+    [cell] = {spec.fabric for spec in JOBS.values()}
+    fabric = cell.build()
+    committed = json.loads(FINGERPRINTS.read_text())
+    order = sorted(JOBS)
+    random.Random(2012).shuffle(order)
+    for job in order:
+        assert job_fingerprint(JOBS[job], monkeypatch, fabric) == committed[job], job
 
 
 def test_a_changed_record_changes_the_digest(monkeypatch):

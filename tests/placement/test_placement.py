@@ -14,20 +14,10 @@ from repro.technology import PAPER_TECHNOLOGY
 
 
 class TestPlacement:
-    def test_lookup(self):
-        placement = Placement({"a": 1, "b": 2})
-        assert placement.trap_of("a") == 1
-        assert placement.qubit_at(2) == "b"
-        assert placement.qubit_at(99) is None
-
-    def test_missing_qubit(self):
-        with pytest.raises(PlacementError):
-            Placement({}).trap_of("a")
-
     def test_sharing(self):
         placement = Placement({"a": 1, "b": 1, "c": 2})
         assert placement.trap_sharing() == {1: 2, 2: 1}
-        assert sorted(placement.qubits_at(1)) == ["a", "b"]
+        assert sorted(qubit for qubit, trap in placement if trap == 1) == ["a", "b"]
 
     def test_equality_and_hash(self):
         assert Placement({"a": 1}) == Placement({"a": 1})
@@ -63,7 +53,7 @@ class TestCenterPlacement:
     def test_custom_order(self, bell_circuit, small_fabric_4x4):
         forward = center_placement(bell_circuit, small_fabric_4x4, qubit_order=["a", "b"])
         swapped = center_placement(bell_circuit, small_fabric_4x4, qubit_order=["b", "a"])
-        assert forward.trap_of("a") == swapped.trap_of("b")
+        assert forward.as_dict()["a"] == swapped.as_dict()["b"]
 
     def test_order_must_be_permutation(self, bell_circuit, small_fabric_4x4):
         with pytest.raises(PlacementError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import QasmError
-from repro.qasm.lexer import TokenKind, strip_comment, tokenize, tokenize_line
+from repro.qasm.lexer import TokenKind, strip_comment, tokenize_line
 
 
 class TestStripComment:
@@ -62,13 +62,3 @@ class TestTokenizeLine:
         with pytest.raises(QasmError, match="line 7"):
             tokenize_line("H @q0", 7)
 
-
-class TestTokenizeProgram:
-    def test_line_count_preserved(self):
-        source = "QUBIT q0\n\n# comment\nH q0\n"
-        per_line = tokenize(source)
-        assert len(per_line) == 4
-        assert per_line[1] == [] and per_line[2] == []
-
-    def test_empty_source(self):
-        assert tokenize("") == []

@@ -15,12 +15,10 @@ class TestReserveRelease:
     def test_initially_empty(self, tracker):
         assert tracker.occupancy(("h", 0, 0)) == 0
         assert not tracker.is_full(("h", 0, 0))
-        assert tracker.residual_capacity(("h", 0, 0)) == 2
 
     def test_reserve_increments(self, tracker):
         tracker.reserve(("h", 0, 0))
         assert tracker.occupancy(("h", 0, 0)) == 1
-        assert tracker.residual_capacity(("h", 0, 0)) == 1
 
     def test_full_at_capacity(self, tracker):
         tracker.reserve(("h", 0, 0))
@@ -55,7 +53,6 @@ class TestReserveRelease:
     def test_unknown_channel_queries(self, tracker):
         assert tracker.occupancy(("h", 99, 99)) == 0
         assert tracker.is_full(("h", 99, 99)) is False
-        assert tracker.residual_capacity(("h", 99, 99)) == 2
 
     def test_invalid_capacity(self, small_fabric_4x4):
         with pytest.raises(RoutingError):
@@ -88,28 +85,9 @@ class TestReserveAll:
 
 
 class TestStats:
-    def test_total_reservations(self, tracker):
-        tracker.reserve(("h", 0, 0))
-        tracker.release(("h", 0, 0))
-        tracker.reserve(("h", 0, 1))
-        assert tracker.total_reservations == 2
-
-    def test_busiest_channels(self, tracker):
-        tracker.reserve(("h", 0, 0))
-        tracker.reserve(("h", 0, 0))
-        tracker.reserve(("h", 1, 0))
-        busiest = tracker.busiest_channels
-        assert busiest[0] == (("h", 0, 0), 2)
-
     def test_snapshot_only_nonzero(self, tracker):
         tracker.reserve(("h", 0, 0))
         assert tracker.snapshot() == {("h", 0, 0): 1}
-
-    def test_reset(self, tracker):
-        tracker.reserve(("h", 0, 0))
-        tracker.reset()
-        assert tracker.occupancy(("h", 0, 0)) == 0
-        assert tracker.total_reservations == 0
 
 
 class TestEpoch:
@@ -118,8 +96,6 @@ class TestEpoch:
         tracker.reserve(("h", 0, 0))
         seen.append(tracker.epoch)
         tracker.release(("h", 0, 0))
-        seen.append(tracker.epoch)
-        tracker.reset()
         seen.append(tracker.epoch)
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from reference_oracle import OracleRouter, reads_match, snapshot_pairs
 from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.builder import FabricSpec, build_fabric
+from repro.fabric.geometry import distance_to_point
 from repro.mapper.qpos import qpos_options
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import (
@@ -441,7 +442,7 @@ class TestRouteCache:
         )
         far = max(
             small_fabric_4x4.traps,
-            key=lambda trap: small_fabric_4x4.trap_distance(trap, meeting.id),
+            key=lambda trap: distance_to_point(small_fabric_4x4.trap(trap).cell, meeting.cell),
         )
         # The source qubit travels to the meeting trap from afar; the
         # destination qubit only shifts along its own channel, under the

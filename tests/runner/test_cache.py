@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.runner import CellResult, ExperimentSpec, FabricCell, ResultCache
 
 TINY = FabricCell(junction_rows=4, junction_cols=4)
@@ -51,6 +53,26 @@ class TestResultCache:
         cache.store(spec, _result())
         (path,) = (tmp_path / "cache").glob("*.json")
         path.write_text("{not json")
+        assert cache.load(spec) is None
+
+    @pytest.mark.parametrize("content", [b"[]", b'"x"', b"1", b"null", b"\xff\xfe{"])
+    def test_a_file_that_is_not_a_record_is_a_miss(self, tmp_path, content):
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        cache.store(spec, _result())
+        (path,) = (tmp_path / "cache").glob("*.json")
+        path.write_bytes(content)
+        assert cache.load(spec) is None
+
+    @pytest.mark.parametrize("fields", [[], {"nope": 1}], ids=["list", "no-required-field"])
+    def test_a_malformed_result_is_a_miss(self, tmp_path, fields):
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        cache.store(spec, _result())
+        (path,) = (tmp_path / "cache").glob("*.json")
+        record = json.loads(path.read_text())
+        record["result"] = fields
+        path.write_text(json.dumps(record))
         assert cache.load(spec) is None
 
     def test_key_mismatch_is_a_miss(self, tmp_path):

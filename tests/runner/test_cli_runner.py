@@ -82,6 +82,16 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "absent.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_an_unreadable_results_file_exits_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "sweep-out"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe[")
+        assert main(["report", str(path)]) == 1
+        assert "results file" in capsys.readouterr().err
+
 
 class TestCacheCommand:
     def test_info_and_prune_roundtrip(self, tmp_path, capsys):

@@ -61,7 +61,7 @@ class TestDependencyTracker:
         tracker.mark_issued(0)
         newly = tracker.mark_completed(0)
         assert newly == [1]
-        assert tracker.is_ready(1)
+        tracker.mark_issued(1)  # raises unless 1 is ready
 
     def test_cannot_issue_before_dependencies(self, bell_circuit):
         qidg = build_qidg(bell_circuit)
@@ -106,24 +106,22 @@ class TestDependencyTracker:
 class TestBusyQueue:
     def test_park_and_remove(self):
         queue = BusyQueue()
-        queue.park(3, 12.0)
+        queue.park(3)
         assert 3 in queue
-        assert queue.parked_since(3) == 12.0
-        assert queue.remove(3) == 12.0
+        queue.remove(3)
         assert 3 not in queue
 
     def test_park_is_idempotent(self):
         queue = BusyQueue()
-        queue.park(3, 12.0)
-        queue.park(3, 99.0)
-        assert queue.parked_since(3) == 12.0
+        queue.park(3)
+        queue.park(3)
         assert len(queue) == 1
 
     def test_total_entries_counts_distinct_parks(self):
         queue = BusyQueue()
-        queue.park(1, 0.0)
+        queue.park(1)
         queue.remove(1)
-        queue.park(1, 5.0)
+        queue.park(1)
         assert queue.total_entries == 2
 
     def test_remove_missing(self):
@@ -131,9 +129,8 @@ class TestBusyQueue:
         with pytest.raises(SchedulingError):
             queue.remove(7)
 
-    def test_instructions_order(self):
+    def test_truthiness(self):
         queue = BusyQueue()
-        queue.park(5, 0.0)
-        queue.park(2, 1.0)
-        assert queue.instructions == [5, 2]
-        assert bool(queue)
+        assert not queue
+        queue.park(5)
+        assert queue

@@ -1,5 +1,7 @@
 """Tests for simulation events, micro-commands and the control trace."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import SimulationError
@@ -25,13 +27,6 @@ class TestEventQueue:
         _, second = queue.pop()
         assert isinstance(first, InstructionCompleted)
         assert isinstance(second, ChannelReleased)
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(3.0, InstructionCompleted(0, 0))
-        assert queue.peek_time() == 3.0
-        assert len(queue) == 1
 
     def test_batch_applies_every_event_at_the_earliest_time(self):
         queue = EventQueue()
@@ -107,12 +102,6 @@ class TestControlTrace:
         assert trace.makespan == 105.0
         assert ControlTrace().makespan == 0.0
 
-    def test_count_by_kind(self):
-        trace = ControlTrace([_command(CommandKind.MOVE, 0, 1), _command(CommandKind.MOVE, 1, 1)])
-        counts = trace.count_by_kind()
-        assert counts[CommandKind.MOVE] == 2
-        assert counts[CommandKind.GATE] == 0
-
     def test_filters(self):
         trace = ControlTrace(
             [
@@ -122,11 +111,6 @@ class TestControlTrace:
             ]
         )
         assert len(trace.commands_for_qubit("a")) == 2
-        assert len(trace.commands_for_instruction(4)) == 1
-
-    def test_busy_time(self):
-        trace = ControlTrace([_command(CommandKind.TURN, 0, 10), _command(CommandKind.TURN, 5, 10)])
-        assert trace.busy_time(CommandKind.TURN) == 20.0
 
     def test_to_text_limit(self):
         trace = ControlTrace([_command(CommandKind.MOVE, i, 1) for i in range(10)])
@@ -139,6 +123,6 @@ class TestControlTrace:
         )
         reversed_trace = trace.reversed_trace()
         assert reversed_trace.makespan == trace.makespan
-        assert reversed_trace.count_by_kind() == trace.count_by_kind()
+        assert Counter(c.kind for c in reversed_trace) == Counter(c.kind for c in trace)
         # The gate that ended last now starts first.
         assert reversed_trace.commands[0].kind is CommandKind.GATE

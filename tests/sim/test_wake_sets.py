@@ -29,7 +29,7 @@ class TestBusyQueueWakeSets:
 
     def test_blocked_instruction_needs_no_retry_until_woken(self):
         queue = BusyQueue()
-        queue.park(3, 1.0)
+        queue.park(3)
         assert queue.needs_retry(3)  # no blockers recorded yet
         queue.block_on(3, [7, 9])
         assert not queue.needs_retry(3)
@@ -38,8 +38,8 @@ class TestBusyQueueWakeSets:
 
     def test_wake_only_touches_matching_instructions(self):
         queue = BusyQueue()
-        queue.park(1, 0.0)
-        queue.park(2, 0.0)
+        queue.park(1)
+        queue.park(2)
         queue.block_on(1, [7])
         queue.block_on(2, [8])
         assert queue.wake(7) == [1]
@@ -48,14 +48,14 @@ class TestBusyQueueWakeSets:
 
     def test_wake_on_unknown_resource_is_a_noop(self):
         queue = BusyQueue()
-        queue.park(1, 0.0)
+        queue.park(1)
         queue.block_on(1, [7])
         assert queue.wake(42) == []
         assert not queue.needs_retry(1)
 
     def test_reblocking_replaces_the_wake_set(self):
         queue = BusyQueue()
-        queue.park(1, 0.0)
+        queue.park(1)
         queue.block_on(1, [7])
         queue.block_on(1, [8])  # re-blocked on a different channel
         assert queue.wake(7) == []  # the stale reverse entry must not wake it
@@ -64,14 +64,14 @@ class TestBusyQueueWakeSets:
 
     def test_remove_clears_blockers(self):
         queue = BusyQueue()
-        queue.park(1, 0.0)
+        queue.park(1)
         queue.block_on(1, [7])
         queue.remove(1)
         assert queue.wake(7) == []
 
     def test_one_wake_clears_the_whole_blocker_set(self):
         queue = BusyQueue()
-        queue.park(1, 0.0)
+        queue.park(1)
         queue.block_on(1, [7, 9])
         assert queue.wake(7) == [1]
         # The reverse entry under 9 is stale now; waking it reports nothing.
@@ -80,21 +80,20 @@ class TestBusyQueueWakeSets:
 
     def test_sentinel_is_an_ordinary_key(self):
         queue = BusyQueue()
-        queue.park(1, 0.0)
-        queue.park(2, 0.0)
+        queue.park(1)
+        queue.park(2)
         queue.block_on(1, [ANY_CONGESTION_CHANGE])
         queue.block_on(2, [channel_key(("h", 0, 0))])
         assert queue.wake(ANY_CONGESTION_CHANGE) == [1]
         assert not queue.needs_retry(2)
 
-    def test_repark_keeps_the_first_park_time(self):
+    def test_repark_is_counted_once(self):
         queue = BusyQueue()
-        queue.park(1, 2.0)
-        queue.park(1, 5.0)
-        assert queue.parked_since(1) == 2.0
+        queue.park(1)
+        queue.park(1)
         assert (len(queue), queue.total_entries) == (1, 1)
-        assert queue.remove(1) == 2.0
-        queue.park(1, 7.0)
+        queue.remove(1)
+        queue.park(1)
         assert queue.total_entries == 2
 
 
