@@ -1,5 +1,7 @@
 """Tests for fabric components, the builder and the Fabric container."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import FabricError
@@ -108,6 +110,25 @@ class TestFabricQueries:
         traps = small_fabric_4x4.traps_on(("h", 0, 0))
         assert len(traps) == 2
         assert traps[0].offset < traps[1].offset
+
+    def test_junction_degrees(self, small_fabric_4x4):
+        degree = Counter()
+        for channel in small_fabric_4x4.channels.values():
+            degree[channel.endpoint_a] += 1
+            degree[channel.endpoint_b] += 1
+        assert set(degree) == set(small_fabric_4x4.junctions)
+        # 4 corners, 8 edge junctions and 4 interior ones on a 4x4 lattice.
+        assert sorted(Counter(degree.values()).items()) == [(2, 4), (3, 8), (4, 4)]
+
+    def test_traps_by_distance_ranks_every_trap_once(self, small_fabric_4x4):
+        ranked = [trap.id for trap in small_fabric_4x4.traps_by_distance((0.0, 0.0))]
+        assert sorted(ranked) == sorted(small_fabric_4x4.traps)
+
+    def test_traps_by_distance_returns_a_fresh_list(self, small_fabric_4x4):
+        first = small_fabric_4x4.traps_by_distance((1.0, 2.0))
+        first.clear()
+        second = small_fabric_4x4.traps_by_distance((1.0, 2.0))
+        assert len(second) == small_fabric_4x4.num_traps
 
     def test_center(self):
         fabric = quale_fabric()

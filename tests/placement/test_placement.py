@@ -19,6 +19,17 @@ class TestPlacement:
         assert placement.trap_sharing() == {1: 2, 2: 1}
         assert sorted(qubit for qubit, trap in placement if trap == 1) == ["a", "b"]
 
+    def test_iteration_pairs_qubits_with_traps(self):
+        placement = Placement({"b": 4, "a": 1, "c": 4})
+        assert list(placement) == [("b", 4), ("a", 1), ("c", 4)]
+        assert (placement.qubits, placement.traps) == (["b", "a", "c"], [4, 1, 4])
+        assert len(placement) == 3
+
+    def test_as_dict_is_a_copy(self):
+        placement = Placement({"a": 1})
+        placement.as_dict()["a"] = 2
+        assert placement == Placement({"a": 1})
+
     def test_equality_and_hash(self):
         assert Placement({"a": 1}) == Placement({"a": 1})
         assert hash(Placement({"a": 1})) == hash(Placement({"a": 1}))

@@ -45,6 +45,13 @@ class TestTokenizeLine:
     def test_comment_line(self):
         assert tokenize_line("# just a comment") == []
 
+    def test_columns_recorded(self):
+        assert [t.column for t in tokenize_line("C-X q3,q2")] == [0, 4, 6, 7]
+
+    def test_trailing_comment_dropped(self):
+        tokens = tokenize_line("H q0 // apply hadamard", 2)
+        assert [t.text for t in tokens] == ["H", "q0"]
+
     def test_line_number_recorded(self):
         tokens = tokenize_line("H q0", 42)
         assert all(t.line == 42 for t in tokens)

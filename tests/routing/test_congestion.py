@@ -58,6 +58,24 @@ class TestReserveRelease:
         with pytest.raises(RoutingError):
             CongestionTracker(small_fabric_4x4, channel_capacity=0)
 
+    def test_a_refused_reserve_changes_nothing(self, tracker):
+        tracker.reserve(("h", 0, 0))
+        tracker.reserve(("h", 0, 0))
+        before = (tracker.epoch, tracker.snapshot())
+        with pytest.raises(RoutingError):
+            tracker.reserve(("h", 0, 0))
+        with pytest.raises(FabricError):
+            tracker.reserve(("h", 99, 99))
+        assert (tracker.epoch, tracker.snapshot()) == before
+
+    def test_capacity_one_release_always_opens_capacity(self, small_fabric_4x4):
+        tracker = CongestionTracker(small_fabric_4x4, channel_capacity=1)
+        tracker.reserve(("h", 0, 0))
+        assert tracker.is_full(("h", 0, 0))
+        assert tracker.release(("h", 0, 0)) is True
+        tracker.reserve(("h", 0, 0))  # the freed slot can be booked again
+        assert tracker.occupancy(("h", 0, 0)) == 1
+
 
 class TestReserveAll:
     def test_atomic_success(self, tracker):
@@ -83,11 +101,48 @@ class TestReserveAll:
         tracker.reserve_all([("h", 0, 0), ("h", 0, 0)])
         assert tracker.occupancy(("h", 0, 0)) == 2
 
+    def test_rollback_keeps_earlier_bookings(self, tracker):
+        tracker.reserve(("h", 0, 0))
+        tracker.reserve_all([("v", 0, 0), ("v", 0, 0)])
+        with pytest.raises(RoutingError):
+            tracker.reserve_all([("h", 0, 0), ("v", 0, 0)])
+        assert tracker.snapshot() == {("h", 0, 0): 1, ("v", 0, 0): 2}
+
 
 class TestStats:
     def test_snapshot_only_nonzero(self, tracker):
         tracker.reserve(("h", 0, 0))
         assert tracker.snapshot() == {("h", 0, 0): 1}
+
+    def test_snapshot_drops_released_channels(self, tracker):
+        tracker.reserve(("h", 0, 0))
+        tracker.reserve(("v", 0, 0))
+        tracker.release(("h", 0, 0))
+        assert tracker.snapshot() == {("v", 0, 0): 1}
+
+    def test_snapshot_is_a_copy(self, tracker):
+        tracker.reserve(("h", 0, 0))
+        tracker.snapshot()[("h", 0, 0)] = 5
+        assert tracker.occupancy(("h", 0, 0)) == 1
+
+    def test_snapshot_lists_channels_in_occupation_order(self, tracker):
+        for channel in [("v", 1, 0), ("h", 0, 0), ("v", 0, 0)]:
+            tracker.reserve(channel)
+        tracker.reserve(("v", 1, 0))  # a second booking keeps the first place
+        assert list(tracker.snapshot()) == [("v", 1, 0), ("h", 0, 0), ("v", 0, 0)]
+
+    def test_draining_every_channel_empties_the_tracker(self, tracker, small_fabric_4x4):
+        channels = list(small_fabric_4x4.channels)
+        capacity = tracker.channel_capacity
+        for channel in channels:
+            tracker.reserve_all([channel] * capacity)
+        assert all(tracker.is_full(channel) for channel in channels)
+        assert sum(tracker.snapshot().values()) == len(channels) * capacity
+        for channel in channels:
+            for _ in range(capacity):
+                tracker.release(channel)
+        assert tracker.snapshot() == {}
+        assert not any(tracker.levels)
 
 
 class TestEpoch:

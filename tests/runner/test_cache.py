@@ -75,6 +75,37 @@ class TestResultCache:
         path.write_text(json.dumps(record))
         assert cache.load(spec) is None
 
+    @pytest.mark.parametrize(
+        "keyless", [{}, {"result": _result().to_dict()}], ids=["empty", "result-only"]
+    )
+    def test_a_record_without_its_key_is_a_miss(self, tmp_path, keyless):
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        cache.store(spec, _result())
+        (path,) = (tmp_path / "cache").glob("*.json")
+        path.write_text(json.dumps(keyless))
+        assert cache.load(spec) is None
+
+    def test_a_directory_at_the_record_path_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        cache.store(spec, _result())
+        (path,) = (tmp_path / "cache").glob("*.json")
+        path.unlink()
+        path.mkdir()
+        assert cache.load(spec) is None
+
+    def test_storing_again_repairs_a_corrupted_record(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        cache.store(spec, _result())
+        (path,) = (tmp_path / "cache").glob("*.json")
+        path.write_bytes(b"\xff\xfe{")
+        assert cache.load(spec) is None
+        cache.store(spec, _result())
+        hit = cache.load(spec)
+        assert hit is not None and hit.latency == 612.0
+
     def test_key_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         spec = _spec()

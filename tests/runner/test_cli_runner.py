@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.pipeline import SCHEDULERS, TECHNOLOGIES
 
 _SWEEP_ARGS = [
     "sweep",
@@ -168,6 +169,29 @@ class TestTopLevel:
         for line in ("mappers", "placers", "fabrics", "circuits"):
             assert line in out
         assert "qspr" in out and "mvfb" in out and "quale" in out and "[[5,1,3]]" in out
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "submit"])
+    def test_help_lists_every_scheduler_and_technology(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line break inside a name list
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        for registry in (SCHEDULERS, TECHNOLOGIES):
+            assert ", ".join(registry.names()) in help_text
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "submit"])
+    def test_help_names_a_plugin_registered_after_import(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")
+        SCHEDULERS.register("probe-policy", SCHEDULERS.get("qspr"))
+        TECHNOLOGIES.register("probe-pmd", TECHNOLOGIES.get("paper"))
+        try:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+        finally:
+            SCHEDULERS.unregister("probe-policy")
+            TECHNOLOGIES.unregister("probe-pmd")
+        help_text = capsys.readouterr().out
+        assert "probe-policy" in help_text and "probe-pmd" in help_text
 
     def test_parser_requires_a_command(self):
         with pytest.raises(SystemExit):

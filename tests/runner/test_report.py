@@ -6,6 +6,7 @@ import csv
 
 import pytest
 
+from repro.errors import ReproError
 from repro.runner import CellResult, cell_table, latency_table, read_json, write_csv, write_json
 
 
@@ -44,8 +45,6 @@ class TestPersistence:
         assert CellResult.from_dict(record).circuit == "[[5,1,3]]"
 
     def test_read_json_rejects_corrupt_and_non_list_files(self, tmp_path):
-        from repro.errors import ReproError
-
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text("{not json")
         with pytest.raises(ReproError):
@@ -54,6 +53,22 @@ class TestPersistence:
         non_list.write_text('{"circuit": "c"}')
         with pytest.raises(ReproError):
             read_json(non_list)
+
+    @pytest.mark.parametrize(
+        "kind", ["missing", "directory", "non-utf8", "non-record-item", "missing-field"]
+    )
+    def test_read_json_raises_repro_error(self, tmp_path, kind):
+        path = tmp_path / "results.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf8":
+            path.write_bytes(b"\xff\xfe[")
+        elif kind == "non-record-item":
+            path.write_text('[{"circuit": "c", "mapper": "ideal"}, 3]')
+        elif kind == "missing-field":
+            path.write_text('[{"latency": 1.0}]')
+        with pytest.raises(ReproError, match="results file"):
+            read_json(path)
 
 
 class TestTables:

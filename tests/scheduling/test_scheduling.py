@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.circuits.builders import ghz_circuit
 from repro.errors import SchedulingError
 from repro.qidg.graph import build_qidg
 from repro.scheduling.busy_queue import BusyQueue
@@ -128,6 +127,21 @@ class TestBusyQueue:
         queue = BusyQueue()
         with pytest.raises(SchedulingError):
             queue.remove(7)
+
+    def test_remove_twice_raises(self):
+        queue = BusyQueue()
+        queue.park(3)
+        queue.remove(3)
+        with pytest.raises(SchedulingError):
+            queue.remove(3)
+
+    def test_len_counts_parked_instructions(self):
+        queue = BusyQueue()
+        for index in (4, 2, 9):
+            queue.park(index)
+        queue.remove(2)
+        assert (len(queue), queue.total_entries) == (2, 3)
+        assert 4 in queue and 9 in queue and 2 not in queue
 
     def test_truthiness(self):
         queue = BusyQueue()

@@ -58,6 +58,26 @@ class TestEventQueue:
         assert queue.apply_earliest(apply) is None
         assert queue.peak_size == 3
 
+    def test_pops_are_time_sorted_and_stable(self):
+        queue = EventQueue()
+        times = [2.0, 0.0, 2.0, 1.0, 0.0, 2.0]
+        pushed = [(time, InstructionCompleted(index, 0)) for index, time in enumerate(times)]
+        for time, event in pushed:
+            queue.push(time, event)
+        popped = [queue.pop() for _ in times]
+        assert popped == sorted(pushed, key=lambda pair: pair[0])
+
+    def test_len_and_peak_size(self):
+        queue = EventQueue()
+        for index, time in enumerate((3.0, 1.0, 2.0)):
+            queue.push(time, InstructionCompleted(index, 0))
+        assert queue.pop()[0] == 1.0
+        queue.push(4.0, InstructionCompleted(3, 0))
+        assert (len(queue), queue.peak_size) == (3, 3)
+        while len(queue):
+            queue.pop()
+        assert queue.peak_size == 3
+
     def test_pop_empty(self):
         with pytest.raises(SimulationError):
             EventQueue().pop()
@@ -97,6 +117,25 @@ class TestControlTrace:
         starts = [c.start for c in trace.commands]
         assert starts == sorted(starts)
 
+    def test_ties_keep_insertion_order(self):
+        first = _command(CommandKind.MOVE, 2.0, 1.0, index=1)
+        second = _command(CommandKind.GATE, 2.0, 1.0, index=2)
+        trace = ControlTrace([_command(CommandKind.MOVE, 5.0, 1.0), first, second])
+        assert trace.commands[:2] == (first, second)
+
+    def test_add_after_a_read_updates_the_sorted_view(self):
+        trace = ControlTrace([_command(CommandKind.GATE, 10.0, 100.0)])
+        assert len(trace.commands) == 1
+        trace.add(_command(CommandKind.MOVE, 0.0, 5.0))
+        assert [c.kind for c in trace.commands] == [CommandKind.MOVE, CommandKind.GATE]
+
+    def test_extend_after_a_read_updates_the_sorted_view(self):
+        trace = ControlTrace()
+        assert trace.commands == ()
+        trace.extend([_command(CommandKind.GATE, 3.0, 1.0), _command(CommandKind.MOVE, 1.0, 1.0)])
+        assert [c.start for c in trace.commands] == [1.0, 3.0]
+        assert len(trace) == 2
+
     def test_makespan(self):
         trace = ControlTrace([_command(CommandKind.MOVE, 0.0, 5.0), _command(CommandKind.GATE, 5.0, 100.0)])
         assert trace.makespan == 105.0
@@ -112,10 +151,27 @@ class TestControlTrace:
         )
         assert len(trace.commands_for_qubit("a")) == 2
 
+    def test_commands_for_qubit_are_time_ordered(self):
+        trace = ControlTrace(
+            [
+                _command(CommandKind.GATE, 9.0, 1.0, ("a", "b")),
+                _command(CommandKind.MOVE, 1.0, 1.0, ("a",)),
+                _command(CommandKind.MOVE, 4.0, 1.0, ("b",)),
+            ]
+        )
+        assert [c.start for c in trace.commands_for_qubit("a")] == [1.0, 9.0]
+        assert trace.commands_for_qubit("z") == []
+
     def test_to_text_limit(self):
         trace = ControlTrace([_command(CommandKind.MOVE, i, 1) for i in range(10)])
         text = trace.to_text(limit=3)
         assert "7 more commands" in text
+
+    def test_to_text_has_one_line_per_command(self):
+        commands = [_command(CommandKind.MOVE, i, 1) for i in range(4)]
+        trace = ControlTrace(commands)
+        assert trace.to_text().splitlines() == [str(c) for c in commands]
+        assert trace.to_text(limit=4) == trace.to_text()
 
     def test_reversed_trace_preserves_makespan_and_counts(self):
         trace = ControlTrace(

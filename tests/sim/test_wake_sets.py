@@ -69,6 +69,26 @@ class TestBusyQueueWakeSets:
         queue.remove(1)
         assert queue.wake(7) == []
 
+    def test_a_reparked_instruction_carries_no_stale_blockers(self):
+        queue = BusyQueue()
+        queue.park(1)
+        queue.block_on(1, [7])
+        queue.remove(1)
+        queue.park(1)
+        assert queue.needs_retry(1)
+        assert queue.wake(7) == []
+
+    def test_wake_reports_every_instruction_asleep_on_the_resource(self):
+        queue = BusyQueue()
+        for index in (1, 2, 3):
+            queue.park(index)
+        queue.block_on(1, [7])
+        queue.block_on(2, [7, 9])
+        queue.block_on(3, [8])
+        assert sorted(queue.wake(7)) == [1, 2]
+        assert queue.needs_retry(1) and queue.needs_retry(2)
+        assert not queue.needs_retry(3)
+
     def test_one_wake_clears_the_whole_blocker_set(self):
         queue = BusyQueue()
         queue.park(1)
