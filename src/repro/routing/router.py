@@ -483,9 +483,14 @@ class Router:
                 copied.
             blockers: Optional output set.  When planning fails it receives
                 the wake-set keys of every resource whose state change could
-                flip the failure: :func:`channel_key` of each channel in a
-                failed leg's *blocking cut* (the full channels its search
-                actually ran into — not every full channel on the fabric),
+                flip the failure.  When the operands rest in different traps
+                and an operand's own channel is full, planning fails before
+                any meeting trap is tried, and the set holds exactly
+                :func:`channel_key` of each full operand channel (see
+                :meth:`_full_operand_channels`).  Otherwise it holds
+                :func:`channel_key` of each channel in a failed leg's
+                *blocking cut* (the full channels its search actually ran
+                into — not every full channel on the fabric),
                 :func:`trap_key` of each occupied trap skipped during
                 candidate selection (woken when an issue vacates it),
                 :func:`candidate_trap_key` of each free trap that was tried
@@ -513,6 +518,11 @@ class Router:
         source_name, dest_name = operand_names
         source_trap = positions[source_name]
         dest_trap = positions[dest_name]
+        full = self._full_operand_channels(source_trap, dest_trap, congestion)
+        if full:
+            if blockers is not None:
+                blockers.update(channel_key(channel_id) for channel_id in full)
+            return None
         # Traps whose occupancy status shaped the candidate list; only
         # maintained when the caller asked for failure blockers.
         considered: set[TrapId] = set()
@@ -601,6 +611,24 @@ class Router:
                 blockers.add(ANY_CONGESTION_CHANGE)
         return None
 
+    def _full_operand_channels(
+        self, source_trap: TrapId, dest_trap: TrapId, congestion: CongestionTracker
+    ) -> list[ChannelId]:
+        """The full channels of two operands that rest in different traps.
+
+        Any such channel fails every meeting trap.  Meeting away from an
+        operand's trap moves that operand out of its channel, meeting in it
+        moves the other operand into that channel, and no leg leaves or
+        enters a full channel.  A parked instruction's operands stay put,
+        so the failure stands until a capacity-opening release of one of
+        these channels, which wakes its :func:`channel_key`.
+        """
+        if source_trap == dest_trap:
+            return []
+        trap = self.fabric.trap
+        channels = dict.fromkeys((trap(source_trap).channel_id, trap(dest_trap).channel_id))
+        return [channel_id for channel_id in channels if congestion.is_full(channel_id)]
+
     def _prefill_candidate_routes(
         self,
         source_name: str,
@@ -642,8 +670,6 @@ class Router:
             legs.append((dest_name, dest_trap))
         for qubit, origin_id in legs:
             origin = self.fabric.trap(origin_id)
-            if congestion.is_full(origin.channel_id):
-                continue
             jobs: list[tuple[tuple[TrapId, TrapId], Trap]] = []
             seen: set[TrapId] = set()
             for candidate in candidates:

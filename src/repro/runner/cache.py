@@ -97,7 +97,7 @@ class ResultCache:
             return None
         try:
             result = CellResult.from_dict(fields)
-        except TypeError:  # required fields missing
+        except TypeError:  # a required field missing or a field mistyped
             return None
         result.from_cache = True
         return result

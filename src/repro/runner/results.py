@@ -54,6 +54,14 @@ def scenario_suffix(
         tags.append("barriers")
     return "".join(f"+{tag}" for tag in tags)
 
+#: The JSON values each kind of :class:`CellResult` field accepts.
+_JSON_TYPES: dict[str, type | tuple[type, ...]] = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+}
+
 #: Column order of the CSV writer (and of ``CellResult`` itself).
 CSV_FIELDS: tuple[str, ...] = (
     "circuit",
@@ -159,7 +167,7 @@ class CellResult:
     scheduler: str = "qspr"
     turn_aware: bool = True
     meeting_point: str = "median"
-    channel_capacity: "int | None" = None
+    channel_capacity: int | None = None
     barrier_scheduling: bool = False
     latency: float = 0.0
     ideal_latency: float = 0.0
@@ -291,6 +299,24 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, record: dict) -> "CellResult":
-        """Rebuild a record from :meth:`to_dict` output, ignoring unknown keys."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in record.items() if k in known})
+        """Rebuild a record from :meth:`to_dict` output, ignoring unknown keys.
+
+        Raises:
+            TypeError: If a required field is missing or a value does not
+                match its field's type, naming the field.  An ``int`` is a
+                valid ``float``, a ``bool`` is not a number, and only
+                ``channel_capacity`` may be ``None``.
+        """
+        values = {}
+        for field in fields(cls):
+            if field.name not in record:
+                continue
+            value = record[field.name]
+            kind, _, optional = field.type.partition(" | ")
+            if not (value is None and optional) and (
+                isinstance(value, bool) != (kind == "bool")
+                or not isinstance(value, _JSON_TYPES[kind])
+            ):
+                raise TypeError(f"field {field.name!r} must be {field.type}, got {value!r}")
+            values[field.name] = value
+        return cls(**values)

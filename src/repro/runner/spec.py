@@ -68,7 +68,11 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: Schema 9: exact target distances, a descent bound and expanded-node read
 #: sets change the kernel's hit/miss, search and heap-pop counters of
 #: otherwise identical runs, so schema-8 records are retired.
-CACHE_SCHEMA = 9
+#: Schema 10: a two-qubit plan fails at once when an operand's own channel
+#: is full, which changes the hit/miss, search, heap-pop, wake-hit and
+#: issue-poll counters of otherwise identical runs, so schema-9 records are
+#: retired.
+CACHE_SCHEMA = 10
 
 
 @dataclass(frozen=True)

@@ -344,10 +344,15 @@ class _CandidateSelector:
     used to be a single branching candidate computation inside the issue
     loop.  All mutations of pool membership flow through the notification
     hooks, so each strategy maintains exactly the view it needs.
+
+    A selector holds the simulator and the run's pool set, never the run
+    state itself, so a finished run's state is freed by reference counting
+    rather than left for the cycle collector.
     """
 
-    def __init__(self, state: "_RunState") -> None:
-        self.state = state
+    def __init__(self, sim: FabricSimulator, pool: set[int]) -> None:
+        self.sim = sim
+        self.pool = pool
 
     def candidates(self) -> list[int]:
         """Issueable instructions, most preferred first."""
@@ -378,16 +383,14 @@ class _PolicyOrderSelector(_CandidateSelector):
     every issue attempt.
     """
 
-    def __init__(self, state: "_RunState") -> None:
-        super().__init__(state)
+    def __init__(self, sim: FabricSimulator, pool: set[int]) -> None:
+        super().__init__(sim, pool)
         self._dirty = True
         self._ordered: list[int] = []
 
     def candidates(self) -> list[int]:
         if self._dirty:
-            self._ordered = self.state.sim.scheduler.order(
-                self.state.pool, self.state.sim.priorities
-            )
+            self._ordered = self.sim.scheduler.order(self.pool, self.sim.priorities)
             self._dirty = False
         return self._ordered
 
@@ -405,10 +408,10 @@ class _BarrierLevelSelector(_CandidateSelector):
     so the next level is tried at that completion's own time.
     """
 
-    def __init__(self, state: "_RunState") -> None:
-        super().__init__(state)
-        assert state.sim.levels is not None
-        self.levels = state.sim.levels
+    def __init__(self, sim: FabricSimulator, pool: set[int]) -> None:
+        super().__init__(sim, pool)
+        assert sim.levels is not None
+        self.levels = sim.levels
         self.level_remaining: dict[int, int] = {}
         for level in self.levels.values():
             self.level_remaining[level] = self.level_remaining.get(level, 0) + 1
@@ -427,12 +430,10 @@ class _BarrierLevelSelector(_CandidateSelector):
     def candidates(self) -> list[int]:
         if self._dirty:
             level = self.current_level
-            pool = self.state.pool
+            pool = self.pool
             if level is not None:
                 pool = {index for index in pool if self.levels[index] == level}
-            self._ordered = self.state.sim.scheduler.order(
-                pool, self.state.sim.priorities
-            )
+            self._ordered = self.sim.scheduler.order(pool, self.sim.priorities)
             self._dirty = False
         return self._ordered
 
@@ -455,17 +456,17 @@ class _BarrierLevelSelector(_CandidateSelector):
 class _ForcedOrderSelector(_CandidateSelector):
     """Forced mode (MVFB backward passes): replay a fixed total order."""
 
-    def __init__(self, state: "_RunState") -> None:
-        super().__init__(state)
-        assert state.sim.forced_order is not None
-        self.order = state.sim.forced_order
+    def __init__(self, sim: FabricSimulator, pool: set[int]) -> None:
+        super().__init__(sim, pool)
+        assert sim.forced_order is not None
+        self.order = sim.forced_order
         self.position = 0
 
     def candidates(self) -> list[int]:
         if self.position >= len(self.order):
             return []
         head = self.order[self.position]
-        return [head] if head in self.state.pool else []
+        return [head] if head in self.pool else []
 
     def on_issued(self, index: int) -> None:
         self.position += 1
@@ -502,19 +503,20 @@ class _RunState:
         self.pool: set[int] = set(self.ready)
         self.stats = EventLoopStats()
         if sim.forced_order is not None:
-            self.selector: _CandidateSelector = _ForcedOrderSelector(self)
+            self.selector: _CandidateSelector = _ForcedOrderSelector(sim, self.pool)
         elif sim.levels is not None:
-            self.selector = _BarrierLevelSelector(self)
+            self.selector = _BarrierLevelSelector(sim, self.pool)
         else:
-            self.selector = _PolicyOrderSelector(self)
+            self.selector = _PolicyOrderSelector(sim, self.pool)
         # Busy-queue wake-sets only apply to the standard selector: forced
         # and barrier runs retry unconditionally and poll after every event
-        # timestamp.  Gating them too maps identically, but only 688 of the
-        # 103,001 plan calls of the paper's MVFB jobs are futile retries,
-        # while every issue, release and plan pays the wake bookkeeping; it
-        # measured no faster (docs/PERFORMANCE.md).  With wake sets on, the
-        # run records per-resource blockers, so "nothing woke" proves every
-        # possible retry fails and the issue poll is skipped.
+        # timestamp.  Gating them too maps identically, but it would skip
+        # only 4,214 of the 97,571 plan calls of the paper's MVFB jobs, each
+        # failing at the router's operand-channel check before any search,
+        # while every issue, release and plan pays the wake bookkeeping
+        # (docs/PERFORMANCE.md).  With wake sets on, the run records
+        # per-resource blockers, so "nothing woke" proves every possible
+        # retry fails and the issue poll is skipped.
         self.use_wake_sets = isinstance(self.selector, _PolicyOrderSelector)
         self.routing_seconds = 0.0
         self._stats_baseline = sim.router.stats.snapshot()

@@ -4,9 +4,9 @@ The simulator's speed comes from layers that must never change what it
 computes: the compiled CSR kernel with its congestion-free target-distance
 bounds (a per-node lower bound, and an upper bound from walking each
 source's shortest-path tree), the snapshot-validated route table (one per
-fabric, with MRU lists per trap pair and batched candidate prefill), and
-the wake-set gating of the event loop.  The oracle removes every one of
-them:
+fabric, with MRU lists per trap pair and batched candidate prefill), the
+instruction planner's full-operand-channel check, and the wake-set gating
+of the event loop.  The oracle removes every one of them:
 
 * :class:`OracleRouter` plans every leg from scratch with
   :func:`shortest_route` under the Eq. (2) weights of
@@ -16,7 +16,9 @@ them:
   kernel is also checked against it query by query.  Its attachment costs
   are derived per query from the trap's channel
   (:func:`reference_attachment_costs`), not read from the graph's
-  precomputed trap attachments;
+  precomputed trap attachments.  It tries every candidate meeting trap
+  also when an operand's own channel is full, where the router fails an
+  instruction before trying any;
 * :func:`oracle_mode` swaps it into the simulator, derives the occupied
   meeting traps by a scan of every resting trap
   (:func:`reference_occupied_traps`) and turns the wake-set gating off, so
@@ -215,6 +217,11 @@ class OracleRouter(Router):
             result.entry_node[0],
             result.edges,
         )
+
+    def _full_operand_channels(self, *args) -> list:
+        """The oracle scans every candidate meeting trap, even when an
+        operand's channel is full."""
+        return []
 
     def _prefill_candidate_routes(self, *args) -> None:
         """The oracle prefetches nothing."""

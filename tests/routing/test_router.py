@@ -1,13 +1,16 @@
 """Tests for the router facade: trap selection and instruction planning."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_oracle import OracleRouter, reads_match, snapshot_pairs
 from repro.circuits.circuit import QuantumCircuit
-from repro.fabric.builder import FabricSpec, build_fabric
+from repro.fabric.builder import FabricSpec, build_fabric, small_fabric
 from repro.fabric.geometry import distance_to_point
 from repro.mapper.qpos import qpos_options
+from repro.routing.compiled import RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import (
     ANY_CONGESTION_CHANGE,
@@ -176,42 +179,170 @@ class TestPlanInstruction:
         self, small_fabric_4x4, two_qubit_instruction
     ):
         # QPOS: the destination qubit stays put, so its trap is the only
-        # candidate; the source leg fails on its own full channel.
+        # candidate.  Every other channel at the source channel's junctions
+        # is full, so the source leg fails on that interior cut while both
+        # operand channels have room.
         router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, qpos_options().routing_policy())
         congestion = CongestionTracker(small_fabric_4x4, 1)
         positions = self._positions(small_fabric_4x4)
         source_channel = small_fabric_4x4.trap(positions["a"]).channel_id
-        congestion.reserve(source_channel)
+        assert source_channel == ("h", 0, 0)
+        cut = [("v", 0, 0), ("h", 0, 1), ("v", 0, 1)]
+        for channel_id in cut:
+            congestion.reserve(channel_id)
         blockers: set = set()
         route = router.plan_instruction(
             two_qubit_instruction, positions, congestion, blockers=blockers
         )
         assert route is None
-        assert blockers == {
-            channel_key(source_channel),
-            candidate_trap_key(positions["b"]),
+        assert blockers == {channel_key(channel_id) for channel_id in cut} | {
+            candidate_trap_key(positions["b"])
         }
+        # With the source's own channel full as well, the plan fails before
+        # any candidate and names that channel alone.
+        congestion = CongestionTracker(small_fabric_4x4, 1)
+        congestion.reserve(source_channel)
+        blockers = set()
+        route = router.plan_instruction(
+            two_qubit_instruction, positions, congestion, blockers=blockers
+        )
+        assert route is None
+        assert blockers == {channel_key(source_channel)}
 
     def test_destination_leg_failure_under_overlay_wakes_on_any_change(
         self, small_fabric_4x4, two_qubit_instruction
     ):
-        # The source qubit's channel is full.  Median candidates fail their
-        # source leg on it, but the fallback candidate at the source's own
-        # trap leaves only the destination leg, which fails under the source
-        # overlay.  That failure depends on the source route chosen, so the
-        # catch-all key replaces every precise one.
-        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        # One candidate, the trap nearest the center, which shares its
+        # channel with the source qubit; the operands' own traps are
+        # occupied, so there is no fallback.  The channel holds one of two
+        # qubits, so the source leg fits, but under its overlay the channel
+        # is full and the destination leg cannot enter it.  That failure
+        # depends on the source route chosen, so the catch-all key replaces
+        # every precise one.
+        policy = RoutingPolicy(meeting_point=MeetingPoint.CENTER, trap_candidates=1)
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
+        central = small_fabric_4x4.traps_near_center()[0]
+        [source] = [
+            trap for trap in small_fabric_4x4.traps_on(central.channel_id)
+            if trap.id != central.id
+        ]
+        positions = {"a": source.id, "b": sorted(small_fabric_4x4.traps)[-1]}
+        operand_traps = set(positions.values())
+
+        def plan(congestion, blockers):
+            return router.plan_instruction(
+                two_qubit_instruction, positions, congestion,
+                occupied_traps=operand_traps, blockers=blockers,
+            )
+
+        idle = CongestionTracker(small_fabric_4x4, 2)
+        assert plan(idle, None).target_trap == central.id
         congestion = CongestionTracker(small_fabric_4x4, 2)
-        positions = self._positions(small_fabric_4x4)
-        source_channel = small_fabric_4x4.trap(positions["a"]).channel_id
-        congestion.reserve(source_channel)
-        congestion.reserve(source_channel)
+        congestion.reserve(central.channel_id)
+        blockers: set = set()
+        assert plan(congestion, blockers) is None
+        assert blockers == {ANY_CONGESTION_CHANGE}
+        # With the channel full before planning, the source qubit cannot
+        # leave it: the plan fails at once and names that channel alone.
+        congestion.reserve(central.channel_id)
+        blockers = set()
+        assert plan(congestion, blockers) is None
+        assert blockers == {channel_key(central.channel_id)}
+
+
+class TestFullOperandChannel:
+    """A two-qubit plan fails before trying any meeting trap when an
+    operand's own channel is full and the operands rest in different traps."""
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("meeting_point", list(MeetingPoint))
+    @pytest.mark.parametrize(
+        "positions, full",
+        [
+            ({"a": 0, "b": 23}, ("a",)),
+            ({"a": 0, "b": 23}, ("b",)),
+            ({"a": 0, "b": 23}, ("a", "b")),
+            ({"a": 0, "b": 1}, ("a",)),  # both operands on one channel
+        ],
+        ids=["source", "destination", "both", "shared-channel"],
+    )
+    def test_fails_on_the_full_operand_channels_alone(
+        self, small_fabric_4x4, two_qubit_instruction, capacity, meeting_point,
+        positions, full,
+    ):
+        policy = RoutingPolicy(meeting_point=meeting_point, channel_capacity=capacity)
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
+        congestion = CongestionTracker(small_fabric_4x4, capacity)
+        full_channels = {small_fabric_4x4.trap(positions[q]).channel_id for q in full}
+        for channel_id in full_channels:
+            for _ in range(capacity):
+                congestion.reserve(channel_id)
+        levels = list(congestion.levels)
         blockers: set = set()
         route = router.plan_instruction(
             two_qubit_instruction, positions, congestion, blockers=blockers
         )
         assert route is None
-        assert blockers == {ANY_CONGESTION_CHANGE}
+        assert blockers == {channel_key(channel_id) for channel_id in full_channels}
+        # No route-table lookup, no kernel search, no batched prefill.
+        assert router.stats == RoutingCoreStats()
+        assert not router._route_cache
+        assert congestion.levels == levels
+
+    def test_operands_sharing_a_trap_in_a_full_channel_meet_there(
+        self, small_fabric_4x4, two_qubit_instruction
+    ):
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        congestion = CongestionTracker(small_fabric_4x4, 2)
+        trap = small_fabric_4x4.trap(0)
+        congestion.reserve(trap.channel_id)
+        congestion.reserve(trap.channel_id)
+        route = router.plan_instruction(
+            two_qubit_instruction, {"a": trap.id, "b": trap.id}, congestion
+        )
+        assert route.target_trap == trap.id
+        assert route.routing_delay == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_meeting_trap_fails_under_the_oracle(self, data):
+        # The rule's soundness, checked against the oracle's full scan: with
+        # an operand channel full, no trap of the fabric is a meeting trap.
+        fabric = _property_fabric(data.draw(st.sampled_from((4, 6)), label="size"))
+        capacity = data.draw(st.sampled_from((1, 2)), label="capacity")
+        turn_aware = data.draw(st.booleans(), label="turn_aware")
+        policy = RoutingPolicy(turn_aware=turn_aware, channel_capacity=capacity)
+        router = OracleRouter(fabric, PAPER_TECHNOLOGY, policy)
+        traps = sorted(fabric.traps)
+        source = data.draw(st.sampled_from(traps), label="source")
+        dest = data.draw(st.sampled_from([t for t in traps if t != source]), label="dest")
+        congestion = CongestionTracker(fabric, capacity)
+        for channel_id in data.draw(
+            st.lists(st.sampled_from(sorted(fabric.channels)), max_size=12), label="busy"
+        ):
+            if not congestion.is_full(channel_id):
+                congestion.reserve(channel_id)
+        full = data.draw(
+            st.sampled_from(((source,), (dest,), (source, dest))), label="full"
+        )
+        for trap_id in full:
+            channel_id = fabric.trap(trap_id).channel_id
+            while not congestion.is_full(channel_id):
+                congestion.reserve(channel_id)
+        circuit = QuantumCircuit()
+        circuit.add_qubit("a")
+        circuit.add_qubit("b")
+        instruction = circuit.cx("a", "b")
+        for trap_id in traps:
+            assert router._plan_to_candidate(
+                instruction, "a", source, "b", dest, fabric.trap(trap_id), congestion
+            ) is None, trap_id
+
+
+@functools.cache
+def _property_fabric(size: int):
+    """The 4x4 or 6x6 test fabric, built once for every example."""
+    return small_fabric(size, size)
 
 
 class TestRouteCache:
@@ -405,8 +536,6 @@ class TestRouteCache:
     def test_shared_graph_memo_dies_with_the_fabric(self):
         import gc
         import weakref
-
-        from repro.fabric.builder import small_fabric
 
         fabric = small_fabric()
         Router(fabric)

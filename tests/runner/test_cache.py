@@ -76,6 +76,20 @@ class TestResultCache:
         assert cache.load(spec) is None
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("latency", "abc"), ("latency", True), ("num_seeds", 2.5), ("channel_capacity", "1")],
+    )
+    def test_a_mistyped_field_is_a_miss(self, tmp_path, field, value):
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        cache.store(spec, _result())
+        (path,) = (tmp_path / "cache").glob("*.json")
+        record = json.loads(path.read_text())
+        record["result"][field] = value
+        path.write_text(json.dumps(record))
+        assert cache.load(spec) is None
+
+    @pytest.mark.parametrize(
         "keyless", [{}, {"result": _result().to_dict()}], ids=["empty", "result-only"]
     )
     def test_a_record_without_its_key_is_a_miss(self, tmp_path, keyless):

@@ -93,6 +93,16 @@ class TestReportCommand:
         assert main(["report", str(path)]) == 1
         assert "results file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("latency", "abc"), ("placement_runs", 1.5)])
+    def test_a_mistyped_field_exits_1(self, tmp_path, capsys, field, value):
+        record = {"circuit": "c", "mapper": "qspr", "latency": 1.0, "ideal_latency": 1.0}
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([record | {field: value}]))
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and repr(field) in captured.err
+        assert captured.out == ""
+
 
 class TestCacheCommand:
     def test_info_and_prune_roundtrip(self, tmp_path, capsys):

@@ -44,6 +44,32 @@ class TestPersistence:
         record = _results()[0].to_dict() | {"future_field": 1}
         assert CellResult.from_dict(record).circuit == "[[5,1,3]]"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("latency", "abc"),
+            ("latency", True),
+            ("latency", None),
+            ("num_seeds", 2.5),
+            ("num_seeds", False),
+            ("turn_aware", 1),
+            ("channel_capacity", "2"),
+            ("channel_capacity", True),
+            ("circuit", 5),
+            ("from_cache", "yes"),
+        ],
+    )
+    def test_from_dict_rejects_a_mistyped_field_by_name(self, field, value):
+        record = _results()[1].to_dict() | {field: value}
+        with pytest.raises(TypeError, match=repr(field)):
+            CellResult.from_dict(record)
+
+    def test_from_dict_takes_an_int_as_a_float_and_no_capacity(self):
+        record = _results()[1].to_dict() | {"latency": 612, "channel_capacity": None}
+        cell = CellResult.from_dict(record)
+        assert cell.latency == 612 and cell.channel_capacity is None
+        assert CellResult.from_dict(record | {"channel_capacity": 1}).channel_capacity == 1
+
     def test_read_json_rejects_corrupt_and_non_list_files(self, tmp_path):
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text("{not json")
@@ -55,7 +81,8 @@ class TestPersistence:
             read_json(non_list)
 
     @pytest.mark.parametrize(
-        "kind", ["missing", "directory", "non-utf8", "non-record-item", "missing-field"]
+        "kind",
+        ["missing", "directory", "non-utf8", "non-record-item", "missing-field", "mistyped-field"],
     )
     def test_read_json_raises_repro_error(self, tmp_path, kind):
         path = tmp_path / "results.json"
@@ -67,6 +94,8 @@ class TestPersistence:
             path.write_text('[{"circuit": "c", "mapper": "ideal"}, 3]')
         elif kind == "missing-field":
             path.write_text('[{"latency": 1.0}]')
+        elif kind == "mistyped-field":
+            path.write_text('[{"circuit": "c", "mapper": "qspr", "latency": "abc"}]')
         with pytest.raises(ReproError, match="results file"):
             read_json(path)
 

@@ -1,5 +1,8 @@
 """Tests for the event-driven fabric simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.circuits.builders import ghz_circuit, qft_like_circuit
@@ -229,3 +232,30 @@ class TestRoutingPolicies:
         outcome = _simulate(paper_circuit, small_fabric_4x4)
         assert outcome.total_moves == sum(r.moves for r in outcome.records.values())
         assert outcome.total_turns == sum(r.turns for r in outcome.records.values())
+
+
+class TestMemory:
+    @pytest.mark.parametrize("mode", ["policy", "barrier", "forced"])
+    def test_a_finished_run_is_freed_by_reference_counting(
+        self, small_fabric_4x4, paper_circuit, mode
+    ):
+        # Nothing a run builds points back at its state, so dropping the
+        # outcome frees the run's records at once, with the cycle collector
+        # off.
+        kwargs = {}
+        if mode == "barrier":
+            kwargs["barrier_scheduling"] = True
+        elif mode == "forced":
+            kwargs["forced_order"] = _simulate(paper_circuit, small_fabric_4x4).schedule
+        simulator = FabricSimulator(paper_circuit, small_fabric_4x4, PAPER_TECHNOLOGY, **kwargs)
+        placement = CenterPlacer(small_fabric_4x4).place(paper_circuit)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            outcome = simulator.run(placement)
+            record = weakref.ref(outcome.records[0])
+            del outcome
+            assert record() is None
+        finally:
+            if enabled:
+                gc.enable()
