@@ -59,7 +59,6 @@ from repro.errors import (
     RoutingError,
     SchedulingError,
     SimulationError,
-    UnroutableError,
 )
 from repro.circuits import QuantumCircuit, Instruction, Qubit
 from repro.circuits.qecc import qecc_encoder, QECC_BENCHMARKS
@@ -117,7 +116,6 @@ __all__ = [
     "FabricError",
     "PlacementError",
     "RoutingError",
-    "UnroutableError",
     "SchedulingError",
     "SimulationError",
     "MappingError",

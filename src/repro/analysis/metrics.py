@@ -1,11 +1,10 @@
-"""Latency metrics and schedule statistics over mapping results."""
+"""Latency metrics over mapping results."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.mapper.result import MappingResult
-from repro.sim.engine import InstructionRecord
 
 
 @dataclass(frozen=True)
@@ -65,18 +64,3 @@ def latency_breakdown(result: MappingResult) -> LatencyBreakdown:
         total_moves=result.total_moves,
         total_turns=result.total_turns,
     )
-
-
-def schedule_parallelism(records: dict[int, InstructionRecord]) -> float:
-    """Average number of instructions in flight over the run.
-
-    Computed as the ratio of summed instruction durations (issue to finish)
-    to the makespan.  A value of 1.0 means fully sequential execution.
-    """
-    if not records:
-        return 0.0
-    makespan = max(record.finish_time for record in records.values())
-    if makespan <= 0:
-        return 0.0
-    busy = sum(record.finish_time - record.issue_time for record in records.values())
-    return busy / makespan

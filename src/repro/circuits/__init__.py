@@ -13,7 +13,7 @@ Benchmark generators:
   interaction patterns, ripple chains) used by examples and tests.
 """
 
-from repro.circuits.gates import GateSpec, get_gate, is_known_gate, GATE_REGISTRY
+from repro.circuits.gates import GateSpec, get_gate, GATE_REGISTRY
 from repro.circuits.circuit import Instruction, QuantumCircuit, Qubit
 from repro.circuits.builders import ghz_circuit, ripple_chain_circuit, qft_like_circuit
 from repro.circuits.random_circuits import random_circuit
@@ -22,7 +22,6 @@ __all__ = [
     "GateSpec",
     "GATE_REGISTRY",
     "get_gate",
-    "is_known_gate",
     "Qubit",
     "Instruction",
     "QuantumCircuit",

@@ -86,11 +86,6 @@ def canonical_name(name: str) -> str:
     return GATE_ALIASES.get(upper, upper)
 
 
-def is_known_gate(name: str) -> bool:
-    """Whether ``name`` (or one of its aliases) is in the registry."""
-    return canonical_name(name) in GATE_REGISTRY
-
-
 def get_gate(name: str) -> GateSpec:
     """Look up the :class:`GateSpec` for ``name``.
 

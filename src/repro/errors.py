@@ -39,14 +39,6 @@ class RoutingError(ReproError):
     """Raised when the router encounters an unrecoverable situation."""
 
 
-class UnroutableError(RoutingError):
-    """Raised when no finite-weight path exists between two fabric sites.
-
-    The scheduler normally catches this and parks the instruction in the busy
-    queue; it only propagates when the fabric is permanently disconnected.
-    """
-
-
 class SchedulingError(ReproError):
     """Raised when the scheduler reaches an inconsistent state."""
 

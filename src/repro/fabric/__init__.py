@@ -6,7 +6,7 @@ gate operations are performed — are attached to channels at integer offsets.
 A cell-grid rendering (``J``/``C``/``T`` characters) is generated from the
 lattice for visualisation.
 
-* :mod:`repro.fabric.geometry` — directions, orientations and coordinates.
+* :mod:`repro.fabric.geometry` — orientations and coordinates.
 * :mod:`repro.fabric.components` — :class:`Junction`, :class:`Channel`, :class:`Trap`.
 * :mod:`repro.fabric.fabric` — the :class:`Fabric` container and queries.
 * :mod:`repro.fabric.builder` — parametric construction, including
@@ -15,16 +15,14 @@ lattice for visualisation.
 * :mod:`repro.fabric.grid` — cell-grid rendering (Figure 4 style).
 """
 
-from repro.fabric.geometry import Direction, Orientation, midpoint
+from repro.fabric.geometry import Orientation
 from repro.fabric.components import Channel, Junction, Trap
 from repro.fabric.fabric import Fabric
 from repro.fabric.builder import FabricBuilder, FabricSpec, quale_fabric, small_fabric, linear_fabric
 from repro.fabric.grid import render_cell_grid, CellType
 
 __all__ = [
-    "Direction",
     "Orientation",
-    "midpoint",
     "Junction",
     "Channel",
     "Trap",

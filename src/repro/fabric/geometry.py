@@ -19,42 +19,6 @@ class Orientation(Enum):
     VERTICAL = "vertical"
 
 
-class Direction(Enum):
-    """Cardinal movement directions on the cell grid."""
-
-    NORTH = (-1, 0)
-    SOUTH = (1, 0)
-    EAST = (0, 1)
-    WEST = (0, -1)
-
-    @property
-    def delta(self) -> Coord:
-        """The (row, column) step of one move in this direction."""
-        return self.value
-
-    @property
-    def orientation(self) -> Orientation:
-        """Orientation of channels this direction travels along."""
-        if self in (Direction.EAST, Direction.WEST):
-            return Orientation.HORIZONTAL
-        return Orientation.VERTICAL
-
-    @property
-    def opposite(self) -> "Direction":
-        """The reverse direction."""
-        return {
-            Direction.NORTH: Direction.SOUTH,
-            Direction.SOUTH: Direction.NORTH,
-            Direction.EAST: Direction.WEST,
-            Direction.WEST: Direction.EAST,
-        }[self]
-
-
-def midpoint(a: Coord, b: Coord) -> tuple[float, float]:
-    """Geometric midpoint of two cell coordinates (may be fractional)."""
-    return ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-
-
 def median_point(points: list[Coord]) -> tuple[float, float]:
     """Coordinate-wise median of a list of cell coordinates.
 

@@ -38,6 +38,13 @@ ForwardEvaluator = Callable[[Placement], SimulationOutcome]
 #: replaying the reversed schedule of the preceding forward pass.
 BackwardEvaluator = Callable[[Placement, list[int]], SimulationOutcome]
 
+#: Consecutive non-improving placement runs that end a seed's local search
+#: (3 in the paper).
+PATIENCE = 3
+#: Hard cap on placement runs per seed, guarding against pathological
+#: oscillation.
+MAX_RUNS_PER_SEED = 40
+
 
 class MvfbPlacer:
     """Multi-start variable-length forward/backward placement search."""
@@ -47,9 +54,6 @@ class MvfbPlacer:
         fabric: Fabric,
         forward: ForwardEvaluator,
         backward: BackwardEvaluator,
-        *,
-        patience: int = 3,
-        max_runs_per_seed: int = 40,
     ) -> None:
         """Create an MVFB placer.
 
@@ -57,20 +61,10 @@ class MvfbPlacer:
             fabric: The target fabric.
             forward: Forward mapping pass (QIDG, priority schedule).
             backward: Backward mapping pass (UIDG, reversed schedule).
-            patience: Number of consecutive non-improving placement runs that
-                terminates a seed's local search (3 in the paper).
-            max_runs_per_seed: Hard cap on runs per seed, guarding against
-                pathological oscillation.
         """
-        if patience < 1:
-            raise PlacementError("patience must be at least 1")
-        if max_runs_per_seed < 2:
-            raise PlacementError("max_runs_per_seed must allow at least one iteration")
         self.fabric = fabric
         self.forward = forward
         self.backward = backward
-        self.patience = patience
-        self.max_runs_per_seed = max_runs_per_seed
         self.center = CenterPlacer(fabric)
 
     def run(
@@ -106,7 +100,7 @@ class MvfbPlacer:
             seed_best = float("inf")
             non_improving = 0
             seed_runs = 0
-            while non_improving < self.patience and seed_runs < self.max_runs_per_seed:
+            while non_improving < PATIENCE and seed_runs < MAX_RUNS_PER_SEED:
                 if seed_runs % 2 == 0:
                     outcome = self.forward(placement)
                     forward_schedule = outcome.schedule

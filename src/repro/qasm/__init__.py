@@ -18,7 +18,7 @@ round-trip.
 from repro.qasm.ast import GateStatement, MeasureStatement, QasmProgram, QubitDeclaration
 from repro.qasm.lexer import Token, TokenKind, tokenize_line
 from repro.qasm.parser import parse_qasm, parse_qasm_file, parse_program
-from repro.qasm.writer import write_qasm, write_qasm_file
+from repro.qasm.writer import write_qasm
 
 __all__ = [
     "QasmProgram",
@@ -32,5 +32,4 @@ __all__ = [
     "parse_qasm",
     "parse_qasm_file",
     "write_qasm",
-    "write_qasm_file",
 ]

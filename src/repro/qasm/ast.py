@@ -87,15 +87,6 @@ class QasmProgram:
         """All qubit declarations in program order."""
         return [s for s in self.statements if isinstance(s, QubitDeclaration)]
 
-    @property
-    def operations(self) -> list[GateStatement | MeasureStatement]:
-        """All gate and measurement statements in program order."""
-        return [
-            s
-            for s in self.statements
-            if isinstance(s, (GateStatement, MeasureStatement))
-        ]
-
     def qubit_names(self) -> list[str]:
         """Names of all declared qubits, in declaration order."""
         return [d.name for d in self.declarations]

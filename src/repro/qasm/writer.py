@@ -8,7 +8,6 @@ property-based tests.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -48,10 +47,3 @@ def write_qasm(circuit: "QuantumCircuit", *, header: bool = True) -> str:
     lines.extend(_declaration_lines(circuit))
     lines.extend(_operation_lines(circuit))
     return "\n".join(lines) + "\n"
-
-
-def write_qasm_file(circuit: "QuantumCircuit", path: str | Path) -> Path:
-    """Write ``circuit`` to ``path`` in QASM format and return the path."""
-    path = Path(path)
-    path.write_text(write_qasm(circuit))
-    return path

@@ -70,10 +70,6 @@ class QIDG:
         """Instructions with no dependencies (ready at time zero)."""
         return [node for node, preds in enumerate(self.predecessors) if not preds]
 
-    def sinks(self) -> list[int]:
-        """Instructions nothing depends on (the circuit outputs)."""
-        return [node for node, succs in enumerate(self.successors) if not succs]
-
     def topological_order(self) -> list[int]:
         """A deterministic topological order (program order is one)."""
         return list(range(len(self._instructions)))

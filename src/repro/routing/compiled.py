@@ -413,7 +413,6 @@ class CompiledRoutingGraph:
         *,
         turn_aware_costing: bool = True,
         stats: RoutingCoreStats | None = None,
-        blocked_channels: set | None = None,
         read_out: set | None = None,
     ) -> DijkstraResult | None:
         """Array-based equivalent of the object-graph reference kernel.
@@ -431,12 +430,6 @@ class CompiledRoutingGraph:
             turn_aware_costing: Whether turn edges cost ``T_turn`` during the
                 search (QSPR) or are free (prior tools / ablation).
             stats: Optional counter sink; incremented in place.
-            blocked_channels: Optional output set.  When the search fails it
-                receives the ids of the full channels on the search frontier —
-                the *blocking cut*.  A route can only come into existence when
-                one of those channels frees a slot: every other full channel
-                lies beyond the cut (unreachable either way), and releases of
-                non-full channels only change costs, never connectivity.
             read_out: Optional output set receiving the slots of every channel
                 whose occupancy the search *read* — the channels of non-turn
                 edges out of expanded nodes.  Together with the caller's
@@ -514,9 +507,7 @@ class CompiledRoutingGraph:
         relaxations = 0
         pop = heapq.heappop
         push = heapq.heappush
-        track_cut = blocked_channels is not None
         track_read = read_out is not None
-        track_expanded = track_cut or track_read
         expanded: list[int] = []
 
         while heap:
@@ -542,7 +533,7 @@ class CompiledRoutingGraph:
             # (h is consistent), so skip the adjacency walk at once.
             if cost + h_dist[node] + h_floor > prune_limit:
                 continue
-            if track_expanded:
+            if track_read:
                 expanded.append(node)
             node_origin = origin[node]
             for edge_cost, t, e in adjacency[node]:
@@ -576,17 +567,6 @@ class CompiledRoutingGraph:
             stats.edge_relaxations += relaxations
 
         if best_exit < 0 or not math.isfinite(best_total):
-            if track_cut:
-                # The search exhausted the reachable component: every full
-                # channel incident to an expanded node is part of the cut that
-                # separates the sources from the targets.  (A failing search
-                # has no finite bound, so it expands every node it settles.)
-                edge_objects = self._edges
-                is_turn = self._edge_is_turn
-                for i in expanded:
-                    for weight, _, e in adjacency[i]:
-                        if weight == _INF and not is_turn[e]:
-                            blocked_channels.add(edge_objects[e].channel_id)
             return None
 
         edge_objects = self._edges
@@ -632,8 +612,7 @@ class CompiledRoutingGraph:
         nodes they relax, pinning every parent pointer before any freeze),
         so callers must not batch when ``T_turn`` is zero and turn edges
         exist; the router enforces this.  Failure groups (no finite route)
-        report ``None`` but carry no blocking-cut information — the caller
-        re-runs those as dedicated cut-tracked queries.
+        report ``None``.
         """
         node_index = self._node_index
         turn_cost = technology.turn_delay if turn_aware_costing else 0.0

@@ -35,8 +35,10 @@ class MeetingPoint(Enum):
     * ``DESTINATION`` — QPOS: the destination (target) operand stays in its
       trap and only the source operand travels.
     * ``CENTER`` — gates execute in the free trap nearest the center of the
-      fabric; both operands travel there.  Requires channel capacity of at
-      least 2 (both operands must enter the meeting trap's channel).
+      fabric; both operands travel there.
+
+    ``MEDIAN`` and ``CENTER`` fall back to an operand's own trap when their
+    candidates fail, so they map on capacity-1 channels too.
     """
 
     MEDIAN = "median"
@@ -162,78 +164,30 @@ class _CacheEntry:
     is valid exactly when ``getter(levels) == values`` (one C call, one
     tuple compare), *regardless* of what happened in between.  This is what
     keeps the cache hot across the balanced congestion churn of a busy
-    fabric.
-
-    ``cut`` carries a failed search's blocking cut, recorded on every
-    failure: the cut is a function of the occupancies the search read, so it
-    is exactly as valid as the entry itself.
+    fabric.  A failed search is stored like any other, with ``plan`` set to
+    ``None``.
     """
 
-    __slots__ = ("plan", "getter", "values", "cut")
+    __slots__ = ("plan", "getter", "values")
 
-    def __init__(
-        self,
-        plan: RoutePlan | None,
-        getter: itemgetter,
-        values: tuple,
-        cut: tuple | None = None,
-    ) -> None:
+    def __init__(self, plan: RoutePlan | None, getter: itemgetter, values: tuple) -> None:
         self.plan = plan
         self.getter = getter
         self.values = values
-        self.cut = cut
 
 
 #: Wake-set key standing for "any congestion change whatsoever".  Recorded as
-#: a blocker when an instruction's routing failure is *route-choice
-#: dependent*: planning the destination operand under the source operand's
-#: temporary reservations failed, and a different source-route choice — which
-#: any occupancy change anywhere can trigger, full or not — could have left
-#: room for the destination.  The simulator wakes this key on every channel
-#: release and every issue.  Failures that never reached that stage are pure
-#: full-channel cuts, for which the per-channel/per-trap keys are exact.
+#: the one blocker of a two-qubit plan that fails after trap selection: which
+#: meeting traps are free, and which routes reach them, can change with any
+#: issue or any release.  The simulator wakes this key on every channel
+#: release and every issue, so a parked instruction is retried after every
+#: state change that could make it routable.
 ANY_CONGESTION_CHANGE = ("congestion", "any")
-
-#: Widest precise wake-set worth recording.  Beyond this many keys the busy
-#: queue's reverse index costs more to build and honour than the futile
-#: retries it prunes, so :meth:`Router.plan_instruction` collapses the set to
-#: :data:`ANY_CONGESTION_CHANGE` (a strict superset, woken on every release
-#: and every issue).  64 keys keeps the crowded-fabric sets — dozens of
-#: occupied traps scanned past during candidate ranking — precise while
-#: bounding the per-failure indexing cost (measured optimum on
-#: congestion-heavy capacity-1 jobs; 24 collapses over half of them, beyond
-#: 256 the bookkeeping outweighs the extra pruning).
-MAX_BLOCKER_KEYS = 64
 
 
 def channel_key(channel_id: ChannelId) -> tuple[str, ChannelId]:
-    """Busy-queue wake-set key of a channel."""
+    """Busy-queue wake-set key of a channel, woken when a release opens capacity in it."""
     return ("ch", channel_id)
-
-
-def trap_key(trap_id: TrapId) -> tuple[str, TrapId]:
-    """Busy-queue wake-set key of an *occupied* trap.
-
-    Recorded when a routing failure skipped ``trap_id`` as a meeting-trap
-    candidate because it was occupied.  The simulator wakes it when an issue
-    moves a resting qubit **out of** the trap — the only transition that can
-    turn it into a fresh candidate.
-    """
-    return ("trap", trap_id)
-
-
-def candidate_trap_key(trap_id: TrapId) -> tuple[str, TrapId]:
-    """Busy-queue wake-set key of a *tried* candidate trap.
-
-    Recorded when ``trap_id`` was free, was tried as the meeting trap, and
-    routing to it failed.  Such a failure is only revisited when the trap
-    **leaves** the candidate pool — an issue reserves it — because the
-    candidate ranking then admits a farther trap that was previously beyond
-    the selection horizon.  Releases of the trap's own channels are covered
-    separately by the failed legs' :func:`channel_key` cuts, so the two key
-    namespaces never overlap in meaning.
-    """
-    return ("trapc", trap_id)
 
 
 class Router:
@@ -317,17 +271,11 @@ class Router:
         source_trap_id: TrapId,
         target_trap_id: TrapId,
         congestion: CongestionTracker,
-        *,
-        cut: set | None = None,
     ) -> RoutePlan | None:
         """Plan the journey of one qubit between two traps.
 
         Returns ``None`` when no finite-cost route exists under the current
-        congestion (the caller decides whether to retry later).  When ``cut``
-        is given, a failure fills it with the :class:`ChannelId`\\ s of the
-        blocking cut — the full channels whose release could make the journey
-        routable (see
-        :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_route`).
+        congestion (the caller decides whether to retry later).
 
         Journeys shorter than two hops — staying put, or moving within a
         single channel — bypass the cache entirely: planning them is cheaper
@@ -346,8 +294,6 @@ class Router:
         target = self.fabric.trap(target_trap_id)
         if source.channel_id == target.channel_id:
             if congestion.is_full(source.channel_id):
-                if cut is not None:
-                    cut.add(source.channel_id)
                 return None
             return expand_route(
                 self.fabric, self.technology, qubit, source, target, None, ()
@@ -360,33 +306,18 @@ class Router:
                 if entry.getter(levels) == entry.values:
                     if i:
                         entries.insert(0, entries.pop(i))
-                    return self._serve(entry, qubit, cut)
+                    return self._serve(entry, qubit)
         self.stats.cache_misses += 1
         reads: set = set()
-        # The kernel lists expanded nodes for the read set anyway, so
-        # recording the cut costs only a failing search its scan of them.
-        blocking: set = set()
-        plan = self._search(qubit, source, target, congestion, cut=blocking, reads=reads)
-        failure_cut = None
-        if plan is None:
-            failure_cut = tuple(blocking)
-            if cut is not None:
-                cut.update(blocking)
-        self._store(key, _CacheEntry(plan, *self._snapshot(reads, congestion), failure_cut))
+        plan = self._search(qubit, source, target, congestion, reads)
+        self._store(key, _CacheEntry(plan, *self._snapshot(reads, congestion)))
         return plan
 
-    def _serve(self, entry: _CacheEntry, qubit: str, cut: set | None) -> RoutePlan | None:
-        """Count a cache hit and answer it from ``entry``.
-
-        A failure entry serves its recorded blocking cut verbatim.
-        """
+    def _serve(self, entry: _CacheEntry, qubit: str) -> RoutePlan | None:
+        """Count a cache hit and answer it from ``entry``."""
         self.stats.cache_hits += 1
         plan = entry.plan
-        if plan is None:
-            if cut is not None:
-                cut.update(entry.cut)
-            return None
-        if plan.qubit != qubit:
+        if plan is not None and plan.qubit != qubit:
             plan = RoutePlan(
                 qubit, plan.source_trap, plan.target_trap, plan.steps,
                 plan.duration, plan.total_moves, plan.total_turns, plan.channels_used,
@@ -414,27 +345,18 @@ class Router:
         source: Trap,
         target: Trap,
         congestion: CongestionTracker,
-        *,
-        cut: set,
         reads: set,
     ) -> RoutePlan | None:
         """Run the kernel for a journey between two different channels.
 
         Returns the plan, or ``None`` when unroutable.  ``reads`` receives
-        the slot of every channel whose occupancy shaped the outcome, ``cut``
-        a failure's blocking cut.
+        the slot of every channel whose occupancy shaped the outcome.
         """
         # The endpoint channels shape the attachment costs and the trivial
         # failure check below, so every outcome reads them.
         reads.add(self._slots[source.channel_id])
         reads.add(self._slots[target.channel_id])
-        blocked = [
-            channel_id
-            for channel_id in (source.channel_id, target.channel_id)
-            if congestion.is_full(channel_id)
-        ]
-        if blocked:
-            cut.update(blocked)
+        if congestion.is_full(source.channel_id) or congestion.is_full(target.channel_id):
             return None
         result = self.compiled.shortest_route(
             self._attachment_costs(source, congestion),
@@ -443,7 +365,6 @@ class Router:
             self.technology,
             turn_aware_costing=self.policy.turn_aware,
             stats=self.stats,
-            blocked_channels=cut,
             read_out=reads,
         )
         if result is None:
@@ -482,24 +403,17 @@ class Router:
                 in-flight instructions).  A set is read as it is, never
                 copied.
             blockers: Optional output set.  When planning fails it receives
-                the wake-set keys of every resource whose state change could
-                flip the failure.  When the operands rest in different traps
-                and an operand's own channel is full, planning fails before
-                any meeting trap is tried, and the set holds exactly
+                the wake-set keys of the state changes that could flip the
+                failure.  When the operands rest in different traps and an
+                operand's own channel is full, planning fails before any
+                meeting trap is tried, and the set holds exactly
                 :func:`channel_key` of each full operand channel (see
-                :meth:`_full_operand_channels`).  Otherwise it holds
-                :func:`channel_key` of each channel in a failed leg's
-                *blocking cut* (the full channels its search actually ran
-                into — not every full channel on the fabric),
-                :func:`trap_key` of each occupied trap skipped during
-                candidate selection (woken when an issue vacates it),
-                :func:`candidate_trap_key` of each free trap that was tried
-                and failed (woken when an issue reserves it, shifting the
-                candidate horizon), and :data:`ANY_CONGESTION_CHANGE` when a
-                destination leg failed under a source overlay (a
-                route-choice-dependent failure).  Until one of those keys is
-                woken the instruction is provably unroutable, so the
-                simulator's busy queue can skip its retries.
+                :meth:`_full_operand_channels`).  A failure after trap
+                selection records :data:`ANY_CONGESTION_CHANGE` alone, which
+                the simulator wakes on every issue and every release.  Until
+                one of those keys is woken the instruction is provably
+                unroutable, so the simulator's busy queue can skip its
+                retries.
 
         Returns:
             The routing decision, or ``None`` when the instruction cannot be
@@ -523,11 +437,6 @@ class Router:
             if blockers is not None:
                 blockers.update(channel_key(channel_id) for channel_id in full)
             return None
-        # Traps whose occupancy status shaped the candidate list; only
-        # maintained when the caller asked for failure blockers.
-        considered: set[TrapId] = set()
-        track = blockers is not None
-        skipped = considered if track else None
         occupied = occupied_traps if isinstance(occupied_traps, set) else set(occupied_traps)
 
         if self.policy.meeting_point is MeetingPoint.DESTINATION:
@@ -538,18 +447,15 @@ class Router:
             if dest_trap not in occupied:
                 candidates = [self.fabric.trap(dest_trap)]
             else:
-                if track:
-                    considered.add(dest_trap)
                 candidates = nearest_free_traps(
                     self.fabric,
                     self.fabric.trap(dest_trap).cell,
                     occupied,
                     max(2, self.policy.trap_candidates),
-                    skipped,
                 )
         elif self.policy.meeting_point is MeetingPoint.CENTER:
             candidates = nearest_free_traps(
-                self.fabric, self.fabric.center, occupied, self.policy.trap_candidates, skipped
+                self.fabric, self.fabric.center, occupied, self.policy.trap_candidates
             )
         else:
             candidates = select_target_trap(
@@ -557,7 +463,6 @@ class Router:
                 [source_trap, dest_trap],
                 occupied=occupied,
                 max_candidates=self.policy.trap_candidates,
-                skipped=skipped,
             )
 
         if self.policy.meeting_point is not MeetingPoint.DESTINATION:
@@ -567,10 +472,7 @@ class Router:
             # trap's channel simultaneously.
             seen = {candidate.id for candidate in candidates}
             for trap_id in (dest_trap, source_trap):
-                if trap_id in occupied:
-                    if track:
-                        considered.add(trap_id)
-                elif trap_id not in seen:
+                if trap_id not in occupied and trap_id not in seen:
                     candidates.append(self.fabric.trap(trap_id))
                     seen.add(trap_id)
 
@@ -591,24 +493,15 @@ class Router:
                 )
             route = self._plan_to_candidate(
                 instruction, source_name, source_trap, dest_name, dest_trap,
-                candidate, congestion, blockers=blockers,
+                candidate, congestion,
             )
             if route is not None:
                 return route
-        if track:
-            blockers.update(trap_key(trap_id) for trap_id in considered)
-            blockers.update(
-                candidate_trap_key(candidate.id) for candidate in candidates
-            )
-            if ANY_CONGESTION_CHANGE in blockers or len(blockers) > MAX_BLOCKER_KEYS:
-                # The sentinel subsumes every precise key: occupied traps only
-                # vacate at issue and full channels only open at release, and
-                # the sentinel is woken on both.  Once it is present — or when
-                # the precise set is so wide that indexing and honouring it
-                # costs more than the retries it would prune — record only the
-                # sentinel.
-                blockers.clear()
-                blockers.add(ANY_CONGESTION_CHANGE)
+        if blockers is not None:
+            # Every input of this failure, the free traps and the channel
+            # occupancies, changes only at an issue or a release, and the
+            # simulator wakes the sentinel on both.
+            blockers.add(ANY_CONGESTION_CHANGE)
         return None
 
     def _full_operand_channels(
@@ -652,10 +545,10 @@ class Router:
         lookups); the batch pass itself counts one ``dijkstra_call``.
         Batching requires strictly positive edge weights for byte-identical
         per-group answers, so it is skipped for turn-blind policies (their
-        zero-cost turn edges break the argument); failure groups are left
-        uncached because the batch kernel reports no blocking cut — the
-        dedicated cut-tracked query recomputes them, keeping wake-set keys
-        identical to the unbatched path.
+        zero-cost turn edges break the argument).  Failure groups are left
+        uncached, so the loop's demand query searches and stores a failing
+        leg exactly as it would without the prefill: the batch only adds
+        routes.
         """
         technology = self.technology
         if not (
@@ -734,19 +627,12 @@ class Router:
         dest_trap: TrapId,
         candidate: Trap,
         congestion: CongestionTracker,
-        blockers: set | None = None,
     ) -> InstructionRoute | None:
         """Try to route both operands to one candidate meeting trap."""
-        # The blocking cuts of failed legs become wake-set keys: a leg failure
-        # under the *true* congestion state (no overlay) can only flip when a
-        # cut channel releases.
-        leg_cut: set | None = set() if blockers is not None else None
         source_plan = self.plan_qubit_route(
-            source_name, source_trap, candidate.id, congestion, cut=leg_cut
+            source_name, source_trap, candidate.id, congestion
         )
         if source_plan is None:
-            if blockers is not None:
-                blockers.update(channel_key(channel) for channel in leg_cut)
             return None
 
         serial = self.policy.channel_capacity < 2
@@ -756,11 +642,9 @@ class Router:
             # path selections therefore see the same congestion state and
             # shared channels are reserved once.
             dest_plan = self.plan_qubit_route(
-                dest_name, dest_trap, candidate.id, congestion, cut=leg_cut
+                dest_name, dest_trap, candidate.id, congestion
             )
             if dest_plan is None:
-                if blockers is not None:
-                    blockers.update(channel_key(channel) for channel in leg_cut)
                 return None
             plans = (source_plan, dest_plan)
             channels = tuple(
@@ -784,8 +668,6 @@ class Router:
         try:
             for channel_id in source_plan.channels_used:
                 if congestion.is_full(channel_id):
-                    if blockers is not None:
-                        blockers.add(ANY_CONGESTION_CHANGE)
                     return None
                 congestion.reserve(channel_id)
                 reserved.append(channel_id)
@@ -796,14 +678,6 @@ class Router:
             for channel_id in reversed(reserved):
                 congestion.release(channel_id)
         if dest_plan is None:
-            # The destination leg failed *under the source overlay*: a
-            # different source-route choice might have left room, and any
-            # occupancy change anywhere can change that choice.  The failure
-            # is therefore not a stable full-channel cut — record the
-            # catch-all key so the busy queue retries on every congestion
-            # change (issues and releases).
-            if blockers is not None:
-                blockers.add(ANY_CONGESTION_CHANGE)
             return None
         return InstructionRoute(
             instruction.index,

@@ -21,24 +21,18 @@ def nearest_free_traps(
     point: tuple[float, float],
     occupied: set[TrapId],
     count: int,
-    skipped: set[TrapId] | None = None,
 ) -> list[Trap]:
     """Up to ``count`` traps nearest ``point`` that are not ``occupied``.
 
     Traps are ranked by :meth:`~repro.fabric.fabric.Fabric.ranked_traps`,
-    nearest first.  ``skipped``, when given, receives the occupied traps
-    passed over on the way: together with the returned traps they are
-    exactly the traps whose occupancy shaped the result.
+    nearest first.
     """
     candidates: list[Trap] = []
     for trap in fabric.ranked_traps(point):
-        if trap.id in occupied:
-            if skipped is not None:
-                skipped.add(trap.id)
-            continue
-        candidates.append(trap)
-        if len(candidates) >= count:
-            break
+        if trap.id not in occupied:
+            candidates.append(trap)
+            if len(candidates) >= count:
+                break
     return candidates
 
 
@@ -48,7 +42,6 @@ def select_target_trap(
     *,
     occupied: Iterable[TrapId] = (),
     max_candidates: int = 1,
-    skipped: set[TrapId] | None = None,
 ) -> list[Trap]:
     """Rank candidate meeting traps for a two-qubit instruction.
 
@@ -66,10 +59,6 @@ def select_target_trap(
             Returning more than one lets the router fall back to the next
             nearest trap when the nearest one is unreachable under the current
             congestion.
-        skipped: Optional output set receiving the occupied traps passed over
-            during the ranking.  Together with the returned candidates these
-            are exactly the traps whose occupancy status shaped the result —
-            the router records them as wake-set keys on routing failure.
 
     Returns:
         Up to ``max_candidates`` traps ordered by distance to the median of
@@ -77,6 +66,4 @@ def select_target_trap(
     """
     excluded = occupied if isinstance(occupied, set) else set(occupied)
     cells = [fabric.trap(trap_id).cell for trap_id in operand_traps]
-    return nearest_free_traps(
-        fabric, median_point(cells), excluded, max_candidates, skipped
-    )
+    return nearest_free_traps(fabric, median_point(cells), excluded, max_candidates)

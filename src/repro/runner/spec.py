@@ -72,7 +72,11 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: is full, which changes the hit/miss, search, heap-pop, wake-hit and
 #: issue-poll counters of otherwise identical runs, so schema-9 records are
 #: retired.
-CACHE_SCHEMA = 10
+#: Schema 11: a two-qubit plan that fails after trap selection parks on the
+#: congestion-change sentinel alone, which changes the wake-hit, issue-poll,
+#: hit/miss, search and heap-pop counters of otherwise identical
+#: capacity-1 runs, so schema-10 records are retired.
+CACHE_SCHEMA = 11
 
 
 @dataclass(frozen=True)

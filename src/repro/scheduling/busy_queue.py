@@ -12,19 +12,13 @@ instruction records the resources that blocked its last routing attempt
 (:meth:`BusyQueue.block_on`), and the engine wakes only the instructions
 parked on a resource that actually changed (:meth:`BusyQueue.wake`) instead
 of invalidating the whole queue.  The queue itself treats keys as opaque
-hashables; the router emits four namespaces (see
-:mod:`repro.routing.router`):
+hashables; the router emits two (see :mod:`repro.routing.router`):
 
-* ``("ch", channel_id)`` — a channel on the failure cut; woken when a qubit
-  exits that channel.
-* ``("trap", trap_id)`` — a meeting-trap candidate skipped because it was
-  occupied; woken when an issuing instruction vacates that trap.
-* ``("trapc", trap_id)`` — a free candidate that was tried and found
-  unreachable; woken when an issue *reserves* that trap, which shifts the
-  candidate horizon.
-* ``ANY_CONGESTION_CHANGE`` — the collapse sentinel used when the precise
-  blocker set would be unbounded (or exceeds ``MAX_BLOCKER_KEYS``); woken on
-  every release and every issue, so collapsing is always safe.
+* ``("ch", channel_id)`` — a full channel of an operand, named when a
+  two-qubit plan fails before trap selection; woken when a qubit exits that
+  channel and opens capacity.
+* ``ANY_CONGESTION_CHANGE`` — the one key of every failure after trap
+  selection; woken on every release and every issue.
 
 An instruction whose recorded blockers are all still standing is guaranteed
 to fail routing again, so the issue loop skips it

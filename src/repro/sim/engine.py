@@ -11,8 +11,8 @@ paper describes (Sections III and IV.B):
    MVFB backward passes (each a :class:`_CandidateSelector` strategy).
 2. For each candidate the router plans the operand journeys under the current
    congestion; if no finite route exists the instruction is parked in the
-   busy queue on the exact resources that blocked it (its waiting time is
-   the ``T_congestion`` of Eq. 1).
+   busy queue on the wake keys the router names (its waiting time is the
+   ``T_congestion`` of Eq. 1).
 3. Issued instructions reserve every channel on their routes and push typed
    events, at times known at issue, onto a timestamp-ordered heap:
    ``ChannelReleased`` when an operand exits a channel and
@@ -20,16 +20,17 @@ paper describes (Sections III and IV.B):
 
 The loop applies one timestamp's events at a time and re-enters the issue
 loop only when an event's handler reports that some instruction's blockers
-actually changed: releases wake the instructions parked on the released
-channel, issues wake the instructions parked on a vacated or newly reserved
-trap, and completions wake nothing at all — they can be shown never to
-unblock a parked instruction (the meeting trap stays occupied either way,
-and an in-flight instruction never shares qubits with a parked one).  Event
-timestamps whose handlers woke nothing skip the issue poll entirely.  This
-gating applies to the standard policy-ordered selector; forced-order and
-barrier runs poll after every event timestamp and retry every parked
-instruction, so a completion that drains a barrier run's ALAP level is
-followed by a poll at its own timestamp.
+actually changed.  A plan that fails on a full operand channel is parked on
+that channel's key, woken by a release that opens capacity there; every
+other failure is parked on the ``ANY_CONGESTION_CHANGE`` sentinel, woken by
+every release and every issue.  Completions wake nothing at all — they can
+be shown never to unblock a parked instruction (the meeting trap stays
+occupied either way, and an in-flight instruction never shares qubits with
+a parked one).  Event timestamps whose handlers woke nothing skip the issue
+poll entirely.  This gating applies to the standard policy-ordered
+selector; forced-order and barrier runs poll after every event timestamp
+and retry every parked instruction, so a completion that drains a barrier
+run's ALAP level is followed by a poll at its own timestamp.
 
 The outcome carries the total latency, the realised schedule, the final
 placement (needed by the MVFB placer), per-instruction timing records and
@@ -60,9 +61,7 @@ from repro.routing.router import (
     QSPR_POLICY,
     Router,
     RoutingPolicy,
-    candidate_trap_key,
     channel_key,
-    trap_key,
 )
 from repro.scheduling.busy_queue import BusyQueue
 from repro.scheduling.policies import SchedulingPolicy
@@ -549,12 +548,8 @@ class _RunState:
                     continue
                 instruction = self.sim.qidg.instruction(index)
                 # With wake-sets on, ask the router *why* planning failed:
-                # the returned keys (full channels, occupancy-relevant traps,
-                # the congestion-change sentinel) are this instruction's
-                # wake-set.  Coarser blockers (full channels only) would miss
-                # route-choice-dependent failures, where releasing a channel
-                # the failure never touched still flips the outcome by
-                # changing which source route the planner prefers.
+                # the returned keys (full operand channels, or the
+                # congestion-change sentinel) are this instruction's wake-set.
                 blockers: set | None = set() if self.use_wake_sets else None
                 plan_started = _time.perf_counter()
                 route = self.sim.router.plan_instruction(
@@ -615,11 +610,9 @@ class _RunState:
         # Operands leave their traps.
         offsets = route.plan_start_offsets()
         channel_exits: dict = {}
-        origin_traps: set[TrapId] = set()
         for plan, offset in zip(route.plans, offsets):
             qubit = plan.qubit
             origin = self.positions[qubit]
-            origin_traps.add(origin)
             residents = self.resting.get(origin)
             if residents is not None:
                 residents.discard(qubit)
@@ -642,19 +635,11 @@ class _RunState:
         )
 
         if self.use_wake_sets:
-            # Issuing changes exactly two kinds of blocker state: the
-            # operands' origin traps lost a qubit (they may now be legal
-            # meeting traps for an instruction parked on their occupancy)
-            # and the meeting trap became reserved (it shifts the candidate
-            # horizon of anyone who tried it while it was free).  The
-            # reservations also shift congestion weights, which
-            # route-choice-dependent failures are parked on.
-            woken = 0
-            for trap in origin_traps:
-                woken += len(self.busy.wake(trap_key(trap)))
-            woken += len(self.busy.wake(candidate_trap_key(route.target_trap)))
-            woken += len(self.busy.wake(ANY_CONGESTION_CHANGE))
-            self.stats.wake_hits += woken
+            # Issuing vacates the operands' traps and reserves the meeting
+            # trap and the route's channels: any of it can change a failure
+            # that got past trap selection, and those are parked on the
+            # sentinel.
+            self.stats.wake_hits += len(self.busy.wake(ANY_CONGESTION_CHANGE))
 
     # ------------------------------------------------------------------
     # Event handling
@@ -672,10 +657,10 @@ class _RunState:
             if not self.use_wake_sets:
                 return True
             # A capacity-opening release retries the instructions parked on
-            # this channel; any release also retries the instructions whose
-            # failure depended on a route *choice* (the sentinel) — lowering
-            # a congestion weight can change which source route the planner
-            # prefers and thereby flip a failure.
+            # this full operand channel; any release also retries the
+            # instructions parked on the sentinel, since lowering a channel's
+            # weight can change which route a leg takes and so flip a
+            # failure.
             woken = self.busy.wake(channel_key(event.channel_id)) if was_full else []
             woken += self.busy.wake(ANY_CONGESTION_CHANGE)
             self.stats.wake_hits += len(woken)

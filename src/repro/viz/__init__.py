@@ -6,11 +6,10 @@ placements and render per-qubit activity timelines from a control trace.
 """
 
 from repro.viz.fabric_ascii import render_fabric, render_placement
-from repro.viz.trace_render import render_timeline, render_gantt
+from repro.viz.trace_render import render_gantt
 
 __all__ = [
     "render_fabric",
     "render_placement",
-    "render_timeline",
     "render_gantt",
 ]

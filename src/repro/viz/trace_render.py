@@ -1,11 +1,9 @@
 """Textual rendering of control traces.
 
-Two views are provided:
-
-* :func:`render_timeline` — a per-command listing (``time  kind  qubits``).
-* :func:`render_gantt` — a coarse per-qubit Gantt chart built from the trace,
-  useful for eyeballing how much of the makespan each qubit spends moving,
-  turning, gating or idle.
+:func:`render_gantt` draws a coarse per-qubit Gantt chart from the trace,
+useful for eyeballing how much of the makespan each qubit spends moving,
+turning, gating or idle.  ``ControlTrace.to_text`` gives the per-command
+listing.
 """
 
 from __future__ import annotations
@@ -20,11 +18,6 @@ _GANTT_SYMBOLS = {
     CommandKind.GATE: "G",
 }
 _IDLE_SYMBOL = "."
-
-
-def render_timeline(trace: ControlTrace, *, limit: int | None = 50) -> str:
-    """A per-command textual timeline (optionally truncated)."""
-    return trace.to_text(limit=limit)
 
 
 def render_gantt(trace: ControlTrace, *, width: int = 80) -> str:

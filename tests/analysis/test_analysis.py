@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import latency_breakdown, schedule_parallelism
+from repro.analysis.metrics import latency_breakdown
 from repro.analysis.tables import TextTable, format_comparison_table
 from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
@@ -30,10 +30,6 @@ class TestLatencyBreakdown:
         breakdown = latency_breakdown(mapped_result)
         assert 0.0 <= breakdown.routing_share <= 1.0
         assert 0.0 <= breakdown.congestion_share <= 1.0
-
-    def test_parallelism_at_least_one_when_busy(self, mapped_result):
-        value = schedule_parallelism(mapped_result.records)
-        assert value > 0
 
 
 class TestTables:

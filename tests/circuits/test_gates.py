@@ -6,7 +6,6 @@ from repro.circuits.gates import (
     GATE_REGISTRY,
     canonical_name,
     get_gate,
-    is_known_gate,
 )
 from repro.errors import CircuitError
 
@@ -32,11 +31,6 @@ class TestRegistry:
 
     def test_case_insensitive(self):
         assert get_gate("h").name == "H"
-
-    def test_is_known_gate(self):
-        assert is_known_gate("C-Y")
-        assert is_known_gate("cnot")
-        assert not is_known_gate("TOFFOLI")
 
     def test_unknown_gate_raises(self):
         with pytest.raises(CircuitError):

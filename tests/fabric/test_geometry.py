@@ -2,33 +2,10 @@
 
 import pytest
 
-from repro.fabric.geometry import (
-    Direction,
-    Orientation,
-    distance_to_point,
-    median_point,
-    midpoint,
-)
-
-
-class TestDirection:
-    def test_deltas(self):
-        assert Direction.NORTH.delta == (-1, 0)
-        assert Direction.EAST.delta == (0, 1)
-
-    def test_orientation(self):
-        assert Direction.EAST.orientation is Orientation.HORIZONTAL
-        assert Direction.SOUTH.orientation is Orientation.VERTICAL
-
-    def test_opposite(self):
-        assert Direction.NORTH.opposite is Direction.SOUTH
-        assert Direction.WEST.opposite is Direction.EAST
+from repro.fabric.geometry import distance_to_point, median_point
 
 
 class TestDistances:
-    def test_midpoint(self):
-        assert midpoint((0, 0), (4, 6)) == (2.0, 3.0)
-
     def test_distance_to_point(self):
         assert distance_to_point((1, 1), (2.5, 1.0)) == pytest.approx(1.5)
 

@@ -6,6 +6,7 @@ from repro.errors import PlacementError
 from repro.placement.base import Placement
 from repro.placement.center import CenterPlacer, center_placement
 from repro.placement.monte_carlo import MonteCarloPlacer
+from repro.placement import mvfb
 from repro.placement.mvfb import MvfbPlacer
 from repro.qidg.graph import build_qidg
 from repro.qidg.uidg import reverse_schedule
@@ -152,12 +153,27 @@ class TestMvfbPlacer:
         assert len(directions) > 1
         assert directions == [("forward", "backward")[i % 2] for i in range(len(directions))]
 
-    def test_patience_limits_runs_per_seed(self, paper_circuit, small_fabric_4x4):
+    def test_patience_limits_runs_per_seed(self, paper_circuit, small_fabric_4x4, monkeypatch):
+        monkeypatch.setattr(mvfb, "PATIENCE", 1)
+        monkeypatch.setattr(mvfb, "MAX_RUNS_PER_SEED", 10)
         calls = []
         forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4, calls)
-        placer = MvfbPlacer(small_fabric_4x4, forward, backward, patience=1, max_runs_per_seed=10)
+        placer = MvfbPlacer(small_fabric_4x4, forward, backward)
         result = placer.run(paper_circuit, 1, seed=0)
         assert result.placement_runs == len(calls) <= 10
+        # With a patience of one, every run but the last improved the seed's
+        # best latency, and the last one, unless the cap ended the seed, did not.
+        latencies = [latency for _, latency in calls]
+        assert all(b < a for a, b in zip(latencies, latencies[1:-1]))
+        assert len(calls) == 10 or latencies[-1] >= min(latencies[:-1])
+
+    def test_run_cap_ends_a_seed(self, paper_circuit, small_fabric_4x4, monkeypatch):
+        monkeypatch.setattr(mvfb, "PATIENCE", 100)
+        monkeypatch.setattr(mvfb, "MAX_RUNS_PER_SEED", 4)
+        calls = []
+        forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4, calls)
+        result = MvfbPlacer(small_fabric_4x4, forward, backward).run(paper_circuit, 2, seed=0)
+        assert result.placement_runs == len(calls) == 8
 
     def test_best_direction_consistent(self, paper_circuit, small_fabric_4x4):
         calls = []
@@ -167,15 +183,6 @@ class TestMvfbPlacer:
         first_best = next(call for call in calls if call[1] == best)
         assert result.latency == best
         assert result.direction == first_best[0]
-
-    def test_invalid_parameters(self, small_fabric_4x4):
-        def dummy(*args):  # pragma: no cover - never called
-            raise AssertionError
-
-        with pytest.raises(PlacementError):
-            MvfbPlacer(small_fabric_4x4, dummy, dummy, patience=0)
-        with pytest.raises(PlacementError):
-            MvfbPlacer(small_fabric_4x4, dummy, dummy, max_runs_per_seed=1)
 
     def test_needs_positive_seeds(self, paper_circuit, small_fabric_4x4):
         forward, backward = _make_evaluators(paper_circuit, small_fabric_4x4)

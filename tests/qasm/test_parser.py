@@ -18,17 +18,17 @@ class TestParseProgram:
 
     def test_gate_statement(self):
         program = parse_program("QUBIT a\nQUBIT b\nC-X a,b\n")
-        ops = program.operations
-        assert ops == [GateStatement("C-X", ("a", "b"), 3)]
+        assert program.statements[2:] == [GateStatement("C-X", ("a", "b"), 3)]
 
     def test_measure_statement(self):
         program = parse_program("QUBIT a\nMEASURE a\n")
-        assert isinstance(program.operations[0], MeasureStatement)
+        assert isinstance(program.statements[1], MeasureStatement)
 
     def test_case_insensitive_keywords(self):
         program = parse_program("qubit a\nh a\nmeasure a\n")
-        assert len(program.declarations) == 1
-        assert len(program.operations) == 2
+        assert [type(statement) for statement in program] == [
+            QubitDeclaration, GateStatement, MeasureStatement,
+        ]
 
     def test_comments_and_blank_lines_ignored(self):
         program = parse_program("# header\n\nQUBIT a  // data qubit\nH a\n")

@@ -2,7 +2,7 @@
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.qasm.parser import parse_qasm
-from repro.qasm.writer import write_qasm, write_qasm_file
+from repro.qasm.writer import write_qasm
 
 
 class TestWriteQasm:
@@ -26,11 +26,6 @@ class TestWriteQasm:
         q = circuit.add_qubit("q")
         circuit.measure(q)
         assert "MEASURE q" in write_qasm(circuit)
-
-    def test_write_file(self, bell_circuit, tmp_path):
-        path = write_qasm_file(bell_circuit, tmp_path / "bell.qasm")
-        assert path.exists()
-        assert "C-X a,b" in path.read_text()
 
 
 class TestRoundTrip:

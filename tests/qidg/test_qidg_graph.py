@@ -41,7 +41,7 @@ class TestBuildQidg:
         qidg = build_qidg(circuit)
         assert qidg.num_edges == 0
         assert qidg.sources() == [0, 1]
-        assert qidg.sinks() == [0, 1]
+        assert qidg.successors == ((), ())
 
     def test_two_qubit_gate_joins_chains(self, paper_circuit):
         qidg = build_qidg(paper_circuit)

@@ -180,10 +180,7 @@ class OracleRouter(Router):
 
     _attachment_costs = reference_attachment_costs
 
-    def plan_qubit_route(
-        self, qubit, source_trap_id, target_trap_id, congestion, *, cut=None
-    ):
-        assert cut is None, "the oracle runs without wake sets, so no cut is asked for"
+    def plan_qubit_route(self, qubit, source_trap_id, target_trap_id, congestion):
         if source_trap_id == target_trap_id:
             return stationary_plan(qubit, source_trap_id)
         source = self.fabric.trap(source_trap_id)

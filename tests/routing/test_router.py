@@ -9,7 +9,6 @@ from reference_oracle import OracleRouter, reads_match, snapshot_pairs
 from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.builder import FabricSpec, build_fabric, small_fabric
 from repro.fabric.geometry import distance_to_point
-from repro.mapper.qpos import qpos_options
 from repro.routing.compiled import RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import (
@@ -18,7 +17,6 @@ from repro.routing.router import (
     MeetingPoint,
     Router,
     RoutingPolicy,
-    candidate_trap_key,
     channel_key,
 )
 from repro.routing.trap_selection import select_target_trap
@@ -175,33 +173,35 @@ class TestPlanInstruction:
         )
         assert blocked.target_trap != unconstrained.target_trap
 
-    def test_failure_blockers_name_the_cut_and_the_tried_candidate(
-        self, small_fabric_4x4, two_qubit_instruction
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("meeting_point", list(MeetingPoint))
+    def test_a_failure_after_trap_selection_wakes_on_any_change(
+        self, small_fabric_4x4, two_qubit_instruction, meeting_point, capacity
     ):
-        # QPOS: the destination qubit stays put, so its trap is the only
-        # candidate.  Every other channel at the source channel's junctions
-        # is full, so the source leg fails on that interior cut while both
-        # operand channels have room.
-        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, qpos_options().routing_policy())
-        congestion = CongestionTracker(small_fabric_4x4, 1)
+        # Every other channel at the source channel's junctions is full, so
+        # the source qubit cannot leave its channel and nothing can enter it,
+        # while both operand channels have room: every candidate, the
+        # operands' own traps included, fails after trap selection.
+        policy = RoutingPolicy(meeting_point=meeting_point, channel_capacity=capacity)
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
+        congestion = CongestionTracker(small_fabric_4x4, capacity)
         positions = self._positions(small_fabric_4x4)
         source_channel = small_fabric_4x4.trap(positions["a"]).channel_id
         assert source_channel == ("h", 0, 0)
-        cut = [("v", 0, 0), ("h", 0, 1), ("v", 0, 1)]
-        for channel_id in cut:
-            congestion.reserve(channel_id)
+        for channel_id in [("v", 0, 0), ("h", 0, 1), ("v", 0, 1)]:
+            for _ in range(capacity):
+                congestion.reserve(channel_id)
         blockers: set = set()
         route = router.plan_instruction(
             two_qubit_instruction, positions, congestion, blockers=blockers
         )
         assert route is None
-        assert blockers == {channel_key(channel_id) for channel_id in cut} | {
-            candidate_trap_key(positions["b"])
-        }
+        assert router.stats.dijkstra_calls > 0
+        assert blockers == {ANY_CONGESTION_CHANGE}
         # With the source's own channel full as well, the plan fails before
         # any candidate and names that channel alone.
-        congestion = CongestionTracker(small_fabric_4x4, 1)
-        congestion.reserve(source_channel)
+        for _ in range(capacity):
+            congestion.reserve(source_channel)
         blockers = set()
         route = router.plan_instruction(
             two_qubit_instruction, positions, congestion, blockers=blockers
@@ -438,36 +438,33 @@ class TestRouteCache:
                 congestion.reserve(channel_id)
         return source, target
 
-    def test_failure_entry_replays_its_blocking_cut(self, router, small_fabric_4x4):
-        congestion = CongestionTracker(small_fabric_4x4, 1)
-        source, target = self._blocked_distant_pair(small_fabric_4x4, congestion)
-        first_cut: set = set()
-        assert router.plan_qubit_route("q", source, target, congestion, cut=first_cut) is None
-        assert first_cut
-        second_cut: set = set()
-        assert router.plan_qubit_route("q", source, target, congestion, cut=second_cut) is None
-        assert second_cut == first_cut
-        assert (router.stats.cache_hits, router.stats.cache_misses) == (1, 1)
-
-    def test_failure_cached_without_a_cut_recovers_it_when_asked(
+    def test_a_cached_failure_is_a_hit_without_a_kernel_search(
         self, router, small_fabric_4x4
     ):
         congestion = CongestionTracker(small_fabric_4x4, 1)
         source, target = self._blocked_distant_pair(small_fabric_4x4, congestion)
         assert router.plan_qubit_route("q", source, target, congestion) is None
-        searches = router.stats.dijkstra_calls
-        cut: set = set()
-        assert router.plan_qubit_route("q", source, target, congestion, cut=cut) is None
-        assert router.stats.cache_hits == 1
-        # The failure recorded its cut when it was cached: the hit runs no
-        # kernel search to recover it.
-        assert router.stats.dijkstra_calls == searches
-        fresh_cut: set = set()
-        fresh = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
-        fresh.plan_qubit_route("q", source, target, congestion, cut=fresh_cut)
-        assert cut == fresh_cut
+        assert (router.stats.cache_misses, router.stats.dijkstra_calls) == (1, 1)
         (entry,) = router._route_cache[source, target]
-        assert set(entry.cut) == cut
+        assert entry.plan is None
+        assert router.plan_qubit_route("q", source, target, congestion) is None
+        assert (router.stats.cache_hits, router.stats.cache_misses) == (1, 1)
+        assert router.stats.dijkstra_calls == 1
+
+    def test_a_cached_failure_serves_a_later_router_on_the_fabric(
+        self, router, small_fabric_4x4
+    ):
+        congestion = CongestionTracker(small_fabric_4x4, 1)
+        source, target = self._blocked_distant_pair(small_fabric_4x4, congestion)
+        assert router.plan_qubit_route("q", source, target, congestion) is None
+        later = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        assert later.plan_qubit_route("r", source, target, congestion) is None
+        assert later.stats == RoutingCoreStats(cache_hits=1)
+        # The entry stands only while the channels its search read do:
+        # freeing one of them is a miss that searches again.
+        congestion.release(("v", 0, 0))
+        assert later.plan_qubit_route("r", source, target, congestion) is None
+        assert (later.stats.cache_misses, later.stats.dijkstra_calls) == (1, 1)
 
     def test_short_journeys_bypass_the_cache(self, router, small_fabric_4x4):
         congestion = CongestionTracker(small_fabric_4x4, 1)
@@ -475,9 +472,7 @@ class TestRouteCache:
         assert router.plan_qubit_route("q", here, here, congestion).steps == ()
         assert router.plan_qubit_route("q", here, there, congestion) is not None
         congestion.reserve(("h", 1, 1))
-        cut: set = set()
-        assert router.plan_qubit_route("q", here, there, congestion, cut=cut) is None
-        assert cut == {("h", 1, 1)}
+        assert router.plan_qubit_route("q", here, there, congestion) is None
         assert (router.stats.cache_hits, router.stats.cache_misses) == (0, 0)
         assert router._route_cache == {}
 

@@ -3,21 +3,34 @@
 The wake-set retry policy must never change *what* the simulator computes —
 latencies, schedules, placements, movement and congestion equal the
 reference oracle's, which polls at every event timestamp and retries every
-parked instruction; only the number of futile router calls drops.
+parked instruction; only the number of futile router calls drops.  Each
+retry the issue loop skips is also planned by the oracle's router on the
+spot, and must fail.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from reference_oracle import assert_same_mapping, oracle_mode
+from reference_oracle import (
+    OracleRouter,
+    assert_same_mapping,
+    oracle_mode,
+    reference_occupied_traps,
+)
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qecc import qecc_encoder
 from repro.errors import SchedulingError
 from repro.fabric.builder import small_fabric
 from repro.mapper.quale import quale_options
-from repro.routing.router import ANY_CONGESTION_CHANGE, channel_key
+from repro.routing.congestion import CongestionTracker
+from repro.routing.router import ANY_CONGESTION_CHANGE, RoutingPolicy, channel_key
+from repro.runner.executor import map_spec
+from repro.runner.spec import ExperimentSpec
 from repro.scheduling.busy_queue import BusyQueue
+from repro.sim import engine
 from repro.sim.engine import FabricSimulator
+from repro.sim.events import ChannelReleased
 from repro.placement.center import CenterPlacer
 
 
@@ -174,3 +187,131 @@ class TestEngineEquivalence:
         ).run(placement)
         assert outcome.busy_queue_entries > 0
         assert outcome.event_stats.skipped_polls == 0
+
+
+class TestEngineWakes:
+    """Which parked instructions an issue and a release wake in a gated run."""
+
+    def _state_before_issue(self, capacity):
+        """A run about to issue instruction 0 at time 0, with instruction 1
+        parked, and the route it issues."""
+        circuit = QuantumCircuit()
+        a, b, c, d = circuit.add_qubits(4)
+        circuit.cx(a, b)
+        circuit.cx(c, d)
+        fabric = small_fabric()
+        sim = FabricSimulator(
+            circuit, fabric, routing_policy=RoutingPolicy(channel_capacity=capacity)
+        )
+        state = engine._RunState(sim, CenterPlacer(fabric).place(circuit))
+        state.ready.discard(1)
+        state.busy.park(1)
+        instruction = sim.qidg.instruction(0)
+        route = sim.router.plan_instruction(
+            instruction,
+            state.positions,
+            state.congestion,
+            occupied_traps=state._occupied_traps_for(instruction),
+        )
+        return state, instruction, route
+
+    def test_an_issue_wakes_the_sentinel_and_no_channel(self):
+        # An issue books channels, so it opens none.
+        state, instruction, route = self._state_before_issue(2)
+        state.busy.block_on(1, [channel_key(route.channels[0])])
+        state._issue(instruction, route, 0.0)
+        assert not state.busy.needs_retry(1)
+        state, instruction, route = self._state_before_issue(2)
+        state.busy.block_on(1, [ANY_CONGESTION_CHANGE])
+        state._issue(instruction, route, 0.0)
+        assert state.busy.needs_retry(1)
+        assert state.stats.wake_hits == 1
+
+    @pytest.mark.parametrize("key", ["channel", "sentinel"])
+    def test_a_release_that_opens_capacity_wakes_its_channel_and_the_sentinel(self, key):
+        state, instruction, route = self._state_before_issue(1)
+        state._issue(instruction, route, 0.0)
+        channel = route.channels[0]
+        assert state.congestion.is_full(channel)
+        blocker = channel_key(channel) if key == "channel" else ANY_CONGESTION_CHANGE
+        state.busy.block_on(1, [blocker])
+        assert state.process_event(1.0, ChannelReleased("q0", channel))
+        assert state.busy.needs_retry(1)
+
+    def test_a_release_that_opens_no_capacity_wakes_only_the_sentinel(self):
+        state, instruction, route = self._state_before_issue(2)
+        state._issue(instruction, route, 0.0)
+        channel = next(
+            channel for channel in route.channels if state.congestion.occupancy(channel) == 1
+        )
+        state.busy.block_on(1, [channel_key(channel)])
+        assert not state.process_event(1.0, ChannelReleased("q0", channel))
+        assert not state.busy.needs_retry(1)
+        state.congestion.reserve(channel)
+        state.busy.block_on(1, [ANY_CONGESTION_CHANGE])
+        assert state.process_event(2.0, ChannelReleased("q0", channel))
+        assert state.busy.needs_retry(1)
+
+
+def _copy_of(congestion: CongestionTracker) -> CongestionTracker:
+    """A separate tracker with the same occupancies."""
+    twin = CongestionTracker(congestion.fabric, congestion.channel_capacity)
+    for channel_id, level in congestion.snapshot().items():
+        for _ in range(level):
+            twin.reserve(channel_id)
+    return twin
+
+
+class TestSkippedRetries:
+    """Every retry the gated issue loop skips would have failed.
+
+    Each gated run's :meth:`BusyQueue.needs_retry` is wrapped: whenever it
+    answers ``False``, the oracle's router plans the instruction under the
+    run's current positions, congestion and occupied traps, trying every
+    candidate meeting trap, and the plan must fail.
+    """
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExperimentSpec("qecc-scaled:dist=9", placer="center", technology="cap-1"),
+            ExperimentSpec(
+                "random-layered:q=48:d=16:fill=1.0:locality=3:seed=781082",
+                placer="center",
+                technology="cap-1",
+            ),
+            ExperimentSpec("[[19,1,7]]", mapper="qpos"),
+            ExperimentSpec("[[9,1,3]]", placer="mvfb", num_seeds=3),
+        ],
+        ids=["qecc-dist9-cap1", "layered-q48-cap1", "qpos-19-1-7", "mvfb-9-1-3"],
+    )
+    def test_every_skipped_retry_fails_under_the_oracle(self, monkeypatch, spec):
+        skipped: list[int] = []
+        original_init = engine._RunState.__init__
+
+        def checking_init(state, sim, initial_placement):
+            original_init(state, sim, initial_placement)
+            if not state.use_wake_sets:
+                return
+            oracle = OracleRouter(sim.fabric, sim.technology, sim.routing_policy)
+            needs_retry = state.busy.needs_retry
+
+            def checked_needs_retry(index):
+                retry = needs_retry(index)
+                if not retry:
+                    instruction = sim.qidg.instruction(index)
+                    route = oracle.plan_instruction(
+                        instruction,
+                        state.positions,
+                        _copy_of(state.congestion),
+                        occupied_traps=reference_occupied_traps(state, instruction),
+                    )
+                    assert route is None, f"instruction {index} was routable"
+                    skipped.append(index)
+                return retry
+
+            state.busy.needs_retry = checked_needs_retry
+
+        monkeypatch.setattr(engine._RunState, "__init__", checking_init)
+        map_spec(spec)
+        assert skipped

@@ -12,7 +12,6 @@ from repro.errors import (
     RoutingError,
     SchedulingError,
     SimulationError,
-    UnroutableError,
 )
 
 
@@ -25,7 +24,6 @@ class TestHierarchy:
             FabricError,
             PlacementError,
             RoutingError,
-            UnroutableError,
             SchedulingError,
             SimulationError,
             MappingError,
@@ -33,9 +31,6 @@ class TestHierarchy:
     )
     def test_all_derive_from_repro_error(self, exception_type):
         assert issubclass(exception_type, ReproError)
-
-    def test_unroutable_is_routing_error(self):
-        assert issubclass(UnroutableError, RoutingError)
 
     def test_catching_the_base_class(self):
         with pytest.raises(ReproError):

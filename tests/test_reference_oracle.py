@@ -173,11 +173,20 @@ class TestRoutingAxesMatchTheOracle:
         ("meeting_point", "capacity"),
         [
             (MeetingPoint.MEDIAN, 1),
+            (MeetingPoint.MEDIAN, 2),
             (MeetingPoint.DESTINATION, 1),
             (MeetingPoint.DESTINATION, 2),
+            (MeetingPoint.CENTER, 1),
             (MeetingPoint.CENTER, 2),
         ],
-        ids=["median-cap1", "destination-cap1", "destination-cap2", "center-cap2"],
+        ids=[
+            "median-cap1",
+            "median-cap2",
+            "destination-cap1",
+            "destination-cap2",
+            "center-cap1",
+            "center-cap2",
+        ],
     )
     def test_meeting_points(self, fabric, meeting_point, capacity):
         # Each meeting point ranks its own candidates; capacity 1 plans the

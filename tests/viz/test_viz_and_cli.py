@@ -9,7 +9,7 @@ from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 from repro.placement.center import CenterPlacer
 from repro.viz.fabric_ascii import fabric_legend, render_fabric, render_placement
-from repro.viz.trace_render import render_gantt, render_timeline
+from repro.viz.trace_render import render_gantt
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +44,6 @@ class TestFabricRendering:
 
 
 class TestTraceRendering:
-    def test_timeline(self, mapped):
-        _, _, result = mapped
-        text = render_timeline(result.trace, limit=10)
-        assert "GATE" in text
-
     def test_gantt_one_row_per_qubit(self, mapped):
         _, circuit, result = mapped
         chart = render_gantt(result.trace, width=40)
