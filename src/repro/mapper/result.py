@@ -7,9 +7,31 @@ from dataclasses import dataclass, field
 from repro.mapper.options import MapperOptions
 from repro.placement.base import Placement
 from repro.routing.compiled import RoutingCoreStats
-from repro.sim.engine import InstructionRecord
+from repro.sim.engine import InstructionRecord, SimulationOutcome
 from repro.sim.events import EventLoopStats
 from repro.sim.trace import ControlTrace
+
+
+class _TraceField:
+    """The ``trace`` field of :class:`MappingResult`, read on first access.
+
+    It holds a :class:`~repro.sim.trace.ControlTrace`, or the winning
+    :class:`~repro.sim.engine.SimulationOutcome`, whose trace the first read
+    builds and keeps in its place.  A job that never reads ``trace`` thus
+    constructs no micro-command.
+    """
+
+    def __get__(self, result, owner=None) -> ControlTrace:
+        if result is None:
+            # No value at class level, so the field keeps no default.
+            raise AttributeError("trace")
+        trace = result.__dict__["trace"]
+        if isinstance(trace, SimulationOutcome):
+            trace = result.__dict__["trace"] = trace.trace
+        return trace
+
+    def __set__(self, result, value: ControlTrace | SimulationOutcome) -> None:
+        result.__dict__["trace"] = value
 
 
 @dataclass
@@ -29,7 +51,11 @@ class MappingResult:
         initial_placement: Placement the (equivalent forward) execution starts
             from.
         final_placement: Where the qubits rest when the execution finishes.
-        trace: Micro-command control trace of the winning pass.
+        trace: Micro-command control trace of the winning pass.  The
+            pipeline passes the winning
+            :class:`~repro.sim.engine.SimulationOutcome` instead, whose
+            trace the first read builds, so a job that never reads it
+            builds none.
         records: Per-instruction timing records of the winning pass.
         direction: ``"forward"`` or ``"backward"`` — which MVFB pass won.
         placement_runs: Number of placement runs performed by the placer.
@@ -61,7 +87,7 @@ class MappingResult:
     schedule: list[int]
     initial_placement: Placement
     final_placement: Placement
-    trace: ControlTrace
+    trace: ControlTrace = _TraceField()
     records: dict[int, InstructionRecord]
     direction: str = "forward"
     placement_runs: int = 1

@@ -86,7 +86,7 @@ def _package_result_stage(ctx: PipelineContext) -> None:
         schedule=outcome.schedule,
         initial_placement=outcome.initial_placement,
         final_placement=outcome.final_placement,
-        trace=outcome.trace,
+        trace=outcome,  # the trace is built on first access
         records=outcome.records,
         direction=outcome.direction,
         placement_runs=outcome.placement_runs,

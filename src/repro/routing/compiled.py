@@ -88,13 +88,17 @@ caller's own attachment channels) are unchanged, which is the validity
 rule of the router's route cache.
 
 **Batched multi-target search.**  :meth:`shortest_routes_batch`
-answers one source set against several target groups (the candidate
-meeting traps of dual-operand planning) in a single kernel pass.  Each
-group keeps its own ``best_total``/winner and *freezes* exactly where its
-dedicated search would have terminated, while the shared frontier keeps
-expanding for the groups still open; with strictly positive edge weights
-(the only mode the router batches under) every per-group answer is
-byte-identical to the dedicated query's.
+answers one source set against several target groups in a single kernel
+pass.  Each group keeps its own ``best_total``/winner and *freezes*
+exactly where its dedicated search would have terminated, while the shared
+frontier keeps expanding for the groups still open; with strictly positive
+edge weights every per-group answer is byte-identical to the dedicated
+query's.  No router calls it: every leg is a demand lookup through
+:meth:`shortest_route`, because batching candidate legs cost time on both
+library workloads of the benchmark (``docs/PERFORMANCE.md`` §5).  It stays
+only because the benchmark's tracer (``perfbench/qsprbench/tracer.py``)
+wraps it by name, and the benchmark harness check fails when a wrapped
+name is missing.
 """
 
 from __future__ import annotations
@@ -144,10 +148,6 @@ class RoutingCoreStats:
         edge_relaxations: Successful distance improvements over all searches.
         cache_hits: Route-table hits in :class:`~repro.routing.router.Router`.
         cache_misses: Route-table misses (each one runs the full planner).
-        batched_searches: Multi-target batch passes
-            (:meth:`CompiledRoutingGraph.shortest_routes_batch` calls); each
-            counts once in ``dijkstra_calls`` but answers several trap-pair
-            queries.
     """
 
     dijkstra_calls: int = 0
@@ -155,7 +155,6 @@ class RoutingCoreStats:
     edge_relaxations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    batched_searches: int = 0
 
     @property
     def route_queries(self) -> int:
@@ -180,7 +179,6 @@ class RoutingCoreStats:
             edge_relaxations=self.edge_relaxations - baseline.edge_relaxations,
             cache_hits=self.cache_hits - baseline.cache_hits,
             cache_misses=self.cache_misses - baseline.cache_misses,
-            batched_searches=self.batched_searches - baseline.batched_searches,
         )
 
 
@@ -611,8 +609,11 @@ class CompiledRoutingGraph:
         strictly positive edge weights (relaxers settle strictly before the
         nodes they relax, pinning every parent pointer before any freeze),
         so callers must not batch when ``T_turn`` is zero and turn edges
-        exist; the router enforces this.  Failure groups (no finite route)
-        report ``None``.
+        exist.  Failure groups (no finite route) report ``None``.
+
+        No router calls this method.  It stays only because the benchmark's
+        tracer wraps it by name (see the module docstring), and a test pins
+        its per-group answers against single searches.
         """
         node_index = self._node_index
         turn_cost = technology.turn_delay if turn_aware_costing else 0.0
@@ -735,7 +736,6 @@ class CompiledRoutingGraph:
                 read_out.update(node_slots[i])
         if stats is not None:
             stats.dijkstra_calls += 1
-            stats.batched_searches += 1
             stats.heap_pops += pops
             stats.edge_relaxations += relaxations
 

@@ -310,7 +310,13 @@ class Router:
         self.stats.cache_misses += 1
         reads: set = set()
         plan = self._search(qubit, source, target, congestion, reads)
-        self._store(key, _CacheEntry(plan, *self._snapshot(reads, congestion)))
+        getter = itemgetter(*sorted(reads))
+        entry = _CacheEntry(plan, getter, getter(congestion.levels))
+        if entries is None:
+            self._route_cache[key] = [entry]
+        else:
+            entries.insert(0, entry)
+            del entries[MAX_SNAPSHOTS_PER_PAIR:]
         return plan
 
     def _serve(self, entry: _CacheEntry, qubit: str) -> RoutePlan | None:
@@ -323,21 +329,6 @@ class Router:
                 plan.duration, plan.total_moves, plan.total_turns, plan.channels_used,
             )
         return plan
-
-    def _store(self, key: tuple[TrapId, TrapId], entry: _CacheEntry) -> None:
-        """Push ``entry`` onto the pair's MRU snapshot list (bounded)."""
-        entries = self._route_cache.get(key)
-        if entries is None:
-            self._route_cache[key] = [entry]
-        else:
-            entries.insert(0, entry)
-            del entries[MAX_SNAPSHOTS_PER_PAIR:]
-
-    @staticmethod
-    def _snapshot(reads: set, congestion: CongestionTracker) -> tuple[itemgetter, tuple]:
-        """Freeze a search's slot read set into a getter and its occupancies."""
-        getter = itemgetter(*sorted(reads))
-        return getter, getter(congestion.levels)
 
     def _search(
         self,
@@ -476,21 +467,7 @@ class Router:
                     candidates.append(self.fabric.trap(trap_id))
                     seen.add(trap_id)
 
-        for index, candidate in enumerate(candidates):
-            if index == 1 and len(candidates) > 2:
-                # The first candidate failed, so the loop is committed to
-                # probing the rest: batch-prefetch their missing legs in one
-                # shared-frontier pass instead of flooding once per probe.
-                # Loops that succeed at the first candidate — the common
-                # case — never pay for a prefetch.
-                self._prefill_candidate_routes(
-                    source_name,
-                    source_trap,
-                    dest_name,
-                    dest_trap,
-                    candidates[1:],
-                    congestion,
-                )
+        for candidate in candidates:
             route = self._plan_to_candidate(
                 instruction, source_name, source_trap, dest_name, dest_trap,
                 candidate, congestion,
@@ -521,102 +498,6 @@ class Router:
         trap = self.fabric.trap
         channels = dict.fromkeys((trap(source_trap).channel_id, trap(dest_trap).channel_id))
         return [channel_id for channel_id in channels if congestion.is_full(channel_id)]
-
-    def _prefill_candidate_routes(
-        self,
-        source_name: str,
-        source_trap: TrapId,
-        dest_name: str,
-        dest_trap: TrapId,
-        candidates: list[Trap],
-        congestion: CongestionTracker,
-    ) -> None:
-        """Prefetch the candidate legs' missing routes in one batched pass.
-
-        The candidate loop below issues one source-leg query per candidate
-        (plus one destination leg each on serial fabrics) against the *same*
-        congestion state.  Instead of flooding the fabric once per query,
-        this answers, in one
-        :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_routes_batch`
-        pass, every leg whose pair the route table has never seen, and seeds
-        the table, so the loop's lookups all hit.
-
-        Prefetches are not charged as cache misses (they are not demand
-        lookups); the batch pass itself counts one ``dijkstra_call``.
-        Batching requires strictly positive edge weights for byte-identical
-        per-group answers, so it is skipped for turn-blind policies (their
-        zero-cost turn edges break the argument).  Failure groups are left
-        uncached, so the loop's demand query searches and stores a failing
-        leg exactly as it would without the prefill: the batch only adds
-        routes.
-        """
-        technology = self.technology
-        if not (
-            self.policy.turn_aware
-            and technology.turn_delay > 0
-            and technology.move_delay > 0
-        ):
-            return
-        serial = self.policy.channel_capacity < 2
-        legs = [(source_name, source_trap)]
-        if serial:
-            legs.append((dest_name, dest_trap))
-        for qubit, origin_id in legs:
-            origin = self.fabric.trap(origin_id)
-            jobs: list[tuple[tuple[TrapId, TrapId], Trap]] = []
-            seen: set[TrapId] = set()
-            for candidate in candidates:
-                cand_id = candidate.id
-                if cand_id == origin_id or cand_id in seen:
-                    continue
-                seen.add(cand_id)
-                if candidate.channel_id == origin.channel_id:
-                    continue
-                if congestion.is_full(candidate.channel_id):
-                    continue
-                key = (origin_id, cand_id)
-                if self._route_cache.get(key):
-                    # Any entry at all keeps the pair out of the batch: a
-                    # valid one will hit, and a stale one's dedicated query
-                    # is bounded from its first pop.  Prefetch only
-                    # never-seen pairs.
-                    continue
-                jobs.append((key, candidate))
-            if len(jobs) < 2:
-                continue
-            sources = self._attachment_costs(origin, congestion)
-            groups = [
-                self._attachment_costs(candidate, congestion) for _, candidate in jobs
-            ]
-            reads: set = set()
-            results = self.compiled.shortest_routes_batch(
-                sources,
-                groups,
-                congestion,
-                technology,
-                turn_aware_costing=True,
-                stats=self.stats,
-                read_out=reads,
-            )
-            reads.add(self._slots[origin.channel_id])
-            reads.update(self._slots[candidate.channel_id] for _, candidate in jobs)
-            # The union read set over all groups: a superset of each group's
-            # own reads, so per-entry validation stays sound (merely a little
-            # stricter than a dedicated query's would be).
-            snapshot = self._snapshot(reads, congestion)
-            for (key, candidate), result in zip(jobs, results):
-                if result is None:
-                    continue
-                plan = expand_route(
-                    self.fabric,
-                    technology,
-                    qubit,
-                    origin,
-                    candidate,
-                    result.entry_node[0],
-                    result.edges,
-                )
-                self._store(key, _CacheEntry(plan, *snapshot))
 
     def _plan_to_candidate(
         self,

@@ -89,7 +89,6 @@ CSV_FIELDS: tuple[str, ...] = (
     "route_cache_misses",
     "route_cache_hit_rate",
     "dijkstra_calls",
-    "routing_batched_searches",
     "heap_pops",
     "edge_relaxations",
     "events_processed",
@@ -136,8 +135,6 @@ class CellResult:
         route_cache_misses: Route-cache misses of the winning pass.
         route_cache_hit_rate: Hit fraction of the route cache (0.0–1.0).
         dijkstra_calls: Shortest-route searches executed by the winning pass.
-        routing_batched_searches: Batched multi-target kernel passes among
-            those searches (each answers several candidate legs at once).
         heap_pops: Heap extractions over those searches.
         edge_relaxations: Distance improvements over those searches.
         events_processed: Simulation events popped off the event heap.
@@ -182,7 +179,6 @@ class CellResult:
     route_cache_misses: int = 0
     route_cache_hit_rate: float = 0.0
     dijkstra_calls: int = 0
-    routing_batched_searches: int = 0
     heap_pops: int = 0
     edge_relaxations: int = 0
     events_processed: int = 0
@@ -233,7 +229,6 @@ class CellResult:
             route_cache_misses=result.routing_stats.cache_misses,
             route_cache_hit_rate=result.routing_stats.cache_hit_rate,
             dijkstra_calls=result.routing_stats.dijkstra_calls,
-            routing_batched_searches=result.routing_stats.batched_searches,
             heap_pops=result.routing_stats.heap_pops,
             edge_relaxations=result.routing_stats.edge_relaxations,
             events_processed=result.event_stats.events_processed,

@@ -76,7 +76,11 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: congestion-change sentinel alone, which changes the wake-hit, issue-poll,
 #: hit/miss, search and heap-pop counters of otherwise identical
 #: capacity-1 runs, so schema-10 records are retired.
-CACHE_SCHEMA = 11
+#: Schema 12: the router's batched candidate prefill is gone, so every leg
+#: is a demand lookup; that changes the hit/miss, search, heap-pop and
+#: relaxation counters of otherwise identical runs, and the batched-search
+#: count left the record, so schema-11 records are retired.
+CACHE_SCHEMA = 12
 
 
 @dataclass(frozen=True)

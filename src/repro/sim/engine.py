@@ -36,7 +36,8 @@ The outcome carries the total latency, the realised schedule, the final
 placement (needed by the MVFB placer), per-instruction timing records and
 routes, and the event loop's own counters
 (:class:`~repro.sim.events.EventLoopStats`).  Its micro-command trace is
-built on first access, so a placement search pays only for the winner's.
+built on first access, so a placement search pays only for the winner's,
+and a job that never reads it pays for none.
 """
 
 from __future__ import annotations
@@ -165,14 +166,24 @@ class SimulationOutcome:
     direction: str = "forward"
     placement_runs: int = 1
     _trace: ControlTrace | None = field(default=None, init=False, repr=False, compare=False)
+    #: The backward pass a forward equivalent mirrors, until its trace is read.
+    _mirrored: SimulationOutcome | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def trace(self) -> ControlTrace:
-        """The micro-command control trace, built on first access.
+        """The micro-command control trace, built on first access and kept.
 
         Commands are added in issue order: each operand plan's move and turn
-        steps, then the gate.
+        steps, then the gate.  A backward pass's forward equivalent builds
+        the backward pass's trace and mirrors it in time
+        (:meth:`~repro.sim.trace.ControlTrace.reversed_trace`).  A pass
+        whose trace is never read constructs no micro-command.
         """
+        if self._trace is None and self._mirrored is not None:
+            self._trace = self._mirrored.trace.reversed_trace()
+            self._mirrored = None
         if self._trace is None:
             trace = ControlTrace()
             for index in self.schedule:
@@ -215,9 +226,10 @@ class SimulationOutcome:
         from ``P'`` to ``P(k+1)``; the paper reports it as the forward circuit
         run from ``P(k+1)``: the reverse of its schedule over the forward
         instruction indices, the placements swapped and the control trace
-        mirrored in time.  Everything else (latency, direction, records,
-        routes, QIDG and counters) stays the backward pass's, so convert a
-        pass once: its equivalent still says ``"backward"``.
+        mirrored in time, on its first read.  Everything else (latency,
+        direction, records, routes, QIDG and counters) stays the backward
+        pass's, so convert a pass once: its equivalent still says
+        ``"backward"``.
         """
         if self.direction == "forward":
             return self
@@ -227,7 +239,7 @@ class SimulationOutcome:
             initial_placement=self.final_placement,
             final_placement=self.initial_placement,
         )
-        equivalent._trace = self.trace.reversed_trace()
+        equivalent._mirrored = self
         return equivalent
 
 

@@ -38,6 +38,7 @@ from reference_oracle import assert_same_mapping, oracle_mode
 from repro import MapperOptions, QsprMapper, small_fabric
 from repro.circuits.qecc import qecc_encoder
 from repro.qidg.graph import build_qidg
+from repro.sim.microcode import MicroCommand
 from repro.sim.trace import ControlTrace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -116,19 +117,41 @@ def test_trace_matches_golden_snapshot(name, circuit, kwargs):
     )
 
 
-def test_only_the_winning_run_builds_a_trace(monkeypatch):
-    """An MVFB search of 16 placement runs builds the commands of one trace."""
-    added = []
-    original_add = ControlTrace.add
+@pytest.mark.parametrize(
+    "circuit, kwargs, direction, runs",
+    [
+        ("[[7,1,3]]", {"placer": "mvfb", "num_seeds": 2, "random_seed": 1}, "forward", 15),
+        (*next(case[1:] for case in CASES if case[0] == "513-mvfb"), "backward", 16),
+    ],
+    ids=["forward-winner", "513-mvfb"],
+)
+def test_the_winning_trace_is_built_on_its_first_read(
+    monkeypatch, circuit, kwargs, direction, runs
+):
+    """Mapping constructs no micro-command.  The first ``trace`` read adds
+    exactly the winning run's commands to a trace (a backward winner's are
+    then mirrored), and a second read constructs none."""
+    constructed, added = [0], [0]
+    original_init, original_add = MicroCommand.__init__, ControlTrace.add
+
+    def counting_init(command, *args, **kwargs):
+        constructed[0] += 1
+        original_init(command, *args, **kwargs)
 
     def counting_add(trace, command):
-        added.append(command)
+        added[0] += 1
         original_add(trace, command)
 
+    monkeypatch.setattr(MicroCommand, "__init__", counting_init)
     monkeypatch.setattr(ControlTrace, "add", counting_add)
-    result = _map("[[5,1,3]]", {"placer": "mvfb", "num_seeds": 2, "random_seed": 0})
-    assert result.placement_runs == 16
-    assert len(added) == len(result.trace) > 0
+    result = _map(circuit, kwargs)
+    assert (result.direction, result.placement_runs) == (direction, runs)
+    assert constructed[0] == added[0] == 0
+    trace = result.trace
+    assert added[0] == len(trace) > 0
+    built = constructed[0]
+    assert result.trace is trace
+    assert (constructed[0], added[0]) == (built, len(trace))
 
 
 def test_backward_winner_is_reported_as_a_forward_execution():

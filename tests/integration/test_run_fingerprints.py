@@ -124,7 +124,6 @@ def run_counters(outcome) -> dict[str, int]:
         "edge_relaxations": routing.edge_relaxations,
         "cache_hits": routing.cache_hits,
         "cache_misses": routing.cache_misses,
-        "batched_searches": routing.batched_searches,
     }
 
 

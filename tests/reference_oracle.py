@@ -4,9 +4,8 @@ The simulator's speed comes from layers that must never change what it
 computes: the compiled CSR kernel with its congestion-free target-distance
 bounds (a per-node lower bound, and an upper bound from walking each
 source's shortest-path tree), the snapshot-validated route table (one per
-fabric, with MRU lists per trap pair and batched candidate prefill), the
-instruction planner's full-operand-channel check, and the wake-set gating
-of the event loop.  The oracle removes every one of them:
+fabric, with MRU lists per trap pair), the instruction planner's
+full-operand-channel check, and the wake-set gating of the event loop.  The oracle removes every one of them:
 
 * :class:`OracleRouter` plans every leg from scratch with
   :func:`shortest_route` under the Eq. (2) weights of
@@ -219,9 +218,6 @@ class OracleRouter(Router):
         """The oracle scans every candidate meeting trap, even when an
         operand's channel is full."""
         return []
-
-    def _prefill_candidate_routes(self, *args) -> None:
-        """The oracle prefetches nothing."""
 
 
 @contextlib.contextmanager

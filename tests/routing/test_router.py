@@ -284,7 +284,7 @@ class TestFullOperandChannel:
         )
         assert route is None
         assert blockers == {channel_key(channel_id) for channel_id in full_channels}
-        # No route-table lookup, no kernel search, no batched prefill.
+        # No route-table lookup and no kernel search.
         assert router.stats == RoutingCoreStats()
         assert not router._route_cache
         assert congestion.levels == levels

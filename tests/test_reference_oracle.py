@@ -197,15 +197,15 @@ class TestRoutingAxesMatchTheOracle:
 
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_turn_blind_path_selection(self, fabric, capacity):
-        # The turn-blind graph has zero-cost turn edges, so the batched
-        # candidate prefill stands down and every leg is a demand query.
+        # The turn-blind graph has zero-cost turn edges, which the kernel's
+        # bounds and the route table must handle as the oracle does.
         options = _options(turn_aware_routing=False, channel_capacity=capacity)
         _map_both(LAYERED, fabric, options)
 
     @pytest.mark.parametrize("trap_candidates", [1, 2, 8])
     def test_candidate_counts(self, fabric, trap_candidates):
-        # One candidate never prefetches; with more than two, a first
-        # candidate that fails batch-prefetches the rest.
+        # One candidate fails the instruction at its first failed leg; more
+        # candidates fall back, nearest first, leg by leg.
         options = _options("cap-1", trap_candidates=trap_candidates)
         _map_both(CONGESTED.format(seed=6), fabric, options)
 

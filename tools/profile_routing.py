@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     # The result's routing time and counters cover only the winning run.
     print(
         f"  winning run: routing {result.routing_seconds:.4f}s, "
-        f"{stats.dijkstra_calls} searches ({stats.batched_searches} batched), "
+        f"{stats.dijkstra_calls} searches, "
         f"{stats.heap_pops} heap pops, {stats.cache_hits} cache hits / "
         f"{stats.cache_misses} misses"
     )
