@@ -87,18 +87,13 @@ byte-identical for as long as those channels' occupancies (plus the
 caller's own attachment channels) are unchanged, which is the validity
 rule of the router's route cache.
 
-**Batched multi-target search.**  :meth:`shortest_routes_batch`
-answers one source set against several target groups in a single kernel
-pass.  Each group keeps its own ``best_total``/winner and *freezes*
-exactly where its dedicated search would have terminated, while the shared
-frontier keeps expanding for the groups still open; with strictly positive
-edge weights every per-group answer is byte-identical to the dedicated
-query's.  No router calls it: every leg is a demand lookup through
-:meth:`shortest_route`, because batching candidate legs cost time on both
-library workloads of the benchmark (``docs/PERFORMANCE.md`` §5).  It stays
-only because the benchmark's tracer (``perfbench/qsprbench/tracer.py``)
-wraps it by name, and the benchmark harness check fails when a wrapped
-name is missing.
+**No batched search.**  :meth:`shortest_routes_batch` answers one source
+set against several target groups with one :meth:`shortest_route` call per
+group.  No router calls it: every leg is a demand lookup, because batching
+candidate legs into one frontier pass cost time on both library workloads
+of the benchmark (``docs/PERFORMANCE.md`` §5).  It stays only because the
+benchmark's tracer (``perfbench/qsprbench/tracer.py``) wraps it by name,
+and the benchmark harness check fails when a wrapped name is missing.
 """
 
 from __future__ import annotations
@@ -595,172 +590,23 @@ class CompiledRoutingGraph:
         stats: RoutingCoreStats | None = None,
         read_out: set | None = None,
     ) -> list[DijkstraResult | None]:
-        """Answer one source set against several target groups in one pass.
+        """One :meth:`shortest_route` answer per target group, in order.
 
-        Equivalent to calling :meth:`shortest_route` once per group with the
-        same ``sources`` — the return value is byte-identical per group —
-        but the shared frontier is expanded once instead of once per group.
-        Each group keeps its own running best completion (strict-``<``
-        updates, exactly as the dedicated search) and *freezes* at the first
-        settle at or above it, which is precisely where its dedicated search
-        would have terminated; the loop ends when every group is frozen.
-
-        Byte-identity of the per-group winners and parent chains relies on
-        strictly positive edge weights (relaxers settle strictly before the
-        nodes they relax, pinning every parent pointer before any freeze),
-        so callers must not batch when ``T_turn`` is zero and turn edges
-        exist.  Failure groups (no finite route) report ``None``.
-
-        No router calls this method.  It stays only because the benchmark's
-        tracer wraps it by name (see the module docstring), and a test pins
-        its per-group answers against single searches.
+        No router calls this method; it stays only because the benchmark's
+        tracer wraps it by name (see the module docstring).
         """
-        node_index = self._node_index
-        turn_cost = technology.turn_delay if turn_aware_costing else 0.0
-        self._sync_weights(congestion, technology.move_delay, turn_cost)
-
-        self._generation += 1
-        generation = self._generation
-        dist = self._dist
-        parent = self._parent
-        origin = self._origin
-        dist_gen = self._dist_gen
-        visited_gen = self._visited_gen
-
-        heap: list[tuple[float, int, int]] = []
-        counter = 0
-        for node, cost in sources.items():
-            if not math.isfinite(cost):
-                continue
-            i = node_index[node]
-            if dist_gen[i] == generation and cost >= dist[i]:
-                continue
-            dist[i] = cost
-            dist_gen[i] = generation
-            origin[i] = i
-            parent[i] = -1
-            heapq.heappush(heap, (cost, counter, i))
-            counter += 1
-
-        num_groups = len(target_groups)
-        results: list[DijkstraResult | None] = [None] * num_groups
-        if not heap:
-            return results
-
-        # node -> [(group, completion), ...] over every group's finite targets.
-        group_targets: dict[int, list[tuple[int, float]]] = {}
-        alive = []
-        for g, targets in enumerate(target_groups):
-            finite = False
-            for node, cost in targets.items():
-                if math.isfinite(cost):
-                    group_targets.setdefault(node_index[node], []).append((g, cost))
-                    finite = True
-            if finite:
-                alive.append(g)
-        if not group_targets:
-            return results
-
-        h_dist, _ = self._target_distances(tuple(sorted(group_targets)))
-        h_floor = min(cost for pairs in group_targets.values() for _, cost in pairs)
-
-        adjacency = self._adjacency
-        best_total = [_INF] * num_groups
-        best_exit = [-1] * num_groups
-        frozen = [g not in alive for g in range(num_groups)]
-        open_groups = len(alive)
-        # The shared prune bound: entries at or above every open group's best
-        # completion can improve none of them (same argument as the single
-        # search, applied group-wise with the loosest open bound).
-        bound_max = bound_limit = _INF
-        pops = 0
-        relaxations = 0
-        pop = heapq.heappop
-        push = heapq.heappush
-        track_read = read_out is not None
-        expanded: list[int] = []
-
-        while heap and open_groups:
-            cost, _, node = pop(heap)
-            pops += 1
-            if visited_gen[node] == generation or (
-                dist_gen[node] == generation and cost > dist[node]
-            ):
-                continue
-            visited_gen[node] = generation
-            hits = group_targets.get(node)
-            recompute_bound = False
-            if hits is not None:
-                for g, completion in hits:
-                    if not frozen[g] and cost + completion < best_total[g]:
-                        best_total[g] = cost + completion
-                        best_exit[g] = node
-                        recompute_bound = True
-            # A settle at or above a group's best completion is exactly where
-            # that group's dedicated search would have broken out.
-            for g in alive:
-                if not frozen[g] and cost >= best_total[g]:
-                    frozen[g] = True
-                    open_groups -= 1
-                    recompute_bound = True
-            if not open_groups:
-                break
-            if recompute_bound:
-                bound_max = max(
-                    best_total[g] for g in alive if not frozen[g]
-                )
-                bound_limit = bound_max * _PRUNE_SLACK
-            if cost + h_dist[node] + h_floor > bound_limit:
-                continue
-            if track_read:
-                expanded.append(node)
-            node_origin = origin[node]
-            for edge_cost, t, e in adjacency[node]:
-                candidate = cost + edge_cost
-                if candidate >= bound_max:
-                    continue
-                if dist_gen[t] != generation or candidate < dist[t]:
-                    if candidate + h_dist[t] + h_floor > bound_limit:
-                        continue
-                    dist[t] = candidate
-                    dist_gen[t] = generation
-                    origin[t] = node_origin
-                    parent[t] = e
-                    push(heap, (candidate, counter, t))
-                    counter += 1
-                    relaxations += 1
-
-        if track_read:
-            node_slots = self._node_slots
-            for i in expanded:
-                read_out.update(node_slots[i])
-        if stats is not None:
-            stats.dijkstra_calls += 1
-            stats.heap_pops += pops
-            stats.edge_relaxations += relaxations
-
-        edge_objects = self._edges
-        edge_source = self._edge_source
-        for g in alive:
-            exit_node = best_exit[g]
-            if exit_node < 0 or not math.isfinite(best_total[g]):
-                continue
-            edges = []
-            node = exit_node
-            while True:
-                e = parent[node]
-                if e < 0:
-                    break
-                edges.append(edge_objects[e])
-                node = edge_source[e]
-            edges.reverse()
-            results[g] = DijkstraResult(
-                best_total[g],
-                self._nodes[origin[exit_node]],
-                self._nodes[exit_node],
-                tuple(edges),
+        return [
+            self.shortest_route(
+                sources,
+                targets,
+                congestion,
+                technology,
+                turn_aware_costing=turn_aware_costing,
+                stats=stats,
+                read_out=read_out,
             )
-        return results
+            for targets in target_groups
+        ]
 
     def __repr__(self) -> str:
         return (

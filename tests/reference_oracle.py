@@ -5,7 +5,8 @@ computes: the compiled CSR kernel with its congestion-free target-distance
 bounds (a per-node lower bound, and an upper bound from walking each
 source's shortest-path tree), the snapshot-validated route table (one per
 fabric, with MRU lists per trap pair), the instruction planner's
-full-operand-channel check, and the wake-set gating of the event loop.  The oracle removes every one of them:
+full-operand-channel check, and the wake-set gating of the event loop.
+The oracle removes every one of them:
 
 * :class:`OracleRouter` plans every leg from scratch with
   :func:`shortest_route` under the Eq. (2) weights of

@@ -14,8 +14,7 @@ Two layers of coverage:
   shim that routes every live query through *both* kernels and compares.
 
 The kernel's congestion-free target-distance table is checked against the
-reference kernel on its own, and the batch kernel, which no router calls,
-group by group against single searches.
+reference kernel on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.routing.compiled import CompiledRoutingGraph
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import RoutingGraph
 from repro.routing.router import Router, RoutingPolicy
-from repro.routing.trap_selection import nearest_free_traps
 from repro.routing.weights import edge_weight
 from repro.sim.engine import FabricSimulator
 from repro.technology import PAPER_TECHNOLOGY
@@ -317,44 +315,26 @@ def test_compiled_routes_are_costed_edge_chains(small_fabric_4x4):
     assert routed > 0
 
 
-@pytest.mark.parametrize("fabric_name", ["small", "quale"])
-def test_a_batch_answers_each_group_as_its_own_search(fabric_name):
-    # No simulation reaches the batch kernel, so it is pinned here directly:
-    # one origin against its nearest candidate traps, under random
-    # congestion, must give each group the single search's answer.  Only
-    # turn-aware: per-group identity needs strictly positive edge weights.
-    fabric = FABRICS.get(fabric_name)()
+def test_a_batch_answers_each_group_as_its_own_search(small_fabric_4x4):
+    # No router calls the batch method; it stays because the benchmark's
+    # tracer wraps it by name, and must answer each group as one search.
+    fabric = small_fabric_4x4
     policy = RoutingPolicy()
     router = Router(fabric, PAPER_TECHNOLOGY, policy)
-    rng = random.Random(f"batch-{fabric_name}")
-    channels = sorted(fabric.channels)
-    traps = sorted(fabric.traps)
-    routed = unroutable = 0
-    for sample in range(25):
-        congestion = CongestionTracker(fabric, policy.channel_capacity)
-        for channel_id in rng.sample(channels, len(channels) // 3):
-            for _ in range(rng.randint(1, policy.channel_capacity)):
-                congestion.reserve(channel_id)
-        origin = fabric.trap(rng.choice(traps))
-        candidates = [
-            trap
-            for trap in nearest_free_traps(fabric, origin.cell, {origin.id}, 8)
-            if trap.channel_id != origin.channel_id
-        ]
-        sources = router._attachment_costs(origin, congestion)
-        groups = [router._attachment_costs(trap, congestion) for trap in candidates]
-        batched = router.compiled.shortest_routes_batch(
-            sources, groups, congestion, PAPER_TECHNOLOGY
-        )
-        assert len(batched) == len(groups)
-        for trap, targets, answer in zip(candidates, groups, batched):
-            single = _compiled_query(router, sources, targets, congestion)
-            _assert_same_result(single, answer, f"sample {sample}: {origin.id}->{trap.id}")
-            if single is None:
-                unroutable += 1
-            else:
-                routed += 1
-    assert routed > 0 and unroutable > 0
+    congestion = _congestion_states(fabric, policy.channel_capacity)["partial"]
+    origin, *others = (fabric.trap(trap_id) for trap_id in sorted(fabric.traps))
+    sources = router._attachment_costs(origin, congestion)
+    groups = [
+        router._attachment_costs(trap, congestion)
+        for trap in others
+        if trap.channel_id != origin.channel_id
+    ]
+    batched = router.compiled.shortest_routes_batch(
+        sources, groups, congestion, PAPER_TECHNOLOGY
+    )
+    assert batched == [
+        _compiled_query(router, sources, targets, congestion) for targets in groups
+    ]
 
 
 class _DifferentialShim:
