@@ -75,8 +75,7 @@ class MappingResult:
             cache hits/misses, Dijkstra calls, heap pops, edge relaxations).
         event_stats: Event-loop counters of the winning pass (events
             processed, peak heap size, wake hits, skipped/executed issue
-            polls).  ``skipped_polls`` is zero for forced-order and barrier
-            runs, which poll at every event timestamp by construction.
+            polls).
     """
 
     circuit_name: str

@@ -100,7 +100,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from repro.routing.congestion import CongestionTracker
@@ -161,20 +161,6 @@ class RoutingCoreStats:
         """Fraction of route queries served from the cache (0.0 when idle)."""
         queries = self.route_queries
         return self.cache_hits / queries if queries else 0.0
-
-    def snapshot(self) -> "RoutingCoreStats":
-        """An independent copy (used to compute per-run deltas)."""
-        return replace(self)
-
-    def since(self, baseline: "RoutingCoreStats") -> "RoutingCoreStats":
-        """The counter deltas accumulated since ``baseline`` was snapshot."""
-        return RoutingCoreStats(
-            dijkstra_calls=self.dijkstra_calls - baseline.dijkstra_calls,
-            heap_pops=self.heap_pops - baseline.heap_pops,
-            edge_relaxations=self.edge_relaxations - baseline.edge_relaxations,
-            cache_hits=self.cache_hits - baseline.cache_hits,
-            cache_misses=self.cache_misses - baseline.cache_misses,
-        )
 
 
 class CompiledRoutingGraph:

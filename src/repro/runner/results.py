@@ -141,8 +141,7 @@ class CellResult:
         event_peak_heap: Largest number of pending events at once.
         event_wake_hits: Parked instructions woken by targeted wake keys.
         event_skipped_polls: Event timestamps whose issue poll was skipped
-            because no blocker changed (0 for forced-order and barrier
-            runs, which poll at every event timestamp).
+            because no instruction became ready and no blocker changed.
         event_issue_polls: Times the issue loop was entered.
         from_cache: Whether this record was served from the result cache.
 

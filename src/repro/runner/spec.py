@@ -80,7 +80,11 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: is a demand lookup; that changes the hit/miss, search, heap-pop and
 #: relaxation counters of otherwise identical runs, and the batched-search
 #: count left the record, so schema-11 records are retired.
-CACHE_SCHEMA = 12
+#: Schema 13: barrier and forced-order runs skip polls and retries like
+#: every other run, which changes the issue-poll, skipped-poll and wake-hit
+#: counters of otherwise identical QUALE and MVFB runs, so schema-12
+#: records are retired.
+CACHE_SCHEMA = 13
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ scheduler side of a mapping run:
 * the *candidate ordering* of the issue loop
   (:meth:`SchedulingPolicy.order`): given the current pool of issueable
   instructions (ready plus busy-parked), return them most-preferred first.
-  The default orders by descending priority with a :meth:`tie_break` hook
-  (program order, keeping runs deterministic); policies with dynamic
-  tie-breaking override one of the two.
+  The default orders by descending priority and breaks ties in program
+  order, keeping runs deterministic; policies with dynamic tie-breaking
+  override it.
 
 The four paper policies are implemented here and registered in
 :data:`repro.pipeline.schedulers.SCHEDULERS`, which is how every layer
@@ -57,22 +57,14 @@ class SchedulingPolicy:
         """
         raise NotImplementedError
 
-    def tie_break(self, index: int) -> float:
-        """Secondary sort key among equal-priority instructions (lower first).
-
-        The default is program order, which keeps runs deterministic; dynamic
-        policies may override this (or :meth:`order` wholesale).
-        """
-        return index
-
     def order(self, pool: Iterable[int], priorities: dict[int, float]) -> list[int]:
         """Candidate issue order over ``pool``, most preferred first.
 
         The simulator calls this whenever the pool's membership changes; the
-        default is a static sort by descending priority with
-        :meth:`tie_break` deciding ties.
+        default is a static sort by descending priority, ties in program
+        order.
         """
-        return sorted(pool, key=lambda index: (-priorities[index], self.tie_break(index)))
+        return sorted(pool, key=lambda index: (-priorities[index], index))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

@@ -518,7 +518,7 @@ class JobStore:
         ``stage:<stage name>`` (dotted sub-stages such as
         ``stage:simulate.routing`` included).
         """
-        from repro.ops.prom import DEFAULT_SECONDS_BUCKETS, bucket_index
+        from repro.ops.prom import DEFAULT_SECONDS_BUCKETS, bucket_index, cumulate
 
         bounds = DEFAULT_SECONDS_BUCKETS
         with self._read() as conn:
@@ -542,13 +542,7 @@ class JobStore:
                 }
             out[series]["raw"][bucket_index(bounds, row["le"])] += row["count"]
         for series_data in out.values():
-            raw = series_data.pop("raw")
-            total = 0
-            cumulative = []
-            for count in raw:
-                total += count
-                cumulative.append(total)
-            series_data["cumulative"] = cumulative
+            series_data["cumulative"] = cumulate(series_data.pop("raw"))
         return out
 
     # ------------------------------------------------------------------

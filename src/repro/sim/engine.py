@@ -19,18 +19,17 @@ paper describes (Sections III and IV.B):
    ``InstructionCompleted`` when the gate finishes.
 
 The loop applies one timestamp's events at a time and re-enters the issue
-loop only when an event's handler reports that some instruction's blockers
-actually changed.  A plan that fails on a full operand channel is parked on
-that channel's key, woken by a release that opens capacity there; every
-other failure is parked on the ``ANY_CONGESTION_CHANGE`` sentinel, woken by
-every release and every issue.  Completions wake nothing at all — they can
-be shown never to unblock a parked instruction (the meeting trap stays
-occupied either way, and an in-flight instruction never shares qubits with
-a parked one).  Event timestamps whose handlers woke nothing skip the issue
-poll entirely.  This gating applies to the standard policy-ordered
-selector; forced-order and barrier runs poll after every event timestamp
-and retry every parked instruction, so a completion that drains a barrier
-run's ALAP level is followed by a poll at its own timestamp.
+loop only when an event's handler reports that some instruction became
+ready or that a parked instruction's blockers actually changed.  A plan
+that fails on a full operand channel is parked on that channel's key, woken
+by a release that opens capacity there; every other failure is parked on
+the ``ANY_CONGESTION_CHANGE`` sentinel, woken by every release and every
+issue.  Completions wake no parked instruction — they can be shown never to
+unblock one (the meeting trap stays occupied either way, and an in-flight
+instruction never shares qubits with a parked one).  Event timestamps whose
+handlers woke nothing skip the issue poll entirely, and a parked
+instruction whose blockers all still stand is not retried.  Every run is
+gated alike, whichever selector orders its candidates.
 
 The outcome carries the total latency, the realised schedule, the final
 placement (needed by the MVFB placer), per-instruction timing records and
@@ -317,9 +316,10 @@ class FabricSimulator:
         while (batch := state.events.apply_earliest(state.process_event)) is not None:
             event_time, applied, wake = batch
             stats.events_processed += applied
-            if state.use_wake_sets and not wake:
-                # No handler changed any instruction's blockers: every retry
-                # the issue loop could make is known to fail, so skip it.
+            if not wake:
+                # No instruction became ready and no parked one's blockers
+                # changed: every retry the issue loop could make is known to
+                # fail, so skip it.
                 stats.skipped_polls += 1
                 continue
             state.attempt_issue(event_time)
@@ -415,8 +415,12 @@ class _BarrierLevelSelector(_CandidateSelector):
     The open level is tracked incrementally: instructions only ever issue
     from the current level, so completions drain the levels strictly in
     order and the cursor simply advances when the current level's last
-    instruction finishes.  Barrier runs poll after every event timestamp,
-    so the next level is tried at that completion's own time.
+    instruction finishes.  Opening the next level needs no wake of its own.
+    Under ALAP levels every non-sink instruction at level L has a successor
+    at level L+1, and all of that successor's predecessors sit at levels
+    <= L.  So the completion that drains level L makes a level-L+1
+    instruction newly ready, which wakes the loop at that completion's own
+    time.
     """
 
     def __init__(self, sim: FabricSimulator, pool: set[int]) -> None:
@@ -506,12 +510,13 @@ class _RunState:
         self.busy = BusyQueue()
         self.events = EventQueue()
         self.schedule: list[int] = []
-        self.records: dict[int, InstructionRecord] = {}
-        self.ready: set[int] = set(self.deps.initially_ready())
-        for index in self.ready:
-            self.records[index] = InstructionRecord(index=index, ready_time=0.0)
+        ready = self.deps.initially_ready()
+        self.records: dict[int, InstructionRecord] = {
+            index: InstructionRecord(index=index, ready_time=0.0) for index in ready
+        }
         self.routes: dict[int, InstructionRoute] = {}
-        self.pool: set[int] = set(self.ready)
+        # Issueable instructions: the ready ones and the parked ones.
+        self.pool: set[int] = set(ready)
         self.stats = EventLoopStats()
         if sim.forced_order is not None:
             self.selector: _CandidateSelector = _ForcedOrderSelector(sim, self.pool)
@@ -519,18 +524,9 @@ class _RunState:
             self.selector = _BarrierLevelSelector(sim, self.pool)
         else:
             self.selector = _PolicyOrderSelector(sim, self.pool)
-        # Busy-queue wake-sets only apply to the standard selector: forced
-        # and barrier runs retry unconditionally and poll after every event
-        # timestamp.  Gating them too maps identically, but it would skip
-        # only 4,214 of the 97,571 plan calls of the paper's MVFB jobs, each
-        # failing at the router's operand-channel check before any search,
-        # while every issue, release and plan pays the wake bookkeeping
-        # (docs/PERFORMANCE.md).  With wake sets on, the run records
-        # per-resource blockers, so "nothing woke" proves every possible
-        # retry fails and the issue poll is skipped.
-        self.use_wake_sets = isinstance(self.selector, _PolicyOrderSelector)
         self.routing_seconds = 0.0
-        self._stats_baseline = sim.router.stats.snapshot()
+        # The run counts its routing work on counters of its own.
+        sim.router.stats = RoutingCoreStats()
 
     def _occupied_traps_for(self, instruction: Instruction) -> set[TrapId]:
         """Traps the router must not pick as the meeting trap: reserved or
@@ -546,23 +542,21 @@ class _RunState:
 
     def attempt_issue(self, now: float) -> None:
         """Issue as many eligible instructions as the fabric state allows."""
+        busy = self.busy
+        needs_retry = busy.needs_retry
         while True:
             issued_any = False
             for index in self.selector.candidates():
-                if (
-                    self.use_wake_sets
-                    and index not in self.ready
-                    and not self.busy.needs_retry(index)
-                ):
+                if not needs_retry(index):
                     # Parked with every recorded blocker still standing:
                     # planning is pure, so the retry would fail exactly as it
                     # did last time.  Skip the router call.
                     continue
                 instruction = self.sim.qidg.instruction(index)
-                # With wake-sets on, ask the router *why* planning failed:
-                # the returned keys (full operand channels, or the
-                # congestion-change sentinel) are this instruction's wake-set.
-                blockers: set | None = set() if self.use_wake_sets else None
+                # Ask the router *why* planning failed: the returned keys
+                # (full operand channels, or the congestion-change sentinel)
+                # are this instruction's wake-set.
+                blockers: set = set()
                 plan_started = _time.perf_counter()
                 route = self.sim.router.plan_instruction(
                     instruction,
@@ -573,11 +567,8 @@ class _RunState:
                 )
                 self.routing_seconds += _time.perf_counter() - plan_started
                 if route is None:
-                    if index in self.ready:
-                        self.ready.discard(index)
-                        self.busy.park(index)
-                    if blockers is not None:
-                        self.busy.block_on(index, blockers)
+                    busy.park(index)
+                    busy.block_on(index, blockers)
                     if self.selector.stop_on_blocked_head:
                         return
                     continue
@@ -589,7 +580,6 @@ class _RunState:
 
     def _issue(self, instruction: Instruction, route: InstructionRoute, now: float) -> None:
         index = instruction.index
-        self.ready.discard(index)
         if index in self.busy:
             self.busy.remove(index)
         self.pool.discard(index)
@@ -598,9 +588,7 @@ class _RunState:
         self.deps.mark_issued(index)
         self.schedule.append(index)
 
-        record = self.records.get(index)
-        if record is None:
-            record = self.records[index] = InstructionRecord(index=index, ready_time=now)
+        record = self.records[index]
         routing_delay = route.routing_delay
         record.issue_time = now
         record.congestion_delay = max(0.0, now - record.ready_time)
@@ -646,12 +634,10 @@ class _RunState:
             record.finish_time, InstructionCompleted(index, route.target_trap)
         )
 
-        if self.use_wake_sets:
-            # Issuing vacates the operands' traps and reserves the meeting
-            # trap and the route's channels: any of it can change a failure
-            # that got past trap selection, and those are parked on the
-            # sentinel.
-            self.stats.wake_hits += len(self.busy.wake(ANY_CONGESTION_CHANGE))
+        # Issuing vacates the operands' traps and reserves the meeting trap
+        # and the route's channels: any of it can change a failure that got
+        # past trap selection, and those are parked on the sentinel.
+        self.stats.wake_hits += len(self.busy.wake(ANY_CONGESTION_CHANGE))
 
     # ------------------------------------------------------------------
     # Event handling
@@ -659,15 +645,13 @@ class _RunState:
     def process_event(self, now: float, event: Event) -> bool:
         """Apply ``event`` to the run state.
 
-        Returns whether the event may have changed some instruction's
-        routability — with wake sets on, the run only re-enters the issue
-        loop when a handler in the current timestamp's batch reports
+        Returns whether the event made an instruction ready or may have
+        changed a parked one's routability — the run only re-enters the
+        issue loop when a handler in the current timestamp's batch reports
         ``True``.
         """
         if isinstance(event, ChannelReleased):
             was_full = self.congestion.release(event.channel_id)
-            if not self.use_wake_sets:
-                return True
             # A capacity-opening release retries the instructions parked on
             # this full operand channel; any release also retries the
             # instructions parked on the sentinel, since lowering a channel's
@@ -692,7 +676,6 @@ class _RunState:
         self.selector.on_completed(index)
         woke = False
         for newly_ready in self.deps.mark_completed(index):
-            self.ready.add(newly_ready)
             self.pool.add(newly_ready)
             self.selector.on_pool_changed()
             self.records[newly_ready] = InstructionRecord(index=newly_ready, ready_time=now)
@@ -727,7 +710,7 @@ class _RunState:
             busy_queue_entries=self.busy.total_entries,
             cpu_seconds=cpu_seconds,
             routing_seconds=self.routing_seconds,
-            routing_stats=self.sim.router.stats.since(self._stats_baseline),
+            routing_stats=self.sim.router.stats,
             event_stats=self.stats,
         )
 

@@ -51,8 +51,8 @@ class EventLoopStats:
         wake_hits: Parked instructions woken by a targeted wake (a released
             channel or a changed trap naming them as blocker).
         skipped_polls: Event timestamps after which the issue loop was *not*
-            re-entered because no instruction's blockers changed (always 0
-            for forced-order and barrier runs, which poll every timestamp).
+            re-entered because no instruction became ready and no parked
+            instruction's blockers changed.
         issue_polls: Times the issue loop was entered.
     """
 
@@ -61,16 +61,6 @@ class EventLoopStats:
     wake_hits: int = 0
     skipped_polls: int = 0
     issue_polls: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """The counters under stable report/CSV keys."""
-        return {
-            "events_processed": self.events_processed,
-            "event_peak_heap": self.peak_heap_size,
-            "event_wake_hits": self.wake_hits,
-            "event_skipped_polls": self.skipped_polls,
-            "event_issue_polls": self.issue_polls,
-        }
 
 
 class EventQueue:
@@ -100,17 +90,6 @@ class EventQueue:
         self._counter += 1
         if len(self._heap) > self._peak:
             self._peak = len(self._heap)
-
-    def pop(self) -> tuple[float, Event]:
-        """Remove and return the earliest event as ``(time, event)``.
-
-        Raises:
-            SimulationError: If the queue is empty.
-        """
-        if not self._heap:
-            raise SimulationError("event queue is empty")
-        time, _, event = heapq.heappop(self._heap)
-        return time, event
 
     def apply_earliest(
         self, apply: Callable[[float, Event], bool]

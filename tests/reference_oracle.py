@@ -21,9 +21,10 @@ The oracle removes every one of them:
   instruction before trying any;
 * :func:`oracle_mode` swaps it into the simulator, derives the occupied
   meeting traps by a scan of every resting trap
-  (:func:`reference_occupied_traps`) and turns the wake-set gating off, so
-  the real event loop polls at every event timestamp and retries every
-  parked instruction.
+  (:func:`reference_occupied_traps`) and ungates the one event loop at two
+  seams: :meth:`~repro.scheduling.busy_queue.BusyQueue.needs_retry` always
+  answers "retry", and every event batch reports a wake.  So the loop polls
+  at every event timestamp and retries every parked instruction.
 
 Instruction-level planning (candidate meeting traps, serial or overlaid
 legs) and the event semantics are the model under test and stay shared.
@@ -43,7 +44,9 @@ from repro.routing.graph_model import GraphEdge, Node, RoutingGraph
 from repro.routing.path import expand_route, stationary_plan
 from repro.routing.router import Router
 from repro.routing.weights import edge_weight, partial_channel_weight
+from repro.scheduling.busy_queue import BusyQueue
 from repro.sim import engine
+from repro.sim.events import EventQueue
 
 #: Signature of the edge weight callback.
 WeightFunction = Callable[[GraphEdge], float]
@@ -224,16 +227,17 @@ class OracleRouter(Router):
 @contextlib.contextmanager
 def oracle_mode():
     """Run every simulator created inside the block as the oracle."""
-    original_init = engine._RunState.__init__
+    apply_earliest = EventQueue.apply_earliest
 
-    def ungated_init(state, sim, initial_placement):
-        original_init(state, sim, initial_placement)
-        state.use_wake_sets = False
+    def always_woken(queue, apply):
+        batch = apply_earliest(queue, apply)
+        return None if batch is None else (*batch[:2], True)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "Router", OracleRouter)
-        patch.setattr(engine._RunState, "__init__", ungated_init)
         patch.setattr(engine._RunState, "_occupied_traps_for", reference_occupied_traps)
+        patch.setattr(BusyQueue, "needs_retry", lambda queue, index: True)
+        patch.setattr(EventQueue, "apply_earliest", always_woken)
         yield
 
 

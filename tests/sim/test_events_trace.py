@@ -10,21 +10,35 @@ from repro.sim.microcode import CommandKind, MicroCommand
 from repro.sim.trace import ControlTrace
 
 
+def _drain(queue: EventQueue) -> list[tuple[float, object]]:
+    """Apply every pending event through :meth:`EventQueue.apply_earliest`,
+    returning ``(time, event)`` in the order they were applied."""
+    applied = []
+
+    def record(time, event):
+        applied.append((time, event))
+        return False
+
+    while queue.apply_earliest(record) is not None:
+        pass
+    return applied
+
+
 class TestEventQueue:
     def test_time_ordering(self):
         queue = EventQueue()
         queue.push(5.0, InstructionCompleted(1, 0))
         queue.push(2.0, InstructionCompleted(0, 0))
-        time, event = queue.pop()
-        assert time == 2.0
-        assert event.instruction_index == 0
+        assert _drain(queue) == [
+            (2.0, InstructionCompleted(0, 0)),
+            (5.0, InstructionCompleted(1, 0)),
+        ]
 
     def test_insertion_order_for_ties(self):
         queue = EventQueue()
         queue.push(1.0, InstructionCompleted(0, 0))
         queue.push(1.0, ChannelReleased("q", ("h", 0, 0)))
-        _, first = queue.pop()
-        _, second = queue.pop()
+        [(_, first), (_, second)] = _drain(queue)
         assert isinstance(first, InstructionCompleted)
         assert isinstance(second, ChannelReleased)
 
@@ -58,29 +72,29 @@ class TestEventQueue:
         assert queue.apply_earliest(apply) is None
         assert queue.peak_size == 3
 
-    def test_pops_are_time_sorted_and_stable(self):
+    def test_batches_are_time_sorted_and_stable(self):
         queue = EventQueue()
         times = [2.0, 0.0, 2.0, 1.0, 0.0, 2.0]
         pushed = [(time, InstructionCompleted(index, 0)) for index, time in enumerate(times)]
         for time, event in pushed:
             queue.push(time, event)
-        popped = [queue.pop() for _ in times]
-        assert popped == sorted(pushed, key=lambda pair: pair[0])
+        assert _drain(queue) == sorted(pushed, key=lambda pair: pair[0])
 
     def test_len_and_peak_size(self):
         queue = EventQueue()
         for index, time in enumerate((3.0, 1.0, 2.0)):
             queue.push(time, InstructionCompleted(index, 0))
-        assert queue.pop()[0] == 1.0
+        assert queue.apply_earliest(lambda time, event: False) == (1.0, 1, False)
         queue.push(4.0, InstructionCompleted(3, 0))
         assert (len(queue), queue.peak_size) == (3, 3)
-        while len(queue):
-            queue.pop()
+        assert len(_drain(queue)) == 3
+        assert len(queue) == 0
         assert queue.peak_size == 3
 
-    def test_pop_empty(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
+    def test_an_empty_queue_applies_nothing(self):
+        applied = []
+        assert EventQueue().apply_earliest(lambda *pair: applied.append(pair)) is None
+        assert applied == []
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):

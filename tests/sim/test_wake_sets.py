@@ -3,9 +3,10 @@
 The wake-set retry policy must never change *what* the simulator computes —
 latencies, schedules, placements, movement and congestion equal the
 reference oracle's, which polls at every event timestamp and retries every
-parked instruction; only the number of futile router calls drops.  Each
-retry the issue loop skips is also planned by the oracle's router on the
-spot, and must fail.
+parked instruction; only the number of futile router calls drops.  Every
+run is gated alike: policy-ordered, barrier (QUALE) and forced-order (MVFB
+backward) runs.  Each retry the issue loop skips is also planned by the
+oracle's router on the spot, and must fail.
 """
 
 from __future__ import annotations
@@ -160,19 +161,25 @@ class TestEngineEquivalence:
         # The oracle never gates, so it never skips a poll.
         assert eager.event_stats.skipped_polls == 0
 
-    def test_wake_sets_disabled_for_forced_order(self):
-        circuit = qecc_encoder("[[5,1,3]]")
+    def test_forced_order_runs_skip_polls_and_match_the_oracle(self):
+        circuit = qecc_encoder("[[23,1,7]]")
         fabric = small_fabric(junction_rows=6, junction_cols=6)
         placement = CenterPlacer(fabric).place(circuit)
         order = FabricSimulator(circuit, fabric).run(placement).schedule
-        forced = FabricSimulator(circuit, fabric, forced_order=order)
-        outcome = forced.run(placement)
-        assert outcome.schedule == order
-        assert outcome.event_stats.skipped_polls == 0
 
-    def test_wake_sets_disabled_for_barrier_levels(self):
+        def forced_run():
+            return FabricSimulator(circuit, fabric, forced_order=order).run(placement)
+
+        outcome = forced_run()
+        with oracle_mode():
+            oracle = forced_run()
+        assert outcome.schedule == order
+        assert outcome.event_stats.skipped_polls > 0
+        assert_same_mapping(outcome, oracle)
+
+    def test_barrier_runs_skip_polls(self):
         # QUALE's level-by-level issue on capacity-1 channels parks
-        # instructions, but only priority-order issue gates its polls.
+        # instructions, and its polls are gated like every other run's.
         circuit = qecc_encoder("[[9,1,3]]")
         fabric = small_fabric(junction_rows=6, junction_cols=6)
         options = quale_options()
@@ -186,7 +193,7 @@ class TestEngineEquivalence:
             barrier_scheduling=True,
         ).run(placement)
         assert outcome.busy_queue_entries > 0
-        assert outcome.event_stats.skipped_polls == 0
+        assert outcome.event_stats.skipped_polls > 0
 
 
 class TestEngineWakes:
@@ -204,7 +211,6 @@ class TestEngineWakes:
             circuit, fabric, routing_policy=RoutingPolicy(channel_capacity=capacity)
         )
         state = engine._RunState(sim, CenterPlacer(fabric).place(circuit))
-        state.ready.discard(1)
         state.busy.park(1)
         instruction = sim.qidg.instruction(0)
         route = sim.router.plan_instruction(
@@ -262,37 +268,57 @@ def _copy_of(congestion: CongestionTracker) -> CongestionTracker:
     return twin
 
 
+def _run_kind(sim: FabricSimulator) -> str:
+    """Which selector orders ``sim``'s candidates."""
+    if sim.forced_order is not None:
+        return "forced"
+    return "barrier" if sim.barrier_scheduling else "policy"
+
+
 class TestSkippedRetries:
     """Every retry the gated issue loop skips would have failed.
 
-    Each gated run's :meth:`BusyQueue.needs_retry` is wrapped: whenever it
-    answers ``False``, the oracle's router plans the instruction under the
-    run's current positions, congestion and occupied traps, trying every
-    candidate meeting trap, and the plan must fail.
+    Each run's :meth:`BusyQueue.needs_retry` is wrapped: whenever it answers
+    ``False``, the oracle's router plans the instruction under the run's
+    current positions, congestion and occupied traps, trying every candidate
+    meeting trap, and the plan must fail.  Each job must skip retries in the
+    kinds of run it names: barrier runs for QUALE, MVFB backward passes
+    (forced order) for the MVFB search.
     """
 
     @pytest.mark.parametrize(
-        "spec",
+        ("spec", "kinds"),
         [
-            ExperimentSpec("qecc-scaled:dist=9", placer="center", technology="cap-1"),
-            ExperimentSpec(
-                "random-layered:q=48:d=16:fill=1.0:locality=3:seed=781082",
-                placer="center",
-                technology="cap-1",
+            (
+                ExperimentSpec("qecc-scaled:dist=9", placer="center", technology="cap-1"),
+                {"policy"},
             ),
-            ExperimentSpec("[[19,1,7]]", mapper="qpos"),
-            ExperimentSpec("[[9,1,3]]", placer="mvfb", num_seeds=3),
+            (
+                ExperimentSpec(
+                    "random-layered:q=48:d=16:fill=1.0:locality=3:seed=781082",
+                    placer="center",
+                    technology="cap-1",
+                ),
+                {"policy"},
+            ),
+            (ExperimentSpec("[[19,1,7]]", mapper="qpos"), {"policy"}),
+            (ExperimentSpec("[[19,1,7]]", mapper="quale"), {"barrier"}),
+            (
+                ExperimentSpec("[[9,1,3]]", placer="mvfb", num_seeds=3),
+                {"policy", "forced"},
+            ),
         ],
-        ids=["qecc-dist9-cap1", "layered-q48-cap1", "qpos-19-1-7", "mvfb-9-1-3"],
+        ids=[
+            "qecc-dist9-cap1", "layered-q48-cap1", "qpos-19-1-7", "quale-19-1-7",
+            "mvfb-9-1-3",
+        ],
     )
-    def test_every_skipped_retry_fails_under_the_oracle(self, monkeypatch, spec):
-        skipped: list[int] = []
+    def test_every_skipped_retry_fails_under_the_oracle(self, monkeypatch, spec, kinds):
+        skipped: list[tuple[str, int]] = []
         original_init = engine._RunState.__init__
 
         def checking_init(state, sim, initial_placement):
             original_init(state, sim, initial_placement)
-            if not state.use_wake_sets:
-                return
             oracle = OracleRouter(sim.fabric, sim.technology, sim.routing_policy)
             needs_retry = state.busy.needs_retry
 
@@ -307,11 +333,11 @@ class TestSkippedRetries:
                         occupied_traps=reference_occupied_traps(state, instruction),
                     )
                     assert route is None, f"instruction {index} was routable"
-                    skipped.append(index)
+                    skipped.append((_run_kind(sim), index))
                 return retry
 
             state.busy.needs_retry = checked_needs_retry
 
         monkeypatch.setattr(engine._RunState, "__init__", checking_init)
         map_spec(spec)
-        assert skipped
+        assert {kind for kind, _ in skipped} == kinds

@@ -64,6 +64,22 @@ def test_technology_option_selects_the_cap1_job():
     )
 
 
+def test_mapper_option_selects_the_baseline_jobs():
+    # cap1-single-pass maps every encoder under both presets, which fix
+    # their own placement and ignore the placer and seed axes.
+    for mapper in ("quale", "qpos"):
+        spec = _spec(["[[19,1,7]]", "--mapper", mapper])
+        workload_job = ExperimentSpec("[[19,1,7]]", mapper=mapper)
+        assert spec.normalized() == workload_job.normalized()
+
+
+def test_profiles_a_barrier_run(capsys):
+    assert main(["[[5,1,3]]", "--mapper", "quale", "--top", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[[5,1,3]] quale on quale-")
+    assert lines[1].startswith("  winning run: routing ")
+
+
 def test_prints_summary_lines_then_routing_frames(capsys):
     assert main(["[[5,1,3]]", "--placer", "center", "--top", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -13,13 +13,17 @@ command::
     PYTHONPATH=src python tools/profile_routing.py \\
         random-layered:q=96:d=64:fill=1.0:locality=3:seed=3 \\
         --placer center --technology cap-1
+    PYTHONPATH=src python tools/profile_routing.py [[19,1,7]] --mapper quale
     PYTHONPATH=src python tools/profile_routing.py --sample --filter ''
 
 The default, ``[[19,1,7]]`` with MVFB, is the largest job of the
 paper-mvfb workload; the third command is the largest job of
-cap1-single-pass.  The ``--filter`` substring (default ``routing``)
-restricts the report to frames whose file path matches, which drops the
-scheduler/placer noise; pass ``--filter ''`` for the unfiltered profile.
+cap1-single-pass.  ``--mapper quale`` or ``--mapper qpos`` profiles a
+baseline job as cap1-single-pass maps its twelve QUALE and QPOS jobs;
+those presets fix their own placement, so they ignore ``--placer``.  The
+``--filter`` substring (default ``routing``) restricts the report to
+frames whose file path matches, which drops the scheduler/placer noise;
+pass ``--filter ''`` for the unfiltered profile.
 
 cProfile charges every Python call a fixed cost, which inflates the share
 of code that makes many small calls.  ``--sample`` replaces it with a stack
@@ -59,6 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default="[[19,1,7]]",
         help="registered circuit name (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--mapper", default="qspr", help="mapper registry name (default: %(default)s)"
     )
     parser.add_argument(
         "--placer", default="mvfb", help="placer registry name (default: %(default)s)"
@@ -165,6 +172,7 @@ def job_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The job ``args`` name, on the QUALE fabric with MVFB's ``m`` seeds."""
     return ExperimentSpec(
         args.circuit,
+        mapper=args.mapper,
         placer=args.placer,
         num_seeds=NUM_SEEDS,
         technology=args.technology,
