@@ -8,7 +8,7 @@ per-qubit ordering of instructions, exactly as the paper's QIDG does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.circuits.gates import GateSpec, get_gate
@@ -48,12 +48,16 @@ class Instruction:
         gate: The gate specification.
         qubits: Operand qubits; for controlled gates the control comes first.
         label: Optional human-readable label carried into traces.
+        qubit_names: Names of the operand qubits, in order; derived from
+            ``qubits`` once, when the instruction is built, so it takes no
+            part in ``==``, ``hash`` or ``repr``.
     """
 
     index: int
     gate: GateSpec
     qubits: tuple[Qubit, ...]
     label: str | None = None
+    qubit_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.qubits) != self.gate.arity:
@@ -61,10 +65,12 @@ class Instruction:
                 f"gate {self.gate.name} takes {self.gate.arity} operand(s), "
                 f"got {len(self.qubits)}"
             )
-        if len({q.name for q in self.qubits}) != len(self.qubits):
+        names = tuple(q.name for q in self.qubits)
+        if len(set(names)) != len(names):
             raise CircuitError(
                 f"instruction {self.index}: duplicate operand in {self.gate.name}"
             )
+        object.__setattr__(self, "qubit_names", names)
 
     @property
     def arity(self) -> int:
@@ -94,11 +100,6 @@ class Instruction:
         if not self.is_two_qubit:
             raise CircuitError(f"instruction {self.index} has no target operand")
         return self.qubits[1]
-
-    @property
-    def qubit_names(self) -> tuple[str, ...]:
-        """Names of the operand qubits, in order."""
-        return tuple(q.name for q in self.qubits)
 
     def __str__(self) -> str:
         return f"{self.gate.name} {','.join(self.qubit_names)}"

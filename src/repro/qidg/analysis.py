@@ -21,10 +21,7 @@ def longest_path_to_sink(
     heaviest dependency chain starting at ``i``; it is the second term of the
     paper's scheduling priority function.
     """
-    delays = [
-        technology.gate_delay(instruction.arity, is_measurement=instruction.is_measurement)
-        for instruction in qidg.instructions()
-    ]
+    delays = qidg.gate_delays(technology)
     result = [0.0] * len(delays)
     for node, succs in reversed(list(enumerate(qidg.successors))):
         result[node] = delays[node] + max((result[succ] for succ in succs), default=0.0)

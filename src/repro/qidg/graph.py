@@ -11,16 +11,22 @@ topological order and every analysis is one sweep over indices.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.errors import CircuitError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.technology import TechnologyParams
 
 
 class QIDG:
     """Dependency graph over the instructions of a circuit.
 
     Attributes:
+        program: The circuit's instructions in program order, so
+            ``program[i]`` is node ``i`` (unchecked; :meth:`instruction`
+            checks the range).
         predecessors: ``predecessors[i]`` holds the sorted indices of the
             instructions ``i`` directly depends on.
         successors: ``successors[i]`` holds the sorted indices of the
@@ -34,9 +40,10 @@ class QIDG:
         successors: tuple[tuple[int, ...], ...],
     ) -> None:
         self._circuit = circuit
-        self._instructions = circuit.instructions
+        self.program = circuit.instructions
         self.predecessors = predecessors
         self.successors = successors
+        self._gate_delays: dict[TechnologyParams, tuple[float, ...]] = {}
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -49,7 +56,7 @@ class QIDG:
     @property
     def num_nodes(self) -> int:
         """Number of instructions in the graph."""
-        return len(self._instructions)
+        return len(self.program)
 
     @property
     def num_edges(self) -> int:
@@ -58,13 +65,27 @@ class QIDG:
 
     def instruction(self, index: int) -> Instruction:
         """Return the :class:`Instruction` for node ``index``."""
-        if not 0 <= index < len(self._instructions):
+        if not 0 <= index < len(self.program):
             raise CircuitError(f"instruction {index} is not part of the QIDG")
-        return self._instructions[index]
+        return self.program[index]
 
     def instructions(self) -> Iterator[Instruction]:
         """Iterate over instructions in program order."""
-        return iter(self._instructions)
+        return iter(self.program)
+
+    def gate_delays(self, technology: TechnologyParams) -> tuple[float, ...]:
+        """Each node's ``T_gate`` under ``technology``, by instruction index.
+
+        Memoised per technology, so every pass of a placement search over
+        this graph reads one tuple.
+        """
+        delays = self._gate_delays.get(technology)
+        if delays is None:
+            delays = self._gate_delays[technology] = tuple(
+                technology.gate_delay(instruction.arity, is_measurement=instruction.is_measurement)
+                for instruction in self.program
+            )
+        return delays
 
     def sources(self) -> list[int]:
         """Instructions with no dependencies (ready at time zero)."""
@@ -72,7 +93,7 @@ class QIDG:
 
     def topological_order(self) -> list[int]:
         """A deterministic topological order (program order is one)."""
-        return list(range(len(self._instructions)))
+        return list(range(len(self.program)))
 
     def is_valid_order(self, order: list[int]) -> bool:
         """Whether ``order`` is a topological order of the graph.

@@ -17,8 +17,6 @@ Components:
   (``tests/reference_oracle.py``).
 * :mod:`repro.routing.path` — expansion of a graph path into a timed
   :class:`RoutePlan` (per-channel occupancy intervals, moves and turns).
-* :mod:`repro.routing.trap_selection` — the nearest-free-trap ranking every
-  meeting-point rule uses, and the median rule of the paper.
 * :mod:`repro.routing.router` — the :class:`Router` facade used by the
   simulator.
 """
@@ -28,7 +26,6 @@ from repro.routing.weights import channel_weight, edge_weight
 from repro.routing.compiled import CompiledRoutingGraph, DijkstraResult, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.path import PathStep, RoutePlan, StepKind
-from repro.routing.trap_selection import select_target_trap
 from repro.routing.router import (
     InstructionRoute,
     MeetingPoint,
@@ -50,7 +47,6 @@ __all__ = [
     "PathStep",
     "RoutePlan",
     "StepKind",
-    "select_target_trap",
     "InstructionRoute",
     "MeetingPoint",
     "Router",

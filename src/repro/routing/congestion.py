@@ -12,7 +12,8 @@ so the router validates a route-table snapshot with one ``itemgetter`` call
 and one tuple compare.
 
 Every mutation bumps the tracker's **epoch**, a monotonically increasing
-stamp drawn from a process-wide counter.  The compiled routing graph tags
+stamp drawn from a process-wide counter; a bulk write (:meth:`reserve_all`,
+:meth:`release_all`) is one mutation.  The compiled routing graph tags
 its in-row edge weights with the epoch (and tracker) they were synced
 against, so a query under unchanged congestion skips the resync with one
 integer comparison.  Because the counter is process-wide and also advanced
@@ -23,7 +24,7 @@ epoch.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Sequence
 
 from repro.errors import FabricError, RoutingError
 from repro.fabric.components import ChannelId
@@ -85,16 +86,7 @@ class CongestionTracker:
             RoutingError: If the channel is already at capacity (the router
                 must never plan through a full channel).
         """
-        slot = self._slots.get(channel_id)
-        if slot is None:
-            raise FabricError(f"unknown channel {channel_id}")
-        level = self.levels[slot] + 1
-        if level > self.channel_capacity:
-            raise RoutingError(f"channel {channel_id} is already at capacity")
-        self.levels[slot] = level
-        if level == 1:
-            self.occupied[slot] = channel_id
-        self._epoch = next(CongestionTracker._epoch_source)
+        self.reserve_all((channel_id,))
 
     def release(self, channel_id: ChannelId) -> bool:
         """Free one slot of ``channel_id``.
@@ -107,9 +99,12 @@ class CongestionTracker:
             releases that merely lower a finite congestion weight.
 
         Raises:
+            FabricError: If the channel is unknown.
             RoutingError: If the channel has no outstanding reservation.
         """
-        slot = self._slots.get(channel_id, -1)
+        slot = self._slots.get(channel_id)
+        if slot is None:
+            raise FabricError(f"unknown channel {channel_id}")
         level = self.levels[slot]
         if level <= 0:
             raise RoutingError(f"channel {channel_id} released more often than reserved")
@@ -119,19 +114,75 @@ class CongestionTracker:
         self._epoch = next(CongestionTracker._epoch_source)
         return level >= self.channel_capacity
 
-    def reserve_all(self, channel_ids: Iterable[ChannelId]) -> None:
-        """Reserve every channel in ``channel_ids`` atomically.
+    def reserve_all(self, channel_ids: Sequence[ChannelId]) -> None:
+        """Book one slot per entry of ``channel_ids``, all or nothing.
 
-        Either all reservations succeed or none are applied: a full channel
-        (``RoutingError``) or an unknown one (``FabricError``) rolls back the
-        reservations already made.
+        A channel listed twice is booked twice.  The epoch moves once.
+
+        Raises:
+            FabricError: If a channel is unknown.
+            RoutingError: If a booking would exceed a channel's capacity.
+            Either way no booking of the call remains.
         """
-        reserved: list[ChannelId] = []
+        slots, levels, occupied = self._slots, self.levels, self.occupied
+        capacity = self.channel_capacity
+        booked = 0
         try:
             for channel_id in channel_ids:
-                self.reserve(channel_id)
-                reserved.append(channel_id)
-        except (RoutingError, FabricError):
-            for channel_id in reversed(reserved):
-                self.release(channel_id)
+                slot = slots[channel_id]
+                level = levels[slot] + 1
+                if level > capacity:
+                    raise RoutingError(f"channel {channel_id} is already at capacity")
+                levels[slot] = level
+                if level == 1:
+                    occupied[slot] = channel_id
+                booked += 1
+        except (KeyError, RoutingError) as exc:
+            # Undo in reverse: a slot this call opened leaves ``occupied``
+            # from its end, so the occupation order is as it was.
+            for channel_id in reversed(channel_ids[:booked]):
+                slot = slots[channel_id]
+                levels[slot] -= 1
+                if not levels[slot]:
+                    del occupied[slot]
+            if isinstance(exc, KeyError):
+                raise FabricError(f"unknown channel {channel_ids[booked]}") from None
             raise
+        self._epoch = next(CongestionTracker._epoch_source)
+
+    def release_all(self, channel_ids: Sequence[ChannelId]) -> None:
+        """Free one slot per entry of ``channel_ids``, all or nothing.
+
+        A channel listed twice is freed twice.  The epoch moves once.
+
+        Raises:
+            FabricError: If a channel is unknown.
+            RoutingError: If a channel would be released more often than
+                reserved.  Either way no release of the call remains.
+        """
+        slots, levels = self._slots, self.levels
+        freed = 0
+        try:
+            for channel_id in channel_ids:
+                slot = slots[channel_id]
+                level = levels[slot]
+                if level <= 0:
+                    raise RoutingError(
+                        f"channel {channel_id} released more often than reserved"
+                    )
+                levels[slot] = level - 1
+                freed += 1
+        except (KeyError, RoutingError) as exc:
+            for channel_id in channel_ids[:freed]:
+                levels[slots[channel_id]] += 1
+            if isinstance(exc, KeyError):
+                raise FabricError(f"unknown channel {channel_ids[freed]}") from None
+            raise
+        # Only now drop the emptied slots, so a refused call never touches
+        # the occupation order.
+        occupied = self.occupied
+        for channel_id in channel_ids:
+            slot = slots[channel_id]
+            if not levels[slot] and slot in occupied:
+                del occupied[slot]
+        self._epoch = next(CongestionTracker._epoch_source)

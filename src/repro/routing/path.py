@@ -92,23 +92,6 @@ class RoutePlan(NamedTuple):
             f"target_trap={self.target_trap!r}, steps={self.steps!r})"
         )
 
-    def channel_exit_times(self, start_time: float) -> list[tuple[ChannelId, float]]:
-        """Absolute time at which the qubit leaves each occupied channel.
-
-        Args:
-            start_time: Time the qubit starts moving.
-
-        Returns:
-            ``(channel_id, exit_time)`` pairs in traversal order.
-        """
-        exits: list[tuple[ChannelId, float]] = []
-        clock = start_time
-        for step in self.steps:
-            clock += step.duration
-            if step.channel_id is not None:
-                exits.append((step.channel_id, clock))
-        return exits
-
 
 def stationary_plan(qubit: str, trap_id: int) -> RoutePlan:
     """A plan for a qubit that does not need to move."""

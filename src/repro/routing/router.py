@@ -23,7 +23,6 @@ from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
-from repro.routing.trap_selection import nearest_free_traps, select_target_trap
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -231,6 +230,7 @@ class Router:
         self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
         self.compiled = CompiledRoutingGraph.shared(self.graph)
         self._slots = fabric.channel_slots
+        self._traps = fabric.traps
         #: Selection cost of leaving or entering a trap (one move, one turn).
         self._access_cost = technology.move_delay + technology.turn_delay
         self.stats = RoutingCoreStats()
@@ -384,6 +384,15 @@ class Router:
     ) -> InstructionRoute | None:
         """Plan the meeting trap and operand journeys of ``instruction``.
 
+        Meeting traps are tried one at a time, the next one ranked only when
+        the previous one fails: the free traps nearest the rule's point
+        (the operands' midpoint for ``MEDIAN``, the fabric center for
+        ``CENTER``), by L1 distance and then trap id, up to
+        ``trap_candidates`` of them, then the destination and the source
+        operand's own trap if free and not tried yet.  ``DESTINATION``
+        tries the destination operand's trap alone when it is free, and
+        otherwise the ``max(2, trap_candidates)`` free traps nearest it.
+
         Args:
             instruction: The instruction to route.  Single-qubit instructions
                 execute in place and always succeed.
@@ -410,12 +419,12 @@ class Router:
             The routing decision, or ``None`` when the instruction cannot be
             routed under the current congestion state.
         """
-        operand_names = [qubit.name for qubit in instruction.qubits]
+        operand_names = instruction.qubit_names
         for name in operand_names:
             if name not in positions:
                 raise RoutingError(f"qubit {name!r} has no placement")
 
-        if not instruction.is_two_qubit:
+        if len(operand_names) == 1:
             trap_id = positions[operand_names[0]]
             plan = stationary_plan(operand_names[0], trap_id)
             return InstructionRoute(instruction.index, trap_id, (plan,))
@@ -430,50 +439,63 @@ class Router:
             return None
         occupied = occupied_traps if isinstance(occupied_traps, set) else set(occupied_traps)
 
-        if self.policy.meeting_point is MeetingPoint.DESTINATION:
+        traps = self._traps
+        count = self.policy.trap_candidates
+        # Fallback candidates: meet at an operand's own trap, so only the
+        # other operand travels.  This keeps dual-operand policies live on
+        # capacity-1 fabrics, where two qubits can never share the meeting
+        # trap's channel simultaneously.
+        fallbacks: tuple[TrapId, ...] = (dest_trap, source_trap)
+        meeting_point = self.policy.meeting_point
+        if meeting_point is MeetingPoint.MEDIAN:
+            # The coordinate-wise median of two cells is their midpoint.
+            source_row, source_col = traps[source_trap].cell
+            dest_row, dest_col = traps[dest_trap].cell
+            ranked = self.fabric.ranked_traps(
+                ((source_row + dest_row) / 2.0, (source_col + dest_col) / 2.0)
+            )
+        elif meeting_point is MeetingPoint.CENTER:
+            ranked = self.fabric.ranked_traps(self.fabric.center)
+        else:
             # The destination qubit stays put (QPOS/QUALE behaviour) unless its
             # trap already hosts a qubit that is not part of this instruction,
             # in which case meeting there would exceed the trap capacity; the
             # gate then happens in the nearest free trap to the destination.
+            # A free destination trap is the one candidate, so it takes the
+            # fallback slot, and this rule has no operand-trap fallbacks.
+            fallbacks = ()
             if dest_trap not in occupied:
-                candidates = [self.fabric.trap(dest_trap)]
+                ranked = ()
+                fallbacks = (dest_trap,)
             else:
-                candidates = nearest_free_traps(
-                    self.fabric,
-                    self.fabric.trap(dest_trap).cell,
-                    occupied,
-                    max(2, self.policy.trap_candidates),
-                )
-        elif self.policy.meeting_point is MeetingPoint.CENTER:
-            candidates = nearest_free_traps(
-                self.fabric, self.fabric.center, occupied, self.policy.trap_candidates
-            )
-        else:
-            candidates = select_target_trap(
-                self.fabric,
-                [source_trap, dest_trap],
-                occupied=occupied,
-                max_candidates=self.policy.trap_candidates,
-            )
+                ranked = self.fabric.ranked_traps(traps[dest_trap].cell)
+                count = max(2, count)
 
-        if self.policy.meeting_point is not MeetingPoint.DESTINATION:
-            # Fallback candidates: meet at an operand's own trap, so only the
-            # other operand travels.  This keeps dual-operand policies live on
-            # capacity-1 fabrics, where two qubits can never share the meeting
-            # trap's channel simultaneously.
-            seen = {candidate.id for candidate in candidates}
-            for trap_id in (dest_trap, source_trap):
-                if trap_id not in occupied and trap_id not in seen:
-                    candidates.append(self.fabric.trap(trap_id))
-                    seen.add(trap_id)
-
-        for candidate in candidates:
+        # Failed candidates; a tuple, so the usual first-candidate success
+        # builds nothing.
+        tried: tuple[TrapId, ...] = ()
+        for candidate in ranked:
+            trap_id = candidate.id
+            if trap_id in occupied:
+                continue
             route = self._plan_to_candidate(
                 instruction, source_name, source_trap, dest_name, dest_trap,
                 candidate, congestion,
             )
             if route is not None:
                 return route
+            tried += (trap_id,)
+            if len(tried) == count:
+                break
+        for trap_id in fallbacks:
+            if trap_id not in occupied and trap_id not in tried:
+                route = self._plan_to_candidate(
+                    instruction, source_name, source_trap, dest_name, dest_trap,
+                    traps[trap_id], congestion,
+                )
+                if route is not None:
+                    return route
+                tried += (trap_id,)
         if blockers is not None:
             # Every input of this failure, the free traps and the channel
             # occupancies, changes only at an issue or a release, and the
@@ -483,7 +505,7 @@ class Router:
 
     def _full_operand_channels(
         self, source_trap: TrapId, dest_trap: TrapId, congestion: CongestionTracker
-    ) -> list[ChannelId]:
+    ) -> tuple[ChannelId, ...]:
         """The full channels of two operands that rest in different traps.
 
         Any such channel fails every meeting trap.  Meeting away from an
@@ -494,10 +516,16 @@ class Router:
         these channels, which wakes its :func:`channel_key`.
         """
         if source_trap == dest_trap:
-            return []
-        trap = self.fabric.trap
-        channels = dict.fromkeys((trap(source_trap).channel_id, trap(dest_trap).channel_id))
-        return [channel_id for channel_id in channels if congestion.is_full(channel_id)]
+            return ()
+        levels, slots, capacity = congestion.levels, self._slots, congestion.channel_capacity
+        source_channel = self._traps[source_trap].channel_id
+        dest_channel = self._traps[dest_trap].channel_id
+        full: tuple[ChannelId, ...] = ()
+        if levels[slots[source_channel]] >= capacity:
+            full = (source_channel,)
+        if dest_channel != source_channel and levels[slots[dest_channel]] >= capacity:
+            full += (dest_channel,)
+        return full
 
     def _plan_to_candidate(
         self,
@@ -545,19 +573,17 @@ class Router:
         # cached route.  The destination leg goes through the same cache:
         # an entry whose snapshot matches the overlay state replays exactly
         # what a fresh search here would return.
-        reserved: list[ChannelId] = []
+        overlay = source_plan.channels_used
         try:
-            for channel_id in source_plan.channels_used:
-                if congestion.is_full(channel_id):
-                    return None
-                congestion.reserve(channel_id)
-                reserved.append(channel_id)
+            congestion.reserve_all(overlay)
+        except RoutingError:
+            return None  # the source leg would fill a channel past capacity
+        try:
             dest_plan = self.plan_qubit_route(
                 dest_name, dest_trap, candidate.id, congestion
             )
         finally:
-            for channel_id in reversed(reserved):
-                congestion.release(channel_id)
+            congestion.release_all(overlay)
         if dest_plan is None:
             return None
         return InstructionRoute(

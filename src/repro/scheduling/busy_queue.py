@@ -93,6 +93,15 @@ class BusyQueue:
         """
         return index not in self._blockers
 
+    @property
+    def has_sleepers(self) -> bool:
+        """Whether any parked instruction has recorded blockers that still stand.
+
+        While it is ``False`` every :meth:`wake` finds nothing to wake, so a
+        caller may skip the calls.
+        """
+        return bool(self._blockers)
+
     def wake(self, resource: Hashable) -> list[int]:
         """Release ``resource``: wake the instructions parked on it.
 

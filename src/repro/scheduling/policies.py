@@ -122,9 +122,8 @@ class QposPathDelayPolicy(SchedulingPolicy):
         # "Total delay of dependent instructions": the downstream path delay,
         # excluding the instruction's own delay.
         return {
-            node: paths[node]
-            - technology.gate_delay(instruction.arity, is_measurement=instruction.is_measurement)
-            for node, instruction in enumerate(qidg.instructions())
+            node: paths[node] - delay
+            for node, delay in enumerate(qidg.gate_delays(technology))
         }
 
 

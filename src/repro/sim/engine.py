@@ -189,10 +189,10 @@ class SimulationOutcome:
                 record, route = self.records[index], self.routes[index]
                 for plan, offset in zip(route.plans, route.plan_start_offsets()):
                     self._add_plan_commands(trace, plan, record.issue_time + offset, index)
-                instruction = self.qidg.instruction(index)
+                instruction = self.qidg.program[index]
                 trace.add(MicroCommand(
                     CommandKind.GATE, record.gate_start, record.gate_delay,
-                    tuple(instruction.qubit_names), f"trap {route.target_trap}",
+                    instruction.qubit_names, f"trap {route.target_trap}",
                     index, instruction.gate.name,
                 ))
             self._trace = trace
@@ -294,6 +294,8 @@ class FabricSimulator:
             alap_levels(self.qidg) if barrier_scheduling else None
         )
         self.router = Router(fabric, technology, routing_policy)
+        #: Each instruction's ``T_gate``, shared by every pass over this QIDG.
+        self.gate_delays = self.qidg.gate_delays(technology)
         # A forced order is replayed as given, so it reads no priorities.
         self.priorities = (
             None if forced_order is not None else self.scheduler.priorities(self.qidg, technology)
@@ -503,6 +505,10 @@ class _RunState:
         for qubit, trap in self.positions.items():
             self.resting.setdefault(trap, set()).add(qubit)
         self.reserved_traps: set[TrapId] = set()
+        #: Traps no meeting trap may be chosen in: reserved ∪ resting, kept
+        #: at every issue (a completion turns its reserved trap into a
+        #: resting one, which leaves the set as it is).
+        self.occupied_traps: set[TrapId] = set(self.resting)
         self.congestion = CongestionTracker(
             sim.fabric, sim.routing_policy.channel_capacity
         )
@@ -530,13 +536,19 @@ class _RunState:
 
     def _occupied_traps_for(self, instruction: Instruction) -> set[TrapId]:
         """Traps the router must not pick as the meeting trap: reserved or
-        resting ones, less each unreserved operand trap holding only operands."""
-        reserved, resting = self.reserved_traps, self.resting
-        operands = instruction.qubit_names
-        occupied = reserved.union(resting)
-        for qubit in operands:
-            trap = self.positions[qubit]
-            if trap not in reserved and resting[trap].issubset(operands):
+        resting ones, less each unreserved operand trap holding only operands.
+
+        This is the run's kept set itself, not a copy, with those operand
+        traps taken out; :meth:`attempt_issue` puts them back after the plan.
+        """
+        names = instruction.qubit_names
+        reserved, resting, positions = self.reserved_traps, self.resting, self.positions
+        occupied = self.occupied_traps
+        for qubit in names:
+            trap = positions[qubit]
+            residents = resting[trap]
+            # The operand itself rests there, so one resident is the operand.
+            if trap not in reserved and (len(residents) == 1 or residents.issubset(names)):
                 occupied.discard(trap)
         return occupied
 
@@ -544,6 +556,10 @@ class _RunState:
         """Issue as many eligible instructions as the fabric state allows."""
         busy = self.busy
         needs_retry = busy.needs_retry
+        instructions = self.sim.qidg.program
+        plan_instruction = self.sim.router.plan_instruction
+        occupied_traps_for = self._occupied_traps_for
+        kept, positions = self.occupied_traps, self.positions
         while True:
             issued_any = False
             for index in self.selector.candidates():
@@ -552,19 +568,25 @@ class _RunState:
                     # planning is pure, so the retry would fail exactly as it
                     # did last time.  Skip the router call.
                     continue
-                instruction = self.sim.qidg.instruction(index)
+                instruction = instructions[index]
                 # Ask the router *why* planning failed: the returned keys
                 # (full operand channels, or the congestion-change sentinel)
                 # are this instruction's wake-set.
                 blockers: set = set()
                 plan_started = _time.perf_counter()
-                route = self.sim.router.plan_instruction(
-                    instruction,
-                    self.positions,
-                    self.congestion,
-                    occupied_traps=self._occupied_traps_for(instruction),
-                    blockers=blockers,
-                )
+                try:
+                    route = plan_instruction(
+                        instruction,
+                        positions,
+                        self.congestion,
+                        occupied_traps=occupied_traps_for(instruction),
+                        blockers=blockers,
+                    )
+                finally:
+                    # Every operand rests in its trap, so each operand trap
+                    # belongs to the kept set.
+                    for name in instruction.qubit_names:
+                        kept.add(positions[name])
                 self.routing_seconds += _time.perf_counter() - plan_started
                 if route is None:
                     busy.park(index)
@@ -580,8 +602,9 @@ class _RunState:
 
     def _issue(self, instruction: Instruction, route: InstructionRoute, now: float) -> None:
         index = instruction.index
-        if index in self.busy:
-            self.busy.remove(index)
+        busy = self.busy
+        if index in busy:
+            busy.remove(index)
         self.pool.discard(index)
         self.selector.on_pool_changed()
         self.selector.on_issued(index)
@@ -592,11 +615,9 @@ class _RunState:
         routing_delay = route.routing_delay
         record.issue_time = now
         record.congestion_delay = max(0.0, now - record.ready_time)
-        record.target_trap = route.target_trap
+        record.target_trap = target = route.target_trap
         record.routing_delay = routing_delay
-        record.gate_delay = self.sim.technology.gate_delay(
-            instruction.arity, is_measurement=instruction.is_measurement
-        )
+        record.gate_delay = self.sim.gate_delays[index]
         record.moves = route.total_moves
         record.turns = route.total_turns
         record.gate_start = now + routing_delay
@@ -605,12 +626,17 @@ class _RunState:
 
         # Reserve routing resources and the meeting trap.
         self.congestion.reserve_all(route.channels)
-        self.reserved_traps.add(route.target_trap)
+        reserved = self.reserved_traps
+        reserved.add(target)
+        self.occupied_traps.add(target)
 
-        # Operands leave their traps.
-        offsets = route.plan_start_offsets()
+        # Operands leave their traps, and each channel is released when its
+        # qubit exits it: the step durations summed left to right from the
+        # plan's start.
+        push = self.events.push
+        serial = route.serial
         channel_exits: dict = {}
-        for plan, offset in zip(route.plans, offsets):
+        for plan, offset in zip(route.plans, route.plan_start_offsets()):
             qubit = plan.qubit
             origin = self.positions[qubit]
             residents = self.resting.get(origin)
@@ -618,26 +644,31 @@ class _RunState:
                 residents.discard(qubit)
                 if not residents:
                     del self.resting[origin]
-            for channel_id, exit_time in plan.channel_exit_times(now + offset):
-                if route.serial:
+                    if origin not in reserved:
+                        self.occupied_traps.discard(origin)
+            clock = now + offset
+            for step in plan.steps:
+                clock += step.duration
+                channel_id = step.channel_id
+                if channel_id is None:
+                    continue
+                if serial:
                     # Shared channels are reserved once; release them when the
                     # last operand leaves.
-                    key = channel_id
-                    previous = channel_exits.get(key)
-                    if previous is None or exit_time > previous[1]:
-                        channel_exits[key] = (qubit, exit_time)
+                    previous = channel_exits.get(channel_id)
+                    if previous is None or clock > previous[1]:
+                        channel_exits[channel_id] = (qubit, clock)
                 else:
-                    self.events.push(exit_time, ChannelReleased(qubit, channel_id))
+                    push(clock, ChannelReleased(qubit, channel_id))
         for channel_id, (qubit, exit_time) in channel_exits.items():
-            self.events.push(exit_time, ChannelReleased(qubit, channel_id))
-        self.events.push(
-            record.finish_time, InstructionCompleted(index, route.target_trap)
-        )
+            push(exit_time, ChannelReleased(qubit, channel_id))
+        push(record.finish_time, InstructionCompleted(index, target))
 
         # Issuing vacates the operands' traps and reserves the meeting trap
         # and the route's channels: any of it can change a failure that got
         # past trap selection, and those are parked on the sentinel.
-        self.stats.wake_hits += len(self.busy.wake(ANY_CONGESTION_CHANGE))
+        if busy.has_sleepers:
+            self.stats.wake_hits += len(busy.wake(ANY_CONGESTION_CHANGE))
 
     # ------------------------------------------------------------------
     # Event handling
@@ -652,13 +683,16 @@ class _RunState:
         """
         if isinstance(event, ChannelReleased):
             was_full = self.congestion.release(event.channel_id)
+            busy = self.busy
+            if not busy.has_sleepers:
+                return False
             # A capacity-opening release retries the instructions parked on
             # this full operand channel; any release also retries the
             # instructions parked on the sentinel, since lowering a channel's
             # weight can change which route a leg takes and so flip a
             # failure.
-            woken = self.busy.wake(channel_key(event.channel_id)) if was_full else []
-            woken += self.busy.wake(ANY_CONGESTION_CHANGE)
+            woken = busy.wake(channel_key(event.channel_id)) if was_full else []
+            woken += busy.wake(ANY_CONGESTION_CHANGE)
             self.stats.wake_hits += len(woken)
             return bool(woken)
         # InstructionCompleted

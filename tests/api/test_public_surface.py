@@ -10,6 +10,7 @@ subcommand.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pkgutil
 
 import pytest
@@ -52,6 +53,19 @@ class TestPublicSurface:
         assert "SchedulingPolicy" in repro.__all__
         assert callable(repro.resolve_scheduler)
         assert callable(repro.resolve_technology)
+
+    def test_reference_definitions_live_in_the_test_oracle(self):
+        # The router ranks meeting traps and the simulator times channel
+        # releases inline; their definitions are the oracle's references
+        # (tests/reference_oracle.py), not package API.
+        import repro.fabric.geometry
+        import repro.routing
+        from repro.routing.path import RoutePlan
+
+        assert "select_target_trap" not in repro.routing.__all__
+        assert importlib.util.find_spec("repro.routing.trap_selection") is None
+        assert not hasattr(repro.fabric.geometry, "median_point")
+        assert not hasattr(RoutePlan, "channel_exit_times")
 
 
 class TestCliListRoundTrip:

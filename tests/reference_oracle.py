@@ -26,23 +26,31 @@ The oracle removes every one of them:
   answers "retry", and every event batch reports a wake.  So the loop polls
   at every event timestamp and retries every parked instruction.
 
-Instruction-level planning (candidate meeting traps, serial or overlaid
-legs) and the event semantics are the model under test and stay shared.
+Instruction-level planning (serial or overlaid legs) and the event
+semantics are the model under test and stay shared.  The order in which the
+router tries meeting traps is checked plan by plan against
+:func:`reference_meeting_candidates`, which ranks every trap by its own
+sort (:func:`nearest_free_traps`, :func:`select_target_trap` and
+:func:`median_point`, the paper's median rule).  :func:`channel_exit_times`
+is the definition of when a moving qubit releases each channel.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import heapq
 import math
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import pytest
 
+from repro.fabric.components import Trap
+from repro.fabric.geometry import Coord, distance_to_point
 from repro.routing.compiled import DijkstraResult
 from repro.routing.graph_model import GraphEdge, Node, RoutingGraph
 from repro.routing.path import expand_route, stationary_plan
-from repro.routing.router import Router
+from repro.routing.router import MeetingPoint, Router, RoutingPolicy
 from repro.routing.weights import edge_weight, partial_channel_weight
 from repro.scheduling.busy_queue import BusyQueue
 from repro.sim import engine
@@ -173,6 +181,98 @@ def reference_occupied_traps(state, instruction) -> set:
         if qubits - operand_names:
             occupied.add(trap)
     return occupied
+
+
+def median_point(points: list[Coord]) -> tuple[float, float]:
+    """Coordinate-wise median of a list of cell coordinates.
+
+    The paper selects the target trap of a two-qubit operation near the
+    median location of its operands in the X and Y directions; with two
+    operands the median coincides with the midpoint.
+    """
+    if not points:
+        raise ValueError("median_point requires at least one point")
+    rows = sorted(p[0] for p in points)
+    cols = sorted(p[1] for p in points)
+    mid = len(points) // 2
+    if len(points) % 2 == 1:
+        return (float(rows[mid]), float(cols[mid]))
+    return ((rows[mid - 1] + rows[mid]) / 2.0, (cols[mid - 1] + cols[mid]) / 2.0)
+
+
+# Bounded memo: the plan-by-plan checks rank the same few points again and
+# again, and a full sort per plan would dominate their runtime.
+@functools.lru_cache(maxsize=256)
+def _traps_by_distance(fabric, point: tuple[float, float]) -> tuple[Trap, ...]:
+    return tuple(sorted(
+        fabric.traps.values(), key=lambda trap: (distance_to_point(trap.cell, point), trap.id)
+    ))
+
+
+def nearest_free_traps(
+    fabric, point: tuple[float, float], occupied: Iterable[int], count: int
+) -> list[Trap]:
+    """Up to ``count`` traps nearest ``point`` by (L1 distance, trap id),
+    skipping ``occupied`` ones."""
+    excluded = set(occupied)
+    free = [trap for trap in _traps_by_distance(fabric, point) if trap.id not in excluded]
+    return free[:count]
+
+
+def select_target_trap(
+    fabric, operand_traps: list[int], *, occupied: Iterable[int] = (), max_candidates: int = 1
+) -> list[Trap]:
+    """The paper's median rule: up to ``max_candidates`` free traps nearest
+    the median of the operands' cells, nearest first."""
+    cells = [fabric.trap(trap_id).cell for trap_id in operand_traps]
+    return nearest_free_traps(fabric, median_point(cells), occupied, max_candidates)
+
+
+def reference_meeting_candidates(
+    fabric, policy: RoutingPolicy, source_trap: int, dest_trap: int, occupied: set
+) -> list[int]:
+    """The meeting traps a two-qubit plan tries, in the order it must try them.
+
+    ``MEDIAN`` and ``CENTER`` take the ``trap_candidates`` free traps
+    nearest their point (:func:`select_target_trap`; the fabric center),
+    then the destination and the source operand's own trap, each if free
+    and not listed yet.  ``DESTINATION`` takes the destination operand's
+    trap alone when it is free, and otherwise the ``max(2,
+    trap_candidates)`` free traps nearest it.  ``occupied`` holds the traps
+    no meeting may use (:func:`reference_occupied_traps`).
+    """
+    count = policy.trap_candidates
+    if policy.meeting_point is MeetingPoint.DESTINATION:
+        if dest_trap not in occupied:
+            return [dest_trap]
+        point = fabric.trap(dest_trap).cell
+        return [trap.id for trap in nearest_free_traps(fabric, point, occupied, max(2, count))]
+    if policy.meeting_point is MeetingPoint.CENTER:
+        ranked = nearest_free_traps(fabric, fabric.center, occupied, count)
+    else:
+        ranked = select_target_trap(
+            fabric, [source_trap, dest_trap], occupied=occupied, max_candidates=count
+        )
+    order = [trap.id for trap in ranked]
+    for trap_id in (dest_trap, source_trap):
+        if trap_id not in occupied and trap_id not in order:
+            order.append(trap_id)
+    return order
+
+
+def channel_exit_times(plan, start_time: float) -> list[tuple]:
+    """When a qubit that starts moving at ``start_time`` exits each channel.
+
+    ``(channel_id, exit_time)`` pairs in traversal order: each exit time is
+    the plan's step durations summed left to right from ``start_time``.
+    """
+    exits = []
+    clock = start_time
+    for step in plan.steps:
+        clock += step.duration
+        if step.channel_id is not None:
+            exits.append((step.channel_id, clock))
+    return exits
 
 
 class OracleRouter(Router):

@@ -47,8 +47,14 @@ class TestReserveRelease:
             tracker.reserve(("h", 99, 99))
 
     def test_unknown_channel_release(self, tracker):
-        with pytest.raises(RoutingError):
+        # An unknown channel is a fabric error on release, as on reserve,
+        # not a release of a known channel that was never reserved.
+        before = (tracker.epoch, list(tracker.levels))
+        with pytest.raises(FabricError, match="unknown channel"):
             tracker.release(("h", 99, 99))
+        with pytest.raises(FabricError, match="unknown channel"):
+            tracker.release(("x", 99, 99))
+        assert (tracker.epoch, tracker.levels) == before
 
     def test_unknown_channel_queries(self, tracker):
         assert tracker.occupancy(("h", 99, 99)) == 0
@@ -107,6 +113,93 @@ class TestReserveAll:
         with pytest.raises(RoutingError):
             tracker.reserve_all([("h", 0, 0), ("v", 0, 0)])
         assert tracker.snapshot() == {("h", 0, 0): 1, ("v", 0, 0): 2}
+
+
+def _state(tracker):
+    """Everything a refused bulk call must leave as it was."""
+    return tracker.epoch, list(tracker.levels), list(tracker.occupied.items())
+
+
+class TestBulkWrites:
+    """``reserve_all`` and ``release_all`` write ``levels`` directly,
+    all or nothing, and move the epoch once per call."""
+
+    def test_reserve_all_moves_the_epoch_once(self, tracker):
+        before = tracker.epoch
+        tracker.reserve_all([("h", 0, 0), ("v", 0, 0), ("h", 0, 0)])
+        after = tracker.epoch
+        assert after > before
+        tracker.reserve(("v", 1, 0))
+        # One bump per call: the next single write is the next stamp.
+        assert tracker.epoch == after + 1
+        assert tracker.snapshot() == {("h", 0, 0): 2, ("v", 0, 0): 1, ("v", 1, 0): 1}
+
+    def test_release_all_undoes_reserve_all(self, tracker):
+        channels = [("v", 1, 0), ("h", 0, 0), ("v", 1, 0)]
+        tracker.reserve(("v", 0, 0))
+        levels, occupied = list(tracker.levels), list(tracker.occupied.items())
+        tracker.reserve_all(channels)
+        epoch = tracker.epoch
+        tracker.release_all(channels)
+        assert tracker.epoch > epoch
+        assert tracker.levels == levels
+        assert list(tracker.occupied.items()) == occupied
+
+    def test_release_all_keeps_the_occupation_order(self, tracker):
+        for channel in [("v", 1, 0), ("h", 0, 0), ("v", 0, 0), ("h", 0, 0)]:
+            tracker.reserve(channel)
+        tracker.release_all([("h", 0, 0), ("v", 1, 0)])
+        assert list(tracker.snapshot().items()) == [(("h", 0, 0), 1), (("v", 0, 0), 1)]
+
+    def test_reserve_all_rolls_back_at_a_full_channel_mid_list(self, tracker):
+        tracker.reserve(("h", 0, 0))
+        tracker.reserve_all([("v", 1, 0), ("v", 1, 0)])
+        before = _state(tracker)
+        with pytest.raises(RoutingError, match="capacity"):
+            tracker.reserve_all([("v", 0, 0), ("h", 0, 0), ("v", 1, 0), ("h", 1, 0)])
+        assert _state(tracker) == before
+
+    def test_reserve_all_rolls_back_at_a_duplicate_past_capacity(self, tracker):
+        tracker.reserve(("v", 0, 0))
+        before = _state(tracker)
+        with pytest.raises(RoutingError):
+            tracker.reserve_all([("h", 0, 0), ("v", 0, 0), ("v", 0, 0)])
+        assert _state(tracker) == before
+
+    def test_reserve_all_rolls_back_at_an_unknown_channel(self, tracker):
+        tracker.reserve(("v", 0, 0))
+        before = _state(tracker)
+        with pytest.raises(FabricError, match="unknown channel"):
+            tracker.reserve_all([("h", 0, 0), ("v", 0, 0), ("x", 99, 99)])
+        assert _state(tracker) == before
+
+    def test_release_all_rolls_back_at_an_unreserved_channel(self, tracker):
+        tracker.reserve_all([("h", 0, 0), ("v", 0, 0), ("v", 1, 0)])
+        before = _state(tracker)
+        with pytest.raises(RoutingError, match="more often than reserved"):
+            tracker.release_all([("v", 0, 0), ("h", 0, 0), ("h", 1, 0)])
+        assert _state(tracker) == before
+
+    def test_release_all_rolls_back_at_a_duplicate_past_its_reservations(self, tracker):
+        tracker.reserve_all([("h", 0, 0), ("v", 0, 0)])
+        before = _state(tracker)
+        with pytest.raises(RoutingError):
+            tracker.release_all([("v", 0, 0), ("h", 0, 0), ("h", 0, 0)])
+        assert _state(tracker) == before
+
+    def test_release_all_rolls_back_at_an_unknown_channel(self, tracker):
+        tracker.reserve_all([("h", 0, 0), ("v", 0, 0)])
+        before = _state(tracker)
+        with pytest.raises(FabricError, match="unknown channel"):
+            tracker.release_all([("h", 0, 0), ("x", 99, 99), ("v", 0, 0)])
+        assert _state(tracker) == before
+
+    def test_empty_calls_change_no_occupancy(self, tracker):
+        tracker.reserve(("h", 0, 0))
+        levels = list(tracker.levels)
+        tracker.reserve_all([])
+        tracker.release_all([])
+        assert tracker.levels == levels
 
 
 class TestStats:

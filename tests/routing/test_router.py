@@ -5,7 +5,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_oracle import OracleRouter, reads_match, snapshot_pairs
+from reference_oracle import OracleRouter, reads_match, select_target_trap, snapshot_pairs
 from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.builder import FabricSpec, build_fabric, small_fabric
 from repro.fabric.geometry import distance_to_point
@@ -19,7 +19,6 @@ from repro.routing.router import (
     RoutingPolicy,
     channel_key,
 )
-from repro.routing.trap_selection import select_target_trap
 from repro.technology import PAPER_TECHNOLOGY
 
 

@@ -18,10 +18,13 @@ from hypothesis import given, settings, strategies as st
 from reference_oracle import (
     OracleRouter,
     assert_same_mapping,
+    channel_exit_times,
     oracle_mode,
     reference_attachment_costs,
+    reference_meeting_candidates,
     reference_occupied_traps,
 )
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qecc import BENCHMARK_NAMES
 from repro.fabric.builder import FabricSpec, build_fabric, small_fabric
 from repro.mapper.options import MapperOptions
@@ -36,6 +39,7 @@ from repro.routing.congestion import CongestionTracker
 from repro.routing.router import MeetingPoint, Router, RoutingPolicy
 from repro.sim import engine
 from repro.sim.engine import FabricSimulator
+from repro.sim.events import ChannelReleased, EventQueue, InstructionCompleted
 
 SCHEDULERS = ("qspr", "quale-alap", "qpos-dependents", "qpos-path-delay")
 TECHNOLOGIES = ("paper", "cap-1", "fast-turn")
@@ -264,23 +268,230 @@ class TestFastPathsMatchTheirDefinitions:
                 assert list(fast.items()) == list(reference.items()), (trap, level)
 
     @pytest.mark.parametrize(
-        "circuit, technology",
-        [("[[23,1,7]]", "paper"), (CONGESTED.format(seed=7), "cap-1")],
-        ids=["23117", "congested-cap1"],
+        "circuit, options, selectors",
+        [
+            ("[[23,1,7]]", _options(), {engine._PolicyOrderSelector}),
+            (CONGESTED.format(seed=7), _options("cap-1"), {engine._PolicyOrderSelector}),
+            ("[[9,1,3]]", quale_options(), {engine._BarrierLevelSelector}),
+            (
+                "[[7,1,3]]",
+                _options(placer="mvfb", num_seeds=2),
+                {engine._PolicyOrderSelector, engine._ForcedOrderSelector},
+            ),
+        ],
+        ids=["23117", "congested-cap1", "quale-barrier", "mvfb-forced-order"],
     )
-    def test_occupied_traps_at_every_plan(self, fabric, monkeypatch, circuit, technology):
+    def test_occupied_traps_at_every_plan(
+        self, fabric, monkeypatch, circuit, options, selectors
+    ):
+        # The run keeps one occupied-trap set and hands the router the set
+        # itself, less the exempt operand traps for the plan's duration.  At
+        # every plan, policy-ordered, barrier (QUALE) and forced-order (MVFB
+        # backward) alike, the set is reserved ∪ resting before the plan and
+        # the full scan's answer during it, and after every event it is
+        # reserved ∪ resting again.
         fast = engine._RunState._occupied_traps_for
-        calls = []
+        process_event = engine._RunState.process_event
+        seen, events = set(), []
+
+        def kept(state):
+            return state.reserved_traps | set(state.resting)
 
         def checked(state, instruction):
+            assert state.occupied_traps == kept(state)
             occupied = fast(state, instruction)
+            assert occupied is state.occupied_traps
             assert occupied == reference_occupied_traps(state, instruction)
-            calls.append(instruction.index)
+            seen.add(type(state.selector))
             return occupied
 
+        def checked_event(state, now, event):
+            woke = process_event(state, now, event)
+            assert state.occupied_traps == kept(state)
+            events.append(type(event))
+            return woke
+
         monkeypatch.setattr(engine._RunState, "_occupied_traps_for", checked)
-        _map(circuit, fabric, _options(technology))
-        assert calls
+        monkeypatch.setattr(engine._RunState, "process_event", checked_event)
+        _map(circuit, fabric, options)
+        assert seen == selectors
+        assert set(events) == {InstructionCompleted, ChannelReleased}
+
+    @pytest.mark.parametrize("capacity", [1, 2], ids=["cap1-serial", "cap2-parallel"])
+    def test_channel_releases_at_the_defined_exit_times(self, fabric, monkeypatch, capacity):
+        # Under fractional delays step sums round, so the issue path must add
+        # the step durations left to right from each leg's start exactly as
+        # the definition does: every pushed release, by repr.  The record's
+        # totals are the route's, as InstructionRoute defines them.
+        pushed: list[tuple] = []
+        issue = engine._RunState._issue
+        push = EventQueue.push
+        routes = {"serial": 0, "parallel": 0}
+
+        def recording_push(queue, time, event):
+            if isinstance(event, ChannelReleased):
+                pushed.append((event.qubit, event.channel_id, repr(time)))
+            push(queue, time, event)
+
+        def checked_issue(state, instruction, route, now):
+            pushed.clear()
+            issue(state, instruction, route, now)
+            record = state.records[instruction.index]
+            assert (repr(record.routing_delay), record.moves, record.turns) == (
+                repr(route.routing_delay), route.total_moves, route.total_turns
+            )
+            exits = [
+                (plan.qubit, channel_id, exit_time)
+                for plan, offset in zip(route.plans, route.plan_start_offsets())
+                for channel_id, exit_time in channel_exit_times(plan, now + offset)
+            ]
+            if route.serial:
+                # A channel both legs use is released once, when the later
+                # leg leaves it.
+                last: dict = {}
+                for qubit, channel_id, exit_time in exits:
+                    if channel_id not in last or exit_time > last[channel_id][2]:
+                        last[channel_id] = (qubit, channel_id, exit_time)
+                exits = list(last.values())
+            assert pushed == [(qubit, channel, repr(time)) for qubit, channel, time in exits]
+            if sum(bool(plan.steps) for plan in route.plans) == 2:
+                routes["serial" if route.serial else "parallel"] += 1
+
+        monkeypatch.setattr(EventQueue, "push", recording_push)
+        monkeypatch.setattr(engine._RunState, "_issue", checked_issue)
+        options = _options(FRACTIONAL_PMD, channel_capacity=capacity)
+        _map(CONGESTED.format(seed=3), fabric, options)
+        assert routes["serial" if capacity == 1 else "parallel"] > 0
+
+    @pytest.mark.parametrize("meeting_point", list(MeetingPoint), ids=lambda point: point.value)
+    @pytest.mark.parametrize("capacity", [1, 2], ids=["cap1", "cap2"])
+    @pytest.mark.parametrize(
+        "circuit, placer_options",
+        [("[[7,1,3]]", {"placer": "mvfb", "num_seeds": 2}), (CONGESTED.format(seed=7), {})],
+        ids=["mvfb", "center"],
+    )
+    def test_meeting_traps_are_tried_in_reference_order(
+        self, fabric, monkeypatch, circuit, placer_options, capacity, meeting_point
+    ):
+        # At every plan the router tries meeting traps one at a time, in
+        # exactly the order of the independent reference ranking, and stops
+        # at the first that routes.  A plan that tries none failed on a full
+        # operand channel.
+        occupied_traps_for = engine._RunState._occupied_traps_for
+        plan_instruction = Router.plan_instruction
+        plan_to_candidate = Router._plan_to_candidate
+        reference_occupied: list[set] = []
+        tried: list[int] = []
+        plans = {"two-qubit": 0, "operand channel full": 0}
+
+        def recording_occupied(state, instruction):
+            reference_occupied.append(reference_occupied_traps(state, instruction))
+            return occupied_traps_for(state, instruction)
+
+        def recording_candidate(router, instruction, *legs):
+            tried.append(legs[4].id)
+            return plan_to_candidate(router, instruction, *legs)
+
+        def checked_plan(router, instruction, positions, congestion, **kwargs):
+            tried.clear()
+            route = plan_instruction(router, instruction, positions, congestion, **kwargs)
+            occupied = reference_occupied.pop()
+            if not instruction.is_two_qubit:
+                assert tried == []
+                return route
+            plans["two-qubit"] += 1
+            source, dest = (positions[name] for name in instruction.qubit_names)
+            channels = {router.fabric.trap(trap).channel_id for trap in (source, dest)}
+            if source != dest and any(map(congestion.is_full, channels)):
+                assert (tried, route) == ([], None)
+                plans["operand channel full"] += 1
+                return route
+            expected = reference_meeting_candidates(
+                router.fabric, router.policy, source, dest, occupied
+            )
+            if route is None:
+                assert tried == expected
+            else:
+                assert tried == expected[: len(tried)]
+                assert route.target_trap == tried[-1]
+            return route
+
+        monkeypatch.setattr(engine._RunState, "_occupied_traps_for", recording_occupied)
+        monkeypatch.setattr(Router, "plan_instruction", checked_plan)
+        monkeypatch.setattr(Router, "_plan_to_candidate", recording_candidate)
+        options = _options(
+            meeting_point=meeting_point, channel_capacity=capacity, **placer_options
+        )
+        _map(circuit, fabric, options)
+        assert plans["two-qubit"] > 0
+        assert not reference_occupied
+        if capacity == 1:
+            assert plans["operand channel full"] > 0
+
+    @pytest.mark.parametrize("meeting_point", list(MeetingPoint), ids=lambda point: point.value)
+    @pytest.mark.parametrize("capacity", [1, 2], ids=["cap1", "cap2"])
+    def test_meeting_trap_order_under_random_congestion(
+        self, fabric, monkeypatch, capacity, meeting_point
+    ):
+        # Seeded random congestion, occupied traps and operand traps, with
+        # the candidate count varied: here most candidates fail, so the
+        # whole order, fallbacks included, is checked plan by plan.
+        tried: list[int] = []
+        plan_to_candidate = Router._plan_to_candidate
+
+        def recording_candidate(router, instruction, *legs):
+            tried.append(legs[4].id)
+            return plan_to_candidate(router, instruction, *legs)
+
+        monkeypatch.setattr(Router, "_plan_to_candidate", recording_candidate)
+        circuit = QuantumCircuit()
+        source_qubit, dest_qubit = circuit.add_qubits(2)
+        instruction = circuit.cx(source_qubit, dest_qubit)
+        rng = random.Random(2012)
+        traps, channels = sorted(fabric.traps), sorted(fabric.channels)
+        seen = {
+            "failed after trying several": 0,
+            "routed by a later candidate": 0,
+            "operand-trap fallback": 0,
+        }
+        for trial in range(300):
+            policy = RoutingPolicy(
+                meeting_point=meeting_point,
+                channel_capacity=capacity,
+                trap_candidates=(1, 2, 4)[trial % 3],
+            )
+            router = Router(fabric, policy=policy)
+            congestion = CongestionTracker(fabric, capacity)
+            density = (0.1, 0.3, 0.6)[trial % 5 % 3]
+            for channel in channels:
+                if rng.random() < density:
+                    congestion.reserve_all([channel] * rng.randint(1, capacity))
+            source, dest = rng.choice(traps), rng.choice(traps)
+            occupied = set(rng.sample(traps, rng.randint(0, len(traps) // 2))) | {source, dest}
+            # An operand trap where only operands rest is free to meet in.
+            occupied -= {trap for trap in dict.fromkeys((source, dest)) if rng.random() < 0.5}
+            positions = {source_qubit.name: source, dest_qubit.name: dest}
+            tried.clear()
+            route = router.plan_instruction(
+                instruction, positions, congestion, occupied_traps=occupied
+            )
+            operand_channels = {fabric.trap(trap).channel_id for trap in (source, dest)}
+            if source != dest and any(map(congestion.is_full, operand_channels)):
+                assert (tried, route) == ([], None)
+                continue
+            expected = reference_meeting_candidates(fabric, policy, source, dest, occupied)
+            if route is None:
+                assert tried == expected
+                seen["failed after trying several"] += len(tried) > 1
+            else:
+                assert tried == expected[: len(tried)]
+                assert route.target_trap == tried[-1]
+                seen["routed by a later candidate"] += len(tried) > 1
+            # More than the ranked count: an operand's own trap was tried.
+            seen["operand-trap fallback"] += len(tried) > policy.trap_candidates
+        if meeting_point is MeetingPoint.DESTINATION:
+            del seen["operand-trap fallback"]  # the rule has no fallbacks
+        assert all(seen.values()), seen
 
 
 #: Module-level fabric for the hypothesis property: hypothesis reuses the
