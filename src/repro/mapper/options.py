@@ -34,7 +34,8 @@ class MapperOptions:
         turn_aware_routing: Model turns during path selection (QSPR feature).
         meeting_point: How the meeting trap of a two-qubit gate is chosen —
             median of the operands (QSPR), the destination operand's trap
-            (QPOS) or the free trap nearest the fabric center (QUALE).
+            (the QUALE and QPOS presets) or the free trap nearest the fabric
+            center (``CENTER``, which no preset uses).
         channel_capacity: Channel capacity override; ``None`` uses the
             technology's value (2 for the paper's QSPR, 1 for prior tools).
         trap_candidates: Number of nearest-to-median traps the router tries.

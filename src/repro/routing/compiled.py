@@ -11,11 +11,11 @@ meeting trap, that search is the inner loop of the whole reproduction.
 :class:`CompiledRoutingGraph` flattens the graph once per fabric into
 integer-indexed arrays:
 
-* ``_adjacency[i]`` — the outgoing ``(weight, target node, edge index)``
+* ``_rows[i]`` — the outgoing ``(target node, channel slot, edge index)``
   triples of node ``i`` (a pre-zipped CSR row; tuple unpacking beats indexed
-  reads).  The *weight* member is the Eq. (2) weight of the edge under the
-  **current** congestion, patched in place lazily (see below), so a
-  relaxation needs no occupancy lookup and no multiplication at all;
+  reads).  The slot is the edge channel's index into the congestion
+  tracker's ``levels``, and ``-1`` for a turn edge;
+* ``_edge_slot`` — the same slot per edge, for the descent walk below;
 * ``_edges`` / ``_edge_source`` — the original
   :class:`~repro.routing.graph_model.GraphEdge` objects and their source
   node indices, for mapping a found path back to the object world the rest
@@ -30,15 +30,18 @@ push counter — matches the object-graph reference kernel of the test
 suite's oracle (``tests/reference_oracle.py``) entry-for-entry, so both
 return identical routes, not merely equal-cost ones.
 
-**Weight synchronisation.**  Edge weights depend on channel occupancy, which
-changes with every reservation.  The congestion tracker stamps each state
-with an epoch, so a query first compares the tracker's epoch with the one
-the adjacency weights were patched against; on mismatch it resets the
-previously touched edges to their congestion-free weight and re-applies the
-tracker's non-zero occupancies.  A sync therefore costs O(edges of occupied
-channels), and a query under unchanged congestion costs O(1).  Fully
-congested channels get an infinite weight, which the search prunes
-naturally.
+**Weight tables.**  Eq. (2) prices a channel edge from its own channel's
+occupancy alone, and an occupancy is an integer from 0 to the channel
+capacity.  So for each ``(T_move, T_turn, capacity)`` the graph memoises
+every edge's weight at every occupancy, once: ``weights[e][n]`` is
+``(n + 1) * length * T_move`` below capacity and infinity at it, computed in
+the operation order of :func:`~repro.routing.weights.channel_weight`, so
+costs are bit-identical to the reference.  A turn edge's table is
+``(T_turn,)`` and its slot ``-1``, which reads the tracker's spare level,
+always 0.  A relaxation reads ``weights[e][levels[slot]]`` straight from
+the caller's tracker, so the graph keeps no state about any tracker and a
+query never synchronises anything.  A full channel's infinite weight fails
+the frontier test, so the search prunes it naturally.
 
 **Frontier pruning.**  The kernel skips pushing any tentative distance that
 is already at or above the cheapest completed route.  ``best_total`` only
@@ -170,8 +173,9 @@ class CompiledRoutingGraph:
     every query on that fabric.  The instance owns mutable scratch arrays, so
     it must not be shared across threads; sharing across sequential mapping
     runs is what it is for.  Queries are self-contained — the generation
-    stamps and the epoch-checked weight sync make interleaved use by several
-    routers on the same fabric safe.
+    stamps reset the scratch arrays, and the weights come from static tables
+    and the caller's tracker — so interleaved use by several routers on the
+    same fabric is safe.
     """
 
     @classmethod
@@ -196,37 +200,24 @@ class CompiledRoutingGraph:
         self._nodes: list[Node] = nodes
         self._node_index: dict[Node, int] = {node: i for i, node in enumerate(nodes)}
 
-        edge_source: list[int] = []
-        edge_target: list[int] = []
-        edge_length: list[int] = []
-        edge_is_turn: list[bool] = []
-        edge_row_pos: list[int] = []
-        edges = []
-        adjacency: list[list[tuple[float, int, int]]] = []
         slots = graph.fabric.channel_slots
-        channel_edges: list[list[int]] = [[] for _ in slots]
+        edge_source: list[int] = []
+        edge_slot: list[int] = []
+        edges = []
+        rows: list[list[tuple[int, int, int]]] = []
         for i, node in enumerate(nodes):
-            row: list[tuple[float, int, int]] = []
+            row: list[tuple[int, int, int]] = []
             for edge in graph.edges_from(node):
-                e = len(edges)
+                slot = -1 if edge.kind is EdgeKind.TURN else slots[edge.channel_id]
+                row.append((self._node_index[edge.target], slot, len(edges)))
                 edge_source.append(i)
-                edge_target.append(self._node_index[edge.target])
-                edge_length.append(edge.length)
-                edge_is_turn.append(edge.kind is EdgeKind.TURN)
-                edge_row_pos.append(len(row))
-                if edge.kind is not EdgeKind.TURN:
-                    channel_edges[slots[edge.channel_id]].append(e)
-                row.append((0.0, edge_target[e], e))
+                edge_slot.append(slot)
                 edges.append(edge)
-            adjacency.append(row)
-        self._adjacency = adjacency
+            rows.append(row)
+        self._rows = rows
         self._edge_source = edge_source
-        self._edge_target = edge_target
-        self._edge_length = edge_length
-        self._edge_is_turn = edge_is_turn
-        self._edge_row_pos = edge_row_pos
+        self._edge_slot = edge_slot
         self._edges = edges
-        self._channel_edges = channel_edges
 
         num_nodes = len(nodes)
         self._dist = [_INF] * num_nodes
@@ -236,27 +227,19 @@ class CompiledRoutingGraph:
         self._visited_gen = [0] * num_nodes
         self._generation = 0
 
-        node_channels: list[set] = [set() for _ in range(num_nodes)]
-        for e in range(len(edges)):
-            if not edge_is_turn[e]:
-                node_channels[edge_source[e]].add(slots[edges[e].channel_id])
         #: Slots of the channels whose occupancy a search *reads* when it
         #: expands a node: the channels of the node's outgoing non-turn edges
         #: (turn edges are congestion-independent).  The router snapshots
         #: their occupancies to validate cached plans exactly.
-        self._node_slots: list[tuple[int, ...]] = [tuple(s) for s in node_channels]
-        #: ``(move_delay, turn_cost, target nodes) -> (distances, tree edges)``,
+        self._node_slots: list[tuple[int, ...]] = [
+            tuple({slot for _, slot, _ in row if slot >= 0}) for row in rows
+        ]
+        #: ``(move_delay, turn_delay, capacity) -> weights``, filled on first
+        #: use (see :meth:`_weights`).
+        self._weight_tables: dict[tuple, list[tuple[float, ...]]] = {}
+        #: ``(move_delay, turn_delay, target nodes) -> (distances, tree edges)``,
         #: filled on first use (see :meth:`_target_distances`).
         self._target_tables: dict[tuple, tuple[list[float], list[int]]] = {}
-        # Congestion-dependent weights live inside the adjacency rows and are
-        # patched lazily per epoch; ``_base_weight`` remembers each edge's
-        # congestion-free weight for the reset half of a sync.
-        self._base_weight: list[float] = [0.0] * len(edges)
-        self._touched_edges: list[int] = []
-        self._weight_move_delay: float | None = None
-        self._weight_turn_cost: float | None = None
-        self._weight_epoch = -1
-        self._weight_tracker_id = -1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,90 +254,60 @@ class CompiledRoutingGraph:
         """Number of directed edges."""
         return len(self._edges)
 
-    @property
-    def num_channels(self) -> int:
-        """Number of distinct channels appearing on channel edges."""
-        return sum(1 for edges in self._channel_edges if edges)
-
     # ------------------------------------------------------------------
-    # Weight synchronisation
+    # Weight tables
     # ------------------------------------------------------------------
-    def _sync_weights(
-        self, congestion: CongestionTracker, move_delay: float, turn_cost: float
-    ) -> None:
-        """Bring the in-row edge weights up to date with the tracker.
+    def _weights(
+        self, move_delay: float, turn_delay: float, capacity: int
+    ) -> list[tuple[float, ...]]:
+        """Every edge's Eq. (2) weight at every occupancy.
 
-        A no-change epoch match is O(1); otherwise the cost is O(edges of
-        previously and currently occupied channels).  A change of technology
-        parameters (different ``T_move``/``T_turn``, or toggled turn-aware
-        costing) triggers a full O(edges) rebuild.  Each write replaces edge
-        ``e``'s ``(weight, target, e)`` triple in its source node's row.
+        ``weights[e][n]`` is edge ``e``'s weight while its channel holds
+        ``n`` qubits (see the module docstring); edges of one length share
+        one table.  Built once per ``(T_move, T_turn, capacity)``.
         """
-        adjacency = self._adjacency
-        edge_source = self._edge_source
-        edge_target = self._edge_target
-        row_pos = self._edge_row_pos
-        base = self._base_weight
-        if (
-            move_delay != self._weight_move_delay
-            or turn_cost != self._weight_turn_cost
-        ):
-            lengths = self._edge_length
-            is_turn = self._edge_is_turn
-            for e in range(len(base)):
-                # ``length * move_delay`` is exactly the reference Eq. (2)
-                # value for an unoccupied channel: (0 + 1) * length * T_move.
-                weight = base[e] = turn_cost if is_turn[e] else lengths[e] * move_delay
-                adjacency[edge_source[e]][row_pos[e]] = (weight, edge_target[e], e)
-            self._weight_move_delay = move_delay
-            self._weight_turn_cost = turn_cost
-            self._touched_edges.clear()
-            self._weight_epoch = -1
-        if (
-            congestion.epoch == self._weight_epoch
-            and id(congestion) == self._weight_tracker_id
-        ):
-            return
-        touched = self._touched_edges
-        for e in touched:
-            adjacency[edge_source[e]][row_pos[e]] = (base[e], edge_target[e], e)
-        touched.clear()
-        lengths = self._edge_length
-        channel_edges = self._channel_edges
-        capacity = congestion.channel_capacity
-        levels = congestion.levels
-        for slot in congestion.occupied:
-            count = levels[slot]
-            for e in channel_edges[slot]:
-                if count >= capacity:
-                    weight = _INF
-                else:
-                    # Multiplication order matches the reference kernel
-                    # exactly: ((n + 1) * length) is an exact integer, then
-                    # one float multiply — bit-identical to
-                    # weights.channel_weight.
-                    weight = (count + 1) * lengths[e] * move_delay
-                adjacency[edge_source[e]][row_pos[e]] = (weight, edge_target[e], e)
-                touched.append(e)
-        self._weight_epoch = congestion.epoch
-        self._weight_tracker_id = id(congestion)
+        key = (move_delay, turn_delay, capacity)
+        weights = self._weight_tables.get(key)
+        if weights is None:
+            turn = (turn_delay,)
+            by_length: dict[int, tuple[float, ...]] = {}
+            weights = []
+            for edge in self._edges:
+                if edge.kind is EdgeKind.TURN:
+                    weights.append(turn)
+                    continue
+                length = edge.length
+                table = by_length.get(length)
+                if table is None:
+                    # ((n + 1) * length) is an exact integer, then one float
+                    # multiply: weights.channel_weight's operation order.
+                    table = by_length[length] = tuple(
+                        (n + 1) * length * move_delay for n in range(capacity)
+                    ) + (_INF,)
+                weights.append(table)
+            self._weight_tables[key] = weights
+        return weights
 
     # ------------------------------------------------------------------
     # Congestion-free target distances
     # ------------------------------------------------------------------
     def _target_distances(
-        self, target_nodes: tuple[int, ...]
+        self,
+        target_nodes: tuple[int, ...],
+        technology: TechnologyParams,
+        weights: list[tuple[float, ...]],
     ) -> tuple[list[float], list[int]]:
         """Each node's congestion-free distance to ``target_nodes`` and tree edge.
 
-        One multi-source Dijkstra from the targets over the base weights of
-        the last :meth:`_sync_weights`, memoised per weight key and target
-        set.  ``tree[v]`` is the edge ``u -> v`` that reached ``v`` (``-1`` at
-        a target or an unreachable node); by weight symmetry its reverse twin
-        is ``v``'s first step of a shortest path to the set, at the same
-        weight under any congestion.
+        One multi-source Dijkstra from the targets over the occupancy-0
+        entries of ``weights``, ``technology``'s table from :meth:`_weights`,
+        memoised per ``(T_move, T_turn)`` pair and target set.  ``tree[v]``
+        is the edge ``u -> v`` that reached ``v`` (``-1`` at a target or an
+        unreachable node); by weight symmetry its reverse twin is ``v``'s
+        first step of a shortest path to the set, at the same weight under
+        any congestion.
         """
-        key = (self._weight_move_delay, self._weight_turn_cost, target_nodes)
+        key = (technology.move_delay, technology.turn_delay, target_nodes)
         entry = self._target_tables.get(key)
         if entry is None:
             dist = [_INF] * len(self._nodes)
@@ -363,16 +316,15 @@ class CompiledRoutingGraph:
             for t in target_nodes:
                 dist[t] = 0.0
                 heap.append((0.0, t))
-            adjacency = self._adjacency
-            base = self._base_weight
+            rows = self._rows
             pop = heapq.heappop
             push = heapq.heappush
             while heap:
                 cost, node = pop(heap)
                 if cost > dist[node]:
                     continue
-                for _, t, e in adjacency[node]:
-                    candidate = cost + base[e]
+                for t, _, e in rows[node]:
+                    candidate = cost + weights[e][0]
                     if candidate < dist[t]:
                         dist[t] = candidate
                         tree[t] = e
@@ -390,7 +342,6 @@ class CompiledRoutingGraph:
         congestion: CongestionTracker,
         technology: TechnologyParams,
         *,
-        turn_aware_costing: bool = True,
         stats: RoutingCoreStats | None = None,
         read_out: set | None = None,
     ) -> DijkstraResult | None:
@@ -405,9 +356,8 @@ class CompiledRoutingGraph:
             sources: Entry nodes mapped to virtual entry costs.
             targets: Exit nodes mapped to virtual completion costs.
             congestion: Current channel occupancy (weights follow Eq. 2).
-            technology: Delay parameters (``T_move``, ``T_turn``).
-            turn_aware_costing: Whether turn edges cost ``T_turn`` during the
-                search (QSPR) or are free (prior tools / ablation).
+            technology: Delay parameters (``T_move``, ``T_turn``).  Turn
+                edges cost ``T_turn``; a turn-oblivious graph has none.
             stats: Optional counter sink; incremented in place.
             read_out: Optional output set receiving the slots of every channel
                 whose occupancy the search *read* — the channels of non-turn
@@ -422,18 +372,21 @@ class CompiledRoutingGraph:
             exists.
         """
         node_index = self._node_index
-        turn_cost = technology.turn_delay if turn_aware_costing else 0.0
-        self._sync_weights(congestion, technology.move_delay, turn_cost)
-
         target_cost: dict[int, float] = {}
         for node, cost in targets.items():
             if math.isfinite(cost):
                 target_cost[node_index[node]] = cost
         if not target_cost:
             return None
+        weights = self._weights(
+            technology.move_delay, technology.turn_delay, congestion.channel_capacity
+        )
+        levels = congestion.levels
         # The heuristic h(v) = h_dist[v] + h_floor: the exact congestion-free
         # distance to the target set plus the smallest completion cost.
-        h_dist, tree = self._target_distances(tuple(sorted(target_cost)))
+        h_dist, tree = self._target_distances(
+            tuple(sorted(target_cost)), technology, weights
+        )
         h_floor = min(target_cost.values())
 
         self._generation += 1
@@ -443,9 +396,9 @@ class CompiledRoutingGraph:
         origin = self._origin
         dist_gen = self._dist_gen
         visited_gen = self._visited_gen
-        adjacency = self._adjacency
+        rows = self._rows
         edge_source = self._edge_source
-        row_pos = self._edge_row_pos
+        edge_slot = self._edge_slot
 
         heap: list[tuple[float, int, int]] = []
         counter = 0
@@ -470,7 +423,7 @@ class CompiledRoutingGraph:
             total = cost
             e = tree[i]
             while e >= 0:
-                total += adjacency[edge_source[e]][row_pos[e]][0]
+                total += weights[e][levels[edge_slot[e]]]
                 i = edge_source[e]
                 e = tree[i]
             completion = target_cost.get(i)
@@ -515,8 +468,8 @@ class CompiledRoutingGraph:
             if track_read:
                 expanded.append(node)
             node_origin = origin[node]
-            for edge_cost, t, e in adjacency[node]:
-                candidate = cost + edge_cost
+            for t, slot, e in rows[node]:
+                candidate = cost + weights[e][levels[slot]]
                 # Frontier pruning (see module docstring); an infinite edge
                 # weight lands here too, since inf >= best_total always.
                 if candidate >= best_total:
@@ -572,7 +525,6 @@ class CompiledRoutingGraph:
         congestion: CongestionTracker,
         technology: TechnologyParams,
         *,
-        turn_aware_costing: bool = True,
         stats: RoutingCoreStats | None = None,
         read_out: set | None = None,
     ) -> list[DijkstraResult | None]:
@@ -587,7 +539,6 @@ class CompiledRoutingGraph:
                 targets,
                 congestion,
                 technology,
-                turn_aware_costing=turn_aware_costing,
                 stats=stats,
                 read_out=read_out,
             )
@@ -595,7 +546,4 @@ class CompiledRoutingGraph:
         ]
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledRoutingGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"channels={self.num_channels})"
-        )
+        return f"CompiledRoutingGraph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -71,8 +71,9 @@ def _plane_of(orientation: Orientation) -> str:
 class RoutingGraph:
     """Adjacency structure of the fabric's routing graph.
 
-    The graph is static; congestion-dependent weights are computed per query
-    by :func:`repro.routing.weights.edge_weight`, so a single instance can be
+    The graph is static; congestion-dependent weights are priced per query
+    (by the compiled kernel's weight tables, or by the reference
+    :func:`repro.routing.weights.edge_weight`), so a single instance can be
     shared by all mapping runs on the same fabric.
 
     ``trap_attachments`` maps each trap to where its routes join the

@@ -354,7 +354,6 @@ class Router:
             self._attachment_costs(target, congestion),
             congestion,
             self.technology,
-            turn_aware_costing=self.policy.turn_aware,
             stats=self.stats,
             read_out=reads,
         )

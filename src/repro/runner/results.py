@@ -62,43 +62,6 @@ _JSON_TYPES: dict[str, type | tuple[type, ...]] = {
     "bool": bool,
 }
 
-#: Column order of the CSV writer (and of ``CellResult`` itself).
-CSV_FIELDS: tuple[str, ...] = (
-    "circuit",
-    "mapper",
-    "placer",
-    "fabric",
-    "num_seeds",
-    "random_seed",
-    "technology",
-    "scheduler",
-    "turn_aware",
-    "meeting_point",
-    "channel_capacity",
-    "barrier_scheduling",
-    "latency",
-    "ideal_latency",
-    "placement_runs",
-    "direction",
-    "total_moves",
-    "total_turns",
-    "total_congestion_delay",
-    "cpu_seconds",
-    "routing_seconds",
-    "route_cache_hits",
-    "route_cache_misses",
-    "route_cache_hit_rate",
-    "dijkstra_calls",
-    "heap_pops",
-    "edge_relaxations",
-    "events_processed",
-    "event_peak_heap",
-    "event_wake_hits",
-    "event_skipped_polls",
-    "event_issue_polls",
-    "from_cache",
-)
-
 
 @dataclass
 class CellResult:
@@ -314,3 +277,7 @@ class CellResult:
                 raise TypeError(f"field {field.name!r} must be {field.type}, got {value!r}")
             values[field.name] = value
         return cls(**values)
+
+
+#: Column order of the CSV writer: ``CellResult``'s fields, in order.
+CSV_FIELDS: tuple[str, ...] = tuple(field.name for field in fields(CellResult))

@@ -13,8 +13,9 @@ Two layers of coverage:
 * full simulations of the fixture circuits on the fixture fabrics with a
   shim that routes every live query through *both* kernels and compares.
 
-The kernel's congestion-free target-distance table is checked against the
-reference kernel on its own.
+The kernel's weight tables are checked against the reference weight
+functions, and its congestion-free target-distance table against the
+reference kernel, each on its own.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from repro.routing.compiled import CompiledRoutingGraph
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import RoutingGraph
 from repro.routing.router import Router, RoutingPolicy
-from repro.routing.weights import edge_weight
+from repro.routing.weights import channel_weight, edge_weight, turn_weight
 from repro.sim.engine import FabricSimulator
-from repro.technology import PAPER_TECHNOLOGY
+from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
 def _legacy_query(router: Router, sources, targets, congestion):
@@ -55,13 +56,7 @@ def _legacy_query(router: Router, sources, targets, congestion):
 
 def _compiled_query(router: Router, sources, targets, congestion):
     assert router.compiled is not None
-    return router.compiled.shortest_route(
-        sources,
-        targets,
-        congestion,
-        router.technology,
-        turn_aware_costing=router.policy.turn_aware,
-    )
+    return router.compiled.shortest_route(sources, targets, congestion, router.technology)
 
 
 def _assert_same_result(legacy, compiled, context: str) -> None:
@@ -177,6 +172,42 @@ def test_every_edge_has_a_reverse_twin_of_the_same_kind_and_length(fabric_name, 
     assert edges == reverse
 
 
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize(
+    "technology",
+    [PAPER_TECHNOLOGY, TechnologyParams(move_delay=0.3, turn_delay=2.7)],
+    ids=["paper", "fractional"],
+)
+@pytest.mark.parametrize("turn_aware", [True, False], ids=["turn-aware", "turn-blind"])
+@pytest.mark.parametrize("fabric_name", FABRICS.names())
+def test_weight_tables_are_eq2_at_every_occupancy(
+    fabric_name, turn_aware, technology, capacity
+):
+    # A relaxation reads ``weights[e][levels[slot]]``: entry n of a channel
+    # edge's table must be the reference Eq. (2) weight at occupancy n, bit
+    # for bit, through the full channel's infinity; a turn edge reads the
+    # tracker's spare level, which is always 0.
+    fabric = FABRICS.get(fabric_name)()
+    compiled = CompiledRoutingGraph(RoutingGraph(fabric, turn_aware=turn_aware))
+    weights = compiled._weights(technology.move_delay, technology.turn_delay, capacity)
+    slots = fabric.channel_slots
+    assert len(weights) == compiled.num_edges
+    for e, edge in enumerate(compiled._edges):
+        if edge.is_turn:
+            assert compiled._edge_slot[e] == -1
+            assert weights[e] == (turn_weight(technology),)
+            continue
+        assert compiled._edge_slot[e] == slots[edge.channel_id]
+        assert weights[e] == tuple(
+            channel_weight(n, edge.length, capacity, technology)
+            for n in range(capacity + 1)
+        )
+    assert [entry for row in compiled._rows for entry in row] == [
+        (compiled._node_index[edge.target], compiled._edge_slot[e], e)
+        for e, edge in enumerate(compiled._edges)
+    ]
+
+
 def _target_sets(compiled, rng):
     """The endpoint nodes of three sampled channels, and their union."""
     graph = compiled.graph
@@ -198,8 +229,9 @@ def test_target_distances_are_exact_and_their_tree_reaches_a_target(fabric_name,
     graph = RoutingGraph(fabric, turn_aware=turn_aware)
     compiled = CompiledRoutingGraph(graph)
     empty = CongestionTracker(fabric, 2)
-    turn_cost = PAPER_TECHNOLOGY.turn_delay if turn_aware else 0.0
-    compiled._sync_weights(empty, PAPER_TECHNOLOGY.move_delay, turn_cost)
+    weights = compiled._weights(
+        PAPER_TECHNOLOGY.move_delay, PAPER_TECHNOLOGY.turn_delay, empty.channel_capacity
+    )
 
     def weight(edge):
         return edge_weight(edge, empty, PAPER_TECHNOLOGY, turn_aware_costing=turn_aware)
@@ -207,7 +239,7 @@ def test_target_distances_are_exact_and_their_tree_reaches_a_target(fabric_name,
     nodes = graph.nodes
     rng = random.Random(fabric_name)
     for target_nodes in _target_sets(compiled, rng):
-        dist, tree = compiled._target_distances(target_nodes)
+        dist, tree = compiled._target_distances(target_nodes, PAPER_TECHNOLOGY, weights)
         targets = {nodes[t]: 0.0 for t in target_nodes}
         for v in rng.sample(range(len(nodes)), min(40, len(nodes))):
             reference = shortest_route(graph, {nodes[v]: 0.0}, targets, weight)
@@ -260,7 +292,6 @@ def test_answers_depend_only_on_the_channels_the_search_read(turn_aware):
             router._attachment_costs(target, congestion),
             congestion,
             PAPER_TECHNOLOGY,
-            turn_aware_costing=turn_aware,
             read_out=reads,
         )
         for channel in sorted(fabric.channels):

@@ -49,12 +49,13 @@ class TestReserveRelease:
     def test_unknown_channel_release(self, tracker):
         # An unknown channel is a fabric error on release, as on reserve,
         # not a release of a known channel that was never reserved.
-        before = (tracker.epoch, list(tracker.levels))
+        tracker.reserve(("h", 0, 0))
+        before = (list(tracker.levels), tracker.snapshot())
         with pytest.raises(FabricError, match="unknown channel"):
             tracker.release(("h", 99, 99))
         with pytest.raises(FabricError, match="unknown channel"):
             tracker.release(("x", 99, 99))
-        assert (tracker.epoch, tracker.levels) == before
+        assert (tracker.levels, tracker.snapshot()) == before
 
     def test_unknown_channel_queries(self, tracker):
         assert tracker.occupancy(("h", 99, 99)) == 0
@@ -67,12 +68,12 @@ class TestReserveRelease:
     def test_a_refused_reserve_changes_nothing(self, tracker):
         tracker.reserve(("h", 0, 0))
         tracker.reserve(("h", 0, 0))
-        before = (tracker.epoch, tracker.snapshot())
+        before = (list(tracker.levels), tracker.snapshot())
         with pytest.raises(RoutingError):
             tracker.reserve(("h", 0, 0))
         with pytest.raises(FabricError):
             tracker.reserve(("h", 99, 99))
-        assert (tracker.epoch, tracker.snapshot()) == before
+        assert (tracker.levels, tracker.snapshot()) == before
 
     def test_capacity_one_release_always_opens_capacity(self, small_fabric_4x4):
         tracker = CongestionTracker(small_fabric_4x4, channel_capacity=1)
@@ -117,39 +118,21 @@ class TestReserveAll:
 
 def _state(tracker):
     """Everything a refused bulk call must leave as it was."""
-    return tracker.epoch, list(tracker.levels), list(tracker.occupied.items())
+    return list(tracker.levels)
 
 
 class TestBulkWrites:
     """``reserve_all`` and ``release_all`` write ``levels`` directly,
-    all or nothing, and move the epoch once per call."""
-
-    def test_reserve_all_moves_the_epoch_once(self, tracker):
-        before = tracker.epoch
-        tracker.reserve_all([("h", 0, 0), ("v", 0, 0), ("h", 0, 0)])
-        after = tracker.epoch
-        assert after > before
-        tracker.reserve(("v", 1, 0))
-        # One bump per call: the next single write is the next stamp.
-        assert tracker.epoch == after + 1
-        assert tracker.snapshot() == {("h", 0, 0): 2, ("v", 0, 0): 1, ("v", 1, 0): 1}
+    all or nothing."""
 
     def test_release_all_undoes_reserve_all(self, tracker):
         channels = [("v", 1, 0), ("h", 0, 0), ("v", 1, 0)]
         tracker.reserve(("v", 0, 0))
-        levels, occupied = list(tracker.levels), list(tracker.occupied.items())
+        levels = list(tracker.levels)
         tracker.reserve_all(channels)
-        epoch = tracker.epoch
+        assert tracker.snapshot() == {("v", 0, 0): 1, ("v", 1, 0): 2, ("h", 0, 0): 1}
         tracker.release_all(channels)
-        assert tracker.epoch > epoch
         assert tracker.levels == levels
-        assert list(tracker.occupied.items()) == occupied
-
-    def test_release_all_keeps_the_occupation_order(self, tracker):
-        for channel in [("v", 1, 0), ("h", 0, 0), ("v", 0, 0), ("h", 0, 0)]:
-            tracker.reserve(channel)
-        tracker.release_all([("h", 0, 0), ("v", 1, 0)])
-        assert list(tracker.snapshot().items()) == [(("h", 0, 0), 1), (("v", 0, 0), 1)]
 
     def test_reserve_all_rolls_back_at_a_full_channel_mid_list(self, tracker):
         tracker.reserve(("h", 0, 0))
@@ -218,12 +201,6 @@ class TestStats:
         tracker.snapshot()[("h", 0, 0)] = 5
         assert tracker.occupancy(("h", 0, 0)) == 1
 
-    def test_snapshot_lists_channels_in_occupation_order(self, tracker):
-        for channel in [("v", 1, 0), ("h", 0, 0), ("v", 0, 0)]:
-            tracker.reserve(channel)
-        tracker.reserve(("v", 1, 0))  # a second booking keeps the first place
-        assert list(tracker.snapshot()) == [("v", 1, 0), ("h", 0, 0), ("v", 0, 0)]
-
     def test_draining_every_channel_empties_the_tracker(self, tracker, small_fabric_4x4):
         channels = list(small_fabric_4x4.channels)
         capacity = tracker.channel_capacity
@@ -237,25 +214,3 @@ class TestStats:
         assert tracker.snapshot() == {}
         assert not any(tracker.levels)
 
-
-class TestEpoch:
-    def test_epoch_advances_on_every_mutation(self, tracker):
-        seen = [tracker.epoch]
-        tracker.reserve(("h", 0, 0))
-        seen.append(tracker.epoch)
-        tracker.release(("h", 0, 0))
-        seen.append(tracker.epoch)
-        assert seen == sorted(seen)
-        assert len(set(seen)) == len(seen)
-
-    def test_epoch_stable_across_queries(self, tracker):
-        before = tracker.epoch
-        tracker.occupancy(("h", 0, 0))
-        tracker.is_full(("h", 0, 0))
-        tracker.snapshot()
-        assert tracker.epoch == before
-
-    def test_distinct_trackers_never_share_an_epoch(self, small_fabric_4x4):
-        first = CongestionTracker(small_fabric_4x4, 2)
-        second = CongestionTracker(small_fabric_4x4, 2)
-        assert first.epoch != second.epoch
