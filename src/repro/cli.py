@@ -120,7 +120,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "--channel-capacity",
         type=int,
         default=None,
-        help="channel-capacity override (default: the technology's value)",
+        help="channel-capacity override, at most 64 (default: the technology's value)",
     )
     parser.add_argument(
         "--barriers",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.errors import MappingError, check_int
 from repro.routing.router import MeetingPoint, RoutingPolicy
 from repro.scheduling.policies import SchedulingPolicy
-from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
+from repro.technology import MAX_CHANNEL_CAPACITY, PAPER_TECHNOLOGY, TechnologyParams
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class MapperOptions:
             median of the operands (QSPR), the destination operand's trap
             (the QUALE and QPOS presets) or the free trap nearest the fabric
             center (``CENTER``, which no preset uses).
-        channel_capacity: Channel capacity override; ``None`` uses the
+        channel_capacity: Channel capacity override, at most
+            :data:`~repro.technology.MAX_CHANNEL_CAPACITY`; ``None`` uses the
             technology's value (2 for the paper's QSPR, 1 for prior tools).
         trap_candidates: Number of nearest-to-median traps the router tries.
         placer: Placement algorithm — the registry name of any placer in
@@ -64,9 +65,10 @@ class MapperOptions:
     def __post_init__(self) -> None:
         check_int("num_seeds", self.num_seeds)
         check_int("trap_candidates", self.trap_candidates)
-        for name in ("num_placements", "channel_capacity"):
-            if getattr(self, name) is not None:
-                check_int(name, getattr(self, name))
+        if self.num_placements is not None:
+            check_int("num_placements", self.num_placements)
+        if self.channel_capacity is not None:
+            check_int("channel_capacity", self.channel_capacity, 1, MAX_CHANNEL_CAPACITY)
 
     @property
     def scheduler_name(self) -> str:

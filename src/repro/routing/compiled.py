@@ -40,8 +40,10 @@ costs are bit-identical to the reference.  A turn edge's table is
 ``(T_turn,)`` and its slot ``-1``, which reads the tracker's spare level,
 always 0.  A relaxation reads ``weights[e][levels[slot]]`` straight from
 the caller's tracker, so the graph keeps no state about any tracker and a
-query never synchronises anything.  A full channel's infinite weight fails
-the frontier test, so the search prunes it naturally.
+query never synchronises anything.  The tracker refuses a capacity above
+:data:`~repro.technology.MAX_CHANNEL_CAPACITY`, which bounds each table's
+length.  A full channel's infinite weight fails the frontier test, so the
+search prunes it naturally.
 
 **Frontier pruning.**  The kernel skips pushing any tentative distance that
 is already at or above the cheapest completed route.  ``best_total`` only

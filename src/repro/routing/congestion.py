@@ -8,7 +8,7 @@ qubit-exits-channel event fires.
 
 Occupancies live in one flat list, :attr:`CongestionTracker.levels`, indexed
 by the fabric's channel slots (:attr:`~repro.fabric.fabric.Fabric.channel_slots`),
-and that list is the tracker's whole state.  The router validates a
+and that list is the tracker's only mutable state.  The router validates a
 route-table snapshot with one ``itemgetter`` call and one tuple compare, and
 the compiled routing graph prices each edge it relaxes by indexing its
 static weight table with the edge channel's level, so nothing mirrors the
@@ -19,17 +19,21 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import FabricError, RoutingError
+from repro.errors import FabricError, RoutingError, check_int
 from repro.fabric.components import ChannelId
 from repro.fabric.fabric import Fabric
+from repro.technology import MAX_CHANNEL_CAPACITY
 
 
 class CongestionTracker:
     """Mutable occupancy counts of the fabric's channels."""
 
     def __init__(self, fabric: Fabric, channel_capacity: int) -> None:
-        if channel_capacity < 1:
-            raise RoutingError("channel capacity must be at least 1")
+        # The compiled routing graph sizes its weight tables by the capacity.
+        check_int(
+            "channel_capacity", channel_capacity, 1, MAX_CHANNEL_CAPACITY,
+            error=RoutingError,
+        )
         self.fabric = fabric
         self.channel_capacity = channel_capacity
         self._slots = fabric.channel_slots

@@ -16,14 +16,14 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from repro.circuits.circuit import Instruction
-from repro.errors import RoutingError
+from repro.errors import RoutingError, check_int
 from repro.fabric.components import ChannelId, Trap, TrapId
 from repro.fabric.fabric import Fabric
 from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
-from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
+from repro.technology import MAX_CHANNEL_CAPACITY, PAPER_TECHNOLOGY, TechnologyParams
 
 
 class MeetingPoint(Enum):
@@ -56,7 +56,8 @@ class RoutingPolicy:
         meeting_point: How the gate trap of a two-qubit instruction is chosen
             (see :class:`MeetingPoint`).
         channel_capacity: Maximum concurrent qubits per channel (2 for QSPR's
-            multiplexed channels, 1 for the prior tools).
+            multiplexed channels, 1 for the prior tools), at most
+            :data:`~repro.technology.MAX_CHANNEL_CAPACITY`.
         trap_candidates: How many candidate meeting traps the router tries
             before declaring the instruction unroutable.
     """
@@ -67,8 +68,10 @@ class RoutingPolicy:
     trap_candidates: int = 4
 
     def __post_init__(self) -> None:
-        if self.channel_capacity < 1:
-            raise RoutingError("channel_capacity must be at least 1")
+        check_int(
+            "channel_capacity", self.channel_capacity, 1, MAX_CHANNEL_CAPACITY,
+            error=RoutingError,
+        )
         if self.trap_candidates < 1:
             raise RoutingError("trap_candidates must be at least 1")
 

@@ -35,6 +35,7 @@ from repro.pipeline.schedulers import SCHEDULERS
 from repro.pipeline.technologies import TECHNOLOGIES, resolve_technology
 from repro.routing.router import MeetingPoint
 from repro.runner.results import scenario_suffix
+from repro.technology import MAX_CHANNEL_CAPACITY
 
 
 #: Legal ``meeting_point`` axis values (the :class:`MeetingPoint` enum values).
@@ -187,7 +188,8 @@ class ExperimentSpec:
         turn_aware: Model turns during path selection (QSPR routing feature).
         meeting_point: Meeting-trap selection rule — ``"median"`` (QSPR),
             ``"destination"`` (QPOS/QUALE) or ``"center"``.
-        channel_capacity: Channel-capacity override; ``None`` uses the
+        channel_capacity: Channel-capacity override, at most
+            :data:`~repro.technology.MAX_CHANNEL_CAPACITY`; ``None`` uses the
             technology's value.
         barrier_scheduling: Schedule level-by-level (ALAP) before mapping,
             as the prior tools do.
@@ -229,9 +231,10 @@ class ExperimentSpec:
                 raise MappingError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         check_int("num_seeds", self.num_seeds)
         check_int("random_seed", self.random_seed, None)
-        for name in ("num_placements", "channel_capacity"):
-            if getattr(self, name) is not None:
-                check_int(name, getattr(self, name))
+        if self.num_placements is not None:
+            check_int("num_placements", self.num_placements)
+        if self.channel_capacity is not None:
+            check_int("channel_capacity", self.channel_capacity, 1, MAX_CHANNEL_CAPACITY)
         if not isinstance(self.fabric, FabricCell):
             raise MappingError(f"fabric must be a FabricCell, got {self.fabric!r}")
         MAPPERS.resolve(self.mapper, error=MappingError)

@@ -34,6 +34,12 @@ _DELAY_FIELDS = (
 #: The capacity fields of :class:`TechnologyParams`, each an integer of at least 1.
 _CAPACITY_FIELDS = ("channel_capacity", "junction_capacity", "trap_capacity")
 
+#: The largest channel capacity the mapper accepts.  The compiled routing
+#: kernel keeps one Eq. (2) weight per occupancy ``0..capacity`` for each
+#: channel length, so this bound keeps those tables small whatever a spec
+#: asks for.  The paper's multiplexed channels hold two qubits.
+MAX_CHANNEL_CAPACITY = 64
+
 
 @dataclass(frozen=True)
 class TechnologyParams:
@@ -54,7 +60,7 @@ class TechnologyParams:
         prepare_delay: Delay of initializing (``QUBIT``) a qubit.  Treated as
             free because initialization happens before mapping starts.
         channel_capacity: Maximum number of qubits concurrently travelling in
-            one channel.
+            one channel, at most :data:`MAX_CHANNEL_CAPACITY`.
         junction_capacity: Maximum number of qubits concurrently crossing a
             junction.  The paper designs junctions to match the channel
             capacity.
@@ -86,6 +92,11 @@ class TechnologyParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.channel_capacity > MAX_CHANNEL_CAPACITY:
+            raise ValueError(
+                f"channel_capacity must be at most {MAX_CHANNEL_CAPACITY}, "
+                f"got {self.channel_capacity}"
+            )
         if self.move_delay <= 0:
             raise ValueError("move_delay must be positive")
         if self.turn_delay < 0:

@@ -29,6 +29,7 @@ import pytest
 from reference_oracle import shortest_route
 from repro.circuits.qecc import qecc_encoder
 from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric, quale_fabric
+from repro.pipeline.facade import map_circuit
 from repro.pipeline.fabrics import FABRICS
 from repro.placement.center import CenterPlacer
 from repro.routing.compiled import CompiledRoutingGraph
@@ -37,7 +38,7 @@ from repro.routing.graph_model import RoutingGraph
 from repro.routing.router import Router, RoutingPolicy
 from repro.routing.weights import channel_weight, edge_weight, turn_weight
 from repro.sim.engine import FabricSimulator
-from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
+from repro.technology import MAX_CHANNEL_CAPACITY, PAPER_TECHNOLOGY, TechnologyParams
 
 
 def _legacy_query(router: Router, sources, targets, congestion):
@@ -206,6 +207,24 @@ def test_weight_tables_are_eq2_at_every_occupancy(
         (compiled._node_index[edge.target], compiled._edge_slot[e], e)
         for e, edge in enumerate(compiled._edges)
     ]
+
+
+def test_a_run_at_the_largest_capacity_builds_small_tables():
+    # Entry points refuse a capacity above MAX_CHANNEL_CAPACITY, so a run at
+    # that capacity is the largest table a graph ever holds: one tuple of
+    # MAX_CHANNEL_CAPACITY + 1 weights per channel length, shared by the
+    # edges of that length, and one turn tuple.
+    fabric = FABRICS.get("small")()
+    result = map_circuit(
+        "[[5,1,3]]", fabric, placer="center", channel_capacity=MAX_CHANNEL_CAPACITY
+    )
+    assert result.latency > 0
+    compiled = CompiledRoutingGraph.shared(RoutingGraph.shared(fabric, turn_aware=True))
+    key = (PAPER_TECHNOLOGY.move_delay, PAPER_TECHNOLOGY.turn_delay, MAX_CHANNEL_CAPACITY)
+    assert list(compiled._weight_tables) == [key]
+    tables = {id(table): table for table in compiled._weight_tables[key]}.values()
+    lengths = {edge.length for edge in compiled._edges if not edge.is_turn}
+    assert sorted(map(len, tables)) == [1] + [MAX_CHANNEL_CAPACITY + 1] * len(lengths)
 
 
 def _target_sets(compiled, rng):

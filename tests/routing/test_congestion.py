@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import FabricError, RoutingError
 from repro.routing.congestion import CongestionTracker
+from repro.routing.router import RoutingPolicy
+from repro.technology import MAX_CHANNEL_CAPACITY
 
 
 @pytest.fixture
@@ -61,9 +63,13 @@ class TestReserveRelease:
         assert tracker.occupancy(("h", 99, 99)) == 0
         assert tracker.is_full(("h", 99, 99)) is False
 
-    def test_invalid_capacity(self, small_fabric_4x4):
-        with pytest.raises(RoutingError):
-            CongestionTracker(small_fabric_4x4, channel_capacity=0)
+    @pytest.mark.parametrize("capacity", [0, MAX_CHANNEL_CAPACITY + 1, 10**9])
+    def test_invalid_capacity(self, small_fabric_4x4, capacity):
+        # The compiled routing graph sizes its weight tables by the capacity.
+        with pytest.raises(RoutingError, match="channel_capacity must be at"):
+            CongestionTracker(small_fabric_4x4, channel_capacity=capacity)
+        with pytest.raises(RoutingError, match="channel_capacity must be at"):
+            RoutingPolicy(channel_capacity=capacity)
 
     def test_a_refused_reserve_changes_nothing(self, tracker):
         tracker.reserve(("h", 0, 0))

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.errors import MappingError
+from repro.mapper.options import MapperOptions
 from repro.runner import (
     CellResult,
     ExperimentSpec,
@@ -23,6 +24,7 @@ from repro.runner import (
     write_csv,
 )
 from repro.runner.results import CSV_FIELDS
+from repro.technology import MAX_CHANNEL_CAPACITY
 
 TINY = FabricCell(junction_rows=4, junction_cols=4)
 
@@ -58,6 +60,16 @@ class TestSpecScenarioAxes:
     def test_rejects_bad_capacity(self):
         with pytest.raises(MappingError, match="channel_capacity"):
             _spec(channel_capacity=0)
+
+    @pytest.mark.parametrize("capacity", [MAX_CHANNEL_CAPACITY + 1, 10**9])
+    def test_rejects_a_capacity_above_the_maximum(self, capacity):
+        # The router's weight tables grow with the capacity, so a spec from
+        # a payload or the command line is refused before anything runs.
+        assert _spec(channel_capacity=MAX_CHANNEL_CAPACITY).channel_capacity == 64
+        with pytest.raises(MappingError, match="channel_capacity must be at most 64"):
+            _spec(channel_capacity=capacity)
+        with pytest.raises(MappingError, match="channel_capacity must be at most 64"):
+            MapperOptions(channel_capacity=capacity)
 
     def test_config_label_tags_non_default_axes(self):
         assert _spec().config_label() == "qspr/center"

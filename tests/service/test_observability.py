@@ -320,6 +320,9 @@ MALFORMED_REQUESTS = {
     "capacity-float": (
         _spec_request(b'"channel_capacity": 1.5'), "channel_capacity must be an integer"
     ),
+    "capacity-huge": (
+        _spec_request(b'"channel_capacity": 1000000000'), "channel_capacity must be at most 64"
+    ),
     "fabric-rows-zero": (
         _spec_request(b'"fabric": {"junction_rows": 0}'), "junction_rows must be at least 1"
     ),

@@ -6,7 +6,12 @@ import pytest
 
 from repro.errors import MappingError
 from repro.pipeline.technologies import resolve_technology
-from repro.technology import LEGACY_TECHNOLOGY, PAPER_TECHNOLOGY, TechnologyParams
+from repro.technology import (
+    LEGACY_TECHNOLOGY,
+    MAX_CHANNEL_CAPACITY,
+    PAPER_TECHNOLOGY,
+    TechnologyParams,
+)
 
 DELAYS = (
     "move_delay",
@@ -69,6 +74,15 @@ class TestValidation:
     def test_zero_channel_capacity_rejected(self):
         with pytest.raises(ValueError):
             TechnologyParams(channel_capacity=0)
+
+    def test_channel_capacity_above_the_maximum_rejected(self):
+        # The router's weight tables hold one entry per occupancy up to the
+        # capacity, so a custom PMD may not ask for an unbounded one.
+        assert TechnologyParams(channel_capacity=MAX_CHANNEL_CAPACITY).channel_capacity == 64
+        with pytest.raises(ValueError, match="^channel_capacity must be at most 64, got 65"):
+            TechnologyParams(channel_capacity=MAX_CHANNEL_CAPACITY + 1)
+        with pytest.raises(MappingError, match="channel_capacity must be at most 64"):
+            resolve_technology({"channel_capacity": 10**9})
 
     def test_zero_trap_capacity_rejected(self):
         with pytest.raises(ValueError):
