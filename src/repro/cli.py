@@ -659,6 +659,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         print("\nshutting down: draining workers, requeueing in-flight jobs ...")
         service.shutdown()
         counts = service.store.counts()
+        service.store.close()
         print(
             f"stopped; {counts['done']} done, {counts['queued']} queued, "
             f"{counts['failed']} failed"
@@ -750,8 +751,11 @@ def _command_jobs(args: argparse.Namespace) -> int:
         if not Path(args.db).exists():
             raise ReproError(f"job store not found: {args.db}")
         store = JobStore(args.db)
-        removed = store.prune(retention_days=args.retention_days)
-        counts = store.counts()
+        try:
+            removed = store.prune(retention_days=args.retention_days)
+            counts = store.counts()
+        finally:
+            store.close()
         print(
             f"pruned {removed} terminal jobs older than "
             f"{args.retention_days:g} days (store vacuumed)"

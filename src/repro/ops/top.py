@@ -211,6 +211,8 @@ def run_top(
             time.sleep(interval)
     except KeyboardInterrupt:
         return 0
+    finally:
+        store.close()
 
 
 __all__ = ["render", "run_top", "snapshot"]

@@ -52,21 +52,20 @@ def partial_channel_weight(
     return (occupancy + 1) * cells * technology.move_delay
 
 
-def turn_weight(technology: TechnologyParams, *, turn_aware: bool = True) -> float:
-    """Weight of a turn edge.
+def turn_weight(technology: TechnologyParams) -> float:
+    """Weight of a turn edge: ``T_turn``.
 
-    In the turn-oblivious model (prior tools) turns are free during path
-    selection, which is exactly the shortcoming Figure 5 illustrates.
+    Only the turn-aware graph has turn edges; the turn-oblivious model (prior
+    tools) selects paths on a graph without them, which is exactly the
+    shortcoming Figure 5 illustrates.
     """
-    return technology.turn_delay if turn_aware else 0.0
+    return technology.turn_delay
 
 
 def edge_weight(
     edge: GraphEdge,
     congestion: CongestionTracker,
     technology: TechnologyParams,
-    *,
-    turn_aware_costing: bool = True,
 ) -> float:
     """Weight of a routing-graph edge under the current congestion state.
 
@@ -74,11 +73,9 @@ def edge_weight(
         edge: The edge being considered by Dijkstra.
         congestion: Current channel occupancy.
         technology: Delay parameters.
-        turn_aware_costing: Whether turn edges cost ``T_turn`` (QSPR) or are
-            free (prior tools / ablation).
     """
     if edge.kind is EdgeKind.TURN:
-        return turn_weight(technology, turn_aware=turn_aware_costing)
+        return turn_weight(technology)
     assert edge.channel_id is not None
     return channel_weight(
         congestion.occupancy(edge.channel_id),

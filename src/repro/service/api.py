@@ -136,6 +136,7 @@ class MappingService:
             self._httpd.server_close()
             self._httpd = None
         self.pool.stop()
+        self.store.close()
         self.logger.log("service.stopped")
         self.logger.close()
 
@@ -182,11 +183,8 @@ class MappingService:
         for spec in specs:
             job, was_created = self.store.submit(spec)
             jobs.append(job.to_dict())
-            if was_created:
-                created += 1
-                self.pool.wake()  # the job is committed: an idle worker claims it now
-            else:
-                deduped += 1
+            # Logged before the wake, so that no worker's record of the job
+            # can come first.
             self.logger.log(
                 "job.submitted",
                 job_id=job.id,
@@ -195,6 +193,11 @@ class MappingService:
                 mapper=spec.mapper,
                 deduped=not was_created,
             )
+            if was_created:
+                created += 1
+                self.pool.wake()  # the job is committed: an idle worker claims it now
+            else:
+                deduped += 1
         return {
             "jobs": jobs,
             "created": created,

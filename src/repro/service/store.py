@@ -2,10 +2,29 @@
 
 The store is the durable heart of the mapping service: every submission,
 claim and completion is one short WAL-mode SQLite transaction, so any number
-of worker processes and API threads can share a single database file.  Each
-:class:`JobStore` method opens its own connection — SQLite connections are
-cheap, and this keeps the store safe to use from ``ThreadingHTTPServer``
-request threads and worker processes alike.
+of worker processes and API threads can share a single database file.
+
+A connection is not cheap: on a 2-core host, opening one and setting its
+two PRAGMAs made a one-statement read cost 200–450 µs of CPU, against
+5–9 µs on a kept connection.  So each :class:`JobStore` keeps one
+connection per process, under four rules:
+
+* **One connection per store and process**, opened on first use.
+  :data:`SQLITE_LOCK` serialises every store call within a process, so the
+  API's request threads share their store's connection
+  (``check_same_thread=False``).  Thread workers each build their own store.
+* **No connection crosses a fork.**  SQLite forbids using an inherited
+  connection in a child, and closing one there runs SQLite code on it too.
+  The connection is keyed to the pid that opened it: a forked child opens
+  its own and leaves the inherited one untouched.
+* **No read outlives its statement.**  Every query is read to its end
+  (``fetchall``, or ``fetchone`` of a query that yields at most one row), so
+  an idle connection holds no read snapshot that would block a checkpoint
+  or ``VACUUM`` in another process.
+* **Closed on the way out.**  :meth:`JobStore.close` closes it; the next
+  call opens a new one.  The service, the pool, each worker loop,
+  ``qspr-map jobs prune`` and ``qspr-map top`` close their stores when they
+  end, and the last close checkpoints the WAL into the database.
 
 Three properties matter beyond plain CRUD:
 
@@ -32,6 +51,7 @@ opened by a newer build is upgraded in place.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import threading
 import time
@@ -60,12 +80,18 @@ from repro.service.jobs import (
 _SQLITE_MAX_INTEGER = 2**63 - 1
 
 #: Held by any thread of this process while it is inside SQLite, and by the
-#: worker pool while it forks a worker.  SQLite's mutexes do not survive
+#: worker pool while it forks a worker.  It lets the process's threads share
+#: each store's one connection.  SQLite's mutexes do not survive
 #: ``fork()``: a worker forked while another thread (an HTTP request, say)
 #: held one inherits it locked and hangs in its first ``sqlite3.connect``.
 #: Re-entrant, so the forked child, whose only thread holds it, can still
 #: open its own store.
 SQLITE_LOCK = threading.RLock()
+
+#: Connections a forked child inherited from its parent's stores.  Kept
+#: referenced, never used or closed, so that the child runs no SQLite code on
+#: them (see :meth:`JobStore._connection`).
+_INHERITED: list[sqlite3.Connection] = []
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -159,6 +185,8 @@ class JobStore:
         self.cache = cache
         self.max_attempts = max_attempts
         self.db_path.parent.mkdir(parents=True, exist_ok=True)
+        self._conn: sqlite3.Connection | None = None
+        self._conn_pid: int | None = None
         with self._read() as conn:
             conn.executescript(_SCHEMA)
         self._migrate()
@@ -194,37 +222,55 @@ class JobStore:
     # ------------------------------------------------------------------
     # Connections.
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.db_path, timeout=30.0, isolation_level=None)
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection, opened on first use; call under the lock."""
+        if self._conn is not None and self._conn_pid != os.getpid():
+            # Inherited through fork(): SQLite forbids using it here, and
+            # closing it, even by dropping the last reference, runs SQLite
+            # code on it too.  Park it untouched for the life of the child.
+            _INHERITED.append(self._conn)
+            self._conn = None
+        if self._conn is None:
+            conn = sqlite3.connect(
+                self.db_path, timeout=30.0, isolation_level=None, check_same_thread=False
+            )
+            conn.row_factory = sqlite3.Row
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn, self._conn_pid = conn, os.getpid()
+        return self._conn
+
+    def close(self) -> None:
+        """Close this process's connection; the next call opens a new one.
+
+        The last connection to the file to close checkpoints the WAL into
+        the database.  A connection inherited through ``fork()`` is left
+        untouched.
+        """
+        with SQLITE_LOCK:
+            if self._conn is not None and self._conn_pid == os.getpid():
+                self._conn.close()
+                self._conn = None
 
     @contextmanager
     def _read(self) -> Iterator[sqlite3.Connection]:
-        """A short-lived autocommit connection, closed on exit."""
+        """The kept connection in autocommit mode."""
         with SQLITE_LOCK:
-            conn = self._connect()
-            try:
-                yield conn
-            finally:
-                conn.close()
+            yield self._connection()
 
     @contextmanager
     def _transaction(self) -> Iterator[sqlite3.Connection]:
         """One ``BEGIN IMMEDIATE`` transaction (serialises writers)."""
         with SQLITE_LOCK:
-            conn = self._connect()
+            conn = self._connection()
+            conn.execute("BEGIN IMMEDIATE")
             try:
-                conn.execute("BEGIN IMMEDIATE")
                 yield conn
                 conn.execute("COMMIT")
             except BaseException:
-                conn.execute("ROLLBACK")
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
                 raise
-            finally:
-                conn.close()
 
     # ------------------------------------------------------------------
     # Submission and dedup.

@@ -170,6 +170,7 @@ def worker_loop(
                 raise
             executed += 1
     finally:
+        store.close()
         logger.close()
     return executed
 
@@ -396,3 +397,4 @@ class WorkerPool:
         # Anything still 'running' belonged to a worker we just reaped: jump
         # past every lease that could have been granted before this call.
         self.store.requeue_orphans(now=time.time() + self.config.lease_seconds + 1.0)
+        self.store.close()

@@ -28,6 +28,12 @@ test maps every job again on one shared fabric, whose route table then
 holds earlier jobs' plans, and requires the same digests; its counters
 may differ.
 
+The benchmark's seed-1 service job list is pinned apart from these
+(:data:`SERVICE_JOBS`): its 75 Poisson jobs are mapped in posting order
+through the worker's :func:`~repro.service.worker.execute_job` with one
+fabric memo, as a service worker maps them.  Only their digests are pinned,
+because counters on a warm fabric depend on the job order.
+
 Regenerate after an *intentional* change of what a run computes or of the
 work it does with::
 
@@ -45,9 +51,11 @@ from pathlib import Path
 from repro.circuits.qecc import BENCHMARK_NAMES
 from repro.runner.executor import map_spec
 from repro.runner.spec import ExperimentSpec
+from repro.service.worker import execute_job
 from repro.sim.engine import FabricSimulator
 
 FINGERPRINTS = Path(__file__).parent / "golden" / "run_fingerprints.json"
+SERVICE_FINGERPRINTS = Path(__file__).parent / "golden" / "service_fingerprints.json"
 
 JOBS: dict[str, ExperimentSpec] = {
     **{
@@ -86,6 +94,23 @@ JOBS: dict[str, ExperimentSpec] = {
         )
     },
 }
+
+
+def _service_poisson_jobs() -> list[ExperimentSpec]:
+    """The benchmark's seed-1 service-poisson jobs in posting order: MVFB at
+    m=3 on ``[[5,1,3]]`` and ``[[7,1,3]]``, drawn as ``perfbench/`` draws
+    them."""
+    count = 75
+    circuits = [("[[5,1,3]]", "[[7,1,3]]")[i % 2] for i in range(count)]
+    random.Random(f"service-poisson-trace:{count}").shuffle(circuits)
+    seeds = random.Random("service-poisson:1").sample(range(1, 1_000_000), count)
+    return [
+        ExperimentSpec(circuit, placer="mvfb", num_seeds=3, random_seed=random_seed)
+        for circuit, random_seed in zip(circuits, seeds)
+    ]
+
+
+SERVICE_JOBS = _service_poisson_jobs()
 
 
 def run_digest(outcome) -> str:
@@ -190,6 +215,33 @@ def test_a_warm_fabric_maps_every_run_alike(monkeypatch):
     for job in order:
         digests, _ = job_fingerprint(JOBS[job], monkeypatch, fabric)
         assert digests == committed[job]["digests"], job
+
+
+def test_the_service_job_list_maps_every_run_alike(monkeypatch):
+    # Posting order on one worker's fabric memo: each job is served the
+    # route plans of the jobs before it.
+    digests: list[str] = []
+    original_run = FabricSimulator.run
+
+    def digesting_run(sim, initial_placement):
+        outcome = original_run(sim, initial_placement)
+        digests.append(run_digest(outcome))
+        return outcome
+
+    monkeypatch.setattr(FabricSimulator, "run", digesting_run)
+    fabrics: dict = {}
+    fresh = {}
+    for spec in SERVICE_JOBS:
+        digests.clear()
+        execute_job(spec, fabrics)
+        fresh[f"{spec.circuit} seed={spec.random_seed}"] = list(digests)
+    assert len(fabrics) == 1 and len(fresh) == len(SERVICE_JOBS)
+    if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
+        SERVICE_FINGERPRINTS.write_text(json.dumps(fresh, indent=1) + "\n")
+    committed = json.loads(SERVICE_FINGERPRINTS.read_text())
+    assert list(fresh) == list(committed)
+    for job, runs in fresh.items():
+        assert runs == committed[job], job
 
 
 def test_a_changed_record_changes_the_digest(monkeypatch):

@@ -299,12 +299,7 @@ class OracleRouter(Router):
             self.graph,
             self._attachment_costs(source, congestion),
             self._attachment_costs(target, congestion),
-            lambda edge: edge_weight(
-                edge,
-                congestion,
-                self.technology,
-                turn_aware_costing=self.policy.turn_aware,
-            ),
+            lambda edge: edge_weight(edge, congestion, self.technology),
         )
         if result is None:
             return None

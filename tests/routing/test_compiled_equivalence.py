@@ -46,12 +46,7 @@ def _legacy_query(router: Router, sources, targets, congestion):
         router.graph,
         sources,
         targets,
-        lambda edge: edge_weight(
-            edge,
-            congestion,
-            router.technology,
-            turn_aware_costing=router.policy.turn_aware,
-        ),
+        lambda edge: edge_weight(edge, congestion, router.technology),
     )
 
 
@@ -253,7 +248,7 @@ def test_target_distances_are_exact_and_their_tree_reaches_a_target(fabric_name,
     )
 
     def weight(edge):
-        return edge_weight(edge, empty, PAPER_TECHNOLOGY, turn_aware_costing=turn_aware)
+        return edge_weight(edge, empty, PAPER_TECHNOLOGY)
 
     nodes = graph.nodes
     rng = random.Random(fabric_name)

@@ -79,7 +79,6 @@ class TestWeights:
 
     def test_turn_weight(self):
         assert turn_weight(PAPER_TECHNOLOGY) == pytest.approx(10.0)
-        assert turn_weight(PAPER_TECHNOLOGY, turn_aware=False) == 0.0
 
     def test_edge_weight_dispatch(self, small_fabric_4x4):
         graph = RoutingGraph(small_fabric_4x4, turn_aware=True)
@@ -89,9 +88,6 @@ class TestWeights:
         turn_edges = [e for e in graph.edges_from(node) if e.kind is EdgeKind.TURN]
         assert edge_weight(channel_edges[0], congestion, PAPER_TECHNOLOGY) == pytest.approx(3.0)
         assert edge_weight(turn_edges[0], congestion, PAPER_TECHNOLOGY) == pytest.approx(10.0)
-        assert edge_weight(
-            turn_edges[0], congestion, PAPER_TECHNOLOGY, turn_aware_costing=False
-        ) == 0.0
 
     def test_edge_weight_reflects_congestion(self, small_fabric_4x4):
         graph = RoutingGraph(small_fabric_4x4, turn_aware=True)

@@ -1,12 +1,30 @@
-"""JobStore lifecycle, content-hash dedup and crash-safe orphan requeue."""
+"""JobStore lifecycle, content-hash dedup, crash-safe orphan requeue and
+the store's one connection per process."""
 
 from __future__ import annotations
+
+import os
+import signal
+import sqlite3
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.errors import MappingError
 from repro.runner import CellResult, ExperimentSpec, FabricCell, ResultCache
-from repro.service import CANCELLED, DONE, FAILED, QUEUED, RUNNING, JobStore
+from repro.service import (
+    CANCELLED,
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    JobStore,
+    ServiceConfig,
+    WorkerPool,
+)
+from repro.service.store import SQLITE_LOCK
 
 TINY = FabricCell(junction_rows=4, junction_cols=4)
 
@@ -234,3 +252,147 @@ class TestShutdownFlag:
         assert store.shutdown_requested()
         store.clear_shutdown()
         assert not store.shutdown_requested()
+
+
+@pytest.fixture
+def connects(monkeypatch) -> list:
+    """Every ``sqlite3.connect`` call made from here on, by database path."""
+    calls: list = []
+    connect = sqlite3.connect
+
+    def counting_connect(database, *args, **kwargs):
+        calls.append(database)
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    return calls
+
+
+class TestConnections:
+    def test_a_thread_pool_opens_one_connection_per_store(self, tmp_path, connects):
+        config = ServiceConfig(
+            workers=2, use_threads=True, poll_interval=0.01
+        ).under(tmp_path)
+        pool = WorkerPool(config)
+        jobs = [
+            pool.store.submit(_spec(placer="mvfb", num_seeds=seeds))[0]
+            for seeds in range(1, 6)
+        ]
+        pool.start()
+        try:
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                if all(pool.store.get(job.id).is_terminal for job in jobs):
+                    break
+                time.sleep(0.05)
+        finally:
+            pool.stop(timeout=5.0)
+        # The pool's store and each worker_loop's own, whatever the number
+        # of jobs, claims and polls.
+        assert len(connects) == 3
+        assert [pool.store.get(job.id).status for job in jobs] == [DONE] * 5
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork()")
+    def test_a_forked_child_opens_its_own_connection(self, store, connects):
+        store.submit(_spec())
+        inherited, opened = store._conn, len(connects)
+        with SQLITE_LOCK:  # as the pool forks: no thread inside SQLite
+            pid = os.fork()
+        if pid == 0:  # the child reports through its exit code only
+            code = 1
+            try:
+                _, created = store.submit(_spec(placer="mvfb", num_seeds=2))
+                claimed = store.claim("child")
+                own = store._conn
+                store.close()
+                code = 0 if (
+                    created
+                    and claimed is not None
+                    and own is not inherited
+                    and len(connects) == opened + 1
+                ) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+        assert store._conn is inherited and len(connects) == opened
+        _, created = store.submit(_spec(placer="mvfb", num_seeds=3))
+        assert created and store.claim("parent") is not None
+        counts = store.counts()
+        assert (counts[QUEUED], counts[RUNNING]) == (1, 2)
+        with store._read() as conn:
+            assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
+
+    def test_threads_share_the_connection_without_losing_a_job(self, store, connects):
+        store.counts()
+        opened = len(connects)
+        claimed: list[str] = []
+
+        def work(index: int) -> None:
+            worker = f"t{index}"
+            for seeds in range(1, 21):
+                store.submit(_spec(placer="mvfb", num_seeds=seeds, random_seed=index))
+                job = store.claim(worker)
+                if job is not None:
+                    claimed.append(job.id)
+                    store.complete(job.id, _result(), worker=worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        counts = store.counts()
+        assert len(set(claimed)) == len(claimed) == counts[DONE]
+        assert counts[DONE] + counts[QUEUED] == 120
+        assert len(connects) == opened
+
+    def test_prune_vacuums_beside_an_idle_connection(self, tmp_path):
+        path = tmp_path / "jobs.sqlite3"
+        pruner, idle = JobStore(path), JobStore(path)
+        job, _ = pruner.submit(_spec())
+        pruner.claim("w0", now=100.0)
+        pruner.complete(job.id, _result(), stage_seconds={"simulate": 0.5}, now=101.0)
+        # The idle store has made every kind of read and holds its connection.
+        assert idle.get(job.id).status == DONE
+        assert idle.list_jobs() and idle.counts()[DONE] == 1
+        assert idle.histograms() and idle.done_aggregates()["finished"] == 1
+        assert not idle.shutdown_requested() and idle.schema_version() >= 2
+        assert idle._conn is not None
+        assert pruner.prune(retention_days=1.0) == 1
+        # No read outlived its statement: the idle connection holds no
+        # snapshot, so a full checkpoint does not find it busy.
+        with pruner._read() as conn:
+            busy, _, _ = conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()
+        assert busy == 0
+        assert idle.counts()[DONE] == 0
+
+    def test_close_and_the_next_call_opens_a_new_connection(self, store, connects):
+        store.counts()
+        closed, opened = store._conn, len(connects)
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            closed.execute("SELECT 1")
+        assert len(connects) == opened
+        store.submit(_spec())
+        assert store.counts()[QUEUED] == 1
+        assert len(connects) == opened + 1 and store._conn is not closed
+
+    def test_a_failed_write_leaves_no_transaction_open(self, store):
+        with pytest.raises(MappingError, match="unknown job"):
+            store.cancel("absent")
+        assert not store._conn.in_transaction
+        other = JobStore(store.db_path)
+        assert other.submit(_spec())[1]
