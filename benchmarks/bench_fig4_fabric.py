@@ -4,14 +4,14 @@ The paper's Figure 4 shows the fabric released with QUALE as a 45x85 grid of
 junction (J), channel (C) and trap (T) cells.  This benchmark builds our
 parametric reconstruction of that fabric, renders the same cell map and
 reports the component counts; it also times fabric construction and
-routing-graph extraction, which every placement run pays once.
+routing-graph extraction, which every fresh fabric pays once.
 """
 
 from __future__ import annotations
 
 from repro.fabric.builder import quale_fabric
 from repro.fabric.grid import CellType, cell_counts, grid_to_text, render_cell_grid
-from repro.routing.graph_model import RoutingGraph
+from repro.routing.compiled import CompiledRoutingGraph
 
 
 from report_util import emit as _emit
@@ -47,5 +47,5 @@ def test_fig4_cell_grid_rendering(benchmark):
 
 def test_fig4_routing_graph_extraction(benchmark):
     fabric = quale_fabric()
-    graph = benchmark(RoutingGraph, fabric, turn_aware=True)
+    graph = benchmark(CompiledRoutingGraph, fabric, turn_aware=True)
     assert graph.num_nodes == 2 * len(fabric.junctions)

@@ -1,25 +1,60 @@
-"""The compiled routing core: CSR arrays and an array-based Dijkstra kernel.
+"""The routing graph the router searches: CSR arrays and a Dijkstra kernel.
 
-:class:`~repro.routing.graph_model.RoutingGraph` is a dict-of-dataclasses
-adjacency structure — convenient to build and reason about, but every Dijkstra
-relaxation pays tuple hashing (nodes are ``(junction_id, plane)`` tuples),
-attribute access on :class:`~repro.routing.graph_model.GraphEdge` and a chain
-of Python function calls through the weight callback.  Since the simulator
-re-plans operand journeys for every issued instruction and every candidate
-meeting trap, that search is the inner loop of the whole reproduction.
+:class:`CompiledRoutingGraph` is the weighted graph of the paper's
+Figure 5, built straight from a fabric's junctions, channels and traps into
+integer-indexed arrays.  The simulator re-plans operand journeys for every
+issued instruction and every candidate meeting trap, so its search is the
+inner loop of the whole reproduction.
 
-:class:`CompiledRoutingGraph` flattens the graph once per fabric into
-integer-indexed arrays:
+**The graph.**  In the turn-aware model (Figure 5.c, QSPR's) every junction
+becomes a *horizontal-plane* node and a *vertical-plane* node joined by a
+*turn edge* priced at ``T_turn``.  Horizontal channels join
+horizontal-plane nodes and vertical channels vertical-plane nodes, so any
+change of direction crosses a turn edge.  The turn-oblivious model
+(Figure 5.b, the prior tools') has one node per junction and no turn edges,
+so paths of equal Manhattan length look alike however many slow turns they
+take.  A node is a ``(junction_id, plane)`` tuple (:data:`Node`).
 
-* ``_rows[i]`` — the outgoing ``(target node, channel slot, edge index)``
-  triples of node ``i`` (a pre-zipped CSR row; tuple unpacking beats indexed
-  reads).  The slot is the edge channel's index into the congestion
-  tracker's ``levels``, and ``-1`` for a turn edge;
-* ``_edge_slot`` — the same slot per edge, for the descent walk below;
-* ``_edges`` / ``_edge_source`` — the original
-  :class:`~repro.routing.graph_model.GraphEdge` objects and their source
-  node indices, for mapping a found path back to the object world the rest
-  of the router speaks.
+Order is part of the graph, because the kernel's heap breaks ties by a
+push counter that follows it:
+
+* nodes go per junction, in ``fabric.junctions`` order: its ``h`` then its
+  ``v`` node, or its one ``*`` node;
+* a turn-aware node's row starts with its turn edge;
+* then come both directions of every channel, in ``fabric.channels``
+  order: a→b on a's row, then b→a on b's row;
+* edge ids number the rows in node order.
+
+This is exactly the order of the reference
+:class:`~repro.routing.graph_model.RoutingGraph`, so the kernel returns the
+reference kernel's routes edge for edge, not merely routes of equal cost; a
+test compares the two graphs on every registered fabric.
+
+``_rows[i]`` holds the outgoing ``(target node, channel slot, edge id)``
+triples of node ``i`` (a pre-zipped CSR row; tuple unpacking beats indexed
+reads).  The slot is the edge channel's index into the congestion
+tracker's ``levels``, and ``-1`` for a turn edge.  Per-edge arrays
+(``_edge_source``, ``_edge_slot`` and the public ones on the class) and
+the trap attachments complete the graph.  The kernel returns a route as a
+tuple of edge ids, which :func:`~repro.routing.path.expand_route` reads
+back through :attr:`~CompiledRoutingGraph.edge_channel` and
+:attr:`~CompiledRoutingGraph.edge_junction`.  The build is plain loops
+over the fabric's components that call nothing per edge, because a fresh
+fabric's build is a visible share of a short job.
+
+**One way.**  :meth:`CompiledRoutingGraph.shared` memoises the graph on the
+fabric, and the graph points nowhere back: it copies what it reads (the
+channel slots, each edge's channel, junction and length, the attachments)
+and keeps no reference to the fabric, direct or weak.  So nothing on a
+fabric forms a reference cycle, and reference counting frees a fabric and
+its graphs as soon as the fabric's last holder (a job, or a service
+worker's fabric memo) drops it; a job leaves nothing for the cycle
+collector.  :meth:`~CompiledRoutingGraph.shared` also accepts a reference
+:class:`~repro.routing.graph_model.RoutingGraph` and builds from its fabric
+and model.  No program path passes one: it stays only because the
+benchmark's set-up line (``perfbench/qsprbench/library.py``) calls
+``CompiledRoutingGraph.shared(RoutingGraph.shared(fabric))``, and a broken
+set-up line fails every untraced run of the benchmark.
 
 The Dijkstra kernel works entirely on preallocated per-node arrays
 (``dist``/``parent``/``origin``/``visited``).  Rather than clearing them per
@@ -58,14 +93,13 @@ runs one multi-source Dijkstra from the targets under the congestion-free
 weights (per ``(T_move, T_turn)`` pair, memoised on the compiled graph).
 That gives every node's exact congestion-free distance to the set and its
 shortest-path-tree edge.  Dijkstra *from* the targets measures distances *to*
-them because every compiled graph is weight-symmetric:
-:class:`~repro.routing.graph_model.RoutingGraph` builds every channel and
-turn edge in both directions with the same kind, length and channel, so
-each edge's reverse twin also has the same weight under any congestion (a
-test checks the symmetry for every registered fabric).  The per-node
-heuristic ``h(v)`` is that distance plus the smallest completion cost.  It
-is admissible because congestion only ever *raises* weights above the
-congestion-free base, and consistent because it is an exact distance.
+them because every compiled graph is weight-symmetric: it builds every
+channel and turn edge in both directions with the same kind, length and
+channel, so each edge's reverse twin also has the same weight under any
+congestion (a test checks the symmetry for every registered fabric).  The
+per-node heuristic ``h(v)`` is that distance plus the smallest completion
+cost.  It is admissible because congestion only ever *raises* weights above
+the congestion-free base, and consistent because it is an exact distance.
 
 Before its first pop, :meth:`CompiledRoutingGraph.shortest_route` walks
 each source's tree path under the *current* weights.  The smallest finite
@@ -106,11 +140,23 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
+from repro.fabric.components import Channel, JunctionId, TrapId
+from repro.fabric.fabric import Fabric
+from repro.fabric.geometry import Orientation
 from repro.routing.congestion import CongestionTracker
-from repro.routing.graph_model import EdgeKind, GraphEdge, Node, RoutingGraph
 from repro.technology import TechnologyParams
+
+#: A routing-graph node: ``(junction_id, plane)``.  In the turn-oblivious
+#: model the plane is always ``"*"``.
+Node = tuple[JunctionId, str]
+
+#: Plane labels.
+HORIZONTAL_PLANE = "h"
+VERTICAL_PLANE = "v"
+ANY_PLANE = "*"
 
 _INF = math.inf
 
@@ -126,14 +172,14 @@ class DijkstraResult(NamedTuple):
         cost: Total cost including the virtual entry and completion costs.
         entry_node: The routing-graph node the route enters the graph at.
         exit_node: The routing-graph node the route leaves the graph at.
-        edges: The traversed edges, in order (empty when the entry node is
-            also the exit node).
+        edges: The ids of the traversed edges, in order (empty when the
+            entry node is also the exit node).
     """
 
     cost: float
     entry_node: Node
     exit_node: Node
-    edges: tuple[GraphEdge, ...]
+    edges: tuple[int, ...]
 
 
 @dataclass
@@ -169,57 +215,127 @@ class RoutingCoreStats:
 
 
 class CompiledRoutingGraph:
-    """Integer-indexed CSR view of a :class:`RoutingGraph` with a fast kernel.
+    """The routing graph of a fabric, as CSR arrays, with a fast kernel.
 
-    Built once per fabric (construction is O(nodes + edges)) and shared by
-    every query on that fabric.  The instance owns mutable scratch arrays, so
-    it must not be shared across threads; sharing across sequential mapping
-    runs is what it is for.  Queries are self-contained — the generation
-    stamps reset the scratch arrays, and the weights come from static tables
-    and the caller's tracker — so interleaved use by several routers on the
-    same fabric is safe.
+    Built once per fabric and model (construction is O(junctions + channels
+    + traps), see the module docstring) and shared by every query on that
+    fabric.  The instance owns mutable scratch arrays, so it must not be
+    shared across threads; sharing across sequential mapping runs is what it
+    is for.  Queries are self-contained — the generation stamps reset the
+    scratch arrays, and the weights come from static tables and the caller's
+    tracker — so interleaved use by several routers on the same fabric is
+    safe.
+
+    Attributes:
+        turn_aware: Whether this is the split-junction graph of Figure 5.c
+            (``True``) or the turn-oblivious graph of Figure 5.b.
+        edge_channel: Per edge id, the channel it traverses (``None`` on a
+            turn edge).
+        edge_junction: Per edge id, the junction a turn edge turns in
+            (``None`` on a channel edge).
+        edge_length: Per edge id, the channel's length in cells (0 on a
+            turn edge).
+        trap_attachments: Per trap id, its channel's endpoint nodes (a, then
+            b), each with the channel cells between that junction and the
+            trap.
     """
 
     @classmethod
-    def shared(cls, graph: RoutingGraph) -> "CompiledRoutingGraph":
-        """The memoised compiled view of ``graph`` (graphs are static).
+    def shared(cls, fabric: Fabric, *, turn_aware: bool = True) -> "CompiledRoutingGraph":
+        """The memoised graph of ``fabric`` under one model (fabrics are immutable).
 
         This is what "built once per fabric" means operationally: every
-        router on the same fabric (MVFB constructs one per pass) reuses the
-        same flattened arrays.  The memo lives on the graph instance itself
-        (a graph↔twin cycle the garbage collector reclaims as a unit), so it
-        dies with the graph.
+        router on the same fabric (MVFB constructs one per pass, a service
+        worker one per job on its memoised fabric) reuses the same arrays.
+        The memo lives on the fabric and points one way, since the graph
+        keeps no reference to the fabric: reference counting frees the
+        fabric and its graphs together when the fabric's last holder drops
+        it, with no cycle left for the garbage collector.
+
+        ``fabric`` may also be a reference
+        :class:`~repro.routing.graph_model.RoutingGraph`, whose fabric and
+        model are read; only the benchmark's set-up line passes one (see
+        the module docstring).
         """
-        compiled = graph.__dict__.get("_compiled_twin")
-        if compiled is None:
-            compiled = cls(graph)
-            graph._compiled_twin = compiled  # type: ignore[attr-defined]
-        return compiled
+        if not isinstance(fabric, Fabric):
+            fabric, turn_aware = fabric.fabric, fabric.turn_aware
+        per_model = fabric.__dict__.setdefault("_compiled_routing_graphs", {})
+        graph = per_model.get(turn_aware)
+        if graph is None:
+            graph = per_model[turn_aware] = cls(fabric, turn_aware=turn_aware)
+        return graph
 
-    def __init__(self, graph: RoutingGraph) -> None:
-        self.graph = graph
-        nodes = graph.nodes
+    def __init__(self, fabric: Fabric, *, turn_aware: bool = True) -> None:
+        self.turn_aware = turn_aware
+        if turn_aware:
+            nodes = [
+                (junction_id, plane)
+                for junction_id in fabric.junctions
+                for plane in (HORIZONTAL_PLANE, VERTICAL_PLANE)
+            ]
+        else:
+            nodes = [(junction_id, ANY_PLANE) for junction_id in fabric.junctions]
+        node_index = {node: i for i, node in enumerate(nodes)}
         self._nodes: list[Node] = nodes
-        self._node_index: dict[Node, int] = {node: i for i, node in enumerate(nodes)}
+        self._node_index: dict[Node, int] = node_index
 
-        slots = graph.fabric.channel_slots
-        edge_source: list[int] = []
-        edge_slot: list[int] = []
-        edges = []
-        rows: list[list[tuple[int, int, int]]] = []
-        for i, node in enumerate(nodes):
-            row: list[tuple[int, int, int]] = []
-            for edge in graph.edges_from(node):
-                slot = -1 if edge.kind is EdgeKind.TURN else slots[edge.channel_id]
-                row.append((self._node_index[edge.target], slot, len(edges)))
-                edge_source.append(i)
-                edge_slot.append(slot)
-                edges.append(edge)
-            rows.append(row)
-        self._rows = rows
-        self._edge_source = edge_source
-        self._edge_slot = edge_slot
-        self._edges = edges
+        # Each node's outgoing edges as (target, slot, channel, junction,
+        # length), in the order of the module docstring: the turn edge
+        # first, then both directions of every channel in channel order.
+        out: list[list[tuple]] = [[] for _ in nodes]
+        if turn_aware:
+            for h in range(0, len(nodes), 2):
+                junction_id = nodes[h][0]
+                out[h].append((h + 1, -1, None, junction_id, 0))
+                out[h + 1].append((h, -1, None, junction_id, 0))
+        slots = fabric.channel_slots
+        # Channel id -> its endpoint nodes and length, for the attachments.
+        ends: dict = {}
+        for channel in fabric.channels.values():
+            if not turn_aware:
+                plane = ANY_PLANE
+            elif channel.orientation is Orientation.HORIZONTAL:
+                plane = HORIZONTAL_PLANE
+            else:
+                plane = VERTICAL_PLANE
+            a = node_index[(channel.endpoint_a, plane)]
+            b = node_index[(channel.endpoint_b, plane)]
+            slot, length = slots[channel.id], channel.length
+            ends[channel.id] = (nodes[a], nodes[b], length)
+            out[a].append((b, slot, channel, None, length))
+            out[b].append((a, slot, channel, None, length))
+
+        # Number the edges row by row: transpose them into per-edge arrays,
+        # and cut the (target, slot, edge id) triples into rows.
+        targets, edge_slot, edge_channel, edge_junction, edge_length = (
+            list(column) for column in zip(*[edge for row in out for edge in row])
+        )
+        offsets = list(accumulate(map(len, out), initial=0))
+        spans = list(zip(offsets, offsets[1:]))
+        triples = list(zip(targets, edge_slot, range(len(targets))))
+        self._rows: list[list[tuple[int, int, int]]] = [
+            triples[start:end] for start, end in spans
+        ]
+        self._edge_source = [i for i, row in enumerate(out) for _ in row]
+        self._edge_slot: list[int] = edge_slot
+        self.edge_channel: list[Channel | None] = edge_channel
+        self.edge_junction: list[JunctionId | None] = edge_junction
+        self.edge_length: list[int] = edge_length
+        #: Slots of the channels whose occupancy a search *reads* when it
+        #: expands a node: the channels of the node's outgoing non-turn edges
+        #: (turn edges are congestion-independent, and a turn-aware row
+        #: holds one, first).  The router snapshots their occupancies to
+        #: validate cached plans exactly.
+        first = 1 if turn_aware else 0
+        self._node_slots: list[tuple[int, ...]] = [
+            tuple(edge_slot[start + first:end]) for start, end in spans
+        ]
+
+        self.trap_attachments: dict[TrapId, tuple[tuple[Node, int], tuple[Node, int]]] = {}
+        for trap in fabric.traps.values():
+            node_a, node_b, length = ends[trap.channel_id]
+            offset = trap.offset
+            self.trap_attachments[trap.id] = ((node_a, offset), (node_b, length + 1 - offset))
 
         num_nodes = len(nodes)
         self._dist = [_INF] * num_nodes
@@ -229,13 +345,6 @@ class CompiledRoutingGraph:
         self._visited_gen = [0] * num_nodes
         self._generation = 0
 
-        #: Slots of the channels whose occupancy a search *reads* when it
-        #: expands a node: the channels of the node's outgoing non-turn edges
-        #: (turn edges are congestion-independent).  The router snapshots
-        #: their occupancies to validate cached plans exactly.
-        self._node_slots: list[tuple[int, ...]] = [
-            tuple({slot for _, slot, _ in row if slot >= 0}) for row in rows
-        ]
         #: ``(move_delay, turn_delay, capacity) -> weights``, filled on first
         #: use (see :meth:`_weights`).
         self._weight_tables: dict[tuple, list[tuple[float, ...]]] = {}
@@ -254,7 +363,7 @@ class CompiledRoutingGraph:
     @property
     def num_edges(self) -> int:
         """Number of directed edges."""
-        return len(self._edges)
+        return len(self._edge_source)
 
     # ------------------------------------------------------------------
     # Weight tables
@@ -274,11 +383,10 @@ class CompiledRoutingGraph:
             turn = (turn_delay,)
             by_length: dict[int, tuple[float, ...]] = {}
             weights = []
-            for edge in self._edges:
-                if edge.kind is EdgeKind.TURN:
+            for slot, length in zip(self._edge_slot, self.edge_length):
+                if slot < 0:
                     weights.append(turn)
                     continue
-                length = edge.length
                 table = by_length.get(length)
                 if table is None:
                     # ((n + 1) * length) is an exact integer, then one float
@@ -503,14 +611,13 @@ class CompiledRoutingGraph:
         if best_exit < 0 or not math.isfinite(best_total):
             return None
 
-        edge_objects = self._edges
         edges = []
         node = best_exit
         while True:
             e = parent[node]
             if e < 0:
                 break
-            edges.append(edge_objects[e])
+            edges.append(e)
             node = edge_source[e]
         edges.reverse()
         return DijkstraResult(

@@ -1,4 +1,13 @@
-"""Weighted-graph model of the fabric used for path selection.
+"""The reference model of the routing graph: a dict of edge objects.
+
+This is the readable definition of the graph the router searches, and the
+test oracle's reference (``tests/reference_oracle.py``): its Dijkstra runs
+over :class:`RoutingGraph` and prices each :class:`GraphEdge` with
+:func:`repro.routing.weights.edge_weight`.  No job builds it.  Jobs search
+:class:`~repro.routing.compiled.CompiledRoutingGraph`, which is built
+straight from the fabric in this graph's node and edge order, so both
+kernels return the same routes edge for edge (a test compares the two
+graphs on every registered fabric).
 
 Two variants are supported, mirroring the paper's Figure 5:
 
@@ -20,15 +29,7 @@ from enum import Enum
 from repro.fabric.components import ChannelId, JunctionId, TrapId
 from repro.fabric.fabric import Fabric
 from repro.fabric.geometry import Orientation
-
-#: A routing-graph node: ``(junction_id, plane)``.  In the turn-oblivious
-#: model the plane is always ``"*"``.
-Node = tuple[JunctionId, str]
-
-#: Plane labels.
-HORIZONTAL_PLANE = "h"
-VERTICAL_PLANE = "v"
-ANY_PLANE = "*"
+from repro.routing.compiled import ANY_PLANE, HORIZONTAL_PLANE, VERTICAL_PLANE, Node
 
 
 class EdgeKind(Enum):
@@ -69,12 +70,11 @@ def _plane_of(orientation: Orientation) -> str:
 
 
 class RoutingGraph:
-    """Adjacency structure of the fabric's routing graph.
+    """Adjacency structure of the fabric's routing graph (the reference model).
 
     The graph is static; congestion-dependent weights are priced per query
-    (by the compiled kernel's weight tables, or by the reference
-    :func:`repro.routing.weights.edge_weight`), so a single instance can be
-    shared by all mapping runs on the same fabric.
+    by the reference :func:`repro.routing.weights.edge_weight`, so a single
+    instance can serve every query on the same fabric.
 
     ``trap_attachments`` maps each trap to where its routes join the
     junction lattice: each endpoint node of its channel (a, then b) with the
@@ -90,21 +90,17 @@ class RoutingGraph:
 
     @classmethod
     def shared(cls, fabric: Fabric, *, turn_aware: bool = True) -> "RoutingGraph":
-        """The memoised graph of ``fabric`` (fabrics are immutable).
+        """A new reference graph of ``fabric``; nothing is memoised.
 
-        Routers and simulators are constructed per mapping pass; sharing the
-        graph makes that construction O(1) after the first pass on a fabric.
-        The memo lives on the fabric instance itself (a fabric↔graph
-        reference cycle the garbage collector reclaims as a unit), so sweeps
-        over many fabrics do not accumulate graphs.
+        No program path calls this.  It stays only because the benchmark's
+        set-up line (``perfbench/qsprbench/library.py``) calls it by name
+        and passes the result to
+        :meth:`~repro.routing.compiled.CompiledRoutingGraph.shared`, which
+        reads its fabric and model.  It memoises nothing on the fabric,
+        since a graph that points back at its fabric would make a reference
+        cycle.
         """
-        per_fabric: dict[bool, RoutingGraph] = fabric.__dict__.setdefault(
-            "_shared_routing_graphs", {}
-        )
-        graph = per_fabric.get(turn_aware)
-        if graph is None:
-            graph = per_fabric[turn_aware] = cls(fabric, turn_aware=turn_aware)
-        return graph
+        return cls(fabric, turn_aware=turn_aware)
 
     def _add_edge(self, edge: GraphEdge) -> None:
         self._adjacency.setdefault(edge.source, []).append(edge)

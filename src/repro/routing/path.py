@@ -28,7 +28,7 @@ from typing import NamedTuple
 from repro.errors import RoutingError
 from repro.fabric.components import ChannelId, JunctionId, Trap
 from repro.fabric.fabric import Fabric
-from repro.routing.graph_model import GraphEdge
+from repro.routing.compiled import CompiledRoutingGraph
 from repro.technology import TechnologyParams
 
 
@@ -114,17 +114,19 @@ def _turn_step(junction_id: JunctionId, technology: TechnologyParams) -> PathSte
 
 def expand_route(
     fabric: Fabric,
+    graph: CompiledRoutingGraph,
     technology: TechnologyParams,
     qubit: str,
     source: Trap,
     target: Trap,
     entry_endpoint: JunctionId | None,
-    edges: tuple[GraphEdge, ...],
+    edges: tuple[int, ...],
 ) -> RoutePlan:
     """Expand a junction-level path into a :class:`RoutePlan`.
 
     Args:
         fabric: The fabric being routed on.
+        graph: The fabric's routing graph, whose edge ids ``edges`` holds.
         technology: Delay parameters.
         qubit: Name of the travelling qubit.
         source: The trap the qubit leaves.
@@ -132,13 +134,16 @@ def expand_route(
         entry_endpoint: The junction (endpoint of the source channel) through
             which the route enters the junction lattice; ``None`` when source
             and target traps are on the same channel (or are the same trap).
-        edges: The Dijkstra edges from the entry node to the exit node.
+        edges: The ids of the Dijkstra edges from the entry node to the exit
+            node.
 
     Returns:
         The expanded plan.
 
     Raises:
         RoutingError: If the supplied path is inconsistent with the fabric.
+        FabricError: If a channel of the path does not end at the junction
+            the route has reached.
     """
     if source.id == target.id:
         return stationary_plan(qubit, source.id)
@@ -171,18 +176,18 @@ def expand_route(
     # not from the turn edges of the selection graph: the turn-oblivious model
     # (prior tools) has no turn edges, yet its qubits still pay the physical
     # turn delay when they change direction at a junction.
+    edge_channel = graph.edge_channel
     current_orientation = source_channel.orientation
     current_junction = entry_endpoint
-    for edge in edges:
-        if edge.is_turn:
-            assert edge.junction_id is not None
-            if edge.junction_id != current_junction:
+    for e in edges:
+        channel = edge_channel[e]
+        if channel is None:
+            turn_junction = graph.edge_junction[e]
+            if turn_junction != current_junction:
                 raise RoutingError(
-                    f"turn at junction {edge.junction_id} but route is at {current_junction}"
+                    f"turn at junction {turn_junction} but route is at {current_junction}"
                 )
             continue
-        assert edge.channel_id is not None
-        channel = fabric.channel(edge.channel_id)
         if channel.orientation is not current_orientation:
             steps.append(_turn_step(current_junction, technology))
             current_orientation = channel.orientation

@@ -19,9 +19,8 @@ from repro.circuits.circuit import Instruction
 from repro.errors import RoutingError, check_int
 from repro.fabric.components import ChannelId, Trap, TrapId
 from repro.fabric.fabric import Fabric
-from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
+from repro.routing.compiled import CompiledRoutingGraph, Node, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
-from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
 from repro.technology import MAX_CHANNEL_CAPACITY, PAPER_TECHNOLOGY, TechnologyParams
 
@@ -206,7 +205,7 @@ class Router:
     the fabric returns to should hit again.
 
     There is one route table per ``(fabric, technology, policy)``, memoised
-    on the fabric instance like its routing graphs, and every router on
+    on the fabric instance like its routing graph, and every router on
     that triple reads and writes it: the forward and backward passes of an
     MVFB search, and every later job mapped on the same fabric object (a
     service worker's memoised fabrics).  The table takes no lock, because a
@@ -228,10 +227,9 @@ class Router:
         self.fabric = fabric
         self.technology = technology
         self.policy = policy
-        # Both graphs are built once per fabric and shared by every router on
-        # it (an MVFB search constructs one per pass).
-        self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
-        self.compiled = CompiledRoutingGraph.shared(self.graph)
+        # Built once per fabric and shared by every router on it (an MVFB
+        # search constructs one per pass).
+        self.compiled = CompiledRoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
         self._slots = fabric.channel_slots
         self._traps = fabric.traps
         #: Selection cost of leaving or entering a trap (one move, one turn).
@@ -259,7 +257,7 @@ class Router:
         infinite when the channel is full.
         """
         occupancy = congestion.occupancy(trap.channel_id)
-        attachments = self.graph.trap_attachments[trap.id]
+        attachments = self.compiled.trap_attachments[trap.id]
         if occupancy >= congestion.channel_capacity:
             return {node: _INF for node, _ in attachments}
         access, move_delay = self._access_cost, self.technology.move_delay
@@ -299,7 +297,7 @@ class Router:
             if congestion.is_full(source.channel_id):
                 return None
             return expand_route(
-                self.fabric, self.technology, qubit, source, target, None, ()
+                self.fabric, self.compiled, self.technology, qubit, source, target, None, ()
             )
         key = (source_trap_id, target_trap_id)
         entries = self._route_cache.get(key)
@@ -364,6 +362,7 @@ class Router:
             return None
         return expand_route(
             self.fabric,
+            self.compiled,
             self.technology,
             qubit,
             source,

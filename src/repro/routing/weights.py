@@ -67,7 +67,12 @@ def edge_weight(
     congestion: CongestionTracker,
     technology: TechnologyParams,
 ) -> float:
-    """Weight of a routing-graph edge under the current congestion state.
+    """Weight of a reference-graph edge under the current congestion state.
+
+    The reference pricing that the test oracle's kernel runs over
+    :class:`~repro.routing.graph_model.RoutingGraph`; jobs read the
+    :class:`~repro.routing.compiled.CompiledRoutingGraph` weight tables,
+    which hold the same values.
 
     Args:
         edge: The edge being considered by Dijkstra.

@@ -439,7 +439,9 @@ class ExperimentSpec:
     def cache_key(self) -> str:
         """Content hash identifying this cell's result.
 
-        The key covers the normalised spec, the fabric geometry and — for
+        The key covers the normalised spec, the fabric geometry, the
+        technology's *parameters* (not its registry name, so a name
+        re-registered with other values keys other results) and — for
         QASM-file circuits — the *content* of the file (not its path), so
         editing the circuit invalidates the cache while moving the file does
         not.
@@ -453,6 +455,7 @@ class ExperimentSpec:
         spec = self.normalized()
         payload = spec.to_dict()
         payload["schema"] = CACHE_SCHEMA
+        payload["technology"] = resolve_technology(spec.technology).to_dict()
         if not spec.is_registered_circuit:
             if is_regular_file(spec.circuit):
                 digest = hashlib.sha256(Path(spec.circuit).read_bytes()).hexdigest()

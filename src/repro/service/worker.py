@@ -44,7 +44,7 @@ from repro.runner.executor import map_spec
 from repro.runner.results import CellResult
 from repro.runner.spec import ExperimentSpec, FabricCell
 from repro.service.config import ServiceConfig
-from repro.service.jobs import Job
+from repro.service.jobs import CANCELLED, DONE, FAILED, Job
 from repro.service.store import SQLITE_LOCK, JobStore
 
 
@@ -140,9 +140,13 @@ def worker_loop(
     queue before re-raising, so Ctrl-C never strands work in ``running``.
 
     When ``log_path`` is set, every lifecycle event of a claimed job
-    (``job.claimed``, per-stage ``pipeline.stage``, ``job.done`` /
-    ``job.failed``) is appended as one JSONL record carrying the job's id —
-    ``grep job_id`` over the file reconstructs the job's history.
+    (``job.claimed``, per-stage ``pipeline.stage``, then ``job.done``,
+    ``job.cancelled`` or ``job.failed``) is appended as one JSONL record
+    carrying the job's id — ``grep job_id`` over the file reconstructs the
+    job's history.  The outcome record follows what the store kept: when
+    the store drops this worker's outcome, because the job was requeued,
+    claimed again or ended meanwhile, the worker logs a ``job.stale``
+    warning that names the status the store kept instead.
     """
     cache = ResultCache(cache_dir) if cache_dir else None
     store = JobStore(db_path, cache=cache, max_attempts=max_attempts)
@@ -205,21 +209,43 @@ def _run_claimed(
         raise
     except Exception as exc:  # a bad job must not kill the worker
         message = f"{type(exc).__name__}: {exc}"
-        store.fail(job.id, message, worker=worker_id)
-        job_log.log(
-            "job.failed",
-            level="error",
-            error=message,
-            seconds=round(time.monotonic() - started, 6),
-        )
+        kept = store.fail(job.id, message, worker=worker_id)
+        if _recorded(kept, FAILED, worker_id):
+            job_log.log(
+                "job.failed",
+                level="error",
+                error=message,
+                seconds=round(time.monotonic() - started, 6),
+            )
+        else:
+            _log_stale(job_log, kept, started)
         return
     if cache is not None:
         cache.store(spec, cell)
-    store.complete(job.id, cell, stage_seconds=stage_seconds, worker=worker_id)
+    kept = store.complete(job.id, cell, stage_seconds=stage_seconds, worker=worker_id)
+    seconds = round(time.monotonic() - started, 6)
+    if _recorded(kept, DONE, worker_id):
+        job_log.log("job.done", seconds=seconds, latency_us=cell.latency)
+    elif _recorded(kept, CANCELLED, worker_id):
+        job_log.log("job.cancelled", seconds=seconds)
+    else:
+        _log_stale(job_log, kept, started)
+
+
+def _recorded(job: Job, status: str, worker_id: str) -> bool:
+    """Whether the store kept ``status`` as this worker's outcome of ``job``."""
+    return job.status == status and job.worker == worker_id
+
+
+def _log_stale(job_log: StructuredLogger, kept: Job, started: float) -> None:
+    """Log an outcome the store dropped: the job was requeued, claimed by
+    another worker or ended while this worker mapped it."""
     job_log.log(
-        "job.done",
+        "job.stale",
+        level="warning",
+        status=kept.status,
+        holder=kept.worker,
         seconds=round(time.monotonic() - started, 6),
-        latency_us=cell.latency,
     )
 
 

@@ -11,14 +11,15 @@ The oracle removes every one of them:
 * :class:`OracleRouter` plans every leg from scratch with
   :func:`shortest_route` under the Eq. (2) weights of
   :func:`repro.routing.weights.edge_weight`.  That is the object-graph
-  reference kernel, a plain multi-source, multi-target Dijkstra over
-  :class:`~repro.routing.graph_model.RoutingGraph`, and the compiled
-  kernel is also checked against it query by query.  Its attachment costs
-  are derived per query from the trap's channel
-  (:func:`reference_attachment_costs`), not read from the graph's
-  precomputed trap attachments.  It tries every candidate meeting trap
-  also when an operand's own channel is full, where the router fails an
-  instruction before trying any;
+  reference kernel, a plain multi-source, multi-target Dijkstra over the
+  oracle's own :class:`~repro.routing.graph_model.RoutingGraph`
+  (:func:`reference_graph`, never the compiled graph the router
+  searches), and the compiled kernel is also checked against it query by
+  query, edge by edge.  Its attachment costs are derived per query from
+  the trap's channel (:func:`reference_attachment_costs`), not read from
+  the graph's precomputed trap attachments.  It tries every candidate
+  meeting trap also when an operand's own channel is full, where the
+  router fails an instruction before trying any;
 * :func:`oracle_mode` swaps it into the simulator, derives the occupied
   meeting traps by a scan of every resting trap
   (:func:`reference_occupied_traps`) and ungates the one event loop at two
@@ -149,6 +150,43 @@ def shortest_route(
     return DijkstraResult(best_total, origin[best_exit], best_exit, tuple(edges))
 
 
+class ReferenceGraph:
+    """The oracle's object graph of a fabric, numbered as the compiled graph is.
+
+    Edge id ``e`` is the ``e``-th edge of :attr:`graph` when its rows are
+    read in node order, the numbering
+    :class:`~repro.routing.compiled.CompiledRoutingGraph` shares (a test
+    compares the two graphs).  :attr:`edge_channel` and
+    :attr:`edge_junction` are what
+    :func:`~repro.routing.path.expand_route` reads per edge id, taken from
+    this graph's own edges.
+    """
+
+    def __init__(self, fabric, turn_aware: bool) -> None:
+        self.graph = RoutingGraph(fabric, turn_aware=turn_aware)
+        #: The graph's edges by edge id.
+        self.edges = [edge for node in self.graph.nodes for edge in self.graph.edges_from(node)]
+        self.edge_ids = {edge: e for e, edge in enumerate(self.edges)}
+        self.edge_channel = [
+            None if edge.is_turn else fabric.channel(edge.channel_id) for edge in self.edges
+        ]
+        self.edge_junction = [edge.junction_id for edge in self.edges]
+
+    def with_edge_ids(self, result: DijkstraResult | None) -> DijkstraResult | None:
+        """A reference kernel answer with its edges as edge ids."""
+        if result is None:
+            return None
+        return result._replace(edges=tuple(self.edge_ids[edge] for edge in result.edges))
+
+
+# Bounded memo, and not on the fabric: every simulator of an oracle run
+# builds a router, and rebuilding the graph for each would dominate.
+@functools.lru_cache(maxsize=8)
+def reference_graph(fabric, turn_aware: bool) -> ReferenceGraph:
+    """The oracle's own :class:`ReferenceGraph` of ``fabric``."""
+    return ReferenceGraph(fabric, turn_aware)
+
+
 def reference_attachment_costs(router, trap, congestion) -> dict[Node, float]:
     """Virtual costs from/to ``trap`` at its channel's endpoint nodes.
 
@@ -160,7 +198,8 @@ def reference_attachment_costs(router, trap, congestion) -> dict[Node, float]:
     occupancy = congestion.occupancy(channel.id)
     access = router.technology.move_delay + router.technology.turn_delay
     costs: dict[Node, float] = {}
-    for endpoint_node in router.graph.channel_endpoints(channel.id):
+    graph = reference_graph(router.fabric, router.policy.turn_aware).graph
+    for endpoint_node in graph.channel_endpoints(channel.id):
         cells = channel.distance_from_endpoint(endpoint_node[0], trap.offset)
         travel = partial_channel_weight(
             occupancy, cells, congestion.channel_capacity, router.technology
@@ -288,23 +327,27 @@ class OracleRouter(Router):
             return stationary_plan(qubit, source_trap_id)
         source = self.fabric.trap(source_trap_id)
         target = self.fabric.trap(target_trap_id)
+        reference = reference_graph(self.fabric, self.policy.turn_aware)
         if source.channel_id == target.channel_id:
             if congestion.is_full(source.channel_id):
                 return None
             return expand_route(
-                self.fabric, self.technology, qubit, source, target, None, ()
+                self.fabric, reference, self.technology, qubit, source, target, None, ()
             )
         self.stats.dijkstra_calls += 1
-        result = shortest_route(
-            self.graph,
-            self._attachment_costs(source, congestion),
-            self._attachment_costs(target, congestion),
-            lambda edge: edge_weight(edge, congestion, self.technology),
+        result = reference.with_edge_ids(
+            shortest_route(
+                reference.graph,
+                self._attachment_costs(source, congestion),
+                self._attachment_costs(target, congestion),
+                lambda edge: edge_weight(edge, congestion, self.technology),
+            )
         )
         if result is None:
             return None
         return expand_route(
             self.fabric,
+            reference,
             self.technology,
             qubit,
             source,

@@ -13,7 +13,9 @@ Two layers of coverage:
 * full simulations of the fixture circuits on the fixture fabrics with a
   shim that routes every live query through *both* kernels and compares.
 
-The kernel's weight tables are checked against the reference weight
+The graph built from the fabric is checked against the reference
+:class:`~repro.routing.graph_model.RoutingGraph` (node order, rows, edges
+and trap attachments), its weight tables against the reference weight
 functions, and its congestion-free target-distance table against the
 reference kernel, each on its own.
 """
@@ -26,7 +28,7 @@ from collections import Counter
 
 import pytest
 
-from reference_oracle import shortest_route
+from reference_oracle import ReferenceGraph, reference_graph, shortest_route
 from repro.circuits.qecc import qecc_encoder
 from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric, quale_fabric
 from repro.pipeline.facade import map_circuit
@@ -42,11 +44,15 @@ from repro.technology import MAX_CHANNEL_CAPACITY, PAPER_TECHNOLOGY, TechnologyP
 
 
 def _legacy_query(router: Router, sources, targets, congestion):
-    return shortest_route(
-        router.graph,
-        sources,
-        targets,
-        lambda edge: edge_weight(edge, congestion, router.technology),
+    """The reference kernel's answer, with its edges as edge ids."""
+    reference = reference_graph(router.fabric, router.policy.turn_aware)
+    return reference.with_edge_ids(
+        shortest_route(
+            reference.graph,
+            sources,
+            targets,
+            lambda edge: edge_weight(edge, congestion, router.technology),
+        )
     )
 
 
@@ -146,23 +152,57 @@ def test_kernels_agree_on_enumerated_trap_pairs(fabric_factory, sample, turn_awa
 
 @pytest.mark.parametrize("turn_aware", [True, False], ids=["turn-aware", "turn-blind"])
 @pytest.mark.parametrize("fabric_name", FABRICS.names())
+def test_the_fabric_built_graph_is_the_reference_graph(fabric_name, turn_aware):
+    # Same graph, same order: the heap's push counter follows the node order
+    # and each row's order, so any difference could change a route.  Edge
+    # ids number the rows in node order, the numbering the oracle reads.
+    fabric = FABRICS.get(fabric_name)()
+    compiled = CompiledRoutingGraph(fabric, turn_aware=turn_aware)
+    graph = RoutingGraph(fabric, turn_aware=turn_aware)
+    slots = fabric.channel_slots
+    assert compiled.turn_aware is turn_aware
+    assert compiled._nodes == graph.nodes
+    assert compiled._node_index == {node: i for i, node in enumerate(graph.nodes)}
+    e = 0
+    for i, node in enumerate(graph.nodes):
+        edges = graph.edges_from(node)
+        assert [(compiled._nodes[t], slot) for t, slot, _ in compiled._rows[i]] == [
+            (edge.target, -1 if edge.is_turn else slots[edge.channel_id]) for edge in edges
+        ]
+        for (_, slot, edge_id), edge in zip(compiled._rows[i], edges):
+            assert edge_id == e
+            assert compiled._edge_source[e] == i
+            assert compiled._edge_slot[e] == slot
+            channel = compiled.edge_channel[e]
+            assert (None if channel is None else channel.id) == edge.channel_id
+            assert channel is None or channel is fabric.channel(edge.channel_id)
+            assert compiled.edge_junction[e] == edge.junction_id
+            assert compiled.edge_length[e] == edge.length
+            e += 1
+    assert e == compiled.num_edges == graph.num_edges
+    assert compiled.trap_attachments == graph.trap_attachments
+    assert list(compiled.trap_attachments) == list(graph.trap_attachments)
+
+
+@pytest.mark.parametrize("turn_aware", [True, False], ids=["turn-aware", "turn-blind"])
+@pytest.mark.parametrize("fabric_name", FABRICS.names())
 def test_every_edge_has_a_reverse_twin_of_the_same_kind_and_length(fabric_name, turn_aware):
     # The kernel's target-distance table runs Dijkstra *from* the targets and
     # walks each tree edge backwards; both need every edge's reverse twin to
     # weigh the same under any congestion, and a weight is a function of the
     # kind, the length and the channel's occupancy.  The kernel assumes this
     # of every graph without checking it.
-    graph = RoutingGraph(FABRICS.get(fabric_name)(), turn_aware=turn_aware)
+    compiled = CompiledRoutingGraph(FABRICS.get(fabric_name)(), turn_aware=turn_aware)
     edges = Counter(
-        (edge.source, edge.target, edge.kind, edge.length, edge.channel_id)
-        for node in graph.nodes
-        for edge in graph.edges_from(node)
+        (i, t, slot, compiled.edge_length[e], compiled.edge_channel[e])
+        for i, row in enumerate(compiled._rows)
+        for t, slot, e in row
     )
     assert edges
     reverse = Counter(
         {
-            (target, source, kind, length, channel): count
-            for (source, target, kind, length, channel), count in edges.items()
+            (target, source, slot, length, channel): count
+            for (source, target, slot, length, channel), count in edges.items()
         }
     )
     assert edges == reverse
@@ -184,24 +224,18 @@ def test_weight_tables_are_eq2_at_every_occupancy(
     # for bit, through the full channel's infinity; a turn edge reads the
     # tracker's spare level, which is always 0.
     fabric = FABRICS.get(fabric_name)()
-    compiled = CompiledRoutingGraph(RoutingGraph(fabric, turn_aware=turn_aware))
+    compiled = CompiledRoutingGraph(fabric, turn_aware=turn_aware)
     weights = compiled._weights(technology.move_delay, technology.turn_delay, capacity)
-    slots = fabric.channel_slots
     assert len(weights) == compiled.num_edges
-    for e, edge in enumerate(compiled._edges):
-        if edge.is_turn:
+    for e, channel in enumerate(compiled.edge_channel):
+        if channel is None:
             assert compiled._edge_slot[e] == -1
             assert weights[e] == (turn_weight(technology),)
             continue
-        assert compiled._edge_slot[e] == slots[edge.channel_id]
         assert weights[e] == tuple(
-            channel_weight(n, edge.length, capacity, technology)
+            channel_weight(n, compiled.edge_length[e], capacity, technology)
             for n in range(capacity + 1)
         )
-    assert [entry for row in compiled._rows for entry in row] == [
-        (compiled._node_index[edge.target], compiled._edge_slot[e], e)
-        for e, edge in enumerate(compiled._edges)
-    ]
 
 
 def test_a_run_at_the_largest_capacity_builds_small_tables():
@@ -214,17 +248,16 @@ def test_a_run_at_the_largest_capacity_builds_small_tables():
         "[[5,1,3]]", fabric, placer="center", channel_capacity=MAX_CHANNEL_CAPACITY
     )
     assert result.latency > 0
-    compiled = CompiledRoutingGraph.shared(RoutingGraph.shared(fabric, turn_aware=True))
+    compiled = CompiledRoutingGraph.shared(fabric)
     key = (PAPER_TECHNOLOGY.move_delay, PAPER_TECHNOLOGY.turn_delay, MAX_CHANNEL_CAPACITY)
     assert list(compiled._weight_tables) == [key]
     tables = {id(table): table for table in compiled._weight_tables[key]}.values()
-    lengths = {edge.length for edge in compiled._edges if not edge.is_turn}
+    lengths = {channel.length for channel in compiled.edge_channel if channel is not None}
     assert sorted(map(len, tables)) == [1] + [MAX_CHANNEL_CAPACITY + 1] * len(lengths)
 
 
-def _target_sets(compiled, rng):
+def _target_sets(compiled, graph, rng):
     """The endpoint nodes of three sampled channels, and their union."""
-    graph = compiled.graph
     channels = rng.sample(sorted(graph.fabric.channels), 3)
     sets = [
         {compiled._node_index[node] for node in graph.channel_endpoints(channel)}
@@ -240,8 +273,9 @@ def test_target_distances_are_exact_and_their_tree_reaches_a_target(fabric_name,
     # ``dist`` must be the reference kernel's congestion-free distance to the
     # set, and the reverse twins of the tree edges a real path of that cost.
     fabric = FABRICS.get(fabric_name)()
-    graph = RoutingGraph(fabric, turn_aware=turn_aware)
-    compiled = CompiledRoutingGraph(graph)
+    reference = ReferenceGraph(fabric, turn_aware)
+    graph = reference.graph
+    compiled = CompiledRoutingGraph(fabric, turn_aware=turn_aware)
     empty = CongestionTracker(fabric, 2)
     weights = compiled._weights(
         PAPER_TECHNOLOGY.move_delay, PAPER_TECHNOLOGY.turn_delay, empty.channel_capacity
@@ -252,19 +286,19 @@ def test_target_distances_are_exact_and_their_tree_reaches_a_target(fabric_name,
 
     nodes = graph.nodes
     rng = random.Random(fabric_name)
-    for target_nodes in _target_sets(compiled, rng):
+    for target_nodes in _target_sets(compiled, graph, rng):
         dist, tree = compiled._target_distances(target_nodes, PAPER_TECHNOLOGY, weights)
         targets = {nodes[t]: 0.0 for t in target_nodes}
         for v in rng.sample(range(len(nodes)), min(40, len(nodes))):
-            reference = shortest_route(graph, {nodes[v]: 0.0}, targets, weight)
-            assert dist[v] == (math.inf if reference is None else reference.cost)
+            answer = shortest_route(graph, {nodes[v]: 0.0}, targets, weight)
+            assert dist[v] == (math.inf if answer is None else answer.cost)
         for v in range(len(nodes)):
             if math.isinf(dist[v]):
                 assert tree[v] == -1
                 continue
             node, cost = v, 0.0
             while tree[node] >= 0:
-                edge = compiled._edges[tree[node]]
+                edge = reference.edges[tree[node]]
                 assert edge.target == nodes[node]
                 twin = next(
                     e
@@ -334,6 +368,7 @@ def test_compiled_routes_are_costed_edge_chains(small_fabric_4x4):
     fabric = small_fabric_4x4
     policy = RoutingPolicy()
     router = Router(fabric, PAPER_TECHNOLOGY, policy)
+    reference = ReferenceGraph(fabric, policy.turn_aware)
     congestion = _congestion_states(fabric, policy.channel_capacity)["partial"]
     traps = sorted(fabric.traps)
     routed = 0
@@ -350,7 +385,8 @@ def test_compiled_routes_are_costed_edge_chains(small_fabric_4x4):
                 continue
             node = result.entry_node
             cost = sources[node]
-            for edge in result.edges:
+            for e in result.edges:
+                edge = reference.edges[e]
                 assert edge.source == node
                 cost += edge_weight(edge, congestion, PAPER_TECHNOLOGY)
                 node = edge.target
@@ -389,6 +425,10 @@ class _DifferentialShim:
         self.router = router
         self.compiled = router.compiled
         self.queries = 0
+
+    def __getattr__(self, name):
+        # The router and expand_route read the graph's arrays through it.
+        return getattr(self.compiled, name)
 
     def shortest_route(self, sources, targets, congestion, technology, **kwargs):
         compiled_result = self.compiled.shortest_route(

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from reference_oracle import channel_exit_times, shortest_route
+from repro.errors import FabricError, RoutingError
+from repro.routing.compiled import CompiledRoutingGraph
 from repro.routing.congestion import CongestionTracker
 from repro.routing.graph_model import HORIZONTAL_PLANE, VERTICAL_PLANE, RoutingGraph
 from repro.routing.path import StepKind, expand_route, stationary_plan
@@ -104,21 +106,49 @@ class TestExpandRoute:
 
     def test_same_trap(self, small_fabric_4x4):
         trap = small_fabric_4x4.trap(0)
+        graph = CompiledRoutingGraph.shared(small_fabric_4x4)
         plan = expand_route(
-            small_fabric_4x4, PAPER_TECHNOLOGY, "q", trap, trap, None, ()
+            small_fabric_4x4, graph, PAPER_TECHNOLOGY, "q", trap, trap, None, ()
         )
         assert plan.duration == 0
 
     def test_same_channel(self, small_fabric_4x4):
         traps = small_fabric_4x4.traps_on(("h", 0, 0))
         a, b = traps[0], traps[1]
-        plan = expand_route(small_fabric_4x4, PAPER_TECHNOLOGY, "q", a, b, None, ())
+        graph = CompiledRoutingGraph.shared(small_fabric_4x4)
+        plan = expand_route(small_fabric_4x4, graph, PAPER_TECHNOLOGY, "q", a, b, None, ())
         # 1 move out + |offset difference| + 1 move in, 2 turns.
         expected_moves = 2 + abs(a.offset - b.offset)
         assert plan.total_moves == expected_moves
         assert plan.total_turns == 2
         assert plan.duration == pytest.approx(expected_moves * 1.0 + 2 * 10.0)
         assert plan.channels_used == (("h", 0, 0),)
+
+    def test_edge_ids_that_leave_the_route_are_refused(self, small_fabric_4x4):
+        # Edge ids are read back from the graph: a turn at a junction the
+        # route has not reached is a RoutingError, and a channel that does
+        # not end where the route is, a FabricError.
+        fabric = small_fabric_4x4
+        graph = CompiledRoutingGraph.shared(fabric)
+        source = fabric.traps_on(("h", 0, 0))[0]
+        target = fabric.traps_on(("h", 0, 2))[0]
+        entry = (0, 1)  # endpoint b of the source channel
+        far_turn = graph.edge_junction.index((3, 3))
+        with pytest.raises(RoutingError, match="turn at junction"):
+            expand_route(fabric, graph, PAPER_TECHNOLOGY, "q", source, target, entry, (far_turn,))
+        far_channel = next(
+            e for e, channel in enumerate(graph.edge_channel)
+            if channel is not None and entry not in channel.endpoints
+        )
+        with pytest.raises(FabricError):
+            expand_route(
+                fabric, graph, PAPER_TECHNOLOGY, "q", source, target, entry, (far_channel,)
+            )
+        with pytest.raises(RoutingError, match="entry endpoint"):
+            expand_route(fabric, graph, PAPER_TECHNOLOGY, "q", source, target, None, ())
+        neighbour = fabric.traps_on(("h", 0, 0))[1]
+        with pytest.raises(RoutingError, match="same-channel"):
+            expand_route(fabric, graph, PAPER_TECHNOLOGY, "q", source, neighbour, entry, ())
 
     def test_totals_are_the_sums_of_the_steps_for_every_trap_pair(self, small_fabric_4x4):
         # Stationary, same-channel and cross-channel plans alike: each total

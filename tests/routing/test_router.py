@@ -522,21 +522,26 @@ class TestRouteCache:
     def test_shared_graphs_reused_across_routers(self, small_fabric_4x4):
         first = Router(small_fabric_4x4)
         second = Router(small_fabric_4x4)
-        assert first.graph is second.graph
         assert first.compiled is second.compiled
         oblivious = Router(small_fabric_4x4, policy=RoutingPolicy(turn_aware=False))
-        assert oblivious.graph is not first.graph
+        assert oblivious.compiled is not first.compiled
+        assert (first.compiled.turn_aware, oblivious.compiled.turn_aware) == (True, False)
 
     def test_shared_graph_memo_dies_with_the_fabric(self):
         import gc
         import weakref
 
+        # The memo points one way, so reference counting frees the fabric
+        # the moment it is dropped, with no collection.
         fabric = small_fabric()
         Router(fabric)
         ref = weakref.ref(fabric)
-        del fabric
-        gc.collect()
-        assert ref() is None, "the shared-graph memo kept the fabric alive"
+        gc.disable()
+        try:
+            del fabric
+            assert ref() is None, "the shared-graph memo kept the fabric alive"
+        finally:
+            gc.enable()
 
     def test_parallel_temp_reservations_leave_cache_intact(self, small_fabric_4x4, two_qubit_instruction):
         router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())

@@ -21,6 +21,41 @@ def _result() -> CellResult:
     return CellResult(circuit="[[5,1,3]]", mapper="qspr", placer="mvfb", latency=612.0)
 
 
+@pytest.fixture
+def reregistered_pmd():
+    """Registers "rekey-pmd" through the yielded function; unregisters it after."""
+    from repro.pipeline.technologies import TECHNOLOGIES
+    from repro.technology import TechnologyParams
+
+    def register(**params):
+        TECHNOLOGIES.register("rekey-pmd", TechnologyParams(**params), overwrite=True)
+
+    yield register
+    TECHNOLOGIES.unregister("rekey-pmd")
+
+
+class TestTechnologyKeys:
+    def test_a_reregistered_technology_name_keys_other_results(
+        self, tmp_path, reregistered_pmd
+    ):
+        # A technology enters the key by its parameters, so one name cannot
+        # stand for two PMDs: the second registration misses the first's
+        # cached result, which a fresh mapping would contradict.
+        from repro.runner import execute_cell
+
+        reregistered_pmd(turn_delay=3.0)
+        spec = ExperimentSpec("[[9,1,3]]", placer="center", technology="rekey-pmd")
+        cache = ResultCache(tmp_path / "cache")
+        first_key = spec.cache_key()
+        first = execute_cell(spec)
+        cache.store(spec, first)
+        assert cache.load(spec).latency == first.latency == 1085
+        reregistered_pmd(turn_delay=30.0)
+        assert spec.cache_key() != first_key
+        assert cache.load(spec) is None
+        assert execute_cell(spec).latency == 1948
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -100,11 +100,15 @@ class TestScenarioDedup:
         # in-process, without HTTP or workers.
         config = ServiceConfig(port=0, use_threads=True).under(tmp_path)
         service = MappingService(config)
-        old = service.submit_payload({"spec": OLD_PAYLOAD})
-        new = service.submit_payload({"spec": NEW_PAYLOAD})
-        assert old["created"] == 1 and new["created"] == 1
-        assert old["jobs"][0]["id"] != new["jobs"][0]["id"]
-        # The served job record round-trips the scenario fields.
-        assert new["jobs"][0]["spec"]["technology"] == "fast-turn"
-        again = service.submit_payload({"spec": NEW_PAYLOAD})
-        assert again["deduped"] == 1
+        try:
+            old = service.submit_payload({"spec": OLD_PAYLOAD})
+            new = service.submit_payload({"spec": NEW_PAYLOAD})
+            assert old["created"] == 1 and new["created"] == 1
+            assert old["jobs"][0]["id"] != new["jobs"][0]["id"]
+            # The served job record round-trips the scenario fields.
+            assert new["jobs"][0]["spec"]["technology"] == "fast-turn"
+            again = service.submit_payload({"spec": NEW_PAYLOAD})
+            assert again["deduped"] == 1
+        finally:
+            # Closes the store's connection and the log file.
+            service.shutdown()

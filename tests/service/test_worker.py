@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
+from repro.ops.logging import read_jsonl
 from repro.runner import ExperimentSpec, FabricCell, ResultCache
 from repro.service import (
+    CANCELLED,
     DONE,
     FAILED,
     QUEUED,
@@ -114,6 +117,68 @@ class TestWorkerLoop:
             worker_loop(str(tmp_path / "jobs.sqlite3"), None, "w0", poll_interval=0.01)
         # The in-flight job went back to the queue, not stranded in running.
         assert store.get(job.id).status == QUEUED
+
+
+class TestOutcomeLogs:
+    """The worker logs the outcome the store kept, not the one it sent."""
+
+    def _run_one(self, tmp_path, monkeypatch, during_run, *, fails=False):
+        """Map one job, calling ``during_run(store, job)`` mid-run; returns
+        the store, the job and the log's events for the job."""
+        db, log = tmp_path / "jobs.sqlite3", tmp_path / "service.log.jsonl"
+        store = JobStore(db)
+        job, _ = store.submit(_spec())
+
+        def stand_in(spec, fabrics=None, **kwargs):
+            during_run(store, job)
+            if fails:
+                raise ValueError("mapping failed")
+            return execute_job(spec, fabrics, **kwargs)
+
+        monkeypatch.setattr("repro.service.worker.execute_job", stand_in)
+        worker_loop(
+            str(db), None, "w0", max_jobs=1, poll_interval=0.01, log_path=str(log)
+        )
+        records = [r for r in read_jsonl(log) if r.get("job_id") == job.id]
+        return store, job, records
+
+    @staticmethod
+    def _requeue(store, job):
+        # What the supervisor does to a running job whose lease expired.
+        assert store.requeue_orphans(now=time.time() + 3600) == (1, 0)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["completed", "failed"])
+    def test_a_job_requeued_mid_run_logs_stale(self, tmp_path, monkeypatch, fails):
+        store, job, records = self._run_one(
+            tmp_path, monkeypatch, self._requeue, fails=fails
+        )
+        events = [r["event"] for r in records]
+        assert events[0] == "job.claimed"
+        assert events[-1] == "job.stale"
+        assert "job.done" not in events and "job.failed" not in events
+        assert records[-1]["level"] == "warning"
+        assert records[-1]["status"] == QUEUED == store.get(job.id).status
+
+    def test_a_cancel_requested_mid_run_logs_cancelled(self, tmp_path, monkeypatch):
+        store, job, records = self._run_one(
+            tmp_path, monkeypatch, lambda store, job: store.cancel(job.id)
+        )
+        assert store.get(job.id).status == CANCELLED
+        assert records[-1]["event"] == "job.cancelled"
+        assert "job.done" not in [r["event"] for r in records]
+
+    def test_a_kept_outcome_logs_done_or_failed(self, tmp_path, monkeypatch):
+        def nothing(store, job):
+            pass
+
+        store, job, records = self._run_one(tmp_path / "a", monkeypatch, nothing)
+        assert store.get(job.id).status == DONE
+        assert records[-1]["event"] == "job.done"
+        store, job, records = self._run_one(
+            tmp_path / "b", monkeypatch, nothing, fails=True
+        )
+        assert store.get(job.id).status == FAILED
+        assert records[-1]["event"] == "job.failed"
 
 
 class TestWorkerPool:
