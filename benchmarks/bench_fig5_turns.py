@@ -27,9 +27,8 @@ from repro.technology import PAPER_TECHNOLOGY
 
 def _route_once(turn_aware: bool):
     fabric = quale_fabric()
-    policy = RoutingPolicy(turn_aware=turn_aware)
-    router = Router(fabric, PAPER_TECHNOLOGY, policy)
-    congestion = CongestionTracker(fabric, policy.channel_capacity)
+    router = Router(fabric, PAPER_TECHNOLOGY, RoutingPolicy(turn_aware=turn_aware))
+    congestion = CongestionTracker(fabric, PAPER_TECHNOLOGY.channel_capacity)
     traps = sorted(fabric.traps)
     return router.plan_qubit_route("q", traps[0], traps[-1], congestion)
 

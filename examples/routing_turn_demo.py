@@ -59,13 +59,9 @@ def routed_paths_under_congestion() -> None:
         f"{fabric.trap(target).cell} with one busy channel on the straight path:"
     )
     for turn_aware in (False, True):
-        policy = RoutingPolicy(
-            turn_aware=turn_aware,
-            meeting_point=MeetingPoint.MEDIAN,
-            channel_capacity=technology.channel_capacity,
-        )
+        policy = RoutingPolicy(turn_aware=turn_aware, meeting_point=MeetingPoint.MEDIAN)
         router = Router(fabric, technology, policy)
-        congestion = CongestionTracker(fabric, policy.channel_capacity)
+        congestion = CongestionTracker(fabric, technology.channel_capacity)
         # Put one qubit in a horizontal channel on the straight route so that
         # avoiding it saves (n+1)*length - length = 3 cells of weight but
         # costs two extra turns (20 us).

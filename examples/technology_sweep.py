@@ -22,7 +22,6 @@ in one ``Sweep``), see ``docs/SCENARIOS.md`` and
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 
 from repro import MapperOptions, QsprMapper, TechnologyParams, quale_fabric
 from repro.analysis import format_comparison_table
@@ -65,7 +64,9 @@ def main() -> None:
     # Sweep 2: channel capacity (ion multiplexing).
     rows = []
     for capacity in (1, 2, 3):
-        options = MapperOptions(num_seeds=args.seeds, channel_capacity=capacity)
+        options = MapperOptions(
+            technology=TechnologyParams(channel_capacity=capacity), num_seeds=args.seeds
+        )
         result = QsprMapper(options).map(circuit, fabric)
         rows.append((capacity, result.latency, result.total_congestion_delay))
     print(

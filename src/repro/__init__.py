@@ -48,7 +48,7 @@ sweeps and the ``qspr-map`` CLI.  See ``docs/PIPELINE.md``.
 
 from __future__ import annotations
 
-from repro.technology import PAPER_TECHNOLOGY, LEGACY_TECHNOLOGY, TechnologyParams
+from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 from repro.errors import (
     CircuitError,
     FabricError,
@@ -109,7 +109,6 @@ from repro import workloads  # noqa: F401
 __all__ = [
     "TechnologyParams",
     "PAPER_TECHNOLOGY",
-    "LEGACY_TECHNOLOGY",
     "ReproError",
     "QasmError",
     "CircuitError",

@@ -57,12 +57,12 @@ def check_int(
     minimum: int | None = 1,
     maximum: int | None = None,
     *,
-    error: type[ReproError] = MappingError,
+    error: type[Exception] = MappingError,
 ) -> None:
     """Raise ``error``, naming the field, unless ``value`` is an ``int`` in range.
 
     A ``bool`` is not an integer here, so a JSON ``true`` never passes for a
-    count.  Specs, mapper options and fabric specs share this one rule.
+    count.  Specs, mapper options, fabric specs and PMDs share this one rule.
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{name} must be an integer, got {value!r}")

@@ -1,9 +1,9 @@
 """Configuration of a mapping run.
 
 :class:`MapperOptions` gathers every knob the paper's experiments vary:
-technology parameters, routing features (turn awareness, dual-operand
-movement, channel capacity), the scheduling policy and the placer
-(MVFB, Monte-Carlo or plain center placement).  The presets used by the
+technology parameters (the channel capacity among them), routing features
+(turn awareness, dual-operand movement), the scheduling policy and the
+placer (MVFB, Monte-Carlo or plain center placement).  The presets used by the
 concrete mappers live next to the mappers themselves.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.errors import MappingError, check_int
 from repro.routing.router import MeetingPoint, RoutingPolicy
 from repro.scheduling.policies import SchedulingPolicy
-from repro.technology import MAX_CHANNEL_CAPACITY, PAPER_TECHNOLOGY, TechnologyParams
+from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,8 @@ class MapperOptions:
     """All parameters of a mapping run.
 
     Attributes:
-        technology: Physical machine description (delays, capacities).
+        technology: Physical machine description: the delays and the
+            channel capacity (2 for the paper's QSPR, 1 for the prior tools).
         scheduler: Scheduling policy — a registry name from
             :data:`repro.pipeline.SCHEDULERS` (what specs, sweeps and the
             CLI pass) or a
@@ -36,9 +37,6 @@ class MapperOptions:
             median of the operands (QSPR), the destination operand's trap
             (the QUALE and QPOS presets) or the free trap nearest the fabric
             center (``CENTER``, which no preset uses).
-        channel_capacity: Channel capacity override, at most
-            :data:`~repro.technology.MAX_CHANNEL_CAPACITY`; ``None`` uses the
-            technology's value (2 for the paper's QSPR, 1 for prior tools).
         trap_candidates: Number of nearest-to-median traps the router tries.
         placer: Placement algorithm — the registry name of any placer in
             :data:`repro.pipeline.PLACERS` (``"mvfb"``, ``"monte-carlo"``,
@@ -55,7 +53,6 @@ class MapperOptions:
     barrier_scheduling: bool = False
     turn_aware_routing: bool = True
     meeting_point: MeetingPoint = MeetingPoint.MEDIAN
-    channel_capacity: int | None = None
     trap_candidates: int = 4
     placer: str = "mvfb"
     num_seeds: int = 25
@@ -67,8 +64,6 @@ class MapperOptions:
         check_int("trap_candidates", self.trap_candidates)
         if self.num_placements is not None:
             check_int("num_placements", self.num_placements)
-        if self.channel_capacity is not None:
-            check_int("channel_capacity", self.channel_capacity, 1, MAX_CHANNEL_CAPACITY)
 
     @property
     def scheduler_name(self) -> str:
@@ -94,19 +89,11 @@ class MapperOptions:
 
         return resolve_scheduler(self.scheduler, error=MappingError)
 
-    @property
-    def effective_channel_capacity(self) -> int:
-        """Channel capacity actually used by the router."""
-        if self.channel_capacity is not None:
-            return self.channel_capacity
-        return self.technology.channel_capacity
-
     def routing_policy(self) -> RoutingPolicy:
         """The :class:`RoutingPolicy` these options describe."""
         return RoutingPolicy(
             turn_aware=self.turn_aware_routing,
             meeting_point=self.meeting_point,
-            channel_capacity=self.effective_channel_capacity,
             trap_candidates=self.trap_candidates,
         )
 
@@ -121,7 +108,7 @@ class MapperOptions:
             f"placer={self.placer} priority={self.scheduler_name} "
             f"barriers={self.barrier_scheduling} turn_aware={self.turn_aware_routing} "
             f"meeting={self.meeting_point.value} "
-            f"capacity={self.effective_channel_capacity} "
+            f"capacity={self.technology.channel_capacity} "
             f"traps={self.trap_candidates} m={self.num_seeds}"
         )
         if self.placer == "monte-carlo":

@@ -18,6 +18,8 @@ total delay of the dependent instructions, is available through
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 from repro.routing.router import MeetingPoint
@@ -32,16 +34,16 @@ def qpos_options(
     """The option preset that reproduces QPOS's behaviour.
 
     Args:
-        technology: Physical machine description.
+        technology: Physical machine description; the preset runs its delays
+            on capacity-1 channels.
         path_delay_priority: Use the priority tweak of reference [5] (total
             delay of dependent instructions) instead of the dependent count.
     """
     return MapperOptions(
-        technology=technology,
+        technology=replace(technology, channel_capacity=1),
         scheduler="qpos-path-delay" if path_delay_priority else "qpos-dependents",
         turn_aware_routing=False,
         meeting_point=MeetingPoint.DESTINATION,
-        channel_capacity=1,
         trap_candidates=1,
         placer="center",
     )

@@ -21,6 +21,8 @@ DESIGN.md, substitutions).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.mapper.options import MapperOptions
 from repro.mapper.qspr import QsprMapper
 from repro.routing.router import MeetingPoint
@@ -28,14 +30,16 @@ from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
 def quale_options(technology: TechnologyParams = PAPER_TECHNOLOGY) -> MapperOptions:
-    """The option preset that reproduces QUALE's behaviour."""
+    """The option preset that reproduces QUALE's behaviour.
+
+    The preset runs ``technology``'s delays on capacity-1 channels.
+    """
     return MapperOptions(
-        technology=technology,
+        technology=replace(technology, channel_capacity=1),
         scheduler="quale-alap",
         barrier_scheduling=True,
         turn_aware_routing=False,
         meeting_point=MeetingPoint.DESTINATION,
-        channel_capacity=1,
         trap_candidates=1,
         placer="center",
     )

@@ -4,15 +4,14 @@ Entries are frozen :class:`~repro.technology.TechnologyParams` instances.
 Built-ins:
 
 * ``paper`` — the PMD every experiment in the paper uses (Section V.A).
-* ``legacy`` — the prior-art tools' fabric: no ion multiplexing (channel and
-  junction capacity 1), otherwise the paper delays.
 * ``fast-turn`` — turns cost the same as a straight move (the optimistic end
   of the paper's 5x-30x turn-cost range).
 * ``slow-turn`` — turns at 30x a move (the pessimistic end of that range).
 * ``slow-2q`` — two-qubit gates at 300 us instead of 100 us, shifting the
   gate/routing balance toward gate delay.
-* ``cap-1`` — the paper delays but no multiplexing, isolating the capacity
-  mechanism from the prior tools' other differences.
+* ``cap-1`` — the paper delays on the prior tools' channels: no ion
+  multiplexing (channel capacity 1), isolating the capacity mechanism from
+  the prior tools' other differences.
 
 A fully custom PMD is built with
 :meth:`~repro.technology.TechnologyParams.from_dict` and registered like any
@@ -30,21 +29,20 @@ API::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import MappingError
 from repro.pipeline.registry import Registry
-from repro.technology import LEGACY_TECHNOLOGY, PAPER_TECHNOLOGY, TechnologyParams
+from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 #: The technology registry.  Built-ins: the paper PMD and named variants.
 TECHNOLOGIES = Registry("technology")
 
 TECHNOLOGIES.register("paper", PAPER_TECHNOLOGY)
-TECHNOLOGIES.register("legacy", LEGACY_TECHNOLOGY)
-TECHNOLOGIES.register("fast-turn", PAPER_TECHNOLOGY.with_turn_delay(1.0))
-TECHNOLOGIES.register("slow-turn", PAPER_TECHNOLOGY.with_turn_delay(30.0))
-TECHNOLOGIES.register(
-    "slow-2q", TechnologyParams.from_dict({"two_qubit_gate_delay": 300.0})
-)
-TECHNOLOGIES.register("cap-1", PAPER_TECHNOLOGY.with_channel_capacity(1))
+TECHNOLOGIES.register("fast-turn", replace(PAPER_TECHNOLOGY, turn_delay=1.0))
+TECHNOLOGIES.register("slow-turn", replace(PAPER_TECHNOLOGY, turn_delay=30.0))
+TECHNOLOGIES.register("slow-2q", replace(PAPER_TECHNOLOGY, two_qubit_gate_delay=300.0))
+TECHNOLOGIES.register("cap-1", replace(PAPER_TECHNOLOGY, channel_capacity=1))
 
 
 def resolve_technology(

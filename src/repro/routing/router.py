@@ -16,13 +16,13 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from repro.circuits.circuit import Instruction
-from repro.errors import RoutingError, check_int
+from repro.errors import RoutingError
 from repro.fabric.components import ChannelId, Trap, TrapId
 from repro.fabric.fabric import Fabric
 from repro.routing.compiled import CompiledRoutingGraph, Node, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
-from repro.technology import MAX_CHANNEL_CAPACITY, PAPER_TECHNOLOGY, TechnologyParams
+from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
 class MeetingPoint(Enum):
@@ -54,23 +54,19 @@ class RoutingPolicy:
             QUALE/QPOS (turns are still charged in the realised delay).
         meeting_point: How the gate trap of a two-qubit instruction is chosen
             (see :class:`MeetingPoint`).
-        channel_capacity: Maximum concurrent qubits per channel (2 for QSPR's
-            multiplexed channels, 1 for the prior tools), at most
-            :data:`~repro.technology.MAX_CHANNEL_CAPACITY`.
         trap_candidates: How many candidate meeting traps the router tries
             before declaring the instruction unroutable.
+
+    The channel capacity is no routing feature but a physical parameter: the
+    router reads it from the congestion tracker, which the simulator builds
+    from the technology's ``channel_capacity``.
     """
 
     turn_aware: bool = True
     meeting_point: MeetingPoint = MeetingPoint.MEDIAN
-    channel_capacity: int = 2
     trap_candidates: int = 4
 
     def __post_init__(self) -> None:
-        check_int(
-            "channel_capacity", self.channel_capacity, 1, MAX_CHANNEL_CAPACITY,
-            error=RoutingError,
-        )
         if self.trap_candidates < 1:
             raise RoutingError("trap_candidates must be at least 1")
 
@@ -213,9 +209,10 @@ class Router:
     arrays.  The snapshot rule makes sharing sound, so routes, schedules and
     latencies never depend on what ran earlier on the fabric; the work
     counters in :attr:`stats` (hits, misses, kernel searches, heap pops) do.
-    The congestion trackers passed in must have the policy's channel
+    The congestion trackers passed in must have the technology's channel
     capacity, as the simulator's do: a snapshot records occupancies, not
-    capacities.
+    capacities, and the table is keyed by the technology, which carries the
+    capacity.
     """
 
     def __init__(
@@ -545,7 +542,7 @@ class Router:
         if source_plan is None:
             return None
 
-        serial = self.policy.channel_capacity < 2
+        serial = congestion.channel_capacity < 2
         if serial:
             # On a capacity-1 fabric the two operands can never share a
             # channel concurrently, so they travel one after the other; their

@@ -190,7 +190,8 @@ class ExperimentSpec:
             ``"destination"`` (QPOS/QUALE) or ``"center"``.
         channel_capacity: Channel-capacity override, at most
             :data:`~repro.technology.MAX_CHANNEL_CAPACITY`; ``None`` uses the
-            technology's value.
+            technology's value.  :meth:`mapper_options` folds it into the
+            job's PMD, the run's one source of the capacity.
         barrier_scheduling: Schedule level-by-level (ALAP) before mapping,
             as the prior tools do.
 
@@ -380,12 +381,14 @@ class ExperimentSpec:
         """
         if not self.uses_placer_axes:
             raise MappingError(f"mapper {self.mapper!r} takes no options")
+        technology = resolve_technology(self.technology)
+        if self.channel_capacity is not None:
+            technology = replace(technology, channel_capacity=self.channel_capacity)
         return MapperOptions(
-            technology=resolve_technology(self.technology),
+            technology=technology,
             scheduler=self.scheduler,
             turn_aware_routing=self.turn_aware,
             meeting_point=MeetingPoint(self.meeting_point),
-            channel_capacity=self.channel_capacity,
             barrier_scheduling=self.barrier_scheduling,
             placer=self.placer,
             num_seeds=self.num_seeds,

@@ -263,7 +263,7 @@ class FabricSimulator:
             circuit: The circuit to execute.
             fabric: The fabric to execute it on.
             technology: Delay and capacity parameters.
-            routing_policy: Router feature switches (QSPR vs legacy).
+            routing_policy: Router feature switches (QSPR vs the prior tools).
             scheduler: Scheduling policy — a
                 :class:`~repro.scheduling.policies.SchedulingPolicy` or a
                 registry name from :data:`repro.pipeline.SCHEDULERS`.
@@ -509,9 +509,7 @@ class _RunState:
         #: at every issue (a completion turns its reserved trap into a
         #: resting one, which leaves the set as it is).
         self.occupied_traps: set[TrapId] = set(self.resting)
-        self.congestion = CongestionTracker(
-            sim.fabric, sim.routing_policy.channel_capacity
-        )
+        self.congestion = CongestionTracker(sim.fabric, sim.technology.channel_capacity)
         self.deps = DependencyTracker(sim.qidg)
         self.busy = BusyQueue()
         self.events = EventQueue()

@@ -8,7 +8,7 @@ The paper (Section V.A) fixes the following physical machine description
 * ``T_1q``    = 10 us  -- a one-qubit gate operation inside a trap
 * ``T_2q``    = 100 us -- a two-qubit gate operation inside a trap
 * channel capacity = 2 -- maximum number of qubits concurrently inside a
-  channel (or crossing a junction), enabled by ion multiplexing
+  channel, enabled by ion multiplexing
 
 These are grouped in :class:`TechnologyParams` so that every component of the
 mapper (scheduler, router, simulator, placers) reads delays from a single
@@ -18,8 +18,10 @@ different instance.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, fields
+
+from repro.errors import check_int
 
 #: The delay fields of :class:`TechnologyParams`, each a finite number of µs.
 _DELAY_FIELDS = (
@@ -28,11 +30,7 @@ _DELAY_FIELDS = (
     "one_qubit_gate_delay",
     "two_qubit_gate_delay",
     "measure_delay",
-    "prepare_delay",
 )
-
-#: The capacity fields of :class:`TechnologyParams`, each an integer of at least 1.
-_CAPACITY_FIELDS = ("channel_capacity", "junction_capacity", "trap_capacity")
 
 #: The largest channel capacity the mapper accepts.  The compiled routing
 #: kernel keeps one Eq. (2) weight per occupancy ``0..capacity`` for each
@@ -57,15 +55,11 @@ class TechnologyParams:
         measure_delay: Delay of a measurement operation.  The paper's
             benchmark circuits do not measure, so this defaults to the
             one-qubit gate delay.
-        prepare_delay: Delay of initializing (``QUBIT``) a qubit.  Treated as
-            free because initialization happens before mapping starts.
         channel_capacity: Maximum number of qubits concurrently travelling in
-            one channel, at most :data:`MAX_CHANNEL_CAPACITY`.
-        junction_capacity: Maximum number of qubits concurrently crossing a
-            junction.  The paper designs junctions to match the channel
-            capacity.
-        trap_capacity: Number of qubits a trap can hold (two are required for
-            a two-qubit gate).
+            one channel, at most :data:`MAX_CHANNEL_CAPACITY`.  Channels are
+            the only capacity-limited resource: a trap hosts at most the two
+            operands of one gate, and a junction crossing is charged to the
+            next channel (see ``docs/SCENARIOS.md``).
     """
 
     move_delay: float = 1.0
@@ -73,10 +67,7 @@ class TechnologyParams:
     one_qubit_gate_delay: float = 10.0
     two_qubit_gate_delay: float = 100.0
     measure_delay: float = 10.0
-    prepare_delay: float = 0.0
     channel_capacity: int = 2
-    junction_capacity: int = 2
-    trap_capacity: int = 2
 
     def __post_init__(self) -> None:
         # Types first: a custom PMD is a plain dict, so "1" or True may arrive.
@@ -84,27 +75,21 @@ class TechnologyParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            # NaN, infinities and ints too large for a float all fail.
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in _CAPACITY_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.channel_capacity > MAX_CHANNEL_CAPACITY:
-            raise ValueError(
-                f"channel_capacity must be at most {MAX_CHANNEL_CAPACITY}, "
-                f"got {self.channel_capacity}"
-            )
+        check_int(
+            "channel_capacity", self.channel_capacity, 1, MAX_CHANNEL_CAPACITY,
+            error=ValueError,
+        )
         if self.move_delay <= 0:
             raise ValueError("move_delay must be positive")
         if self.turn_delay < 0:
             raise ValueError("turn_delay must be non-negative")
         if self.one_qubit_gate_delay < 0 or self.two_qubit_gate_delay < 0:
             raise ValueError("gate delays must be non-negative")
-        if self.measure_delay < 0 or self.prepare_delay < 0:
-            raise ValueError("measure/prepare delays must be non-negative")
+        if self.measure_delay < 0:
+            raise ValueError("measure_delay must be non-negative")
 
     def gate_delay(self, arity: int, *, is_measurement: bool = False) -> float:
         """Return the gate delay for an operation with ``arity`` operands.
@@ -127,14 +112,6 @@ class TechnologyParams:
             return self.two_qubit_gate_delay
         raise ValueError(f"unsupported gate arity: {arity}")
 
-    def with_channel_capacity(self, capacity: int) -> "TechnologyParams":
-        """Return a copy with a different channel (and junction) capacity."""
-        return replace(self, channel_capacity=capacity, junction_capacity=capacity)
-
-    def with_turn_delay(self, turn_delay: float) -> "TechnologyParams":
-        """Return a copy with a different turn delay."""
-        return replace(self, turn_delay=turn_delay)
-
     def to_dict(self) -> dict:
         """Plain-JSON representation (inverse of :meth:`from_dict`).
 
@@ -150,8 +127,9 @@ class TechnologyParams:
         """Build a fully custom PMD from a plain dict of parameter overrides.
 
         Missing keys fall back to the paper values, so a record only needs to
-        name the parameters it changes.  Unknown keys raise ``ValueError`` so
-        a typo (``"turn_dealy"``) fails loudly instead of being ignored.
+        name the parameters it changes.  Unknown keys raise ``ValueError``,
+        naming each by its ``repr``, so a typo (``"turn_dealy"``) or a key that
+        is no string fails loudly instead of being ignored.
 
         Example::
 
@@ -159,7 +137,7 @@ class TechnologyParams:
             2.0
         """
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(record) - known)
+        unknown = sorted(repr(key) for key in record if key not in known)
         if unknown:
             raise ValueError(
                 f"unknown technology parameters: {', '.join(unknown)} "
@@ -170,7 +148,3 @@ class TechnologyParams:
 
 #: Parameters used throughout the paper's experimental section.
 PAPER_TECHNOLOGY = TechnologyParams()
-
-#: Parameters matching the prior-art tools (QUALE/QPOS): no ion multiplexing,
-#: i.e. at most one qubit per channel or junction at a time.
-LEGACY_TECHNOLOGY = TechnologyParams(channel_capacity=1, junction_capacity=1)

@@ -67,6 +67,22 @@ class TestPublicSurface:
         assert not hasattr(repro.fabric.geometry, "median_point")
         assert not hasattr(RoutePlan, "channel_exit_times")
 
+    def test_the_pmd_is_the_one_home_of_the_physical_model(self):
+        # The duplicate legacy preset, the PMD's copy helpers, the options'
+        # capacity override and the ideal baseline's test-only result are gone.
+        import repro.mapper.ideal
+        import repro.routing
+        import repro.technology
+
+        assert "LEGACY_TECHNOLOGY" not in repro.__all__
+        assert not hasattr(repro.technology, "LEGACY_TECHNOLOGY")
+        assert not hasattr(repro.mapper.ideal, "IdealBaselineResult")
+        assert not hasattr(repro.TechnologyParams, "with_channel_capacity")
+        assert not hasattr(repro.TechnologyParams, "with_turn_delay")
+        assert not hasattr(repro.MapperOptions, "effective_channel_capacity")
+        assert not hasattr(repro.MapperOptions(), "channel_capacity")
+        assert not hasattr(repro.routing.RoutingPolicy(), "channel_capacity")
+
 
 class TestCliListRoundTrip:
     def test_every_registry_name_appears_in_list_output(self, capsys):

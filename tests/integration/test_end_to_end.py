@@ -8,7 +8,10 @@ with the same budget, the ideal baseline is a lower bound).
 
 import pytest
 
+import repro
 from repro import (
+    TECHNOLOGIES,
+    ExperimentSpec,
     IdealBaseline,
     MapperOptions,
     QposMapper,
@@ -19,6 +22,9 @@ from repro import (
     small_fabric,
 )
 from repro.circuits.qecc import BENCHMARK_NAMES, QECC_BENCHMARKS, qecc_encoder
+from repro.placement.center import CenterPlacer
+from repro.runner.executor import map_spec
+from repro.sim.engine import FabricSimulator
 from repro.sim.microcode import CommandKind
 
 
@@ -39,6 +45,39 @@ class TestPublicApi:
         result = QsprMapper(MapperOptions(placer="center")).map(circuit, fabric)
         assert result.circuit_name == "chain"
         assert len(result.records) == 3
+
+
+def _simulate_center(technology):
+    circuit, fabric = qecc_encoder("[[9,1,3]]"), quale_fabric()
+    return FabricSimulator(circuit, fabric, technology).run(CenterPlacer(fabric).place(circuit))
+
+
+class TestOneChannelCapacity:
+    """The PMD is the one source of the channel capacity, whichever door maps.
+
+    ``[[9,1,3]]`` center-placed on the quale fabric takes 1310 µs on the
+    paper's capacity-2 channels and 1550 µs on the ``cap-1`` PMD's.
+    """
+
+    @pytest.mark.parametrize(
+        "door",
+        [
+            lambda cap_1: _simulate_center(cap_1),
+            lambda cap_1: QsprMapper(MapperOptions(technology=cap_1, placer="center")).map(
+                qecc_encoder("[[9,1,3]]"), quale_fabric()
+            ),
+            lambda cap_1: repro.map_circuit(
+                "[[9,1,3]]", "quale", placer="center", technology="cap-1"
+            ),
+            lambda cap_1: map_spec(ExperimentSpec("[[9,1,3]]", placer="center", channel_capacity=1)),
+        ],
+        ids=["simulator", "mapper-options", "map-circuit", "spec-capacity"],
+    )
+    def test_every_door_maps_the_cap_1_pmd_at_capacity_one(self, door):
+        assert door(TECHNOLOGIES.get("cap-1")).latency == 1550.0
+
+    def test_the_paper_pmd_maps_at_capacity_two(self):
+        assert _simulate_center(TECHNOLOGIES.get("paper")).latency == 1310.0
 
 
 class TestPaperClaims:

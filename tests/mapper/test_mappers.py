@@ -1,5 +1,7 @@
 """Tests for the end-to-end mappers: options, results, QSPR and the baselines."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
@@ -10,6 +12,7 @@ from repro.mapper.options import MapperOptions
 from repro.mapper.qpos import QposMapper, qpos_options
 from repro.mapper.qspr import QsprMapper
 from repro.mapper.quale import QualeMapper, quale_options
+from repro.pipeline import TECHNOLOGIES
 from repro.routing.router import MeetingPoint
 
 
@@ -19,21 +22,14 @@ class TestMapperOptions:
         assert options.scheduler == "qspr"
         assert options.turn_aware_routing
         assert options.meeting_point is MeetingPoint.MEDIAN
-        assert options.effective_channel_capacity == 2
+        assert options.technology.channel_capacity == 2
         assert options.placer == "mvfb"
-
-    def test_channel_capacity_override(self):
-        options = MapperOptions(channel_capacity=1)
-        assert options.effective_channel_capacity == 1
-        assert options.routing_policy().channel_capacity == 1
 
     def test_invalid_options(self):
         with pytest.raises(MappingError):
             MapperOptions(num_seeds=0)
         with pytest.raises(MappingError):
             MapperOptions(num_placements=0)
-        with pytest.raises(MappingError):
-            MapperOptions(channel_capacity=0)
         with pytest.raises(MappingError, match="num_seeds must be an integer"):
             MapperOptions(num_seeds=True)
 
@@ -47,7 +43,7 @@ class TestMapperOptions:
         assert options.scheduler == "quale-alap"
         assert options.barrier_scheduling
         assert not options.turn_aware_routing
-        assert options.effective_channel_capacity == 1
+        assert options.technology.channel_capacity == 1
         assert options.placer == "center"
 
     def test_qpos_preset(self):
@@ -56,6 +52,12 @@ class TestMapperOptions:
         assert options.meeting_point is MeetingPoint.DESTINATION
         assert qpos_options(path_delay_priority=True).scheduler == "qpos-path-delay"
 
+    @pytest.mark.parametrize("preset", [quale_options, qpos_options])
+    def test_presets_run_their_pmd_on_capacity_one_channels(self, preset):
+        slow = TECHNOLOGIES.get("slow-2q")
+        assert preset(slow).technology == replace(slow, channel_capacity=1)
+        assert preset().technology == TECHNOLOGIES.get("cap-1")
+
 
 class TestIdealBaseline:
     def test_paper_circuit(self, paper_circuit):
@@ -63,12 +65,6 @@ class TestIdealBaseline:
 
     def test_calibrated_benchmark(self, calibrated_513):
         assert IdealBaseline().latency(calibrated_513) == pytest.approx(510.0)
-
-    def test_critical_path_witness(self, calibrated_513):
-        result = IdealBaseline().evaluate(calibrated_513)
-        assert result.latency == pytest.approx(510.0)
-        # The witness path starts at a source and ends at a sink.
-        assert len(result.critical_path) >= 2
 
 
 class TestQsprMapper:

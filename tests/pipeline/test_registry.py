@@ -111,7 +111,7 @@ class TestBuiltinRegistries:
         assert {"qspr", "quale-alap", "qpos-dependents", "qpos-path-delay"} <= set(
             SCHEDULERS.names()
         )
-        assert {"paper", "legacy", "fast-turn", "slow-2q", "cap-1"} <= set(
+        assert {"paper", "fast-turn", "slow-2q", "cap-1"} <= set(
             TECHNOLOGIES.names()
         )
 

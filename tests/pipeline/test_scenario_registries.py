@@ -67,13 +67,17 @@ class TestSchedulerRegistry:
 
 class TestTechnologyRegistry:
     def test_named_technologies_are_registered(self):
-        assert set(TECHNOLOGIES.names()) >= {
-            "paper", "legacy", "fast-turn", "slow-turn", "slow-2q", "cap-1",
-        }
+        assert TECHNOLOGIES.names() == (
+            "paper", "fast-turn", "slow-turn", "slow-2q", "cap-1",
+        )
         assert TECHNOLOGIES.get("paper") is PAPER_TECHNOLOGY
         assert TECHNOLOGIES.get("cap-1").channel_capacity == 1
         assert TECHNOLOGIES.get("fast-turn").turn_delay == 1.0
         assert TECHNOLOGIES.get("slow-2q").two_qubit_gate_delay == 300.0
+
+    def test_no_two_built_in_pmds_are_equal(self):
+        built_in = [TECHNOLOGIES.get(name) for name in TECHNOLOGIES.names()]
+        assert len(set(built_in)) == len(built_in)
 
     def test_resolve_accepts_name_params_and_dict(self):
         assert resolve_technology("paper") is PAPER_TECHNOLOGY

@@ -131,7 +131,7 @@ def test_kernels_agree_on_enumerated_trap_pairs(fabric_factory, sample, turn_awa
     router = Router(fabric, PAPER_TECHNOLOGY, policy)
     compared = 0
     for state_name, congestion in _congestion_states(
-        fabric, policy.channel_capacity
+        fabric, PAPER_TECHNOLOGY.channel_capacity
     ).items():
         for source_id, target_id in _trap_pairs(fabric, sample, state_name):
             sources = router._attachment_costs(fabric.trap(source_id), congestion)
@@ -329,7 +329,7 @@ def test_answers_depend_only_on_the_channels_the_search_read(turn_aware):
     )
     policy = RoutingPolicy(turn_aware=turn_aware)
     router = Router(fabric, PAPER_TECHNOLOGY, policy)
-    congestion = _congestion_states(fabric, policy.channel_capacity)["partial"]
+    congestion = _congestion_states(fabric, PAPER_TECHNOLOGY.channel_capacity)["partial"]
     slots = fabric.channel_slots
     unread_checked = 0
     for source_id, target_id in _trap_pairs(fabric, 25, f"reads-{turn_aware}"):
@@ -346,7 +346,7 @@ def test_answers_depend_only_on_the_channels_the_search_read(turn_aware):
             if slots[channel] in reads:
                 continue
             level = congestion.occupancy(channel)
-            for changed in sorted({0, policy.channel_capacity} - {level}):
+            for changed in sorted({0, PAPER_TECHNOLOGY.channel_capacity} - {level}):
                 _set_occupancy(congestion, channel, changed)
                 reference = _legacy_query(
                     router,
@@ -369,7 +369,7 @@ def test_compiled_routes_are_costed_edge_chains(small_fabric_4x4):
     policy = RoutingPolicy()
     router = Router(fabric, PAPER_TECHNOLOGY, policy)
     reference = ReferenceGraph(fabric, policy.turn_aware)
-    congestion = _congestion_states(fabric, policy.channel_capacity)["partial"]
+    congestion = _congestion_states(fabric, PAPER_TECHNOLOGY.channel_capacity)["partial"]
     traps = sorted(fabric.traps)
     routed = 0
     for source_id in traps:
@@ -402,7 +402,7 @@ def test_a_batch_answers_each_group_as_its_own_search(small_fabric_4x4):
     fabric = small_fabric_4x4
     policy = RoutingPolicy()
     router = Router(fabric, PAPER_TECHNOLOGY, policy)
-    congestion = _congestion_states(fabric, policy.channel_capacity)["partial"]
+    congestion = _congestion_states(fabric, PAPER_TECHNOLOGY.channel_capacity)["partial"]
     origin, *others = (fabric.trap(trap_id) for trap_id in sorted(fabric.traps))
     sources = router._attachment_costs(origin, congestion)
     groups = [

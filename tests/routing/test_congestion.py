@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import FabricError, RoutingError
 from repro.routing.congestion import CongestionTracker
-from repro.routing.router import RoutingPolicy
 from repro.technology import MAX_CHANNEL_CAPACITY
 
 
@@ -68,8 +67,6 @@ class TestReserveRelease:
         # The compiled routing graph sizes its weight tables by the capacity.
         with pytest.raises(RoutingError, match="channel_capacity must be at"):
             CongestionTracker(small_fabric_4x4, channel_capacity=capacity)
-        with pytest.raises(RoutingError, match="channel_capacity must be at"):
-            RoutingPolicy(channel_capacity=capacity)
 
     def test_a_refused_reserve_changes_nothing(self, tracker):
         tracker.reserve(("h", 0, 0))

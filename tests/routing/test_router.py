@@ -1,6 +1,7 @@
 """Tests for the router facade: trap selection and instruction planning."""
 
 import functools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,11 @@ from repro.routing.router import (
     channel_key,
 )
 from repro.technology import PAPER_TECHNOLOGY
+
+
+def _technology(capacity):
+    """The paper's PMD on channels of ``capacity``."""
+    return replace(PAPER_TECHNOLOGY, channel_capacity=capacity)
 
 
 def _totals(plan):
@@ -103,8 +109,8 @@ class TestPlanInstruction:
         assert all(plan.duration > 0 for plan in route.plans)
 
     def test_destination_policy_keeps_target_fixed(self, small_fabric_4x4, two_qubit_instruction):
-        policy = RoutingPolicy(meeting_point=MeetingPoint.DESTINATION, channel_capacity=1)
-        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
+        policy = RoutingPolicy(meeting_point=MeetingPoint.DESTINATION)
+        router = Router(small_fabric_4x4, _technology(1), policy)
         congestion = CongestionTracker(small_fabric_4x4, 1)
         positions = self._positions(small_fabric_4x4)
         route = router.plan_instruction(two_qubit_instruction, positions, congestion)
@@ -113,7 +119,7 @@ class TestPlanInstruction:
         assert dest_plan.duration == 0
 
     def test_center_policy_meets_near_center(self, small_fabric_4x4, two_qubit_instruction):
-        policy = RoutingPolicy(meeting_point=MeetingPoint.CENTER, channel_capacity=2)
+        policy = RoutingPolicy(meeting_point=MeetingPoint.CENTER)
         router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
         congestion = CongestionTracker(small_fabric_4x4, 2)
         positions = self._positions(small_fabric_4x4)
@@ -129,8 +135,7 @@ class TestPlanInstruction:
         assert route.routing_delay == pytest.approx(max(p.duration for p in route.plans))
 
     def test_serial_routing_delay_is_sum(self, small_fabric_4x4, two_qubit_instruction):
-        policy = RoutingPolicy(channel_capacity=1)
-        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
+        router = Router(small_fabric_4x4, _technology(1), RoutingPolicy())
         congestion = CongestionTracker(small_fabric_4x4, 1)
         positions = self._positions(small_fabric_4x4)
         route = router.plan_instruction(two_qubit_instruction, positions, congestion)
@@ -181,8 +186,8 @@ class TestPlanInstruction:
         # the source qubit cannot leave its channel and nothing can enter it,
         # while both operand channels have room: every candidate, the
         # operands' own traps included, fails after trap selection.
-        policy = RoutingPolicy(meeting_point=meeting_point, channel_capacity=capacity)
-        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
+        policy = RoutingPolicy(meeting_point=meeting_point)
+        router = Router(small_fabric_4x4, _technology(capacity), policy)
         congestion = CongestionTracker(small_fabric_4x4, capacity)
         positions = self._positions(small_fabric_4x4)
         source_channel = small_fabric_4x4.trap(positions["a"]).channel_id
@@ -269,8 +274,8 @@ class TestFullOperandChannel:
         self, small_fabric_4x4, two_qubit_instruction, capacity, meeting_point,
         positions, full,
     ):
-        policy = RoutingPolicy(meeting_point=meeting_point, channel_capacity=capacity)
-        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, policy)
+        policy = RoutingPolicy(meeting_point=meeting_point)
+        router = Router(small_fabric_4x4, _technology(capacity), policy)
         congestion = CongestionTracker(small_fabric_4x4, capacity)
         full_channels = {small_fabric_4x4.trap(positions[q]).channel_id for q in full}
         for channel_id in full_channels:
@@ -310,8 +315,8 @@ class TestFullOperandChannel:
         fabric = _property_fabric(data.draw(st.sampled_from((4, 6)), label="size"))
         capacity = data.draw(st.sampled_from((1, 2)), label="capacity")
         turn_aware = data.draw(st.booleans(), label="turn_aware")
-        policy = RoutingPolicy(turn_aware=turn_aware, channel_capacity=capacity)
-        router = OracleRouter(fabric, PAPER_TECHNOLOGY, policy)
+        policy = RoutingPolicy(turn_aware=turn_aware)
+        router = OracleRouter(fabric, _technology(capacity), policy)
         traps = sorted(fabric.traps)
         source = data.draw(st.sampled_from(traps), label="source")
         dest = data.draw(st.sampled_from([t for t in traps if t != source]), label="dest")

@@ -15,7 +15,7 @@ from repro.runner import ExperimentSpec, FabricCell
 from repro.runner.executor import map_spec
 from repro.service import execute_job
 from repro.sim.engine import FabricSimulator
-from repro.technology import LEGACY_TECHNOLOGY
+from repro.pipeline import TECHNOLOGIES
 
 TINY = FabricCell(junction_rows=4, junction_cols=4)
 
@@ -33,9 +33,9 @@ class TestSharedRouteStore:
         fabric = small_fabric()
         table = Router(fabric)._route_cache
         assert Router(fabric)._route_cache is table
-        # A different PMD prices routes differently, and a different policy
-        # searches another graph under another capacity: each gets its own.
-        assert Router(fabric, LEGACY_TECHNOLOGY)._route_cache is not table
+        # A different PMD prices routes under another capacity, and a
+        # different policy searches another graph: each gets its own.
+        assert Router(fabric, TECHNOLOGIES.get("cap-1"))._route_cache is not table
         assert Router(fabric, policy=quale_options().routing_policy())._route_cache is not table
         assert Router(small_fabric())._route_cache is not table
 

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.errors import MappingError
-from repro.mapper.options import MapperOptions
 from repro.runner import (
     CellResult,
     ExperimentSpec,
@@ -68,8 +67,6 @@ class TestSpecScenarioAxes:
         assert _spec(channel_capacity=MAX_CHANNEL_CAPACITY).channel_capacity == 64
         with pytest.raises(MappingError, match="channel_capacity must be at most 64"):
             _spec(channel_capacity=capacity)
-        with pytest.raises(MappingError, match="channel_capacity must be at most 64"):
-            MapperOptions(channel_capacity=capacity)
 
     def test_config_label_tags_non_default_axes(self):
         assert _spec().config_label() == "qspr/center"
@@ -92,7 +89,7 @@ class TestSpecScenarioAxes:
         ).mapper_options()
         assert options.technology.two_qubit_gate_delay == 300.0
         assert options.scheduler_name == "qpos-dependents"
-        assert options.effective_channel_capacity == 1
+        assert options.technology.channel_capacity == 1
         assert options.turn_aware_routing is False
         assert options.barrier_scheduling is True
 

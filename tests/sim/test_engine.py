@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,12 @@ from repro.sim.microcode import CommandKind
 from repro.technology import PAPER_TECHNOLOGY
 
 
-def _simulate(circuit, fabric, **kwargs):
-    simulator = FabricSimulator(circuit, fabric, PAPER_TECHNOLOGY, **kwargs)
+#: The paper's PMD on capacity-1 channels.
+CAP_1 = replace(PAPER_TECHNOLOGY, channel_capacity=1)
+
+
+def _simulate(circuit, fabric, technology=PAPER_TECHNOLOGY, **kwargs):
+    simulator = FabricSimulator(circuit, fabric, technology, **kwargs)
     placement = CenterPlacer(fabric).place(circuit)
     return simulator.run(placement)
 
@@ -82,8 +87,7 @@ class TestBasicExecution:
         self, small_fabric_4x4, paper_circuit
     ):
         # Capacity-1 channels: both operands travel, but never at once.
-        policy = RoutingPolicy(channel_capacity=1)
-        outcome = _simulate(paper_circuit, small_fabric_4x4, routing_policy=policy)
+        outcome = _simulate(paper_circuit, small_fabric_4x4, CAP_1)
         serial = [
             index
             for index, route in outcome.routes.items()
@@ -194,15 +198,13 @@ class TestRoutingPolicies:
         policy = RoutingPolicy(
             turn_aware=False,
             meeting_point=MeetingPoint.DESTINATION,
-            channel_capacity=1,
             trap_candidates=1,
         )
-        outcome = _simulate(paper_circuit, small_fabric_4x4, routing_policy=policy)
+        outcome = _simulate(paper_circuit, small_fabric_4x4, CAP_1, routing_policy=policy)
         assert outcome.latency > 0
 
     def test_capacity_one_dual_move_runs(self, small_fabric_4x4, paper_circuit):
-        policy = RoutingPolicy(channel_capacity=1)
-        outcome = _simulate(paper_circuit, small_fabric_4x4, routing_policy=policy)
+        outcome = _simulate(paper_circuit, small_fabric_4x4, CAP_1)
         assert outcome.latency > 0
 
     def test_congested_workload_completes(self, small_fabric_4x4):
@@ -217,10 +219,9 @@ class TestRoutingPolicies:
         policy = RoutingPolicy(
             turn_aware=False,
             meeting_point=MeetingPoint.DESTINATION,
-            channel_capacity=1,
             trap_candidates=1,
         )
-        outcome = _simulate(circuit, small_fabric_4x4, routing_policy=policy)
+        outcome = _simulate(circuit, small_fabric_4x4, CAP_1, routing_policy=policy)
         sharing = outcome.final_placement.trap_sharing()
         assert max(sharing.values()) <= 2
 

@@ -25,13 +25,14 @@ from repro.errors import SchedulingError
 from repro.fabric.builder import small_fabric
 from repro.mapper.quale import quale_options
 from repro.routing.congestion import CongestionTracker
-from repro.routing.router import ANY_CONGESTION_CHANGE, RoutingPolicy, channel_key
+from repro.routing.router import ANY_CONGESTION_CHANGE, channel_key
 from repro.runner.executor import map_spec
 from repro.runner.spec import ExperimentSpec
 from repro.scheduling.busy_queue import BusyQueue
 from repro.sim import engine
 from repro.sim.engine import FabricSimulator
 from repro.sim.events import ChannelReleased
+from repro.technology import TechnologyParams
 from repro.placement.center import CenterPlacer
 
 
@@ -207,9 +208,7 @@ class TestEngineWakes:
         circuit.cx(a, b)
         circuit.cx(c, d)
         fabric = small_fabric()
-        sim = FabricSimulator(
-            circuit, fabric, routing_policy=RoutingPolicy(channel_capacity=capacity)
-        )
+        sim = FabricSimulator(circuit, fabric, TechnologyParams(channel_capacity=capacity))
         state = engine._RunState(sim, CenterPlacer(fabric).place(circuit))
         state.busy.park(1)
         instruction = sim.qidg.instruction(0)

@@ -11,6 +11,7 @@ final placement.  The golden cases are held to the oracle in
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,12 +71,11 @@ def _map_both(circuit_name, fabric, options):
     return result, oracle
 
 
-def _options(technology="paper", scheduler="qspr", **changes):
-    return MapperOptions(
-        technology=resolve_technology(technology),
-        scheduler=scheduler,
-        **{"placer": "center", **changes},
-    )
+def _options(technology="paper", scheduler="qspr", channel_capacity=None, **changes):
+    pmd = resolve_technology(technology)
+    if channel_capacity is not None:
+        pmd = replace(pmd, channel_capacity=channel_capacity)
+    return MapperOptions(technology=pmd, scheduler=scheduler, **{"placer": "center", **changes})
 
 
 class TestMappingsMatchTheOracle:
@@ -213,7 +213,7 @@ class TestRoutingAxesMatchTheOracle:
         options = _options("cap-1", trap_candidates=trap_candidates)
         _map_both(CONGESTED.format(seed=6), fabric, options)
 
-    @pytest.mark.parametrize("technology", ["legacy", "slow-turn", "slow-2q"])
+    @pytest.mark.parametrize("technology", ["cap-1", "slow-turn", "slow-2q"])
     def test_other_technologies(self, fabric, technology):
         _map_both(LAYERED, fabric, _options(technology))
 
@@ -253,7 +253,8 @@ class TestFastPathsMatchTheirDefinitions:
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_attachment_costs_for_every_trap_and_occupancy(self, turn_aware, capacity):
         fabric = resolve_fabric("quale")
-        router = Router(fabric, policy=RoutingPolicy(turn_aware=turn_aware))
+        technology = resolve_technology({"channel_capacity": capacity})
+        router = Router(fabric, technology, RoutingPolicy(turn_aware=turn_aware))
         congestion = CongestionTracker(fabric, capacity)
         # Every channel empty, then one more qubit in each, up to full.
         for level in range(capacity + 1):
@@ -449,6 +450,7 @@ class TestFastPathsMatchTheirDefinitions:
         instruction = circuit.cx(source_qubit, dest_qubit)
         rng = random.Random(2012)
         traps, channels = sorted(fabric.traps), sorted(fabric.channels)
+        technology = resolve_technology({"channel_capacity": capacity})
         seen = {
             "failed after trying several": 0,
             "routed by a later candidate": 0,
@@ -456,11 +458,9 @@ class TestFastPathsMatchTheirDefinitions:
         }
         for trial in range(300):
             policy = RoutingPolicy(
-                meeting_point=meeting_point,
-                channel_capacity=capacity,
-                trap_candidates=(1, 2, 4)[trial % 3],
+                meeting_point=meeting_point, trap_candidates=(1, 2, 4)[trial % 3]
             )
-            router = Router(fabric, policy=policy)
+            router = Router(fabric, technology, policy)
             congestion = CongestionTracker(fabric, capacity)
             density = (0.1, 0.3, 0.6)[trial % 5 % 3]
             for channel in channels:
