@@ -9,13 +9,10 @@ per-qubit ordering of instructions, exactly as the paper's QIDG does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.circuits.gates import GateSpec, get_gate
 from repro.errors import CircuitError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.qasm.ast import QasmProgram
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class QuantumCircuit:
         circuit.cx(a, b)
 
     and conversion from/to the QASM dialect via
-    :meth:`from_program` / :meth:`repro.qasm.write_qasm`.
+    :func:`repro.qasm.parse_qasm` / :func:`repro.qasm.write_qasm`.
     """
 
     def __init__(self, name: str = "circuit") -> None:
@@ -309,28 +306,3 @@ class QuantumCircuit:
                 label=instruction.label,
             )
         return inverse_circuit
-
-    # ------------------------------------------------------------------
-    # QASM interoperability
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_program(cls, program: "QasmProgram", *, name: str = "circuit") -> "QuantumCircuit":
-        """Lower a parsed :class:`QasmProgram` into a circuit.
-
-        Raises:
-            CircuitError: For duplicate declarations, unknown gates or
-                references to undeclared qubits.
-        """
-        from repro.qasm.ast import GateStatement, MeasureStatement, QubitDeclaration
-
-        circuit = cls(name)
-        for statement in program:
-            if isinstance(statement, QubitDeclaration):
-                circuit.add_qubit(statement.name, statement.initial)
-            elif isinstance(statement, GateStatement):
-                circuit.append(statement.gate, *statement.operands)
-            elif isinstance(statement, MeasureStatement):
-                circuit.measure(statement.qubit)
-            else:  # pragma: no cover - exhaustive over the AST
-                raise CircuitError(f"unsupported statement: {statement!r}")
-        return circuit

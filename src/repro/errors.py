@@ -13,18 +13,23 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 
 
-class QasmError(ReproError):
-    """Raised when a QASM program cannot be lexed or parsed."""
+class CircuitError(ReproError):
+    """Raised when a quantum circuit is constructed or used incorrectly."""
+
+
+class QasmError(CircuitError):
+    """Raised when a QASM program or file is refused.
+
+    A circuit error, because a refused program describes no circuit: the
+    reader re-raises what :class:`~repro.circuits.QuantumCircuit` refuses as
+    one of these, with the line it came from.
+    """
 
     def __init__(self, message: str, line: int | None = None) -> None:
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class CircuitError(ReproError):
-    """Raised when a quantum circuit is constructed or used incorrectly."""
 
 
 class FabricError(ReproError):

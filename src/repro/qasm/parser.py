@@ -1,118 +1,59 @@
-"""Parser for the QASM dialect.
+"""Reader of the QASM dialect: source text straight into a circuit.
 
-The parser is two-staged: :func:`parse_program` turns source text into a
-:class:`repro.qasm.ast.QasmProgram`, and :func:`parse_qasm` additionally
-converts the program into a :class:`repro.circuits.QuantumCircuit` (the object
-the rest of the mapper operates on).
+Each line is read on its own: the comment is cut off, the head word is
+split from the comma-separated operands, every word is checked against the
+dialect's name and integer rules, and the line becomes one call on the
+circuit: :meth:`~repro.circuits.QuantumCircuit.add_qubit` for ``QUBIT`` and
+``QREG``, :meth:`~repro.circuits.QuantumCircuit.append` for everything else
+(``MEASURE`` is a gate of the registry, too).  The circuit checks what it
+already knows: gate names and arities, declared and duplicate qubits, and
+the 0/1 initial value.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import QasmError
-from repro.qasm.ast import (
-    GateStatement,
-    MeasureStatement,
-    QasmProgram,
-    QubitDeclaration,
-    Statement,
-)
-from repro.qasm.lexer import Token, TokenKind, tokenize_line
+from repro.errors import CircuitError, QasmError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.circuits.circuit import QuantumCircuit
 
-#: Keywords that start a qubit declaration.
+#: Head words that declare a qubit; every other head word names a gate.
 _QUBIT_KEYWORDS = {"QUBIT", "QREG"}
-#: Keywords that start a measurement.
-_MEASURE_KEYWORDS = {"MEASURE", "MEAS"}
+#: ``#`` or ``//`` starts a comment that runs to the end of the line.
+_COMMENT = re.compile(r"#|//")
+#: An integer: decimal digits of any script.
+_INTEGER = re.compile(r"\d+")
+#: A gate or qubit name: a letter or ``_``, or digits then a letter or ``-``,
+#: followed by word characters, ``-``, ``[`` and ``]``.  Digits alone are an
+#: integer, and digits followed by a bracket are no word at all.
+_NAME = re.compile(r"(?:[A-Za-z_]|\d+(?:[^\W\d]|-))[\w\-\[\]]*")
 
 
-def _split_operands(tokens: list[Token], line: int) -> list[Token]:
-    """Validate comma placement and return the operand tokens in order."""
-    operands: list[Token] = []
-    expect_operand = True
-    for token in tokens:
-        if token.kind is TokenKind.COMMA:
-            if expect_operand:
-                raise QasmError("unexpected ','", line)
-            expect_operand = True
-        else:
-            if not expect_operand:
-                raise QasmError(f"missing ',' before {token.text!r}", line)
-            operands.append(token)
-            expect_operand = False
-    if expect_operand and operands:
-        raise QasmError("trailing ','", line)
-    return operands
+def _word(text: str, pattern: re.Pattern, what: str) -> str:
+    """``text`` if it is one whole ``pattern`` word, else a refusal."""
+    if pattern.fullmatch(text) is None:
+        raise CircuitError(f"expected {what}, got {text!r}")
+    return text
 
 
-def _parse_statement(tokens: list[Token], line: int) -> Statement:
-    """Parse a single non-empty token list into a statement."""
-    head = tokens[0]
-    if head.kind is not TokenKind.IDENT:
-        raise QasmError(f"expected a keyword or gate name, got {head.text!r}", line)
-    mnemonic = head.text.upper()
-    operands = _split_operands(tokens[1:], line)
-
-    if mnemonic in _QUBIT_KEYWORDS:
-        if not operands:
-            raise QasmError("QUBIT requires a qubit name", line)
-        if len(operands) > 2:
-            raise QasmError("QUBIT accepts at most a name and an initial value", line)
-        name_token = operands[0]
-        if name_token.kind is not TokenKind.IDENT:
-            raise QasmError(f"invalid qubit name {name_token.text!r}", line)
-        initial: int | None = None
-        if len(operands) == 2:
-            value_token = operands[1]
-            if value_token.kind is not TokenKind.INTEGER:
-                raise QasmError(
-                    f"initial value must be an integer, got {value_token.text!r}", line
-                )
-            initial = value_token.value
-            if initial not in (0, 1):
-                raise QasmError("initial value must be 0 or 1", line)
-        return QubitDeclaration(name_token.text, initial, line)
-
-    if mnemonic in _MEASURE_KEYWORDS:
-        if len(operands) != 1 or operands[0].kind is not TokenKind.IDENT:
-            raise QasmError("MEASURE requires exactly one qubit operand", line)
-        return MeasureStatement(operands[0].text, line)
-
-    # Everything else is a gate application; arity is validated against the
-    # gate registry when the program is lowered to a circuit.
-    if not operands:
-        raise QasmError(f"gate {head.text!r} requires at least one operand", line)
-    names: list[str] = []
-    for operand in operands:
-        if operand.kind is not TokenKind.IDENT:
-            raise QasmError(f"invalid qubit operand {operand.text!r}", line)
-        names.append(operand.text)
-    return GateStatement(head.text.upper(), tuple(names), line)
-
-
-def parse_program(source: str) -> QasmProgram:
-    """Parse QASM source text into an AST without semantic checks.
-
-    Args:
-        source: Full QASM program text.
-
-    Returns:
-        The parsed :class:`QasmProgram`.
-
-    Raises:
-        QasmError: On any lexical or syntactic error.
-    """
-    program = QasmProgram()
-    for line_number, line in enumerate(source.splitlines(), start=1):
-        tokens = tokenize_line(line, line_number)
-        if not tokens:
-            continue
-        program.statements.append(_parse_statement(tokens, line_number))
-    return program
+def _read_line(circuit: "QuantumCircuit", words: list[str]) -> None:
+    """Apply one statement (its head word and the rest of the line)."""
+    head = _word(words[0], _NAME, "a keyword or gate name")
+    operands = [operand.strip() for operand in words[1].split(",")] if len(words) > 1 else []
+    if head.upper() not in _QUBIT_KEYWORDS:
+        circuit.append(head, *(_word(operand, _NAME, "a qubit name") for operand in operands))
+        return
+    if not 1 <= len(operands) <= 2:
+        raise CircuitError(f"{head} takes a qubit name and an optional initial value")
+    name = _word(operands[0], _NAME, "a qubit name")
+    initial = None
+    if len(operands) == 2:
+        initial = int(_word(operands[1], _INTEGER, "an integer initial value"))
+    circuit.add_qubit(name, initial)
 
 
 def parse_qasm(source: str, *, name: str = "circuit") -> "QuantumCircuit":
@@ -126,27 +67,43 @@ def parse_qasm(source: str, *, name: str = "circuit") -> "QuantumCircuit":
         name: Name given to the resulting circuit.
 
     Returns:
-        The lowered :class:`QuantumCircuit`.
+        The circuit the program describes.
 
     Raises:
         QasmError: On syntax errors, unknown gates, arity mismatches or
-            references to undeclared qubits.
+            references to undeclared qubits, naming the offending line.
     """
     from repro.circuits.circuit import QuantumCircuit
 
-    program = parse_program(source)
-    return QuantumCircuit.from_program(program, name=name)
+    circuit = QuantumCircuit(name)
+    for number, line in enumerate(source.splitlines(), start=1):
+        words = _COMMENT.split(line, 1)[0].split(None, 1)
+        if not words:
+            continue
+        try:
+            _read_line(circuit, words)
+        except (CircuitError, ValueError) as exc:  # ValueError: too many digits for int()
+            raise QasmError(str(exc), number) from exc
+    return circuit
 
 
 def parse_qasm_file(path: str | Path, *, name: str | None = None) -> "QuantumCircuit":
-    """Parse a QASM file from disk into a :class:`QuantumCircuit`.
+    """Parse a UTF-8 QASM file from disk into a :class:`QuantumCircuit`.
 
     Args:
         path: Path of the ``.qasm`` file.
         name: Optional circuit name; defaults to the file stem.
 
     Returns:
-        The lowered :class:`QuantumCircuit`.
+        The circuit the file describes.
+
+    Raises:
+        QasmError: If the file cannot be read as UTF-8 text, naming the
+            path, or if its program is refused (see :func:`parse_qasm`).
     """
     path = Path(path)
-    return parse_qasm(path.read_text(), name=name or path.stem)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QasmError(f"cannot read QASM file {path}: {exc}") from exc
+    return parse_qasm(source, name=name or path.stem)

@@ -8,7 +8,8 @@ the data dependences).
 
 * :func:`build_qidg` / :class:`QIDG` — construction and traversal.
 * :mod:`repro.qidg.analysis` — critical path, ASAP/ALAP levels, dependent counts.
-* :mod:`repro.qidg.uidg` — the uncompute graph (UIDG) used by the MVFB placer.
+* :mod:`repro.qidg.uidg` — the backward schedule over the uncompute graph
+  (UIDG, ``build_qidg(circuit.inverse())``) that the MVFB placer runs.
 """
 
 from repro.qidg.graph import QIDG, build_qidg
@@ -19,7 +20,7 @@ from repro.qidg.analysis import (
     descendant_counts,
     longest_path_to_sink,
 )
-from repro.qidg.uidg import build_uidg, reverse_schedule
+from repro.qidg.uidg import reverse_schedule
 
 __all__ = [
     "QIDG",
@@ -29,6 +30,5 @@ __all__ = [
     "descendant_counts",
     "asap_levels",
     "alap_levels",
-    "build_uidg",
     "reverse_schedule",
 ]

@@ -87,10 +87,6 @@ class QIDG:
             )
         return delays
 
-    def sources(self) -> list[int]:
-        """Instructions with no dependencies (ready at time zero)."""
-        return [node for node, preds in enumerate(self.predecessors) if not preds]
-
     def topological_order(self) -> list[int]:
         """A deterministic topological order (program order is one)."""
         return list(range(len(self.program)))

@@ -2,31 +2,17 @@
 
 Quantum computations are reversible: reversing every edge of the QIDG and
 replacing every gate by its inverse yields the dependency graph of the
-*uncompute* circuit.  The MVFB placer (Section IV.A of the paper) alternates
-between executing the QIDG forward with schedule ``S`` and executing the UIDG
-backward with the reversed schedule ``S*``, feeding the final qubit placement
-of each pass into the next.
+*uncompute* circuit, ``build_qidg(circuit.inverse())``.  The MVFB placer
+(Section IV.A of the paper) alternates between executing the QIDG forward
+with schedule ``S`` and executing the UIDG backward with the reversed
+schedule ``S*``, feeding the final qubit placement of each pass into the
+next.  Instruction ``i`` of the forward circuit is instruction ``N - 1 - i``
+of the inverse circuit; this module translates schedules across that map.
 """
 
 from __future__ import annotations
 
 from repro.errors import CircuitError
-from repro.qidg.graph import QIDG, build_qidg
-
-
-def build_uidg(qidg: QIDG) -> QIDG:
-    """Build the UIDG corresponding to ``qidg``.
-
-    The returned object is a regular :class:`QIDG` built from the inverse
-    circuit.  Instruction ``i`` of the forward circuit corresponds to
-    instruction ``N - 1 - i`` of the inverse circuit, where ``N`` is the
-    number of instructions; :func:`forward_to_backward_index` captures this
-    mapping.
-
-    Raises:
-        CircuitError: If the circuit contains measurements (not invertible).
-    """
-    return build_qidg(qidg.circuit.inverse())
 
 
 def forward_to_backward_index(num_instructions: int, forward_index: int) -> int:

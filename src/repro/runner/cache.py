@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.runner.results import CellResult
@@ -80,7 +80,10 @@ class ResultCache:
         """The cached result of ``spec``, or ``None`` on a miss.
 
         Served records have :attr:`~repro.runner.results.CellResult.from_cache`
-        set.  Corrupted or mismatching files are treated as misses.
+        set.  Their measured columns describe the cached job, and their spec
+        columns (:meth:`~repro.runner.results.CellResult.spec_columns`)
+        describe ``spec``, which may spell the job's PMD another way.
+        Corrupted or mismatching files are treated as misses.
         """
         key = spec.cache_key()
         path = self._path(key)
@@ -99,8 +102,7 @@ class ResultCache:
             result = CellResult.from_dict(fields)
         except TypeError:  # a required field missing or a field mistyped
             return None
-        result.from_cache = True
-        return result
+        return replace(result, **CellResult.spec_columns(spec), from_cache=True)
 
     def store(self, spec: ExperimentSpec, result: CellResult) -> None:
         """Persist ``result`` under ``spec``'s content key."""

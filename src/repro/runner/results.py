@@ -161,23 +161,8 @@ class CellResult:
             >>> cell.mapper, cell.latency >= cell.ideal_latency
             ('quale', True)
         """
-        # Normalising drops the axes a preset mapper pins (placer, scheduler,
-        # routing features), so an explicit un-normalised ideal/quale spec
-        # still reports "-" and the default scenario tags.
-        normalized = spec.normalized()
         return cls(
-            circuit=spec.circuit,
-            mapper=spec.mapper,
-            placer=normalized.placer or "-",
-            fabric=spec.fabric.label,
-            num_seeds=spec.num_seeds,
-            random_seed=spec.random_seed,
-            technology=normalized.technology,
-            scheduler=normalized.scheduler,
-            turn_aware=normalized.turn_aware,
-            meeting_point=normalized.meeting_point,
-            channel_capacity=normalized.channel_capacity,
-            barrier_scheduling=normalized.barrier_scheduling,
+            **cls.spec_columns(spec),
             latency=result.latency,
             ideal_latency=result.ideal_latency,
             placement_runs=result.placement_runs,
@@ -198,6 +183,38 @@ class CellResult:
             event_wake_hits=result.event_stats.wake_hits,
             event_skipped_polls=result.event_stats.skipped_polls,
             event_issue_polls=result.event_stats.issue_polls,
+        )
+
+    @staticmethod
+    def spec_columns(spec: "ExperimentSpec") -> dict:
+        """Columns ``circuit`` through ``barrier_scheduling`` of ``spec``.
+
+        They describe the request; the other columns describe the job that
+        ran, which a cache hit may share with another spelling of its PMD.
+
+        Example::
+
+            >>> from repro.runner import ExperimentSpec
+            >>> CellResult.spec_columns(ExperimentSpec("[[5,1,3]]", mapper="ideal"))["placer"]
+            '-'
+        """
+        # Normalising drops the axes a preset mapper pins (placer, scheduler,
+        # routing features), so an explicit un-normalised ideal/quale spec
+        # still reports "-" and the default scenario tags.
+        normalized = spec.normalized()
+        return dict(
+            circuit=spec.circuit,
+            mapper=spec.mapper,
+            placer=normalized.placer or "-",
+            fabric=spec.fabric.label,
+            num_seeds=spec.num_seeds,
+            random_seed=spec.random_seed,
+            technology=normalized.technology,
+            scheduler=normalized.scheduler,
+            turn_aware=normalized.turn_aware,
+            meeting_point=normalized.meeting_point,
+            channel_capacity=normalized.channel_capacity,
+            barrier_scheduling=normalized.barrier_scheduling,
         )
 
     @property

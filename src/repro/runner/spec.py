@@ -35,7 +35,7 @@ from repro.pipeline.schedulers import SCHEDULERS
 from repro.pipeline.technologies import TECHNOLOGIES, resolve_technology
 from repro.routing.router import MeetingPoint
 from repro.runner.results import scenario_suffix
-from repro.technology import MAX_CHANNEL_CAPACITY
+from repro.technology import MAX_CHANNEL_CAPACITY, TechnologyParams
 
 
 #: Legal ``meeting_point`` axis values (the :class:`MeetingPoint` enum values).
@@ -85,6 +85,9 @@ PLACERLESS_MAPPERS: frozenset[str] = frozenset({"quale", "qpos", "ideal"})
 #: every other run, which changes the issue-poll, skipped-poll and wake-hit
 #: counters of otherwise identical QUALE and MVFB runs, so schema-12
 #: records are retired.
+#: Still 13, as every key changed shape: it holds the PMD the cell runs,
+#: capacity override folded in, and no separate capacity, so no record
+#: keyed before can match.
 CACHE_SCHEMA = 13
 
 
@@ -190,8 +193,8 @@ class ExperimentSpec:
             ``"destination"`` (QPOS/QUALE) or ``"center"``.
         channel_capacity: Channel-capacity override, at most
             :data:`~repro.technology.MAX_CHANNEL_CAPACITY`; ``None`` uses the
-            technology's value.  :meth:`mapper_options` folds it into the
-            job's PMD, the run's one source of the capacity.
+            technology's value.  :meth:`pmd` folds it into the job's PMD,
+            the run's one source of the capacity.
         barrier_scheduling: Schedule level-by-level (ALAP) before mapping,
             as the prior tools do.
 
@@ -381,11 +384,8 @@ class ExperimentSpec:
         """
         if not self.uses_placer_axes:
             raise MappingError(f"mapper {self.mapper!r} takes no options")
-        technology = resolve_technology(self.technology)
-        if self.channel_capacity is not None:
-            technology = replace(technology, channel_capacity=self.channel_capacity)
         return MapperOptions(
-            technology=technology,
+            technology=self.pmd(),
             scheduler=self.scheduler,
             turn_aware_routing=self.turn_aware,
             meeting_point=MeetingPoint(self.meeting_point),
@@ -395,6 +395,25 @@ class ExperimentSpec:
             num_placements=self.num_placements,
             random_seed=self.random_seed,
         )
+
+    def pmd(self) -> TechnologyParams:
+        """The PMD this cell runs: its technology with the capacity folded in.
+
+        Spellings of one PMD are one value: ``technology="cap-1"`` and
+        ``technology="paper", channel_capacity=1`` give equal parameters,
+        so they share a :meth:`cache_key` too.  (The fixed presets take no
+        override: :meth:`normalized` drops it, and QUALE and QPOS fold
+        capacity 1 into their PMD themselves.)
+
+        Example::
+
+            >>> ExperimentSpec("[[5,1,3]]", channel_capacity=1).pmd().channel_capacity
+            1
+        """
+        technology = resolve_technology(self.technology)
+        if self.channel_capacity is None:
+            return technology
+        return replace(technology, channel_capacity=self.channel_capacity)
 
     def build_mapper(self):
         """Instantiate this cell's mapper through the mapper registry.
@@ -443,11 +462,12 @@ class ExperimentSpec:
         """Content hash identifying this cell's result.
 
         The key covers the normalised spec, the fabric geometry, the
-        technology's *parameters* (not its registry name, so a name
-        re-registered with other values keys other results) and — for
-        QASM-file circuits — the *content* of the file (not its path), so
-        editing the circuit invalidates the cache while moving the file does
-        not.
+        parameters of the PMD the cell runs (:meth:`pmd`: not the
+        technology's registry name, so a name re-registered with other
+        values keys other results, and not the capacity override, which the
+        PMD holds) and — for QASM-file circuits — the *content* of the file
+        (not its path), so editing the circuit invalidates the cache while
+        moving the file does not.
 
         Example::
 
@@ -457,8 +477,9 @@ class ExperimentSpec:
         """
         spec = self.normalized()
         payload = spec.to_dict()
+        del payload["channel_capacity"]
         payload["schema"] = CACHE_SCHEMA
-        payload["technology"] = resolve_technology(spec.technology).to_dict()
+        payload["technology"] = spec.pmd().to_dict()
         if not spec.is_registered_circuit:
             if is_regular_file(spec.circuit):
                 digest = hashlib.sha256(Path(spec.circuit).read_bytes()).hexdigest()

@@ -83,6 +83,25 @@ class TestPublicSurface:
         assert not hasattr(repro.MapperOptions(), "channel_capacity")
         assert not hasattr(repro.routing.RoutingPolicy(), "channel_capacity")
 
+    def test_qasm_text_is_read_straight_into_a_circuit(self):
+        # One reader: the lexer, the statement AST and the lowering pass are
+        # gone, and what it refuses is a circuit error.
+        import repro.qasm
+
+        assert repro.qasm.__all__ == ["parse_qasm", "parse_qasm_file", "write_qasm"]
+        assert importlib.util.find_spec("repro.qasm.lexer") is None
+        assert importlib.util.find_spec("repro.qasm.ast") is None
+        assert not hasattr(repro.QuantumCircuit, "from_program")
+        assert issubclass(repro.QasmError, repro.CircuitError)
+
+    def test_qidg_keeps_no_test_only_names(self):
+        import repro.qidg
+        import repro.qidg.uidg
+
+        assert "build_uidg" not in repro.qidg.__all__
+        assert not hasattr(repro.qidg.uidg, "build_uidg")
+        assert not hasattr(repro.qidg.QIDG, "sources")
+
 
 class TestCliListRoundTrip:
     def test_every_registry_name_appears_in_list_output(self, capsys):

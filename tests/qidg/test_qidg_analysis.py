@@ -12,7 +12,6 @@ from repro.qidg.analysis import (
     longest_path_to_sink,
 )
 from repro.qidg.graph import build_qidg
-from repro.qidg.uidg import build_uidg
 from repro.scheduling.policies import QsprPolicy
 from repro.technology import PAPER_TECHNOLOGY
 
@@ -58,7 +57,7 @@ class TestPathMaps:
         qidg = build_qidg(ghz5)
         sinks = [node for node, succs in enumerate(qidg.successors) if not succs]
         assert sinks == [len(qidg) - 1]
-        from_source = longest_path_to_sink(build_uidg(qidg))
+        from_source = longest_path_to_sink(build_qidg(qidg.circuit.inverse()))
         assert from_source[0] == critical_path_latency(qidg)
 
     def test_sink_value_is_own_delay(self, bell_circuit):

@@ -40,7 +40,7 @@ class TestBuildQidg:
         circuit.h(b)
         qidg = build_qidg(circuit)
         assert qidg.num_edges == 0
-        assert qidg.sources() == [0, 1]
+        assert qidg.predecessors == ((), ())
         assert qidg.successors == ((), ())
 
     def test_two_qubit_gate_joins_chains(self, paper_circuit):

@@ -5,19 +5,19 @@ import pytest
 from repro.errors import CircuitError
 from repro.qidg.analysis import critical_path_latency
 from repro.qidg.graph import build_qidg
-from repro.qidg.uidg import build_uidg, forward_to_backward_index, reverse_schedule
+from repro.qidg.uidg import forward_to_backward_index, reverse_schedule
 
 
 class TestBuildUidg:
     def test_same_size(self, paper_circuit):
         qidg = build_qidg(paper_circuit)
-        uidg = build_uidg(qidg)
+        uidg = build_qidg(qidg.circuit.inverse())
         assert uidg.num_nodes == qidg.num_nodes
         assert uidg.num_edges == qidg.num_edges
 
     def test_edges_are_reversed(self, bell_circuit):
         qidg = build_qidg(bell_circuit)
-        uidg = build_uidg(qidg)
+        uidg = build_qidg(qidg.circuit.inverse())
         # Forward: H(0) -> CX(1).  Backward circuit: CX(0) -> H(1).
         assert uidg.instruction(0).gate.name == "C-X"
         assert uidg.successors[0] == (1,)
@@ -26,7 +26,7 @@ class TestBuildUidg:
         # Gate delays are symmetric under inversion, so the ideal latency of
         # the uncompute circuit equals the forward one.
         qidg = build_qidg(paper_circuit)
-        uidg = build_uidg(qidg)
+        uidg = build_qidg(qidg.circuit.inverse())
         assert critical_path_latency(uidg) == critical_path_latency(qidg)
 
 
@@ -53,7 +53,7 @@ class TestReverseSchedule:
 
     def test_is_topological_for_uidg(self, paper_circuit):
         qidg = build_qidg(paper_circuit)
-        uidg = build_uidg(qidg)
+        uidg = build_qidg(qidg.circuit.inverse())
         forward_order = qidg.topological_order()
         backward = reverse_schedule(forward_order, paper_circuit.num_instructions)
         assert uidg.is_valid_order(backward)

@@ -56,6 +56,42 @@ class TestTechnologyKeys:
         assert execute_cell(spec).latency == 1948
 
 
+#: Three spellings of the paper PMD at capacity 1.
+CAP1_SPELLINGS = (
+    dict(channel_capacity=1),
+    dict(technology="cap-1"),
+    dict(technology="cap-1", channel_capacity=1),
+)
+
+
+class TestPmdKeys:
+    def test_spellings_of_one_pmd_share_one_key(self):
+        specs = [ExperimentSpec("[[9,1,3]]", placer="center", **s) for s in CAP1_SPELLINGS]
+        assert len({spec.pmd() for spec in specs}) == 1
+        assert len({spec.cache_key() for spec in specs}) == 1
+        assert ExperimentSpec("[[9,1,3]]", placer="center").cache_key() != specs[0].cache_key()
+
+    @pytest.mark.parametrize("mapped", range(len(CAP1_SPELLINGS)))
+    def test_a_served_record_reports_the_request(self, tmp_path, mapped):
+        # The measured columns come from the one mapped job; the spec
+        # columns from each request, so each keeps its own label.
+        from repro.runner import execute_cell
+
+        specs = [ExperimentSpec("[[9,1,3]]", placer="center", **s) for s in CAP1_SPELLINGS]
+        cache = ResultCache(tmp_path / "cache")
+        first = execute_cell(specs[mapped])
+        assert first.latency == 1550.0
+        cache.store(specs[mapped], first)
+        for spec in specs:
+            hit = cache.load(spec)
+            assert hit.from_cache and hit.latency == first.latency
+            assert hit.events_processed == first.events_processed
+            assert (hit.technology, hit.channel_capacity, hit.config_label) == (
+                spec.technology, spec.channel_capacity, spec.config_label()
+            )
+        assert len(cache) == 1
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

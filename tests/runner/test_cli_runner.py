@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.errors import QasmError
 from repro.pipeline import SCHEDULERS, TECHNOLOGIES
 
 _SWEEP_ARGS = [
@@ -172,6 +177,27 @@ class TestTopLevel:
         out = capsys.readouterr().out
         assert "mapping of ghz onto" in out  # the 2-qubit file's stem...
         assert "ghz_5" not in out  # ...not the built-in 5-qubit generator
+
+    def test_run_of_a_file_that_is_not_utf8_exits_1_without_a_traceback(self, tmp_path):
+        path = tmp_path / "bin.qasm"
+        path.write_bytes(b"\xff\xfeQUBIT\x80\x81\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(path), "--placer", "center"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert probe.returncode == 1
+        assert "Traceback" not in probe.stderr
+        (line,) = probe.stderr.splitlines()
+        assert line.startswith(f"error: cannot read QASM file {path}: ")
+
+    def test_map_circuit_of_a_file_that_is_not_utf8_raises_a_qasm_error(self, tmp_path):
+        path = tmp_path / "bin.qasm"
+        path.write_bytes(b"\xff\xfeQUBIT\x80\x81\n")
+        with pytest.raises(QasmError, match="bin.qasm"):
+            repro.map_circuit(str(path), "small", placer="center")
 
     def test_list_subcommand_prints_all_registries(self, capsys):
         assert main(["list"]) == 0

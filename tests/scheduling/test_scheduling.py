@@ -52,7 +52,8 @@ class TestDependencyTracker:
     def test_initially_ready_sources(self, paper_circuit):
         qidg = build_qidg(paper_circuit)
         tracker = DependencyTracker(qidg)
-        assert tracker.initially_ready() == qidg.sources()
+        sources = [node for node, preds in enumerate(qidg.predecessors) if not preds]
+        assert tracker.initially_ready() == sources
 
     def test_completion_unlocks_successors(self, bell_circuit):
         qidg = build_qidg(bell_circuit)

@@ -166,13 +166,14 @@ class TestServiceMetricsAggregates:
         assert "idx_jobs_finished_at" in names
 
 
-# Genuinely distinct specs for queue flooding: the center placer is
-# deterministic, so seed axes collapse in normalisation and seed-varied
-# payloads would dedup into one job instead of growing the queue.
+# Genuinely distinct specs for queue flooding: MVFB keeps the random seed
+# in its key, so seed-varied payloads do not dedup into one job.  Each is a
+# full m=25 search (about 0.1 s), because a submit wakes the idle worker: a
+# center-placed job maps faster than the next submission's round trip, so
+# a flood of those can find the queue empty at every post.
 _FLOOD_SPECS = tuple(
-    {**SPEC_PAYLOAD, "circuit": circuit, "mapper": mapper}
-    for circuit in ("[[5,1,3]]", "[[7,1,3]]", "ghz")
-    for mapper in ("qspr", "quale")
+    {**SPEC_PAYLOAD, "placer": "mvfb", "num_seeds": 25, "random_seed": seed}
+    for seed in range(6)
 )
 
 
@@ -180,9 +181,8 @@ def _submit_until_429(client):
     """Flood distinct specs until the watermark trips; return the 429.
 
     With one worker, at most one job can leave the queue per mapping (a
-    claim moves it to ``running``), so a burst of distinct submissions is
-    guaranteed to trip a watermark of 1 within a few attempts — no timing
-    assumptions about when the worker polls.
+    claim moves it to ``running``).  While the first job maps, the second
+    waits in the queue, so the third submission trips a watermark of 1.
     """
     for payload in _FLOOD_SPECS:
         try:

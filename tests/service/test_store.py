@@ -145,6 +145,13 @@ class TestDedup:
         b, created = store.submit(_spec(mapper="quale", placer="center", num_seeds=1))
         assert not created and a.id == b.id
 
+    def test_spellings_of_one_pmd_dedup(self, store):
+        # "cap-1" is the paper PMD at capacity 1: one job, however spelled.
+        a, _ = store.submit(_spec(channel_capacity=1))
+        b, created_b = store.submit(_spec(technology="cap-1"))
+        c, created_c = store.submit(_spec(technology="cap-1", channel_capacity=1))
+        assert not created_b and not created_c and a.id == b.id == c.id
+
     def test_done_job_still_dedups(self, store):
         job, _ = store.submit(_spec())
         store.claim("w0")
